@@ -1,34 +1,99 @@
 package bench
 
-// The engine's parallel executor (worker pool, parallel shuffle routing,
-// narrow fan-in memo) and the fused narrow-chain pipeline must be pure
-// host-side optimizations: every simulated-cluster number the paper
-// figures are built from has to come out bit-identical to the retained
-// serial reference executor. This test runs real experiments from the
-// registry under all three modes and compares the raw rows with ==, not
-// a tolerance.
+// Host-side execution choices (worker count, pool scheduling, fused or
+// per-operator evaluation of a narrow chain) must never reach a simulated
+// number. testdata/exec_rows.golden holds the raw rows of real registry
+// experiments as the retired serial reference executor, the pooled
+// per-operator evaluator and the fused evaluator all produced them; the
+// tests here and in shred_modes_test.go compare against it exactly (floats
+// in shortest round-trip form, no tolerance), once at the host's GOMAXPROCS
+// and once on a single proc.
 
 import (
-	"reflect"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"matryoshka/internal/tasks"
 )
 
-func TestExecutorModesBitIdentical(t *testing.T) {
+func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// execModes are the executor configurations that must all reproduce the
+// golden.
+var execModes = []struct {
+	name   string
+	legacy bool
+	noFuse bool
+}{
+	{"legacy", true, true},
+	{"parallel-unfused", false, true},
+	{"parallel-fused", false, false},
+}
+
+// atProcs runs f at the host's GOMAXPROCS and again pinned to one proc.
+func atProcs(t *testing.T, f func(t *testing.T)) {
+	t.Run("procs=default", f)
+	t.Run("procs=1", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		f(t)
+	})
+}
+
+// checkExecGolden compares got with the "[section]" block of
+// testdata/exec_rows.golden (rewriting that block under -update).
+func checkExecGolden(t *testing.T, section string, got []string) {
+	t.Helper()
+	path := filepath.Join("testdata", "exec_rows.golden")
+	raw, err := os.ReadFile(path)
+	if err != nil && !*update {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	sections := map[string][]string{}
+	var cur string
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if strings.HasPrefix(line, "[") {
+			cur = strings.Trim(line, "[]")
+		} else if line != "" {
+			sections[cur] = append(sections[cur], line)
+		}
+	}
+	if *update && !slices.Equal(sections[section], got) {
+		sections[section] = got
+		names := make([]string, 0, len(sections))
+		for name := range sections {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		var b strings.Builder
+		for _, name := range names {
+			fmt.Fprintf(&b, "[%s]\n%s\n", name, strings.Join(sections[name], "\n"))
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := sections[section]
+	if len(got) != len(want) {
+		t.Fatalf("[%s]: %d rows, golden has %d (run with -update if intended)", section, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("[%s] row %d drifted (run with -update if intended)\ngot:  %s\nwant: %s", section, i, got[i], want[i])
+		}
+	}
+}
+
+func TestExperimentRowsMatchGolden(t *testing.T) {
 	// Small scale keeps the runtime reasonable; the plans and operators
 	// exercised are the full ones (shuffles, broadcasts, skewed groups,
 	// control flow), only the record counts shrink.
 	sc := Scale{RecordsPerGB: 300}
-	modes := []struct {
-		name   string
-		legacy bool
-		noFuse bool
-	}{
-		{"legacy", true, true},
-		{"parallel-unfused", false, true},
-		{"parallel-fused", false, false},
-	}
 	for _, id := range []string{"fig1", "fig7-bounce"} {
 		exp, ok := Find(id)
 		if !ok {
@@ -36,22 +101,18 @@ func TestExecutorModesBitIdentical(t *testing.T) {
 		}
 		t.Run(id, func(t *testing.T) {
 			defer func() { tasks.LegacyExec, tasks.NoFuse = false, false }()
-			var ref []Row
-			for _, m := range modes {
+			for _, m := range execModes {
 				tasks.LegacyExec, tasks.NoFuse = m.legacy, m.noFuse
-				got := exp.Run(sc)
-				if ref == nil {
-					ref = got
-					continue
-				}
-				if !reflect.DeepEqual(ref, got) {
-					for i := range ref {
-						if i < len(got) && ref[i] != got[i] {
-							t.Errorf("row %d differs:\n%s: %+v\n%s: %+v", i, modes[0].name, ref[i], m.name, got[i])
+				t.Run(m.name, func(t *testing.T) {
+					atProcs(t, func(t *testing.T) {
+						var got []string
+						for _, r := range exp.Run(sc) {
+							got = append(got, fmt.Sprintf("series=%s x=%s seconds=%s jobs=%d oom=%t err=%q",
+								r.Series, fmtFloat(r.X), fmtFloat(r.Seconds), r.Jobs, r.OOM, r.Err))
 						}
-					}
-					t.Fatalf("%s disagrees with %s (%d vs %d rows)", m.name, modes[0].name, len(got), len(ref))
-				}
+						checkExecGolden(t, id, got)
+					})
+				})
 			}
 		})
 	}

@@ -3,31 +3,21 @@ package bench
 // The shred rule's two lowerings of GroupByKeyIntoNestedBag must be
 // pure physical alternatives: the same nested program run materialized
 // and shredded has to produce DeepEqual-identical values — including
-// the shred task's order-sensitive per-group checksums — under every
-// executor mode (serial reference, parallel unfused, parallel fused).
-// Twelve runs per task: 3 executor modes x 2 forced lowerings, plus the
-// invariant that within one lowering the executor modes agree on the
-// simulated numbers too.
+// the shred task's order-sensitive per-group checksums — and each
+// lowering's simulated numbers must match testdata/exec_rows.golden
+// exactly, whatever the host parallelism (see exec_modes_test.go).
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"matryoshka/internal/tasks"
 )
 
-func TestShredLoweringsBitIdenticalAcrossExecModes(t *testing.T) {
+func TestShredLoweringsBitIdentical(t *testing.T) {
 	sc := Scale{RecordsPerGB: 300}
 	cc := sc.PaperCluster()
-	execModes := []struct {
-		name   string
-		legacy bool
-		noFuse bool
-	}{
-		{"legacy", true, true},
-		{"parallel-unfused", false, true},
-		{"parallel-fused", false, false},
-	}
 	for _, task := range []struct {
 		name string
 		run  func() tasks.Outcome
@@ -39,27 +29,27 @@ func TestShredLoweringsBitIdenticalAcrossExecModes(t *testing.T) {
 		t.Run(task.name, func(t *testing.T) {
 			defer func() { tasks.LegacyExec, tasks.NoFuse, tasks.Shred = false, false, "auto" }()
 			var refValue any
-			for _, shredMode := range []string{"off", "on"} {
-				var refOutcome *tasks.Outcome
-				for _, m := range execModes {
-					tasks.LegacyExec, tasks.NoFuse, tasks.Shred = m.legacy, m.noFuse, shredMode
-					out := task.run()
-					if out.Err != nil {
-						t.Fatalf("shred=%s exec=%s: %v", shredMode, m.name, out.Err)
-					}
-					if refValue == nil {
-						refValue = out.Value
-					} else if !reflect.DeepEqual(refValue, out.Value) {
-						t.Fatalf("shred=%s exec=%s: value diverged from first run", shredMode, m.name)
-					}
-					if refOutcome == nil {
-						refOutcome = &out
-					} else if out.Seconds != refOutcome.Seconds || out.Jobs != refOutcome.Jobs ||
-						out.Stages != refOutcome.Stages || out.Tasks != refOutcome.Tasks {
-						t.Fatalf("shred=%s exec=%s: simulated numbers diverged: %+v vs %+v",
-							shredMode, m.name, out, *refOutcome)
-					}
-				}
+			for _, m := range execModes {
+				t.Run(m.name, func(t *testing.T) {
+					atProcs(t, func(t *testing.T) {
+						var got []string
+						for _, shredMode := range []string{"off", "on"} {
+							tasks.LegacyExec, tasks.NoFuse, tasks.Shred = m.legacy, m.noFuse, shredMode
+							out := task.run()
+							if out.Err != nil {
+								t.Fatalf("shred=%s: %v", shredMode, out.Err)
+							}
+							if refValue == nil {
+								refValue = out.Value
+							} else if !reflect.DeepEqual(refValue, out.Value) {
+								t.Fatalf("shred=%s: value diverged from the first run", shredMode)
+							}
+							got = append(got, fmt.Sprintf("shred=%s seconds=%s jobs=%d stages=%d tasks=%d",
+								shredMode, fmtFloat(out.Seconds), out.Jobs, out.Stages, out.Tasks))
+						}
+						checkExecGolden(t, "shred/"+task.name, got)
+					})
+				})
 			}
 		})
 	}
