@@ -1,9 +1,10 @@
 GO ?= go
 
-.PHONY: check test race vet build bench bench-check figures fmt-check sched-bench chaos-bench shred-bench procchaos-bench fuzz-smoke
+.PHONY: check test race vet build bench-module bench bench-check figures fmt-check sched-bench chaos-bench shred-bench procchaos-bench fuzz-smoke
 
-## check: everything CI runs — formatting, vet, build, tests, race tests.
-check: fmt-check vet build test race
+## check: everything CI runs — formatting, vet, build, tests, race tests,
+## and the benchmark module.
+check: fmt-check vet build test race bench-module
 
 ## fmt-check: fail if any file needs gofmt.
 fmt-check:
@@ -26,11 +27,18 @@ test:
 race:
 	$(GO) test -race ./...
 
+## bench-module: vet and test the wall-clock benchmark (benchmark/ is a
+## module of its own, so `./...` above never descends into it). It imports
+## matryoshka/internal/... by name: removing a symbol it uses (the list is
+## in benchmark/README.md) would otherwise break the yardstick silently.
+bench-module:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
 ## bench: run the engine hot-path benchmarks and save them as JSON.
 ## Committed results live in BENCH_engine.json; regenerate on a quiet
-## machine and note GOMAXPROCS when comparing across hosts.
+## machine. Pinned to `-cpu 1`, like the gate that reads it (bench-check).
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/engine | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_engine.json
+	$(GO) test -bench . -benchmem -cpu 1 -run '^$$' ./internal/engine | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_engine.json
 
 ## bench-check: hot-path regression gate — rerun the engine benchmarks
 ## (few iterations: this is a smoke gate, not a measurement) and fail if
@@ -41,11 +49,16 @@ bench:
 ## so a tight ns/op bound would flake — order-of-magnitude regressions
 ## still trip it. The precise check is allocs/op on the stage-boundary
 ## benchmarks, gated exactly (allocation counts are deterministic; any
-## growth is a real change to the typed data path). New and removed
+## growth is a real change to the typed data path). The run is pinned to
+## `-cpu 1` because every committed baseline row is `procs: 1`: on more
+## procs the runtime's concurrent-GC allocations land in allocs/op
+## (65343-65344 vs 65342 on ShuffleBoundary/boxed) and the 1 MB flatten
+## benchmarks page-fault their way to 3-7x the one-proc numbers, so the
+## gate would trip on the host's shape, not on a change. New and removed
 ## benchmarks are reported but never fail; regenerate the baseline with
 ## `make bench`.
 bench-check:
-	$(GO) test -bench . -benchmem -benchtime 10x -run '^$$' ./internal/engine | $(GO) run ./cmd/benchjson -check BENCH_engine.json -factor 3 -gate-allocs ShuffleBoundary
+	$(GO) test -bench . -benchmem -benchtime 10x -cpu 1 -run '^$$' ./internal/engine | $(GO) run ./cmd/benchjson -check BENCH_engine.json -factor 3 -gate-allocs ShuffleBoundary
 
 ## fuzz-smoke: fuzz the batch wire codec for 30s from the checked-in seed
 ## corpus (internal/engine/testdata/fuzz/FuzzBatchCodec), then the

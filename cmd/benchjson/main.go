@@ -137,7 +137,7 @@ func check(base, cur Report, factor float64, allocsRe *regexp.Regexp) (string, b
 		baseline[r.Name] = r
 	}
 	var b strings.Builder
-	ok := true
+	var slow, grew int // what tripped the gate
 	for _, r := range cur.Results {
 		bl, found := baseline[r.Name]
 		if !found {
@@ -151,14 +151,14 @@ func check(base, cur Report, factor float64, allocsRe *regexp.Regexp) (string, b
 		verdict := "ok"
 		if ratio > factor {
 			verdict = "REGRESSED"
-			ok = false
+			slow++
 		}
 		allocs := ""
 		if allocsRe != nil && allocsRe.MatchString(r.Name) && bl.AllocsPerOp > 0 {
 			allocs = fmt.Sprintf("  %d vs %d allocs/op", r.AllocsPerOp, bl.AllocsPerOp)
 			if r.AllocsPerOp > bl.AllocsPerOp {
 				verdict = "REGRESSED"
-				ok = false
+				grew++
 				allocs += " (grew)"
 			}
 		}
@@ -169,12 +169,16 @@ func check(base, cur Report, factor float64, allocsRe *regexp.Regexp) (string, b
 	for name := range baseline {
 		fmt.Fprintf(&b, "  gone     %s (in baseline, not in this run)\n", name)
 	}
-	if ok {
-		fmt.Fprintf(&b, "benchjson: %d benchmarks within %.1fx of baseline\n", len(cur.Results), factor)
-	} else {
-		fmt.Fprintf(&b, "benchjson: ns/op regression beyond %.1fx of baseline\n", factor)
+	if slow > 0 {
+		fmt.Fprintf(&b, "benchjson: %d benchmarks regressed in ns/op beyond %.1fx of baseline\n", slow, factor)
 	}
-	return b.String(), ok
+	if grew > 0 {
+		fmt.Fprintf(&b, "benchjson: %d gated benchmarks grew in allocs/op over baseline\n", grew)
+	}
+	if slow+grew == 0 {
+		fmt.Fprintf(&b, "benchjson: %d benchmarks within %.1fx of baseline\n", len(cur.Results), factor)
+	}
+	return b.String(), slow+grew == 0
 }
 
 func parseBench(line string) (Result, bool) {

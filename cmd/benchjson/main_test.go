@@ -35,91 +35,68 @@ ok  	matryoshka/internal/engine	12.3s
 	}
 }
 
-func res(name string, ns float64) Result { return Result{Name: name, NsPerOp: ns} }
-
-func TestCheckPassesWithinFactor(t *testing.T) {
-	base := Report{Results: []Result{res("A", 1000), res("B", 2000)}}
-	cur := Report{Results: []Result{res("A", 1900), res("B", 2000)}}
-	out, ok := check(base, cur, 2, nil)
-	if !ok {
-		t.Fatalf("within-factor run failed:\n%s", out)
+// TestCheck walks the gate's verdicts: what fails it, what must not, and
+// that the summary names what tripped.
+func TestCheck(t *testing.T) {
+	res := func(name string, ns float64, allocs int64) Result {
+		return Result{Name: name, NsPerOp: ns, AllocsPerOp: allocs}
 	}
-	if !strings.Contains(out, "within 2.0x") {
-		t.Errorf("summary missing verdict:\n%s", out)
-	}
-}
-
-func TestCheckFailsOnRegression(t *testing.T) {
-	base := Report{Results: []Result{res("A", 1000)}}
-	cur := Report{Results: []Result{res("A", 2500)}}
-	out, ok := check(base, cur, 2, nil)
-	if ok {
-		t.Fatalf("2.5x regression passed:\n%s", out)
-	}
-	if !strings.Contains(out, "REGRESSED") || !strings.Contains(out, "A") {
-		t.Errorf("report does not name the regressed benchmark:\n%s", out)
-	}
-}
-
-func TestCheckIgnoresNewAndGoneBenchmarks(t *testing.T) {
-	base := Report{Results: []Result{res("A", 1000), res("Old", 500)}}
-	cur := Report{Results: []Result{res("A", 1000), res("New", 99999999)}}
-	out, ok := check(base, cur, 2, nil)
-	if !ok {
-		t.Fatalf("new/gone benchmarks must not fail the gate:\n%s", out)
-	}
-	if !strings.Contains(out, "new") || !strings.Contains(out, "gone") {
-		t.Errorf("report does not mention new/gone benchmarks:\n%s", out)
-	}
-}
-
-func TestCheckZeroBaselineNeverDividesByZero(t *testing.T) {
-	base := Report{Results: []Result{res("A", 0)}}
-	cur := Report{Results: []Result{res("A", 12345)}}
-	if _, ok := check(base, cur, 2, nil); !ok {
-		t.Fatal("zero baseline should not count as a regression")
-	}
-}
-
-func resAllocs(name string, ns float64, allocs int64) Result {
-	return Result{Name: name, NsPerOp: ns, AllocsPerOp: allocs}
-}
-
-func TestCheckGatesAllocsOnMatchingBenchmarks(t *testing.T) {
-	re := regexp.MustCompile("ShuffleBoundary")
+	gated := regexp.MustCompile("ShuffleBoundary")
 	base := Report{Results: []Result{
-		resAllocs("BenchmarkShuffleBoundary/typed", 1000, 48),
-		resAllocs("BenchmarkOther", 1000, 10),
+		res("BenchmarkShuffleBoundary/typed", 1000, 48),
+		res("BenchmarkOther", 1000, 10),
 	}}
-
-	// Same allocs passes; ns/op noise within factor is still tolerated.
-	cur := Report{Results: []Result{
-		resAllocs("BenchmarkShuffleBoundary/typed", 1500, 48),
-		resAllocs("BenchmarkOther", 1000, 500), // unmatched: allocs ignored
-	}}
-	if out, ok := check(base, cur, 2, re); !ok {
-		t.Fatalf("stable allocs failed the gate:\n%s", out)
-	}
-
-	// One extra alloc on a gated benchmark fails, even with ns/op fine.
-	cur = Report{Results: []Result{
-		resAllocs("BenchmarkShuffleBoundary/typed", 1000, 49),
-		resAllocs("BenchmarkOther", 1000, 10),
-	}}
-	out, ok := check(base, cur, 2, re)
-	if ok {
-		t.Fatalf("allocs growth passed the gate:\n%s", out)
-	}
-	if !strings.Contains(out, "allocs/op (grew)") {
-		t.Errorf("report does not call out the allocs growth:\n%s", out)
-	}
-
-	// Fewer allocs (an improvement) passes.
-	cur = Report{Results: []Result{
-		resAllocs("BenchmarkShuffleBoundary/typed", 1000, 12),
-		resAllocs("BenchmarkOther", 1000, 10),
-	}}
-	if out, ok := check(base, cur, 2, re); !ok {
-		t.Fatalf("allocs improvement failed the gate:\n%s", out)
+	const slow, grew, within = "regressed in ns/op beyond 2.0x", "grew in allocs/op", "within 2.0x"
+	for _, c := range []struct {
+		name     string
+		base     Report
+		cur      []Result
+		re       *regexp.Regexp
+		ok       bool
+		want     []string // substrings of the report
+		wantNone []string
+	}{
+		{name: "neither: noise within factor, allocs equal", base: base, re: gated, ok: true,
+			cur:  []Result{res("BenchmarkShuffleBoundary/typed", 1900, 48), res("BenchmarkOther", 1000, 10)},
+			want: []string{within}, wantNone: []string{"REGRESSED", slow, grew}},
+		{name: "ns/op over factor", base: base, re: gated, ok: false,
+			cur:  []Result{res("BenchmarkShuffleBoundary/typed", 1000, 48), res("BenchmarkOther", 2500, 10)},
+			want: []string{"REGRESSED BenchmarkOther", "1 benchmarks " + slow}, wantNone: []string{grew, within}},
+		{name: "allocs grew by one on a gated benchmark, ns/op fine", base: base, re: gated, ok: false,
+			cur:  []Result{res("BenchmarkShuffleBoundary/typed", 1000, 49), res("BenchmarkOther", 1000, 10)},
+			want: []string{"allocs/op (grew)", "1 gated benchmarks " + grew}, wantNone: []string{slow, within}},
+		{name: "both", base: base, re: gated, ok: false,
+			cur:  []Result{res("BenchmarkShuffleBoundary/typed", 1000, 49), res("BenchmarkOther", 2500, 10)},
+			want: []string{slow, grew}, wantNone: []string{within}},
+		{name: "allocs are ignored off the gate and may shrink on it", base: base, re: gated, ok: true,
+			cur:  []Result{res("BenchmarkShuffleBoundary/typed", 1000, 12), res("BenchmarkOther", 1000, 500)},
+			want: []string{within}},
+		{name: "no allocs gate given", base: base, ok: true,
+			cur:  []Result{res("BenchmarkShuffleBoundary/typed", 1000, 4800), res("BenchmarkOther", 1000, 10)},
+			want: []string{within}, wantNone: []string{"allocs/op"}},
+		{name: "new and gone rows are reported, never failed", base: base, re: gated, ok: true,
+			cur:  []Result{res("BenchmarkOther", 1000, 10), res("BenchmarkNew", 99999999, 1)},
+			want: []string{"new      BenchmarkNew", "gone     BenchmarkShuffleBoundary/typed", within}},
+		{name: "zero baseline never divides by zero", ok: true,
+			base: Report{Results: []Result{res("A", 0, 0)}},
+			cur:  []Result{res("A", 12345, 0)},
+			want: []string{within}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			out, ok := check(c.base, Report{Results: c.cur}, 2, c.re)
+			if ok != c.ok {
+				t.Errorf("ok = %v, want %v:\n%s", ok, c.ok, out)
+			}
+			for _, w := range c.want {
+				if !strings.Contains(out, w) {
+					t.Errorf("report missing %q:\n%s", w, out)
+				}
+			}
+			for _, w := range c.wantNone {
+				if strings.Contains(out, w) {
+					t.Errorf("report must not say %q:\n%s", w, out)
+				}
+			}
+		})
 	}
 }

@@ -21,7 +21,6 @@
 //	                                 # one multi-tenant scheduling run (p50/p99/makespan)
 //	matbench -exp fig1 -cpuprofile cpu.out -memprofile mem.out
 //	                                 # profile the host engine under a real workload
-//	matbench -exp fig1 -nofuse       # wall-clock A/B against the unfused executor
 //	matbench -exp sec-shred -skew 1.5            # nested-bag lowerings under a chosen Zipf exponent
 //	matbench -exp fig7-bounce -shred on          # force the shredded group materialization
 //	matbench -explain shred                      # watch the shred rule pick a lowering from observed sizes
@@ -64,7 +63,6 @@ type knobs struct {
 	backend    string
 	workers    int
 	procChaos  bool
-	nofuse     bool
 	skew       float64
 	shred      string
 }
@@ -133,8 +131,6 @@ func validateFlags(k knobs) error {
 			return fmt.Errorf("-backend proc runs the sim-vs-proc A/B comparison; -explain/-trace/-batchstats are simulator views, run them separately")
 		case k.tenants > 0:
 			return fmt.Errorf("-backend proc and -tenants are exclusive: the multi-tenant scheduler is a simulator backend of its own")
-		case k.nofuse:
-			return fmt.Errorf("-backend proc ignores -nofuse (remote stages always run unfused); drop it")
 		}
 	}
 	return nil
@@ -171,7 +167,6 @@ func run() int {
 		chaos      = flag.Float64("chaos", 0, "machine crash rate: crashes per machine per 1000 simulated seconds (0 = off)")
 		mtbf       = flag.Float64("mtbf", 0, "machine crash hazard: mean simulated seconds between crashes per machine (alternative spelling of -chaos)")
 		seed       = flag.Int64("seed", 0, "seed for the crash hazard and straggler skew (0 = default, runs stay bit-reproducible)")
-		nofuse     = flag.Bool("nofuse", false, "disable fused narrow-chain execution (A/B wall-clock comparison; simulated numbers are identical either way)")
 		skew       = flag.Float64("skew", 0, "override the Zipf exponent of skewed datasets (> 1; 0 = each generator's default)")
 		shred      = flag.String("shred", "auto", "nested-bag materialization lowering: auto (optimizer picks per group-by), on (force shredded), off (force materialized)")
 		backend    = flag.String("backend", "sim", "execution backend: sim (per-run simulator) or proc (run the sim-vs-process-pool A/B comparison)")
@@ -185,13 +180,12 @@ func run() int {
 		chaos: *chaos, mtbf: *mtbf, seed: *seed, tenants: *tenants, policy: *policy,
 		cpuProfile: *cpuProfile, memProfile: *memProfile,
 		explain: *explain, trace: *trace, batchStats: *batchStats,
-		backend: *backend, workers: *workers, procChaos: *procChaos, nofuse: *nofuse,
+		backend: *backend, workers: *workers, procChaos: *procChaos,
 		skew: *skew, shred: *shred}); err != nil {
 		fmt.Fprintf(os.Stderr, "matbench: %v\n", err)
 		flag.Usage()
 		return 2
 	}
-	tasks.NoFuse = *nofuse
 	if *shred != "" {
 		tasks.Shred = *shred
 	}

@@ -45,7 +45,6 @@ func TestValidateFlags(t *testing.T) {
 		{name: "proc with trace", k: knobs{backend: "proc", trace: "chaos", policy: "fair"}, wantErr: "-backend proc"},
 		{name: "proc with batchstats", k: knobs{backend: "proc", batchStats: "bounce-rate", policy: "fair"}, wantErr: "-backend proc"},
 		{name: "proc with tenants", k: knobs{backend: "proc", tenants: 2, policy: "fair"}, wantErr: "-tenants"},
-		{name: "proc with nofuse", k: knobs{backend: "proc", nofuse: true, policy: "fair"}, wantErr: "-nofuse"},
 		{name: "skew exponent", k: knobs{backend: "sim", skew: 1.5, policy: "fair"}},
 		{name: "shred forced on", k: knobs{backend: "sim", shred: "on", policy: "fair"}},
 		{name: "shred forced off", k: knobs{backend: "sim", shred: "off", policy: "fair"}},

@@ -3,11 +3,12 @@ package bench
 // Host-side execution choices (worker count, pool scheduling, fused or
 // per-operator evaluation of a narrow chain) must never reach a simulated
 // number. testdata/exec_rows.golden holds the raw rows of real registry
-// experiments as the retired serial reference executor, the pooled
-// per-operator evaluator and the fused evaluator all produced them; the
-// tests here and in shred_modes_test.go compare against it exactly (floats
-// in shortest round-trip form, no tolerance), once at the host's GOMAXPROCS
-// and once on a single proc.
+// experiments, generated when the engine still had a serial reference
+// executor and a fusion switch and all three paths produced these rows;
+// the tests here and in shred_modes_test.go compare against it exactly
+// (floats in shortest round-trip form, no tolerance), once at the host's
+// GOMAXPROCS and once on a single proc. A drift is a behaviour change:
+// -update is for deliberate recalibrations only.
 
 import (
 	"fmt"
@@ -18,23 +19,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"matryoshka/internal/tasks"
 )
 
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// execModes are the executor configurations that must all reproduce the
-// golden.
-var execModes = []struct {
-	name   string
-	legacy bool
-	noFuse bool
-}{
-	{"legacy", true, true},
-	{"parallel-unfused", false, true},
-	{"parallel-fused", false, false},
-}
 
 // atProcs runs f at the host's GOMAXPROCS and again pinned to one proc.
 func atProcs(t *testing.T, f func(t *testing.T)) {
@@ -100,20 +87,14 @@ func TestExperimentRowsMatchGolden(t *testing.T) {
 			t.Fatalf("experiment %s not in registry", id)
 		}
 		t.Run(id, func(t *testing.T) {
-			defer func() { tasks.LegacyExec, tasks.NoFuse = false, false }()
-			for _, m := range execModes {
-				tasks.LegacyExec, tasks.NoFuse = m.legacy, m.noFuse
-				t.Run(m.name, func(t *testing.T) {
-					atProcs(t, func(t *testing.T) {
-						var got []string
-						for _, r := range exp.Run(sc) {
-							got = append(got, fmt.Sprintf("series=%s x=%s seconds=%s jobs=%d oom=%t err=%q",
-								r.Series, fmtFloat(r.X), fmtFloat(r.Seconds), r.Jobs, r.OOM, r.Err))
-						}
-						checkExecGolden(t, id, got)
-					})
-				})
-			}
+			atProcs(t, func(t *testing.T) {
+				var got []string
+				for _, r := range exp.Run(sc) {
+					got = append(got, fmt.Sprintf("series=%s x=%s seconds=%s jobs=%d oom=%t err=%q",
+						r.Series, fmtFloat(r.X), fmtFloat(r.Seconds), r.Jobs, r.OOM, r.Err))
+				}
+				checkExecGolden(t, id, got)
+			})
 		})
 	}
 }

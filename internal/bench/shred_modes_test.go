@@ -27,30 +27,26 @@ func TestShredLoweringsBitIdentical(t *testing.T) {
 		{"shred", func() tasks.Outcome { return shredSpec(sc, 1.3).Run(sc.Cluster(2, 2, 1)) }},
 	} {
 		t.Run(task.name, func(t *testing.T) {
-			defer func() { tasks.LegacyExec, tasks.NoFuse, tasks.Shred = false, false, "auto" }()
+			defer func() { tasks.Shred = "auto" }()
 			var refValue any
-			for _, m := range execModes {
-				t.Run(m.name, func(t *testing.T) {
-					atProcs(t, func(t *testing.T) {
-						var got []string
-						for _, shredMode := range []string{"off", "on"} {
-							tasks.LegacyExec, tasks.NoFuse, tasks.Shred = m.legacy, m.noFuse, shredMode
-							out := task.run()
-							if out.Err != nil {
-								t.Fatalf("shred=%s: %v", shredMode, out.Err)
-							}
-							if refValue == nil {
-								refValue = out.Value
-							} else if !reflect.DeepEqual(refValue, out.Value) {
-								t.Fatalf("shred=%s: value diverged from the first run", shredMode)
-							}
-							got = append(got, fmt.Sprintf("shred=%s seconds=%s jobs=%d stages=%d tasks=%d",
-								shredMode, fmtFloat(out.Seconds), out.Jobs, out.Stages, out.Tasks))
-						}
-						checkExecGolden(t, "shred/"+task.name, got)
-					})
-				})
-			}
+			atProcs(t, func(t *testing.T) {
+				var got []string
+				for _, shredMode := range []string{"off", "on"} {
+					tasks.Shred = shredMode
+					out := task.run()
+					if out.Err != nil {
+						t.Fatalf("shred=%s: %v", shredMode, out.Err)
+					}
+					if refValue == nil {
+						refValue = out.Value
+					} else if !reflect.DeepEqual(refValue, out.Value) {
+						t.Fatalf("shred=%s: value diverged from the first run", shredMode)
+					}
+					got = append(got, fmt.Sprintf("shred=%s seconds=%s jobs=%d stages=%d tasks=%d",
+						shredMode, fmtFloat(out.Seconds), out.Jobs, out.Stages, out.Tasks))
+				}
+				checkExecGolden(t, "shred/"+task.name, got)
+			})
 		})
 	}
 }

@@ -79,21 +79,30 @@ func TestFusedNarrowPathAllocBound(t *testing.T) {
 	}
 }
 
-// TestRouteParallelAllocBound: the counting-pass router allocates exactly
-// its bookkeeping (target cache and counts per source, one slice per
-// non-empty block) and nothing per element.
-func TestRouteParallelAllocBound(t *testing.T) {
+// TestRouteAllocBound: the counting-pass router allocates exactly its
+// bookkeeping (target cache and counts per source, one batch per non-empty
+// block) and nothing per element. Pool dispatch adds to that per worker, so
+// the session's worker count is fixed here — one for the inline loops, four
+// for the pool — and the bound is the same on any host.
+func TestRouteAllocBound(t *testing.T) {
 	skipIfInstrumented(t)
 	const nsrc, perSrc, nt = 8, 4096, 16
 	parent := benchParent(nsrc, perSrc, false)
 	d := benchDep(nt)
-	s := poolSession(runtime.GOMAXPROCS(0))
-	defer s.Close()
-	s.routeParallel(d, parent) // warm the worker pool
-	// targets outer + nsrc caches + counts + blocks outer + nt blocks,
-	// plus pool-dispatch slack.
-	const budget = 2*nsrc + nt + 16
-	if avg := testing.AllocsPerRun(10, func() { s.routeParallel(d, parent) }); avg > budget {
-		t.Errorf("routeParallel allocates %.0f per call, want <= %d", avg, budget)
+	for _, workers := range []int{1, 4} {
+		s := poolSession(workers)
+		s.route(d, parent) // warm the worker pool
+		// targets outer + nsrc caches + counts + blocks outer + nt blocks
+		// (header and elements), plus slack.
+		budget := 2*nsrc + 2*nt
+		if workers > 1 {
+			// Each of the two pooled passes allocates its dispatch state
+			// and one runner closure per worker.
+			budget += 2 * (5 + workers)
+		}
+		if avg := testing.AllocsPerRun(10, func() { s.route(d, parent) }); avg > float64(budget) {
+			t.Errorf("route on %d workers allocates %.0f per call, want <= %d", workers, avg, budget)
+		}
+		s.Close()
 	}
 }

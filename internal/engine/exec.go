@@ -18,8 +18,8 @@ import (
 // (action target, shuffle/broadcast map sides, cached nodes) are
 // materialized fully; everything else is pipelined into the tasks of its
 // consuming stage. The executor makes no planning decision of its own —
-// stage boundaries, operator chains and memo sites all come from the plan,
-// in both the parallel and the retained serial (LegacyExec) paths.
+// stage boundaries, operator chains, memo sites and which narrow chains run
+// fused all come from the plan.
 //
 // Execution is resumable: completed stage roots live on the job's frontier
 // (see runner.go), and when a stage fails and Config.Recover is on, the
@@ -141,7 +141,7 @@ func (j *job) launchStage(n *node, st *plan.Stage) stageResult {
 	// A process-pool backend runs portable stages in worker processes;
 	// stages it cannot take (unregistered closures, infrastructure failure)
 	// fall through to the driver-local path below.
-	if j.s.remote != nil && !j.s.legacyExec {
+	if j.s.remote != nil {
 		if res, ok := j.launchStageRemote(n, st); ok {
 			return res
 		}
@@ -188,24 +188,7 @@ func (j *job) launchStage(n *node, st *plan.Stage) stageResult {
 		}
 	}
 	wallStart := time.Now()
-	if j.s.legacyExec {
-		// Reference mode: the pre-pool launch — one goroutine per
-		// partition, bounded by a stage-local semaphore.
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, j.s.workers)
-		for p := 0; p < n.parts; p++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(p int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				runTask(p)
-			}(p)
-		}
-		wg.Wait()
-	} else {
-		j.s.pool.parallelFor(j.s.workers, n.parts, runTask)
-	}
+	j.s.pool.parallelFor(j.s.workers, n.parts, runTask)
 	wallSeconds := time.Since(wallStart).Seconds()
 	if panicked != nil {
 		panic(panicked)
@@ -258,16 +241,6 @@ func (j *job) launchStage(n *node, st *plan.Stage) stageResult {
 			BatchShape:    batchShape,
 			WallSeconds:   wallSeconds,
 		})
-	}
-	if j.s.cfg.DebugStages && rep.Seconds > 1 {
-		var mxC float64
-		for _, c := range costs {
-			if c.Compute > mxC {
-				mxC = c.Compute
-			}
-		}
-		fmt.Printf("DBGSTAGE %-16s parts=%-5d dt=%.1f maxtask=%.1f w=%.0f chain=%s\n",
-			n.label, len(costs), rep.Seconds, mxC, n.weight, st.ChainString())
 	}
 	j.front[n] = &checkpoint{data: results, rep: rep}
 	j.registerOutput(n)
@@ -418,16 +391,10 @@ func (j *job) chainOf(st *plan.Stage) string {
 }
 
 // buildBlocks routes the materialized parent of shuffle dep d into the
-// child's partitions (see route.go for the parallel router).
+// child's partitions (see route.go).
 func (j *job) buildBlocks(d *dep) {
-	if _, ok := j.blocks[d]; ok {
-		return
-	}
-	parent := j.front[d.parent].data
-	if j.s.legacyExec {
-		j.blocks[d] = routeSerial(d, parent)
-	} else {
-		j.blocks[d] = j.s.routeParallel(d, parent)
+	if _, ok := j.blocks[d]; !ok {
+		j.blocks[d] = j.s.route(d, j.front[d.parent].data)
 	}
 }
 
@@ -439,13 +406,7 @@ func (j *job) pinBroadcast(d *dep, root *node, st *plan.Stage, owner *node) *sta
 	if _, ok := j.bcast[d]; ok {
 		return nil
 	}
-	parent := j.front[d.parent].data
-	var flat Batch
-	if j.s.legacyExec {
-		flat = flattenSerial(parent)
-	} else {
-		flat = j.s.flattenParallel(parent)
-	}
+	flat := j.s.flatten(j.front[d.parent].data)
 	bytes := j.s.estResidentBytes(flat, d.parent.weight)
 	clockBefore := j.s.exec.Clock()
 	if err := j.s.exec.Broadcast(bytes); err != nil {

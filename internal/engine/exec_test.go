@@ -45,11 +45,11 @@ func randomParent(rng *rand.Rand, maxSrc, maxLen int) []Batch {
 	return parent
 }
 
-// TestRouteParallelMatchesSerial asserts that the parallel router produces
-// blocks identical (content and order) to the retained serial reference,
-// over randomized partition structures, partition counts, and both
-// value-hash and positional partitioners.
-func TestRouteParallelMatchesSerial(t *testing.T) {
+// TestPooledRouteMatchesInline asserts that routing on the worker pool
+// produces blocks identical (content and order) to the same core run with
+// inline loops, over randomized partition structures, partition counts,
+// and both value-hash and positional partitioners.
+func TestPooledRouteMatchesInline(t *testing.T) {
 	s := poolSession(8)
 	defer s.Close()
 	rng := rand.New(rand.NewSource(7))
@@ -63,8 +63,8 @@ func TestRouteParallelMatchesSerial(t *testing.T) {
 		} else {
 			d.posPartitioner = func(src, idx, n int) int { return (src + idx) % n }
 		}
-		want := routeSerial(d, parent)
-		got := s.routeParallel(d, parent)
+		want := routeCore(d, parent, nil, 1)
+		got := s.route(d, parent)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: block count %d, want %d", trial, len(got), len(want))
 		}
@@ -79,15 +79,15 @@ func TestRouteParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestFlattenParallelMatchesSerial covers the broadcast flatten path.
-func TestFlattenParallelMatchesSerial(t *testing.T) {
+// TestPooledFlattenMatchesInline covers the broadcast flatten path.
+func TestPooledFlattenMatchesInline(t *testing.T) {
 	s := poolSession(8)
 	defer s.Close()
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 100; trial++ {
 		parent := randomParent(rng, 9, 60)
-		want := flattenSerial(parent)
-		got := s.flattenParallel(parent)
+		want := flattenCore(parent, nil, 1)
+		got := s.flatten(parent)
 		if batchLen(want) == 0 && batchLen(got) == 0 {
 			continue
 		}
@@ -98,10 +98,10 @@ func TestFlattenParallelMatchesSerial(t *testing.T) {
 }
 
 // TestSingleWorkerRoutesSerial is the 1-core pessimization audit: on a
-// single-worker session, routeParallel and flattenParallel must take the
-// serial path outright — pool dispatch would be pure overhead with nothing
-// to overlap it with. The session's pool is closed up front, so any
-// dispatch attempt panics instead of silently passing.
+// single-worker session, route and flatten must take the serial path
+// outright — pool dispatch would be pure overhead with nothing to overlap
+// it with. The session's pool is closed up front, so any dispatch attempt
+// panics instead of silently passing.
 func TestSingleWorkerRoutesSerial(t *testing.T) {
 	s := poolSession(1)
 	s.Close()
@@ -112,8 +112,8 @@ func TestSingleWorkerRoutesSerial(t *testing.T) {
 		d.partitioner = func(e any, n int) int {
 			return int(uint32(e.(int))*2654435761) % n
 		}
-		want := routeSerial(d, parent)
-		got := s.routeParallel(d, parent)
+		want := routeCore(d, parent, nil, 1)
+		got := s.route(d, parent)
 		for p := range want {
 			if batchLen(want[p]) == 0 && batchLen(got[p]) == 0 {
 				continue
@@ -122,7 +122,7 @@ func TestSingleWorkerRoutesSerial(t *testing.T) {
 				t.Fatalf("trial %d: block %d differs on 1-worker session", trial, p)
 			}
 		}
-		if want, got := flattenSerial(parent), s.flattenParallel(parent); batchLen(want) != 0 || batchLen(got) != 0 {
+		if want, got := flattenCore(parent, nil, 1), s.flatten(parent); batchLen(want) != 0 || batchLen(got) != 0 {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: flatten differs on 1-worker session", trial)
 			}
@@ -132,7 +132,7 @@ func TestSingleWorkerRoutesSerial(t *testing.T) {
 	// serial sweep; only the single-worker guard keeps the pool out of it.
 	big := make([]int, flattenCutoff)
 	parent := []Batch{batchOf(big, len(big)), batchOf([]int{1, 2, 3}, 3)}
-	if got := s.flattenParallel(parent); got.Len() != flattenCutoff+3 {
+	if got := s.flatten(parent); got.Len() != flattenCutoff+3 {
 		t.Fatalf("big flatten length %d, want %d", got.Len(), flattenCutoff+3)
 	}
 }
@@ -167,8 +167,9 @@ func TestEstPartitionBytesMatchesBoxedReference(t *testing.T) {
 	for _, n := range ns {
 		vals := make([]Pair[int, int64], n)
 		// The reference slice is grown one append at a time from nil, the
-		// way routeSerial built shuffle blocks: for n <= sampleN the whole
-		// slice (capacity included) is what the boxed estimator measured.
+		// way the boxed router built shuffle blocks: for n <= sampleN the
+		// whole slice (capacity included) is what the boxed estimator
+		// measured.
 		var boxed []any
 		for i := range vals {
 			vals[i] = Pair[int, int64]{i, int64(3 * i)}
@@ -198,6 +199,22 @@ func materializedParts[T any](t *testing.T, d Dataset[T]) []Batch {
 		t.Fatalf("runJob: %v", err)
 	}
 	return parts
+}
+
+// sameParts is DeepEqual on materialized partitions, except that an empty
+// partition may be a nil or an empty host slice (a fused filter top that
+// drops everything never allocates); what accounting sees of it, its boxed
+// capacity, is covered by the callers' clock comparison.
+func sameParts(a, b []Batch) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for p := range a {
+		if (batchLen(a[p]) != 0 || batchLen(b[p]) != 0) && !reflect.DeepEqual(a[p], b[p]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestRepartitionDeterministic asserts that Repartition routes every
@@ -390,60 +407,140 @@ func randomDAG(s *Session, seed int64) Dataset[int] {
 		}
 		pool = append(pool, next)
 	}
-	// Union everything at the end so every branch is demanded, maximizing
-	// shared narrow parents.
-	out := pool[len(pool)-1]
-	out = Union(out, pool[rng.Intn(len(pool))])
+	// Union the last dataset with a random earlier one, maximizing shared
+	// narrow parents.
+	out := Union(pool[len(pool)-1], pick())
+	// Then fixed-shape chains on random parents, so every run has each
+	// fused materialization shape (fuseTop) and a chain the plan must
+	// refuse. Union is not fusible: the chain above it starts fresh and
+	// fuses whatever the picked parents are (cached, shared or themselves
+	// chains).
+	head := func() Dataset[int] { return Union(pick(), pick()) }
+	inc := func(x int) int { return x + 1 }
+	odd := func(x int) bool { return x%2 != 0 }
+	shared := Map(head(), inc) // two consumers: a memo site cutting both chains
+	for _, d := range []Dataset[int]{
+		FlatMap(Map(head(), inc), func(x int) []int { return []int{x, -x} }),
+		Filter(Map(head(), inc), odd),
+		// The hidden map-side combine of ReduceByKey tops map∘mapPartitions.
+		Values(ReduceByKey(KeyBy(head(), func(x int) int { return x % 7 }), func(a, b int) int { return a + b })),
+		Union(Filter(Map(shared, inc), odd), Map(shared, inc)),
+	} {
+		out = Union(out, d)
+	}
 	return out
 }
 
-// TestRandomDAGLegacyEquivalence runs identical randomized DAGs on a
-// legacy-mode session (serial routing, per-stage goroutines, no memo, no
-// fusion), a parallel session with fusion disabled, and a parallel fused
-// session, all sharing the same hash seed, asserting bit-identical
-// materialized partitions, virtual clocks, and cluster stats. This is the
-// "host-side only" guarantee: the parallel pipeline and the fused narrow
-// chain change wall-clock, never simulated accounting.
-func TestRandomDAGLegacyEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		ref := poolSession(1)
-		ref.legacyExec = true
-		unf := poolSession(8)
-		unf.noFuse = true
-		unf.seed = ref.seed // same hash routing on all sessions
-		fus := poolSession(8)
-		fus.seed = ref.seed
+// refOracle is the plan-free value oracle: plain recursion over node.deps
+// with no planner, runner, fan-in memo, fusion or cost accounting. It
+// shares only the operator kernels and the route/flatten cores with the
+// executor, so it also catches planner and runner bugs. Nodes are
+// evaluated once each (computes are pure), which keeps diamonds linear.
+type refOracle map[*node][]Batch
 
-		refOut := randomDAG(ref, seed)
-		refParts := materializedParts(t, refOut)
-		refN, err := Count(refOut) // second action reuses caches, crosses job boundaries
-		if err != nil {
-			t.Fatalf("seed %d: legacy count err %v", seed, err)
+func (o refOracle) parts(n *node) []Batch {
+	if out, ok := o[n]; ok {
+		return out
+	}
+	out := make([]Batch, n.parts)
+	for p := range out {
+		out[p] = o.eval(n, p)
+	}
+	o[n] = out
+	return out
+}
+
+func (o refOracle) eval(n *node, p int) Batch {
+	inputs := make([]Batch, len(n.deps))
+	for i := range n.deps {
+		d := &n.deps[i]
+		switch d.kind {
+		case depNarrow:
+			pps := []int{p}
+			if d.narrowMap != nil {
+				pps = d.narrowMap(p)
+			}
+			switch len(pps) {
+			case 0:
+				inputs[i] = zeroBatch
+			case 1:
+				inputs[i] = o.parts(d.parent)[pps[0]]
+			default: // fan-in concat: chunk-wise boxed appends, as observed downstream
+				var in []any
+				for _, pp := range pps {
+					in = append(in, toBoxed(o.parts(d.parent)[pp])...)
+				}
+				inputs[i] = boxedBatch(in)
+			}
+		case depShuffle:
+			if inputs[i] = routeCore(d, o.parts(d.parent), nil, 1)[p]; inputs[i] == nil {
+				inputs[i] = zeroBatch
+			}
+		case depBroadcast:
+			inputs[i] = flattenCore(o.parts(d.parent), nil, 1)
 		}
-		for _, mode := range []struct {
-			name string
-			s    *Session
-		}{{"parallel-unfused", unf}, {"parallel-fused", fus}} {
-			out := randomDAG(mode.s, seed)
-			if parts := materializedParts(t, out); !reflect.DeepEqual(refParts, parts) {
-				t.Fatalf("seed %d: %s materialized partitions differ from legacy", seed, mode.name)
-			}
-			n, err := Count(out)
-			if err != nil {
-				t.Fatalf("seed %d: %s count err %v", seed, mode.name, err)
-			}
-			if n != refN {
-				t.Fatalf("seed %d: %s count %d, legacy %d", seed, mode.name, n, refN)
-			}
-			if rc, mc := ref.Clock(), mode.s.Clock(); rc != mc {
-				t.Fatalf("seed %d: virtual clocks differ: legacy %v %s %v", seed, rc, mode.name, mc)
-			}
-			if rs, ms := ref.Stats(), mode.s.Stats(); rs != ms {
-				t.Fatalf("seed %d: cluster stats differ: legacy %+v %s %+v", seed, rs, mode.name, ms)
-			}
-			mode.s.Close()
+	}
+	return n.compute(&Ctx{job: &job{}}, p, inputs)
+}
+
+// TestRandomDAGFusedMatchesPerOperator runs identical randomized DAGs on a
+// session forced onto the per-operator evaluator (one host worker) and on a
+// default session that fuses what the plan allows (eight host workers),
+// asserting bit-identical materialized partitions, virtual clocks, and
+// cluster stats: fusion and host parallelism change wall-clock, never
+// simulated accounting. Both must also agree with the plan-free oracle.
+func TestRandomDAGFusedMatchesPerOperator(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		per := poolSession(1)
+		per.noFuse = true
+		fus := poolSession(8)
+		fus.seed = per.seed // same hash routing on both sessions
+
+		perOut, fusOut := randomDAG(per, seed), randomDAG(fus, seed)
+		if n := len(per.buildExecPlan(perOut.n).fused); n != 0 {
+			t.Fatalf("seed %d: forced per-operator session compiled %d fused chains", seed, n)
 		}
-		ref.Close()
+		ep := fus.buildExecPlan(fusOut.n)
+		tops := map[string]bool{}
+		for _, fi := range ep.fused {
+			tops[fi.via[len(fi.via)-1].label] = true
+		}
+		for _, top := range []string{"filter", "flatMap", "mapPartitions"} {
+			if !tops[top] {
+				t.Errorf("seed %d: no fused chain topped by %s", seed, top)
+			}
+		}
+		memoCut := false
+		for n := range ep.pnodes {
+			if fi := n.fuse; fi != nil && ep.fused[n] == nil && len(fi.via) >= 2 && ep.memo[fi.via[len(fi.via)-2]] {
+				memoCut = true
+			}
+		}
+		if !memoCut {
+			t.Errorf("seed %d: no chain cut by a memo site", seed)
+		}
+
+		perParts := materializedParts(t, perOut)
+		if want := (refOracle{}).parts(perOut.n); !sameParts(perParts, want) {
+			t.Fatalf("seed %d: per-operator partitions differ from the plan-free oracle", seed)
+		}
+		if parts := materializedParts(t, fusOut); !sameParts(perParts, parts) {
+			t.Fatalf("seed %d: fused materialized partitions differ from per-operator", seed)
+		}
+		// A second action reuses caches and crosses job boundaries.
+		perN, err1 := Count(perOut)
+		fusN, err2 := Count(fusOut)
+		if err1 != nil || err2 != nil || perN != fusN {
+			t.Fatalf("seed %d: count per-operator %d (%v), fused %d (%v)", seed, perN, err1, fusN, err2)
+		}
+		if pc, fc := per.Clock(), fus.Clock(); pc != fc {
+			t.Fatalf("seed %d: virtual clocks differ: per-operator %v fused %v", seed, pc, fc)
+		}
+		if ps, fs := per.Stats(), fus.Stats(); ps != fs {
+			t.Fatalf("seed %d: cluster stats differ: per-operator %+v fused %+v", seed, ps, fs)
+		}
+		per.Close()
+		fus.Close()
 	}
 }
 

@@ -14,9 +14,10 @@ package engine
 // actually run is a per-plan decision (physical.go): every intermediate op
 // must be invisible to the plan — not a stage root, not a fan-in memo site,
 // not on the recovery frontier — so fusion never changes which partitions
-// are materialized, memoized, or checkpointed. The A/B bit-identity suite
-// runs the same DAGs fused and unfused and asserts identical partitions,
-// virtual clocks, and cluster stats.
+// are materialized, memoized, or checkpointed. The in-package suites
+// (fuse_test.go, TestRandomDAGFusedMatchesPerOperator) run the same DAGs
+// fused and per-operator and assert identical partitions, virtual clocks,
+// and cluster stats.
 //
 // Bit-identity imposes two disciplines on the fused loop:
 //

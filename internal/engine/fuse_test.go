@@ -180,8 +180,8 @@ func TestFusedExplainMarker(t *testing.T) {
 		cfg.Cluster.CoresPerMachine = 4
 		cfg.DefaultParallelism = 4
 		cfg.Obs = rec
-		cfg.NoFuse = noFuse
 		s := mustSession(cfg)
+		s.noFuse = noFuse
 		defer s.Close()
 		d := Map(Parallelize(s, seq(100), 4), func(v int) int { return v + 1 })
 		top := Map(Filter(d, func(v int) bool { return v%2 == 0 }), func(v int) int { return v * 2 })
@@ -196,7 +196,7 @@ func TestFusedExplainMarker(t *testing.T) {
 	}
 	unfused := report(true)
 	if strings.Contains(unfused, "fused(") {
-		t.Errorf("NoFuse session still reports fused chains:\n%s", unfused)
+		t.Errorf("per-operator session still reports fused chains:\n%s", unfused)
 	}
 }
 
@@ -206,8 +206,8 @@ func TestFusedExplainMarker(t *testing.T) {
 func TestRecoveryReplanKeepsFusionIdentity(t *testing.T) {
 	run := func(noFuse bool) (map[int]int64, float64) {
 		cfg, _ := recoverConfig(1 << 20)
-		cfg.NoFuse = noFuse
 		s := mustSession(cfg)
+		s.noFuse = noFuse
 		defer s.Close()
 		small := Parallelize(s, makePairs(2000), 4)
 		big := Parallelize(s, makePairs(10), 2)

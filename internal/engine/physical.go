@@ -17,8 +17,7 @@ type execPlan struct {
 	// fused maps each node whose constructor-built chain (node.fuse) is
 	// legal under this plan to that chain: every intermediate op is
 	// invisible to the plan, so the evaluator may collapse the chain into
-	// one typed loop (fuse.go). Nil when fusion is off (legacy executor,
-	// Config.NoFuse).
+	// one typed loop (fuse.go).
 	fused map[*node]*fuseInfo
 }
 
@@ -75,12 +74,12 @@ func (s *Session) buildExecPlanFrom(target *node, done func(*node) bool, replan 
 		return pn
 	}
 	root := conv(target)
-	ep.plan = plan.Build(root, plan.Options{Memo: !s.legacyExec, Replan: replan})
+	ep.plan = plan.Build(root, plan.Options{Replan: replan})
 	ep.memo = make(map[*node]bool, len(ep.plan.Memo))
 	for pn := range ep.plan.Memo {
 		ep.memo[ep.enodes[pn]] = true
 	}
-	if !s.legacyExec && !s.noFuse {
+	if !s.noFuse {
 		ep.compileFusion()
 	}
 	return ep

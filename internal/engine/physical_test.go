@@ -63,20 +63,3 @@ func TestExplainPhysicalShuffleBoundary(t *testing.T) {
 			"Stage 2 root=#4 map parts=8 chain=map<-reduceByKey<-[mapPartitions]\n"+
 			"  <-shuffle Stage 1 (#2 mapPartitions)\n")
 }
-
-func TestExplainPhysicalLegacyModeDisablesMemo(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Cluster.Machines = 4
-	cfg.Cluster.CoresPerMachine = 4
-	cfg.DefaultParallelism = 8
-	cfg.LegacyExec = true
-	s := mustSession(cfg)
-
-	base := Parallelize(s, ints(8), 4)
-	u := Union(Map(base, func(x int) int { return x }), base)
-
-	// Same diamond as above, but the serial reference executor re-evaluates
-	// shared parents, so the plan must carry no memo sites.
-	explainGolden(t, ExplainPhysical(u),
-		"Stage 1 root=#3 union parts=8 chain=union<-map<-parallelize\n")
-}

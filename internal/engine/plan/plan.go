@@ -78,10 +78,6 @@ type Node struct {
 
 // Options configure planning.
 type Options struct {
-	// Memo enables narrow fan-in memo sites. The retained serial
-	// reference executor disables it and recomputes per consumer, as the
-	// pre-parallelism engine did.
-	Memo bool
 	// Replan, when > 0, records that this plan is the Nth rebuild of the
 	// job after an adaptive recovery. Rendering notes it, and Done marks
 	// become meaningful.
@@ -187,9 +183,7 @@ func Build(target *Node, opt Options) *Plan {
 	walk(target)
 
 	// Pass 2: memo sites (partition fan-in > 1 among narrow non-roots).
-	if opt.Memo {
-		p.planMemo(seen)
-	}
+	p.planMemo(seen)
 
 	// Pass 3: one stage per root, emitted in topological order by a
 	// post-order walk over boundary edges from the target's stage.

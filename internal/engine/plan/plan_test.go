@@ -20,7 +20,7 @@ func TestBuildSingleStagePipelinesNarrowChain(t *testing.T) {
 	src := mk(1, "parallelize", 4)
 	m := mk(2, "map", 4, &Dep{Parent: src, Kind: Narrow})
 	f := mk(3, "filter", 4, &Dep{Parent: m, Kind: Narrow})
-	p := Build(f, Options{Memo: true})
+	p := Build(f, Options{})
 
 	if len(p.Stages) != 1 {
 		t.Fatalf("stages = %d, want 1", len(p.Stages))
@@ -42,7 +42,7 @@ func TestBuildShuffleSplitsStagesInTopoOrder(t *testing.T) {
 	m := mk(2, "mapPartitions", 4, &Dep{Parent: src, Kind: Narrow})
 	red := mk(3, "reduceByKey", 8, &Dep{Parent: m, Kind: Shuffle})
 	out := mk(4, "map", 8, &Dep{Parent: red, Kind: Narrow})
-	p := Build(out, Options{Memo: true})
+	p := Build(out, Options{})
 
 	if len(p.Stages) != 2 {
 		t.Fatalf("stages = %d, want 2", len(p.Stages))
@@ -72,7 +72,7 @@ func TestBuildCachedParentBecomesRoot(t *testing.T) {
 	cached := mk(2, "map", 4, &Dep{Parent: src, Kind: Narrow})
 	cached.Cached = true
 	out := mk(3, "filter", 4, &Dep{Parent: cached, Kind: Narrow})
-	p := Build(out, Options{Memo: true})
+	p := Build(out, Options{})
 
 	if len(p.Stages) != 2 {
 		t.Fatalf("stages = %d, want 2 (cached parent materialized)", len(p.Stages))
@@ -105,16 +105,13 @@ func TestPlanMemoDiamondFanIn(t *testing.T) {
 			}
 			return nil
 		}})
-	p := Build(u, Options{Memo: true})
+	p := Build(u, Options{})
 
 	if !p.Memo[src] {
 		t.Error("diamond base should be a memo site (fan-in 2)")
 	}
 	if p.Memo[a] || p.Memo[b] {
 		t.Errorf("single-consumer nodes memoized: a=%v b=%v", p.Memo[a], p.Memo[b])
-	}
-	if off := Build(u, Options{Memo: false}); len(off.Memo) != 0 {
-		t.Errorf("Memo=false still planned %d sites", len(off.Memo))
 	}
 }
 
@@ -125,7 +122,7 @@ func TestPlanMemoConcatFanInIsSingleUse(t *testing.T) {
 	c := mk(2, "concat", 1, &Dep{Parent: src, Kind: Narrow, NarrowMap: func(int) []int {
 		return []int{0, 1, 2, 3, 4, 5}
 	}})
-	p := Build(c, Options{Memo: true})
+	p := Build(c, Options{})
 	if len(p.Memo) != 0 {
 		t.Fatalf("memo sites = %d, want 0 (each partition read once)", len(p.Memo))
 	}
@@ -141,7 +138,7 @@ func TestStringRendersStagesBoundariesAndMemo(t *testing.T) {
 	j := mk(4, "broadcastJoin", 4,
 		&Dep{Parent: small, Kind: Broadcast},
 		&Dep{Parent: m, Kind: Shuffle})
-	p := Build(j, Options{Memo: true})
+	p := Build(j, Options{})
 
 	got := p.String()
 	want := strings.Join([]string{
@@ -165,7 +162,7 @@ func TestReplanPrunesBelowDoneFrontier(t *testing.T) {
 	red := mk(3, "reduceByKey", 8, &Dep{Parent: m, Kind: Shuffle})
 	out := mk(4, "map", 8, &Dep{Parent: red, Kind: Narrow})
 	m.Done = true
-	p := Build(out, Options{Memo: true, Replan: 2})
+	p := Build(out, Options{Replan: 2})
 
 	if p.Replan != 2 {
 		t.Fatalf("Replan = %d", p.Replan)
@@ -196,7 +193,7 @@ func TestDoneNarrowParentBecomesRoot(t *testing.T) {
 	m := mk(2, "map", 4, &Dep{Parent: src, Kind: Narrow})
 	f := mk(3, "filter", 4, &Dep{Parent: m, Kind: Narrow})
 	m.Done = true
-	p := Build(f, Options{Memo: true, Replan: 1})
+	p := Build(f, Options{Replan: 1})
 
 	if !p.IsRoot(m) {
 		t.Fatal("Done narrow parent must be a stage root")
@@ -215,7 +212,7 @@ func TestDoneNarrowParentBecomesRoot(t *testing.T) {
 func TestFirstPlanRendersWithoutReplanArtifacts(t *testing.T) {
 	src := mk(1, "parallelize", 4)
 	m := mk(2, "map", 4, &Dep{Parent: src, Kind: Narrow})
-	s := Build(m, Options{Memo: true}).String()
+	s := Build(m, Options{}).String()
 	if strings.Contains(s, "Replan") || strings.Contains(s, "done") {
 		t.Errorf("first plan carries replan artifacts:\n%s", s)
 	}

@@ -313,9 +313,9 @@ func (j *job) stagePortable(n *node) error {
 // buildRemoteSpec assembles the shippable spec for the stage rooted at n,
 // storing every leaf batch through put exactly once (batches shared across
 // tasks — broadcasts, fan-in reads — dedupe on identity). It mirrors
-// evalPartDirect's unfused input assembly exactly; fusion never applies
-// remotely, which the NoFuse bit-identity suite proves is invisible to
-// results. The returned owners map records which plan node produced each
+// evalPartDirect's per-operator input assembly exactly; fusion never
+// applies remotely, which the fused-vs-per-operator suites (fuse_test.go,
+// TestRandomDAGFusedMatchesPerOperator) prove is invisible to results. The returned owners map records which plan node produced each
 // stored block, so a BlockLostError from the runner can be pinned on its
 // producing stage for lineage recomputation.
 func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*RemoteStageSpec, map[uint64]*node, error) {

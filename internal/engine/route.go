@@ -3,22 +3,13 @@ package engine
 // Map-side shuffle routing. The partitioned parent of a shuffle dep is
 // routed into the child's partitions here; this is the hottest structural
 // loop in the engine (every shuffled element passes through it once per
-// stage boundary). One counting-pass core serves both executors — the
-// serial reference and the pooled parallel router run the identical
-// algorithm with different loop dispatch, so their blocks are equal by
-// construction. Typed batches route without boxing: the dep's
-// batchTargets hashes a whole batch monomorphically in the counting pass,
-// and scatter moves elements between typed blocks in the write pass.
-
-// partTarget returns the target partition for element idx of source
-// partition src under dep d. Partitioners must be pure: routing runs
-// concurrently and may evaluate sources in any order.
-func partTarget(d *dep, src, idx int, e any) int {
-	if d.posPartitioner != nil {
-		return d.posPartitioner(src, idx, d.childParts)
-	}
-	return d.partitioner(e, d.childParts)
-}
+// stage boundary). One counting-pass core runs with inline loops or on
+// the worker pool — the identical algorithm with different loop dispatch,
+// so the blocks are equal by construction. Typed batches route without
+// boxing: the dep's batchTargets hashes a whole batch monomorphically in
+// the counting pass, and scatter moves elements between typed blocks in
+// the write pass. Partitioners must be pure: routing runs concurrently and
+// may evaluate sources in any order.
 
 // routeCore routes every element of every parent partition into its
 // target block. A counting pass records each element's target (the
@@ -148,17 +139,11 @@ func routeProto(parent []Batch) (Batch, bool) {
 	return proto, true
 }
 
-// routeSerial is the single-goroutine router the legacy executor runs:
-// routeCore with inline loops.
-func routeSerial(d *dep, parent []Batch) []Batch {
-	return routeCore(d, parent, nil, 1)
-}
-
-// routeParallel routes source partitions concurrently on the session's
-// worker pool. A single-worker pool takes the serial path outright — the
+// route routes source partitions concurrently on the session's worker
+// pool. A single-worker pool takes the serial path outright — the
 // dispatch would be pure overhead with no one to overlap it with (the
-// same 1-core audit flattenParallel got).
-func (s *Session) routeParallel(d *dep, parent []Batch) []Batch {
+// same 1-core audit flatten got).
+func (s *Session) route(d *dep, parent []Batch) []Batch {
 	if s.workers == 1 {
 		return routeCore(d, parent, nil, 1)
 	}
@@ -228,23 +213,18 @@ func flattenCore(parent []Batch, pool *workerPool, workers int) Batch {
 	return flat
 }
 
-// flattenSerial is the retained reference flatten for broadcast pinning.
-func flattenSerial(parent []Batch) Batch {
-	return flattenCore(parent, nil, 1)
-}
-
-// flattenCutoff is the total element count below which flattenParallel
-// routes to the serial copy: a broadcast flatten is a pure memcpy sweep,
-// and for small inputs the pool dispatch and per-partition goroutine
+// flattenCutoff is the total element count below which flatten routes to
+// the serial copy: a broadcast flatten is a pure memcpy sweep, and for
+// small inputs the pool dispatch and per-partition goroutine
 // handoff cost as much as the copy itself (BenchmarkBroadcastFlatten
 // measured ~131k elements finishing in identical time either way). Both
 // paths produce a batch of identical length, order, and boxed capacity,
 // so the routing choice is invisible to simulated accounting.
 const flattenCutoff = 1 << 18
 
-// flattenParallel copies partitions concurrently; inputs below
-// flattenCutoff, and single-worker pools, take the serial copy instead.
-func (s *Session) flattenParallel(parent []Batch) Batch {
+// flatten copies partitions concurrently; inputs below flattenCutoff, and
+// single-worker pools, take the serial copy instead.
+func (s *Session) flatten(parent []Batch) Batch {
 	var total int
 	for _, part := range parent {
 		total += batchLen(part)

@@ -1,11 +1,10 @@
 package engine
 
-// Benchmarks for the parallel execution hot path: shuffle routing,
-// broadcast flattening, stage execution, and the narrow fan-in memo.
-// Each has a serial/legacy baseline so `go test -bench` reports the
-// pre/post comparison directly. Wall-clock gains from the worker pool
-// scale with GOMAXPROCS; the fan-in memo is algorithmic and shows up
-// even on a single core.
+// Benchmarks for the execution hot path: shuffle routing, broadcast
+// flattening, stage execution, and the narrow fan-in memo. Routing and
+// flatten report the inline and the pooled loop dispatch side by side, and
+// narrow chains the per-operator and the fused evaluator. Wall-clock gains
+// from the worker pool scale with GOMAXPROCS.
 
 import (
 	"runtime"
@@ -61,8 +60,8 @@ func benchDep(parts int) *dep {
 // block writes. The typed side is the batch data path — a typed output
 // slice, one counting-pass dispatch per batch, typed scatter. The
 // allocs/op gap is the per-element boxing the typed representation no
-// longer performs; `make bench-check` gates it against the committed
-// baseline.
+// longer performs; `make bench-check` gates it exactly against the
+// committed baseline.
 func BenchmarkShuffleBoundary(b *testing.B) {
 	const nsrc, perSrc, nt = 8, 8192, 16
 	src := make([][]int, nsrc) // the typed values a compute UDF produced
@@ -85,7 +84,7 @@ func BenchmarkShuffleBoundary(b *testing.B) {
 				}
 				parent[s] = boxedBatch(out)
 			}
-			routeSerial(d, parent)
+			routeCore(d, parent, nil, 1)
 		}
 	})
 	b.Run("typed", func(b *testing.B) {
@@ -97,13 +96,13 @@ func BenchmarkShuffleBoundary(b *testing.B) {
 				copy(out, vals)
 				parent[s] = batchOf(out, len(out))
 			}
-			routeSerial(d, parent)
+			routeCore(d, parent, nil, 1)
 		}
 	})
 }
 
-// BenchmarkShuffleRoute compares the retained serial router against the
-// counting-pass parallel router on uniform and skewed key distributions.
+// BenchmarkShuffleRoute compares the counting-pass router's inline and
+// pooled loop dispatch on uniform and skewed key distributions.
 func BenchmarkShuffleRoute(b *testing.B) {
 	const nsrc, perSrc, nt = 8, 8192, 16
 	for _, dist := range []struct {
@@ -115,7 +114,7 @@ func BenchmarkShuffleRoute(b *testing.B) {
 		b.Run(dist.name+"/serial", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				routeSerial(d, parent)
+				routeCore(d, parent, nil, 1)
 			}
 		})
 		b.Run(dist.name+"/parallel", func(b *testing.B) {
@@ -124,7 +123,7 @@ func BenchmarkShuffleRoute(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.routeParallel(d, parent)
+				s.route(d, parent)
 			}
 		})
 	}
@@ -133,8 +132,8 @@ func BenchmarkShuffleRoute(b *testing.B) {
 // BenchmarkBroadcastFlatten compares the serial and parallel broadcast
 // flatten used by pinBroadcast. The small shape sits below flattenCutoff
 // — there the pool dispatch used to cost as much as the copy itself, so
-// flattenParallel now routes it to the serial sweep — and the large shape
-// is where the parallel copy actually engages. Each sub runs one untimed
+// flatten now routes it to the serial sweep — and the large shape is
+// where the parallel copy actually engages. Each sub runs one untimed
 // warm-up flatten first: the output is a single multi-MB allocation, and
 // without the warm-up a short -benchtime run (like the bench-check smoke
 // gate's 3x) measures mostly first-touch page faults instead of the copy.
@@ -145,21 +144,21 @@ func BenchmarkBroadcastFlatten(b *testing.B) {
 	}{{"small", 16, 8192}, {"large", 16, 65536}} {
 		parent := benchParent(size.nsrc, size.perSrc, false)
 		b.Run(size.name+"/serial", func(b *testing.B) {
-			flattenSerial(parent)
+			flattenCore(parent, nil, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				flattenSerial(parent)
+				flattenCore(parent, nil, 1)
 			}
 		})
 		b.Run(size.name+"/parallel", func(b *testing.B) {
 			s := poolSession(runtime.GOMAXPROCS(0))
 			defer s.Close()
-			s.flattenParallel(parent)
+			s.flatten(parent)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.flattenParallel(parent)
+				s.flatten(parent)
 			}
 		})
 	}
@@ -193,21 +192,18 @@ var expandTab = func() [16][]int {
 // BenchmarkStageExec runs a five-op narrow chain (flatMap, keying map,
 // filter, mapValues, rekeying map — the shape of a parse→project→filter→
 // normalize→rekey ETL prefix) into a map-side combine and shuffle reduce,
-// end to end, across the three
-// executors: legacy (serial routing, goroutine-per-partition launch),
-// pooled with fusion off, and pooled with the fused narrow chain. A fresh
-// DAG is built per iteration so nothing is served from the job cache; the
-// source is parallelized once outside the loop so its one-time boxing is
-// not measured.
+// end to end, on the per-operator evaluator ("pooled") and with the narrow
+// chain fused. A fresh DAG is built per iteration so nothing is served
+// from the job cache; the source is parallelized once outside the loop so
+// its one-time boxing is not measured.
 func BenchmarkStageExec(b *testing.B) {
 	data := make([]int, 1<<14)
 	for i := range data {
 		data[i] = i
 	}
-	run := func(b *testing.B, legacy, fuse bool) {
+	run := func(b *testing.B, fuse bool) {
 		s := poolSession(runtime.GOMAXPROCS(0))
 		defer s.Close()
-		s.legacyExec = legacy
 		s.noFuse = !fuse
 		src := Parallelize(s, data, 8)
 		b.ReportAllocs()
@@ -228,15 +224,18 @@ func BenchmarkStageExec(b *testing.B) {
 			}
 		}
 	}
-	b.Run("legacy", func(b *testing.B) { run(b, true, false) })
-	b.Run("pooled", func(b *testing.B) { run(b, false, false) })
-	b.Run("fused", func(b *testing.B) { run(b, false, true) })
+	b.Run("pooled", func(b *testing.B) { run(b, false) })
+	b.Run("fused", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkNarrowChain isolates the fused path's target shape: a pure
 // narrow map∘filter∘map pipeline materialized at its root, no shuffle.
-// Unfused, every operator boxes its whole output into a fresh []any seam;
-// fused, rows flow typed through one loop and only the root materializes.
+// Unfused, every operator materializes its whole output as a typed batch;
+// fused, rows flow through one loop of composed closures and only the root
+// materializes. In isolation the fused loop is the slower of the two (the
+// closure calls cost more than the two typed seams they save); it earns
+// its place on alloc_mb end to end (EXPERIMENTS.md, "Executor paths on the
+// wall-clock benchmark").
 func BenchmarkNarrowChain(b *testing.B) {
 	data := make([]int, 1<<16)
 	for i := range data {
@@ -264,18 +263,16 @@ func BenchmarkNarrowChain(b *testing.B) {
 
 // BenchmarkFanInMemo runs a fan-in-heavy DAG: one expensive base dataset
 // consumed by four narrow branches that are unioned and concatenated. The
-// legacy executor recomputes the base once per consumer; the fan-in memo
-// computes it once per (node, partition). The speedup is algorithmic —
-// it holds at any GOMAXPROCS.
+// fan-in memo computes the base once per (node, partition) instead of once
+// per consumer.
 func BenchmarkFanInMemo(b *testing.B) {
 	data := make([]int, 1<<12)
 	for i := range data {
 		data[i] = i
 	}
-	run := func(b *testing.B, legacy bool) {
+	b.Run("pooled", func(b *testing.B) {
 		s := poolSession(runtime.GOMAXPROCS(0))
 		defer s.Close()
-		s.legacyExec = legacy
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -288,32 +285,13 @@ func BenchmarkFanInMemo(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("legacy", func(b *testing.B) { run(b, true) })
-	b.Run("pooled", func(b *testing.B) { run(b, false) })
+	})
 }
 
-// BenchmarkWorkerPool measures raw parallelFor dispatch overhead against
-// the per-stage goroutine+semaphore launch it replaced.
+// BenchmarkWorkerPool measures raw parallelFor dispatch overhead.
 func BenchmarkWorkerPool(b *testing.B) {
 	const n = 64
 	work := func(int) { spin(1, 5000) }
-	b.Run("spawn", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-			done := make(chan struct{}, n)
-			for p := 0; p < n; p++ {
-				sem <- struct{}{}
-				go func(p int) {
-					defer func() { <-sem; done <- struct{}{} }()
-					work(p)
-				}(p)
-			}
-			for p := 0; p < n; p++ {
-				<-done
-			}
-		}
-	})
 	b.Run("pool", func(b *testing.B) {
 		pool := newWorkerPool(runtime.GOMAXPROCS(0))
 		defer pool.close()

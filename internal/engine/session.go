@@ -36,24 +36,10 @@ type Config struct {
 	// and shuffles. The paper sets Spark parallelism to 3x the total core
 	// count (Sec. 9.1); NewSession applies the same rule when this is 0.
 	DefaultParallelism int
-	// DebugStages prints per-stage makespans above 1s (development aid).
-	DebugStages bool
 	// HostParallelism bounds the real host-side worker pool that executes
 	// tasks and shuffle routing (<= 0: GOMAXPROCS). It affects wall-clock
 	// speed only, never the simulated cluster's accounting.
 	HostParallelism int
-	// LegacyExec selects the retained serial reference executor (serial
-	// shuffle routing and broadcast flatten, goroutine-per-partition stage
-	// launch, no fan-in memo). Results and simulated accounting are
-	// identical to the parallel executor — tests assert it — so this
-	// exists only for A/B verification and as a benchmark baseline.
-	LegacyExec bool
-	// NoFuse disables the fused narrow-chain execution path (fuse.go):
-	// every operator then runs its own compute over boxed []any rows, as
-	// the legacy executor always does. Results and simulated accounting
-	// are identical with fusion on — the A/B bit-identity suite asserts
-	// it — so this exists for verification and as a benchmark baseline.
-	NoFuse bool
 	// Obs, when non-nil, receives the structured job/stage/broadcast
 	// events and optimizer decisions of every job the session runs (the
 	// event spine behind EXPLAIN ANALYZE; see internal/obs).
@@ -114,14 +100,9 @@ type Session struct {
 	// the slice it is handed).
 	costsScratch []cluster.Task
 
-	// legacyExec reverts to the retained serial reference execution path —
-	// single-goroutine shuffle routing and flatten, goroutine-per-partition
-	// stage launch, no fan-in memo. Equivalence tests and A/B benchmarks
-	// flip it; production sessions never do.
-	legacyExec bool
-
-	// noFuse disables fused narrow-chain execution (Config.NoFuse); the
-	// legacy executor never fuses regardless.
+	// noFuse is a test seam: it forces the per-operator evaluator on
+	// chains the plan would let fuse, so the in-package suites can assert
+	// both evaluators agree. Nothing outside tests sets it.
 	noFuse bool
 
 	// obs is the session's event sink; nil when observation is off (all
@@ -214,8 +195,8 @@ func (s *Session) Feedback() *Feedback { return s.feedback }
 // cannot walk (see stablehash.go). For every key type this repository
 // actually shuffles on, partitioning hashes are fully deterministic —
 // across sessions AND across processes — so experiment tables regenerate
-// bit-identically and A/B tests (legacy vs parallel executor, abort vs
-// recover) compare runs of the same workload exactly.
+// bit-identically and A/B tests (fused vs per-operator evaluation, abort
+// vs recover) compare runs of the same workload exactly.
 var processSeed = maphash.MakeSeed()
 
 // NewSession creates a session with its own simulated cluster. An invalid
@@ -245,16 +226,14 @@ func NewSession(cfg Config) (*Session, error) {
 		workers = defaultWorkers()
 	}
 	s := &Session{
-		cfg:        cfg,
-		sim:        sim,
-		exec:       exec,
-		seed:       processSeed,
-		workers:    workers,
-		pool:       newWorkerPool(workers),
-		legacyExec: cfg.LegacyExec,
-		noFuse:     cfg.NoFuse,
-		obs:        cfg.Obs,
-		feedback:   newFeedback(),
+		cfg:      cfg,
+		sim:      sim,
+		exec:     exec,
+		seed:     processSeed,
+		workers:  workers,
+		pool:     newWorkerPool(workers),
+		obs:      cfg.Obs,
+		feedback: newFeedback(),
 	}
 	s.resid, _ = exec.(Residency)
 	s.remote, _ = exec.(RemoteRunner)

@@ -86,14 +86,14 @@ func (o Outcome) String() string {
 // into a failed Outcome via finish. The workaround baselines use it
 // directly: they must die exactly where the systems they model die.
 func newSession(cc cluster.Config) (*engine.Session, error) {
-	return engine.NewSession(engine.Config{Cluster: cc, DebugStages: DebugStages, LegacyExec: LegacyExec, NoFuse: NoFuse, Obs: Obs, Backend: Backend})
+	return engine.NewSession(engine.Config{Cluster: cc, Obs: Obs, Backend: Backend})
 }
 
 // newMatryoshkaSession is newSession with the engine's adaptive recovery
 // loop enabled (unless Recovery is flipped off): the runtime half of the
 // paper's lowering phase, available only to the Matryoshka strategy.
 func newMatryoshkaSession(cc cluster.Config) (*engine.Session, error) {
-	return engine.NewSession(engine.Config{Cluster: cc, DebugStages: DebugStages, LegacyExec: LegacyExec, NoFuse: NoFuse, Obs: Obs, Backend: Backend, Recover: Recovery})
+	return engine.NewSession(engine.Config{Cluster: cc, Obs: Obs, Backend: Backend, Recover: Recovery})
 }
 
 // recordWeight is the session's simulation scale (real records per
@@ -127,22 +127,6 @@ func finish(task string, strat Strategy, sess *engine.Session, value any, err er
 		Value:    value,
 	}
 }
-
-// DebugStages enables per-stage tracing on sessions created by tasks
-// (development aid).
-var DebugStages bool
-
-// LegacyExec runs sessions created by tasks on the engine's retained
-// serial reference executor. The bench suite's executor-equivalence test
-// flips it to assert that every simulated number is bit-identical across
-// the two execution paths.
-var LegacyExec bool
-
-// NoFuse disables the fused narrow-chain pipeline on sessions created by
-// tasks; operators then materialize one []any seam per node, as before.
-// The executor-equivalence test flips it to assert fusion changes only
-// wall-clock, never simulated numbers.
-var NoFuse bool
 
 // Obs, when non-nil, receives the job/stage/broadcast events and optimizer
 // decisions of every session created by tasks — the hook matbench's
