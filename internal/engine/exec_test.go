@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -63,18 +64,8 @@ func TestPooledRouteMatchesInline(t *testing.T) {
 		} else {
 			d.posPartitioner = func(src, idx, n int) int { return (src + idx) % n }
 		}
-		want := routeCore(d, parent, nil, 1)
-		got := s.route(d, parent)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: block count %d, want %d", trial, len(got), len(want))
-		}
-		for p := range want {
-			if batchLen(want[p]) == 0 && batchLen(got[p]) == 0 {
-				continue // the router leaves empty blocks nil
-			}
-			if !reflect.DeepEqual(got[p], want[p]) {
-				t.Fatalf("trial %d: block %d differs: got %v want %v", trial, p, got[p], want[p])
-			}
+		if want, got := routeCore(d, parent, nil, 1), s.route(d, parent); !sameParts(got, want) {
+			t.Fatalf("trial %d: blocks differ: got %v want %v", trial, got, want)
 		}
 	}
 }
@@ -112,15 +103,8 @@ func TestSingleWorkerRoutesSerial(t *testing.T) {
 		d.partitioner = func(e any, n int) int {
 			return int(uint32(e.(int))*2654435761) % n
 		}
-		want := routeCore(d, parent, nil, 1)
-		got := s.route(d, parent)
-		for p := range want {
-			if batchLen(want[p]) == 0 && batchLen(got[p]) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got[p], want[p]) {
-				t.Fatalf("trial %d: block %d differs on 1-worker session", trial, p)
-			}
+		if !sameParts(s.route(d, parent), routeCore(d, parent, nil, 1)) {
+			t.Fatalf("trial %d: blocks differ on 1-worker session", trial)
 		}
 		if want, got := flattenCore(parent, nil, 1), s.flatten(parent); batchLen(want) != 0 || batchLen(got) != 0 {
 			if !reflect.DeepEqual(got, want) {
@@ -201,10 +185,11 @@ func materializedParts[T any](t *testing.T, d Dataset[T]) []Batch {
 	return parts
 }
 
-// sameParts is DeepEqual on materialized partitions, except that an empty
-// partition may be a nil or an empty host slice (a fused filter top that
-// drops everything never allocates); what accounting sees of it, its boxed
-// capacity, is covered by the callers' clock comparison.
+// sameParts is DeepEqual on partition lists, except that an empty
+// partition may be nil or an empty host slice (the router leaves empty
+// blocks nil; a fused filter top that drops everything never allocates).
+// What accounting sees of an empty partition, its boxed capacity, is
+// covered by the callers' clock comparison.
 func sameParts(a, b []Batch) bool {
 	if len(a) != len(b) {
 		return false
@@ -512,8 +497,8 @@ func TestRandomDAGFusedMatchesPerOperator(t *testing.T) {
 		}
 		memoCut := false
 		for n := range ep.pnodes {
-			if fi := n.fuse; fi != nil && ep.fused[n] == nil && len(fi.via) >= 2 && ep.memo[fi.via[len(fi.via)-2]] {
-				memoCut = true
+			if fi := n.fuse; fi != nil && ep.fused[n] == nil {
+				memoCut = memoCut || slices.ContainsFunc(fi.via[:len(fi.via)-1], func(m *node) bool { return ep.memo[m] })
 			}
 		}
 		if !memoCut {
