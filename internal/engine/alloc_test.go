@@ -79,30 +79,49 @@ func TestFusedNarrowPathAllocBound(t *testing.T) {
 	}
 }
 
-// TestRouteAllocBound: the counting-pass router allocates exactly its
-// bookkeeping (target cache and counts per source, one batch per non-empty
-// block) and nothing per element. Pool dispatch adds to that per worker, so
-// the session's worker count is fixed here — one for the inline loops, four
-// for the pool — and the bound is the same on any host.
+// TestRouteAllocBound pins the router's cost model, O(elements + chunks ×
+// targets), on a dense shuffle and on the paper's sparse shape (1200
+// sources of 2 elements into 1200 targets). Allocations: two per non-empty
+// block (header and elements) plus fixed bookkeeping — source offsets,
+// chunk bounds, one target cache, one histogram, the block list and the
+// pass closures — and nothing per source or per element. Bytes: per
+// element a cached target, the payload and at worst a block of its own;
+// per worker a few histogram rows of one int32 per target; per source one
+// offset. Bytes are bounded as well as allocations because a term in
+// sources × targets is a single allocation (5.76 MB at the sparse shape)
+// that no allocation count would notice. Pool dispatch adds to both per
+// worker, so the session's worker count is fixed here — one for the inline
+// loops, four for the pool — and the bounds are the same on any host.
 func TestRouteAllocBound(t *testing.T) {
 	skipIfInstrumented(t)
-	const nsrc, perSrc, nt = 8, 4096, 16
-	parent := benchParent(nsrc, perSrc, false)
-	d := benchDep(nt)
-	for _, workers := range []int{1, 4} {
-		s := poolSession(workers)
-		s.route(d, parent) // warm the worker pool
-		// targets outer + nsrc caches + counts + blocks outer + nt blocks
-		// (header and elements), plus slack.
-		budget := 2*nsrc + 2*nt
-		if workers > 1 {
-			// Each of the two pooled passes allocates its dispatch state
-			// and one runner closure per worker.
-			budget += 2 * (5 + workers)
+	for _, shape := range []struct{ nsrc, perSrc, nt int }{{8, 4096, 16}, {1200, 2, 1200}} {
+		parent := benchParent(shape.nsrc, shape.perSrc, false)
+		d := benchDep(shape.nt)
+		for _, workers := range []int{1, 4} {
+			s := poolSession(workers)
+			s.route(d, parent) // warm the worker pool
+			budget := 2*shape.nt + 8
+			if workers > 1 {
+				// Each of the two pooled passes allocates its dispatch
+				// state and one runner closure per worker.
+				budget += 2 * (5 + workers)
+			}
+			if avg := testing.AllocsPerRun(10, func() { s.route(d, parent) }); avg > float64(budget) {
+				t.Errorf("%v on %d workers: route allocates %.0f per call, want <= %d", shape, workers, avg, budget)
+			}
+			const calls = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < calls; i++ {
+				s.route(d, parent)
+			}
+			runtime.ReadMemStats(&after)
+			elements := shape.nsrc * shape.perSrc
+			bound := uint64(64*elements + 32*workers*shape.nt + 8*shape.nsrc + 2048)
+			if got := (after.TotalAlloc - before.TotalAlloc) / calls; got > bound {
+				t.Errorf("%v on %d workers: route allocates %d bytes per call, want <= %d", shape, workers, got, bound)
+			}
+			s.Close()
 		}
-		if avg := testing.AllocsPerRun(10, func() { s.route(d, parent) }); avg > float64(budget) {
-			t.Errorf("route on %d workers allocates %.0f per call, want <= %d", workers, avg, budget)
-		}
-		s.Close()
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -46,27 +47,127 @@ func randomParent(rng *rand.Rand, maxSrc, maxLen int) []Batch {
 	return parent
 }
 
-// TestPooledRouteMatchesInline asserts that routing on the worker pool
-// produces blocks identical (content and order) to the same core run with
-// inline loops, over randomized partition structures, partition counts,
-// and both value-hash and positional partitioners.
-func TestPooledRouteMatchesInline(t *testing.T) {
-	s := poolSession(8)
-	defer s.Close()
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		parent := randomParent(rng, 9, 60)
-		d := &dep{kind: depShuffle, childParts: 1 + rng.Intn(17)}
-		if trial%2 == 0 {
-			d.partitioner = func(e any, n int) int {
-				return int(uint32(e.(int))*2654435761) % n
+// refRoute is the router's independent reference: for each source in
+// order, for each element in order, append to its target.
+func refRoute(d *dep, parent []Batch) [][]any {
+	out := make([][]any, d.childParts)
+	for src, part := range parent {
+		for idx := 0; idx < batchLen(part); idx++ {
+			e := part.At(idx)
+			var t int
+			if d.posPartitioner != nil {
+				t = d.posPartitioner(src, idx, d.childParts)
+			} else {
+				t = d.partitioner(e, d.childParts)
 			}
-		} else {
-			d.posPartitioner = func(src, idx, n int) int { return (src + idx) % n }
+			out[t] = append(out[t], e)
 		}
-		if want, got := routeCore(d, parent, nil, 1), s.route(d, parent); !sameParts(got, want) {
-			t.Fatalf("trial %d: blocks differ: got %v want %v", trial, got, want)
+	}
+	return out
+}
+
+// checkRoute asserts routed blocks against refRoute: contents and element
+// order, nil empty blocks, blockCap boxed capacity, and the typed shape
+// when every non-empty source shares one (boxed otherwise).
+func checkRoute(t *testing.T, d *dep, parent, blocks []Batch) {
+	t.Helper()
+	shape := ""
+	for _, part := range parent {
+		switch {
+		case batchLen(part) == 0:
+		case shape == "":
+			shape = part.Shape()
+		case shape != part.Shape():
+			shape = "any"
 		}
+	}
+	want := refRoute(d, parent)
+	if len(blocks) != len(want) {
+		t.Fatalf("%d blocks, want %d", len(blocks), len(want))
+	}
+	for tgt, ref := range want {
+		b := blocks[tgt]
+		if len(ref) == 0 {
+			if b != nil {
+				t.Fatalf("block %d: empty block is %v, want nil", tgt, b)
+			}
+			continue
+		}
+		if b == nil || !slices.Equal(toBoxed(b), ref) {
+			t.Fatalf("block %d: got %v want %v", tgt, b, ref)
+		}
+		if b.Shape() != shape {
+			t.Fatalf("block %d: shape %s, want %s", tgt, b.Shape(), shape)
+		}
+		if b.BoxedCap() != blockCap(len(ref)) {
+			t.Fatalf("block %d: boxed cap %d, want %d", tgt, b.BoxedCap(), blockCap(len(ref)))
+		}
+	}
+}
+
+// TestRouteMatchesReference asserts the router against refRoute at several
+// worker counts: on the shapes where chunking has edges (nothing to route,
+// one source holding everything, fewer sources than chunks, the paper's
+// sparse 1200 × 1200 shuffle, mixed batch shapes) and on randomized
+// partition structures, with value-hash and positional partitioners.
+func TestRouteMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	giant := make([]Batch, 40)
+	giant[17] = batchOf(ints(5000), 5000)
+	sparse := benchParent(1200, 2, false)
+	for src := 0; src < len(sparse); src += 7 {
+		sparse[src] = nil
+	}
+	mixed := benchParent(12, 30, true)
+	mixed[5] = boxedBatch(toBoxed(mixed[5]))
+	type routeCase struct {
+		name   string
+		parent []Batch
+		nt     int
+	}
+	cases := []routeCase{
+		{"no-sources", nil, 5},
+		{"all-empty", make([]Batch, 9), 5},
+		{"giant-among-empty", giant, 16},
+		{"fewer-sources-than-chunks", benchParent(3, 100, false), 7},
+		{"sparse-paper-shape", sparse, 1200},
+		{"mixed-shapes", mixed, 6},
+	}
+	for trial := 0; trial < 100; trial++ {
+		cases = append(cases, routeCase{"random", randomParent(rng, 40, 60), 1 + rng.Intn(17)})
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		s := poolSession(workers)
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, c.name), func(t *testing.T) {
+				// benchDep routes typed int batches through batchTargets
+				// and boxed ones through the per-element partitioner.
+				byValue := benchDep(c.nt)
+				checkRoute(t, byValue, c.parent, s.route(byValue, c.parent))
+				byPos := &dep{kind: depShuffle, childParts: c.nt,
+					posPartitioner: func(src, idx, n int) int { return (src + idx) % n }}
+				checkRoute(t, byPos, c.parent, s.route(byPos, c.parent))
+			})
+		}
+		// A panicking partitioner surfaces on the caller, and the pool is
+		// still there to route the next shuffle.
+		bad := &dep{kind: depShuffle, childParts: 4, partitioner: func(e any, n int) int {
+			if e.(int) == 77 {
+				panic("bad key")
+			}
+			return e.(int) % n
+		}}
+		func() {
+			defer func() {
+				if r := recover(); r != "bad key" {
+					t.Fatalf("workers=%d: recovered %v, want the partitioner's panic", workers, r)
+				}
+			}()
+			s.route(bad, benchParent(20, 10, false))
+		}()
+		good := benchDep(4)
+		checkRoute(t, good, mixed, s.route(good, mixed))
+		s.Close()
 	}
 }
 
@@ -103,9 +204,7 @@ func TestSingleWorkerRoutesSerial(t *testing.T) {
 		d.partitioner = func(e any, n int) int {
 			return int(uint32(e.(int))*2654435761) % n
 		}
-		if !sameParts(s.route(d, parent), routeCore(d, parent, nil, 1)) {
-			t.Fatalf("trial %d: blocks differ on 1-worker session", trial)
-		}
+		checkRoute(t, d, parent, s.route(d, parent))
 		if want, got := flattenCore(parent, nil, 1), s.flatten(parent); batchLen(want) != 0 || batchLen(got) != 0 {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: flatten differs on 1-worker session", trial)

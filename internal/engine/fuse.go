@@ -204,11 +204,15 @@ func fuseFlatMap[A, B any](n, parent *node, f func(A) []B) {
 func fuseMapPartitions[A, B any](n, parent *node, f func([]A) []B) {
 	base := chainTo[A](parent)
 	run := func(tc *Ctx, fc *fuseCounts, p int, in Batch, emit func(B)) {
-		// Host-side scratch (capacity invisible to accounting): start at
-		// the head partition's length, the exact row count for all-map
-		// chains below and a close lower bound otherwise, so the buffer
-		// skips the small-capacity doublings of growth from nil.
-		buf := make([]A, 0, in.Len())
+		// Host-side scratch (capacity invisible to accounting). Below an
+		// all-map chain the head partition's length is the exact row
+		// count, so the buffer is sized once. Otherwise that length bounds
+		// nothing (a filter keeping one day in 48 would over-allocate
+		// 48×; a flatMap can exceed it) and the buffer grows by append.
+		var buf []A
+		if base.allMap {
+			buf = make([]A, 0, in.Len())
+		}
 		base.run(tc, fc, p, in, func(a A) { buf = append(buf, a) })
 		for _, b := range f(buf) {
 			emit(b)

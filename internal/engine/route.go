@@ -3,21 +3,67 @@ package engine
 // Map-side shuffle routing. The partitioned parent of a shuffle dep is
 // routed into the child's partitions here; this is the hottest structural
 // loop in the engine (every shuffled element passes through it once per
-// stage boundary). One counting-pass core runs with inline loops or on
-// the worker pool — the identical algorithm with different loop dispatch,
-// so the blocks are equal by construction. Typed batches route without
-// boxing: the dep's batchTargets hashes a whole batch monomorphically in
-// the counting pass, and scatter moves elements between typed blocks in
-// the write pass. Partitioners must be pure: routing runs concurrently and
-// may evaluate sources in any order.
+// stage boundary). It is one parallel counting sort: the sources are cut
+// into a few contiguous chunks per worker, each chunk counts into its own
+// histogram row of one entry per target, the rows are prefix-summed into
+// write offsets, and each chunk writes its elements into their final
+// slots. The cost is O(elements + chunks × targets) — no term in sources ×
+// targets, which at the paper's 1200 × 1200 shuffle width used to dwarf
+// the ~2000 records of an inner job. A one-worker session is the same
+// code with one chunk, so the blocks are equal by construction. Typed
+// batches route without boxing: the dep's batchTargets hashes a whole
+// batch monomorphically in the counting pass, and scatter moves elements
+// between typed blocks in the write pass. Partitioners must be pure:
+// routing runs concurrently and may evaluate sources in any order.
+
+// routeChunksPerWorker is how many chunks each worker gets to claim: more
+// than one, so a chunk that happens to hold the slow sources does not set
+// the pass's time alone; few, so the histogram stays a handful of rows.
+const routeChunksPerWorker = 4
+
+// partStarts returns, for each source partition, the number of elements
+// before it, and the total in the extra last entry.
+func partStarts(parent []Batch) []int {
+	starts := make([]int, len(parent)+1)
+	for src, part := range parent {
+		starts[src+1] = starts[src] + batchLen(part)
+	}
+	return starts
+}
+
+// routeChunks cuts the sources into contiguous runs of roughly equal
+// element count — one on a single worker, otherwise at most
+// routeChunksPerWorker per worker and never more than there are sources —
+// and returns their bounds: chunk c covers sources [bounds[c],
+// bounds[c+1]). starts is partStarts of the sources and must count at
+// least one element. Cuts fall on source boundaries only (a giant source
+// is one chunk's work) and every chunk holds at least one element.
+func routeChunks(starts []int, workers int) []int {
+	nsrc := len(starts) - 1
+	total := starts[nsrc]
+	maxChunks := 1
+	if workers > 1 {
+		maxChunks = min(nsrc, routeChunksPerWorker*workers)
+	}
+	bounds := make([]int, 1, maxChunks+1)
+	// share is the next equal share of the elements a cut is waiting for.
+	share := 1
+	for src := 1; src < nsrc && starts[src] < total; src++ {
+		if starts[src]*maxChunks >= share*total {
+			bounds = append(bounds, src)
+			share = starts[src]*maxChunks/total + 1
+		}
+	}
+	return append(bounds, nsrc)
+}
 
 // routeCore routes every element of every parent partition into its
 // target block. A counting pass records each element's target (the
 // partitioner hash runs exactly once per element — targets are cached for
-// the write pass), the per-(source, target) counts are prefix-summed into
-// exact offsets, and a second pass writes every element directly into its
-// final slot. Output block order is deterministic regardless of worker
-// count: sources in order, elements in source order.
+// the write pass) and counts per (chunk, target); the counts are
+// prefix-summed into exact offsets, and a second pass writes every element
+// directly into its final slot. Output block order is deterministic
+// regardless of worker count: sources in order, elements in source order.
 //
 // When every non-empty source shares one batch shape, blocks are
 // allocated in that shape and filled by typed scatter; mixed shapes fall
@@ -25,58 +71,64 @@ package engine
 // blockCap(len), reproducing the append-grown []any blocks the simulator
 // observed before batches existed.
 func routeCore(d *dep, parent []Batch, pool *workerPool, workers int) []Batch {
-	nsrc := len(parent)
 	nt := d.childParts
 	blocks := make([]Batch, nt)
-	if nsrc == 0 {
+	starts := partStarts(parent)
+	total := starts[len(parent)]
+	if total == 0 {
 		return blocks
 	}
-	// Counting pass: counts[src*nt+t] = elements of source src bound for
-	// target t; targets[src][idx] caches each element's target.
-	targets := make([][]int32, nsrc)
-	counts := make([]int32, nsrc*nt)
-	countSrc := func(src int) {
-		part := parent[src]
-		n := batchLen(part)
-		tg := make([]int32, n)
-		ct := counts[src*nt : (src+1)*nt]
-		switch {
-		case n == 0:
-		case d.posPartitioner != nil:
-			for idx := 0; idx < n; idx++ {
-				t := d.posPartitioner(src, idx, nt)
-				tg[idx] = int32(t)
-				ct[t]++
-			}
-		case d.batchTargets != nil && d.batchTargets(part, nt, tg, ct):
-			// Typed fast path: one dispatch per batch, no boxing.
-		default:
-			for idx := 0; idx < n; idx++ {
-				t := d.partitioner(part.At(idx), nt)
-				tg[idx] = int32(t)
-				ct[t]++
+	bounds := routeChunks(starts, workers)
+	nch := len(bounds) - 1
+	// forChunks runs one pass. A lone chunk runs on the caller: there is
+	// no one to overlap the dispatch with.
+	forChunks := func(body func(c int)) {
+		if nch == 1 {
+			body(0)
+		} else {
+			pool.parallelForSafe(workers, nch, body)
+		}
+	}
+
+	// Counting pass: counts[c*nt+t] = elements of chunk c bound for target
+	// t; targets caches each element's target, sources back to back.
+	targets := make([]int32, total)
+	counts := make([]int32, nch*nt)
+	forChunks(func(c int) {
+		ct := counts[c*nt : (c+1)*nt]
+		for src := bounds[c]; src < bounds[c+1]; src++ {
+			part := parent[src]
+			tg := targets[starts[src]:starts[src+1]]
+			switch {
+			case len(tg) == 0:
+			case d.posPartitioner != nil:
+				for idx := range tg {
+					t := d.posPartitioner(src, idx, nt)
+					tg[idx] = int32(t)
+					ct[t]++
+				}
+			case d.batchTargets != nil && d.batchTargets(part, nt, tg, ct):
+				// Typed fast path: one dispatch per batch, no boxing.
+			default:
+				for idx := range tg {
+					t := d.partitioner(part.At(idx), nt)
+					tg[idx] = int32(t)
+					ct[t]++
+				}
 			}
 		}
-		targets[src] = tg
-	}
-	if workers <= 1 {
-		for src := 0; src < nsrc; src++ {
-			countSrc(src)
-		}
-	} else {
-		pool.parallelForSafe(workers, nsrc, countSrc)
-	}
+	})
 
 	// Block representation: typed when every non-empty source agrees.
 	proto, homogeneous := routeProto(parent)
 
-	// Prefix-sum counts into write offsets (per target, sources in order)
+	// Prefix-sum counts into write offsets (per target, chunks in order)
 	// and allocate each block exactly once at its final size.
 	for t := 0; t < nt; t++ {
 		var run int32
-		for src := 0; src < nsrc; src++ {
-			c := counts[src*nt+t]
-			counts[src*nt+t] = run
+		for i := t; i < len(counts); i += nt {
+			c := counts[i]
+			counts[i] = run
 			run += c
 		}
 		if run > 0 { // keep empty blocks nil, as the boxed reference did
@@ -88,33 +140,27 @@ func routeCore(d *dep, parent []Batch, pool *workerPool, workers int) []Batch {
 		}
 	}
 
-	// Write pass: each source owns its offset row, so writes to a shared
-	// block land in disjoint slots.
-	writeSrc := func(src int) {
-		part := parent[src]
-		n := batchLen(part)
-		if n == 0 {
-			return
+	// Write pass: each chunk owns its offset row and advances it through
+	// its sources in order, so writes to a shared block land in disjoint
+	// slots.
+	forChunks(func(c int) {
+		off := counts[c*nt : (c+1)*nt]
+		for src := bounds[c]; src < bounds[c+1]; src++ {
+			part := parent[src]
+			tg := targets[starts[src]:starts[src+1]]
+			if len(tg) == 0 {
+				continue
+			}
+			if homogeneous {
+				part.scatter(tg, off, blocks)
+				continue
+			}
+			for idx, t := range tg {
+				blocks[t].setAny(int(off[t]), part.At(idx))
+				off[t]++
+			}
 		}
-		off := counts[src*nt : (src+1)*nt]
-		tg := targets[src]
-		if homogeneous {
-			part.scatter(tg, off, blocks)
-			return
-		}
-		for idx := 0; idx < n; idx++ {
-			t := tg[idx]
-			blocks[t].setAny(int(off[t]), part.At(idx))
-			off[t]++
-		}
-	}
-	if workers <= 1 {
-		for src := 0; src < nsrc; src++ {
-			writeSrc(src)
-		}
-	} else {
-		pool.parallelForSafe(workers, nsrc, writeSrc)
-	}
+	})
 	return blocks
 }
 
@@ -139,14 +185,11 @@ func routeProto(parent []Batch) (Batch, bool) {
 	return proto, true
 }
 
-// route routes source partitions concurrently on the session's worker
-// pool. A single-worker pool takes the serial path outright — the
-// dispatch would be pure overhead with no one to overlap it with (the
-// same 1-core audit flatten got).
+// route routes source partitions on the session's worker pool. A
+// single-worker session routes as one chunk on the caller and never
+// touches the pool — the dispatch would be pure overhead with no one to
+// overlap it with (the same 1-core audit flatten got).
 func (s *Session) route(d *dep, parent []Batch) []Batch {
-	if s.workers == 1 {
-		return routeCore(d, parent, nil, 1)
-	}
 	return routeCore(d, parent, s.pool, s.workers)
 }
 
@@ -177,10 +220,7 @@ func blockCap(n int) int {
 // shapes fall back to a boxed batch. Both report boxed capacity == total,
 // matching the boxed flatten's exact pre-size.
 func flattenCore(parent []Batch, pool *workerPool, workers int) Batch {
-	offsets := make([]int, len(parent)+1)
-	for i, part := range parent {
-		offsets[i+1] = offsets[i] + batchLen(part)
-	}
+	offsets := partStarts(parent)
 	total := offsets[len(parent)]
 	proto, homogeneous := routeProto(parent)
 	var flat Batch

@@ -102,22 +102,25 @@ func BenchmarkShuffleBoundary(b *testing.B) {
 }
 
 // BenchmarkShuffleRoute compares the counting-pass router's inline and
-// pooled loop dispatch on uniform and skewed key distributions.
+// pooled loop dispatch on uniform and skewed key distributions, and on the
+// paper's sparse shape: an inner job's ~2000 records spread over the fixed
+// 3 × cores = 1200 partitions on both sides, where any cost in sources ×
+// targets shows and the elements do not.
 func BenchmarkShuffleRoute(b *testing.B) {
-	const nsrc, perSrc, nt = 8, 8192, 16
-	for _, dist := range []struct {
-		name string
-		skew bool
-	}{{"uniform", false}, {"skewed", true}} {
-		parent := benchParent(nsrc, perSrc, dist.skew)
-		d := benchDep(nt)
-		b.Run(dist.name+"/serial", func(b *testing.B) {
+	for _, shape := range []struct {
+		name             string
+		nsrc, perSrc, nt int
+		skew             bool
+	}{{"uniform", 8, 8192, 16, false}, {"skewed", 8, 8192, 16, true}, {"sparse", 1200, 2, 1200, false}} {
+		parent := benchParent(shape.nsrc, shape.perSrc, shape.skew)
+		d := benchDep(shape.nt)
+		b.Run(shape.name+"/serial", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				routeCore(d, parent, nil, 1)
 			}
 		})
-		b.Run(dist.name+"/parallel", func(b *testing.B) {
+		b.Run(shape.name+"/parallel", func(b *testing.B) {
 			s := poolSession(runtime.GOMAXPROCS(0))
 			defer s.Close()
 			b.ReportAllocs()
