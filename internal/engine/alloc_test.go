@@ -2,15 +2,19 @@ package engine
 
 // Allocation-regression tests for the perf-critical paths this engine
 // depends on: the monomorphic stable hashers must stay allocation-free,
-// the fused narrow chain must not allocate per element, and the parallel
-// shuffle router must allocate only its per-call bookkeeping. These run
+// the fused narrow chain must not allocate per element, the parallel
+// shuffle router must allocate only its per-call bookkeeping, and a
+// combine on a warm table must allocate only its output. These run
 // as part of `go test` so a regression (an interface conversion sneaking
 // into a hasher, a closure capture boxing rows) fails CI, not a later
 // profiling session. Skipped under -race: instrumentation allocates.
 
 import (
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 func skipIfInstrumented(t *testing.T) {
@@ -123,5 +127,86 @@ func TestRouteAllocBound(t *testing.T) {
 			}
 			s.Close()
 		}
+	}
+}
+
+// foldShape is the kmeans_lifted combine row: an int key and seven floats
+// of running sums, 64 bytes a pair.
+type foldShape = Pair[int, [7]float64]
+
+func foldShapeRows(n, keys int) []foldShape {
+	rows := make([]foldShape, n)
+	for i := range rows {
+		rows[i] = foldShape{Key: (i * 31) % keys, Val: [7]float64{float64(i), 1}}
+	}
+	return rows
+}
+
+func foldShapeSum(a, b [7]float64) [7]float64 {
+	for i := range a {
+		a[i] += b[i]
+	}
+	return a
+}
+
+// TestFoldAllocBound pins the combine's allocation model: once a worker's
+// table is warm, a partition allocates its exact-size output and a small
+// constant (batch header, two closures) — nothing per input row and no
+// table. The shape is kmeans_lifted's, 833 rows onto 256 keys of 64 bytes,
+// where the buffering combine this replaced allocated ≈ 200 KB per
+// partition (row buffer, fresh map, key order, output and its append-grown
+// copy) against 16 KB of output; the two-row partition is the near-empty
+// task of bounce_inner_jobs. Fused and per-operator evaluation share the
+// bound. The GC is held off while measuring: a cycle would empty the
+// sync.Pool and charge the next partition a new table.
+func TestFoldAllocBound(t *testing.T) {
+	skipIfInstrumented(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const slack = 256
+	for _, shape := range []struct{ rows, keys int }{{833, 256}, {2, 2}} {
+		s := poolSession(1)
+		src := Parallelize(s, foldShapeRows(shape.rows, shape.keys), 1)
+		pre := Map(src, func(kv foldShape) foldShape { return kv })
+		comb := ReduceByKey(pre, foldShapeSum).n.deps[0].parent
+		head := src.n.compute(nil, 0, nil)
+		mid := pre.n.compute(nil, 0, []Batch{head})
+		var fc fuseCounts
+		for name, part := range map[string]func() Batch{
+			"fused":        func() Batch { return comb.fuse.exec(nil, &fc, 0, head) },
+			"per-operator": func() Batch { return comb.compute(nil, 0, []Batch{mid}) },
+		} {
+			if got := part().Len(); got != shape.keys { // warms the table
+				t.Fatalf("%s: %d groups, want %d", name, got, shape.keys)
+			}
+			const parts = 100
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < parts; i++ {
+				part()
+			}
+			runtime.ReadMemStats(&after)
+			bound := uint64(shape.keys)*uint64(unsafe.Sizeof(foldShape{})) + slack
+			if got := (after.TotalAlloc - before.TotalAlloc) / parts; got > bound {
+				t.Errorf("%s, %d rows onto %d keys: %d bytes per partition, want <= %d", name, shape.rows, shape.keys, got, bound)
+			}
+		}
+		s.Close()
+	}
+}
+
+// TestFoldOutputsNotAliased: a finished partition's result shares no
+// memory with the table that produced it — folding the next partition on
+// the same table leaves it untouched. This is what lets pooled scratch sit
+// behind batches that outlive the task (frontier, caches, checkpoints).
+func TestFoldOutputsNotAliased(t *testing.T) {
+	tab := pairTableOf[int](foldShapeSum)
+	set := newSetTables[int]().Get().(*setTable[int])
+	a := foldRows[foldShape](tab, foldShapeRows(833, 256))
+	sa := foldRows[int](set, seq(100))
+	keep, skeep := slices.Clone(a), slices.Clone(sa)
+	foldRows[foldShape](tab, foldShapeRows(500, 300)[100:])
+	foldRows[int](set, seq(300)[150:])
+	if !slices.Equal(a, keep) || !slices.Equal(sa, skeep) {
+		t.Fatal("folding the next partition changed the previous partition's result")
 	}
 }

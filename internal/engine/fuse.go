@@ -37,9 +37,20 @@ package engine
 //     one-at-a-time appends. The host slice itself grows however it likes —
 //     real capacity is invisible to accounting — which is why the record
 //     blocks the boxed implementation pooled are gone.
+//
+// A MapPartitions link has to buffer: its UDF takes the partition as a slice
+// and may mutate it. The engine's own aggregates (ReduceByKey's combine,
+// Distinct's local dedup) need no such seam, so they end their chain with a
+// fold link instead (fuseFold, fold.go): upstream rows stream one by one
+// into a folder's add, and the folder's exact-size result is the output
+// batch. What the folder folds into is pooled host scratch that never
+// escapes — finish copies out — so nothing reachable from a batch, the
+// frontier, a cache, a memo entry or a checkpoint is ever reused; fold.go
+// states the reset rule that keeps reuse O(rows folded).
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -68,8 +79,9 @@ const (
 
 // fuseInfo is the constructor-built maximal fusible chain ending at its
 // owner node. run is the type-erased typed pipeline
-// (func(*Ctx, *fuseCounts, int, Batch, func(T))); exec wraps it with the
-// materializer matching the owner's unfused allocation shape.
+// (func(*Ctx, *fuseCounts, int, Batch, func(T))), nil for a chain no
+// operator may extend (fuseFold); exec wraps it with the materializer
+// matching the owner's unfused allocation shape.
 type fuseInfo struct {
 	head *node   // evaluated normally; its partition batch feeds the chain
 	via  []*node // chain operators bottom-up; the last entry is the owner
@@ -219,6 +231,21 @@ func fuseMapPartitions[A, B any](n, parent *node, f func([]A) []B) {
 		}
 	}
 	n.fuse = newFuseInfo(n, base.via, base.head, run, fuseTopExact, false)
+}
+
+// fuseFold attaches a streaming aggregation link to n (fold.go): upstream
+// rows go straight into a folder's add, so unlike fuseMapPartitions there
+// is no buffer in front of the aggregate, and the folder's exact-size
+// result is the stage's output batch. The link always tops its chain (run
+// stays nil, so no operator extends it): its only consumer is the shuffle
+// dep of the ReduceByKey/Distinct that built it.
+func fuseFold[A any](n, parent *node, tables *sync.Pool) {
+	base := chainTo[A](parent)
+	n.fuse = &fuseInfo{head: base.head, via: append(slices.Clip(base.via), n),
+		exec: func(tc *Ctx, fc *fuseCounts, p int, in Batch) Batch {
+			out := foldPartition(tables, func(add func(A)) { base.run(tc, fc, p, in, add) })
+			return batchOf(out, len(out))
+		}}
 }
 
 // fuseZip attaches ZipWithUniqueID's id-minting link to n. The stride is

@@ -549,41 +549,26 @@ func MapValuesCompute[K comparable, V, W any](f func(V) W) PortableCompute {
 	}
 }
 
-// mergePairs is the shared reduce loop: fold equal keys with f, emitting
-// in first-seen key order (partition contents must be deterministic; see
-// reduceByKey).
-func mergePairs[K comparable, V any](f func(V, V) V, in []Pair[K, V]) []Pair[K, V] {
-	m := make(map[K]V, combineHint(len(in)))
-	order := make([]K, 0, combineHint(len(in)))
-	for _, kv := range in {
-		if old, ok := m[kv.Key]; ok {
-			m[kv.Key] = f(old, kv.Val)
-		} else {
-			m[kv.Key] = kv.Val
-			order = append(order, kv.Key)
-		}
-	}
-	out := make([]Pair[K, V], 0, len(order))
-	for _, k := range order {
-		out = append(out, Pair[K, V]{k, m[k]})
-	}
-	return out
-}
-
-// CombineCompute is the kernel of ReduceByKey's hidden map-side combine
-// (a MapPartitions over mergePairs).
-func CombineCompute[K comparable, V any](f func(V, V) V) PortableCompute {
-	return MapPartitionsCompute(func(in []Pair[K, V]) []Pair[K, V] {
-		return mergePairs(f, in)
-	})
-}
-
-// ReduceByKeyCompute is the reduce-side kernel of ReduceByKey.
-func ReduceByKeyCompute[K comparable, V any](f func(V, V) V) PortableCompute {
+// foldCompute is the unfused kernel of a streaming aggregate (fold.go): one
+// partition through a folder from tables, the result its own exact-size
+// batch.
+func foldCompute[A any](tables *sync.Pool) PortableCompute {
 	return func(tc *Ctx, p int, in []Batch) Batch {
-		out := mergePairs(f, elems[Pair[K, V]](in[0]))
+		out := foldBatch[A](tables, in[0])
 		return batchOf(out, len(out))
 	}
+}
+
+// CombineCompute is the kernel of ReduceByKey's hidden map-side combine:
+// the same fold as the reduce side, over the map task's own rows.
+func CombineCompute[K comparable, V any](f func(V, V) V) PortableCompute {
+	return ReduceByKeyCompute[K](f)
+}
+
+// ReduceByKeyCompute is the reduce-side kernel of ReduceByKey: fold equal
+// keys with f, emitting in first-seen key order (see reduceByKey).
+func ReduceByKeyCompute[K comparable, V any](f func(V, V) V) PortableCompute {
+	return foldCompute[Pair[K, V]](newPairTables[K](f))
 }
 
 // GroupByKeyCompute is GroupByKey's kernel.
@@ -591,7 +576,7 @@ func GroupByKeyCompute[K comparable, V any]() PortableCompute {
 	return func(tc *Ctx, p int, in []Batch) Batch {
 		src := elems[Pair[K, V]](in[0])
 		m := make(map[K][]V)
-		order := make([]K, 0, len(src))
+		var order []K // one entry per key, not per input row
 		for _, kv := range src {
 			if _, ok := m[kv.Key]; !ok {
 				order = append(order, kv.Key)

@@ -264,6 +264,55 @@ func BenchmarkNarrowChain(b *testing.B) {
 	b.Run("fused", func(b *testing.B) { run(b, true) })
 }
 
+// BenchmarkCombine folds one stage's worth of partitions per iteration —
+// the paper's fixed 3 × cores = 1200 — on one warm pair table (fold.go), at
+// the three shapes the wall-clock benchmark's combines have: kmeans_lifted's
+// 833 rows onto 256 keys of 64 bytes, bounce_lifted's 560 mostly-distinct
+// rows, and the two-row partition of bounce_inner_jobs. after-giant is
+// ten-row partitions on a table that once held 200 000 keys: it stays
+// within a small factor of sparse only while resetting a table costs the
+// rows just folded, not the capacity a giant partition left behind (with a
+// plain clear of the index it is three orders of magnitude slower, which
+// bench-check's 3× gate catches). The table is held directly: a sync.Pool
+// would hand the giant to the GC mid-run.
+func BenchmarkCombine(b *testing.B) {
+	sum := func(a, c int64) int64 { return a + c }
+	counts := func(n, keys int) []Pair[int, int64] {
+		rows := make([]Pair[int, int64], n)
+		for i := range rows {
+			rows[i] = KV((i*31)%keys, int64(i))
+		}
+		return rows
+	}
+	b.Run("kmeans", func(b *testing.B) {
+		benchFold[foldShape](b, pairTableOf[int](foldShapeSum), foldShapeRows(833, 256))
+	})
+	b.Run("bounce", func(b *testing.B) {
+		benchFold[Pair[int, int64]](b, pairTableOf[int](sum), counts(560, 500))
+	})
+	b.Run("sparse", func(b *testing.B) {
+		benchFold[Pair[int, int64]](b, pairTableOf[int](sum), counts(2, 2))
+	})
+	b.Run("after-giant", func(b *testing.B) {
+		tab := pairTableOf[int](sum)
+		foldRows[Pair[int, int64]](tab, counts(200_000, 200_000))
+		benchFold[Pair[int, int64]](b, tab, counts(10, 8))
+	})
+}
+
+var foldSink int
+
+func benchFold[A any](b *testing.B, tab folder[A], rows []A) {
+	foldRows(tab, rows) // warm the table
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for p := 0; p < 1200; p++ {
+			foldSink += len(foldRows(tab, rows))
+		}
+	}
+}
+
 // BenchmarkFanInMemo runs a fan-in-heavy DAG: one expensive base dataset
 // consumed by four narrow branches that are unioned and concatenated. The
 // fan-in memo computes the base once per (node, partition) instead of once

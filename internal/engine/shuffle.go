@@ -1,6 +1,10 @@
 package engine
 
-import "matryoshka/internal/obs"
+import (
+	"sync"
+
+	"matryoshka/internal/obs"
+)
 
 // keyPartitioner hashes Pair keys for shuffle routing. It is the boxed
 // per-element form every shuffle dep carries; pairShuffleDep installs the
@@ -81,15 +85,14 @@ func ReduceByKeyBound[K comparable, V any](d Dataset[Pair[K, V]], f func(V, V) V
 	return reduceByKey(d, f, parts, true)
 }
 
-// combineHint caps the initial size of a combine's key map and key-order
-// slice: growing a map a few times costs far less than holding a bucket
-// per input row when the distinct-key count is small (the common case for
-// a map-side combine).
-func combineHint(n int) int {
-	if n > 1024 {
-		return 1024
-	}
-	return n
+// foldPartitions is MapPartitions for the engine's own aggregates: the same
+// node to the plan (label, fixed partitioning, accounting), but rows stream
+// into a folder from tables instead of being buffered for a slice UDF.
+func foldPartitions[A any](d Dataset[A], tables *sync.Pool) Dataset[A] {
+	n := d.s.newNode("mapPartitions", d.n.parts, []dep{narrowDep(d.n)}, foldCompute[A](tables))
+	n.fixedParts = true
+	fuseFold[A](n, d.n, tables)
+	return fromNode[A](d.s, n)
 }
 
 func reduceByKey[K comparable, V any](d Dataset[Pair[K, V]], f func(V, V) V, parts int, bound bool) Dataset[Pair[K, V]] {
@@ -99,17 +102,17 @@ func reduceByKey[K comparable, V any](d Dataset[Pair[K, V]], f func(V, V) V, par
 	// Outputs are emitted in first-seen key order, not map iteration
 	// order: partition contents must be deterministic because the size
 	// estimator samples by position, and a per-process sample would leak
-	// wall randomness into simulated durations. The merge loop itself
-	// (mergePairs, portable.go) is shared with the process-pool kernels.
-	combined := MapPartitions(d, func(in []Pair[K, V]) []Pair[K, V] {
-		return mergePairs(f, in)
-	})
+	// wall randomness into simulated durations. Both sides fold through
+	// one pool of pair tables (fold.go), the loop the process-pool kernels
+	// run too.
+	tables := newPairTables[K](f)
+	combined := foldPartitions[Pair[K, V]](d, tables)
 	if bound {
 		combined = combined.Unscaled()
 	}
 	outWeight := combined.n.weight
 	sd := pairShuffleDep[K, V](d.s, combined.n)
-	kernel := ReduceByKeyCompute[K](f)
+	kernel := foldCompute[Pair[K, V]](tables)
 	n := d.s.newNode("reduceByKey", parts, []dep{sd}, func(tc *Ctx, p int, in []Batch) Batch {
 		b := kernel(tc, p, in)
 		tc.UseMemory(d.s.estResidentBytes(b, outWeight)) // resident build map ~ distinct keys
@@ -222,17 +225,8 @@ func distinct[T comparable](d Dataset[T], parts int, bound bool) Dataset[T] {
 	if parts <= 0 {
 		parts = d.s.cfg.DefaultParallelism
 	}
-	local := MapPartitions(d, func(in []T) []T {
-		seen := make(map[T]struct{}, len(in))
-		out := in[:0:0]
-		for _, e := range in {
-			if _, ok := seen[e]; !ok {
-				seen[e] = struct{}{}
-				out = append(out, e)
-			}
-		}
-		return out
-	})
+	tables := newSetTables[T]()
+	local := foldPartitions[T](d, tables)
 	if bound {
 		local = local.Unscaled()
 	}
@@ -240,17 +234,8 @@ func distinct[T comparable](d Dataset[T], parts int, bound bool) Dataset[T] {
 	s := d.s
 	sd := elemShuffleDep[T](s, local.n)
 	n := s.newNode("distinct", parts, []dep{sd}, func(tc *Ctx, p int, in []Batch) Batch {
-		src := elems[T](in[0])
-		seen := make(map[T]struct{}, len(src))
-		out := make([]T, 0, len(src))
-		for _, e := range src {
-			if _, ok := seen[e]; !ok {
-				seen[e] = struct{}{}
-				out = append(out, e)
-			}
-		}
 		// The boxed loop kept the input-length capacity it pre-sized.
-		b := batchOf(out, len(src))
+		b := batchOf(foldBatch[T](tables, in[0]), in[0].Len())
 		tc.UseMemory(s.estResidentBytes(b, outWeight)) // resident dedup set
 		return b
 	})
