@@ -48,8 +48,9 @@ bench:
 ## full-benchtime steady state (GC pacing and span reuse never settle),
 ## so a tight ns/op bound would flake — order-of-magnitude regressions
 ## still trip it. The precise check is allocs/op on the stage-boundary
-## benchmarks, gated exactly (allocation counts are deterministic; any
-## growth is a real change to the typed data path). The run is pinned to
+## benchmarks and on the struct-keyed route, gated exactly (allocation
+## counts are deterministic; any growth is a real change to the typed data
+## path — a per-row allocation in the router's key hashing, for one). The run is pinned to
 ## `-cpu 1` because every committed baseline row is `procs: 1`: on more
 ## procs the runtime's concurrent-GC allocations land in allocs/op
 ## (65343-65344 vs 65342 on ShuffleBoundary/boxed) and the 1 MB flatten
@@ -58,7 +59,7 @@ bench:
 ## benchmarks are reported but never fail; regenerate the baseline with
 ## `make bench`.
 bench-check:
-	$(GO) test -bench . -benchmem -benchtime 10x -cpu 1 -run '^$$' ./internal/engine | $(GO) run ./cmd/benchjson -check BENCH_engine.json -factor 3 -gate-allocs ShuffleBoundary
+	$(GO) test -bench . -benchmem -benchtime 10x -cpu 1 -run '^$$' ./internal/engine | $(GO) run ./cmd/benchjson -check BENCH_engine.json -factor 3 -gate-allocs 'ShuffleBoundary|ShuffleRoute/structkey'
 
 ## fuzz-smoke: fuzz the batch wire codec for 30s from the checked-in seed
 ## corpus (internal/engine/testdata/fuzz/FuzzBatchCodec), then the

@@ -130,6 +130,36 @@ func TestRouteAllocBound(t *testing.T) {
 	}
 }
 
+// TestStructKeyTargetsAllocFree: the router's counting pass hashes a
+// composite key where it lies in its batch. Lifted shuffles key every row
+// by a (tag, key) struct, which no monomorphic case covers; the compiled
+// hasher takes a pointer, and handing it the address of a by-value copy of
+// the key cost one heap allocation per shuffled row (1 000 here).
+func TestStructKeyTargetsAllocFree(t *testing.T) {
+	skipIfInstrumented(t)
+	s := poolSession(1)
+	defer s.Close()
+	rows := make([]Pair[structKey, int64], 1000)
+	for i := range rows {
+		rows[i] = KV(structKey{T: [4]uint64{uint64(i), 1, 2, 3}, K: int64(i % 50)}, int64(i))
+	}
+	b := batchOf(rows, len(rows))
+	d := pairShuffleDep[structKey, int64](s, nil)
+	const nt = 16
+	tg, ct := make([]int32, len(rows)), make([]int32, nt)
+	if !d.batchTargets(b, nt, tg, ct) {
+		t.Fatal("struct keys have no batch hasher")
+	}
+	for i, kv := range rows {
+		if want := d.partitioner(kv, nt); int(tg[i]) != want {
+			t.Fatalf("row %d: batch target %d, per-element partitioner %d", i, tg[i], want)
+		}
+	}
+	if avg := testing.AllocsPerRun(10, func() { d.batchTargets(b, nt, tg, ct) }); avg != 0 {
+		t.Errorf("batchTargets over %d struct-keyed rows allocates %.0f times, want 0", len(rows), avg)
+	}
+}
+
 // foldShape is the kmeans_lifted combine row: an int key and seven floats
 // of running sums, 64 bytes a pair.
 type foldShape = Pair[int, [7]float64]
@@ -149,6 +179,26 @@ func foldShapeSum(a, b [7]float64) [7]float64 {
 	return a
 }
 
+// measureBytes returns the bytes one call of part allocates, averaged over
+// calls, after one warming call. The GC is held off — a cycle would empty
+// the sync.Pool under test and charge the next call a new scratch — and the
+// measurement runs at GOMAXPROCS=1: a sync.Pool keeps what was Put in a
+// per-P slot the Get of another P cannot reach, so a test goroutine that
+// migrates to another P mid-loop would build a second scratch and fail the
+// bound one run in 25 (seen at GOMAXPROCS=4) without any change to the code.
+func measureBytes(calls int, part func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	part()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		part()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(calls)
+}
+
 // TestFoldAllocBound pins the combine's allocation model: once a worker's
 // table is warm, a partition allocates its exact-size output and a small
 // constant (batch header, two closures) — nothing per input row and no
@@ -156,37 +206,33 @@ func foldShapeSum(a, b [7]float64) [7]float64 {
 // where the buffering combine this replaced allocated ≈ 200 KB per
 // partition (row buffer, fresh map, key order, output and its append-grown
 // copy) against 16 KB of output; the two-row partition is the near-empty
-// task of bounce_inner_jobs. Fused and per-operator evaluation share the
-// bound. The GC is held off while measuring: a cycle would empty the
-// sync.Pool and charge the next partition a new table.
+// task of bounce_inner_jobs. Fused (the chain the plan composes) and
+// per-operator evaluation share the bound.
 func TestFoldAllocBound(t *testing.T) {
 	skipIfInstrumented(t)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const slack = 256
 	for _, shape := range []struct{ rows, keys int }{{833, 256}, {2, 2}} {
 		s := poolSession(1)
 		src := Parallelize(s, foldShapeRows(shape.rows, shape.keys), 1)
 		pre := Map(src, func(kv foldShape) foldShape { return kv })
-		comb := ReduceByKey(pre, foldShapeSum).n.deps[0].parent
+		red := ReduceByKey(pre, foldShapeSum)
+		comb := red.n.deps[0].parent
+		chain := s.buildExecPlan(red.n).fused[comb]
+		if chain == nil || chain.head != src.n {
+			t.Fatalf("the plan did not fuse map∘combine over the source: %+v", chain)
+		}
 		head := src.n.compute(nil, 0, nil)
 		mid := pre.n.compute(nil, 0, []Batch{head})
 		var fc fuseCounts
 		for name, part := range map[string]func() Batch{
-			"fused":        func() Batch { return comb.fuse.exec(nil, &fc, 0, head) },
+			"fused":        func() Batch { return chain.exec(nil, &fc, 0, head) },
 			"per-operator": func() Batch { return comb.compute(nil, 0, []Batch{mid}) },
 		} {
-			if got := part().Len(); got != shape.keys { // warms the table
+			if got := part().Len(); got != shape.keys {
 				t.Fatalf("%s: %d groups, want %d", name, got, shape.keys)
 			}
-			const parts = 100
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < parts; i++ {
-				part()
-			}
-			runtime.ReadMemStats(&after)
 			bound := uint64(shape.keys)*uint64(unsafe.Sizeof(foldShape{})) + slack
-			if got := (after.TotalAlloc - before.TotalAlloc) / parts; got > bound {
+			if got := measureBytes(100, func() { part() }); got > bound {
 				t.Errorf("%s, %d rows onto %d keys: %d bytes per partition, want <= %d", name, shape.rows, shape.keys, got, bound)
 			}
 		}

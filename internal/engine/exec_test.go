@@ -502,13 +502,34 @@ func randomDAG(s *Session, seed int64) Dataset[int] {
 	head := func() Dataset[int] { return Union(pick(), pick()) }
 	inc := func(x int) int { return x + 1 }
 	odd := func(x int) bool { return x%2 != 0 }
-	shared := Map(head(), inc) // two consumers: a memo site cutting both chains
+	dup := func(x int) []int { return []int{x, -x} }
+	// Two consumers make shared a memo site cutting both chains; the two
+	// links below it are a chain of their own, which the site tops.
+	shared := Map(Map(head(), inc), inc)
+	// Half-lifted cross products as chain links: the three-row side is
+	// broadcast, the other streams. Three rows, so a link that emitted
+	// broadcast-row major would reorder every partition.
+	few := Parallelize(s, []int{100, 200, 300}, 2)
+	mix := func(a, b int) int { return a*7 + b }
+	// mirrored reads its parent's partitions in reverse through a narrowMap:
+	// a link whose streamed dep is not the identity must not fuse into the
+	// chain below it (a fused chain reads head partition p for output p).
+	mirrored := Map(Map(head(), inc), inc)
+	mirrored.n.deps[0].narrowMap = func(p int) []int { return []int{mirrored.n.parts - 1 - p} }
 	for _, d := range []Dataset[int]{
-		FlatMap(Map(head(), inc), func(x int) []int { return []int{x, -x} }),
+		FlatMap(Map(head(), inc), dup),
 		Filter(Map(head(), inc), odd),
 		// The hidden map-side combine of ReduceByKey tops map∘mapPartitions.
 		Values(ReduceByKey(KeyBy(head(), func(x int) int { return x % 7 }), func(a, b int) int { return a + b })),
 		Union(Filter(Map(shared, inc), odd), Map(shared, inc)),
+		// A cross between 1:1 links (sized up front), below a flatMap and
+		// above a filter, and as the top of a chain with and without a
+		// known row count.
+		Map(CrossWithBroadcast(few, Map(head(), inc), mix), inc),
+		FlatMap(CrossBroadcastBig(Filter(head(), odd), few, mix), dup),
+		CrossWithBroadcast(few, Map(head(), inc), mix),
+		CrossBroadcastBig(Filter(Map(head(), inc), odd), few, mix),
+		Map(mirrored, inc),
 	} {
 		out = Union(out, d)
 	}
@@ -586,22 +607,33 @@ func TestRandomDAGFusedMatchesPerOperator(t *testing.T) {
 		}
 		ep := fus.buildExecPlan(fusOut.n)
 		tops := map[string]bool{}
+		crossInside := false
 		for _, fi := range ep.fused {
-			tops[fi.via[len(fi.via)-1].label] = true
+			k := len(fi.via)
+			tops[fi.via[k-1].label] = true
+			crossInside = crossInside || slices.ContainsFunc(fi.via[:k-1], func(m *node) bool { return m.label == "crossBroadcastSmall" })
+			for _, m := range fi.via {
+				if m.deps[m.link.stream].narrowMap != nil {
+					t.Errorf("seed %d: chain fused through the narrowMap under #%d %s", seed, m.id, m.label)
+				}
+			}
 		}
-		for _, top := range []string{"filter", "flatMap", "mapPartitions"} {
+		for _, top := range []string{"filter", "flatMap", "mapPartitions", "crossBroadcastSmall", "crossBroadcastBig"} {
 			if !tops[top] {
 				t.Errorf("seed %d: no fused chain topped by %s", seed, top)
 			}
 		}
+		if !crossInside {
+			t.Errorf("seed %d: no fused chain with a cross product below its top", seed)
+		}
+		// A memo site cuts a chain in two, and both sides fuse: the chain
+		// above heads at the site, which tops the chain below it.
 		memoCut := false
-		for n := range ep.pnodes {
-			if fi := n.fuse; fi != nil && ep.fused[n] == nil {
-				memoCut = memoCut || slices.ContainsFunc(fi.via[:len(fi.via)-1], func(m *node) bool { return ep.memo[m] })
-			}
+		for _, fi := range ep.fused {
+			memoCut = memoCut || (ep.memo[fi.head] && ep.fused[fi.head] != nil)
 		}
 		if !memoCut {
-			t.Errorf("seed %d: no chain cut by a memo site", seed)
+			t.Errorf("seed %d: no chain cut by a memo site and fused on both sides", seed)
 		}
 
 		perParts := materializedParts(t, perOut)

@@ -3,7 +3,7 @@ package engine
 // Streaming aggregation for the engine's own whole-partition operators:
 // ReduceByKey's map-side combine and reduce side, and Distinct's local and
 // final dedup. A folder takes rows one at a time, so a fused chain streams
-// straight into it (fuseFold) and nothing is buffered in front of the
+// straight into it (linkFold) and nothing is buffered in front of the
 // aggregate; user UDFs keep MapPartitions' slice contract.
 //
 // A folder's tables are host scratch, reused across the partitions one
@@ -45,12 +45,54 @@ func foldBatch[A any](tables *sync.Pool, in Batch) []A {
 	})
 }
 
+// keyIndex is the reusable index under every pooled scratch (the folders'
+// tables here, the repartition join's build side in portable.go): a map
+// from key to a row position, and what emptying it cheaply needs.
+type keyIndex[K comparable] struct {
+	idx map[K]int32
+	hw  int // most keys idx ever held: what a clear would have to walk
+}
+
+func newKeyIndex[K comparable]() keyIndex[K] { return keyIndex[K]{idx: map[K]int32{}} }
+
+// sparseReset is the share of the index's high-water key count below which
+// deleting this partition's keys beats clearing the map: the ratio of one
+// per-key delete to one per-slot clear (BenchmarkCombine/after-giant).
+const sparseReset = 8
+
+// reset empties the index after a partition that put n rows into it, the
+// i-th under key(i), at a cost proportional to n, never to the largest
+// partition the index ever held: clear(map) walks the map's whole capacity,
+// so after one giant partition it would tax every near-empty one that
+// follows.
+func (x *keyIndex[K]) reset(n int, key func(i int) K) {
+	x.hw = max(x.hw, len(x.idx))
+	if n*sparseReset < x.hw {
+		for i := 0; i < n; i++ {
+			delete(x.idx, key(i))
+		}
+	}
+	if len(x.idx) > 0 { // a dense partition, or NaN keys delete cannot find
+		clear(x.idx)
+	}
+}
+
+// copyOut returns an exact-size copy of the rows in *scratch and leaves the
+// scratch empty and zeroed, so it does not pin pointerful rows. The copy is
+// what makes pooled scratch safe: nothing a Batch holds is ever reused.
+func copyOut[E any](scratch *[]E) []E {
+	out := make([]E, len(*scratch))
+	copy(out, *scratch)
+	clear(*scratch)
+	*scratch = (*scratch)[:0]
+	return out
+}
+
 // foldTable is the scratch both folders share: an index from key to the
 // row's position in a first-seen-order accumulator.
 type foldTable[K comparable, E any] struct {
-	idx map[K]int32
+	keyIndex[K]
 	acc []E
-	hw  int // most keys idx ever held: what a clear would have to walk
 }
 
 func (t *foldTable[K, E]) insert(k K, e E) {
@@ -58,31 +100,11 @@ func (t *foldTable[K, E]) insert(k K, e E) {
 	t.acc = append(t.acc, e)
 }
 
-// sparseReset is the share of the index's high-water key count below which
-// deleting this partition's keys beats clearing the map: the ratio of one
-// per-key delete to one per-slot clear (BenchmarkCombine/after-giant).
-const sparseReset = 8
-
-// drain returns a copy of the accumulator and empties the table at a cost
-// proportional to the rows just folded, never to the largest partition the
-// table ever held: clear(map) walks the map's whole capacity, so after one
-// giant partition it would tax every near-empty one that follows. The
-// accumulator is zeroed so scratch does not pin pointerful rows.
-func (t *foldTable[K, E]) drain(key func(*E) K) []E {
-	out := make([]E, len(t.acc))
-	copy(out, t.acc)
-	t.hw = max(t.hw, len(t.acc))
-	if len(t.acc)*sparseReset < t.hw {
-		for i := range t.acc {
-			delete(t.idx, key(&t.acc[i]))
-		}
-	}
-	if len(t.idx) > 0 { // a dense partition, or NaN keys delete cannot find
-		clear(t.idx)
-	}
-	clear(t.acc)
-	t.acc = t.acc[:0]
-	return out
+// drain returns a copy of the accumulator and empties the table; key(i) is
+// the key of accumulator row i.
+func (t *foldTable[K, E]) drain(key func(i int) K) []E {
+	t.reset(len(t.acc), key)
+	return copyOut(&t.acc)
 }
 
 // pairTable folds Pair rows by key with f, left to right in arrival order,
@@ -94,7 +116,7 @@ type pairTable[K comparable, V any] struct {
 
 func newPairTables[K comparable, V any](f func(V, V) V) *sync.Pool {
 	return &sync.Pool{New: func() any {
-		return &pairTable[K, V]{foldTable[K, Pair[K, V]]{idx: map[K]int32{}}, f}
+		return &pairTable[K, V]{foldTable[K, Pair[K, V]]{keyIndex: newKeyIndex[K]()}, f}
 	}}
 }
 
@@ -107,7 +129,7 @@ func (t *pairTable[K, V]) add(kv Pair[K, V]) {
 }
 
 func (t *pairTable[K, V]) finish() []Pair[K, V] {
-	return t.drain(func(kv *Pair[K, V]) K { return kv.Key })
+	return t.drain(func(i int) K { return t.acc[i].Key })
 }
 
 // setTable keeps the first occurrence of every element.
@@ -115,7 +137,7 @@ type setTable[T comparable] struct{ foldTable[T, T] }
 
 func newSetTables[T comparable]() *sync.Pool {
 	return &sync.Pool{New: func() any {
-		return &setTable[T]{foldTable[T, T]{idx: map[T]int32{}}}
+		return &setTable[T]{foldTable[T, T]{keyIndex: newKeyIndex[T]()}}
 	}}
 }
 
@@ -126,5 +148,5 @@ func (t *setTable[T]) add(e T) {
 }
 
 func (t *setTable[T]) finish() []T {
-	return t.drain(func(e *T) T { return *e })
+	return t.drain(func(i int) T { return t.acc[i] })
 }

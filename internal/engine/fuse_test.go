@@ -100,6 +100,22 @@ func TestFusedMatchesUnfusedChains(t *testing.T) {
 			return ReduceByKey(hot, func(a, c int) int { return a + c })
 		})
 	})
+	t.Run("half-lifted-cross", func(t *testing.T) {
+		// kmeans_lifted's shape: points → cross with the broadcast configs →
+		// re-key → combine, one chain from the source to the fold's output;
+		// and the mirrored cross topping a chain over a filter.
+		fusePair(t, func(s *Session) Dataset[Pair[int, int]] {
+			configs := Parallelize(s, seq(5), 2).Unscaled()
+			points := Map(Parallelize(s, seq(400), 4), func(v int) int { return v * 3 })
+			crossed := CrossWithBroadcast(configs, points, func(c, p int) Pair[int, int] { return KV(c, p) })
+			rekeyed := Map(crossed, func(kv Pair[int, int]) Pair[int, int] { return KV(kv.Key*10+kv.Val%4, kv.Val) })
+			return ReduceByKey(rekeyed, func(a, c int) int { return a + c })
+		})
+		fusePair(t, func(s *Session) Dataset[int] {
+			kept := Filter(Parallelize(s, seq(300), 4), func(v int) bool { return v%3 != 0 })
+			return CrossBroadcastBig(kept, Parallelize(s, seq(4), 2), func(a, b int) int { return a*10 + b })
+		})
+	})
 	t.Run("filter-drops-everything", func(t *testing.T) {
 		fusePair(t, func(s *Session) Dataset[int] {
 			d := Filter(Parallelize(s, seq(100), 4), func(int) bool { return false })
@@ -188,11 +204,18 @@ func TestFusedExplainMarker(t *testing.T) {
 		if _, err := Count(top); err != nil {
 			t.Fatal(err)
 		}
+		// A half-lifted cross product is a link like any other.
+		crossed := CrossWithBroadcast(Parallelize(s, seq(3), 1), d, func(a, b int) int { return a + b })
+		if _, err := Count(Filter(crossed, func(v int) bool { return v%2 == 0 })); err != nil {
+			t.Fatal(err)
+		}
 		return rec.Report()
 	}
 	fused := report(false)
-	if !strings.Contains(fused, "fused(map∘filter∘map) ×3 ops") {
-		t.Errorf("EXPLAIN ANALYZE missing fused chain marker:\n%s", fused)
+	for _, marker := range []string{"fused(map∘filter∘map) ×3 ops", "fused(map∘crossBroadcastSmall∘filter) ×3 ops"} {
+		if !strings.Contains(fused, marker) {
+			t.Errorf("EXPLAIN ANALYZE missing fused chain marker %q:\n%s", marker, fused)
+		}
 	}
 	unfused := report(true)
 	if strings.Contains(unfused, "fused(") {

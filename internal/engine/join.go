@@ -127,21 +127,7 @@ func broadcastJoin[K comparable, A, B any](small Dataset[Pair[K, A]], big Datase
 // mapWithClosure (Sec. 8.3), where e.g. each current K-means centroid set
 // (an InnerScalar) must meet every point of the shared input bag.
 func CrossWithBroadcast[A, B, C any](small Dataset[A], big Dataset[B], f func(A, B) C) Dataset[C] {
-	s := small.s
-	deps := []dep{
-		{parent: small.n, kind: depBroadcast},
-		{parent: big.n, kind: depNarrow},
-	}
-	n := s.newNode("crossBroadcastSmall", big.n.parts, deps, func(tc *Ctx, p int, in []Batch) Batch {
-		as := elems[A](in[0])
-		out := make([]C, 0, len(as)*in[1].Len())
-		for _, b := range elems[B](in[1]) {
-			for _, a := range as {
-				out = append(out, f(a, b))
-			}
-		}
-		return batchOf(out, cap(out))
-	})
+	n := crossNode("crossBroadcastSmall", small, big, func(b B, a A) C { return f(a, b) })
 	// Demotion target: the mirrored half-lifted choice, repartitioned back
 	// to this operator's layout. introRule/introChoice stop recovery from
 	// bouncing between the two mirrors.
@@ -152,28 +138,14 @@ func CrossWithBroadcast[A, B, C any](small Dataset[A], big Dataset[B], f func(A,
 			return Repartition(CrossBroadcastBig(small, big, f), big.n.parts).n
 		},
 	}
-	return fromNode[C](s, n)
+	return fromNode[C](small.s, n)
 }
 
 // CrossBroadcastBig is the mirrored physical choice: broadcast big and keep
 // small partitioned. The optimizer picks between the two using size
 // estimates (Sec. 8.3); benchmarks exercise both to show the gap.
 func CrossBroadcastBig[A, B, C any](small Dataset[A], big Dataset[B], f func(A, B) C) Dataset[C] {
-	s := small.s
-	deps := []dep{
-		{parent: big.n, kind: depBroadcast},
-		{parent: small.n, kind: depNarrow},
-	}
-	n := s.newNode("crossBroadcastBig", small.n.parts, deps, func(tc *Ctx, p int, in []Batch) Batch {
-		bs := elems[B](in[0])
-		out := make([]C, 0, len(bs)*in[1].Len())
-		for _, a := range elems[A](in[1]) {
-			for _, b := range bs {
-				out = append(out, f(a, b))
-			}
-		}
-		return batchOf(out, cap(out))
-	})
+	n := crossNode("crossBroadcastBig", big, small, f)
 	n.fallback = &refallback{
 		rule: "half-lifted", choice: "broadcast-primary", alt: "broadcast-scalar",
 		introRule: "half-lifted", introChoice: "broadcast-scalar",
@@ -181,7 +153,30 @@ func CrossBroadcastBig[A, B, C any](small Dataset[A], big Dataset[B], f func(A, 
 			return Repartition(CrossWithBroadcast(small, big, f), small.n.parts).n
 		},
 	}
-	return fromNode[C](s, n)
+	return fromNode[C](small.s, n)
+}
+
+// crossNode is the operator both cross products are: bcast is broadcast
+// (dep 0), streamed keeps its partitioning (dep 1), and every streamed row
+// meets the broadcast rows in order. It is a chain link (linkCross), so in
+// a fused chain the product is never materialized.
+func crossNode[R, S, C any](label string, bcast Dataset[R], streamed Dataset[S], g func(S, R) C) *node {
+	deps := []dep{
+		{parent: bcast.n, kind: depBroadcast},
+		{parent: streamed.n, kind: depNarrow},
+	}
+	n := streamed.s.newNode(label, streamed.n.parts, deps, func(tc *Ctx, p int, in []Batch) Batch {
+		rs := elems[R](in[0])
+		out := make([]C, 0, len(rs)*in[1].Len())
+		for _, x := range elems[S](in[1]) {
+			for _, r := range rs {
+				out = append(out, g(x, r))
+			}
+		}
+		return batchOf(out, cap(out))
+	})
+	linkCross(n, g)
+	return n
 }
 
 // LeftOuterJoin joins every left element with its matching right values,

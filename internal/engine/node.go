@@ -83,12 +83,11 @@ type node struct {
 	// lowering for this operator (e.g. broadcast join -> repartition
 	// join). Recovery builds it when the chosen lowering OOMs at run time.
 	fallback *refallback
-	// fuse is the constructor-built typed push-pipeline for the maximal
-	// fusible narrow chain ending at this node (fuse.go); nil for
-	// non-fusible operators. Whether it runs is decided per plan
-	// (compileFusion): the stored chain is only legal when every
-	// intermediate op is invisible to the plan.
-	fuse *fuseInfo
+	// link, when set, is what this operator contributes to a fused narrow
+	// chain (fuse.go): its step over a typed upstream pipeline, and the
+	// materializer for when it ends the chain. nil for non-fusible
+	// operators. Chains are found and composed per plan (compileFusion).
+	link *link
 	// port, when set, names this operator in the portable-op registry
 	// (portable.go), letting a process-pool backend reconstruct and run it
 	// in a worker process. Set by MarkPortable via the taskreg helpers;
@@ -199,7 +198,12 @@ func estPartitionBytes(part Batch) int64 {
 	if count > sampleN {
 		bcap = sampleGrowCap
 	}
-	sampled := sizeest.OfBatch(part.sampleEvery(step, bcap))
+	// Fixed-size element shapes cost count times a per-type constant, so
+	// the sample itself is never built; only value-dependent shapes copy.
+	sampled, ok := sizeest.OfFixed(part.Data(), count, bcap)
+	if !ok {
+		sampled = sizeest.OfBatch(part.sampleEvery(step, bcap))
+	}
 	return sampled * int64(n) / int64(count)
 }
 

@@ -3,7 +3,7 @@ package engine
 // Map applies f to every element.
 func Map[A, B any](d Dataset[A], f func(A) B) Dataset[B] {
 	n := d.s.newNode("map", d.n.parts, []dep{narrowDep(d.n)}, MapCompute(f))
-	fuseMap(n, d.n, f)
+	linkMap(n, f)
 	return fromNode[B](d.s, n)
 }
 
@@ -30,14 +30,14 @@ func MapCtx[A, B any](d Dataset[A], f func(*Ctx, A) B) Dataset[B] {
 func Filter[A any](d Dataset[A], pred func(A) bool) Dataset[A] {
 	n := d.s.newNode("filter", d.n.parts, []dep{narrowDep(d.n)}, FilterCompute(pred))
 	n.pkey = d.n.pkey // filtering preserves the partitioning
-	fuseFilter(n, d.n, pred)
+	linkFilter(n, pred)
 	return fromNode[A](d.s, n)
 }
 
 // FlatMap applies f and concatenates the results.
 func FlatMap[A, B any](d Dataset[A], f func(A) []B) Dataset[B] {
 	n := d.s.newNode("flatMap", d.n.parts, []dep{narrowDep(d.n)}, FlatMapCompute(f))
-	fuseFlatMap(n, d.n, f)
+	linkFlatMap(n, f)
 	return fromNode[B](d.s, n)
 }
 
@@ -47,7 +47,7 @@ func MapPartitions[A, B any](d Dataset[A], f func([]A) []B) Dataset[B] {
 	// Partition-level UDFs see whole partitions; recovery must not change
 	// how the data is split under them.
 	n.fixedParts = true
-	fuseMapPartitions(n, d.n, f)
+	linkMapPartitions(n, f)
 	return fromNode[B](d.s, n)
 }
 
@@ -95,7 +95,7 @@ func ZipWithUniqueID[A any](d Dataset[A]) Dataset[Pair[uint64, A]] {
 	})
 	// The ID stride captures the partition count at construction time.
 	n.fixedParts = true
-	fuseZip[A](n, d.n, parts)
+	linkZip[A](n, parts)
 	return fromNode[Pair[uint64, A]](d.s, n)
 }
 
@@ -119,7 +119,7 @@ func Values[K comparable, V any](d Dataset[Pair[K, V]]) Dataset[V] {
 func MapValues[K comparable, V, W any](d Dataset[Pair[K, V]], f func(V) W) Dataset[Pair[K, W]] {
 	n := d.s.newNode("mapValues", d.n.parts, []dep{narrowDep(d.n)}, MapValuesCompute[K](f))
 	n.pkey = d.n.pkey
-	fuseMap(n, d.n, func(kv Pair[K, V]) Pair[K, W] {
+	linkMap(n, func(kv Pair[K, V]) Pair[K, W] {
 		return Pair[K, W]{Key: kv.Key, Val: f(kv.Val)}
 	})
 	return fromNode[Pair[K, W]](d.s, n)

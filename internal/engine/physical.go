@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"matryoshka/internal/engine/plan"
 )
 
@@ -14,10 +16,9 @@ type execPlan struct {
 	// memo is plan.Memo translated to engine nodes for the evaluator's
 	// hot path.
 	memo map[*node]bool
-	// fused maps each node whose constructor-built chain (node.fuse) is
-	// legal under this plan to that chain: every intermediate op is
-	// invisible to the plan, so the evaluator may collapse the chain into
-	// one typed loop (fuse.go).
+	// fused maps the top of each fused chain of this plan to the chain: the
+	// ops below the top are invisible to the plan, so the evaluator runs
+	// the whole chain as one typed loop (fuse.go).
 	fused map[*node]*fuseInfo
 }
 
@@ -85,50 +86,70 @@ func (s *Session) buildExecPlanFrom(target *node, done func(*node) bool, replan 
 	return ep
 }
 
-// compileFusion decides, per planned node, whether its constructor-built
-// fused chain may run under this plan. The chain collapses its
-// intermediate ops into one loop, so each of them must be invisible to
-// the plan: not a stage root (its partitions would never materialize),
-// not a fan-in memo site (multi-consumer intermediates must still be
-// computed exactly once), and not on the recovery frontier (its
-// checkpointed data would be ignored). Recovery replans rebuild the
-// execPlan, so fusion decisions always reflect the current plan — a node
-// that becomes a memo site or frontier leaf after re-lowering simply
-// stops fusing.
+// compileFusion finds this plan's fused chains and composes them from the
+// operators' links (fuse.go). A chain runs top to bottom through each
+// link's streamed dep while that dep reads partition p for partition p (no
+// narrowMap) and the parent is itself a link the plan cannot see: not a
+// stage root (its partitions must materialize: shuffle and broadcast
+// parents, cached nodes, the recovery frontier), not a fan-in memo site (a
+// multi-consumer intermediate must still be computed exactly once). Such a
+// parent has one consumer in the plan, so it lies inside exactly one chain;
+// every other link tops a chain of its own. A node the plan can see
+// therefore cuts a chain into two that both fuse — it tops the lower one
+// and, evaluated through evalPart like any head (memo, frontier and cache
+// apply), feeds the upper one — and a chain longer than maxFuseOps splits
+// the same way. The walk reads the live deps: recovery's rewire splices
+// replacement parents into them and every replan recompiles, so no chain
+// can run through a lowering the current plan abandoned.
 func (ep *execPlan) compileFusion() {
 	ep.fused = make(map[*node]*fuseInfo)
+	// fusible: n is a link streaming its parent's partition p into its own
+	// partition p, as a chain's loop over head partition p does.
+	fusible := func(n *node) bool {
+		return n.link != nil && n.deps[n.link.stream].narrowMap == nil
+	}
+	// below returns the link n's chain continues into, nil if it ends at n.
+	below := func(n *node) *node {
+		m := n.deps[n.link.stream].parent
+		if !fusible(m) || m.link.over == nil {
+			return nil
+		}
+		if pm := ep.pnodes[m]; pm.Done || ep.plan.IsRoot(pm) || ep.plan.Memo[pm] {
+			return nil
+		}
+		return m
+	}
+	interior := map[*node]bool{}
 	for n, pn := range ep.pnodes {
-		fi := n.fuse
-		if fi == nil || len(fi.via) < 2 || pn.Done {
+		if fusible(n) && !pn.Done {
+			if m := below(n); m != nil {
+				interior[m] = true
+			}
+		}
+	}
+	for n, pn := range ep.pnodes {
+		if !fusible(n) || pn.Done || interior[n] {
 			continue
 		}
-		// The chain must still mirror the live DAG: recovery's rewire
-		// splices a replacement parent into consumer deps, and a
-		// construction-time pipeline built over the abandoned lowering
-		// would silently evaluate it — a node the current plan never
-		// routes shuffle blocks or pins broadcasts for. Every fusible
-		// operator chains through its first dep, so the links and head
-		// must agree with deps[0] edges end to end.
-		legal := true
-		prev := fi.head
-		for _, m := range fi.via {
-			if len(m.deps) == 0 || m.deps[0].parent != prev {
-				legal = false
-				break
+		for top := n; top != nil; {
+			via := []*node{top}
+			next := below(top)
+			for ; next != nil && len(via) < maxFuseOps; next = below(next) {
+				via = append(via, next)
 			}
-			prev = m
-		}
-		if legal {
-			for _, m := range fi.via[:len(fi.via)-1] {
-				pm := ep.pnodes[m]
-				if pm == nil || pm.Done || ep.plan.IsRoot(pm) || ep.plan.Memo[pm] {
-					legal = false
-					break
+			slices.Reverse(via)
+			if k := len(via); k >= 2 {
+				var up any
+				for i, m := range via[:k-1] {
+					up = m.link.over(up, i-1)
+				}
+				ep.fused[top] = &fuseInfo{
+					head: via[0].deps[via[0].link.stream].parent,
+					via:  via,
+					exec: top.link.top(up, k-2),
 				}
 			}
-		}
-		if legal {
-			ep.fused[n] = fi
+			top = next // the cap cut the chain here: next heads it and tops the rest
 		}
 	}
 }

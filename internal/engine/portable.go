@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -591,20 +592,46 @@ func GroupByKeyCompute[K comparable, V any]() PortableCompute {
 	}
 }
 
-// RepartitionJoinCompute is the probe kernel of the repartition join.
+// joinScratch is the repartition join's per-partition working set, reused
+// by a worker across the partitions of one join with the fold tables'
+// discipline (fold.go): it belongs to the operator's sync.Pool, the output
+// is copied out at its exact size, so nothing pooled is reachable from a
+// Batch, and a scratch a panic abandoned is dropped.
+type joinScratch[K comparable, A, B any] struct {
+	keyIndex[K]         // key -> 1 + the position of its first build row
+	next        []int32 // next[i]: 1 + the position of the build row after i with i's key, 0 at the end
+	out         []Pair[K, Tuple2[A, B]]
+}
+
+// join indexes the build side by key, then emits, per probe row in order,
+// one pair for every build row of its key, in arrival order. Rows of one
+// key are chained through their positions, so the build allocates nothing
+// once the scratch is warm. It leaves the scratch empty.
+func (s *joinScratch[K, A, B]) join(build []Pair[K, A], probe []Pair[K, B]) []Pair[K, Tuple2[A, B]] {
+	// Backwards, so that a chain followed from its head visits the build
+	// rows oldest first.
+	s.next = slices.Grow(s.next[:0], len(build))[:len(build)]
+	for i := len(build) - 1; i >= 0; i-- {
+		s.next[i] = s.idx[build[i].Key]
+		s.idx[build[i].Key] = int32(i + 1)
+	}
+	for _, kv := range probe {
+		for i := s.idx[kv.Key]; i > 0; i = s.next[i-1] {
+			s.out = append(s.out, Pair[K, Tuple2[A, B]]{kv.Key, Tuple2[A, B]{build[i-1].Val, kv.Val}})
+		}
+	}
+	s.reset(len(build), func(i int) K { return build[i].Key })
+	return copyOut(&s.out)
+}
+
+// RepartitionJoinCompute is the kernel of the repartition join: dep 0 is
+// the build side, dep 1 the probe side.
 func RepartitionJoinCompute[K comparable, A, B any]() PortableCompute {
+	pool := &sync.Pool{New: func() any { return &joinScratch[K, A, B]{keyIndex: newKeyIndex[K]()} }}
 	return func(tc *Ctx, p int, in []Batch) Batch {
-		lhs := elems[Pair[K, A]](in[0])
-		build := make(map[K][]A, len(lhs))
-		for _, kv := range lhs {
-			build[kv.Key] = append(build[kv.Key], kv.Val)
-		}
-		var out []Pair[K, Tuple2[A, B]]
-		for _, kv := range elems[Pair[K, B]](in[1]) {
-			for _, a := range build[kv.Key] {
-				out = append(out, Pair[K, Tuple2[A, B]]{kv.Key, Tuple2[A, B]{a, kv.Val}})
-			}
-		}
+		s := pool.Get().(*joinScratch[K, A, B])
+		out := s.join(elems[Pair[K, A]](in[0]), elems[Pair[K, B]](in[1]))
+		pool.Put(s) // not deferred: see foldPartition
 		return batchOf(out, blockCap(len(out)))
 	}
 }

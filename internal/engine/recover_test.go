@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -268,25 +270,35 @@ func TestRecoveryOffStillAborts(t *testing.T) {
 	}
 }
 
-// TestRecoverDemotionUnfusesStaleChains: a fused map chain compiled over a
-// broadcast-side lowering must stop fusing when recovery demotes that
-// lowering — the constructor-built pipeline still heads at the abandoned
-// node, which the replanned stage graph never routes or pins for, so
-// running it would read a nil broadcast. The replan has to notice the
-// chain no longer mirrors the rewired DAG and fall back to unfused
-// evaluation of the replacement.
+// TestRecoverDemotionUnfusesStaleChains: a fused chain with a broadcast
+// cross in it must not survive the demotion of that cross. The first plan
+// fuses map∘cross∘map∘map; pinning the cross's broadcast side OOMs, recovery
+// splices the mirrored lowering (a repartition over the other cross) into
+// the consumer's dep, and the replan — which walks the live deps — must
+// compose no chain through the abandoned node, which the new stage graph
+// never pins a broadcast for: the chain above now starts over the
+// repartition, and the job returns the reference value.
 func TestRecoverDemotionUnfusesStaleChains(t *testing.T) {
 	// 1 MB machines: broadcasting the 2000-element primary (~1.2 MB
 	// resident) OOMs; the mirrored lowering broadcasts the one-element
 	// scalar side instead.
 	cfg, rec := recoverConfig(1 << 20)
 	s := mustSession(cfg)
-	scalar := Parallelize(s, []int{1000}, 2)
-	primary := Parallelize(s, ints(2000), 4)
+	scalar := Map(Parallelize(s, []int{999}, 2), func(v int) int { return v + 1 })
+	primary := Map(Parallelize(s, ints(2000), 4), func(v int) int { return v })
 	crossed := CrossBroadcastBig(scalar, primary, func(a, b int) int { return a + b })
-	// Two fusible links on top: enough for a compiled chain whose head is
-	// the crossed node the demotion abandons.
 	mapped := Map(Map(crossed, func(v int) int { return v * 2 }), func(v int) int { return v + 1 })
+	through := func(ep *execPlan, n *node) bool {
+		for _, fi := range ep.fused {
+			if fi.head == n || slices.Contains(fi.via, n) {
+				return true
+			}
+		}
+		return false
+	}
+	if fi := s.buildExecPlan(mapped.n).fused[mapped.n]; fi == nil || len(fi.via) != 4 || fi.via[1] != crossed.n {
+		t.Fatalf("first plan did not fuse map∘cross∘map∘map: %+v", fi)
+	}
 	got, err := Collect(mapped)
 	if err != nil {
 		t.Fatalf("Collect with recovery: %v", err)
@@ -295,11 +307,10 @@ func TestRecoverDemotionUnfusesStaleChains(t *testing.T) {
 		t.Fatalf("cross produced %d elements, want 2000", len(got))
 	}
 	sort.Ints(got)
-	if want := (1000+0)*2 + 1; got[0] != want {
-		t.Fatalf("got[0] = %d, want %d", got[0], want)
-	}
-	if want := (1000+1999)*2 + 1; got[len(got)-1] != want {
-		t.Fatalf("got[last] = %d, want %d", got[len(got)-1], want)
+	for i, v := range got {
+		if want := (1000+i)*2 + 1; v != want {
+			t.Fatalf("got[%d] = %d, want %d", i, v, want)
+		}
 	}
 	if _, denied := s.Feedback().Denied("half-lifted", "broadcast-primary"); !denied {
 		t.Error("failed half-lifted side not denylisted")
@@ -307,5 +318,18 @@ func TestRecoverDemotionUnfusesStaleChains(t *testing.T) {
 	recs := recoveries(rec)
 	if len(recs) == 0 || recs[0].Action != "re-lowered(half-lifted=broadcast-scalar)" {
 		t.Fatalf("recoveries = %+v", recs)
+	}
+	// The rewired DAG, planned afresh: two maps over the repartition, and
+	// below it the mirrored cross topping a chain of its own (it streams
+	// the mapped primary side the first lowering broadcast).
+	ep := s.buildExecPlan(mapped.n)
+	if through(ep, crossed.n) {
+		t.Error("a fused chain still runs through the abandoned cross")
+	}
+	if fi := ep.fused[mapped.n]; fi == nil || len(fi.via) != 2 || fi.head.label != "repartition" {
+		t.Errorf("chain above the demoted cross = %+v, want map∘map over the repartition", fi)
+	}
+	if !slices.ContainsFunc(slices.Collect(maps.Keys(ep.fused)), func(n *node) bool { return n.label == "crossBroadcastSmall" }) {
+		t.Error("the mirrored cross tops no fused chain")
 	}
 }

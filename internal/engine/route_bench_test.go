@@ -102,18 +102,40 @@ func BenchmarkShuffleBoundary(b *testing.B) {
 }
 
 // BenchmarkShuffleRoute compares the counting-pass router's inline and
-// pooled loop dispatch on uniform and skewed key distributions, and on the
-// paper's sparse shape: an inner job's ~2000 records spread over the fixed
+// pooled loop dispatch on uniform and skewed key distributions, on the
+// paper's sparse shape — an inner job's ~2000 records spread over the fixed
 // 3 × cores = 1200 partitions on both sides, where any cost in sources ×
-// targets shows and the elements do not.
+// targets shows and the elements do not — and on structkey, the shape of
+// every lifted shuffle: rows keyed by a (tag, key) struct that only the
+// compiled hasher covers. `make bench-check` gates structkey's allocs/op
+// exactly: hashing such a key must not allocate per row.
 func BenchmarkShuffleRoute(b *testing.B) {
+	type routeShape struct {
+		name   string
+		parent []Batch
+		d      *dep
+	}
+	var shapes []routeShape
 	for _, shape := range []struct {
 		name             string
 		nsrc, perSrc, nt int
 		skew             bool
 	}{{"uniform", 8, 8192, 16, false}, {"skewed", 8, 8192, 16, true}, {"sparse", 1200, 2, 1200, false}} {
-		parent := benchParent(shape.nsrc, shape.perSrc, shape.skew)
-		d := benchDep(shape.nt)
+		shapes = append(shapes, routeShape{shape.name, benchParent(shape.nsrc, shape.perSrc, shape.skew), benchDep(shape.nt)})
+	}
+	keyed := make([]Batch, 8)
+	for src := range keyed {
+		rows := make([]Pair[structKey, int64], 8192)
+		for i := range rows {
+			rows[i] = KV(structKey{T: [4]uint64{uint64(src), uint64(i % 64)}, K: int64(i % 500)}, int64(i))
+		}
+		keyed[src] = batchOf(rows, len(rows))
+	}
+	sd := pairShuffleDep[structKey, int64](nil, nil)
+	sd.childParts = 16
+	shapes = append(shapes, routeShape{"structkey", keyed, &sd})
+	for _, shape := range shapes {
+		parent, d := shape.parent, shape.d
 		b.Run(shape.name+"/serial", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -311,6 +333,41 @@ func benchFold[A any](b *testing.B, tab folder[A], rows []A) {
 			foldSink += len(foldRows(tab, rows))
 		}
 	}
+}
+
+// BenchmarkJoinProbe joins one stage's worth of partitions per iteration —
+// the paper's fixed 3 × cores = 1200 — on one warm scratch (portable.go).
+// pagerank is pagerank_lifted's largest join: ≈ 80 build rows against 400
+// probe rows per partition on (tag, key)-shaped keys. after-giant is
+// ten-row partitions on a scratch that once held 200 000 keys, bounded the
+// way BenchmarkCombine/after-giant bounds the fold tables. The scratch is
+// held directly: a sync.Pool would hand the giant to the GC mid-run.
+func BenchmarkJoinProbe(b *testing.B) {
+	rows := func(n, keys int) []Pair[structKey, int64] {
+		out := make([]Pair[structKey, int64], n)
+		for i := range out {
+			out[i] = KV(structKey{T: [4]uint64{uint64(i % 4)}, K: int64((i * 31) % keys)}, int64(i))
+		}
+		return out
+	}
+	run := func(b *testing.B, s *joinScratch[structKey, int64, int64], build, probe []Pair[structKey, int64]) {
+		s.join(build, probe) // warm the scratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for p := 0; p < 1200; p++ {
+				foldSink += len(s.join(build, probe))
+			}
+		}
+	}
+	b.Run("pagerank", func(b *testing.B) {
+		run(b, newJoinScratch[structKey, int64, int64](), rows(80, 80), rows(400, 100))
+	})
+	b.Run("after-giant", func(b *testing.B) {
+		s := newJoinScratch[structKey, int64, int64]()
+		s.join(rows(200_000, 200_000), nil)
+		run(b, s, rows(10, 8), rows(10, 8))
+	})
 }
 
 // BenchmarkFanInMemo runs a fan-in-heavy DAG: one expensive base dataset

@@ -29,8 +29,8 @@ func pairShuffleDep[K comparable, V any](s *Session, parent *node) dep {
 			if !ok {
 				return false
 			}
-			for i, kv := range v.xs {
-				t := int32(h(kv.Key) % uint64(nParts))
+			for i := range v.xs {
+				t := int32(h(&v.xs[i].Key) % uint64(nParts))
 				tg[i] = t
 				ct[t]++
 			}
@@ -51,8 +51,8 @@ func elemShuffleDep[T comparable](s *Session, parent *node) dep {
 			if !ok {
 				return false
 			}
-			for i, e := range v.xs {
-				t := int32(h(e) % uint64(nParts))
+			for i := range v.xs {
+				t := int32(h(&v.xs[i]) % uint64(nParts))
 				tg[i] = t
 				ct[t]++
 			}
@@ -91,7 +91,7 @@ func ReduceByKeyBound[K comparable, V any](d Dataset[Pair[K, V]], f func(V, V) V
 func foldPartitions[A any](d Dataset[A], tables *sync.Pool) Dataset[A] {
 	n := d.s.newNode("mapPartitions", d.n.parts, []dep{narrowDep(d.n)}, foldCompute[A](tables))
 	n.fixedParts = true
-	fuseFold[A](n, d.n, tables)
+	linkFold[A](n, tables)
 	return fromNode[A](d.s, n)
 }
 

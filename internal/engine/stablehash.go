@@ -243,73 +243,75 @@ func hashString(s string, h uint64) uint64 {
 }
 
 // stableBatchHasher returns a monomorphic closure producing the same bits
-// as hashOf(s, k) for every value of K, resolved once at dep-construction
+// as hashOf(s, *k) for every value of K, resolved once at dep-construction
 // time so the shuffle router's counting pass hashes whole batches without
-// boxing or per-element type dispatch. Keys whose hash is process-seeded
-// (pointers, interfaces — the maphash fallback) report ok=false; their
-// deps route through the boxed per-element partitioner as before.
-func stableBatchHasher[K comparable]() (func(K) uint64, bool) {
+// boxing or per-element type dispatch. It takes the key by pointer and only
+// reads through it: the router passes the address of the key inside its
+// batch, so a composite key (a struct the compiled hasher walks) is hashed
+// where it lies — handing the compiled hasher the address of a by-value
+// copy cost one heap allocation per shuffled row. Keys whose hash is
+// process-seeded (pointers, interfaces — the maphash fallback) report
+// ok=false; their deps route through the boxed per-element partitioner as
+// before.
+func stableBatchHasher[K comparable]() (func(*K) uint64, bool) {
 	switch reflect.TypeFor[K]() {
 	case typInt:
-		return func(k K) uint64 { return mix64(stableSeed, uint64(*(*int)(unsafe.Pointer(&k)))) }, true
+		return func(k *K) uint64 { return mix64(stableSeed, uint64(*(*int)(unsafe.Pointer(k)))) }, true
 	case typInt64:
-		return func(k K) uint64 { return mix64(stableSeed, uint64(*(*int64)(unsafe.Pointer(&k)))) }, true
+		return func(k *K) uint64 { return mix64(stableSeed, uint64(*(*int64)(unsafe.Pointer(k)))) }, true
 	case typInt32:
-		return func(k K) uint64 { return mix64(stableSeed, uint64(*(*int32)(unsafe.Pointer(&k)))) }, true
+		return func(k *K) uint64 { return mix64(stableSeed, uint64(*(*int32)(unsafe.Pointer(k)))) }, true
 	case typUint64:
-		return func(k K) uint64 { return mix64(stableSeed, *(*uint64)(unsafe.Pointer(&k))) }, true
+		return func(k *K) uint64 { return mix64(stableSeed, *(*uint64)(unsafe.Pointer(k))) }, true
 	case typUint32:
-		return func(k K) uint64 { return mix64(stableSeed, uint64(*(*uint32)(unsafe.Pointer(&k)))) }, true
+		return func(k *K) uint64 { return mix64(stableSeed, uint64(*(*uint32)(unsafe.Pointer(k)))) }, true
 	case typUint:
-		return func(k K) uint64 { return mix64(stableSeed, uint64(*(*uint)(unsafe.Pointer(&k)))) }, true
+		return func(k *K) uint64 { return mix64(stableSeed, uint64(*(*uint)(unsafe.Pointer(k)))) }, true
 	case typString:
-		return func(k K) uint64 { return hashString(*(*string)(unsafe.Pointer(&k)), stableSeed) }, true
+		return func(k *K) uint64 { return hashString(*(*string)(unsafe.Pointer(k)), stableSeed) }, true
 	case typPairIntInt:
-		return func(k K) uint64 {
-			v := *(*Pair[int, int])(unsafe.Pointer(&k))
+		return func(k *K) uint64 {
+			v := *(*Pair[int, int])(unsafe.Pointer(k))
 			return mix64(mix64(stableSeed, uint64(v.Key)), uint64(v.Val))
 		}, true
 	case typPairIntInt64:
-		return func(k K) uint64 {
-			v := *(*Pair[int, int64])(unsafe.Pointer(&k))
+		return func(k *K) uint64 {
+			v := *(*Pair[int, int64])(unsafe.Pointer(k))
 			return mix64(mix64(stableSeed, uint64(v.Key)), uint64(v.Val))
 		}, true
 	case typPairInt64Int:
-		return func(k K) uint64 {
-			v := *(*Pair[int64, int])(unsafe.Pointer(&k))
+		return func(k *K) uint64 {
+			v := *(*Pair[int64, int])(unsafe.Pointer(k))
 			return mix64(mix64(stableSeed, uint64(v.Key)), uint64(v.Val))
 		}, true
 	case typPairInt64Int64:
-		return func(k K) uint64 {
-			v := *(*Pair[int64, int64])(unsafe.Pointer(&k))
+		return func(k *K) uint64 {
+			v := *(*Pair[int64, int64])(unsafe.Pointer(k))
 			return mix64(mix64(stableSeed, uint64(v.Key)), uint64(v.Val))
 		}, true
 	case typPairU64U64:
-		return func(k K) uint64 {
-			v := *(*Pair[uint64, uint64])(unsafe.Pointer(&k))
+		return func(k *K) uint64 {
+			v := *(*Pair[uint64, uint64])(unsafe.Pointer(k))
 			return mix64(mix64(stableSeed, v.Key), v.Val)
 		}, true
 	case typPairStrStr:
-		return func(k K) uint64 {
-			v := *(*Pair[string, string])(unsafe.Pointer(&k))
+		return func(k *K) uint64 {
+			v := *(*Pair[string, string])(unsafe.Pointer(k))
 			return hashString(v.Val, hashString(v.Key, stableSeed))
 		}, true
 	case typPairStrInt:
-		return func(k K) uint64 {
-			v := *(*Pair[string, int])(unsafe.Pointer(&k))
+		return func(k *K) uint64 {
+			v := *(*Pair[string, int])(unsafe.Pointer(k))
 			return mix64(hashString(v.Key, stableSeed), uint64(v.Val))
 		}, true
 	case typPairIntStr:
-		return func(k K) uint64 {
-			v := *(*Pair[int, string])(unsafe.Pointer(&k))
+		return func(k *K) uint64 {
+			v := *(*Pair[int, string])(unsafe.Pointer(k))
 			return hashString(v.Val, mix64(stableSeed, uint64(v.Key)))
 		}, true
 	}
 	if fn := stableHasherFor(reflect.TypeFor[K]()); fn != nil {
-		return func(k K) uint64 {
-			kk := k
-			return fn(unsafe.Pointer(&kk), stableSeed)
-		}, true
+		return func(k *K) uint64 { return fn(unsafe.Pointer(k), stableSeed) }, true
 	}
 	return nil, false
 }

@@ -121,6 +121,20 @@ func OfBatch(b Batch) int64 {
 	return total
 }
 
+// OfFixed is OfBatch for count elements of the typed slice data under boxed
+// capacity bcap, without looking at any element: when every value of the
+// element type has the same deep size, the estimate is a product, so a
+// caller that samples a partition need not build the sample. ok is false
+// for []any and for value-dependent element types (strings, slices, maps,
+// pointers), which OfBatch has to walk.
+func OfFixed(data any, count, bcap int) (size int64, ok bool) {
+	sz := fixedDeep(reflect.TypeOf(data).Elem())
+	if sz < 0 {
+		return 0, false
+	}
+	return sliceHeaderSize + int64(bcap)*ifaceSize + int64(count)*sz, true
+}
+
 // ofBoxedElems is OfSlice with the observed capacity passed explicitly, so
 // batches can report their boxed-equivalent capacity instead of the host
 // slice's.

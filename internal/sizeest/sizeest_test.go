@@ -301,6 +301,62 @@ func TestOfBatchMatchesBoxed(t *testing.T) {
 	}
 }
 
+// sampleEvery is the engine's sample construction (Vec.sampleEvery): every
+// step-th element, under the given boxed capacity.
+func sampleEvery[T any](xs []T, step, bcap int) testBatch {
+	var out []T
+	for i := 0; i < len(xs); i += step {
+		out = append(out, xs[i])
+	}
+	return testBatch{data: out, n: len(out), bcap: bcap}
+}
+
+// TestOfFixedMatchesSampledBatch: for every fixed-size shape OfFixed equals
+// OfBatch over the sample the engine would have built — so the engine may
+// skip building it — and for []any and every value-dependent shape it
+// declines.
+func TestOfFixedMatchesSampledBatch(t *testing.T) {
+	type pair struct {
+		K int
+		V int64
+	}
+	type padded struct {
+		A int8
+		B int64
+		C [3]int16
+	}
+	fixed := func(name string, sample testBatch, full any) {
+		t.Helper()
+		got, ok := OfFixed(full, sample.n, sample.bcap)
+		if want := OfBatch(sample); !ok || got != want {
+			t.Errorf("%s: OfFixed = %d, %v; OfBatch of the sample = %d", name, got, ok, want)
+		}
+	}
+	ints, i64s, u64s, f64s := make([]int, 1000), make([]int64, 100), make([]uint64, 65), make([]float64, 127)
+	pairs, pads, arrs := make([]pair, 4095), make([]padded, 333), make([][7]float64, 64)
+	fixed("int", sampleEvery(ints, 31, 37), ints)
+	fixed("int64", sampleEvery(i64s, 3, 37), i64s)
+	fixed("uint64", sampleEvery(u64s, 2, 37), u64s)
+	fixed("float64", sampleEvery(f64s, 3, 64), f64s)
+	fixed("fixedDeep struct", sampleEvery(pairs, 127, 37), pairs)
+	fixed("padded struct", sampleEvery(pads, 10, 64), pads)
+	fixed("array", sampleEvery(arrs, 2, 32), arrs)
+	fixed("empty", sampleEvery(pairs[:0], 1, 0), pairs[:0])
+
+	for name, data := range map[string]any{
+		"boxed":            []any{1, 2, 3},
+		"string":           []string{"a", "bb"},
+		"slices":           [][]int64{{1}, {2, 3}},
+		"string in struct": []struct{ S string }{{"x"}},
+		"interface elems":  []error{nil, errType{"x"}},
+		"pointers":         []*int{nil},
+	} {
+		if got, ok := OfFixed(data, 2, 2); ok {
+			t.Errorf("%s: OfFixed = %d, true; want it to decline a value-dependent shape", name, got)
+		}
+	}
+}
+
 type errType struct{ s string }
 
 func (e errType) Error() string { return e.s }
