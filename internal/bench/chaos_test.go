@@ -38,6 +38,9 @@ func TestSec9ChaosShape(t *testing.T) {
 	if len(rows) != 10 {
 		t.Fatalf("got %d rows, want 10 (abort+recover at 5 rates)", len(rows))
 	}
+	// Exact rows too (testdata/sec9_rows.golden, see recovery_test.go): what
+	// a crash finds already fetched decides what is recomputed and charged.
+	checkGolden(t, "sec9_rows.golden", "sec9-chaos", rowLines(rows))
 	cell := map[string]Row{}
 	for _, r := range rows {
 		if r.Exp != "sec9-chaos" {

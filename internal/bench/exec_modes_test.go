@@ -32,11 +32,11 @@ func atProcs(t *testing.T, f func(t *testing.T)) {
 	})
 }
 
-// checkExecGolden compares got with the "[section]" block of
-// testdata/exec_rows.golden (rewriting that block under -update).
-func checkExecGolden(t *testing.T, section string, got []string) {
+// checkGolden compares got with the "[section]" block of testdata/file
+// (rewriting that block under -update).
+func checkGolden(t *testing.T, file, section string, got []string) {
 	t.Helper()
-	path := filepath.Join("testdata", "exec_rows.golden")
+	path := filepath.Join("testdata", file)
 	raw, err := os.ReadFile(path)
 	if err != nil && !*update {
 		t.Fatalf("%v (run with -update to regenerate)", err)
@@ -76,6 +76,16 @@ func checkExecGolden(t *testing.T, section string, got []string) {
 	}
 }
 
+// rowLines renders experiment rows the way the golden files hold them.
+func rowLines(rows []Row) []string {
+	var out []string
+	for _, r := range rows {
+		out = append(out, fmt.Sprintf("series=%s x=%s seconds=%s jobs=%d oom=%t err=%q",
+			r.Series, fmtFloat(r.X), fmtFloat(r.Seconds), r.Jobs, r.OOM, r.Err))
+	}
+	return out
+}
+
 func TestExperimentRowsMatchGolden(t *testing.T) {
 	// Small scale keeps the runtime reasonable; the plans and operators
 	// exercised are the full ones (shuffles, broadcasts, skewed groups,
@@ -88,12 +98,7 @@ func TestExperimentRowsMatchGolden(t *testing.T) {
 		}
 		t.Run(id, func(t *testing.T) {
 			atProcs(t, func(t *testing.T) {
-				var got []string
-				for _, r := range exp.Run(sc) {
-					got = append(got, fmt.Sprintf("series=%s x=%s seconds=%s jobs=%d oom=%t err=%q",
-						r.Series, fmtFloat(r.X), fmtFloat(r.Seconds), r.Jobs, r.OOM, r.Err))
-				}
-				checkExecGolden(t, id, got)
+				checkGolden(t, "exec_rows.golden", id, rowLines(exp.Run(sc)))
 			})
 		})
 	}

@@ -23,6 +23,12 @@ func TestSec9RecoveryExperiment(t *testing.T) {
 		return m
 	}
 	m := byKey(rows)
+	// The sweep's exact rows, and sec9-chaos's, are pinned in
+	// testdata/sec9_rows.golden as the engine produced them while every
+	// routed shuffle block was held to the end of its job. Releasing blocks
+	// with their last reader and routing them again for a relaunched stage
+	// is host-side only: no fetch, retry or recomputation may move.
+	checkGolden(t, "sec9_rows.golden", "sec9-recovery", rowLines(rows))
 
 	for _, x := range []string{"1", "2", "4"} {
 		if !m["abort@"+x].OOM {

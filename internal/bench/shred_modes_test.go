@@ -45,7 +45,7 @@ func TestShredLoweringsBitIdentical(t *testing.T) {
 					got = append(got, fmt.Sprintf("shred=%s seconds=%s jobs=%d stages=%d tasks=%d",
 						shredMode, fmtFloat(out.Seconds), out.Jobs, out.Stages, out.Tasks))
 				}
-				checkExecGolden(t, "shred/"+task.name, got)
+				checkGolden(t, "exec_rows.golden", "shred/"+task.name, got)
 			})
 		})
 	}

@@ -10,6 +10,7 @@ package engine
 // profiling session. Skipped under -race: instrumentation allocates.
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -85,17 +86,19 @@ func TestFusedNarrowPathAllocBound(t *testing.T) {
 
 // TestRouteAllocBound pins the router's cost model, O(elements + chunks ×
 // targets), on a dense shuffle and on the paper's sparse shape (1200
-// sources of 2 elements into 1200 targets). Allocations: two per non-empty
-// block (header and elements) plus fixed bookkeeping — source offsets,
-// chunk bounds, one target cache, one histogram, the block list and the
-// pass closures — and nothing per source or per element. Bytes: per
-// element a cached target, the payload and at worst a block of its own;
-// per worker a few histogram rows of one int32 per target; per source one
-// offset. Bytes are bounded as well as allocations because a term in
-// sources × targets is a single allocation (5.76 MB at the sparse shape)
-// that no allocation count would notice. Pool dispatch adds to both per
-// worker, so the session's worker count is fixed here — one for the inline
-// loops, four for the pool — and the bounds are the same on any host.
+// sources of 2 elements into 1200 targets). Allocations: one header per
+// non-empty block, the √targets arenas the blocks are cut from (and the
+// growing list naming them) plus fixed bookkeeping — source offsets, chunk
+// bounds, the block list and the pass closures — and nothing per source or
+// per element; the
+// scratch (cached targets, histogram, block lengths) is the arena the
+// warming call put back. Bytes: per element the payload and at worst a
+// block header of its own; per source one offset. Bytes are bounded as well
+// as allocations because a term in sources × targets is a single allocation
+// (5.76 MB at the sparse shape) that no allocation count would notice. Pool
+// dispatch adds to both per worker, so the session's worker count is fixed
+// here — one for the inline loops, four for the pool — and the bounds are
+// the same on any host.
 func TestRouteAllocBound(t *testing.T) {
 	skipIfInstrumented(t)
 	for _, shape := range []struct{ nsrc, perSrc, nt int }{{8, 4096, 16}, {1200, 2, 1200}} {
@@ -104,7 +107,7 @@ func TestRouteAllocBound(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			s := poolSession(workers)
 			s.route(d, parent) // warm the worker pool
-			budget := 2*shape.nt + 8
+			budget := shape.nt + 2*int(math.Sqrt(float64(shape.nt))) + 12
 			if workers > 1 {
 				// Each of the two pooled passes allocates its dispatch
 				// state and one runner closure per worker.
@@ -127,6 +130,51 @@ func TestRouteAllocBound(t *testing.T) {
 			}
 			s.Close()
 		}
+	}
+}
+
+// TestShuffleJobRecyclesBlocks pins the lifetime of routed blocks in bytes
+// and in retention. A shuffle job in a session whose free list holds the
+// arenas of an identical job before it allocates no block and no route
+// scratch: against the same job on an emptied list it saves the whole
+// payload of both, so what is left of the router is its index (source
+// offsets, chunk bounds, the block list), one header per block and the batch
+// structs. A job that takes nothing from the list leaves it empty, and so
+// does Close.
+func TestShuffleJobRecyclesBlocks(t *testing.T) {
+	skipIfInstrumented(t)
+	const rows, parts = 1 << 14, 8
+	s := poolSession(1)
+	src := Parallelize(s, foldShapeRows(rows, rows), parts) // distinct keys: the combine shrinks nothing
+	job := func() {
+		if n, err := Count(ReduceByKey(src, foldShapeSum)); err != nil || n != rows {
+			t.Fatalf("count = %d, %v", n, err)
+		}
+	}
+	cold := measureBytes(10, func() {
+		s.arenas.free, s.arenas.stale = nil, 0
+		job()
+	})
+	warm := measureBytes(10, job)
+	payload := uint64(rows) * uint64(unsafe.Sizeof(foldShape{})+4) // blocks and cached targets
+	const slack = 4096                                             // the histogram, and the two arenas' rounding
+	if warm+payload > cold+slack {
+		t.Errorf("a shuffle job over a warm free list allocates %d bytes, over an empty one %d: saved %d of the %d-byte payload",
+			warm, cold, int64(cold)-int64(warm), payload)
+	}
+	if n := len(s.arenas.free); n < 2 {
+		t.Errorf("%d arenas on the free list after a shuffle job, want its blocks' and its scratch", n)
+	}
+	if _, err := Count(Map(src, func(kv foldShape) int { return kv.Key })); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.arenas.free); n != 0 {
+		t.Errorf("%d arenas outlived a job that took none of them", n)
+	}
+	job()
+	s.Close()
+	if n := len(s.arenas.free); n != 0 {
+		t.Errorf("%d arenas on the free list after Close", n)
 	}
 }
 

@@ -15,9 +15,13 @@ package engine
 // layout is free to change; the observable numbers are not.
 
 import (
+	"math"
 	"reflect"
 	"regexp"
 	"sync"
+	"unsafe"
+
+	"matryoshka/internal/sizeest"
 )
 
 // Batch is one partition of elements. Implementations are *Vec[T] for
@@ -39,8 +43,17 @@ type Batch interface {
 	Shape() string
 
 	// newLike allocates a same-shaped batch of n zero elements with the
-	// given boxed capacity (the shuffle router's pre-sized blocks).
+	// given boxed capacity (the broadcast flatten's pre-sized output).
 	newLike(n, bcap int) Batch
+	// newBlocks allocates the shuffle router's pre-sized blocks in this
+	// shape: blocks[t] gets lens[t] elements and boxed capacity
+	// blockCap(lens[t]), and stays nil where lens[t] is 0. A shape without
+	// pointers is cut, in target order, out of arenas taken from the free
+	// list — every slot is about to be overwritten, so what an arena held
+	// before does not matter — and the arenas are returned for the caller to
+	// put back once the blocks are dead. Shapes the collector has to scan,
+	// and a nil list, allocate each block on the heap and return nothing.
+	newBlocks(lens []int32, blocks []Batch, from *arenaList) [][]uint64
 	// setAny stores a boxed element at i; the dynamic type must match.
 	setAny(i int, v any)
 	// copyFrom copies src into this batch starting at off, returning
@@ -72,6 +85,69 @@ func (v *Vec[T]) Shape() string { return shapeName(reflect.TypeFor[T]()) }
 
 func (v *Vec[T]) newLike(n, bcap int) Batch {
 	return &Vec[T]{xs: make([]T, n), bcap: bcap}
+}
+
+func (v *Vec[T]) newBlocks(lens []int32, blocks []Batch, from *arenaList) [][]uint64 {
+	size := int(reflect.TypeFor[T]().Size())
+	// A shape of one fixed deep size is one without pointers, strings,
+	// slices, maps or interfaces: exactly what may live in memory the
+	// collector does not scan.
+	if _, raw := sizeest.OfFixed(v.xs, 0, 0); from == nil || !raw || size == 0 {
+		for t, n := range lens {
+			if n > 0 {
+				blocks[t] = &Vec[T]{xs: make([]T, n), bcap: blockCap(int(n))}
+			}
+		}
+		return nil
+	}
+	rest, nb := 0, 0 // elements not yet given a block; blocks there will be
+	for _, n := range lens {
+		if n > 0 {
+			rest += int(n)
+			nb++
+		}
+	}
+	// What the list cannot supply is allocated √nb blocks at a time. One
+	// piece for the whole shuffle is an allocation the page heap must find
+	// fresh address space for (an 11 MB arena per session put 21 MB on
+	// kmeans_lifted's HeapSys and 20 % on its peak RSS); one piece per block
+	// leaves no slack to share when the next shuffle's blocks come out a
+	// little larger.
+	per := int(math.Ceil(math.Sqrt(float64(nb))))
+	var arenas [][]uint64
+	var slab []T // what is left of the arena being cut
+	for t, n := range lens {
+		if n == 0 {
+			continue
+		}
+		if len(slab) < int(n) {
+			fresh := 0
+			for u, k := t, 0; u < len(lens) && k < per; u++ {
+				if lens[u] > 0 {
+					fresh += int(lens[u])
+					k++
+				}
+			}
+			a := from.take(wordsFor(int(n)*size), wordsFor(rest*size), wordsFor(fresh*size))
+			arenas = append(arenas, a)
+			slab = carve[T](a)
+		}
+		blocks[t] = &Vec[T]{xs: slab[:n:n], bcap: blockCap(int(n))}
+		slab = slab[n:]
+		rest -= int(n)
+	}
+	return arenas
+}
+
+// carve lays a pointer-free, non-empty element type over an arena: as many
+// T as its words hold. It is the only place an arena's words are viewed as
+// anything else. A []uint64 is allocated unscanned and aligned for any such
+// T, elements packed from its start are aligned because a type's size is a
+// multiple of its alignment, and the slice ends inside the arena, which is
+// what -race's checkptr verifies.
+func carve[T any](arena []uint64) []T {
+	var zero T
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(arena))), len(arena)*8/int(unsafe.Sizeof(zero)))
 }
 
 func (v *Vec[T]) setAny(i int, e any) { v.xs[i] = e.(T) }

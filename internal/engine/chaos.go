@@ -57,7 +57,9 @@ var _ Residency = (*cluster.Simulator)(nil)
 // root n: if the parent's registered shuffle output lost partitions to a
 // machine crash, the stage fails with a fetch failure instead of
 // launching. Deps whose data this job already routed (blocks) or pinned
-// (broadcast flatten) were fetched before the crash and stay usable;
+// (broadcast flatten) were fetched before the crash and stay usable — the
+// entry in blocks records the fetch and outlives the released blocks, which
+// a relaunch routes again from the driver's frontier, not from the cluster;
 // adopted cache entries never registered an output and fetch cleanly.
 func (j *job) checkFetch(d *dep, n *node, st *plan.Stage) *stageFailure {
 	if j.s.resid == nil {
@@ -172,7 +174,7 @@ func (j *job) rewindNode(n *node) {
 	}
 	for d := range j.blocks {
 		if d.parent == n {
-			delete(j.blocks, d)
+			j.dropBlocks(d)
 		}
 	}
 }
@@ -203,7 +205,9 @@ func (j *job) retryJob(f *stageFailure) (string, bool) {
 		}
 		delete(j.outputs, n)
 	}
-	j.blocks = map[*dep][]Batch{}
+	for d := range j.blocks {
+		j.dropBlocks(d)
+	}
 	return fmt.Sprintf("job retry %d/%d (backoff %.0fs)", j.jobRetries, maxFetchJobRetries, backoff), true
 }
 

@@ -111,6 +111,15 @@ func TestFetchFailureRecomputesLineage(t *testing.T) {
 		}
 	}
 
+	// The outcome is pinned, not only repeatable: these are the numbers of
+	// the engine that held every routed block to the end of the job. Which
+	// deps count as fetched before the crash — so what is lost, recomputed
+	// and charged — must not depend on whether their blocks are still held.
+	wantStats := cluster.Stats{Jobs: 1, Stages: 7, Tasks: 26, BusySeconds: 0.12414566400000002, MachineCrashes: 1, FetchFailures: 3}
+	if clock != 1.10757576 || stats != wantStats {
+		t.Errorf("chaos outcome moved: clock %v, stats %+v; want 1.10757576, %+v", clock, stats, wantStats)
+	}
+
 	// Fixed-seed fault injection is bit-identical across runs.
 	got2, clock2, stats2, report2 := run()
 	if !reflect.DeepEqual(got, got2) || clock != clock2 || stats != stats2 || report != report2 {
@@ -209,6 +218,11 @@ func TestFlappingHazardIsBoundedAndDeterministic(t *testing.T) {
 	got2, err2, clock2, report2 := run()
 	if (err1 == nil) != (err2 == nil) || clock1 != clock2 || report1 != report2 {
 		t.Fatalf("flapping runs diverged: err %v vs %v, clock %.6f vs %.6f", err1, err2, clock1, clock2)
+	}
+	// Pinned like TestFetchFailureRecomputesLineage's: five fetch failures
+	// deep, every relaunch re-reads or re-routes its inputs.
+	if err1 != nil || clock1 != 1.2456007403143814 {
+		t.Errorf("flapping outcome moved: err %v, clock %v; want a completed job at 1.2456007403143814", err1, clock1)
 	}
 	if err1 != nil {
 		if !errors.Is(err1, cluster.ErrFetchFailed) {

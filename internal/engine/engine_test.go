@@ -12,11 +12,15 @@ import (
 )
 
 // mustSession unwraps NewSession for tests using known-valid configs.
+// mustSession is the session of every in-package test, so the whole suite
+// runs with released shuffle memory poisoned: an operator that keeps a
+// routed block past its stage reads garbage, not plausible rows.
 func mustSession(cfg Config) *Session {
 	s, err := NewSession(cfg)
 	if err != nil {
 		panic(err)
 	}
+	s.arenas.poison = true
 	return s
 }
 

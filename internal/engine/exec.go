@@ -39,8 +39,14 @@ type job struct {
 	// root materialized so far, with the cost provenance of the attempt
 	// that produced it.
 	front map[*node]*checkpoint
-	// blocks memoizes shuffle routing per dep: blocks[d][childPart].
-	blocks map[*dep][]Batch
+	// blocks memoizes shuffle routing per dep: blocks[d].blocks[childPart].
+	// It is a cache of route(front[d.parent]) with a lifetime: once the
+	// last stage of the plan that reads d has succeeded the blocks are
+	// released (releaseBlocks) and a relaunch routes them again. The entry
+	// itself stays — its presence is the fact "fetched before any later
+	// crash" that checkFetch reads — until the parent is rewound or the
+	// consumer re-lowered (dropBlocks).
+	blocks map[*dep]*routed
 	// bcast memoizes flattened broadcast inputs per dep.
 	bcast map[*dep]Batch
 	// bcastBytes records the residency charged per pinned broadcast dep,
@@ -111,11 +117,23 @@ type onceEntry struct {
 func (s *Session) runJob(target *node) ([]Batch, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j := &job{
+	j := s.newJob()
+	clockBefore := s.exec.Clock()
+	s.exec.StartJob()
+	out, err := j.run(target)
+	j.end()
+	s.exec.ReleaseBroadcasts()
+	s.obs.EndJob(s.exec.Clock()-clockBefore, err)
+	return out, err
+}
+
+// newJob returns the empty state of a job about to run on s.
+func (s *Session) newJob() *job {
+	return &job{
 		s:          s,
 		ctx:        s.jobCtx(),
 		front:      map[*node]*checkpoint{},
-		blocks:     map[*dep][]Batch{},
+		blocks:     map[*dep]*routed{},
 		bcast:      map[*dep]Batch{},
 		bcastBytes: map[*dep]int64{},
 		attempts:   map[*node]int{},
@@ -123,12 +141,16 @@ func (s *Session) runJob(target *node) ([]Batch, error) {
 		outputs:    map[*node]cluster.OutputID{},
 		recomputed: map[*node]int{},
 	}
-	clockBefore := s.exec.Clock()
-	s.exec.StartJob()
-	out, err := j.run(target)
-	s.exec.ReleaseBroadcasts()
-	s.obs.EndJob(s.exec.Clock()-clockBefore, err)
-	return out, err
+}
+
+// end releases the shuffle blocks the job still holds — those of a stage
+// that never ran or never succeeded — and lets the free list forget what
+// the job had no use for.
+func (j *job) end() {
+	for _, r := range j.blocks {
+		j.releaseBlocks(r)
+	}
+	j.s.arenas.endJob()
 }
 
 // launchStage runs the tasks of stage st (rooted at n) for real on the
@@ -391,10 +413,28 @@ func (j *job) chainOf(st *plan.Stage) string {
 }
 
 // buildBlocks routes the materialized parent of shuffle dep d into the
-// child's partitions (see route.go).
+// child's partitions (see route.go), unless the blocks are still there.
 func (j *job) buildBlocks(d *dep) {
-	if _, ok := j.blocks[d]; !ok {
-		j.blocks[d] = j.s.route(d, j.front[d.parent].data)
+	if r := j.blocks[d]; r == nil || r.blocks == nil {
+		fresh := j.s.route(d, j.front[d.parent].data)
+		j.blocks[d] = &fresh
+	}
+}
+
+// releaseBlocks ends the life of a dep's routed blocks: no stage still to
+// run reads them and no reader kept them (dep.aliased), so their arenas go
+// back to the session's free list and the rest to the collector.
+func (j *job) releaseBlocks(r *routed) {
+	j.s.arenas.put(r.arenas...)
+	r.blocks, r.arenas = nil, nil
+}
+
+// dropBlocks forgets that d was routed at all: its parent is being rewound
+// or its consumer re-lowered, so the next reader fetches and routes afresh.
+func (j *job) dropBlocks(d *dep) {
+	if r := j.blocks[d]; r != nil {
+		j.releaseBlocks(r)
+		delete(j.blocks, d)
 	}
 }
 
@@ -504,7 +544,7 @@ func (j *job) evalPartDirect(tc *Ctx, n *node, p int) Batch {
 			// according to its own semantics (a reduce holds its
 			// build map, a groupBy holds its whole input, a
 			// pipelined map holds neither).
-			b := j.blocks[d][p]
+			b := j.blocks[d].blocks[p]
 			tc.work += float64(batchLen(b)) * d.parent.weight
 			tc.shuffleBytes += float64(estPartitionBytes(b)) * d.parent.weight
 			if j.s.obs.Enabled() {

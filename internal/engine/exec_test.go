@@ -143,10 +143,10 @@ func TestRouteMatchesReference(t *testing.T) {
 				// benchDep routes typed int batches through batchTargets
 				// and boxed ones through the per-element partitioner.
 				byValue := benchDep(c.nt)
-				checkRoute(t, byValue, c.parent, s.route(byValue, c.parent))
+				checkRoute(t, byValue, c.parent, s.route(byValue, c.parent).blocks)
 				byPos := &dep{kind: depShuffle, childParts: c.nt,
 					posPartitioner: func(src, idx, n int) int { return (src + idx) % n }}
-				checkRoute(t, byPos, c.parent, s.route(byPos, c.parent))
+				checkRoute(t, byPos, c.parent, s.route(byPos, c.parent).blocks)
 			})
 		}
 		// A panicking partitioner surfaces on the caller, and the pool is
@@ -166,7 +166,7 @@ func TestRouteMatchesReference(t *testing.T) {
 			s.route(bad, benchParent(20, 10, false))
 		}()
 		good := benchDep(4)
-		checkRoute(t, good, mixed, s.route(good, mixed))
+		checkRoute(t, good, mixed, s.route(good, mixed).blocks)
 		s.Close()
 	}
 }
@@ -204,7 +204,7 @@ func TestSingleWorkerRoutesSerial(t *testing.T) {
 		d.partitioner = func(e any, n int) int {
 			return int(uint32(e.(int))*2654435761) % n
 		}
-		checkRoute(t, d, parent, s.route(d, parent))
+		checkRoute(t, d, parent, s.route(d, parent).blocks)
 		if want, got := flattenCore(parent, nil, 1), s.flatten(parent); batchLen(want) != 0 || batchLen(got) != 0 {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: flatten differs on 1-worker session", trial)
@@ -578,7 +578,7 @@ func (o refOracle) eval(n *node, p int) Batch {
 				inputs[i] = boxedBatch(in)
 			}
 		case depShuffle:
-			if inputs[i] = routeCore(d, o.parts(d.parent), nil, 1)[p]; inputs[i] == nil {
+			if inputs[i] = routeCore(d, o.parts(d.parent), nil, 1, nil).blocks[p]; inputs[i] == nil {
 				inputs[i] = zeroBatch
 			}
 		case depBroadcast:

@@ -46,6 +46,14 @@ type dep struct {
 	// batch's shape is not the one it was compiled for, sending the router
 	// to the boxed per-element path.
 	batchTargets func(b Batch, nParts int, tg, ct []int32) bool
+	// aliased marks a shuffle dep whose consumer returns the routed block
+	// itself as its output (identityCompute: PartitionByKey, Repartition).
+	// Every other shuffle reader must not retain its input batch or any
+	// slice of it past its compute — it copies out what it keeps — because
+	// the job releases a dep's blocks once the last stage that reads them
+	// has succeeded and the router reuses their memory (runner.go,
+	// arena.go). An aliased dep's blocks are never released or recycled.
+	aliased bool
 }
 
 // node is an untyped dataset DAG vertex. Partitions flow as Batch values

@@ -20,6 +20,10 @@ type execPlan struct {
 	// ops below the top are invisible to the plan, so the evaluator runs
 	// the whole chain as one typed loop (fuse.go).
 	fused map[*node]*fuseInfo
+	// lastRead lists, under the last stage of the plan that reads them, the
+	// shuffle deps whose routed blocks die with their readers (every one
+	// but the aliased): when that stage succeeds the job releases them.
+	lastRead map[*plan.Stage][]*dep
 }
 
 func kindOf(k depKind) plan.DepKind {
@@ -82,6 +86,18 @@ func (s *Session) buildExecPlanFrom(target *node, done func(*node) bool, replan 
 	}
 	if !s.noFuse {
 		ep.compileFusion()
+	}
+	// Stages are in launch order, so a dep's last reader is the first stage
+	// that has it on its boundary walking backwards.
+	ep.lastRead = map[*plan.Stage][]*dep{}
+	seen := map[*dep]bool{}
+	for _, st := range slices.Backward(ep.plan.Stages) {
+		for _, pd := range st.Boundary {
+			if d := ep.edep(pd); pd.Kind == plan.Shuffle && !d.aliased && !seen[d] {
+				seen[d] = true
+				ep.lastRead[st] = append(ep.lastRead[st], d)
+			}
+		}
 	}
 	return ep
 }

@@ -383,7 +383,7 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 					in = RemoteInput{Kind: "concat", Concat: sub}
 				}
 			case depShuffle:
-				in, err = blockInput(d.parent, j.blocks[d][p])
+				in, err = blockInput(d.parent, j.blocks[d].blocks[p])
 			case depBroadcast:
 				in, err = blockInput(d.parent, j.bcast[d])
 			}

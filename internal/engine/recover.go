@@ -329,7 +329,7 @@ func (j *job) purgeNode(n *node) {
 		return true
 	})
 	for i := range n.deps {
-		delete(j.blocks, &n.deps[i])
+		j.dropBlocks(&n.deps[i])
 	}
 }
 

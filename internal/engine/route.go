@@ -57,6 +57,14 @@ func routeChunks(starts []int, workers int) []int {
 	return append(bounds, nsrc)
 }
 
+// routed is what routing one shuffle dep leaves behind: the child's blocks
+// and the arenas the pointer-free ones were cut from, to be put back on the
+// free list when the blocks are dead.
+type routed struct {
+	blocks []Batch
+	arenas [][]uint64
+}
+
 // routeCore routes every element of every parent partition into its
 // target block. A counting pass records each element's target (the
 // partitioner hash runs exactly once per element — targets are cached for
@@ -70,13 +78,17 @@ func routeChunks(starts []int, workers int) []int {
 // back to boxed blocks. Either way a block's boxed capacity is
 // blockCap(len), reproducing the append-grown []any blocks the simulator
 // observed before batches existed.
-func routeCore(d *dep, parent []Batch, pool *workerPool, workers int) []Batch {
+//
+// Memory comes from the free list: the pass's own scratch, which goes back
+// before routeCore returns, and the blocks of a pointer-free shape
+// (Vec.newBlocks). A nil list allocates everything on the heap.
+func routeCore(d *dep, parent []Batch, pool *workerPool, workers int, from *arenaList) routed {
 	nt := d.childParts
 	blocks := make([]Batch, nt)
 	starts := partStarts(parent)
 	total := starts[len(parent)]
 	if total == 0 {
-		return blocks
+		return routed{blocks: blocks}
 	}
 	bounds := routeChunks(starts, workers)
 	nch := len(bounds) - 1
@@ -90,10 +102,22 @@ func routeCore(d *dep, parent []Batch, pool *workerPool, workers int) []Batch {
 		}
 	}
 
-	// Counting pass: counts[c*nt+t] = elements of chunk c bound for target
-	// t; targets caches each element's target, sources back to back.
-	targets := make([]int32, total)
-	counts := make([]int32, nch*nt)
+	// Scratch, dead when the write pass ends: targets caches each element's
+	// target, sources back to back; counts[c*nt+t] = elements of chunk c
+	// bound for target t; lens[t] = elements bound for target t. Not put
+	// back when a partitioner panics: a pass may still be writing to it.
+	var scratch []uint64
+	var ints []int32
+	if n := total + (nch+1)*nt; from != nil {
+		scratch = from.take(wordsFor(4*n), wordsFor(4*n), wordsFor(4*n))
+		ints = carve[int32](scratch)[:n]
+		clear(ints[total:])
+	} else {
+		ints = make([]int32, n)
+	}
+	targets, counts, lens := ints[:total], ints[total:total+nch*nt], ints[total+nch*nt:]
+
+	// Counting pass.
 	forChunks(func(c int) {
 		ct := counts[c*nt : (c+1)*nt]
 		for src := bounds[c]; src < bounds[c+1]; src++ {
@@ -119,11 +143,7 @@ func routeCore(d *dep, parent []Batch, pool *workerPool, workers int) []Batch {
 		}
 	})
 
-	// Block representation: typed when every non-empty source agrees.
-	proto, homogeneous := routeProto(parent)
-
-	// Prefix-sum counts into write offsets (per target, chunks in order)
-	// and allocate each block exactly once at its final size.
+	// Prefix-sum counts into write offsets (per target, chunks in order).
 	for t := 0; t < nt; t++ {
 		var run int32
 		for i := t; i < len(counts); i += nt {
@@ -131,14 +151,20 @@ func routeCore(d *dep, parent []Batch, pool *workerPool, workers int) []Batch {
 			counts[i] = run
 			run += c
 		}
-		if run > 0 { // keep empty blocks nil, as the boxed reference did
-			if homogeneous {
-				blocks[t] = proto.newLike(int(run), blockCap(int(run)))
-			} else {
-				blocks[t] = &Vec[any]{xs: make([]any, run), bcap: blockCap(int(run))}
-			}
-		}
+		lens[t] = run
 	}
+	// Allocate each block exactly once at its final size — empty blocks stay
+	// nil, as the boxed reference kept them — typed when every non-empty
+	// source agrees on a shape.
+	proto, homogeneous := routeProto(parent)
+	if !homogeneous {
+		proto = zeroBatch
+	}
+	blockMem := from
+	if d.aliased {
+		blockMem = nil // the blocks are the consumer's output and outlive their readers
+	}
+	arenas := proto.newBlocks(lens, blocks, blockMem)
 
 	// Write pass: each chunk owns its offset row and advances it through
 	// its sources in order, so writes to a shared block land in disjoint
@@ -161,7 +187,10 @@ func routeCore(d *dep, parent []Batch, pool *workerPool, workers int) []Batch {
 			}
 		}
 	})
-	return blocks
+	if scratch != nil {
+		from.put(scratch)
+	}
+	return routed{blocks, arenas}
 }
 
 // routeProto scans the non-empty sources for a shared batch shape. It
@@ -189,8 +218,8 @@ func routeProto(parent []Batch) (Batch, bool) {
 // single-worker session routes as one chunk on the caller and never
 // touches the pool — the dispatch would be pure overhead with no one to
 // overlap it with (the same 1-core audit flatten got).
-func (s *Session) route(d *dep, parent []Batch) []Batch {
-	return routeCore(d, parent, s.pool, s.workers)
+func (s *Session) route(d *dep, parent []Batch) routed {
+	return routeCore(d, parent, s.pool, s.workers, &s.arenas)
 }
 
 // blockCap returns the boxed-equivalent capacity of a block of n elements.

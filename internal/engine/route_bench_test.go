@@ -31,6 +31,14 @@ func benchParent(nsrc, perSrc int, skew bool) []Batch {
 	return parent
 }
 
+// benchSession is a session on every proc without the tests' poison seam:
+// benchmarks time what production runs.
+func benchSession() *Session {
+	s := poolSession(runtime.GOMAXPROCS(0))
+	s.arenas.poison = false
+	return s
+}
+
 func benchDep(parts int) *dep {
 	d := &dep{kind: depShuffle, childParts: parts, partitioner: func(e any, n int) int {
 		return int(uint32(e.(int))*2654435761) % n
@@ -84,7 +92,7 @@ func BenchmarkShuffleBoundary(b *testing.B) {
 				}
 				parent[s] = boxedBatch(out)
 			}
-			routeCore(d, parent, nil, 1)
+			routeCore(d, parent, nil, 1, nil)
 		}
 	})
 	b.Run("typed", func(b *testing.B) {
@@ -96,7 +104,7 @@ func BenchmarkShuffleBoundary(b *testing.B) {
 				copy(out, vals)
 				parent[s] = batchOf(out, len(out))
 			}
-			routeCore(d, parent, nil, 1)
+			routeCore(d, parent, nil, 1, nil)
 		}
 	})
 }
@@ -108,7 +116,11 @@ func BenchmarkShuffleBoundary(b *testing.B) {
 // targets shows and the elements do not — and on structkey, the shape of
 // every lifted shuffle: rows keyed by a (tag, key) struct that only the
 // compiled hasher covers. `make bench-check` gates structkey's allocs/op
-// exactly: hashing such a key must not allocate per row.
+// exactly: hashing such a key must not allocate per row. twice-in-job is the
+// router where it lives: a job of two reduces over 64-byte rows, whose
+// second shuffle is cut from the arenas the first one's last reader
+// released, and whose first is cut from what the job before it left on the
+// session's free list.
 func BenchmarkShuffleRoute(b *testing.B) {
 	type routeShape struct {
 		name   string
@@ -134,16 +146,30 @@ func BenchmarkShuffleRoute(b *testing.B) {
 	sd := pairShuffleDep[structKey, int64](nil, nil)
 	sd.childParts = 16
 	shapes = append(shapes, routeShape{"structkey", keyed, &sd})
+	b.Run("twice-in-job", func(b *testing.B) {
+		s := benchSession()
+		defer s.Close()
+		src := Parallelize(s, foldShapeRows(1<<14, 1<<14), 8)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			once := ReduceByKey(src, foldShapeSum)
+			twice := ReduceByKey(Map(once, func(kv foldShape) foldShape { return foldShape{Key: kv.Key + 1, Val: kv.Val} }), foldShapeSum)
+			if n, err := Count(twice); err != nil || n != 1<<14 {
+				b.Fatalf("count = %d, %v", n, err)
+			}
+		}
+	})
 	for _, shape := range shapes {
 		parent, d := shape.parent, shape.d
 		b.Run(shape.name+"/serial", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				routeCore(d, parent, nil, 1)
+				routeCore(d, parent, nil, 1, nil)
 			}
 		})
 		b.Run(shape.name+"/parallel", func(b *testing.B) {
-			s := poolSession(runtime.GOMAXPROCS(0))
+			s := benchSession()
 			defer s.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -177,7 +203,7 @@ func BenchmarkBroadcastFlatten(b *testing.B) {
 			}
 		})
 		b.Run(size.name+"/parallel", func(b *testing.B) {
-			s := poolSession(runtime.GOMAXPROCS(0))
+			s := benchSession()
 			defer s.Close()
 			s.flatten(parent)
 			b.ReportAllocs()
@@ -227,7 +253,7 @@ func BenchmarkStageExec(b *testing.B) {
 		data[i] = i
 	}
 	run := func(b *testing.B, fuse bool) {
-		s := poolSession(runtime.GOMAXPROCS(0))
+		s := benchSession()
 		defer s.Close()
 		s.noFuse = !fuse
 		src := Parallelize(s, data, 8)
@@ -267,7 +293,7 @@ func BenchmarkNarrowChain(b *testing.B) {
 		data[i] = i
 	}
 	run := func(b *testing.B, fuse bool) {
-		s := poolSession(runtime.GOMAXPROCS(0))
+		s := benchSession()
 		defer s.Close()
 		s.noFuse = !fuse
 		src := Parallelize(s, data, 8)
@@ -380,7 +406,7 @@ func BenchmarkFanInMemo(b *testing.B) {
 		data[i] = i
 	}
 	b.Run("pooled", func(b *testing.B) {
-		s := poolSession(runtime.GOMAXPROCS(0))
+		s := benchSession()
 		defer s.Close()
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -144,7 +144,14 @@ func (j *job) runStages(target *node) *stageFailure {
 				}
 			}
 		}
-		return j.launchStage(n, st).fail
+		if f := j.launchStage(n, st).fail; f != nil {
+			return f
+		}
+		// The stage's tasks were the last readers of these shuffle blocks.
+		for _, d := range j.ep.lastRead[st] {
+			j.releaseBlocks(j.blocks[d])
+		}
+		return nil
 	}
 	return visit(target)
 }

@@ -100,6 +100,10 @@ type Session struct {
 	// the slice it is handed).
 	costsScratch []cluster.Task
 
+	// arenas is the free list released shuffle blocks' memory goes back to
+	// and the router allocates from (arena.go). Guarded by mu.
+	arenas arenaList
+
 	// noFuse is a test seam: it forces the per-operator evaluator on
 	// chains the plan would let fuse, so the in-package suites can assert
 	// both evaluators agree. Nothing outside tests sets it.
@@ -192,8 +196,9 @@ func (f *Feedback) PartsBoost() int {
 func (s *Session) Feedback() *Feedback { return s.feedback }
 
 // processSeed backs the maphash fallback for key types the stable hasher
-// cannot walk (see stablehash.go). For every key type this repository
-// actually shuffles on, partitioning hashes are fully deterministic —
+// cannot walk (see stablehash.go, which names the one workload that keys
+// on such a type). For every other key type this repository shuffles on,
+// partitioning hashes are fully deterministic —
 // across sessions AND across processes — so experiment tables regenerate
 // bit-identically and A/B tests (fused vs per-operator evaluation, abort
 // vs recover) compare runs of the same workload exactly.
@@ -250,10 +255,16 @@ func NewSession(cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// Close releases the session's host worker pool. The session must not be
-// used afterwards. Closing is optional — abandoned sessions are cleaned up
-// by the garbage collector — but makes the release deterministic.
-func (s *Session) Close() { s.pool.close() }
+// Close releases the session's host worker pool and its recycled shuffle
+// memory. The session must not be used afterwards. Closing is optional —
+// abandoned sessions are cleaned up by the garbage collector — but makes
+// the release deterministic.
+func (s *Session) Close() {
+	s.pool.close()
+	s.mu.Lock()
+	s.arenas = arenaList{}
+	s.mu.Unlock()
+}
 
 // stageCosts returns a zeroed []cluster.Task of length n backed by the
 // session's reusable scratch buffer.

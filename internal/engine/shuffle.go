@@ -256,6 +256,7 @@ func PartitionByKey[K comparable, V any](d Dataset[Pair[K, V]], parts int) Datas
 		return d
 	}
 	sd := pairShuffleDep[K, V](d.s, d.n)
+	sd.aliased = true // identityCompute hands the blocks on
 	n := d.s.newNode("partitionByKey", parts, []dep{sd}, identityCompute)
 	// Pure routing (the shuffle blocks already are the output): portable.
 	n.port = &portableMark{op: "identity"}
@@ -272,7 +273,8 @@ func Repartition[T any](d Dataset[T], parts int) Dataset[T] {
 	if parts <= 0 {
 		parts = d.s.cfg.DefaultParallelism
 	}
-	sd := dep{parent: d.n, kind: depShuffle, posPartitioner: func(src, idx, n int) int {
+	// aliased: identityCompute hands the blocks on.
+	sd := dep{parent: d.n, kind: depShuffle, aliased: true, posPartitioner: func(src, idx, n int) int {
 		return (src + idx) % n
 	}}
 	n := d.s.newNode("repartition", parts, []dep{sd}, identityCompute)

@@ -14,8 +14,10 @@ package engine
 // the value's concrete representation (integers, floats, strings,
 // arrays, struct fields at their offsets — skipping padding) and mixes
 // it with splitmix64. Types it cannot walk deterministically (pointers,
-// interfaces) fall back to the process-seeded maphash; such keys are
-// not used by anything in this repository.
+// interfaces) fall back to the process-seeded maphash. One workload keys
+// on such a type: bounce rate lowered through internal/ir shuffles on
+// `any` keys, so the benchmark's bounce_ir_boxed places its records — and
+// reports its sim_s — differently in every process (ROADMAP item 4).
 
 import (
 	"math"

@@ -126,7 +126,10 @@ func OfBatch(b Batch) int64 {
 // element type has the same deep size, the estimate is a product, so a
 // caller that samples a partition need not build the sample. ok is false
 // for []any and for value-dependent element types (strings, slices, maps,
-// pointers), which OfBatch has to walk.
+// pointers), which OfBatch has to walk. A fixed deep size therefore also
+// means the element type holds no pointer of any kind; the engine's shuffle
+// router relies on that to lay such shapes over memory the collector does
+// not scan.
 func OfFixed(data any, count, bcap int) (size int64, ok bool) {
 	sz := fixedDeep(reflect.TypeOf(data).Elem())
 	if sz < 0 {
