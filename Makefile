@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test race vet build bench-module bench bench-check figures fmt-check sched-bench chaos-bench shred-bench procchaos-bench fuzz-smoke
+.PHONY: check test race vet build bench-module bench bench-check figures figures-check fmt-check sched-bench chaos-bench shred-bench procchaos-bench fuzz-smoke
 
 ## check: everything CI runs — formatting, vet, build, tests, race tests,
 ## and the benchmark module.
@@ -77,6 +77,12 @@ fuzz-smoke:
 ## (internal/bench/testdata/bench_rows.csv).
 figures:
 	$(GO) run ./cmd/matbench -q -csv internal/bench/testdata/bench_rows.csv
+
+## figures-check: regenerate the figures and fail if a row moved. Simulated
+## numbers repeat across processes, so the committed file regenerates byte
+## for byte; takes as long as `make figures` (minutes).
+figures-check: figures
+	git diff --exit-code internal/bench/testdata/bench_rows.csv
 
 ## sched-bench: smoke the multi-tenant scheduler — both sweep tables
 ## plus one speculation run (what EXPERIMENTS.md's sec-sched section

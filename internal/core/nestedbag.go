@@ -123,7 +123,7 @@ func GroupByKeyIntoNestedBag[K comparable, V any](d engine.Dataset[engine.Pair[K
 	outer := InnerScalar[K]{repr: keyTags, ctx: ctx}
 	inner := InnerBag[V]{
 		repr: engine.Map(d, func(p engine.Pair[K, V]) engine.Pair[Tag, V] {
-			return engine.KV(RootTag(engine.HashKey(sess, p.Key)), p.Val)
+			return engine.KV(RootTag(engine.HashKey(p.Key)), p.Val)
 		}),
 		ctx: ctx,
 	}
@@ -200,7 +200,7 @@ func GroupByKeyIntoNestedBagInner[K comparable, V any](b InnerBag[engine.Pair[K,
 			return engine.KV(p.Key, p.Val.Key)
 		})),
 		func(p engine.Pair[Tag, K]) engine.Pair[Tag, K] {
-			return engine.KV(p.Key.Push(engine.HashKey(sess, p.Val)), p.Val)
+			return engine.KV(p.Key.Push(engine.HashKey(p.Val)), p.Val)
 		}).Cache()
 	size, err := engine.Count(subTags)
 	if err != nil {
@@ -210,7 +210,7 @@ func GroupByKeyIntoNestedBagInner[K comparable, V any](b InnerBag[engine.Pair[K,
 	outer := InnerScalar[K]{repr: subTags, ctx: ctx2}
 	inner := InnerBag[V]{
 		repr: engine.Map(b.repr, func(p engine.Pair[Tag, engine.Pair[K, V]]) engine.Pair[Tag, V] {
-			return engine.KV(p.Key.Push(engine.HashKey(sess, p.Val.Key)), p.Val.Val)
+			return engine.KV(p.Key.Push(engine.HashKey(p.Val.Key)), p.Val.Val)
 		}),
 		ctx: ctx2,
 	}

@@ -25,26 +25,24 @@ func skipIfInstrumented(t *testing.T) {
 	}
 }
 
-// TestHashOfAllocFree: every monomorphic fast-path key type hashes with
-// zero allocations. These hashes run once per element per shuffle — an
-// allocation here multiplies across every shuffled record.
+// TestHashOfAllocFree: every key type with a case in hashOf's switch hashes
+// with zero allocations, boxed scalars included. HashKey runs once per
+// element of a lifted group-by — an allocation here multiplies across every
+// tagged record.
 func TestHashOfAllocFree(t *testing.T) {
 	skipIfInstrumented(t)
-	s := poolSession(1)
-	defer s.Close()
 	var sink uint64
+	boxedInt, boxedString := any(int64(-7)), any("a moderately sized key string")
 	cases := []struct {
 		name string
 		f    func()
 	}{
-		{"int", func() { sink += hashOf(s, 12345) }},
-		{"int64", func() { sink += hashOf(s, int64(-7)) }},
-		{"uint64", func() { sink += hashOf(s, uint64(99)) }},
-		{"string", func() { sink += hashOf(s, "a moderately sized key string") }},
-		{"pair-int-int", func() { sink += hashOf(s, Pair[int, int]{1, 2}) }},
-		{"pair-int-int64", func() { sink += hashOf(s, Pair[int, int64]{1, 2}) }},
-		{"pair-string-string", func() { sink += hashOf(s, Pair[string, string]{"ab", "cd"}) }},
-		{"pair-string-int", func() { sink += hashOf(s, Pair[string, int]{"ab", 3}) }},
+		{"int", func() { sink += hashOf(12345) }},
+		{"int64", func() { sink += hashOf(int64(-7)) }},
+		{"uint64", func() { sink += hashOf(uint64(99)) }},
+		{"string", func() { sink += hashOf("a moderately sized key string") }},
+		{"boxed-int64", func() { sink += hashOf(boxedInt) }},
+		{"boxed-string", func() { sink += hashOf(boxedString) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -185,26 +183,22 @@ func TestShuffleJobRecyclesBlocks(t *testing.T) {
 // the key cost one heap allocation per shuffled row (1 000 here).
 func TestStructKeyTargetsAllocFree(t *testing.T) {
 	skipIfInstrumented(t)
-	s := poolSession(1)
-	defer s.Close()
 	rows := make([]Pair[structKey, int64], 1000)
 	for i := range rows {
 		rows[i] = KV(structKey{T: [4]uint64{uint64(i), 1, 2, 3}, K: int64(i % 50)}, int64(i))
 	}
 	b := batchOf(rows, len(rows))
-	d := pairShuffleDep[structKey, int64](s, nil)
+	d := pairShuffleDep[structKey, int64](nil)
 	const nt = 16
 	tg, ct := make([]int32, len(rows)), make([]int32, nt)
-	if !d.batchTargets(b, nt, tg, ct) {
-		t.Fatal("struct keys have no batch hasher")
-	}
+	d.targets(0, b, nt, tg, ct)
 	for i, kv := range rows {
-		if want := d.partitioner(kv, nt); int(tg[i]) != want {
-			t.Fatalf("row %d: batch target %d, per-element partitioner %d", i, tg[i], want)
+		if want := hashOf(kv.Key) % nt; uint64(tg[i]) != want {
+			t.Fatalf("row %d: target %d, hashOf places it at %d", i, tg[i], want)
 		}
 	}
-	if avg := testing.AllocsPerRun(10, func() { d.batchTargets(b, nt, tg, ct) }); avg != 0 {
-		t.Errorf("batchTargets over %d struct-keyed rows allocates %.0f times, want 0", len(rows), avg)
+	if avg := testing.AllocsPerRun(10, func() { d.targets(0, b, nt, tg, ct) }); avg != 0 {
+		t.Errorf("targets over %d struct-keyed rows allocates %.0f times, want 0", len(rows), avg)
 	}
 }
 

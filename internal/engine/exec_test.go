@@ -47,20 +47,29 @@ func randomParent(rng *rand.Rand, maxSrc, maxLen int) []Batch {
 	return parent
 }
 
+// perElement spells a dep's targets from a per-element partitioner, the
+// form a test states a placement in.
+func perElement(f func(src, idx int, e any, n int) int) func(int, Batch, int, []int32, []int32) {
+	return func(src int, b Batch, nParts int, tg, ct []int32) {
+		for i := range tg {
+			place(uint64(f(src, i, b.At(i), nParts)), nParts, i, tg, ct)
+		}
+	}
+}
+
 // refRoute is the router's independent reference: for each source in
-// order, for each element in order, append to its target.
+// order, for each element in order, append to the target the dep names.
 func refRoute(d *dep, parent []Batch) [][]any {
 	out := make([][]any, d.childParts)
 	for src, part := range parent {
-		for idx := 0; idx < batchLen(part); idx++ {
-			e := part.At(idx)
-			var t int
-			if d.posPartitioner != nil {
-				t = d.posPartitioner(src, idx, d.childParts)
-			} else {
-				t = d.partitioner(e, d.childParts)
-			}
-			out[t] = append(out[t], e)
+		n := batchLen(part)
+		if n == 0 {
+			continue
+		}
+		tg := make([]int32, n)
+		d.targets(src, part, d.childParts, tg, make([]int32, d.childParts))
+		for idx, t := range tg {
+			out[t] = append(out[t], part.At(idx))
 		}
 	}
 	return out
@@ -140,23 +149,23 @@ func TestRouteMatchesReference(t *testing.T) {
 		s := poolSession(workers)
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, c.name), func(t *testing.T) {
-				// benchDep routes typed int batches through batchTargets
-				// and boxed ones through the per-element partitioner.
+				// benchDep hashes typed int batches in place and walks
+				// boxed ones element by element.
 				byValue := benchDep(c.nt)
 				checkRoute(t, byValue, c.parent, s.route(byValue, c.parent).blocks)
 				byPos := &dep{kind: depShuffle, childParts: c.nt,
-					posPartitioner: func(src, idx, n int) int { return (src + idx) % n }}
+					targets: perElement(func(src, idx int, _ any, n int) int { return (src + idx) % n })}
 				checkRoute(t, byPos, c.parent, s.route(byPos, c.parent).blocks)
 			})
 		}
 		// A panicking partitioner surfaces on the caller, and the pool is
 		// still there to route the next shuffle.
-		bad := &dep{kind: depShuffle, childParts: 4, partitioner: func(e any, n int) int {
+		bad := &dep{kind: depShuffle, childParts: 4, targets: perElement(func(_, _ int, e any, n int) int {
 			if e.(int) == 77 {
 				panic("bad key")
 			}
 			return e.(int) % n
-		}}
+		})}
 		func() {
 			defer func() {
 				if r := recover(); r != "bad key" {
@@ -200,10 +209,7 @@ func TestSingleWorkerRoutesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {
 		parent := randomParent(rng, 6, 50)
-		d := &dep{kind: depShuffle, childParts: 1 + rng.Intn(9)}
-		d.partitioner = func(e any, n int) int {
-			return int(uint32(e.(int))*2654435761) % n
-		}
+		d := benchDep(1 + rng.Intn(9))
 		checkRoute(t, d, parent, s.route(d, parent).blocks)
 		if want, got := flattenCore(parent, nil, 1), s.flatten(parent); batchLen(want) != 0 || batchLen(got) != 0 {
 			if !reflect.DeepEqual(got, want) {
@@ -599,7 +605,6 @@ func TestRandomDAGFusedMatchesPerOperator(t *testing.T) {
 		per := poolSession(1)
 		per.noFuse = true
 		fus := poolSession(8)
-		fus.seed = per.seed // same hash routing on both sessions
 
 		perOut, fusOut := randomDAG(per, seed), randomDAG(fus, seed)
 		if n := len(per.buildExecPlan(perOut.n).fused); n != 0 {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"hash/maphash"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,18 +8,17 @@ import (
 	"matryoshka/internal/obs"
 )
 
-// fusePair runs the same dataset build on two sessions sharing one hash
-// seed — fusion disabled and enabled — and asserts the collected output,
-// virtual clock, and simulated cluster stats are bit-identical. This is
-// the fused path's contract: it may change wall-clock and host
-// allocations, never results or simulated accounting.
+// fusePair runs the same dataset build on two sessions — fusion disabled
+// and enabled — and asserts the collected output, virtual clock, and
+// simulated cluster stats are bit-identical. This is the fused path's
+// contract: it may change wall-clock and host allocations, never results
+// or simulated accounting.
 func fusePair[T any](t *testing.T, build func(s *Session) Dataset[T]) {
 	t.Helper()
 	unf := poolSession(4)
 	unf.noFuse = true
 	defer unf.Close()
 	fus := poolSession(4)
-	fus.seed = unf.seed
 	defer fus.Close()
 
 	a, err1 := Collect(build(unf))
@@ -147,12 +145,9 @@ func TestFusionSegmentsAtCap(t *testing.T) {
 // (the cached partitions have to exist for reuse), and a second job served
 // from the cache must agree bit-for-bit with the unfused run.
 func TestFusionBreaksAtCachedIntermediate(t *testing.T) {
-	run := func(noFuse bool, seed *maphash.Seed) ([]int, []int, float64, maphash.Seed) {
+	run := func(noFuse bool) ([]int, []int, float64) {
 		s := poolSession(4)
 		s.noFuse = noFuse
-		if seed != nil {
-			s.seed = *seed
-		}
 		defer s.Close()
 		mid := Map(Parallelize(s, seq(300), 4), func(v int) int { return v * 2 }).Cache()
 		top1 := Filter(mid, func(v int) bool { return v%3 == 0 })
@@ -162,10 +157,10 @@ func TestFusionBreaksAtCachedIntermediate(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatalf("collect errs %v %v", err1, err2)
 		}
-		return a, b, s.Clock(), s.seed
+		return a, b, s.Clock()
 	}
-	ua, ub, uclock, seed := run(true, nil)
-	fa, fb, fclock, _ := run(false, &seed)
+	ua, ub, uclock := run(true)
+	fa, fb, fclock := run(false)
 	if !reflect.DeepEqual(ua, fa) || !reflect.DeepEqual(ub, fb) {
 		t.Fatal("cached-intermediate outputs differ between fused and unfused")
 	}

@@ -73,8 +73,8 @@ func repartitionJoin[K comparable, A, B any](l Dataset[Pair[K, A]], r Dataset[Pa
 		return shuffled
 	}
 	deps := []dep{
-		sideDep(l.n, pairShuffleDep[K, A](s, l.n)),
-		sideDep(r.n, pairShuffleDep[K, B](s, r.n)),
+		sideDep(l.n, pairShuffleDep[K, A](l.n)),
+		sideDep(r.n, pairShuffleDep[K, B](r.n)),
 	}
 	buildWeight := l.n.weight
 	kernel := RepartitionJoinCompute[K, A, B]()
@@ -186,8 +186,8 @@ func LeftOuterJoin[K comparable, A, B any](l Dataset[Pair[K, A]], r Dataset[Pair
 	s := l.s
 	parts := s.cfg.DefaultParallelism
 	deps := []dep{
-		pairShuffleDep[K, B](s, r.n),
-		pairShuffleDep[K, A](s, l.n),
+		pairShuffleDep[K, B](r.n),
+		pairShuffleDep[K, A](l.n),
 	}
 	buildWeight := r.n.weight
 	n := s.newNode("leftOuterJoin", parts, deps, func(tc *Ctx, p int, in []Batch) Batch {
@@ -224,8 +224,8 @@ func CoGroup[K comparable, A, B any](l Dataset[Pair[K, A]], r Dataset[Pair[K, B]
 	s := l.s
 	parts := s.cfg.DefaultParallelism
 	deps := []dep{
-		pairShuffleDep[K, A](s, l.n),
-		pairShuffleDep[K, B](s, r.n),
+		pairShuffleDep[K, A](l.n),
+		pairShuffleDep[K, B](r.n),
 	}
 	inWeight := max(l.n.weight, r.n.weight)
 	n := s.newNode("coGroup", parts, deps, func(tc *Ctx, p int, in []Batch) Batch {

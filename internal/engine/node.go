@@ -26,26 +26,19 @@ const (
 
 // dep is an edge of the dataset DAG.
 type dep struct {
-	parent      *node
-	kind        depKind
-	childParts  int                   // partition count of the owning node
-	partitioner func(any, int) int    // shuffle only: elem, nParts -> part
-	narrowMap   func(child int) []int // narrow only; nil means identity
-	// posPartitioner, when set, routes by (source partition, element index)
-	// instead of element value. Shuffle routing runs concurrently, so
-	// partitioners must be pure; position-dependent routing (Repartition's
-	// round-robin) uses this form rather than a shared counter, keeping it
-	// deterministic across visit orders and worker counts.
-	posPartitioner func(srcPart, idx, nParts int) int
-	// batchTargets, when set, is the batch-at-a-time spelling of
-	// partitioner: it fills tg[i] with each element's target and bumps the
-	// per-target counts, dispatching on the batch's concrete type once
-	// instead of boxing every element through partitioner. Installed by
-	// the typed shuffle-dep constructors (shuffle.go) for hashable key
-	// shapes; must agree with partitioner exactly. Returns false when the
-	// batch's shape is not the one it was compiled for, sending the router
-	// to the boxed per-element path.
-	batchTargets func(b Batch, nParts int, tg, ct []int32) bool
+	parent     *node
+	kind       depKind
+	childParts int                   // partition count of the owning node
+	narrowMap  func(child int) []int // narrow only; nil means identity
+	// targets is the shuffle dep's partitioner, a batch at a time: for source
+	// partition src it fills tg[i] with the target of b's element i (len(tg)
+	// == b.Len() > 0) and bumps ct[target]. Routing runs concurrently and
+	// visits sources in any order, so it must be pure — position-dependent
+	// routing (Repartition's round-robin) derives the target from (src, i),
+	// never from a shared counter. The typed constructors (shuffle.go) hash
+	// the batch shape they were built for in place and walk any other shape
+	// element by element, to the same targets.
+	targets func(src int, b Batch, nParts int, tg, ct []int32)
 	// aliased marks a shuffle dep whose consumer returns the routed block
 	// itself as its output (identityCompute: PartitionByKey, Repartition).
 	// Every other shuffle reader must not retain its input batch or any
@@ -255,8 +248,8 @@ func (s *Session) newNode(label string, parts int, deps []dep, compute func(tc *
 func narrowDep(parent *node) dep { return dep{parent: parent, kind: depNarrow} }
 
 // partInfo identifies a hash partitioning: the key type and partition
-// count fully determine the routing (keyPartitioner hashes only the key,
-// with the session's seed).
+// count fully determine the routing (pairShuffleDep hashes only the key,
+// from a fixed seed).
 type partInfo struct {
 	keyType reflect.Type
 	parts   int

@@ -11,10 +11,10 @@ package engine
 // targets, which at the paper's 1200 × 1200 shuffle width used to dwarf
 // the ~2000 records of an inner job. A one-worker session is the same
 // code with one chunk, so the blocks are equal by construction. Typed
-// batches route without boxing: the dep's batchTargets hashes a whole
-// batch monomorphically in the counting pass, and scatter moves elements
-// between typed blocks in the write pass. Partitioners must be pure:
-// routing runs concurrently and may evaluate sources in any order.
+// batches route without boxing: the dep's targets hashes a whole batch
+// monomorphically in the counting pass, and scatter moves elements between
+// typed blocks in the write pass. Partitioners must be pure: routing runs
+// concurrently and may evaluate sources in any order.
 
 // routeChunksPerWorker is how many chunks each worker gets to claim: more
 // than one, so a chunk that happens to hold the slow sources does not set
@@ -121,24 +121,8 @@ func routeCore(d *dep, parent []Batch, pool *workerPool, workers int, from *aren
 	forChunks(func(c int) {
 		ct := counts[c*nt : (c+1)*nt]
 		for src := bounds[c]; src < bounds[c+1]; src++ {
-			part := parent[src]
-			tg := targets[starts[src]:starts[src+1]]
-			switch {
-			case len(tg) == 0:
-			case d.posPartitioner != nil:
-				for idx := range tg {
-					t := d.posPartitioner(src, idx, nt)
-					tg[idx] = int32(t)
-					ct[t]++
-				}
-			case d.batchTargets != nil && d.batchTargets(part, nt, tg, ct):
-				// Typed fast path: one dispatch per batch, no boxing.
-			default:
-				for idx := range tg {
-					t := d.partitioner(part.At(idx), nt)
-					tg[idx] = int32(t)
-					ct[t]++
-				}
+			if tg := targets[starts[src]:starts[src+1]]; len(tg) > 0 {
+				d.targets(src, parent[src], nt, tg, ct)
 			}
 		}
 	})

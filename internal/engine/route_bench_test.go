@@ -39,25 +39,22 @@ func benchSession() *Session {
 	return s
 }
 
+// benchDep places ints by a multiplicative hash, spelled as the production
+// shuffle-dep constructors spell targets: the typed batch in place, any
+// other shape element by element.
 func benchDep(parts int) *dep {
-	d := &dep{kind: depShuffle, childParts: parts, partitioner: func(e any, n int) int {
-		return int(uint32(e.(int))*2654435761) % n
+	hash := func(e int) uint64 { return uint64(int(uint32(e) * 2654435761)) }
+	return &dep{kind: depShuffle, childParts: parts, targets: func(_ int, b Batch, nParts int, tg, ct []int32) {
+		if v, ok := b.(*Vec[int]); ok {
+			for i, e := range v.xs {
+				place(hash(e), nParts, i, tg, ct)
+			}
+			return
+		}
+		for i := range tg {
+			place(hash(b.At(i).(int)), nParts, i, tg, ct)
+		}
 	}}
-	// The typed counting-pass spelling, as the production shuffle-dep
-	// constructors install it; boxed batches fall through to partitioner.
-	d.batchTargets = func(b Batch, nParts int, tg, ct []int32) bool {
-		v, ok := b.(*Vec[int])
-		if !ok {
-			return false
-		}
-		for i, e := range v.xs {
-			t := int32(int(uint32(e)*2654435761) % nParts)
-			tg[i] = t
-			ct[t]++
-		}
-		return true
-	}
-	return d
 }
 
 // BenchmarkShuffleBoundary is the representation A/B across one whole
@@ -143,7 +140,7 @@ func BenchmarkShuffleRoute(b *testing.B) {
 		}
 		keyed[src] = batchOf(rows, len(rows))
 	}
-	sd := pairShuffleDep[structKey, int64](nil, nil)
+	sd := pairShuffleDep[structKey, int64](nil)
 	sd.childParts = 16
 	shapes = append(shapes, routeShape{"structkey", keyed, &sd})
 	b.Run("twice-in-job", func(b *testing.B) {

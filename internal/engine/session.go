@@ -14,16 +14,16 @@
 // parallel on the host's cores — while time and memory are accounted on a
 // simulated cluster (internal/cluster), so experiments are deterministic
 // and reproduce the paper's cluster-scale effects on a single machine.
+// Where a shuffled row goes is a function of its key alone (stablehash.go);
+// a session holds no hash seed, so two sessions — in one process or in two
+// — place every element identically and report the same simulated numbers.
 package engine
 
 import (
 	"context"
-	"hash/maphash"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"matryoshka/internal/cluster"
 	"matryoshka/internal/obs"
@@ -76,7 +76,6 @@ type Session struct {
 	// Config.Backend. All execution paths go through exec.
 	sim    *cluster.Simulator
 	exec   Backend
-	seed   maphash.Seed
 	nextID atomic.Int64
 
 	// resid is exec's machine-failure facet (chaos.go), nil when the
@@ -195,15 +194,6 @@ func (f *Feedback) PartsBoost() int {
 // Feedback returns the session's optimizer feedback registry.
 func (s *Session) Feedback() *Feedback { return s.feedback }
 
-// processSeed backs the maphash fallback for key types the stable hasher
-// cannot walk (see stablehash.go, which names the one workload that keys
-// on such a type). For every other key type this repository shuffles on,
-// partitioning hashes are fully deterministic —
-// across sessions AND across processes — so experiment tables regenerate
-// bit-identically and A/B tests (fused vs per-operator evaluation, abort
-// vs recover) compare runs of the same workload exactly.
-var processSeed = maphash.MakeSeed()
-
 // NewSession creates a session with its own simulated cluster. An invalid
 // cluster configuration is reported as an error rather than a panic, so
 // harnesses sweeping configurations can surface it as a failed run.
@@ -234,7 +224,6 @@ func NewSession(cfg Config) (*Session, error) {
 		cfg:      cfg,
 		sim:      sim,
 		exec:     exec,
-		seed:     processSeed,
 		workers:  workers,
 		pool:     newWorkerPool(workers),
 		obs:      cfg.Obs,
@@ -310,30 +299,3 @@ func (s *Session) ResetClock() {
 }
 
 func (s *Session) newID() int64 { return s.nextID.Add(1) }
-
-// hashOf hashes a comparable key for partitioning: deterministic (fixed
-// seed, representation-walking) for every supported key type, with a
-// process-seeded maphash fallback for identity-based keys (pointers,
-// interfaces) that cannot be hashed reproducibly anyway. The common key
-// shapes take a monomorphic fast path (stablehash.go) that produces the
-// same bits as the compiled reflection hasher without the per-call type
-// lookup and indirect calls.
-func hashOf[K comparable](s *Session, k K) uint64 {
-	if h, ok := stableHashFast(k); ok {
-		return h
-	}
-	if fn := stableHasherFor(reflect.TypeFor[K]()); fn != nil {
-		// The copy keeps k itself off the heap: &kk escapes into the
-		// indirect hasher call, but only on this (slow) path, so the
-		// fast path above stays allocation-free.
-		kk := k
-		return fn(unsafe.Pointer(&kk), stableSeed)
-	}
-	return maphash.Comparable(s.seed, k)
-}
-
-// HashKey hashes a comparable key with the session's seed (stable for the
-// session's lifetime). The lowering phase derives group tags from it, so
-// tagging inner elements is a narrow map rather than a shuffle partitioned
-// by the (possibly skewed) grouping key.
-func HashKey[K comparable](s *Session, k K) uint64 { return hashOf(s, k) }

@@ -6,60 +6,49 @@ import (
 	"matryoshka/internal/obs"
 )
 
-// keyPartitioner hashes Pair keys for shuffle routing. It is the boxed
-// per-element form every shuffle dep carries; pairShuffleDep installs the
-// batch-at-a-time spelling next to it for hashable key shapes.
-func keyPartitioner[K comparable, V any](s *Session) func(any, int) int {
-	return func(e any, n int) int {
-		return int(hashOf(s, e.(Pair[K, V]).Key) % uint64(n))
-	}
+// place records that element i of the batch being counted goes to partition
+// hash mod nParts.
+func place(hash uint64, nParts, i int, tg, ct []int32) {
+	t := int32(hash % uint64(nParts))
+	tg[i] = t
+	ct[t]++
 }
 
-// pairShuffleDep builds a shuffle dep over Pair[K, V] partitions routed by
-// key hash. When K has a construction-time stable hasher, the dep also
-// gets batchTargets: the router's counting pass then dispatches once per
-// batch and hashes the typed pairs directly, no boxing. Both spellings
-// compute hashOf(s, key) bit-identically, so which one runs is invisible
-// to routing results.
-func pairShuffleDep[K comparable, V any](s *Session, parent *node) dep {
-	d := dep{parent: parent, kind: depShuffle, partitioner: keyPartitioner[K, V](s)}
-	if h, ok := stableBatchHasher[K](); ok {
-		d.batchTargets = func(b Batch, nParts int, tg, ct []int32) bool {
-			v, ok := b.(*Vec[Pair[K, V]])
-			if !ok {
-				return false
-			}
+// pairShuffleDep builds a shuffle dep over Pair[K, V] partitions placed by
+// key hash. K's hasher is resolved here, once — a key type that cannot be
+// hashed is refused here — and the counting pass hashes the typed pairs
+// where they lie, no boxing. Any other batch shape holding the same pairs
+// (the fan-in concat's boxed batches) is walked element by element through
+// hashOf, to the same bits.
+func pairShuffleDep[K comparable, V any](parent *node) dep {
+	h := keyHasher[K]()
+	return dep{parent: parent, kind: depShuffle, targets: func(_ int, b Batch, nParts int, tg, ct []int32) {
+		if v, ok := b.(*Vec[Pair[K, V]]); ok {
 			for i := range v.xs {
-				t := int32(h(&v.xs[i].Key) % uint64(nParts))
-				tg[i] = t
-				ct[t]++
+				place(h(&v.xs[i].Key), nParts, i, tg, ct)
 			}
-			return true
+			return
 		}
-	}
-	return d
+		for i := range tg {
+			place(hashOf(b.At(i).(Pair[K, V]).Key), nParts, i, tg, ct)
+		}
+	}}
 }
 
 // elemShuffleDep is pairShuffleDep for element-hashed shuffles (Distinct).
-func elemShuffleDep[T comparable](s *Session, parent *node) dep {
-	d := dep{parent: parent, kind: depShuffle, partitioner: func(e any, n int) int {
-		return int(hashOf(s, e.(T)) % uint64(n))
-	}}
-	if h, ok := stableBatchHasher[T](); ok {
-		d.batchTargets = func(b Batch, nParts int, tg, ct []int32) bool {
-			v, ok := b.(*Vec[T])
-			if !ok {
-				return false
-			}
+func elemShuffleDep[T comparable](parent *node) dep {
+	h := keyHasher[T]()
+	return dep{parent: parent, kind: depShuffle, targets: func(_ int, b Batch, nParts int, tg, ct []int32) {
+		if v, ok := b.(*Vec[T]); ok {
 			for i := range v.xs {
-				t := int32(h(&v.xs[i]) % uint64(nParts))
-				tg[i] = t
-				ct[t]++
+				place(h(&v.xs[i]), nParts, i, tg, ct)
 			}
-			return true
+			return
 		}
-	}
-	return d
+		for i := range tg {
+			place(hashOf(b.At(i).(T)), nParts, i, tg, ct)
+		}
+	}}
 }
 
 // ReduceByKey merges all values sharing a key with f, using the session's
@@ -111,7 +100,7 @@ func reduceByKey[K comparable, V any](d Dataset[Pair[K, V]], f func(V, V) V, par
 		combined = combined.Unscaled()
 	}
 	outWeight := combined.n.weight
-	sd := pairShuffleDep[K, V](d.s, combined.n)
+	sd := pairShuffleDep[K, V](combined.n)
 	kernel := foldCompute[Pair[K, V]](tables)
 	n := d.s.newNode("reduceByKey", parts, []dep{sd}, func(tc *Ctx, p int, in []Batch) Batch {
 		b := kernel(tc, p, in)
@@ -148,7 +137,7 @@ func GroupByKeyN[K comparable, V any](d Dataset[Pair[K, V]], parts int) Dataset[
 		return GroupByKeySpillN(d, parts)
 	}
 	inWeight := d.n.weight
-	sd := pairShuffleDep[K, V](d.s, d.n)
+	sd := pairShuffleDep[K, V](d.n)
 	kernel := GroupByKeyCompute[K, V]()
 	var n *node
 	n = d.s.newNode("groupByKey", parts, []dep{sd}, func(tc *Ctx, p int, in []Batch) Batch {
@@ -194,7 +183,7 @@ func GroupByKeySpillN[K comparable, V any](d Dataset[Pair[K, V]], parts int) Dat
 		parts = d.s.cfg.DefaultParallelism
 	}
 	inWeight := d.n.weight
-	sd := pairShuffleDep[K, V](d.s, d.n)
+	sd := pairShuffleDep[K, V](d.n)
 	kernel := GroupByKeyCompute[K, V]()
 	n := d.s.newNode("groupByKeySpill", parts, []dep{sd}, func(tc *Ctx, p int, in []Batch) Batch {
 		tc.UseMemory(d.s.estResidentBytes(in[0], inWeight) / spillResidencyFraction)
@@ -232,7 +221,7 @@ func distinct[T comparable](d Dataset[T], parts int, bound bool) Dataset[T] {
 	}
 	outWeight := local.n.weight
 	s := d.s
-	sd := elemShuffleDep[T](s, local.n)
+	sd := elemShuffleDep[T](local.n)
 	n := s.newNode("distinct", parts, []dep{sd}, func(tc *Ctx, p int, in []Batch) Batch {
 		// The boxed loop kept the input-length capacity it pre-sized.
 		b := batchOf(foldBatch[T](tables, in[0]), in[0].Len())
@@ -255,7 +244,7 @@ func PartitionByKey[K comparable, V any](d Dataset[Pair[K, V]], parts int) Datas
 	if d.n.pkey.matches(partInfoFor[K](parts)) {
 		return d
 	}
-	sd := pairShuffleDep[K, V](d.s, d.n)
+	sd := pairShuffleDep[K, V](d.n)
 	sd.aliased = true // identityCompute hands the blocks on
 	n := d.s.newNode("partitionByKey", parts, []dep{sd}, identityCompute)
 	// Pure routing (the shuffle blocks already are the output): portable.
@@ -274,8 +263,10 @@ func Repartition[T any](d Dataset[T], parts int) Dataset[T] {
 		parts = d.s.cfg.DefaultParallelism
 	}
 	// aliased: identityCompute hands the blocks on.
-	sd := dep{parent: d.n, kind: depShuffle, aliased: true, posPartitioner: func(src, idx, n int) int {
-		return (src + idx) % n
+	sd := dep{parent: d.n, kind: depShuffle, aliased: true, targets: func(src int, _ Batch, nParts int, tg, ct []int32) {
+		for i := range tg {
+			place(uint64(src+i), nParts, i, tg, ct)
+		}
 	}}
 	n := d.s.newNode("repartition", parts, []dep{sd}, identityCompute)
 	// Pure routing (the shuffle blocks already are the output): portable.

@@ -1,25 +1,40 @@
 package engine
 
-// Deterministic key hashing for shuffle partitioning. Go's runtime hash
-// (hash/maphash, map internals) is randomized per process on purpose; if
-// partitioners used it, the records each partition receives — and with
-// them task durations, shuffle volumes, and OOM boundaries — would
-// change from one invocation of the same program to the next. The
-// simulation's contract is stronger: identical inputs produce
-// bit-identical virtual results across processes, so experiment tables
-// are exactly regenerable and a fixed-seed chaos run fails in exactly
-// the same place every time.
+// Deterministic key hashing: the one function that places a shuffled row
+// and names a lifted group (HashKey). Go's own hashes (hash/maphash, map
+// internals) are randomized per process on purpose; if placement used
+// them, the records each partition receives — and with them task
+// durations, shuffle volumes, and OOM boundaries — would change from one
+// invocation of the same program to the next. The simulation's contract is
+// stronger: identical inputs produce bit-identical virtual results across
+// processes, so experiment tables are exactly regenerable and a fixed-seed
+// chaos run fails in exactly the same place every time.
 //
-// stableHasher compiles, once per key type, a hash function that walks
-// the value's concrete representation (integers, floats, strings,
-// arrays, struct fields at their offsets — skipping padding) and mixes
-// it with splitmix64. Types it cannot walk deterministically (pointers,
-// interfaces) fall back to the process-seeded maphash. One workload keys
-// on such a type: bounce rate lowered through internal/ir shuffles on
-// `any` keys, so the benchmark's bounce_ir_boxed places its records — and
-// reports its sim_s — differently in every process (ROADMAP item 4).
+// compileStableHasher builds, once per key type, a hash function that
+// walks the value's concrete representation (integers, floats, strings,
+// arrays, struct fields at their offsets — skipping padding) and mixes it
+// with splitmix64 from one fixed seed. A boxed key (any, or an interface
+// field of a struct key) hashes as the value it holds, through the hasher
+// of its dynamic type, so an IR program over []any places its rows where
+// its typed twin does. What has no value to walk — pointers, channels,
+// funcs, maps, slices: identity, or not comparable at all — is refused by
+// name (mustHasher): when the dep is built if the key type says so, as a
+// panic out of the partitioner if only a boxed key's dynamic type does.
+// There is no fallback that would place such a key differently in every
+// process.
+//
+// Two switches sit in front of the compiled hashers, for the key types
+// that carry the traffic (measured: EXPERIMENTS.md, "Key hashing: one
+// path"): hashOf dispatches per call and takes the key by value, because a
+// key handed by pointer to an indirect call escapes to the heap — it backs
+// HashKey inside Map closures; keyHasher resolves once per shuffle dep to a
+// closure that reads the key where it lies in its batch. Both list int,
+// int64, uint64, string and any, replay exactly the fold the compiled
+// hasher performs, and send every other type to the compiled hasher — same
+// bits, asserted by TestStableHashersAgree.
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -29,99 +44,109 @@ import (
 // hashFn folds the value at p into h.
 type hashFn func(p unsafe.Pointer, h uint64) uint64
 
-// stableSeed is the fixed initial state. One constant for every session
-// keeps the A/B property of the old process-wide seed (two sessions in
-// one process — or now in any process — place elements identically).
+// stableSeed is the fixed initial state: two sessions, in one process or in
+// two, place elements identically.
 const stableSeed uint64 = 0x9e3779b97f4a7c15
 
-var stableHashers sync.Map // reflect.Type -> hashFn (nil when unsupported)
+var stableHashers sync.Map // reflect.Type -> hashFn (nil func when refused)
 
 // stableHasherFor returns the compiled hasher for t, or nil if t (or a
-// nested field) cannot be hashed deterministically.
+// nested field) has no representation to walk.
 func stableHasherFor(t reflect.Type) hashFn {
 	if fn, ok := stableHashers.Load(t); ok {
-		if fn == nil {
-			return nil
-		}
 		return fn.(hashFn)
 	}
 	fn := compileStableHasher(t)
-	if fn == nil {
-		stableHashers.Store(t, nil)
-		return nil
-	}
 	stableHashers.Store(t, fn)
 	return fn
 }
 
-// Monomorphic fast-path hashing: hashOf dispatches on the key type once
-// (a dictionary-resolved reflect.TypeFor compare, no interface boxing —
-// converting the key to any would allocate) and folds the value inline.
-// Each case replays exactly the fold the compiled reflection hasher
-// performs for that type — a struct hasher visits fields in order, so
-// Pair[K, V] hashes as key then value — and a test asserts bit-equality
-// against the compiled hashers. Keys outside the set report !ok and take
-// the compiled path.
+// mustHasher is stableHasherFor for a type about to be used as a key.
+func mustHasher(t reflect.Type) hashFn {
+	fn := stableHasherFor(t)
+	if fn == nil {
+		panic(fmt.Sprintf("engine: key type %v cannot be hashed reproducibly: it holds a pointer, channel, func, map or slice", t))
+	}
+	return fn
+}
+
 var (
-	typInt            = reflect.TypeFor[int]()
-	typInt64          = reflect.TypeFor[int64]()
-	typInt32          = reflect.TypeFor[int32]()
-	typUint64         = reflect.TypeFor[uint64]()
-	typUint32         = reflect.TypeFor[uint32]()
-	typUint           = reflect.TypeFor[uint]()
-	typString         = reflect.TypeFor[string]()
-	typPairIntInt     = reflect.TypeFor[Pair[int, int]]()
-	typPairIntInt64   = reflect.TypeFor[Pair[int, int64]]()
-	typPairInt64Int   = reflect.TypeFor[Pair[int64, int]]()
-	typPairInt64Int64 = reflect.TypeFor[Pair[int64, int64]]()
-	typPairU64U64     = reflect.TypeFor[Pair[uint64, uint64]]()
-	typPairStrStr     = reflect.TypeFor[Pair[string, string]]()
-	typPairStrInt     = reflect.TypeFor[Pair[string, int]]()
-	typPairIntStr     = reflect.TypeFor[Pair[int, string]]()
+	typInt    = reflect.TypeFor[int]()
+	typInt64  = reflect.TypeFor[int64]()
+	typUint64 = reflect.TypeFor[uint64]()
+	typString = reflect.TypeFor[string]()
+	typAny    = reflect.TypeFor[any]()
 )
 
-func stableHashFast[K comparable](k K) (uint64, bool) {
+// hashOf hashes a key by value (no interface boxing of a typed key —
+// converting it to any would allocate).
+func hashOf[K comparable](k K) uint64 {
 	switch reflect.TypeFor[K]() {
 	case typInt:
-		return mix64(stableSeed, uint64(*(*int)(unsafe.Pointer(&k)))), true
+		return mix64(stableSeed, uint64(*(*int)(unsafe.Pointer(&k))))
 	case typInt64:
-		return mix64(stableSeed, uint64(*(*int64)(unsafe.Pointer(&k)))), true
-	case typInt32:
-		return mix64(stableSeed, uint64(*(*int32)(unsafe.Pointer(&k)))), true
+		return mix64(stableSeed, uint64(*(*int64)(unsafe.Pointer(&k))))
 	case typUint64:
-		return mix64(stableSeed, *(*uint64)(unsafe.Pointer(&k))), true
-	case typUint32:
-		return mix64(stableSeed, uint64(*(*uint32)(unsafe.Pointer(&k)))), true
-	case typUint:
-		return mix64(stableSeed, uint64(*(*uint)(unsafe.Pointer(&k)))), true
+		return mix64(stableSeed, *(*uint64)(unsafe.Pointer(&k)))
 	case typString:
-		return hashString(*(*string)(unsafe.Pointer(&k)), stableSeed), true
-	case typPairIntInt:
-		v := *(*Pair[int, int])(unsafe.Pointer(&k))
-		return mix64(mix64(stableSeed, uint64(v.Key)), uint64(v.Val)), true
-	case typPairIntInt64:
-		v := *(*Pair[int, int64])(unsafe.Pointer(&k))
-		return mix64(mix64(stableSeed, uint64(v.Key)), uint64(v.Val)), true
-	case typPairInt64Int:
-		v := *(*Pair[int64, int])(unsafe.Pointer(&k))
-		return mix64(mix64(stableSeed, uint64(v.Key)), uint64(v.Val)), true
-	case typPairInt64Int64:
-		v := *(*Pair[int64, int64])(unsafe.Pointer(&k))
-		return mix64(mix64(stableSeed, uint64(v.Key)), uint64(v.Val)), true
-	case typPairU64U64:
-		v := *(*Pair[uint64, uint64])(unsafe.Pointer(&k))
-		return mix64(mix64(stableSeed, v.Key), v.Val), true
-	case typPairStrStr:
-		v := *(*Pair[string, string])(unsafe.Pointer(&k))
-		return hashString(v.Val, hashString(v.Key, stableSeed)), true
-	case typPairStrInt:
-		v := *(*Pair[string, int])(unsafe.Pointer(&k))
-		return mix64(hashString(v.Key, stableSeed), uint64(v.Val)), true
-	case typPairIntStr:
-		v := *(*Pair[int, string])(unsafe.Pointer(&k))
-		return hashString(v.Val, mix64(stableSeed, uint64(v.Key))), true
+		return hashString(*(*string)(unsafe.Pointer(&k)), stableSeed)
+	case typAny:
+		return hashBoxed(*(*any)(unsafe.Pointer(&k)), stableSeed)
 	}
-	return 0, false
+	fn := mustHasher(reflect.TypeFor[K]())
+	// The copy keeps k itself off the heap: &kk escapes into the indirect
+	// hasher call, but only here, so the cases above stay allocation-free.
+	kk := k
+	return fn(unsafe.Pointer(&kk), stableSeed)
+}
+
+// HashKey is the hash shuffles place a key by. The lowering phase derives
+// group tags from it, so tagging inner elements is a narrow map rather
+// than a shuffle partitioned by the (possibly skewed) grouping key.
+func HashKey[K comparable](k K) uint64 { return hashOf(k) }
+
+// keyHasher returns hashOf for keys read in place: a closure resolved once,
+// when a shuffle dep is built, so the router's counting pass hashes whole
+// batches without per-element type dispatch and a composite key is walked
+// where it lies. It refuses a K that cannot be hashed.
+func keyHasher[K comparable]() func(*K) uint64 {
+	switch reflect.TypeFor[K]() {
+	case typInt:
+		return func(k *K) uint64 { return mix64(stableSeed, uint64(*(*int)(unsafe.Pointer(k)))) }
+	case typInt64:
+		return func(k *K) uint64 { return mix64(stableSeed, uint64(*(*int64)(unsafe.Pointer(k)))) }
+	case typUint64:
+		return func(k *K) uint64 { return mix64(stableSeed, *(*uint64)(unsafe.Pointer(k))) }
+	case typString:
+		return func(k *K) uint64 { return hashString(*(*string)(unsafe.Pointer(k)), stableSeed) }
+	case typAny:
+		return func(k *K) uint64 { return hashBoxed(*(*any)(unsafe.Pointer(k)), stableSeed) }
+	}
+	fn := mustHasher(reflect.TypeFor[K]())
+	return func(k *K) uint64 { return fn(unsafe.Pointer(k), stableSeed) }
+}
+
+// hashBoxed folds the value e holds into h: what the hasher of e's dynamic
+// type would fold, so boxing a key does not change its hash. Anything the
+// compiled hashers accept is stored in an interface indirectly (only
+// pointer-shaped types — pointers, channels, funcs, maps — are stored in
+// the data word itself, and those are refused), so the data word is the
+// address of the value and nothing is copied.
+func hashBoxed(e any, h uint64) uint64 {
+	switch v := e.(type) {
+	case nil:
+		return mix64(h, 0)
+	case int:
+		return mix64(h, uint64(v))
+	case int64:
+		return mix64(h, uint64(v))
+	case uint64:
+		return mix64(h, v)
+	case string:
+		return hashString(v, h)
+	}
+	fn := mustHasher(reflect.TypeOf(e))
+	return fn((*[2]unsafe.Pointer)(unsafe.Pointer(&e))[1], h)
 }
 
 func mix64(h, v uint64) uint64 {
@@ -167,22 +192,18 @@ func compileStableHasher(t reflect.Type) hashFn {
 	case reflect.Uintptr:
 		return func(p unsafe.Pointer, h uint64) uint64 { return mix64(h, uint64(*(*uintptr)(p))) }
 	case reflect.Float32:
-		return func(p unsafe.Pointer, h uint64) uint64 {
-			return mix64(h, uint64(math.Float32bits(*(*float32)(p))))
-		}
+		return func(p unsafe.Pointer, h uint64) uint64 { return mix64(h, bits32(*(*float32)(p))) }
 	case reflect.Float64:
-		return func(p unsafe.Pointer, h uint64) uint64 {
-			return mix64(h, math.Float64bits(*(*float64)(p)))
-		}
+		return func(p unsafe.Pointer, h uint64) uint64 { return mix64(h, bits64(*(*float64)(p))) }
 	case reflect.Complex64:
 		return func(p unsafe.Pointer, h uint64) uint64 {
 			c := *(*complex64)(p)
-			return mix64(mix64(h, uint64(math.Float32bits(real(c)))), uint64(math.Float32bits(imag(c))))
+			return mix64(mix64(h, bits32(real(c))), bits32(imag(c)))
 		}
 	case reflect.Complex128:
 		return func(p unsafe.Pointer, h uint64) uint64 {
 			c := *(*complex128)(p)
-			return mix64(mix64(h, math.Float64bits(real(c))), math.Float64bits(imag(c)))
+			return mix64(mix64(h, bits64(real(c))), bits64(imag(c)))
 		}
 	case reflect.String:
 		return func(p unsafe.Pointer, h uint64) uint64 { return hashString(*(*string)(p), h) }
@@ -218,11 +239,36 @@ func compileStableHasher(t reflect.Type) hashFn {
 			}
 			return h
 		}
+	case reflect.Interface:
+		if t.NumMethod() == 0 {
+			return func(p unsafe.Pointer, h uint64) uint64 { return hashBoxed(*(*any)(p), h) }
+		}
+		// An interface with methods has an itab where any has the type;
+		// reflect converts between the two without copying the value.
+		return func(p unsafe.Pointer, h uint64) uint64 {
+			return hashBoxed(reflect.NewAt(t, p).Elem().Interface(), h)
+		}
 	default:
-		// Pointers, interfaces, channels: identity-based, cannot be
-		// walked deterministically.
+		// Pointers, channels: identity. Funcs, maps, slices: not comparable.
 		return nil
 	}
+}
+
+// bits64 and bits32 are Float64bits and Float32bits with -0 read as +0: the
+// two zeros compare equal, so as keys they are one group and must hash as
+// one. (Every NaN is its own group; its bits may hash as they are.)
+func bits64(f float64) uint64 {
+	if f == 0 {
+		return 0
+	}
+	return math.Float64bits(f)
+}
+
+func bits32(f float32) uint64 {
+	if f == 0 {
+		return 0
+	}
+	return uint64(math.Float32bits(f))
 }
 
 // hashString folds a string 8 bytes at a time (length first, so "a"+"b"
@@ -242,78 +288,4 @@ func hashString(s string, h uint64) uint64 {
 		h = mix64(h, v)
 	}
 	return h
-}
-
-// stableBatchHasher returns a monomorphic closure producing the same bits
-// as hashOf(s, *k) for every value of K, resolved once at dep-construction
-// time so the shuffle router's counting pass hashes whole batches without
-// boxing or per-element type dispatch. It takes the key by pointer and only
-// reads through it: the router passes the address of the key inside its
-// batch, so a composite key (a struct the compiled hasher walks) is hashed
-// where it lies — handing the compiled hasher the address of a by-value
-// copy cost one heap allocation per shuffled row. Keys whose hash is
-// process-seeded (pointers, interfaces — the maphash fallback) report
-// ok=false; their deps route through the boxed per-element partitioner as
-// before.
-func stableBatchHasher[K comparable]() (func(*K) uint64, bool) {
-	switch reflect.TypeFor[K]() {
-	case typInt:
-		return func(k *K) uint64 { return mix64(stableSeed, uint64(*(*int)(unsafe.Pointer(k)))) }, true
-	case typInt64:
-		return func(k *K) uint64 { return mix64(stableSeed, uint64(*(*int64)(unsafe.Pointer(k)))) }, true
-	case typInt32:
-		return func(k *K) uint64 { return mix64(stableSeed, uint64(*(*int32)(unsafe.Pointer(k)))) }, true
-	case typUint64:
-		return func(k *K) uint64 { return mix64(stableSeed, *(*uint64)(unsafe.Pointer(k))) }, true
-	case typUint32:
-		return func(k *K) uint64 { return mix64(stableSeed, uint64(*(*uint32)(unsafe.Pointer(k)))) }, true
-	case typUint:
-		return func(k *K) uint64 { return mix64(stableSeed, uint64(*(*uint)(unsafe.Pointer(k)))) }, true
-	case typString:
-		return func(k *K) uint64 { return hashString(*(*string)(unsafe.Pointer(k)), stableSeed) }, true
-	case typPairIntInt:
-		return func(k *K) uint64 {
-			v := *(*Pair[int, int])(unsafe.Pointer(k))
-			return mix64(mix64(stableSeed, uint64(v.Key)), uint64(v.Val))
-		}, true
-	case typPairIntInt64:
-		return func(k *K) uint64 {
-			v := *(*Pair[int, int64])(unsafe.Pointer(k))
-			return mix64(mix64(stableSeed, uint64(v.Key)), uint64(v.Val))
-		}, true
-	case typPairInt64Int:
-		return func(k *K) uint64 {
-			v := *(*Pair[int64, int])(unsafe.Pointer(k))
-			return mix64(mix64(stableSeed, uint64(v.Key)), uint64(v.Val))
-		}, true
-	case typPairInt64Int64:
-		return func(k *K) uint64 {
-			v := *(*Pair[int64, int64])(unsafe.Pointer(k))
-			return mix64(mix64(stableSeed, uint64(v.Key)), uint64(v.Val))
-		}, true
-	case typPairU64U64:
-		return func(k *K) uint64 {
-			v := *(*Pair[uint64, uint64])(unsafe.Pointer(k))
-			return mix64(mix64(stableSeed, v.Key), v.Val)
-		}, true
-	case typPairStrStr:
-		return func(k *K) uint64 {
-			v := *(*Pair[string, string])(unsafe.Pointer(k))
-			return hashString(v.Val, hashString(v.Key, stableSeed))
-		}, true
-	case typPairStrInt:
-		return func(k *K) uint64 {
-			v := *(*Pair[string, int])(unsafe.Pointer(k))
-			return mix64(hashString(v.Key, stableSeed), uint64(v.Val))
-		}, true
-	case typPairIntStr:
-		return func(k *K) uint64 {
-			v := *(*Pair[int, string])(unsafe.Pointer(k))
-			return hashString(v.Val, mix64(stableSeed, uint64(v.Key)))
-		}, true
-	}
-	if fn := stableHasherFor(reflect.TypeFor[K]()); fn != nil {
-		return func(k *K) uint64 { return fn(unsafe.Pointer(k), stableSeed) }, true
-	}
-	return nil, false
 }

@@ -52,17 +52,16 @@ type Bag[K comparable, V any] struct {
 // Top; Dict is a narrow rekeying of the source and costs nothing until
 // a downstream consumer evaluates it.
 func Shred[K comparable, V any](d engine.Dataset[engine.Pair[K, V]]) Bag[K, V] {
-	sess := d.Session()
 	sizes := engine.ReduceByKeyBound(
 		engine.Map(d, func(p engine.Pair[K, V]) engine.Pair[K, int64] {
 			return engine.KV(p.Key, int64(1))
 		}),
 		func(a, b int64) int64 { return a + b }, 0)
 	top := engine.Map(sizes, func(p engine.Pair[K, int64]) Record[K] {
-		return Record[K]{Key: p.Key, Group: engine.HashKey(sess, p.Key), Size: p.Val}
+		return Record[K]{Key: p.Key, Group: engine.HashKey(p.Key), Size: p.Val}
 	}).Cache()
 	dict := engine.Map(d, func(p engine.Pair[K, V]) engine.Pair[uint64, V] {
-		return engine.KV(engine.HashKey(sess, p.Key), p.Val)
+		return engine.KV(engine.HashKey(p.Key), p.Val)
 	})
 	return Bag[K, V]{Top: top, Dict: dict}
 }

@@ -121,8 +121,8 @@ func TestTopRecordsEnumerateGroupsOnce(t *testing.T) {
 	}
 	var total int64
 	for _, r := range recs {
-		if r.Group != engine.HashKey(s, r.Key) {
-			t.Errorf("key %d: group id %d != HashKey %d", r.Key, r.Group, engine.HashKey(s, r.Key))
+		if r.Group != engine.HashKey(r.Key) {
+			t.Errorf("key %d: group id %d != HashKey %d", r.Key, r.Group, engine.HashKey(r.Key))
 		}
 		total += r.Size
 	}

@@ -1,6 +1,9 @@
 package tasks
 
 import (
+	"maps"
+	"slices"
+
 	"matryoshka/internal/cluster"
 	"matryoshka/internal/core"
 	"matryoshka/internal/datagen"
@@ -242,13 +245,16 @@ func (sp AvgDistSpec) runInner(cc cluster.Config) Outcome {
 	if err != nil {
 		return finish(avgDistName, InnerParallel, sess, nil, err)
 	}
+	// Components and BFS sources in key order, not map order: the clock is a
+	// float sum over the jobs they launch.
 	compVerts := map[int64][]int64{}
-	for v, c := range labelMap {
+	for _, v := range slices.Sorted(maps.Keys(labelMap)) {
+		c := labelMap[v]
 		compVerts[c] = append(compVerts[c], v)
 	}
 	value := make(AvgDistValue, len(compVerts))
-	for comp, vs := range compVerts {
-		compID := comp
+	for _, comp := range slices.Sorted(maps.Keys(compVerts)) {
+		compID, vs := comp, compVerts[comp]
 		compEdges := engine.Filter(edges, func(e datagen.Edge) bool { return labelMap[e.Src] == compID }).Cache()
 		var sum, pairs int64
 		for _, src := range vs {

@@ -1,7 +1,9 @@
 package tasks
 
 import (
+	"maps"
 	"math"
+	"slices"
 
 	"matryoshka/internal/cluster"
 	"matryoshka/internal/core"
@@ -245,7 +247,8 @@ func (sp PageRankSpec) runInner(cc cluster.Config) Outcome {
 	}
 	all := engine.Parallelize(sess, pairs, 0).Cache()
 	value := make(PageRankValue, len(groupIDs))
-	for g := range groupIDs {
+	// In key order, not map order: the clock is a float sum over the jobs.
+	for _, g := range slices.Sorted(maps.Keys(groupIDs)) {
 		gid := g
 		edges := engine.Values(engine.Filter(all, func(p engine.Pair[int64, datagen.Edge]) bool { return p.Key == gid })).Cache()
 		ranks, err := enginePageRank(sess, edges, sp.Eps, sp.MaxIters)
@@ -271,10 +274,9 @@ func enginePageRank(sess *engine.Session, edges engine.Dataset[datagen.Edge], ep
 	if err != nil {
 		return nil, err
 	}
-	verts := make([]int64, 0, len(adj))
-	for v := range adj {
-		verts = append(verts, v)
-	}
+	// Sorted: verts is a dataset (its order is what each partition holds and
+	// ships) and the order dangling and delta are summed in.
+	verts := slices.Sorted(maps.Keys(adj))
 	n := float64(len(verts))
 	if n == 0 {
 		return map[int64]float64{}, nil
