@@ -66,12 +66,14 @@ bench-check:
 ## fuzz-smoke: fuzz the batch wire codec for 30s from the checked-in seed
 ## corpus (internal/engine/testdata/fuzz/FuzzBatchCodec), then the
 ## process-pool frame protocol for 15s (the driver parses these bytes off
-## a socket from another process). Neither decoder may panic on arbitrary
-## bytes, and everything accepted must round-trip; CI runs this on every
-## push.
+## a socket from another process) and the task parser for 15s (the worker
+## parses those, and walks what it accepted). No decoder may panic on
+## arbitrary bytes, and everything accepted must round-trip; CI runs this
+## on every push.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBatchCodec -fuzztime 30s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime 15s ./internal/procpool
+	$(GO) test -run '^$$' -fuzz FuzzRemoteTask -fuzztime 15s ./internal/procpool
 
 ## figures: regenerate the simulated-cluster paper figures
 ## (internal/bench/testdata/bench_rows.csv).

@@ -11,8 +11,9 @@ package engine
 // driver-evaluated source partitions, all framed with the batchio codec.
 // The worker resolves operator names through the same registry (populated
 // by init-time registrations linked into both processes — see
-// internal/taskreg), fetches the leaf blocks, and replays the exact
-// unfused per-operator evaluation the driver's evalPartDirect would run.
+// internal/taskreg) once per job (RemoteEvaluator), reads the leaf blocks,
+// and replays the exact unfused per-operator evaluation the driver's
+// evalPartDirect would run.
 // Results are bit-identical by construction: both sides run the same
 // registered kernels over the same blocks in the same order.
 //
@@ -26,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -70,12 +70,6 @@ func (e *PoisonTaskError) Error() string {
 		e.Stage, e.Part, e.Ops, e.Workers)
 }
 
-// blockLostMark prefixes every BlockLostError message. A worker that hits
-// a corrupt block reports the failure as a plain error string over the
-// wire; ParseBlockLost recovers the typed identity on the driver side by
-// scanning for this marker.
-const blockLostMark = "lost block "
-
 // BlockLostError reports that a stored block could not be served intact —
 // its spill file failed the integrity checksum, was truncated, or
 // vanished. The executor surfaces it as a lost shuffle output of the
@@ -87,31 +81,7 @@ type BlockLostError struct {
 }
 
 func (e *BlockLostError) Error() string {
-	return fmt.Sprintf("%s%d: %s", blockLostMark, e.Block, e.Reason)
-}
-
-// ParseBlockLost scans an error message (possibly wrapped by worker-side
-// prefixes and a wire crossing) for a BlockLostError marker and returns
-// the lost block id plus the trailing reason text.
-func ParseBlockLost(msg string) (id uint64, reason string, ok bool) {
-	i := strings.LastIndex(msg, blockLostMark)
-	if i < 0 {
-		return 0, "", false
-	}
-	rest := msg[i+len(blockLostMark):]
-	j := 0
-	for j < len(rest) && rest[j] >= '0' && rest[j] <= '9' {
-		j++
-	}
-	if j == 0 {
-		return 0, "", false
-	}
-	id, err := strconv.ParseUint(rest[:j], 10, 64)
-	if err != nil {
-		return 0, "", false
-	}
-	reason = strings.TrimPrefix(rest[j:], ": ")
-	return id, reason, true
+	return fmt.Sprintf("lost block %d: %s", e.Block, e.Reason)
 }
 
 // OpChain renders the operator names of a task tree, root-last, for
@@ -240,7 +210,7 @@ type RemoteNode struct {
 	Inputs []RemoteInput `json:"inputs,omitempty"`
 }
 
-// RemoteInput is one dep's input batch: a block to fetch from the driver,
+// RemoteInput is one dep's input batch: a block from the driver's store,
 // a nested in-chain operator, a fan-in concatenation, or nothing.
 type RemoteInput struct {
 	Kind   string        `json:"kind"` // "block" | "node" | "concat" | "empty"
@@ -254,7 +224,7 @@ type RemoteStageResult struct {
 	// Parts holds the stage root's materialized partitions, decoded.
 	Parts []Batch
 	// BytesShipped counts the encoded frames that crossed process
-	// boundaries for this stage (input blocks fetched plus results).
+	// boundaries for this stage (input blocks pushed plus results).
 	BytesShipped int64
 	// Workers is how many live worker processes ran the stage's tasks.
 	Workers int
@@ -264,7 +234,7 @@ type RemoteStageResult struct {
 // that implements it receives portable stages instead of having the driver
 // execute their tasks locally. PutBlock stores one encoded batch in the
 // backend's block store (spilling to disk over its budget) and returns the
-// id workers fetch it by. RunRemoteStage distributes the spec's tasks over
+// id task trees name it by. RunRemoteStage distributes the spec's tasks over
 // live workers, retrying tasks whose worker died mid-stage; ctx
 // cancellation must stop dispatching promptly. Error semantics the
 // executor relies on: *QuorumLostError and *BlockLostError become
@@ -407,45 +377,85 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 }
 
 // FetchFunc resolves a block id to its batch. The worker's implementation
-// fetches the encoded frame from the driver over the pool socket, with a
-// per-worker cache so shared blocks (broadcasts) cross the wire once.
+// looks the id up in the cache of blocks the driver pushed ahead of the
+// task.
 type FetchFunc func(id uint64) (Batch, error)
 
-// RunRemoteTask evaluates one shipped task in the current process: resolve
-// each operator through the portable-op registry, fetch leaf blocks, and
-// run the chain bottom-up — exactly the unfused evaluation the driver
-// would perform. A panicking kernel is reported as an error, not a worker
-// death.
-func RunRemoteTask(t *RemoteTask, fetch FetchFunc) (b Batch, err error) {
+// RemoteEvaluator runs shipped tasks in one process. It resolves each
+// (op, arg) pair through the portable-op registry once and keeps the
+// kernel until Reset, so an operator folds or joins in one pooled scratch
+// across the partitions it is given — as the driver's node does — and a
+// parameterized UDF decodes its argument once, not once per partition.
+// The zero value is ready; it is not safe for concurrent use.
+type RemoteEvaluator struct {
+	// FirstRun, when set, is called before a kernel runs for the first
+	// time since Reset: the moment a process is likeliest to die under an
+	// operator. The pool's worker flushes its answers there, so that such
+	// a death is blamed on the task that ran the kernel.
+	FirstRun func()
+
+	kernels map[kernelKey]PortableCompute
+}
+
+type kernelKey struct{ op, arg string }
+
+// Reset forgets every resolved kernel (and the scratch it pooled). The
+// worker calls it when a job ends, with the block cache.
+func (e *RemoteEvaluator) Reset() { e.kernels = nil }
+
+// RunRemoteTask evaluates one shipped task: fetch leaf blocks and run the
+// chain bottom-up — exactly the unfused evaluation the driver would
+// perform. A panicking kernel is reported as an error, not a worker death.
+func (e *RemoteEvaluator) RunRemoteTask(t *RemoteTask, fetch FetchFunc) (b Batch, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("engine: remote task %d panicked: %v", t.Part, r)
 		}
 	}()
-	return evalRemoteNode(t.Root, fetch)
+	return e.evalNode(t.Root, fetch)
 }
 
-func evalRemoteNode(rn *RemoteNode, fetch FetchFunc) (Batch, error) {
+// kernel returns rn's kernel, resolving it if this is the first node with
+// its (op, arg) since Reset — fresh says so.
+func (e *RemoteEvaluator) kernel(rn *RemoteNode) (compute PortableCompute, fresh bool, err error) {
+	if compute, ok := e.kernels[kernelKey{rn.Op, string(rn.Arg)}]; ok {
+		return compute, false, nil
+	}
 	mkAny, ok := portableOps.Load(rn.Op)
 	if !ok {
-		return nil, fmt.Errorf("engine: portable op %q is not registered in this process", rn.Op)
+		return nil, false, fmt.Errorf("engine: portable op %q is not registered in this process", rn.Op)
 	}
-	compute, err := mkAny.(PortableFactory)(rn.Arg)
+	compute, err = mkAny.(PortableFactory)(rn.Arg)
 	if err != nil {
-		return nil, fmt.Errorf("engine: portable op %q: %w", rn.Op, err)
+		return nil, false, fmt.Errorf("engine: portable op %q: %w", rn.Op, err)
+	}
+	if e.kernels == nil {
+		e.kernels = map[kernelKey]PortableCompute{}
+	}
+	e.kernels[kernelKey{rn.Op, string(rn.Arg)}] = compute
+	return compute, true, nil
+}
+
+func (e *RemoteEvaluator) evalNode(rn *RemoteNode, fetch FetchFunc) (Batch, error) {
+	compute, fresh, err := e.kernel(rn)
+	if err != nil {
+		return nil, err
 	}
 	inputs := make([]Batch, len(rn.Inputs))
 	for i := range rn.Inputs {
-		b, err := evalRemoteInput(&rn.Inputs[i], fetch)
+		b, err := e.evalInput(&rn.Inputs[i], fetch)
 		if err != nil {
 			return nil, err
 		}
 		inputs[i] = b
 	}
+	if fresh && e.FirstRun != nil {
+		e.FirstRun()
+	}
 	return compute(&Ctx{}, rn.Part, inputs), nil
 }
 
-func evalRemoteInput(in *RemoteInput, fetch FetchFunc) (Batch, error) {
+func (e *RemoteEvaluator) evalInput(in *RemoteInput, fetch FetchFunc) (Batch, error) {
 	switch in.Kind {
 	case "empty":
 		return zeroBatch, nil
@@ -459,13 +469,13 @@ func evalRemoteInput(in *RemoteInput, fetch FetchFunc) (Batch, error) {
 		}
 		return b, nil
 	case "node":
-		return evalRemoteNode(in.Node, fetch)
+		return e.evalNode(in.Node, fetch)
 	case "concat":
 		// Fan-in concat replays the driver's boxed chunk-wise appends
 		// (see evalPartDirect), adopting the grown capacity as BoxedCap.
 		var xs []any
 		for i := range in.Concat {
-			b, err := evalRemoteInput(&in.Concat[i], fetch)
+			b, err := e.evalInput(&in.Concat[i], fetch)
 			if err != nil {
 				return nil, err
 			}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"matryoshka/internal/cluster"
@@ -14,9 +15,21 @@ import (
 func ptestTag(x int) Pair[int, int] { return KV(x%7, x) }
 func ptestSum(a, b int) int         { return a + b }
 
+// ptestScaleMade counts calls of ptest.scale's factory: what the evaluator
+// is meant to make once per (op, arg), not once per task.
+var ptestScaleMade int
+
 func init() {
 	RegisterBatchShape[int]()
 	RegisterBatchShape[Pair[int, int]]()
+	RegisterPortableOp("ptest.scale", func(arg []byte) (PortableCompute, error) {
+		ptestScaleMade++
+		k, err := strconv.Atoi(string(arg))
+		if err != nil {
+			return nil, err
+		}
+		return MapCompute(func(x int) int { return k * x }), nil
+	})
 	RegisterPortableOp("ptest.tag", func([]byte) (PortableCompute, error) {
 		return MapCompute(ptestTag), nil
 	})
@@ -29,13 +42,14 @@ func init() {
 }
 
 // fakeRemoteRunner is an in-process RemoteRunner: it stores blocks in a
-// map and evaluates shipped tasks with RunRemoteTask right here — the
+// map and evaluates shipped tasks with a RemoteEvaluator right here — the
 // whole portable spec/serialization path without process management, so
 // failures point at the spec builder rather than the pool.
 type fakeRemoteRunner struct {
 	*cluster.Simulator // Backend + Residency facets
 	blocks             map[uint64]Batch
 	next               uint64
+	eval               RemoteEvaluator
 	stages             int
 	tasks              int
 }
@@ -68,7 +82,7 @@ func (f *fakeRemoteRunner) PutBlock(b Batch) (uint64, error) {
 func (f *fakeRemoteRunner) RunRemoteStage(_ context.Context, spec *RemoteStageSpec) (*RemoteStageResult, error) {
 	parts := make([]Batch, len(spec.Tasks))
 	for i := range spec.Tasks {
-		b, err := RunRemoteTask(&spec.Tasks[i], func(id uint64) (Batch, error) {
+		b, err := f.eval.RunRemoteTask(&spec.Tasks[i], func(id uint64) (Batch, error) {
 			blk, ok := f.blocks[id]
 			if !ok {
 				return nil, codecErr("fake runner: unknown block %d", id)
@@ -119,6 +133,53 @@ func TestRemoteRunnerBitIdentical(t *testing.T) {
 	}
 	if fr.stages == 0 || fr.tasks == 0 {
 		t.Fatalf("nothing ran remotely (stages=%d tasks=%d)", fr.stages, fr.tasks)
+	}
+}
+
+// TestEvaluatorResolvesKernelsOnce ships a 64-task stage through one
+// RemoteEvaluator: the operator's factory must run once for the whole
+// stage, once more for a second argument, and again after Reset — and the
+// values must be what the driver's own evaluation of the stage gives.
+func TestEvaluatorResolvesKernelsOnce(t *testing.T) {
+	data := make([]int, 640)
+	for i := range data {
+		data[i] = i
+	}
+	scaled := func(cfg Config, k int) []int {
+		t.Helper()
+		sess, err := NewSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := func(x int) int { return k * x }
+		out, err := Collect(MarkPortable(Map(Parallelize(sess, data, 64), f), "ptest.scale", []byte(strconv.Itoa(k))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want3, want5 := scaled(Config{}, 3), scaled(Config{}, 5)
+
+	fr := newFakeRemoteRunner(t)
+	firstRuns := 0
+	fr.eval.FirstRun = func() { firstRuns++ }
+	made := ptestScaleMade
+	if got := scaled(Config{Backend: fr}, 3); !reflect.DeepEqual(got, want3) {
+		t.Fatalf("remote values differ from the driver's:\n got  %v\n want %v", got, want3)
+	}
+	if fr.tasks != 64 || ptestScaleMade-made != 1 {
+		t.Fatalf("%d tasks made the kernel %d times, want 64 tasks and 1 kernel", fr.tasks, ptestScaleMade-made)
+	}
+	if got := scaled(Config{Backend: fr}, 5); !reflect.DeepEqual(got, want5) {
+		t.Fatalf("second argument: got %v, want %v", got, want5)
+	}
+	scaled(Config{Backend: fr}, 3)
+	if ptestScaleMade-made != 2 || firstRuns != 2 {
+		t.Fatalf("two arguments over three stages made %d kernels and %d first runs, want 2 and 2", ptestScaleMade-made, firstRuns)
+	}
+	fr.eval.Reset()
+	if got := scaled(Config{Backend: fr}, 3); !reflect.DeepEqual(got, want3) || ptestScaleMade-made != 3 {
+		t.Fatalf("after Reset: values equal %v, %d kernels made, want true and 3", reflect.DeepEqual(got, want3), ptestScaleMade-made)
 	}
 }
 

@@ -1,10 +1,12 @@
 package procpool
 
 import (
+	"context"
 	"errors"
 	"os"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -167,6 +169,92 @@ func TestCorruptSpillRecovery(t *testing.T) {
 	}
 	if !strings.Contains(report, "Recovery") {
 		t.Fatalf("EXPLAIN ANALYZE shows no Recovery line:\n%s", report)
+	}
+}
+
+// sliceBatch wraps xs in a Batch using only what engine exports: the
+// MapPartitions kernel over an empty input hands back whatever its UDF
+// returns.
+func sliceBatch[T any](xs []T) engine.Batch {
+	k := engine.MapPartitionsCompute(func([]T) []T { return xs })
+	return k(&engine.Ctx{}, 0, []engine.Batch{&engine.Vec[T]{}})
+}
+
+// blockSpec stores n small blocks in the pool and builds the stage that
+// reads them back: task i is the identity over block i.
+func blockSpec(t testing.TB, pool *Pool, label string, n int) (*engine.RemoteStageSpec, [][]int) {
+	t.Helper()
+	spec := &engine.RemoteStageSpec{Label: label}
+	want := make([][]int, n)
+	for i := range want {
+		want[i] = []int{i, 10 * i, 100 * i}
+		id, err := pool.PutBlock(sliceBatch(want[i]))
+		if err != nil {
+			t.Fatalf("PutBlock: %v", err)
+		}
+		spec.Tasks = append(spec.Tasks, engine.RemoteTask{Part: i, Root: &engine.RemoteNode{
+			Op: "identity", Part: i, Inputs: []engine.RemoteInput{{Kind: "block", Block: id}},
+		}})
+	}
+	return spec, want
+}
+
+func checkParts(t testing.TB, parts []engine.Batch, want [][]int) {
+	t.Helper()
+	if len(parts) != len(want) {
+		t.Fatalf("got %d parts, want %d", len(parts), len(want))
+	}
+	for i, b := range parts {
+		if !reflect.DeepEqual(b.Data(), want[i]) {
+			t.Fatalf("part %d = %v, want %v", i, b.Data(), want[i])
+		}
+	}
+}
+
+// TestDroppedBlockIsPushedAgain drops exactly one pushed block. One worker
+// makes the frame order deterministic — block 1, task 1, block 2, ... —
+// so the seventh frame is the fourth task's block, and the re-dispatch
+// (frames nine and ten) stays short of the fourteenth. The task must
+// answer that its input is missing and run again once the block is pushed
+// a second time: reference values, and no worker dies or takes blame for
+// the transport's loss.
+func TestDroppedBlockIsPushedAgain(t *testing.T) {
+	pool := startPool(t, Config{Workers: 1, Faults: FaultPlan{DropEveryFrames: 7}})
+	spec, want := blockSpec(t, pool, "dropped-block", 4)
+	res, err := pool.RunRemoteStage(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("stage with a dropped block frame: %v", err)
+	}
+	checkParts(t, res.Parts, want)
+	if got := atomic.LoadUint64(&pool.frameSeq); got != 10 {
+		t.Fatalf("%d data-plane frames, want 10: eight, then the dropped block and its task again", got)
+	}
+	if st := pool.Stats(); st.MachineCrashes != 0 || pool.Respawns() != 0 {
+		t.Fatalf("a dropped block cost %d crashes and %d respawns, want none", st.MachineCrashes, pool.Respawns())
+	}
+}
+
+// TestLostBlockIsTypedOnTheDriver: a spilled block that fails its
+// checksum is found when dispatch reads it from the store to push it —
+// before the task that needs it is sent — and fails the stage as a typed
+// engine.BlockLostError naming the block, with nothing parsed out of an
+// error string and no worker involved.
+func TestLostBlockIsTypedOnTheDriver(t *testing.T) {
+	pool := startPool(t, Config{Workers: 1, MemoryBudget: 1, Faults: FaultPlan{Seed: 7, CorruptSpillEvery: 1}})
+	spec, _ := blockSpec(t, pool, "lost-block", 1)
+	_, err := pool.RunRemoteStage(context.Background(), spec)
+	var bl *engine.BlockLostError
+	if !errors.As(err, &bl) {
+		t.Fatalf("got %v, want BlockLostError", err)
+	}
+	if want := spec.Tasks[0].Root.Inputs[0].Block; bl.Block != want {
+		t.Fatalf("lost block %d, want %d", bl.Block, want)
+	}
+	if st := pool.Stats(); st.FetchFailures != 1 || st.MachineCrashes != 0 {
+		t.Fatalf("fetch failures %d, crashes %d; want 1 and 0", st.FetchFailures, st.MachineCrashes)
+	}
+	if got := atomic.LoadInt64(&pool.nDispatch); got != 0 {
+		t.Fatalf("%d tasks were dispatched ahead of a block the store could not serve", got)
 	}
 }
 

@@ -14,6 +14,7 @@ package procpool
 // respawn; the handshake here installs the replacement.
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -96,7 +97,8 @@ func (p *Pool) handshake(conn net.Conn) (*workerProc, error) {
 		return nil, err
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, body, err := readFrame(conn)
+	br := bufio.NewReaderSize(conn, wireBuf)
+	typ, body, err := readFrame(br)
 	if err != nil || typ != msgHello {
 		return fail(nil, fmt.Errorf("procpool: bad hello (type %d): %v", typ, err))
 	}
@@ -123,9 +125,13 @@ func (p *Pool) handshake(conn net.Conn) (*workerProc, error) {
 		pid:      pid,
 		cmd:      ps.cmd,
 		conn:     conn,
+		br:       br,
+		readDone: make(chan struct{}),
 		exited:   make(chan struct{}),
+		bw:       bufio.NewWriterSize(conn, wireBuf),
+		held:     map[uint64]bool{},
 		lastBeat: time.Now(),
-		pending:  map[uint64]chan taskReply{},
+		pending:  map[uint64]pendingTask{},
 	}
 	if err := w.send(msgHelloAck, encodeHelloAck(w.idx, p.cfg.HeartbeatEvery)); err != nil {
 		return fail(ps, fmt.Errorf("procpool: worker %d ack: %w", w.idx, err))
@@ -275,11 +281,12 @@ func (p *Pool) waitQuorum(ctx context.Context, label string) ([]*workerProc, err
 	}
 }
 
-// sendData writes one data-plane frame (msgTask, msgBlockData), applying
-// the fault plan's frame faults. Control-plane frames (acks, shutdown,
-// cache clears) use w.send directly and stay clean: the chaos being
-// modeled is a flaky transport under load, not a corrupted protocol.
-func (p *Pool) sendData(w *workerProc, typ byte, body []byte) error {
+// sendData writes one data-plane frame (msgTask, msgBlockData) into w's
+// buffered writer — the caller flushes once its share is written —
+// applying the fault plan's frame faults. Control-plane frames (acks,
+// shutdown, cache clears) use w.send directly and stay clean: the chaos
+// being modeled is a flaky transport under load, not a corrupted protocol.
+func (p *Pool) sendData(w *workerProc, typ byte, body ...[]byte) error {
 	if p.cfg.Faults.Active() {
 		n := atomic.AddUint64(&p.frameSeq, 1)
 		switch p.cfg.Faults.frameFaultAt(n) {
@@ -287,20 +294,27 @@ func (p *Pool) sendData(w *workerProc, typ byte, body []byte) error {
 			time.Sleep(p.cfg.Faults.delay())
 		case frameDrop:
 			// Swallowed silently — exactly what a lost datagram looks
-			// like. The task deadline (or heartbeat monitor) unwedges
-			// whoever was waiting for this frame.
+			// like. A task whose block was dropped answers resultMissing
+			// and is sent again; a dropped task is never answered, and
+			// the task deadline (or the heartbeat monitor) unwedges the
+			// share waiting for it.
 			return nil
 		case frameReset:
-			frame := appendFrame(nil, typ, body)
+			// The frames buffered before this one did leave the driver:
+			// flush them, then tear this one.
+			frame := appendFrame(nil, typ, body...)
 			cut := p.cfg.Faults.tearPoint(n, len(frame))
 			w.wmu.Lock()
+			w.bw.Flush()
 			w.conn.Write(frame[:cut])
 			w.wmu.Unlock()
 			w.conn.Close()
 			return fmt.Errorf("procpool: injected connection reset to worker %d mid-frame (%d/%d bytes)", w.idx, cut, len(frame))
 		}
 	}
-	return w.send(typ, body)
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	return writeFrame(w.bw, typ, body...)
 }
 
 // spillDamage builds the block store's post-spill damage hook from the

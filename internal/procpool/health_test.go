@@ -49,10 +49,18 @@ func init() {
 			return inputs[0]
 		}, nil
 	})
-	// htest.sleep naps 300ms, for cancellation to interrupt.
-	engine.RegisterPortableOp("htest.sleep", func([]byte) (engine.PortableCompute, error) {
+	// htest.sleep naps for the duration its arg spells (300ms without
+	// one), for cancellation to interrupt and deadlines to outlast.
+	engine.RegisterPortableOp("htest.sleep", func(arg []byte) (engine.PortableCompute, error) {
+		nap := 300 * time.Millisecond
+		if len(arg) > 0 {
+			var err error
+			if nap, err = time.ParseDuration(string(arg)); err != nil {
+				return nil, err
+			}
+		}
 		return func(_ *engine.Ctx, _ int, inputs []engine.Batch) engine.Batch {
-			time.Sleep(300 * time.Millisecond)
+			time.Sleep(nap)
 			return inputs[0]
 		}, nil
 	})
@@ -103,12 +111,18 @@ func TestRespawnRestoresFleet(t *testing.T) {
 		t.Fatal("kill hook never fired")
 	}
 	waitLive(t, pool, 2)
-	if pool.Respawns() == 0 {
-		t.Fatal("no respawn recorded despite restored fleet")
+	// The replacement is live from its handshake on; the respawn is
+	// counted and reported a moment later, by the goroutine that waited
+	// for that handshake.
+	deadline := time.Now().Add(10 * time.Second)
+	for pool.Respawns() == 0 || !strings.Contains(rec.Report(), "respawn") {
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet restored but no respawn counted (%d) or reported:\n%s", pool.Respawns(), rec.Report())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	report := rec.Report()
-	if !strings.Contains(report, "crash") || !strings.Contains(report, "respawn") {
-		t.Fatalf("fault events missing crash/respawn:\n%s", report)
+	if report := rec.Report(); !strings.Contains(report, "crash") {
+		t.Fatalf("fault events missing the crash:\n%s", report)
 	}
 }
 
@@ -156,6 +170,11 @@ func TestPoisonTaskQuarantine(t *testing.T) {
 	if pool.Quarantines() != 1 {
 		t.Fatalf("Quarantines() = %d, want 1", pool.Quarantines())
 	}
+	// Blame is per death: a worker whose share of the one-task stage was
+	// empty never ran the task and must not count against it.
+	if got := pool.Stats().MachineCrashes; got != quarantineAfter {
+		t.Fatalf("%d workers died before the quarantine, want %d", got, quarantineAfter)
+	}
 
 	// The pool is still a functioning pool: fleet recovers, healthy
 	// stages run.
@@ -172,25 +191,79 @@ func TestPoisonTaskQuarantine(t *testing.T) {
 	}
 }
 
+// TestPoisonMidShareIsTheOneBlamed puts the poison task in the middle of a
+// share, behind ten healthy tasks the worker reads in the same batch. The
+// worker runs its queue in order and answers what it finished before it
+// first runs a new kernel, so each death must be blamed on the poison task
+// and on nothing else: the stage ends in PoisonTaskError naming its Part
+// after exactly quarantineAfter incarnations died — a death blamed on any
+// other task would have cost one more.
+func TestPoisonMidShareIsTheOneBlamed(t *testing.T) {
+	pool := startPool(t, Config{Workers: 2, RespawnBackoff: 10 * time.Millisecond})
+	spec := opSpec("poison-mid-share", "htest.ok", nil, 40)
+	const poison = 21 // eleventh task of the second worker's share
+	spec.Tasks[poison].Root.Op = "htest.exit"
+	_, err := pool.RunRemoteStage(context.Background(), spec)
+	var pe *engine.PoisonTaskError
+	if !errors.As(err, &pe) {
+		t.Fatalf("got %v, want PoisonTaskError", err)
+	}
+	if pe.Part != poison || pe.Workers != quarantineAfter || !strings.Contains(pe.Ops, "htest.exit") {
+		t.Fatalf("quarantined task %d [%s] after %d workers, want task %d [htest.exit] after %d", pe.Part, pe.Ops, pe.Workers, poison, quarantineAfter)
+	}
+	if got := pool.Stats().MachineCrashes; got != quarantineAfter {
+		t.Fatalf("%d incarnations died, want %d: some death was blamed on another task", got, quarantineAfter)
+	}
+}
+
 // TestTaskDeadlineRequeues wedges a task on its first execution (it
-// ignores everything, forever). The deadline must kill the stuck worker,
-// requeue the task, and the retry — which sees the flag file — must
-// complete the stage. One incarnation died, no quarantine.
+// ignores everything, forever), in the middle of a share. The deadline
+// must kill the stuck worker and blame that task — not the answered ones
+// before it, not the unstarted ones behind it — and the retry, which sees
+// the flag file, must complete the stage. One incarnation died, no
+// quarantine.
 func TestTaskDeadlineRequeues(t *testing.T) {
 	flag := filepath.Join(t.TempDir(), "hung-once")
-	pool := startPool(t, Config{Workers: 2, TaskDeadline: 500 * time.Millisecond, RespawnBackoff: 10 * time.Millisecond})
-	res, err := pool.RunRemoteStage(context.Background(), opSpec("deadline-stage", "htest.hang", []byte(flag), 1))
+	rec := obs.NewRecorder()
+	pool := startPool(t, Config{Workers: 2, TaskDeadline: 500 * time.Millisecond, RespawnBackoff: 10 * time.Millisecond, Events: rec})
+	spec := opSpec("deadline-stage", "htest.ok", nil, 6)
+	spec.Tasks[3].Root = &engine.RemoteNode{Op: "htest.hang", Arg: []byte(flag), Part: 3, Inputs: []engine.RemoteInput{{Kind: "empty"}}}
+	res, err := pool.RunRemoteStage(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("stage with one wedged attempt: %v", err)
 	}
-	if len(res.Parts) != 1 {
-		t.Fatalf("got %d parts, want 1", len(res.Parts))
+	if len(res.Parts) != 6 {
+		t.Fatalf("got %d parts, want 6", len(res.Parts))
 	}
-	if got := pool.Stats().MachineCrashes; got == 0 {
-		t.Fatal("deadline never killed the wedged worker")
+	if got := pool.Stats().MachineCrashes; got != 1 {
+		t.Fatalf("%d workers died, want the one the wedged task sat on", got)
+	}
+	if report := rec.Report(); !strings.Contains(report, "task 3 exceeded its 500ms deadline") {
+		t.Fatalf("the deadline kill does not name the wedged task:\n%s", report)
 	}
 	if pool.Quarantines() != 0 {
 		t.Fatalf("single deadline kill quarantined the task (%d quarantines)", pool.Quarantines())
+	}
+}
+
+// TestTaskDeadlineBoundsOneTaskNotTheShare: the deadline is re-armed on
+// every answer, so a share well over twice as long as the deadline —
+// twelve 100ms tasks queued on one worker, 500ms allowed — completes with
+// nobody killed. (An answer waits for the next heartbeat at most, so the
+// gaps are 120ms; the rest of the 500 is for a host that freezes a process
+// for a few hundred milliseconds, which this one does.)
+func TestTaskDeadlineBoundsOneTaskNotTheShare(t *testing.T) {
+	rec := obs.NewRecorder()
+	pool := startPool(t, Config{Workers: 1, TaskDeadline: 500 * time.Millisecond, HeartbeatEvery: 20 * time.Millisecond, Events: rec})
+	res, err := pool.RunRemoteStage(context.Background(), opSpec("long-share", "htest.sleep", []byte("100ms"), 12))
+	if err != nil {
+		t.Fatalf("share of short tasks: %v", err)
+	}
+	if len(res.Parts) != 12 {
+		t.Fatalf("got %d parts, want 12", len(res.Parts))
+	}
+	if got := pool.Stats().MachineCrashes; got != 0 {
+		t.Fatalf("%d workers killed for the length of their share:\n%s", got, rec.Report())
 	}
 }
 

@@ -1,6 +1,7 @@
 package procpool
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -140,14 +141,41 @@ func (c *Config) heartbeatCheck() time.Duration {
 // of the task serially destroying the fleet.
 const quarantineAfter = 3
 
-// taskReply is what a dispatched task resolves to: a batch frame or an
-// error message. died distinguishes a worker death while the task was in
-// flight (synthesized by markDead; the task takes the blame) from an error
-// the worker itself reported (deterministic compute failure).
+// taskReply is what a dispatched task resolves to: a batch frame, an error
+// message, or the block ids the worker found missing. died distinguishes a
+// worker death while the task was unanswered (synthesized by markDead)
+// from an error the worker itself reported (deterministic compute
+// failure). pos is the task's place in its share's dispatch order.
 type taskReply struct {
+	pos     int
 	payload []byte
 	errMsg  string
+	missing []uint64
 	died    bool
+}
+
+// parseReply decodes a msgTaskResult body.
+func parseReply(body []byte) (id uint64, r taskReply, err error) {
+	id, tag, rest, err := parseTagged(body)
+	if err != nil {
+		return 0, r, err
+	}
+	switch tag {
+	case resultOK:
+		r.payload = rest
+	case resultMissing:
+		r.missing, err = parseIDs(rest)
+	default:
+		r.errMsg = string(rest)
+	}
+	return id, r, err
+}
+
+// pendingTask is where the answer to one dispatched task goes: the reply
+// channel of its share, and its position in that share.
+type pendingTask struct {
+	ch  chan<- taskReply
+	pos int
 }
 
 // workerProc is the driver's handle on one worker incarnation. A respawn
@@ -155,25 +183,40 @@ type taskReply struct {
 // stays dead forever, so in-flight dispatch goroutines holding it observe
 // a stable corpse.
 type workerProc struct {
-	idx    int    // slot index (stable across respawns)
-	gen    uint64 // pool-unique incarnation id (quarantine blame tracking)
-	pid    int
-	cmd    *exec.Cmd
-	conn   net.Conn
-	wmu    sync.Mutex    // serializes frame writes to conn
-	exited chan struct{} // closed once cmd.Wait returned (process reaped)
+	idx      int    // slot index (stable across respawns)
+	gen      uint64 // pool-unique incarnation id (quarantine blame tracking)
+	pid      int
+	cmd      *exec.Cmd
+	conn     net.Conn
+	br       *bufio.Reader // conn, buffered; after the handshake only readLoop reads it
+	readDone chan struct{} // closed once readLoop has read everything the worker sent
+	exited   chan struct{} // closed once cmd.Wait returned (process reaped)
+
+	wmu  sync.Mutex      // serializes frame writes to bw, guards held
+	bw   *bufio.Writer   // conn, buffered: a share is written through it and flushed once
+	held map[uint64]bool // blocks pushed to this incarnation since the last msgClearCache
 
 	mu       sync.Mutex
 	dead     bool
 	deadErr  error
 	lastBeat time.Time
-	pending  map[uint64]chan taskReply // in-flight task id -> reply
+	pending  map[uint64]pendingTask // unanswered task id -> where its reply goes
 }
 
+// send writes one control-plane frame and flushes it.
 func (w *workerProc) send(typ byte, body []byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	return writeFrame(w.conn, typ, body)
+	if err := writeFrame(w.bw, typ, body); err != nil {
+		return err
+	}
+	return w.bw.Flush()
+}
+
+func (w *workerProc) flush() error {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	return w.bw.Flush()
 }
 
 func (w *workerProc) isDead() bool {
@@ -208,6 +251,12 @@ type poolOutput struct {
 // Create with Start, stop with Close. A Pool may serve many sequential
 // sessions (the engine runs one stage at a time per session; Pools are
 // not meant to be shared by concurrent sessions).
+//
+// Dispatch is one pipeline per (worker, stage): RunRemoteStage hands each
+// live worker its whole share — input blocks pushed ahead of the tasks
+// that read them, one flush — and reads the answers as they come, so a
+// stage of many tiny tasks costs a few syscalls per worker, not a round
+// trip per task (wire.go has the protocol, runShare the failure rules).
 //
 // The pool self-heals: dead workers are re-exec'd with backoff (health.go)
 // up to a budget, so sustained faults churn the fleet instead of shrinking
@@ -379,81 +428,59 @@ func (p *Pool) Close() {
 }
 
 // readLoop demuxes one worker's incoming frames. Any frame proves the
-// worker alive; a read error means it died (or the pool is closing).
+// worker alive; a read error means it died (or the pool is closing). A
+// reply goes to the channel of the share its task belongs to, which is
+// buffered to the share's length, so readLoop never blocks on a collector.
 func (p *Pool) readLoop(w *workerProc) {
+	fail := func(reason error) {
+		close(w.readDone)
+		p.markDead(w, reason)
+	}
 	for {
-		typ, body, err := readFrame(w.conn)
+		typ, body, err := readFrame(w.br)
 		if err != nil {
-			p.markDead(w, fmt.Errorf("procpool: worker %d connection lost: %v", w.idx, err))
+			fail(fmt.Errorf("procpool: worker %d connection lost: %v", w.idx, err))
 			return
 		}
-		w.mu.Lock()
-		w.lastBeat = time.Now()
-		w.mu.Unlock()
-		switch typ {
-		case msgHeartbeat:
-			// lastBeat above is the whole message.
-		case msgFetchBlock:
-			id, perr := parseBlockReq(body)
-			if perr != nil {
-				p.markDead(w, fmt.Errorf("procpool: worker %d sent a bad fetch: %v", w.idx, perr))
+		var id uint64 // task ids start at 1: nothing but a result finds a pending task
+		var r taskReply
+		if typ == msgTaskResult {
+			if id, r, err = parseReply(body); err != nil {
+				fail(fmt.Errorf("procpool: worker %d sent a bad result: %v", w.idx, err))
 				return
-			}
-			data, gerr := p.store.get(id)
-			var out []byte
-			if gerr != nil {
-				var bl *engine.BlockLostError
-				if errors.As(gerr, &bl) {
-					// Integrity failure on a spilled block: count it like
-					// a failed shuffle fetch and let the error string
-					// cross the wire — the driver re-types it via
-					// ParseBlockLost and lineage recomputes the block.
-					p.mu.Lock()
-					p.stats.FetchFailures++
-					p.mu.Unlock()
-					p.event("corrupt-block", w.idx, gerr.Error())
-				}
-				out = encodeTagged(id, false, []byte(gerr.Error()))
-			} else {
-				out = encodeTagged(id, true, data)
-				atomic.AddInt64(&p.shipped, int64(len(data)))
-			}
-			if p.sendData(w, msgBlockData, out) != nil {
-				return // the write error side will mark it dead via next read
-			}
-		case msgTaskResult:
-			id, ok, rest, perr := parseTagged(body)
-			if perr != nil {
-				p.markDead(w, fmt.Errorf("procpool: worker %d sent a bad result: %v", w.idx, perr))
-				return
-			}
-			w.mu.Lock()
-			ch := w.pending[id]
-			delete(w.pending, id)
-			w.mu.Unlock()
-			if ch != nil {
-				if ok {
-					ch <- taskReply{payload: rest}
-				} else {
-					ch <- taskReply{errMsg: string(rest)}
-				}
 			}
 		}
+		w.mu.Lock()
+		w.lastBeat = time.Now() // for a heartbeat, the whole message
+		if pt, ok := w.pending[id]; ok {
+			delete(w.pending, id)
+			// Sent under the lock (it cannot block: see above) so that
+			// markDead, which takes the lock to collect what is still
+			// pending, queues its died replies behind every real answer.
+			r.pos = pt.pos
+			pt.ch <- r
+		}
+		w.mu.Unlock()
 	}
 }
 
 // waitWorker reaps the worker process; an exit before Close is a crash.
+// The exit closed the worker's end of the socket, so readLoop is about to
+// hit EOF: the death is declared only after it has delivered every answer
+// the worker wrote before dying, or a task that was answered would be the
+// first unanswered one and take the blame.
 func (p *Pool) waitWorker(w *workerProc) {
 	err := w.cmd.Wait()
+	<-w.readDone
 	p.markDead(w, fmt.Errorf("procpool: worker %d exited: %v", w.idx, err))
 	close(w.exited)
 }
 
-// markDead records a worker crash exactly once: fail its in-flight tasks,
-// cut the connection, make sure the process is gone, mark every shuffle
-// partition registered on it lost — the state CheckFetch turns into the
-// FetchFailedError lineage recovery rewinds from — and schedule a
-// replacement worker for the slot (health.go).
+// markDead records a worker crash exactly once: cut the connection, make
+// sure the process is gone, mark every shuffle partition registered on it
+// lost — the state CheckFetch turns into the FetchFailedError lineage
+// recovery rewinds from — schedule a replacement worker for the slot
+// (health.go), and then fail its unanswered tasks.
 func (p *Pool) markDead(w *workerProc, reason error) {
 	w.mu.Lock()
 	if w.dead {
@@ -463,15 +490,12 @@ func (p *Pool) markDead(w *workerProc, reason error) {
 	w.dead = true
 	w.deadErr = reason
 	pend := w.pending
-	w.pending = map[uint64]chan taskReply{}
+	w.pending = map[uint64]pendingTask{}
 	w.mu.Unlock()
 
 	w.conn.Close()
 	if w.cmd.Process != nil {
 		w.cmd.Process.Kill()
-	}
-	for _, ch := range pend {
-		ch <- taskReply{errMsg: reason.Error(), died: true} // buffered, never blocks
 	}
 
 	p.mu.Lock()
@@ -490,6 +514,11 @@ func (p *Pool) markDead(w *workerProc, reason error) {
 		}
 	}
 	p.mu.Unlock()
+	// Only now do the shares waiting on this worker learn of the death:
+	// whatever they do next already sees it counted and its outputs lost.
+	for _, pt := range pend {
+		pt.ch <- taskReply{pos: pt.pos, errMsg: reason.Error(), died: true} // buffered, never blocks
+	}
 	if !closed {
 		p.event("crash", w.idx, reason.Error())
 	}
@@ -565,8 +594,9 @@ func (p *Pool) Quarantines() int {
 
 // ---- engine.RemoteRunner ----
 
-// PutBlock frames b with the batch codec and stores it for workers to
-// fetch (spilling to disk over the store's budget).
+// PutBlock frames b with the batch codec and stores it for dispatch to
+// push to the workers whose tasks read it (spilling to disk over the
+// store's budget).
 func (p *Pool) PutBlock(b engine.Batch) (uint64, error) {
 	frame, err := engine.EncodeBatch(nil, b)
 	if err != nil {
@@ -576,26 +606,17 @@ func (p *Pool) PutBlock(b engine.Batch) (uint64, error) {
 	return p.store.put(frame)
 }
 
-// taskVerdict classifies one runTaskOn outcome for the dispatch loop.
-type taskVerdict int
-
-const (
-	taskOK            taskVerdict = iota
-	taskFailed                    // worker-reported deterministic error: fails the stage
-	taskDied                      // worker died mid-task (crash or deadline): blame + requeue
-	taskNotDispatched             // worker was already dead: requeue blame-free
-	taskCancelled                 // submission context cancelled
-)
-
-// RunRemoteStage distributes the spec's tasks round-robin over live
-// workers and collects the decoded result partitions. A task whose worker
-// dies mid-flight takes the blame and is re-dispatched on a survivor —
-// until quarantineAfter distinct worker incarnations died under it, at
-// which point it is quarantined (engine.PoisonTaskError; the pool stays
-// live). A dead worker's untouched share requeues blame-free. When live
-// workers fall below the quorum the stage waits bounded for respawn, then
-// fails with engine.QuorumLostError. Ctx cancellation stops dispatching
-// queued tasks and drops the pending replies.
+// RunRemoteStage splits the spec's tasks round-robin into one share per
+// live worker, ships every share whole (runShare) and collects the decoded
+// result partitions. Workers run their shares in order, so when one dies
+// the task to blame is the first one of its share it had been sent and not
+// answered; that task is re-dispatched on a survivor — until
+// quarantineAfter distinct worker incarnations died under it, at which
+// point it is quarantined (engine.PoisonTaskError; the pool stays live).
+// Everything else the dead worker left unanswered or unsent requeues
+// blame-free. When live workers fall below the quorum the stage waits
+// bounded for respawn, then fails with engine.QuorumLostError. Ctx
+// cancellation stops dispatching and drops the pending replies.
 func (p *Pool) RunRemoteStage(ctx context.Context, spec *engine.RemoteStageSpec) (*engine.RemoteStageResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -610,7 +631,6 @@ func (p *Pool) RunRemoteStage(ctx context.Context, spec *engine.RemoteStageSpec)
 	for i := range queue {
 		queue[i] = i
 	}
-	var resMu sync.Mutex
 	ranOn := map[int]bool{}
 	for len(queue) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -620,94 +640,50 @@ func (p *Pool) RunRemoteStage(ctx context.Context, spec *engine.RemoteStageSpec)
 		if err != nil {
 			return nil, err
 		}
-		assign := make([][]int, len(live))
+		// Round-robin over the live workers; a queue shorter than the
+		// fleet leaves the workers past its end without a share.
+		shares := make([]share, min(len(live), len(queue)))
 		for k, ti := range queue {
-			assign[k%len(live)] = append(assign[k%len(live)], ti)
-		}
-		var requeue []int
-		var permErr error
-		setPermErr := func(err error) {
-			if permErr == nil {
-				permErr = err
-			}
+			sh := &shares[k%len(shares)]
+			sh.tasks = append(sh.tasks, ti)
 		}
 		var wg sync.WaitGroup
-		for wi := range live {
-			if len(assign[wi]) == 0 {
-				continue
-			}
+		for wi := range shares {
 			wg.Add(1)
-			go func(w *workerProc, list []int) {
+			go func(w *workerProc, sh *share) {
 				defer wg.Done()
-				for li, ti := range list {
-					payload, verdict, err := p.runTaskOn(ctx, w, &spec.Tasks[ti])
-					switch verdict {
-					case taskOK:
-						b, _, derr := engine.DecodeBatch(payload)
-						if derr != nil {
-							resMu.Lock()
-							setPermErr(fmt.Errorf("procpool: stage %q task %d result: %v", spec.Label, spec.Tasks[ti].Part, derr))
-							resMu.Unlock()
-							return
-						}
-						atomic.AddInt64(&p.shipped, int64(len(payload)))
-						resMu.Lock()
-						parts[ti] = b
-						ranOn[w.idx] = true
-						resMu.Unlock()
-					case taskDied:
-						// Blame exactly the in-flight task; this worker's
-						// untouched share requeues without penalty.
-						resMu.Lock()
-						if failedOn[ti] == nil {
-							failedOn[ti] = map[uint64]bool{}
-						}
-						failedOn[ti][w.gen] = true
-						if len(failedOn[ti]) >= quarantineAfter {
-							setPermErr(&engine.PoisonTaskError{
-								Stage:   spec.Label,
-								Part:    spec.Tasks[ti].Part,
-								Ops:     spec.Tasks[ti].OpChain(),
-								Workers: len(failedOn[ti]),
-							})
-						} else {
-							requeue = append(requeue, ti)
-						}
-						requeue = append(requeue, list[li+1:]...)
-						resMu.Unlock()
-						return
-					case taskNotDispatched:
-						resMu.Lock()
-						requeue = append(requeue, list[li:]...)
-						resMu.Unlock()
-						return
-					case taskCancelled:
-						resMu.Lock()
-						setPermErr(err)
-						resMu.Unlock()
-						return
-					default: // taskFailed
-						resMu.Lock()
-						if id, reason, ok := engine.ParseBlockLost(err.Error()); ok {
-							setPermErr(&engine.BlockLostError{Block: id, Reason: reason})
-						} else {
-							setPermErr(fmt.Errorf("procpool: stage %q task %d: %v", spec.Label, spec.Tasks[ti].Part, err))
-						}
-						resMu.Unlock()
-						return
-					}
-				}
-			}(live[wi], assign[wi])
+				p.runShare(ctx, w, spec, sh, parts)
+			}(live[wi], &shares[wi])
 		}
 		wg.Wait()
-		if permErr != nil {
-			var pe *engine.PoisonTaskError
-			if errors.As(permErr, &pe) {
-				p.noteQuarantine(pe)
+		queue = queue[:0]
+		for wi := range shares {
+			sh := &shares[wi]
+			if sh.err != nil {
+				return nil, sh.err
 			}
-			return nil, permErr
+			if sh.ran {
+				ranOn[live[wi].idx] = true
+			}
+			if ti := sh.blamed; ti >= 0 {
+				if failedOn[ti] == nil {
+					failedOn[ti] = map[uint64]bool{}
+				}
+				failedOn[ti][live[wi].gen] = true
+				if len(failedOn[ti]) >= quarantineAfter {
+					pe := &engine.PoisonTaskError{
+						Stage:   spec.Label,
+						Part:    spec.Tasks[ti].Part,
+						Ops:     spec.Tasks[ti].OpChain(),
+						Workers: len(failedOn[ti]),
+					}
+					p.noteQuarantine(pe)
+					return nil, pe
+				}
+				queue = append(queue, ti)
+			}
+			queue = append(queue, sh.requeue...)
 		}
-		queue = requeue
 	}
 	atomic.AddInt64(&p.remoteSt, 1)
 	atomic.AddInt64(&p.remoteTk, int64(len(spec.Tasks)))
@@ -718,71 +694,252 @@ func (p *Pool) RunRemoteStage(ctx context.Context, spec *engine.RemoteStageSpec)
 	}, nil
 }
 
-// runTaskOn ships one task to w and waits for its reply, the worker's
-// death (which resolves the reply with died=true), the task deadline, or
-// ctx cancellation. The kill hooks (KillAfterTasks, FaultPlan) fire
-// synchronously here so the crash — and the lost-output bookkeeping — is
-// ordered before any later stage of the run, making recovery tests
-// deterministic.
-func (p *Pool) runTaskOn(ctx context.Context, w *workerProc, t *engine.RemoteTask) ([]byte, taskVerdict, error) {
-	id := atomic.AddUint64(&p.taskSeq, 1)
-	body, err := encodeTask(id, t)
-	if err != nil {
-		return nil, taskFailed, err
-	}
-	ch := make(chan taskReply, 1)
-	w.mu.Lock()
-	if w.dead {
-		err := w.deadErr
-		w.mu.Unlock()
-		return nil, taskNotDispatched, err
-	}
-	w.pending[id] = ch
-	w.mu.Unlock()
-	if err := p.sendData(w, msgTask, body); err != nil {
-		p.markDead(w, fmt.Errorf("procpool: worker %d send failed: %v", w.idx, err))
-		return nil, taskNotDispatched, err
-	}
-	n := atomic.AddInt64(&p.nDispatch, 1)
-	if k := p.cfg.KillAfterTasks; k > 0 && n == int64(k) {
-		p.markDead(w, fmt.Errorf("procpool: worker %d killed by test hook after task %d", w.idx, k))
-	}
-	if p.cfg.Faults.killsAt(uint64(n)) {
-		p.markDead(w, fmt.Errorf("procpool: worker %d killed by fault plan at dispatch %d", w.idx, n))
-	}
+// share is one worker's part of a dispatch round: the tasks (indices into
+// the spec) in the order they are sent, the state its sender and collector
+// share, and what runShare made of it.
+type share struct {
+	tasks   []int
+	base    uint64         // wire id of tasks[0]; tasks[pos] goes out as base+pos
+	replies chan taskReply // buffered to len(tasks): one reply per task at most
+	sent    atomic.Int64   // task frames written so far
+
+	ran     bool  // the worker answered at least one task
+	blamed  int   // task the worker died under, -1 if none
+	requeue []int // tasks to dispatch again, blame-free
+	err     error // fails the stage: compute error, lost block, cancellation
+}
+
+// runShare ships sh to w and collects the answers. A sender goroutine
+// writes the whole share through the worker's buffered writer (sendShare)
+// while this one decodes replies as readLoop delivers them, so neither the
+// driver nor the worker ever waits a round trip per task. It returns once
+// the sender is done and every task of the share is accounted for:
+// answered into parts, requeued, blamed, or dropped with sh.err set.
+//
+// TaskDeadline bounds the head-of-line task — the first one sent and not
+// answered — and is re-armed on every reply, so a long share of short
+// tasks is never killed for its length. A single-threaded worker has no
+// task-level cancel, so the only reliable one is killing the process:
+// respawn replaces it and the head-of-line task takes the blame.
+//
+// A death of any cause blames the head-of-line task too: the worker runs
+// its queue in order. Answers still in a dead worker's writer died with
+// it, so the rule is exact where the worker flushes (wire.go): for the
+// task that first runs an operator on that process — the poison task of an
+// operator that kills it — and for any task that ran longer than a
+// heartbeat. A process that dies fast under data rather than under an
+// operator can get a finished neighbour blamed in its place: the stage
+// still ends after quarantineAfter deaths with its operator chain named,
+// but the Part in the error may be the neighbour's.
+func (p *Pool) runShare(ctx context.Context, w *workerProc, spec *engine.RemoteStageSpec, sh *share, parts []engine.Batch) {
+	n := len(sh.tasks)
+	sh.blamed = -1
+	sh.base = atomic.AddUint64(&p.taskSeq, uint64(n)) - uint64(n) + 1
+	sh.replies = make(chan taskReply, n)
+	sctx, stopSending := context.WithCancel(ctx)
+	defer stopSending()
+	sendDone := make(chan error, 1)
+	go func() { sendDone <- p.sendShare(sctx, w, spec, sh) }()
+
+	var deadline *time.Timer
 	var deadlineC <-chan time.Time
 	if p.cfg.TaskDeadline > 0 {
-		tm := time.NewTimer(p.cfg.TaskDeadline)
-		defer tm.Stop()
-		deadlineC = tm.C
+		deadline = time.NewTimer(p.cfg.TaskDeadline)
+		defer deadline.Stop()
+		deadlineC = deadline.C
 	}
-	select {
-	case r := <-ch:
-		switch {
-		case r.errMsg == "":
-			return r.payload, taskOK, nil
-		case r.died:
-			return nil, taskDied, fmt.Errorf("%s", r.errMsg)
-		default:
-			return nil, taskFailed, fmt.Errorf("%s", r.errMsg)
+	done := make([]bool, n)
+	answered, sending, dead := 0, true, false
+	head := func() int { // first unanswered position
+		for pos := range done {
+			if !done[pos] {
+				return pos
+			}
 		}
-	case <-ctx.Done():
-		// The job is cancelled: drop the pending reply — nobody wants it
-		// — and leave the worker alone (it finishes or dies on its own).
-		w.mu.Lock()
-		delete(w.pending, id)
-		w.mu.Unlock()
-		return nil, taskCancelled, ctx.Err()
-	case <-deadlineC:
-		// The worker heartbeats but the task overran its deadline. A
-		// single-threaded worker has no task-level cancel, so the only
-		// reliable one is killing the process: respawn replaces it, the
-		// task takes the blame (and is quarantined if it keeps doing
-		// this), the worker's other queued tasks requeue blame-free.
-		reason := fmt.Errorf("procpool: worker %d: task %d exceeded its %v deadline; cancelled and requeued", w.idx, t.Part, p.cfg.TaskDeadline)
-		p.markDead(w, reason)
-		return nil, taskDied, reason
+		return n
 	}
+	for sh.err == nil && !dead && (sending || answered < n) {
+		select {
+		case r := <-sh.replies:
+			if r.died {
+				dead = true
+				break
+			}
+			done[r.pos] = true
+			answered++
+			ti := sh.tasks[r.pos]
+			switch {
+			case r.missing != nil:
+				// An input was lost on the way (injected frame drop): the
+				// worker is fine and so is the task. Push again next round.
+				w.forget(r.missing)
+				sh.requeue = append(sh.requeue, ti)
+			case r.errMsg != "":
+				sh.err = fmt.Errorf("procpool: stage %q task %d: %s", spec.Label, spec.Tasks[ti].Part, r.errMsg)
+			default:
+				b, _, derr := engine.DecodeBatch(r.payload)
+				if derr != nil {
+					sh.err = fmt.Errorf("procpool: stage %q task %d result: %v", spec.Label, spec.Tasks[ti].Part, derr)
+					break
+				}
+				atomic.AddInt64(&p.shipped, int64(len(r.payload)))
+				parts[ti] = b
+				sh.ran = true
+			}
+			if deadline != nil {
+				deadline.Reset(p.cfg.TaskDeadline)
+			}
+		case err := <-sendDone:
+			sending = false
+			switch {
+			case err != nil:
+				sh.err = err
+			case ctx.Err() != nil:
+				sh.err = ctx.Err()
+			case int(sh.sent.Load()) < n:
+				dead = true // short of cancellation, the sender stops early only on a dead worker
+			}
+		case <-ctx.Done():
+			// The job is cancelled: nobody wants the replies, and the
+			// worker is left alone (it finishes or dies on its own).
+			sh.err = ctx.Err()
+		case <-deadlineC:
+			// Nothing to kill for when an answer is waiting to be read
+			// (this goroutine was the slow one) or nothing is in flight
+			// (the sender is still pushing).
+			if h := head(); len(sh.replies) == 0 && h < int(sh.sent.Load()) {
+				p.markDead(w, fmt.Errorf("procpool: worker %d: task %d exceeded its %v deadline; cancelled and requeued",
+					w.idx, spec.Tasks[sh.tasks[h]].Part, p.cfg.TaskDeadline))
+			} else {
+				deadline.Reset(p.cfg.TaskDeadline)
+			}
+		}
+	}
+	stopSending()
+	if sending {
+		if err := <-sendDone; err != nil && sh.err == nil {
+			sh.err = err
+		}
+	}
+	switch {
+	case sh.err != nil:
+		// The stage is lost: whatever the worker still answers is dropped.
+		w.mu.Lock()
+		for pos := range sh.tasks {
+			delete(w.pending, sh.base+uint64(pos))
+		}
+		w.mu.Unlock()
+	case dead:
+		// The worker ran its queue in order, so what it died under is the
+		// first task it was sent and had not answered.
+		if h := head(); h < int(sh.sent.Load()) {
+			sh.blamed = sh.tasks[h]
+			done[h] = true
+		}
+		for pos, ok := range done {
+			if !ok {
+				sh.requeue = append(sh.requeue, sh.tasks[pos])
+			}
+		}
+	}
+}
+
+// sendShare writes the share in dispatch order: for each task, every block
+// its tree reads that w does not hold yet, then the task frame; one flush
+// at the end. It stops early when ctx is cancelled, when w is dead (or
+// dies of a failed write), and after a dispatch a kill hook names — the
+// hooks (KillAfterTasks, FaultPlan) fire synchronously here, so the crash
+// and its lost-output bookkeeping are ordered before any later stage of
+// the run, making recovery tests deterministic. A block the store cannot
+// serve is the one error returned: it is found here, typed, before the
+// task that reads it is sent.
+func (p *Pool) sendShare(ctx context.Context, w *workerProc, spec *engine.RemoteStageSpec, sh *share) error {
+	defer w.flush() // a failed flush kills the connection: readLoop reports it
+	for pos, ti := range sh.tasks {
+		if ctx.Err() != nil {
+			return nil
+		}
+		t := &spec.Tasks[ti]
+		var perr error
+		eachBlock(t.Root, func(id uint64) {
+			if perr == nil {
+				perr = p.pushBlock(w, id)
+			}
+		})
+		if perr != nil {
+			return fmt.Errorf("procpool: stage %q task %d: %w", spec.Label, t.Part, perr)
+		}
+		id := sh.base + uint64(pos)
+		body, err := encodeTask(id, t)
+		if err != nil {
+			return err
+		}
+		w.mu.Lock()
+		if w.dead {
+			w.mu.Unlock()
+			return nil
+		}
+		w.pending[id] = pendingTask{ch: sh.replies, pos: pos}
+		w.mu.Unlock()
+		if err := p.sendData(w, msgTask, body); err != nil {
+			p.markDead(w, fmt.Errorf("procpool: worker %d send failed: %v", w.idx, err))
+			return nil
+		}
+		sh.sent.Add(1)
+		n := atomic.AddInt64(&p.nDispatch, 1)
+		if k := p.cfg.KillAfterTasks; k > 0 && n == int64(k) {
+			p.markDead(w, fmt.Errorf("procpool: worker %d killed by test hook after task %d", w.idx, k))
+			return nil
+		}
+		if p.cfg.Faults.killsAt(uint64(n)) {
+			p.markDead(w, fmt.Errorf("procpool: worker %d killed by fault plan at dispatch %d", w.idx, n))
+			return nil
+		}
+	}
+	return nil
+}
+
+// pushBlock sends block id to w unless this incarnation already holds it.
+// A spilled block that fails its integrity check comes back as
+// engine.BlockLostError and is counted like a failed shuffle fetch:
+// lineage recomputes it.
+func (p *Pool) pushBlock(w *workerProc, id uint64) error {
+	w.wmu.Lock()
+	have := w.held[id]
+	w.wmu.Unlock()
+	if have {
+		return nil
+	}
+	data, err := p.store.get(id)
+	if err != nil {
+		var bl *engine.BlockLostError
+		if errors.As(err, &bl) {
+			p.mu.Lock()
+			p.stats.FetchFailures++
+			p.mu.Unlock()
+			p.event("corrupt-block", w.idx, err.Error())
+		}
+		return err
+	}
+	head := taggedHead(id, resultOK)
+	if err := p.sendData(w, msgBlockData, head[:], data); err != nil {
+		p.markDead(w, fmt.Errorf("procpool: worker %d send failed: %v", w.idx, err))
+		return nil // sendShare finds the worker dead before the next task frame
+	}
+	atomic.AddInt64(&p.shipped, int64(len(data)))
+	w.wmu.Lock()
+	w.held[id] = true
+	w.wmu.Unlock()
+	return nil
+}
+
+// forget drops ids from the set of blocks w is believed to hold.
+func (w *workerProc) forget(ids []uint64) {
+	w.wmu.Lock()
+	for _, id := range ids {
+		delete(w.held, id)
+	}
+	w.wmu.Unlock()
 }
 
 // ---- engine.Backend ----
@@ -833,13 +990,17 @@ func (p *Pool) Unpin(bytes int64) {
 }
 
 // ReleaseBroadcasts is the end-of-job hook: the job's blocks are dead, so
-// the store empties and workers drop their caches.
+// the store empties, workers drop their caches and resolved kernels, and
+// the driver forgets what it pushed to each of them.
 func (p *Pool) ReleaseBroadcasts() {
 	p.mu.Lock()
 	p.pinned = 0
 	p.mu.Unlock()
 	p.store.clear()
 	for _, w := range p.liveWorkers() {
+		w.wmu.Lock()
+		w.held = map[uint64]bool{}
+		w.wmu.Unlock()
 		w.send(msgClearCache, nil)
 	}
 }

@@ -1,6 +1,7 @@
 package procpool
 
 import (
+	"context"
 	"os"
 	"reflect"
 	"strings"
@@ -244,4 +245,34 @@ func TestBlockStoreSpillRoundTrip(t *testing.T) {
 			t.Fatalf("spill file %s survived clear", e.Name())
 		}
 	}
+}
+
+// BenchmarkRemoteStage is the pool's own per-layer number: one stage of
+// 1 200 single-block identity tasks on two workers — the paper's 3 × cores
+// partitions over almost no data, where nothing but dispatch costs — with
+// the blocks stored before the clock starts and dropped, on the driver and
+// in the workers, after it stops. Host-bound (three processes share the
+// cores), so it is quoted in EXPERIMENTS.md, not gated.
+func BenchmarkRemoteStage(b *testing.B) {
+	const tasks = 1200
+	pool, err := Start(Config{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Close()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		spec, want := blockSpec(b, pool, "bench-stage", tasks)
+		b.StartTimer()
+		res, err := pool.RunRemoteStage(context.Background(), spec)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		checkParts(b, res.Parts, want)
+		pool.ReleaseBroadcasts()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*tasks), "µs/task")
 }

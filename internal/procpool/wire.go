@@ -1,10 +1,11 @@
 // Package procpool is the process-pool backend: a driver-side Pool that
 // spawns real worker processes (re-execs of the current binary), ships
-// them portable stage tasks (engine.RemoteStageSpec), serves them input
-// blocks from a spill-capable block store, and detects worker death by
-// heartbeat — surfacing lost shuffle outputs through the same
-// cluster.FetchFailedError the simulator's fault injection raises, so the
-// engine's lineage-based recovery handles real crashes unchanged.
+// each its share of a portable stage (engine.RemoteStageSpec) — the input
+// blocks, from a spill-capable block store, pushed ahead of the tasks that
+// read them — and detects worker death by heartbeat, surfacing lost
+// shuffle outputs through the same cluster.FetchFailedError the
+// simulator's fault injection raises, so the engine's lineage-based
+// recovery handles real crashes unchanged.
 //
 // The Pool implements engine.Backend (wall-clock stage reports),
 // engine.Residency (which worker "holds" each registered shuffle output)
@@ -34,17 +35,50 @@ import (
 // turns a flipped bit anywhere in a body — kernel buffer reuse, a torn
 // write racing a crash, fault injection — into a loud framing error
 // instead of a silently wrong batch.
+//
+// The data plane is push only and ordered. The driver writes a worker its
+// whole share of a stage through one buffered writer: for each task, the
+// blocks its tree reads that this worker incarnation does not hold yet
+// (msgBlockData), then the task (msgTask); one flush at the end. The worker
+// never asks for anything: a block is in its cache by the time the task
+// that reads it arrives, because the stream is ordered. Only an injected
+// frame drop can break that, and the task then answers resultMissing
+// instead of failing, so the driver pushes the block again. Both sides
+// read through a bufio.Reader (one read syscall serves many small frames);
+// no frame is read from the bare connection.
+//
+// Answers are batched the same way, by the one rule that cannot deadlock:
+// the worker writes a result into its buffered writer and flushes only
+// when its read buffer is empty — when its next read may block for as long
+// as the driver waits for that result. While frames are buffered there is
+// more work to answer first, and one write (one wake-up of the driver)
+// carries all of it. Two things flush regardless: the heartbeat, so no
+// answer is older than one beat and TaskDeadline can tell a slow task
+// from a quiet writer; and the first run of a kernel, so a process that
+// dies under an operator has answered every task before it (see
+// engine.RemoteEvaluator.FirstRun and runShare's blame rule).
 const (
 	msgHello      byte = iota + 1 // worker → driver: u64 pid
 	msgHelloAck                   // driver → worker: u32 index | u64 heartbeat period (ns)
 	msgTask                       // driver → worker: u64 task id | JSON engine.RemoteTask
-	msgTaskResult                 // worker → driver: u64 task id | u8 ok | batch frame or error string
-	msgFetchBlock                 // worker → driver: u64 block id
-	msgBlockData                  // driver → worker: u64 block id | u8 ok | batch frame or error string
+	msgTaskResult                 // worker → driver: u64 task id | u8 result tag | see the tags
+	msgBlockData                  // driver → worker: u64 block id | u8 resultOK | batch frame
 	msgHeartbeat                  // worker → driver: empty
-	msgClearCache                 // driver → worker: empty (drop cached blocks, end of job)
+	msgClearCache                 // driver → worker: empty (drop cached blocks and kernels, end of job)
 	msgShutdown                   // driver → worker: empty (exit cleanly)
 )
+
+// The tag byte of a msgTaskResult says what follows it.
+const (
+	resultErr     byte = iota // error string: the task's compute failed deterministically
+	resultOK                  // batch frame: the task's output partition
+	resultMissing             // u64 block ids the task reads that never reached this worker
+)
+
+// wireBuf sizes the bufio readers and writers on both ends of a worker
+// connection: room for a hundred-odd task or result frames of a
+// tiny-task stage per syscall, small next to a worker's block cache.
+const wireBuf = 32 << 10
 
 // maxWireFrame caps a declared frame length so a corrupt or hostile peer
 // cannot make the reader allocate unboundedly (mirrors batchio's cap).
@@ -57,23 +91,48 @@ const frameOverhead = 5
 // and the spill files (hardware-accelerated on amd64/arm64).
 var wireCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame appends one encoded frame (length, type, checksum, body) to
-// dst — shared by writeFrame and the fault injector's torn-write path so
-// both produce byte-identical frames.
-func appendFrame(dst []byte, typ byte, body []byte) []byte {
-	var head [9]byte
-	binary.BigEndian.PutUint32(head[:], uint32(frameOverhead+len(body)))
+// frameHead is a frame's fixed nine bytes: payload length, type, body
+// checksum. The body may come in pieces — a short prefix and a large
+// payload — so that no caller has to join them to frame them.
+func frameHead(typ byte, body ...[]byte) (head [9]byte) {
+	n, sum := frameOverhead, uint32(0)
+	for _, b := range body {
+		n += len(b)
+		sum = crc32.Update(sum, wireCRC, b)
+	}
+	binary.BigEndian.PutUint32(head[:], uint32(n))
 	head[4] = typ
-	binary.BigEndian.PutUint32(head[5:], crc32.Checksum(body, wireCRC))
-	return append(append(dst, head[:]...), body...)
+	binary.BigEndian.PutUint32(head[5:], sum)
+	return head
 }
 
-// writeFrame sends one frame as a single Write (callers still serialize
-// concurrent writers per connection: large writes may be split by the
-// kernel, and interleaved partial writes would corrupt the stream).
-func writeFrame(w io.Writer, typ byte, body []byte) error {
-	_, err := w.Write(appendFrame(make([]byte, 0, 9+len(body)), typ, body))
-	return err
+// appendFrame appends one encoded frame to dst: what writeFrame writes,
+// as bytes, for the fault injector's torn-write path.
+func appendFrame(dst []byte, typ byte, body ...[]byte) []byte {
+	head := frameHead(typ, body...)
+	dst = append(dst, head[:]...)
+	for _, b := range body {
+		dst = append(dst, b...)
+	}
+	return dst
+}
+
+// writeFrame writes one frame piece by piece, copying nothing itself: w is
+// a connection's bufio.Writer, which joins small frames into few syscalls
+// and passes a large payload straight through. Callers serialize
+// concurrent writers per connection — interleaved pieces would corrupt the
+// stream — and flush.
+func writeFrame(w io.Writer, typ byte, body ...[]byte) error {
+	head := frameHead(typ, body...)
+	if _, err := w.Write(head[:]); err != nil {
+		return err
+	}
+	for _, b := range body {
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // readFrame reads one frame, verifying the body checksum. io.EOF at a
@@ -226,44 +285,111 @@ func parseTask(body []byte) (uint64, *engine.RemoteTask, error) {
 	if t.Root == nil {
 		return 0, nil, fmt.Errorf("procpool: task %d has no root operator", id)
 	}
+	if err := validNode(t.Root); err != nil {
+		return 0, nil, fmt.Errorf("procpool: task %d: %w", id, err)
+	}
 	return id, &t, nil
 }
 
-// encodeTagged frames the shared (id, ok, bytes) shape of msgTaskResult
-// and msgBlockData: on ok the trailing bytes are an encoded batch frame,
-// otherwise an error string.
-func encodeTagged(id uint64, ok bool, rest []byte) []byte {
-	b := make([]byte, 9+len(rest))
-	binary.BigEndian.PutUint64(b, id)
-	if ok {
-		b[8] = 1
+// validNode checks that a decoded operator tree is one evaluation can walk
+// without dereferencing what is not there: every input has a known kind
+// and carries what that kind reads.
+func validNode(rn *engine.RemoteNode) error {
+	for i := range rn.Inputs {
+		if err := validInput(&rn.Inputs[i]); err != nil {
+			return fmt.Errorf("%q input %d: %w", rn.Op, i, err)
+		}
 	}
-	copy(b[9:], rest)
-	return b
+	return nil
 }
 
-func parseTagged(body []byte) (id uint64, ok bool, rest []byte, err error) {
+func validInput(in *engine.RemoteInput) error {
+	switch in.Kind {
+	case "empty":
+	case "block":
+		if in.Block == 0 {
+			return fmt.Errorf("block input without a block id")
+		}
+	case "node":
+		if in.Node == nil {
+			return fmt.Errorf("node input without a node")
+		}
+		return validNode(in.Node)
+	case "concat":
+		for i := range in.Concat {
+			if err := validInput(&in.Concat[i]); err != nil {
+				return err
+			}
+		}
+	default:
+		return fmt.Errorf("unknown input kind %q", in.Kind)
+	}
+	return nil
+}
+
+// eachBlock calls f with the id of every block the tree under rn reads, in
+// evaluation order (an id shared by two inputs is visited twice).
+func eachBlock(rn *engine.RemoteNode, f func(id uint64)) {
+	if rn == nil {
+		return
+	}
+	for i := range rn.Inputs {
+		eachInputBlock(&rn.Inputs[i], f)
+	}
+}
+
+func eachInputBlock(in *engine.RemoteInput, f func(id uint64)) {
+	switch in.Kind {
+	case "block":
+		f(in.Block)
+	case "node":
+		eachBlock(in.Node, f)
+	case "concat":
+		for i := range in.Concat {
+			eachInputBlock(&in.Concat[i], f)
+		}
+	}
+}
+
+// taggedHead is the prefix of a msgTaskResult or msgBlockData body: the
+// id, then the tag that says what the bytes after it are.
+func taggedHead(id uint64, tag byte) (h [9]byte) {
+	binary.BigEndian.PutUint64(h[:], id)
+	h[8] = tag
+	return h
+}
+
+func parseTagged(body []byte) (id uint64, tag byte, rest []byte, err error) {
 	r := &wireReader{b: body}
 	if id, err = r.u64(); err != nil {
-		return 0, false, nil, err
+		return 0, 0, nil, err
 	}
-	flag, err := r.u8()
-	if err != nil {
-		return 0, false, nil, err
+	if tag, err = r.u8(); err != nil {
+		return 0, 0, nil, err
 	}
-	if flag > 1 {
-		return 0, false, nil, fmt.Errorf("procpool: bad ok flag %d", flag)
+	if tag > resultMissing {
+		return 0, 0, nil, fmt.Errorf("procpool: bad result tag %d", tag)
 	}
-	return id, flag == 1, r.rest(), nil
+	return id, tag, r.rest(), nil
 }
 
-func encodeBlockReq(id uint64) []byte {
-	b := make([]byte, 8)
-	binary.BigEndian.PutUint64(b, id)
+// encodeIDs and parseIDs carry the block ids of a resultMissing answer.
+func encodeIDs(ids []uint64) []byte {
+	b := make([]byte, 0, 8*len(ids))
+	for _, id := range ids {
+		b = binary.BigEndian.AppendUint64(b, id)
+	}
 	return b
 }
 
-func parseBlockReq(body []byte) (uint64, error) {
+func parseIDs(body []byte) ([]uint64, error) {
+	if len(body)%8 != 0 {
+		return nil, fmt.Errorf("procpool: %d bytes of block ids is not a multiple of 8", len(body))
+	}
 	r := &wireReader{b: body}
-	return r.u64()
+	ids := make([]uint64, len(body)/8)
+	for i := range ids {
+		ids[i], _ = r.u64() // cannot fail: the length was checked above
+	}
+	return ids, nil
 }

@@ -3,6 +3,10 @@ package procpool
 import (
 	"bytes"
 	"io"
+	"net"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,19 +14,24 @@ import (
 	"matryoshka/internal/engine"
 )
 
+// encodeTagged is a whole msgTaskResult or msgBlockData body.
+func encodeTagged(id uint64, tag byte, rest []byte) []byte {
+	head := taggedHead(id, tag)
+	return append(head[:], rest...)
+}
+
 func TestWireFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	bodies := map[byte][]byte{
 		msgHello:      encodeHello(4242),
 		msgHelloAck:   encodeHelloAck(3, 250*time.Millisecond),
-		msgFetchBlock: encodeBlockReq(77),
-		msgBlockData:  encodeTagged(77, true, []byte("frame-bytes")),
-		msgTaskResult: encodeTagged(9, false, []byte("boom")),
+		msgBlockData:  encodeTagged(77, resultOK, []byte("frame-bytes")),
+		msgTaskResult: encodeTagged(9, resultErr, []byte("boom")),
 		msgHeartbeat:  nil,
 		msgClearCache: nil,
 		msgShutdown:   nil,
 	}
-	order := []byte{msgHello, msgHelloAck, msgFetchBlock, msgBlockData, msgTaskResult, msgHeartbeat, msgClearCache, msgShutdown}
+	order := []byte{msgHello, msgHelloAck, msgBlockData, msgTaskResult, msgHeartbeat, msgClearCache, msgShutdown}
 	for _, typ := range order {
 		if err := writeFrame(&buf, typ, bodies[typ]); err != nil {
 			t.Fatalf("write type %d: %v", typ, err)
@@ -53,9 +62,13 @@ func TestWireFieldRoundTrips(t *testing.T) {
 	if err != nil || idx != 2 || every != 125*time.Millisecond {
 		t.Fatalf("helloAck: idx %d every %v err %v", idx, every, err)
 	}
-	id, ok, rest, err := parseTagged(encodeTagged(31, true, []byte("payload")))
-	if err != nil || id != 31 || !ok || string(rest) != "payload" {
-		t.Fatalf("tagged: id %d ok %v rest %q err %v", id, ok, rest, err)
+	id, tag, rest, err := parseTagged(encodeTagged(31, resultOK, []byte("payload")))
+	if err != nil || id != 31 || tag != resultOK || string(rest) != "payload" {
+		t.Fatalf("tagged: id %d tag %d rest %q err %v", id, tag, rest, err)
+	}
+	_, tag, rest, err = parseTagged(encodeTagged(32, resultMissing, encodeIDs([]uint64{7, 1 << 40})))
+	if ids, perr := parseIDs(rest); err != nil || perr != nil || tag != resultMissing || !reflect.DeepEqual(ids, []uint64{7, 1 << 40}) {
+		t.Fatalf("missing-input result: tag %d ids %v err %v / %v", tag, ids, err, perr)
 	}
 	task := &engine.RemoteTask{Part: 3, Root: &engine.RemoteNode{
 		Op: "identity", Part: 3,
@@ -94,7 +107,7 @@ func TestWireRejectsMalformed(t *testing.T) {
 	}
 	// Body shorter than declared.
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, msgTaskResult, encodeTagged(1, true, []byte("abcdef"))); err != nil {
+	if err := writeFrame(&buf, msgTaskResult, encodeTagged(1, resultOK, []byte("abcdef"))); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-3]
@@ -126,15 +139,139 @@ func TestWireRejectsMalformed(t *testing.T) {
 	if _, _, _, err := parseTagged([]byte{9}); err == nil {
 		t.Fatal("short tagged parsed")
 	}
-	if _, _, _, err := parseTagged(encodeTagged(1, true, nil)[:8]); err == nil {
-		t.Fatal("tagged without flag parsed")
+	if _, _, _, err := parseTagged(encodeTagged(1, resultOK, nil)[:8]); err == nil {
+		t.Fatal("tagged without tag parsed")
+	}
+	if _, _, _, err := parseTagged(encodeTagged(1, resultMissing+1, nil)); err == nil {
+		t.Fatal("unknown result tag parsed")
+	}
+	if _, err := parseIDs([]byte{0, 0, 0, 0, 0, 0, 0, 1, 2}); err == nil {
+		t.Fatal("ragged block-id list parsed")
 	}
 	if _, _, err := parseTask([]byte{0, 0, 0, 0, 0, 0, 0, 1, '{'}); err == nil {
 		t.Fatal("bad task json parsed")
 	}
-	if _, _, err := parseTask(append(make([]byte, 8), []byte(`{}`)...)); err == nil {
-		t.Fatal("rootless task parsed")
+	for _, js := range malformedTasks {
+		if _, _, err := parseTask(append(make([]byte, 8), js...)); err == nil {
+			t.Fatalf("malformed task parsed: %s", js)
+		}
 	}
+}
+
+// fakeDriver listens where a worker will dial, runs workerRun against it
+// in this process, completes the handshake and hands the connection to
+// talk. It returns workerRun's exit code and what it wrote to stderr.
+func fakeDriver(t *testing.T, talk func(conn net.Conn)) (code int, stderr string) {
+	t.Helper()
+	sock := filepath.Join(t.TempDir(), "w.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stderr
+	os.Stderr = pw
+	exit := make(chan int, 1)
+	go func() { exit <- workerRun(sock) }()
+	conn, err := ln.Accept()
+	if err == nil {
+		if typ, _, rerr := readFrame(conn); rerr != nil || typ != msgHello {
+			t.Errorf("hello: type %d err %v", typ, rerr)
+		}
+		writeFrame(conn, msgHelloAck, encodeHelloAck(0, time.Hour))
+		talk(conn)
+		conn.Close()
+	}
+	code = <-exit
+	os.Stderr = old
+	pw.Close()
+	out, _ := io.ReadAll(pr)
+	pr.Close()
+	if err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	return code, string(out)
+}
+
+// TestWorkerSaysWhyItExits: a worker that reads garbage — a frame that
+// fails its checksum, a frame cut short, a pushed block that is not a
+// batch — exits 1 and says what it read; only the driver hanging up at a
+// frame boundary is a clean exit.
+func TestWorkerSaysWhyItExits(t *testing.T) {
+	block := appendFrame(nil, msgBlockData, encodeTagged(3, resultOK, []byte("not a batch frame")))
+	corrupt := append([]byte(nil), block...)
+	corrupt[len(corrupt)-1] ^= 0x01
+	cases := []struct {
+		name  string
+		bytes []byte
+		code  int
+		says  string
+	}{
+		{"hang-up", nil, 0, ""},
+		{"checksum", corrupt, 1, "checksum mismatch"},
+		{"truncated", block[:len(block)-4], 1, "truncated wire frame"},
+		{"bad block", block, 1, "block data"},
+		{"bad task", appendFrame(nil, msgTask, append(make([]byte, 8), malformedTasks[2]...)), 1, "node input without a node"},
+	}
+	for _, tc := range cases {
+		code, stderr := fakeDriver(t, func(conn net.Conn) { conn.Write(tc.bytes) })
+		if code != tc.code || !strings.Contains(stderr, tc.says) || (tc.says == "") != (stderr == "") {
+			t.Errorf("%s: exit %d saying %q, want exit %d saying %q", tc.name, code, stderr, tc.code, tc.says)
+		}
+	}
+}
+
+// malformedTasks are task bodies (after the id) that decode as JSON but
+// name a tree evaluation could not walk.
+var malformedTasks = []string{
+	`{}`,
+	`{"part":1}`,
+	`{"root":{"op":"x","inputs":[{"kind":"node"}]}}`,
+	`{"root":{"op":"x","inputs":[{"kind":"block"}]}}`,
+	`{"root":{"op":"x","inputs":[{"kind":"shuffle","block":3}]}}`,
+	`{"root":{"op":"x","inputs":[{"kind":""}]}}`,
+	`{"root":{"op":"x","inputs":[{"kind":"concat","concat":[{"kind":"empty"},{"kind":"node"}]}]}}`,
+	`{"root":{"op":"x","inputs":[{"kind":"node","node":{"op":"y","inputs":[{"kind":"bogus"}]}}]}}`,
+}
+
+// FuzzRemoteTask feeds arbitrary bytes through the task parser the worker
+// runs on every msgTask body: it must reject what it cannot walk with an
+// error, and everything it accepts must survive the two walks made over a
+// task before it is evaluated (the operator chain, the block ids).
+func FuzzRemoteTask(f *testing.F) {
+	good, err := encodeTask(5, &engine.RemoteTask{Part: 2, Root: &engine.RemoteNode{
+		Op: "sum", Part: 2, Arg: []byte(`{"k":3}`),
+		Inputs: []engine.RemoteInput{
+			{Kind: "block", Block: 12},
+			{Kind: "empty"},
+			{Kind: "node", Node: &engine.RemoteNode{Op: "identity", Inputs: []engine.RemoteInput{{Kind: "block", Block: 13}}}},
+			{Kind: "concat", Concat: []engine.RemoteInput{{Kind: "block", Block: 12}, {Kind: "empty"}}},
+		},
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	for _, js := range malformedTasks {
+		f.Add(append(make([]byte, 8), js...))
+	}
+	f.Add([]byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		_, task, err := parseTask(body)
+		if err != nil {
+			return
+		}
+		task.OpChain()
+		eachBlock(task.Root, func(id uint64) {
+			if id == 0 {
+				t.Fatalf("accepted a block input without an id: %s", body)
+			}
+		})
+	})
 }
 
 // FuzzWireFrame feeds arbitrary bytes through the frame reader and every
@@ -144,8 +281,9 @@ func FuzzWireFrame(f *testing.F) {
 	var seed bytes.Buffer
 	writeFrame(&seed, msgHello, encodeHello(123))
 	writeFrame(&seed, msgHelloAck, encodeHelloAck(1, 100*time.Millisecond))
-	writeFrame(&seed, msgTaskResult, encodeTagged(7, true, []byte("data")))
-	writeFrame(&seed, msgFetchBlock, encodeBlockReq(9))
+	writeFrame(&seed, msgTaskResult, encodeTagged(7, resultOK, []byte("data")))
+	writeFrame(&seed, msgBlockData, encodeTagged(9, resultOK, []byte("pushed-block")))
+	writeFrame(&seed, msgTaskResult, encodeTagged(8, resultMissing, encodeIDs([]uint64{9})))
 	writeFrame(&seed, msgHeartbeat, nil)
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
@@ -173,9 +311,9 @@ func FuzzWireFrame(f *testing.F) {
 			case msgTask:
 				parseTask(body)
 			case msgTaskResult, msgBlockData:
-				parseTagged(body)
-			case msgFetchBlock:
-				parseBlockReq(body)
+				if _, tag, rest, err := parseTagged(body); err == nil && tag == resultMissing {
+					parseIDs(rest)
+				}
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package procpool
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -29,6 +30,12 @@ func WorkerMain() {
 	os.Exit(workerRun(os.Getenv(socketEnv)))
 }
 
+// workerRun is the worker's whole life: dial, handshake, then one loop over
+// the frames the driver pushes, in order — a block goes into the cache, a
+// task runs against the cache and is answered, and nothing is ever asked
+// of the driver. It returns the process exit code: 0 when the driver says
+// so or hangs up, 1 — with the reason on stderr — for anything it cannot
+// read, so a corrupted stream never dies silently.
 func workerRun(sock string) int {
 	conn, err := net.Dial("unix", sock)
 	if err != nil {
@@ -36,21 +43,33 @@ func workerRun(sock string) int {
 		return 1
 	}
 	defer conn.Close()
+	br := bufio.NewReaderSize(conn, wireBuf)
 
-	// The heartbeat goroutine and the task loop share the connection;
-	// writes must not interleave.
+	// The heartbeat goroutine and the task loop share the connection's
+	// writer; frames must not interleave. Everything is flushed as it is
+	// written except task results, which gather in the writer while more
+	// work is waiting (see the task loop).
 	var wmu sync.Mutex
-	send := func(typ byte, body []byte) error {
+	bw := bufio.NewWriterSize(conn, wireBuf)
+	send := func(flush bool, typ byte, body ...[]byte) error {
 		wmu.Lock()
 		defer wmu.Unlock()
-		return writeFrame(conn, typ, body)
+		if err := writeFrame(bw, typ, body...); err != nil || !flush {
+			return err
+		}
+		return bw.Flush()
+	}
+	flush := func() {
+		wmu.Lock()
+		bw.Flush() // a failed flush fails the next send too
+		wmu.Unlock()
 	}
 
-	if err := send(msgHello, encodeHello(os.Getpid())); err != nil {
+	if err := send(true, msgHello, encodeHello(os.Getpid())); err != nil {
 		fmt.Fprintf(os.Stderr, "procpool worker: hello: %v\n", err)
 		return 1
 	}
-	typ, body, err := readFrame(conn)
+	typ, body, err := readFrame(br)
 	if err != nil || typ != msgHelloAck {
 		fmt.Fprintf(os.Stderr, "procpool worker: handshake: type %d err %v\n", typ, err)
 		return 1
@@ -71,98 +90,59 @@ func workerRun(sock string) int {
 			case <-stop:
 				return
 			case <-t.C:
-				if send(msgHeartbeat, nil) != nil {
+				if send(true, msgHeartbeat) != nil {
 					return
 				}
 			}
 		}
 	}()
 
-	// Per-worker block cache: shared blocks (broadcasts, fan-in reads)
-	// cross the wire once per worker. Ids are never reused by the driver,
-	// so caching by id alone is safe; clearCache bounds its memory to a
-	// job's working set.
-	cache := map[uint64]engine.Batch{}
-
-	// fetch resolves a block id over the socket. The worker runs one task
-	// at a time with at most one outstanding fetch, so the next blockData
-	// frame answers this request; housekeeping frames that race a late
-	// fetch are handled inline.
-	fetch := func(id uint64) (engine.Batch, error) {
-		if b, ok := cache[id]; ok {
-			return b, nil
-		}
-		if err := send(msgFetchBlock, encodeBlockReq(id)); err != nil {
-			return nil, err
-		}
-		for {
-			typ, body, err := readFrame(conn)
-			if err != nil {
-				return nil, err
-			}
-			switch typ {
-			case msgBlockData:
-				gotID, ok, rest, perr := parseTagged(body)
-				if perr != nil {
-					return nil, perr
-				}
-				if gotID != id {
-					return nil, fmt.Errorf("procpool: block %d answered request for %d", gotID, id)
-				}
-				if !ok {
-					return nil, fmt.Errorf("procpool: fetch block %d: %s", id, rest)
-				}
-				b, _, derr := engine.DecodeBatch(rest)
-				if derr != nil {
-					return nil, fmt.Errorf("procpool: decode block %d: %w", id, derr)
-				}
-				cache[id] = b
-				return b, nil
-			case msgClearCache:
-				cache = map[uint64]engine.Batch{}
-			case msgShutdown:
-				return nil, fmt.Errorf("procpool: shutdown during fetch")
-			default:
-				return nil, fmt.Errorf("procpool: unexpected frame type %d during fetch", typ)
-			}
-		}
-	}
-
+	runner := taskRunner{cache: map[uint64]engine.Batch{}}
+	// A kernel about to run for the first time may take the process down
+	// (a poison operator does, every time): what is done is answered
+	// first, so that the first unanswered task the driver sees is the one
+	// that ran it.
+	runner.eval.FirstRun = flush
 	for {
-		typ, body, err := readFrame(conn)
+		typ, body, err := readFrame(br)
+		if err == io.EOF {
+			return 0 // driver hung up (pool closed, driver exited): clean exit
+		}
 		if err != nil {
-			// Driver hung up (pool closed, driver exited): clean exit.
-			if err == io.EOF {
-				return 0
-			}
-			return 0
+			fmt.Fprintf(os.Stderr, "procpool worker: %v\n", err)
+			return 1
 		}
 		switch typ {
+		case msgBlockData:
+			id, tag, frame, perr := parseTagged(body)
+			if perr == nil && tag != resultOK {
+				perr = fmt.Errorf("procpool: block %d pushed with tag %d", id, tag)
+			}
+			var b engine.Batch
+			if perr == nil {
+				b, _, perr = engine.DecodeBatch(frame)
+			}
+			if perr != nil {
+				fmt.Fprintf(os.Stderr, "procpool worker: block data: %v\n", perr)
+				return 1
+			}
+			runner.cache[id] = b
 		case msgTask:
 			id, task, perr := parseTask(body)
 			if perr != nil {
 				fmt.Fprintf(os.Stderr, "procpool worker: %v\n", perr)
 				return 1
 			}
-			var payload []byte
-			b, rerr := engine.RunRemoteTask(task, fetch)
-			if rerr == nil {
-				if b == nil {
-					b = &engine.Vec[any]{}
-				}
-				payload, rerr = engine.EncodeBatch(nil, b)
-			}
-			var out []byte
-			if rerr != nil {
-				out = encodeTagged(id, false, []byte(rerr.Error()))
-			} else {
-				out = encodeTagged(id, true, payload)
-			}
-			if send(msgTaskResult, out) != nil {
+			tag, rest := runner.run(task)
+			head := taggedHead(id, tag)
+			// The answer leaves now only if no frame is waiting to be
+			// read (wire.go has the rule and why it cannot deadlock).
+			if send(br.Buffered() == 0, msgTaskResult, head[:], rest) != nil {
 				return 0
 			}
 		case msgClearCache:
-			cache = map[uint64]engine.Batch{}
+			runner.cache = map[uint64]engine.Batch{}
+			runner.eval.Reset()
 		case msgShutdown:
 			return 0
 		default:
@@ -170,4 +150,50 @@ func workerRun(sock string) int {
 			return 1
 		}
 	}
+}
+
+// taskRunner is what a worker keeps between the tasks of one job: every
+// block the driver pushed since the last msgClearCache, and the kernels
+// resolved for the operators seen so far. The driver keeps the same set of
+// block ids (workerProc.held) and pushes a block once, so shared blocks
+// (broadcasts, fan-in reads) cross the wire once per worker. Ids are never
+// reused by the driver, so caching by id alone is safe; msgClearCache
+// bounds the runner's memory to a job's working set.
+type taskRunner struct {
+	cache map[uint64]engine.Batch
+	eval  engine.RemoteEvaluator
+}
+
+func (r *taskRunner) fetch(id uint64) (engine.Batch, error) {
+	b, ok := r.cache[id]
+	if !ok {
+		return nil, fmt.Errorf("procpool: block %d is not in the worker's cache", id)
+	}
+	return b, nil
+}
+
+// run evaluates one task against the cache and returns the tag and bytes
+// of its result. A task whose input never arrived answers resultMissing
+// without running anything.
+func (r *taskRunner) run(task *engine.RemoteTask) (tag byte, rest []byte) {
+	var missing []uint64
+	eachBlock(task.Root, func(id uint64) {
+		if _, ok := r.cache[id]; !ok {
+			missing = append(missing, id)
+		}
+	})
+	if len(missing) > 0 {
+		return resultMissing, encodeIDs(missing)
+	}
+	b, err := r.eval.RunRemoteTask(task, r.fetch)
+	if err == nil {
+		if b == nil {
+			b = &engine.Vec[any]{}
+		}
+		rest, err = engine.EncodeBatch(nil, b)
+	}
+	if err != nil {
+		return resultErr, []byte(err.Error())
+	}
+	return resultOK, rest
 }
