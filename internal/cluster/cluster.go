@@ -18,9 +18,11 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -477,7 +479,10 @@ func (s *Simulator) ReleaseBroadcasts() {
 }
 
 // makespan computes the completion time of scheduling durations greedily
-// (longest first) onto `slots` parallel slots.
+// (longest first) onto `slots` parallel slots. A stage's durations come in
+// its tasks' longest-first order, so without retries they already descend
+// and are used as they are; sorting a copy could only swap equal values,
+// which give equal sums whichever slot takes them.
 func makespan(durations []float64, slots int) float64 {
 	if len(durations) == 0 {
 		return 0
@@ -485,9 +490,11 @@ func makespan(durations []float64, slots int) float64 {
 	if slots < 1 {
 		slots = 1
 	}
-	sorted := make([]float64, len(durations))
-	copy(sorted, durations)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+	sorted := durations
+	if !slices.IsSortedFunc(durations, func(a, b float64) int { return cmp.Compare(b, a) }) {
+		sorted = slices.Clone(durations)
+		sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+	}
 	if len(sorted) <= slots {
 		return sorted[0]
 	}

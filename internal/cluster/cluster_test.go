@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -174,6 +178,59 @@ func TestMakespanProperties(t *testing.T) {
 		return m >= lower-1e-9 && m <= sum+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// refMakespan is makespan as it was before it trusted presorted input: it
+// always sorts a copy.
+func refMakespan(durations []float64, slots int) float64 {
+	if len(durations) == 0 {
+		return 0
+	}
+	if slots < 1 {
+		slots = 1
+	}
+	sorted := slices.Clone(durations)
+	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+	if len(sorted) <= slots {
+		return sorted[0]
+	}
+	h := newFloatHeap(slots)
+	for _, d := range sorted {
+		h.addToMin(d)
+	}
+	return h.max()
+}
+
+// TestMakespanMatchesAlwaysSorting: makespan equals the always-sorting
+// routine bit for bit on the durations RunStageReport hands it — task
+// costs in longest-first order, many of them tied, plus the task overhead,
+// some multiplied by retries — and on arbitrary order.
+func TestMakespanMatchesAlwaysSorting(t *testing.T) {
+	f := func(raw []uint8, retries []uint8, slots8 uint8, seed int64) bool {
+		slots := int(slots8%16) + 1
+		compute := make([]float64, len(raw))
+		for i, r := range raw {
+			compute[i] = float64(r%8) / 3 // few distinct values: ties
+		}
+		slices.SortFunc(compute, func(a, b float64) int { return cmp.Compare(b, a) })
+		durations := make([]float64, len(compute))
+		for i, c := range compute {
+			d := c + 0.1
+			durations[i] = d
+			if i < len(retries) && retries[i]%5 == 0 {
+				durations[i] += d * float64(retries[i]%3)
+			}
+		}
+		shuffled := slices.Clone(durations)
+		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		return makespan(durations, slots) == refMakespan(durations, slots) &&
+			makespan(shuffled, slots) == refMakespan(shuffled, slots)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -243,13 +243,12 @@ func measureBytes(calls int, part func()) uint64 {
 
 // TestFoldAllocBound pins the combine's allocation model: once a worker's
 // table is warm, a partition allocates its exact-size output and a small
-// constant (batch header, two closures) — nothing per input row and no
-// table. The shape is kmeans_lifted's, 833 rows onto 256 keys of 64 bytes,
-// where the buffering combine this replaced allocated ≈ 200 KB per
-// partition (row buffer, fresh map, key order, output and its append-grown
-// copy) against 16 KB of output; the two-row partition is the near-empty
-// task of bounce_inner_jobs. Fused (the chain the plan composes) and
-// per-operator evaluation share the bound.
+// constant (batch header) — nothing per input row and no table. The shape is
+// kmeans_lifted's, 833 rows onto 256 keys of 64 bytes, where the buffering
+// combine this replaced allocated ≈ 200 KB per partition (row buffer, fresh
+// map, key order, output and its append-grown copy) against 16 KB of output;
+// the two-row partition is the near-empty task of bounce_inner_jobs. Fused
+// (a runner's chain instance) and per-operator evaluation share the bound.
 func TestFoldAllocBound(t *testing.T) {
 	skipIfInstrumented(t)
 	const slack = 256
@@ -259,15 +258,15 @@ func TestFoldAllocBound(t *testing.T) {
 		pre := Map(src, func(kv foldShape) foldShape { return kv })
 		red := ReduceByKey(pre, foldShapeSum)
 		comb := red.n.deps[0].parent
-		chain := s.buildExecPlan(red.n).fused[comb]
-		if chain == nil || chain.head != src.n {
-			t.Fatalf("the plan did not fuse map∘combine over the source: %+v", chain)
+		fi := s.buildExecPlan(red.n).fused[comb]
+		if fi == nil || fi.head != src.n {
+			t.Fatalf("the plan did not fuse map∘combine over the source: %+v", fi)
 		}
 		head := src.n.compute(nil, 0, nil)
 		mid := pre.n.compute(nil, 0, []Batch{head})
-		var fc fuseCounts
+		c := newChain(nil, fi)
 		for name, part := range map[string]func() Batch{
-			"fused":        func() Batch { return chain.exec(nil, &fc, 0, head) },
+			"fused":        func() Batch { return c.run(0, head) },
 			"per-operator": func() Batch { return comb.compute(nil, 0, []Batch{mid}) },
 		} {
 			if got := part().Len(); got != shape.keys {
@@ -296,5 +295,74 @@ func TestFoldOutputsNotAliased(t *testing.T) {
 	foldRows[int](set, seq(300)[150:])
 	if !slices.Equal(a, keep) || !slices.Equal(sa, skeep) {
 		t.Fatal("folding the next partition changed the previous partition's result")
+	}
+}
+
+// tinyRows returns rows keyed so that PartitionByKey into parts partitions
+// puts p%4 of them into partition p: the paper's fixed 3 × cores
+// partitions over an inner job's couple of thousand records.
+func tinyRows(parts int) []Pair[int, int] {
+	need, total := make([]int, parts), 0
+	for p := range need {
+		need[p] = p % 4
+		total += need[p]
+	}
+	rows := make([]Pair[int, int], 0, total)
+	for k := 0; len(rows) < total; k++ {
+		if p := hashOf(k) % uint64(parts); need[p] > 0 {
+			need[p]--
+			rows = append(rows, KV(k, k))
+		}
+	}
+	return rows
+}
+
+// TestTinyTaskAllocBound is the cost of a near-empty task: a stage of 1200
+// partitions of 0–3 rows allocates, per non-empty partition, at most its
+// output's header and data, nothing for an empty one, and for the stage a
+// constant plus a few objects per runner (the result slice, the simulator's
+// scheduling, each runner's Ctx and chain). Two stages read the same routed
+// blocks: a fused filter∘map∘fold (ReduceByKey's map side) and a
+// per-operator filter, each at one host worker and at four.
+func TestTinyTaskAllocBound(t *testing.T) {
+	skipIfInstrumented(t)
+	const parts = 1200
+	nonEmpty := parts * 3 / 4 // partition p holds p%4 rows
+	rows := tinyRows(parts)
+	for _, workers := range []int{1, 4} {
+		s := poolSession(workers)
+		blocks := PartitionByKey(Parallelize(s, rows, 8), parts)
+		kept := Filter(blocks, func(kv Pair[int, int]) bool { return kv.Val%7 != 0 })
+		keyed := Map(kept, func(kv Pair[int, int]) Pair[int, int64] { return KV(kv.Key%64, int64(1)) })
+		combine := ReduceByKeyN(keyed, func(a, b int64) int64 { return a + b }, 8).n.deps[0].parent
+		filter := Filter(blocks, func(kv Pair[int, int]) bool { return kv.Val%7 != 0 }).n
+		for name, root := range map[string]*node{"fused": combine, "per-operator": filter} {
+			j := s.newJob()
+			j.ep = s.buildExecPlan(root)
+			if f := j.runStages(root); f != nil {
+				t.Fatal(f.err)
+			}
+			if fused := j.ep.fused[root] != nil; fused != (name == "fused") {
+				t.Fatalf("%s: the stage root tops a fused chain: %v", name, fused)
+			}
+			st := j.ep.stageOf(root)
+			launch := func() {
+				delete(j.front, root)
+				if f := j.launchStage(root, st).fail; f != nil {
+					t.Fatal(f.err)
+				}
+			}
+			launch() // warm the fold tables
+			// The collector is held off: a cycle would empty the tables' pool.
+			gc := debug.SetGCPercent(-1)
+			avg := testing.AllocsPerRun(10, launch)
+			debug.SetGCPercent(gc)
+			if budget := 2*nonEmpty + 32 + 16*workers; avg > float64(budget) {
+				t.Errorf("%s on %d workers: a stage of %d partitions, %d of them non-empty, allocates %.0f, want <= %d",
+					name, workers, parts, nonEmpty, avg, budget)
+			}
+			j.end()
+		}
+		s.Close()
 	}
 }

@@ -42,6 +42,11 @@ type Batch interface {
 	// "Pair[int,int64]", "any").
 	Shape() string
 
+	// elemSize is sizeest.FixedSize of the element type: the deep size every
+	// element has, ok=false where it depends on the value (and always for
+	// the boxed fallback).
+	elemSize() (size int64, ok bool)
+
 	// newLike allocates a same-shaped batch of n zero elements with the
 	// given boxed capacity (the broadcast flatten's pre-sized output).
 	newLike(n, bcap int) Batch
@@ -83,6 +88,8 @@ func (v *Vec[T]) Data() any     { return v.xs }
 
 func (v *Vec[T]) Shape() string { return shapeName(reflect.TypeFor[T]()) }
 
+func (v *Vec[T]) elemSize() (int64, bool) { return sizeest.FixedSize(reflect.TypeFor[T]()) }
+
 func (v *Vec[T]) newLike(n, bcap int) Batch {
 	return &Vec[T]{xs: make([]T, n), bcap: bcap}
 }
@@ -92,7 +99,7 @@ func (v *Vec[T]) newBlocks(lens []int32, blocks []Batch, from *arenaList) [][]ui
 	// A shape of one fixed deep size is one without pointers, strings,
 	// slices, maps or interfaces: exactly what may live in memory the
 	// collector does not scan.
-	if _, raw := sizeest.OfFixed(v.xs, 0, 0); from == nil || !raw || size == 0 {
+	if _, raw := v.elemSize(); from == nil || !raw || size == 0 {
 		for t, n := range lens {
 			if n > 0 {
 				blocks[t] = &Vec[T]{xs: make([]T, n), bcap: blockCap(int(n))}

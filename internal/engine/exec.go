@@ -185,13 +185,24 @@ func (j *job) launchStage(n *node, st *plan.Stage) stageResult {
 	memoHitsBefore := j.memoHits.Load()
 	var panicOnce sync.Once
 	var panicked any
-	runTask := func(p int) {
+	// One Ctx per runner, reused for every task it takes: the task's costs
+	// are reset per task, its input stack and fused chains are not.
+	tcs := make([]*Ctx, j.s.workers)
+	runTask := func(r, p int) {
+		tc := tcs[r]
+		if tc == nil {
+			tc = &Ctx{job: j}
+			tcs[r] = tc
+		}
+		tc.taskCost = taskCost{}
 		defer func() {
-			if r := recover(); r != nil {
-				panicOnce.Do(func() { panicked = fmt.Errorf("engine: task %d of %s panicked: %v", p, n.label, r) })
+			if e := recover(); e != nil {
+				// A chain or input stack a panic left mid-partition is
+				// dropped, with any pooled scratch it held.
+				tc.ins, tc.chains = nil, nil
+				panicOnce.Do(func() { panicked = fmt.Errorf("engine: task %d of %s panicked: %v", p, n.label, e) })
 			}
 		}()
-		tc := &Ctx{job: j}
 		out := j.evalPart(tc, n, p)
 		results[p] = out
 		// The stage root's output is materialized: charge the rows it
@@ -486,9 +497,13 @@ func (j *job) evalPart(tc *Ctx, n *node, p int) Batch {
 		hit := true
 		e.once.Do(func() {
 			hit = false
-			sub := &Ctx{job: j}
-			e.data = j.evalPartDirect(sub, n, p)
-			e.work, e.shuffleBytes, e.mem = sub.work, sub.shuffleBytes, sub.mem
+			// The partition is computed on the consumer's runner scratch
+			// (input stack, fused chains) into costs of its own.
+			outer := tc.taskCost
+			tc.taskCost = taskCost{}
+			e.data = j.evalPartDirect(tc, n, p)
+			e.work, e.shuffleBytes, e.mem = tc.work, tc.shuffleBytes, tc.mem
+			tc.taskCost = outer
 		})
 		if hit {
 			j.memoHits.Add(1)
@@ -515,17 +530,21 @@ func (j *job) evalPartDirect(tc *Ctx, n *node, p int) Batch {
 		// unfused per-link sequence exactly.
 		return j.evalFused(tc, fi, p)
 	}
-	inputs := make([]Batch, len(n.deps))
+	// The node's input slots sit on the runner's stack: parents evaluated
+	// here push their own above them and pop them before returning.
+	base := len(tc.ins)
+	tc.ins = append(tc.ins, make([]Batch, len(n.deps))...)
 	for i := range n.deps {
 		d := &n.deps[i]
+		var b Batch
 		switch d.kind {
 		case depNarrow:
 			if d.narrowMap == nil {
-				inputs[i] = j.evalPart(tc, d.parent, p)
+				b = j.evalPart(tc, d.parent, p)
 			} else if pps := d.narrowMap(p); len(pps) == 1 {
-				inputs[i] = j.evalPart(tc, d.parent, pps[0])
+				b = j.evalPart(tc, d.parent, pps[0])
 			} else if len(pps) == 0 {
-				inputs[i] = zeroBatch
+				b = zeroBatch
 			} else {
 				// Fan-in concat. The boxed representation grew this
 				// slice by chunk-wise appends, whose capacity growth is
@@ -535,16 +554,16 @@ func (j *job) evalPartDirect(tc *Ctx, n *node, p int) Batch {
 				for _, pp := range pps {
 					in = append(in, toBoxed(j.evalPart(tc, d.parent, pp))...)
 				}
-				inputs[i] = boxedBatch(in)
+				b = boxedBatch(in)
 			}
-			tc.work += float64(batchLen(inputs[i])) * d.parent.weight
+			tc.work += float64(batchLen(b)) * d.parent.weight
 		case depShuffle:
 			// Shuffle reads are charged as network cost and consume
 			// CPU; residency is claimed by the consuming operator
 			// according to its own semantics (a reduce holds its
 			// build map, a groupBy holds its whole input, a
 			// pipelined map holds neither).
-			b := j.blocks[d].blocks[p]
+			b = j.blocks[d].blocks[p]
 			tc.work += float64(batchLen(b)) * d.parent.weight
 			tc.shuffleBytes += float64(estPartitionBytes(b)) * d.parent.weight
 			if j.s.obs.Enabled() {
@@ -556,14 +575,20 @@ func (j *job) evalPartDirect(tc *Ctx, n *node, p int) Batch {
 			if b == nil {
 				b = zeroBatch
 			}
-			inputs[i] = b
 		case depBroadcast:
 			// The broadcast build cost is charged at pin time; probe
 			// work is charged by the rows the consumer emits.
-			inputs[i] = j.bcast[d]
+			b = j.bcast[d]
 		}
+		// By index into tc.ins as it is now: evaluating a parent may have
+		// grown (moved) the stack.
+		tc.ins[base+i] = b
 	}
-	return n.compute(tc, p, inputs)
+	inputs := tc.ins[base:len(tc.ins):len(tc.ins)]
+	out := n.compute(tc, p, inputs)
+	clear(inputs)
+	tc.ins = tc.ins[:base]
+	return out
 }
 
 // once runs f exactly once per job for the given node id, caching the

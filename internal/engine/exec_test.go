@@ -665,25 +665,85 @@ func TestRandomDAGFusedMatchesPerOperator(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolParallelFor exercises the counter-based fan-out directly.
-func TestWorkerPoolParallelFor(t *testing.T) {
-	p := newWorkerPool(4)
+// TestParallelForClaimsEachIndexOnce: at every width, guided claims and
+// steals hand out every index exactly once — n around one block, a stage's
+// 1200 partitions and one more — each runner names itself by an r below
+// the width and runs its indices one at a time, and a panicking body
+// surfaces on the caller once the other runners have finished the rest.
+func TestParallelForClaimsEachIndexOnce(t *testing.T) {
+	p := newWorkerPool(8)
 	defer p.close()
-	for _, n := range []int{0, 1, 3, 100} {
-		var hits atomic.Int64
-		seen := make([]int32, n)
-		p.parallelFor(4, n, func(i int) {
-			atomic.AddInt32(&seen[i], 1)
-			hits.Add(1)
-		})
-		if hits.Load() != int64(n) {
-			t.Fatalf("n=%d: %d calls", n, hits.Load())
-		}
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d ran %d times", n, i, c)
+	for width := 1; width <= 8; width++ {
+		for _, n := range []int{0, 1, 7, 1200, 1201} {
+			seen := make([]int32, n)
+			busy := make([]atomic.Int32, width)
+			p.parallelFor(width, n, func(r, i int) {
+				if r < 0 || r >= width {
+					t.Errorf("width %d: runner %d", width, r)
+					return
+				}
+				if busy[r].Add(1) != 1 {
+					t.Errorf("width %d: runner %d ran two indices at once", width, r)
+				}
+				atomic.AddInt32(&seen[i], 1)
+				busy[r].Add(-1)
+			})
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("width %d, n=%d: index %d ran %d times", width, n, i, c)
+				}
+			}
+			if n == 0 {
+				continue
+			}
+			var ran atomic.Int64
+			func() {
+				defer func() {
+					if r := recover(); r != "boom" {
+						t.Errorf("width %d, n=%d: recovered %v, want the body's panic", width, n, r)
+					}
+				}()
+				p.parallelFor(width, n, func(_, i int) {
+					if i == n/2 {
+						panic("boom")
+					}
+					ran.Add(1)
+				})
+			}()
+			want := int64(n - 1)
+			if width == 1 {
+				want = int64(n / 2) // inline: the panic ends the loop
+			}
+			if ran.Load() != want {
+				t.Errorf("width %d, n=%d: %d indices ran besides the panicking one, want %d", width, n, ran.Load(), want)
 			}
 		}
+	}
+}
+
+// TestParallelForStealsFromStalledRunner: a runner that stalls in the
+// middle of its block strands nothing — the other runners take every index
+// it had not started, while it is still stalled.
+func TestParallelForStealsFromStalledRunner(t *testing.T) {
+	p := newWorkerPool(4)
+	defer p.close()
+	for _, width := range []int{2, 4} {
+		const n = 1200
+		var ran atomic.Int64
+		others := make(chan struct{})
+		p.parallelFor(width, n, func(_, i int) {
+			if i == 0 {
+				select {
+				case <-others:
+				case <-time.After(10 * time.Second):
+					t.Errorf("width %d: %d of the other %d indices ran while index 0's runner stalled", width, ran.Load(), n-1)
+				}
+				return
+			}
+			if ran.Add(1) == n-1 {
+				close(others)
+			}
+		})
 	}
 }
 

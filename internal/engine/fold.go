@@ -24,25 +24,17 @@ type folder[A any] interface {
 	finish() []A
 }
 
-// foldPartition runs one partition through a folder from tables; feed
-// pushes the partition's rows into add. The Put is deliberately not
-// deferred: a folder a panicking UDF abandoned mid-partition is dropped,
-// never reused.
-func foldPartition[A any](tables *sync.Pool, feed func(add func(A))) []A {
+// foldBatch runs the rows of one materialized partition through a folder
+// from tables. The Put is deliberately not deferred: a folder a panicking
+// UDF abandoned mid-partition is dropped, never reused.
+func foldBatch[A any](tables *sync.Pool, in Batch) []A {
 	t := tables.Get().(folder[A])
-	feed(t.add)
+	for _, a := range elems[A](in) {
+		t.add(a)
+	}
 	out := t.finish()
 	tables.Put(t)
 	return out
-}
-
-// foldBatch is foldPartition over a materialized input batch.
-func foldBatch[A any](tables *sync.Pool, in Batch) []A {
-	return foldPartition(tables, func(add func(A)) {
-		for _, a := range elems[A](in) {
-			add(a)
-		}
-	})
 }
 
 // keyIndex is the reusable index under every pooled scratch (the folders'

@@ -8,32 +8,37 @@ import (
 	"matryoshka/internal/obs"
 )
 
-// fusePair runs the same dataset build on two sessions — fusion disabled
-// and enabled — and asserts the collected output, virtual clock, and
-// simulated cluster stats are bit-identical. This is the fused path's
-// contract: it may change wall-clock and host allocations, never results
-// or simulated accounting.
+// fusePair runs the same dataset build on sessions with fusion disabled
+// and enabled — the fused one on four host workers and on one, whose
+// single runner takes every partition through the same chain instance —
+// and asserts the collected output, virtual clock, and simulated cluster
+// stats are bit-identical. This is the fused path's contract: it may change
+// wall-clock and host allocations, never results or simulated accounting.
 func fusePair[T any](t *testing.T, build func(s *Session) Dataset[T]) {
 	t.Helper()
 	unf := poolSession(4)
 	unf.noFuse = true
 	defer unf.Close()
-	fus := poolSession(4)
-	defer fus.Close()
-
-	a, err1 := Collect(build(unf))
-	b, err2 := Collect(build(fus))
-	if err1 != nil || err2 != nil {
-		t.Fatalf("collect errs: unfused %v, fused %v", err1, err2)
+	a, err := Collect(build(unf))
+	if err != nil {
+		t.Fatalf("collect unfused: %v", err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("outputs differ\nunfused: %v\nfused:   %v", a, b)
-	}
-	if uc, fc := unf.Clock(), fus.Clock(); uc != fc {
-		t.Fatalf("clocks differ: unfused %v, fused %v", uc, fc)
-	}
-	if us, fs := unf.Stats(), fus.Stats(); us != fs {
-		t.Fatalf("stats differ: unfused %+v, fused %+v", us, fs)
+	for _, workers := range []int{4, 1} {
+		fus := poolSession(workers)
+		defer fus.Close()
+		b, err := Collect(build(fus))
+		if err != nil {
+			t.Fatalf("collect fused on %d workers: %v", workers, err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("outputs differ on %d workers\nunfused: %v\nfused:   %v", workers, a, b)
+		}
+		if uc, fc := unf.Clock(), fus.Clock(); uc != fc {
+			t.Fatalf("clocks differ on %d workers: unfused %v, fused %v", workers, uc, fc)
+		}
+		if us, fs := unf.Stats(), fus.Stats(); us != fs {
+			t.Fatalf("stats differ on %d workers: unfused %+v, fused %+v", workers, us, fs)
+		}
 	}
 }
 

@@ -85,9 +85,10 @@ type node struct {
 	// join). Recovery builds it when the chosen lowering OOMs at run time.
 	fallback *refallback
 	// link, when set, is what this operator contributes to a fused narrow
-	// chain (fuse.go): its step over a typed upstream pipeline, and the
-	// materializer for when it ends the chain. nil for non-fusible
-	// operators. Chains are found and composed per plan (compileFusion).
+	// chain (fuse.go): its step as a sink over the push of the operator
+	// above it, and the materializer for when it ends the chain. nil for
+	// non-fusible operators. Chains are found per plan (compileFusion) and
+	// composed per runner (newChain).
 	link *link
 	// port, when set, names this operator in the portable-op registry
 	// (portable.go), letting a process-pool backend reconstruct and run it
@@ -104,19 +105,37 @@ type node struct {
 // work beyond per-element processing (e.g. the sequential inner algorithms
 // of the outer-parallel workaround) report it through Charge and UseMemory
 // so the simulated cluster sees realistic task costs.
+//
+// A Ctx is the scratch of one runner of a stage (see parallelFor), reset
+// for every task the runner takes: the *Ctx a compute or MapCtx UDF is
+// handed is valid only for the duration of that call and must not be kept.
 type Ctx struct {
-	job          *job    // owning job, for per-job memoization
+	job *job // owning job, for per-job memoization
+	taskCost
+
+	// encScratch is the boundary encoder's reusable buffer.
+	encScratch []byte
+	// ins is the stack evalPartDirect takes each node's input slots from, so
+	// a per-operator node allocates no input slice per partition.
+	ins []Batch
+	// chains holds this runner's instances of the plan's fused chains, by
+	// fuseInfo.slot, each built the first time the runner meets it.
+	chains []*chain
+}
+
+// taskCost is what a task accumulates for the simulated cluster and the
+// event spine. A fan-in memo site computes into a zeroed one and replays it
+// into the consumer's (evalPart).
+type taskCost struct {
 	work         float64 // real element-equivalents processed by this task
 	shuffleBytes float64 // real shuffle bytes read by this task
 	mem          int64   // peak real bytes held by this task
 
 	// Boundary observability (populated only when the session records
 	// events): the encoded wire size of the shuffle blocks this task read
-	// (batchio frames), the element shape of the first non-empty one, and
-	// the encoder's reusable scratch buffer.
+	// (batchio frames) and the element shape of the first non-empty one.
 	boundaryBytes int64
 	batchShape    string
-	encScratch    []byte
 }
 
 // Once runs f exactly once per job for the given key, returning the cached
@@ -185,7 +204,14 @@ func estPartitionBytes(part Batch) int64 {
 	if n == 0 {
 		return 0
 	}
+	// Fixed-size element shapes cost a count times a per-type constant, so a
+	// batch of them is charged by formula — no element looked at, no sample
+	// built; only value-dependent shapes are walked.
+	size, fixed := part.elemSize()
 	if n <= sampleN {
+		if fixed {
+			return sizeest.OfFixed(size, n, part.BoxedCap())
+		}
 		return sizeest.OfBatch(part)
 	}
 	// Evenly spaced sample: catches a giant element in small-cardinality
@@ -199,10 +225,10 @@ func estPartitionBytes(part Batch) int64 {
 	if count > sampleN {
 		bcap = sampleGrowCap
 	}
-	// Fixed-size element shapes cost count times a per-type constant, so
-	// the sample itself is never built; only value-dependent shapes copy.
-	sampled, ok := sizeest.OfFixed(part.Data(), count, bcap)
-	if !ok {
+	var sampled int64
+	if fixed {
+		sampled = sizeest.OfFixed(size, count, bcap)
+	} else {
 		sampled = sizeest.OfBatch(part.sampleEvery(step, bcap))
 	}
 	return sampled * int64(n) / int64(count)
@@ -217,7 +243,9 @@ func defaultWorkers() int {
 }
 
 // newNode registers a DAG vertex. Dep childParts and the node weight are
-// filled in here.
+// filled in here. compute must not retain the inputs slice past its call:
+// the executor reuses it for the next node. (The batches in it may outlive
+// the call only as far as their dep allows; see dep.aliased.)
 func (s *Session) newNode(label string, parts int, deps []dep, compute func(tc *Ctx, p int, inputs []Batch) Batch) *node {
 	if parts < 1 {
 		parts = 1

@@ -10,7 +10,9 @@ func Map[A, B any](d Dataset[A], f func(A) B) Dataset[B] {
 // MapCtx is Map with access to the task context, so UDFs that do heavy
 // per-element work (e.g. the outer-parallel workaround running a whole
 // inner algorithm sequentially inside one UDF call) can report their true
-// compute and memory costs to the simulated cluster.
+// compute and memory costs to the simulated cluster. The *Ctx is the
+// runner's scratch, valid only for the duration of the call: f must not
+// keep it or hand it to another goroutine.
 func MapCtx[A, B any](d Dataset[A], f func(*Ctx, A) B) Dataset[B] {
 	n := d.s.newNode("mapCtx", d.n.parts, []dep{narrowDep(d.n)}, func(tc *Ctx, p int, in []Batch) Batch {
 		src := elems[A](in[0])

@@ -102,21 +102,21 @@ func (s *Session) buildExecPlanFrom(target *node, done func(*node) bool, replan 
 	return ep
 }
 
-// compileFusion finds this plan's fused chains and composes them from the
-// operators' links (fuse.go). A chain runs top to bottom through each
-// link's streamed dep while that dep reads partition p for partition p (no
-// narrowMap) and the parent is itself a link the plan cannot see: not a
-// stage root (its partitions must materialize: shuffle and broadcast
-// parents, cached nodes, the recovery frontier), not a fan-in memo site (a
-// multi-consumer intermediate must still be computed exactly once). Such a
-// parent has one consumer in the plan, so it lies inside exactly one chain;
-// every other link tops a chain of its own. A node the plan can see
+// compileFusion finds this plan's fused chains (fuse.go); runners compose
+// their instances from the operators' links. A chain runs top to bottom
+// through each link's streamed dep while that dep reads partition p for
+// partition p (no narrowMap) and the parent is itself a link the plan cannot
+// see: not a stage root (its partitions must materialize: shuffle and
+// broadcast parents, cached nodes, the recovery frontier), not a fan-in memo
+// site (a multi-consumer intermediate must still be computed exactly once).
+// Such a parent has one consumer in the plan, so it lies inside exactly one
+// chain; every other link tops a chain of its own. A node the plan can see
 // therefore cuts a chain into two that both fuse — it tops the lower one
 // and, evaluated through evalPart like any head (memo, frontier and cache
 // apply), feeds the upper one — and a chain longer than maxFuseOps splits
 // the same way. The walk reads the live deps: recovery's rewire splices
-// replacement parents into them and every replan recompiles, so no chain
-// can run through a lowering the current plan abandoned.
+// replacement parents into them and every replan recompiles, so no chain can
+// run through a lowering the current plan abandoned.
 func (ep *execPlan) compileFusion() {
 	ep.fused = make(map[*node]*fuseInfo)
 	// fusible: n is a link streaming its parent's partition p into its own
@@ -127,7 +127,7 @@ func (ep *execPlan) compileFusion() {
 	// below returns the link n's chain continues into, nil if it ends at n.
 	below := func(n *node) *node {
 		m := n.deps[n.link.stream].parent
-		if !fusible(m) || m.link.over == nil {
+		if !fusible(m) || m.link.sink == nil {
 			return nil
 		}
 		if pm := ep.pnodes[m]; pm.Done || ep.plan.IsRoot(pm) || ep.plan.Memo[pm] {
@@ -154,15 +154,11 @@ func (ep *execPlan) compileFusion() {
 				via = append(via, next)
 			}
 			slices.Reverse(via)
-			if k := len(via); k >= 2 {
-				var up any
-				for i, m := range via[:k-1] {
-					up = m.link.over(up, i-1)
-				}
+			if len(via) >= 2 {
 				ep.fused[top] = &fuseInfo{
 					head: via[0].deps[via[0].link.stream].parent,
 					via:  via,
-					exec: top.link.top(up, k-2),
+					slot: len(ep.fused),
 				}
 			}
 			top = next // the cap cut the chain here: next heads it and tops the rest

@@ -493,14 +493,21 @@ func (e *RemoteEvaluator) evalInput(in *RemoteInput, fetch FetchFunc) (Batch, er
 // shuffle.go and join.go build their node computes from them (wrapping
 // driver-only simulated memory charges where the operator claims
 // residency), and the taskreg registration helpers hand them to
-// RegisterPortableOp so workers run literally the same loops.
+// RegisterPortableOp so workers run literally the same loops. A kernel
+// that has no rows to produce returns one typed empty batch it made up
+// front — a near-empty task pays only for its rows — and none keeps its
+// inputs slice (see newNode).
 
 func identityCompute(tc *Ctx, p int, in []Batch) Batch { return in[0] }
 
 // MapCompute is Map's kernel.
 func MapCompute[A, B any](f func(A) B) PortableCompute {
+	empty := batchOf[B](nil, 0)
 	return func(tc *Ctx, p int, in []Batch) Batch {
 		src := elems[A](in[0])
+		if len(src) == 0 {
+			return empty
+		}
 		out := make([]B, len(src))
 		for i, e := range src {
 			out[i] = f(e)
@@ -511,8 +518,12 @@ func MapCompute[A, B any](f func(A) B) PortableCompute {
 
 // FilterCompute is Filter's kernel.
 func FilterCompute[A any](pred func(A) bool) PortableCompute {
+	empty := batchOf[A](nil, 0)
 	return func(tc *Ctx, p int, in []Batch) Batch {
 		src := elems[A](in[0])
+		if len(src) == 0 {
+			return empty
+		}
 		out := make([]A, 0, len(src))
 		for _, e := range src {
 			if pred(e) {
@@ -526,10 +537,14 @@ func FilterCompute[A any](pred func(A) bool) PortableCompute {
 
 // FlatMapCompute is FlatMap's kernel.
 func FlatMapCompute[A, B any](f func(A) []B) PortableCompute {
+	empty := batchOf[B](nil, 0)
 	return func(tc *Ctx, p int, in []Batch) Batch {
 		var out []B
 		for _, e := range elems[A](in[0]) {
 			out = append(out, f(e)...)
+		}
+		if len(out) == 0 {
+			return empty
 		}
 		// The boxed loop grew from nil through power-of-two capacities.
 		return batchOf(out, blockCap(len(out)))
@@ -550,8 +565,12 @@ func MapPartitionsCompute[A, B any](f func([]A) []B) PortableCompute {
 
 // MapValuesCompute is MapValues' kernel.
 func MapValuesCompute[K comparable, V, W any](f func(V) W) PortableCompute {
+	empty := batchOf[Pair[K, W]](nil, 0)
 	return func(tc *Ctx, p int, in []Batch) Batch {
 		src := elems[Pair[K, V]](in[0])
+		if len(src) == 0 {
+			return empty
+		}
 		out := make([]Pair[K, W], len(src))
 		for i, kv := range src {
 			out[i] = Pair[K, W]{Key: kv.Key, Val: f(kv.Val)}
@@ -564,7 +583,11 @@ func MapValuesCompute[K comparable, V, W any](f func(V) W) PortableCompute {
 // partition through a folder from tables, the result its own exact-size
 // batch.
 func foldCompute[A any](tables *sync.Pool) PortableCompute {
+	empty := batchOf[A](nil, 0)
 	return func(tc *Ctx, p int, in []Batch) Batch {
+		if in[0].Len() == 0 {
+			return empty
+		}
 		out := foldBatch[A](tables, in[0])
 		return batchOf(out, len(out))
 	}
@@ -641,7 +664,7 @@ func RepartitionJoinCompute[K comparable, A, B any]() PortableCompute {
 	return func(tc *Ctx, p int, in []Batch) Batch {
 		s := pool.Get().(*joinScratch[K, A, B])
 		out := s.join(elems[Pair[K, A]](in[0]), elems[Pair[K, B]](in[1]))
-		pool.Put(s) // not deferred: see foldPartition
+		pool.Put(s) // not deferred: see foldBatch
 		return batchOf(out, blockCap(len(out)))
 	}
 }

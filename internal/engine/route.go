@@ -92,15 +92,6 @@ func routeCore(d *dep, parent []Batch, pool *workerPool, workers int, from *aren
 	}
 	bounds := routeChunks(starts, workers)
 	nch := len(bounds) - 1
-	// forChunks runs one pass. A lone chunk runs on the caller: there is
-	// no one to overlap the dispatch with.
-	forChunks := func(body func(c int)) {
-		if nch == 1 {
-			body(0)
-		} else {
-			pool.parallelForSafe(workers, nch, body)
-		}
-	}
 
 	// Scratch, dead when the write pass ends: targets caches each element's
 	// target, sources back to back; counts[c*nt+t] = elements of chunk c
@@ -117,8 +108,9 @@ func routeCore(d *dep, parent []Batch, pool *workerPool, workers int, from *aren
 	}
 	targets, counts, lens := ints[:total], ints[total:total+nch*nt], ints[total+nch*nt:]
 
-	// Counting pass.
-	forChunks(func(c int) {
+	// Counting pass. A lone chunk runs on the caller: there is no one to
+	// overlap the dispatch with.
+	pool.parallelFor(workers, nch, func(_, c int) {
 		ct := counts[c*nt : (c+1)*nt]
 		for src := bounds[c]; src < bounds[c+1]; src++ {
 			if tg := targets[starts[src]:starts[src+1]]; len(tg) > 0 {
@@ -153,7 +145,7 @@ func routeCore(d *dep, parent []Batch, pool *workerPool, workers int, from *aren
 	// Write pass: each chunk owns its offset row and advances it through
 	// its sources in order, so writes to a shared block land in disjoint
 	// slots.
-	forChunks(func(c int) {
+	pool.parallelFor(workers, nch, func(_, c int) {
 		off := counts[c*nt : (c+1)*nt]
 		for src := bounds[c]; src < bounds[c+1]; src++ {
 			part := parent[src]
@@ -242,7 +234,7 @@ func flattenCore(parent []Batch, pool *workerPool, workers int) Batch {
 	} else {
 		flat = &Vec[any]{xs: make([]any, total), bcap: total}
 	}
-	copySrc := func(src int) {
+	copySrc := func(_, src int) {
 		part := parent[src]
 		n := batchLen(part)
 		if n == 0 {
@@ -256,13 +248,7 @@ func flattenCore(parent []Batch, pool *workerPool, workers int) Batch {
 			flat.setAny(off+idx, part.At(idx))
 		}
 	}
-	if workers <= 1 {
-		for src := range parent {
-			copySrc(src)
-		}
-	} else {
-		pool.parallelForSafe(workers, len(parent), copySrc)
-	}
+	pool.parallelFor(workers, len(parent), copySrc)
 	return flat
 }
 

@@ -420,10 +420,43 @@ func BenchmarkFanInMemo(b *testing.B) {
 	})
 }
 
+// BenchmarkTinyStage runs the stages TestTinyTaskAllocBound bounds as
+// whole jobs, one per op: rows routed into the paper's fixed 1200
+// partitions, 0–3 rows each — an inner job's shape — then either a fused
+// filter∘map∘fold (ReduceByKey's map side) or a per-operator filter over the
+// routed blocks. Past its plan and its route, such a job is per-task
+// overhead: the paper's first fly.
+func BenchmarkTinyStage(b *testing.B) {
+	const parts = 1200
+	keep := func(kv Pair[int, int]) bool { return kv.Val%7 != 0 }
+	for _, name := range []string{"fused", "per-operator"} {
+		b.Run(name, func(b *testing.B) {
+			s := benchSession()
+			defer s.Close()
+			blocks := PartitionByKey(Parallelize(s, tinyRows(parts), 8), parts)
+			root := Filter(blocks, keep).n
+			if name == "fused" {
+				keyed := Map(Filter(blocks, keep), func(kv Pair[int, int]) Pair[int, int64] { return KV(kv.Key%64, int64(1)) })
+				root = ReduceByKeyN(keyed, func(a, c int64) int64 { return a + c }, 8).n.deps[0].parent
+			}
+			if _, err := s.runJob(root); err != nil { // warm the free list and the fold tables
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.runJob(root); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkWorkerPool measures raw parallelFor dispatch overhead.
 func BenchmarkWorkerPool(b *testing.B) {
 	const n = 64
-	work := func(int) { spin(1, 5000) }
+	work := func(_, _ int) { spin(1, 5000) }
 	b.Run("pool", func(b *testing.B) {
 		pool := newWorkerPool(runtime.GOMAXPROCS(0))
 		defer pool.close()

@@ -222,7 +222,11 @@ func distinct[T comparable](d Dataset[T], parts int, bound bool) Dataset[T] {
 	outWeight := local.n.weight
 	s := d.s
 	sd := elemShuffleDep[T](local.n)
+	empty := batchOf[T](nil, 0)
 	n := s.newNode("distinct", parts, []dep{sd}, func(tc *Ctx, p int, in []Batch) Batch {
+		if in[0].Len() == 0 {
+			return empty
+		}
 		// The boxed loop kept the input-length capacity it pre-sized.
 		b := batchOf(foldBatch[T](tables, in[0]), in[0].Len())
 		tc.UseMemory(s.estResidentBytes(b, outWeight)) // resident dedup set

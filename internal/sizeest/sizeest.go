@@ -13,6 +13,7 @@ package sizeest
 
 import (
 	"reflect"
+	"sync"
 	"unsafe"
 )
 
@@ -121,21 +122,23 @@ func OfBatch(b Batch) int64 {
 	return total
 }
 
-// OfFixed is OfBatch for count elements of the typed slice data under boxed
-// capacity bcap, without looking at any element: when every value of the
-// element type has the same deep size, the estimate is a product, so a
-// caller that samples a partition need not build the sample. ok is false
-// for []any and for value-dependent element types (strings, slices, maps,
-// pointers), which OfBatch has to walk. A fixed deep size therefore also
-// means the element type holds no pointer of any kind; the engine's shuffle
-// router relies on that to lay such shapes over memory the collector does
-// not scan.
-func OfFixed(data any, count, bcap int) (size int64, ok bool) {
-	sz := fixedDeep(reflect.TypeOf(data).Elem())
-	if sz < 0 {
-		return 0, false
-	}
-	return sliceHeaderSize + int64(bcap)*ifaceSize + int64(count)*sz, true
+// FixedSize returns the deep size every value of t has, or ok=false when
+// the size depends on the value (strings, slices, maps, pointers,
+// interfaces), which OfBatch has to walk. A fixed deep size therefore also
+// means the type holds no pointer of any kind; the engine's shuffle router
+// relies on that to lay such shapes over memory the collector does not
+// scan. A composite type is walked once and its size cached, so a caller
+// costing a batch per partition pays a lookup, not a reflective walk.
+func FixedSize(t reflect.Type) (size int64, ok bool) {
+	size = fixedDeep(t)
+	return size, size >= 0
+}
+
+// OfFixed is OfBatch for count elements of the fixed deep size size (see
+// FixedSize) under boxed capacity bcap: a product that looks at no element,
+// so a caller that samples a partition need not build the sample.
+func OfFixed(size int64, count, bcap int) int64 {
+	return sliceHeaderSize + int64(bcap)*ifaceSize + int64(count)*size
 }
 
 // ofBoxedElems is OfSlice with the observed capacity passed explicitly, so
@@ -172,6 +175,9 @@ func ofBoxedElems(vs []any, bcap int64) int64 {
 	return total
 }
 
+// fixedSizes caches fixedDeep of composite types: reflect.Type -> int64.
+var fixedSizes sync.Map
+
 // fixedDeep returns the deep size shared by all values of type t, or -1
 // when it is value-dependent or the walk could consult the shared-pointer
 // table. It mirrors of() exactly on its domain: scalar kinds use the
@@ -191,23 +197,34 @@ func fixedDeep(t reflect.Type) int64 {
 		return 8
 	case reflect.Complex128:
 		return 16
-	case reflect.Array:
+	case reflect.Array, reflect.Struct:
+		if sz, ok := fixedSizes.Load(t); ok {
+			return sz.(int64)
+		}
+		sz := fixedComposite(t)
+		fixedSizes.Store(t, sz)
+		return sz
+	}
+	return -1
+}
+
+// fixedComposite is fixedDeep's walk of an array or struct type.
+func fixedComposite(t reflect.Type) int64 {
+	if t.Kind() == reflect.Array {
 		if isFixedSize(t.Elem()) {
 			return int64(t.Len()) * fixedSize(t.Elem())
 		}
 		return -1
-	case reflect.Struct:
-		var total int64
-		for i := 0; i < t.NumField(); i++ {
-			fs := fixedDeep(t.Field(i).Type)
-			if fs < 0 {
-				return -1
-			}
-			total += fs
-		}
-		return total
 	}
-	return -1
+	var total int64
+	for i := 0; i < t.NumField(); i++ {
+		fs := fixedDeep(t.Field(i).Type)
+		if fs < 0 {
+			return -1
+		}
+		total += fs
+	}
+	return total
 }
 
 func of(v reflect.Value, seen map[uintptr]struct{}) int64 {

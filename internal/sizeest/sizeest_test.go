@@ -311,10 +311,10 @@ func sampleEvery[T any](xs []T, step, bcap int) testBatch {
 	return testBatch{data: out, n: len(out), bcap: bcap}
 }
 
-// TestOfFixedMatchesSampledBatch: for every fixed-size shape OfFixed equals
-// OfBatch over the sample the engine would have built — so the engine may
-// skip building it — and for []any and every value-dependent shape it
-// declines.
+// TestOfFixedMatchesSampledBatch: for every fixed-size shape OfFixed of the
+// element type's FixedSize equals OfBatch over the sample the engine would
+// have built — so the engine may skip building it — and for []any and every
+// value-dependent shape FixedSize declines.
 func TestOfFixedMatchesSampledBatch(t *testing.T) {
 	type pair struct {
 		K int
@@ -327,8 +327,8 @@ func TestOfFixedMatchesSampledBatch(t *testing.T) {
 	}
 	fixed := func(name string, sample testBatch, full any) {
 		t.Helper()
-		got, ok := OfFixed(full, sample.n, sample.bcap)
-		if want := OfBatch(sample); !ok || got != want {
+		size, ok := FixedSize(reflect.TypeOf(full).Elem())
+		if got, want := OfFixed(size, sample.n, sample.bcap), OfBatch(sample); !ok || got != want {
 			t.Errorf("%s: OfFixed = %d, %v; OfBatch of the sample = %d", name, got, ok, want)
 		}
 	}
@@ -351,8 +351,8 @@ func TestOfFixedMatchesSampledBatch(t *testing.T) {
 		"interface elems":  []error{nil, errType{"x"}},
 		"pointers":         []*int{nil},
 	} {
-		if got, ok := OfFixed(data, 2, 2); ok {
-			t.Errorf("%s: OfFixed = %d, true; want it to decline a value-dependent shape", name, got)
+		if got, ok := FixedSize(reflect.TypeOf(data).Elem()); ok {
+			t.Errorf("%s: FixedSize = %d, true; want it to decline a value-dependent shape", name, got)
 		}
 	}
 }
