@@ -63,9 +63,11 @@ bench:
 ## TinyStage runs whole jobs too, but on a session one untimed job warmed,
 ## so its allocs/op repeats exactly at 10 iterations and at full benchtime
 ## (3605 / 3687 at -cpu 1) and is gated: a per-task allocation would add
-## 1200 an op.
+## 1200 an op. Plan builds a physical plan and runs nothing; its allocs/op
+## repeats exactly at 10 iterations and at full benchtime (258) and is
+## gated: planning must not grow per node or per edge.
 bench-check:
-	$(GO) test -bench . -benchmem -benchtime 10x -cpu 1 -run '^$$' ./internal/engine | $(GO) run ./cmd/benchjson -check BENCH_engine.json -factor 3 -gate-allocs 'ShuffleBoundary|ShuffleRoute/structkey|TinyStage'
+	$(GO) test -bench . -benchmem -benchtime 10x -cpu 1 -run '^$$' ./internal/engine | $(GO) run ./cmd/benchjson -check BENCH_engine.json -factor 3 -gate-allocs 'ShuffleBoundary|ShuffleRoute/structkey|TinyStage|Plan$$'
 
 ## fuzz-smoke: fuzz the batch wire codec for 30s from the checked-in seed
 ## corpus (internal/engine/testdata/fuzz/FuzzBatchCodec), then the

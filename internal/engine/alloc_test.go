@@ -258,7 +258,7 @@ func TestFoldAllocBound(t *testing.T) {
 		pre := Map(src, func(kv foldShape) foldShape { return kv })
 		red := ReduceByKey(pre, foldShapeSum)
 		comb := red.n.deps[0].parent
-		fi := s.buildExecPlan(red.n).fused[comb]
+		fi := s.buildExecPlan(red.n, nil).fused[comb]
 		if fi == nil || fi.head != src.n {
 			t.Fatalf("the plan did not fuse map∘combine over the source: %+v", fi)
 		}
@@ -338,14 +338,14 @@ func TestTinyTaskAllocBound(t *testing.T) {
 		filter := Filter(blocks, func(kv Pair[int, int]) bool { return kv.Val%7 != 0 }).n
 		for name, root := range map[string]*node{"fused": combine, "per-operator": filter} {
 			j := s.newJob()
-			j.ep = s.buildExecPlan(root)
+			j.ep = s.buildExecPlan(root, nil)
 			if f := j.runStages(root); f != nil {
 				t.Fatal(f.err)
 			}
 			if fused := j.ep.fused[root] != nil; fused != (name == "fused") {
 				t.Fatalf("%s: the stage root tops a fused chain: %v", name, fused)
 			}
-			st := j.ep.stageOf(root)
+			st := j.ep.stageOf[root]
 			launch := func() {
 				delete(j.front, root)
 				if f := j.launchStage(root, st).fail; f != nil {

@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"matryoshka/internal/cluster"
-	"matryoshka/internal/engine/plan"
 )
 
 const (
@@ -61,7 +60,7 @@ var _ Residency = (*cluster.Simulator)(nil)
 // entry in blocks records the fetch and outlives the released blocks, which
 // a relaunch routes again from the driver's frontier, not from the cluster;
 // adopted cache entries never registered an output and fetch cleanly.
-func (j *job) checkFetch(d *dep, n *node, st *plan.Stage) *stageFailure {
+func (j *job) checkFetch(d *dep, n *node, st *stage) *stageFailure {
 	if j.s.resid == nil {
 		return nil
 	}
@@ -151,8 +150,8 @@ func (j *job) rewindLost(f *stageFailure) (string, bool) {
 	ids := make([]string, 0, len(lost))
 	for _, n := range lost {
 		j.rewindNode(n)
-		if st := j.ep.stageOf(n); st != nil {
-			ids = append(ids, fmt.Sprintf("%d", st.ID))
+		if st := j.ep.stageOf[n]; st != nil {
+			ids = append(ids, fmt.Sprintf("%d", st.id))
 		} else {
 			ids = append(ids, n.label)
 		}

@@ -9,17 +9,15 @@ import (
 	"time"
 
 	"matryoshka/internal/cluster"
-	"matryoshka/internal/engine/plan"
 	"matryoshka/internal/obs"
 )
 
 // job executes one action against a physical plan built in a distinct
-// planning step (see internal/engine/plan and physical.go). Stage roots
-// (action target, shuffle/broadcast map sides, cached nodes) are
-// materialized fully; everything else is pipelined into the tasks of its
-// consuming stage. The executor makes no planning decision of its own —
-// stage boundaries, operator chains, memo sites and which narrow chains run
-// fused all come from the plan.
+// planning step (plan.go). Stage roots (action target, shuffle/broadcast
+// map sides, cached nodes) are materialized fully; everything else is
+// pipelined into the tasks of its consuming stage. The executor makes no
+// planning decision of its own — stage boundaries, operator chains, memo
+// sites and which narrow chains run fused all come from the plan.
 //
 // Execution is resumable: completed stage roots live on the job's frontier
 // (see runner.go), and when a stage fails and Config.Recover is on, the
@@ -55,12 +53,11 @@ type job struct {
 
 	// attempts counts launches per stage root (recovery bounds reruns);
 	// raised tracks the cumulative partition-raise factor per stage root;
-	// recoveries counts all applied recoveries (replan provenance) while
-	// relowered counts only plan changes, which maxJobRecoveries caps.
-	attempts   map[*node]int
-	raised     map[*node]int
-	recoveries int
-	relowered  int
+	// relowered counts the plan changes recovery applied, which
+	// maxJobRecoveries caps.
+	attempts  map[*node]int
+	raised    map[*node]int
+	relowered int
 
 	// Machine-failure state (chaos.go): the residency handle of each
 	// launched stage root's shuffle output, how often each root was
@@ -158,7 +155,7 @@ func (j *job) end() {
 // the structured outcome: the simulator's StageReport on success, a typed
 // stageFailure otherwise. On success the result is checkpointed on the
 // job's frontier (and in the node cache for cached roots).
-func (j *job) launchStage(n *node, st *plan.Stage) stageResult {
+func (j *job) launchStage(n *node, st *stage) stageResult {
 	j.attempts[n]++
 	// A process-pool backend runs portable stages in worker processes;
 	// stages it cannot take (unregistered closures, infrastructure failure)
@@ -254,9 +251,9 @@ func (j *job) launchStage(n *node, st *plan.Stage) stageResult {
 			}
 		}
 		j.s.obs.StageRan(obs.Stage{
-			Stage:         st.ID,
+			Stage:         st.id,
 			Label:         n.label,
-			Chain:         st.ChainString(),
+			Chain:         st.chainString(),
 			Fused:         j.ep.fusedDesc(n),
 			Parts:         n.parts,
 			ShuffleBytes:  shuffleBytes,
@@ -275,11 +272,18 @@ func (j *job) launchStage(n *node, st *plan.Stage) stageResult {
 			WallSeconds:   wallSeconds,
 		})
 	}
-	j.front[n] = &checkpoint{data: results, rep: rep}
+	return j.commit(n, results, rep)
+}
+
+// commit checkpoints the finished stage rooted at n on the job's frontier,
+// registers its output with the residency tracker and, for a cached root,
+// keeps its partitions in the node cache.
+func (j *job) commit(n *node, parts []Batch, rep cluster.StageReport) stageResult {
+	j.front[n] = &checkpoint{data: parts, rep: rep}
 	j.registerOutput(n)
 	if n.cached {
 		n.cacheMu.Lock()
-		n.cacheData = results
+		n.cacheData = parts
 		n.cacheMu.Unlock()
 	}
 	return stageResult{rep: rep}
@@ -291,7 +295,7 @@ func (j *job) launchStage(n *node, st *plan.Stage) stageResult {
 // before producing results — and the caller must run it driver-local. The
 // reason lands in the optimizer decision log, so EXPLAIN ANALYZE shows
 // exactly which stages stayed on the driver and why.
-func (j *job) launchStageRemote(n *node, st *plan.Stage) (stageResult, bool) {
+func (j *job) launchStageRemote(n *node, st *stage) (stageResult, bool) {
 	driverLocal := func(why error) (stageResult, bool) {
 		j.s.obs.Decide(obs.Decision{
 			Rule:   "proc-backend",
@@ -332,9 +336,9 @@ func (j *job) launchStageRemote(n *node, st *plan.Stage) (stageResult, bool) {
 	}
 	if j.s.obs.Enabled() {
 		j.s.obs.StageRan(obs.Stage{
-			Stage:         st.ID,
+			Stage:         st.id,
 			Label:         n.label,
-			Chain:         st.ChainString(),
+			Chain:         st.chainString(),
 			Parts:         n.parts,
 			Seconds:       rep.Seconds,
 			BusySeconds:   rep.BusySeconds,
@@ -344,14 +348,7 @@ func (j *job) launchStageRemote(n *node, st *plan.Stage) (stageResult, bool) {
 			RemoteWorkers: res.Workers,
 		})
 	}
-	j.front[n] = &checkpoint{data: res.Parts, rep: rep}
-	j.registerOutput(n)
-	if n.cached {
-		n.cacheMu.Lock()
-		n.cacheData = res.Parts
-		n.cacheMu.Unlock()
-	}
-	return stageResult{rep: rep}, true
+	return j.commit(n, res.Parts, rep), true
 }
 
 // classifyRemoteErr decides what a RunRemoteStage error means for the
@@ -372,7 +369,7 @@ func (j *job) launchStageRemote(n *node, st *plan.Stage) (stageResult, bool) {
 //
 // Anything else (codec trouble, unregistered ops reported late, pool
 // shutdown) keeps the existing contract: run the stage driver-local.
-func (j *job) classifyRemoteErr(n *node, st *plan.Stage, err error, owners map[uint64]*node) (*stageFailure, bool) {
+func (j *job) classifyRemoteErr(n *node, st *stage, err error, owners map[uint64]*node) (*stageFailure, bool) {
 	var blockLost *BlockLostError
 	var quorum *QuorumLostError
 	var poison *PoisonTaskError
@@ -409,16 +406,15 @@ func (j *job) classifyRemoteErr(n *node, st *plan.Stage, err error, owners map[u
 
 // chainOf renders the stage's pipelined operator chain with record
 // weights, for error messages.
-func (j *job) chainOf(st *plan.Stage) string {
+func (j *job) chainOf(st *stage) string {
 	var b []byte
-	b = append(b, st.Root.Label...)
-	for _, pn := range st.Chain[1:] {
-		b = fmt.Appendf(b, "<-%s/w%.0f", pn.Label, pn.Weight)
+	b = append(b, st.root.label...)
+	for _, n := range st.chain[1:] {
+		b = fmt.Appendf(b, "<-%s/w%.0f", n.label, n.weight)
 	}
-	last := st.Chain[len(st.Chain)-1]
-	if len(last.Deps) > 0 {
-		p := last.Deps[0].Parent
-		b = fmt.Appendf(b, "<-[%s/w%.0f]", p.Label, p.Weight)
+	if last := st.chain[len(st.chain)-1]; len(last.deps) > 0 {
+		p := last.deps[0].parent
+		b = fmt.Appendf(b, "<-[%s/w%.0f]", p.label, p.weight)
 	}
 	return string(b)
 }
@@ -453,7 +449,7 @@ func (j *job) dropBlocks(d *dep) {
 // simulated cluster for holding it on every machine. A failure is
 // reported as a structured stage outcome carrying the consuming operator
 // (owner), which is where recovery's broadcast demotion applies.
-func (j *job) pinBroadcast(d *dep, root *node, st *plan.Stage, owner *node) *stageFailure {
+func (j *job) pinBroadcast(d *dep, root *node, st *stage, owner *node) *stageFailure {
 	if _, ok := j.bcast[d]; ok {
 		return nil
 	}

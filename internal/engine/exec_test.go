@@ -607,10 +607,10 @@ func TestRandomDAGFusedMatchesPerOperator(t *testing.T) {
 		fus := poolSession(8)
 
 		perOut, fusOut := randomDAG(per, seed), randomDAG(fus, seed)
-		if n := len(per.buildExecPlan(perOut.n).fused); n != 0 {
+		if n := len(per.buildExecPlan(perOut.n, nil).fused); n != 0 {
 			t.Fatalf("seed %d: forced per-operator session compiled %d fused chains", seed, n)
 		}
-		ep := fus.buildExecPlan(fusOut.n)
+		ep := fus.buildExecPlan(fusOut.n, nil)
 		tops := map[string]bool{}
 		crossInside := false
 		for _, fi := range ep.fused {

@@ -37,15 +37,7 @@ func Explain[T any](d Dataset[T]) string {
 		seen[n] = true
 		fmt.Fprintf(&b, "%s%s#%d %s [%s]\n", indent, prefix, n.id, n.label, strings.Join(attrs, " "))
 		for i := range n.deps {
-			dp := &n.deps[i]
-			via := "<-narrow"
-			switch dp.kind {
-			case depShuffle:
-				via = "<-shuffle"
-			case depBroadcast:
-				via = "<-broadcast"
-			}
-			walk(dp.parent, depth+1, via)
+			walk(n.deps[i].parent, depth+1, "<-"+n.deps[i].kind.String())
 		}
 	}
 	walk(d.n, 0, "")
@@ -61,5 +53,5 @@ func ExplainPhysical[T any](d Dataset[T]) string {
 	s := d.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.buildExecPlan(d.n).plan.String()
+	return s.buildExecPlan(d.n, nil).String()
 }

@@ -291,7 +291,7 @@ func foldJobCase[K comparable, V any](t *testing.T, s *Session, cache bool, rows
 
 	red := ReduceByKeyN(pre, f, 5)
 	comb := red.n.deps[0].parent
-	if fused := s.buildExecPlan(red.n).fused[comb] != nil; fused == (cache || s.noFuse) {
+	if fused := s.buildExecPlan(red.n, nil).fused[comb] != nil; fused == (cache || s.noFuse) {
 		t.Fatalf("combine fused = %v with cache=%v noFuse=%v", fused, cache, s.noFuse)
 	}
 	mapSide := materializedParts(t, fromNode[Pair[K, V]](s, comb))

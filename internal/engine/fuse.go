@@ -12,7 +12,7 @@ package engine
 // stores a link on its node: the operator's step as a sink over the push of
 // the operator above it, and the materializer for when it ends a chain. When
 // a job is planned — and again on every recovery replan — compileFusion
-// (physical.go) walks the live DAG, finds the maximal runs of links whose
+// (plan.go) walks the live DAG, finds the maximal runs of links whose
 // intermediates are invisible to the plan (not a stage root, not a fan-in
 // memo site, not on the recovery frontier) and fuses exactly those, so
 // fusion never changes which partitions are materialized, memoized, or
@@ -88,7 +88,7 @@ const (
 	fuseTopFlatMap                // out grown by one-at-a-time appends from nil
 )
 
-// fuseInfo is one fused chain of a plan (compileFusion, physical.go).
+// fuseInfo is one fused chain of a plan (compileFusion, plan.go).
 type fuseInfo struct {
 	head *node   // evaluated normally; its partition batch feeds the chain
 	via  []*node // chain operators bottom-up; the last entry tops the chain
@@ -402,8 +402,8 @@ func (j *job) evalFused(tc *Ctx, fi *fuseInfo, p int) Batch {
 
 // fusedDesc renders the active fused chains inside the stage rooted at
 // root for EXPLAIN ANALYZE, e.g. "fused(map∘filter∘flatMap) ×3 ops".
-// Traversal is over the stage interior only: it stops at stage roots and
-// recovery-frontier leaves, and each fused chain is reported once.
+// Traversal is over the stage interior only: it stops at stage roots (the
+// recovery frontier among them), and each fused chain is reported once.
 func (ep *execPlan) fusedDesc(root *node) string {
 	if len(ep.fused) == 0 {
 		return ""
@@ -429,18 +429,14 @@ func (ep *execPlan) fusedDesc(root *node) string {
 			parts = append(parts, b.String())
 			// Continue below the chain, but not across a stage boundary:
 			// a head that is itself a stage root reports in its own stage.
-			if hpn := ep.pnodes[fi.head]; hpn != nil && !hpn.Done && !ep.plan.IsRoot(hpn) {
+			if ep.stageOf[fi.head] == nil {
 				walk(fi.head)
 			}
 			return
 		}
-		pn := ep.pnodes[n]
-		if pn == nil || pn.Done {
-			return
-		}
 		for i := range n.deps {
 			d := &n.deps[i]
-			if d.kind == depNarrow && !ep.plan.IsRoot(ep.pnodes[d.parent]) {
+			if d.kind == depNarrow && ep.stageOf[d.parent] == nil {
 				walk(d.parent)
 			}
 		}

@@ -223,10 +223,10 @@ func TestFusedExplainMarker(t *testing.T) {
 	}
 }
 
-// TestRecoveryReplanKeepsFusionIdentity: the OOM-recovery replan rebuilds
-// the exec plan and recompiles fusion against the new frontier; the
-// re-lowered run must stay bit-identical to its unfused twin.
-func TestRecoveryReplanKeepsFusionIdentity(t *testing.T) {
+// TestRecoveryKeepsFusionIdentity: the OOM-recovery replan rebuilds the
+// exec plan and recompiles fusion against the new frontier; the re-lowered
+// run must stay bit-identical to its unfused twin.
+func TestRecoveryKeepsFusionIdentity(t *testing.T) {
 	run := func(noFuse bool) (map[int]int64, float64) {
 		cfg, _ := recoverConfig(1 << 20)
 		s := mustSession(cfg)

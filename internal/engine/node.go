@@ -24,6 +24,16 @@ const (
 	depBroadcast
 )
 
+func (k depKind) String() string {
+	switch k {
+	case depShuffle:
+		return "shuffle"
+	case depBroadcast:
+		return "broadcast"
+	}
+	return "narrow"
+}
+
 // dep is an edge of the dataset DAG.
 type dep struct {
 	parent     *node

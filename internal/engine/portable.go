@@ -286,9 +286,10 @@ func (j *job) stagePortable(n *node) error {
 // tasks — broadcasts, fan-in reads — dedupe on identity). It mirrors
 // evalPartDirect's per-operator input assembly exactly; fusion never
 // applies remotely, which the fused-vs-per-operator suites (fuse_test.go,
-// TestRandomDAGFusedMatchesPerOperator) prove is invisible to results. The returned owners map records which plan node produced each
-// stored block, so a BlockLostError from the runner can be pinned on its
-// producing stage for lineage recomputation.
+// TestRandomDAGFusedMatchesPerOperator) prove is invisible to results.
+// The returned owners map records which node produced each stored block,
+// so a BlockLostError from the runner can be pinned on its producing stage
+// for lineage recomputation.
 func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*RemoteStageSpec, map[uint64]*node, error) {
 	ids := map[Batch]uint64{}
 	owners := map[uint64]*node{}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"matryoshka/internal/cluster"
-	"matryoshka/internal/engine/plan"
 	"matryoshka/internal/obs"
 )
 
@@ -54,7 +53,7 @@ func (j *job) recover(f *stageFailure, target *node) (*node, bool) {
 	}
 	rec := obs.Recovery{Label: f.root.label, Seconds: f.seconds}
 	if f.st != nil {
-		rec.Stage = f.st.ID
+		rec.Stage = f.st.id
 	}
 	ok := false
 	relowered := false
@@ -120,7 +119,6 @@ func (j *job) recover(f *stageFailure, target *node) (*node, bool) {
 	if relowered {
 		j.relowered++
 	}
-	j.recoveries++
 	j.s.obs.StageRecovered(rec)
 	return target, true
 }
@@ -166,12 +164,11 @@ func (j *job) demoteBroadcastIn(f *stageFailure, target *node) (*node, string, b
 	if f.st == nil {
 		return target, "", false
 	}
-	for _, pd := range f.st.Boundary {
-		if pd.Kind != plan.Broadcast {
+	for _, e := range f.st.boundary {
+		if e.kind != depBroadcast {
 			continue
 		}
-		owner := j.ep.enode(pd.Owner)
-		if t2, action, ok := j.demoteBroadcast(owner, f.oom, target); ok {
+		if t2, action, ok := j.demoteBroadcast(e.owner, f.oom, target); ok {
 			return t2, action, true
 		}
 	}

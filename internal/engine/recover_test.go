@@ -296,7 +296,7 @@ func TestRecoverDemotionUnfusesStaleChains(t *testing.T) {
 		}
 		return false
 	}
-	if fi := s.buildExecPlan(mapped.n).fused[mapped.n]; fi == nil || len(fi.via) != 4 || fi.via[1] != crossed.n {
+	if fi := s.buildExecPlan(mapped.n, nil).fused[mapped.n]; fi == nil || len(fi.via) != 4 || fi.via[1] != crossed.n {
 		t.Fatalf("first plan did not fuse map∘cross∘map∘map: %+v", fi)
 	}
 	got, err := Collect(mapped)
@@ -322,7 +322,7 @@ func TestRecoverDemotionUnfusesStaleChains(t *testing.T) {
 	// The rewired DAG, planned afresh: two maps over the repartition, and
 	// below it the mirrored cross topping a chain of its own (it streams
 	// the mapped primary side the first lowering broadcast).
-	ep := s.buildExecPlan(mapped.n)
+	ep := s.buildExecPlan(mapped.n, nil)
 	if through(ep, crossed.n) {
 		t.Error("a fused chain still runs through the abandoned cross")
 	}

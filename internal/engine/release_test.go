@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"matryoshka/internal/cluster"
-	"matryoshka/internal/engine/plan"
 )
 
 // liveArenas counts the arenas the job's routed blocks are cut from.
@@ -26,11 +25,11 @@ func liveArenas(j *job) int {
 
 // readers returns the stages of the job's plan that read shuffle dep d, in
 // launch order.
-func readers(j *job, d *dep) []*plan.Stage {
-	var out []*plan.Stage
-	for _, st := range j.ep.plan.Stages {
-		for _, pd := range st.Boundary {
-			if j.ep.edep(pd) == d {
+func readers(j *job, d *dep) []*stage {
+	var out []*stage
+	for _, st := range j.ep.stages {
+		for _, e := range st.boundary {
+			if e.dep == d {
 				out = append(out, st)
 			}
 		}
@@ -149,12 +148,12 @@ func TestBlocksDieWithTheirLastReader(t *testing.T) {
 	d := &red.n.deps[0]
 
 	j := s.newJob()
-	j.ep = s.buildExecPlan(target.n)
+	j.ep = s.buildExecPlan(target.n, nil)
 	rs := readers(j, d)
 	if len(rs) != 2 {
-		t.Fatalf("%d stages read the shared reduce, want 2:\n%s", len(rs), j.ep.plan)
+		t.Fatalf("%d stages read the shared reduce, want 2:\n%s", len(rs), j.ep)
 	}
-	first, last := j.ep.enode(rs[0].Root), j.ep.enode(rs[1].Root)
+	first, last := rs[0].root, rs[1].root
 	mustRun(t, j, first)
 	r := j.blocks[d]
 	if r == nil || r.blocks == nil || len(r.arenas) == 0 {
@@ -204,13 +203,13 @@ func TestRelaunchRoutesReleasedBlocksAgain(t *testing.T) {
 	d := &red.n.deps[0]
 
 	j := s.newJob()
-	j.ep = s.buildExecPlan(target.n)
+	j.ep = s.buildExecPlan(target.n, nil)
 	rs := readers(j, d)
 	if len(rs) != 1 {
 		t.Fatalf("%d stages read the reduce, want 1", len(rs))
 	}
 	st := rs[0]
-	consumer := j.ep.enode(st.Root)
+	consumer := st.root
 	mustRun(t, j, consumer)
 	first := j.front[consumer].data
 	if r := j.blocks[d]; r == nil || r.blocks != nil {
@@ -266,7 +265,7 @@ func TestNoRegionOutlivesItsJob(t *testing.T) {
 		r := Parallelize(s, makePairs(1500), 3)
 		join := JoinWith(l, r, JoinRepartition, 5)
 		j := s.newJob()
-		j.ep = s.buildExecPlan(join.n)
+		j.ep = s.buildExecPlan(join.n, nil)
 		mustRun(t, j, l.n)
 		mustRun(t, j, r.n)
 		for i := range join.n.deps {

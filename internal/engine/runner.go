@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"matryoshka/internal/cluster"
-	"matryoshka/internal/engine/plan"
 )
 
 // This file is the stage-graph runner: the resumable half of job
@@ -39,8 +38,8 @@ type stageResult struct {
 // stageFailure describes one failed stage or broadcast launch in terms the
 // recovery loop can act on.
 type stageFailure struct {
-	root *node       // stage root whose materialization failed
-	st   *plan.Stage // the planned stage
+	root *node  // stage root whose materialization failed
+	st   *stage // the planned stage
 	// owner is, for broadcast failures, the consuming operator whose
 	// lowering chose the broadcast — the site recovery demotes.
 	owner *node
@@ -68,9 +67,9 @@ type stageFailure struct {
 // the frontier. The first plan is recorded by the event spine; replans are
 // recorded with the recovery event that caused them.
 func (j *job) run(target *node) ([]Batch, error) {
-	j.ep = j.s.buildExecPlan(target)
+	j.ep = j.s.buildExecPlan(target, nil)
 	if j.s.obs.Enabled() {
-		j.s.obs.StartJob(fmt.Sprintf("#%d %s", target.id, target.label), j.ep.plan.String())
+		j.s.obs.StartJob(fmt.Sprintf("#%d %s", target.id, target.label), j.ep.String())
 	}
 	for {
 		fail := j.runStages(target)
@@ -82,10 +81,10 @@ func (j *job) run(target *node) ([]Batch, error) {
 			return nil, fail.err
 		}
 		target = newTarget
-		j.ep = j.s.buildExecPlanFrom(target, func(n *node) bool {
+		j.ep = j.s.buildExecPlan(target, func(n *node) bool {
 			_, done := j.front[n]
 			return done
-		}, j.recoveries)
+		})
 	}
 }
 
@@ -120,9 +119,9 @@ func (j *job) runStages(target *node) *stageFailure {
 
 		// The plan lists this stage's boundary deps; materialize their
 		// parents first.
-		st := j.ep.stageOf(n)
-		for _, pd := range st.Boundary {
-			if f := visit(j.ep.enode(pd.Parent)); f != nil {
+		st := j.ep.stageOf[n]
+		for _, e := range st.boundary {
+			if f := visit(e.parent); f != nil {
 				return f
 			}
 		}
@@ -130,16 +129,15 @@ func (j *job) runStages(target *node) *stageFailure {
 		// Each is a cluster-side fetch of the parent's outputs first: if a
 		// machine crash destroyed them, the stage fails with a fetch
 		// failure and recovery rewinds the lost parents along lineage.
-		for _, pd := range st.Boundary {
-			d := j.ep.edep(pd)
-			if f := j.checkFetch(d, n, st); f != nil {
+		for _, e := range st.boundary {
+			if f := j.checkFetch(e.dep, n, st); f != nil {
 				return f
 			}
-			switch d.kind {
+			switch e.kind {
 			case depShuffle:
-				j.buildBlocks(d)
+				j.buildBlocks(e.dep)
 			case depBroadcast:
-				if f := j.pinBroadcast(d, n, st, j.ep.enode(pd.Owner)); f != nil {
+				if f := j.pinBroadcast(e.dep, n, st, e.owner); f != nil {
 					return f
 				}
 			}

@@ -118,7 +118,7 @@ type SchedEvent struct {
 type Job struct {
 	ID         int
 	Target     string // the materialized node, e.g. "#42 map"
-	Plan       string // rendered physical plan (plan.Plan.String)
+	Plan       string // rendered physical plan (engine.ExplainPhysical's text)
 	Seconds    float64
 	Stages     []Stage
 	Broadcasts []Broadcast
