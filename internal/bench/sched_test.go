@@ -80,15 +80,24 @@ func TestSecSchedStraggleSpeculationClipsTail(t *testing.T) {
 	}
 }
 
-// TestSchedSummary exercises the matbench quick path end to end.
+// TestSchedSummary pins the matbench -tenants quick path byte for byte
+// (testdata/sched_summary.golden) for the two runs the docs quote:
+// `-tenants 3 -policy fair -speculate` and `-tenants 2 -policy fifo`,
+// both at the default 25% straggler rate.
 func TestSchedSummary(t *testing.T) {
-	out, err := SchedSummary(DefaultScale(), 3, 0.25, sched.PolicyFair, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"policy=fair +speculation", "p99=", "makespan=", "tenant batch", "tenant int2", "speculation: launched="} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q:\n%s", want, out)
+	for _, c := range []struct {
+		section     string
+		interactive int
+		policy      sched.Policy
+		speculate   bool
+	}{
+		{"tenants=3 policy=fair speculate", 3, sched.PolicyFair, true},
+		{"tenants=2 policy=fifo", 2, sched.PolicyFIFO, false},
+	} {
+		out, err := SchedSummary(DefaultScale(), c.interactive, 0.25, c.policy, c.speculate)
+		if err != nil {
+			t.Fatal(err)
 		}
+		checkGolden(t, "sched_summary.golden", c.section, strings.Split(strings.TrimRight(out, "\n"), "\n"))
 	}
 }
