@@ -299,20 +299,6 @@ type StageReport struct {
 	Retries     int     // injected transient failures in this stage
 	MaxTaskSec  float64 // slowest task duration (incl. TaskOverhead)
 	MaxTaskMem  int64   // largest task memory claim
-
-	// The multi-tenant scheduler (internal/sched) fills the fields below;
-	// the single-job Simulator leaves them zero. QueueWait is the virtual
-	// time between stage submission and its first task starting (slot
-	// contention from other tenants). The Spec* fields account speculative
-	// straggler mitigation: backup copies launched, backups that finished
-	// before the original, and the core·seconds burned by losing copies
-	// (charged, as on a real cluster). PrefViolations counts tasks placed
-	// off their locality-preferred machine.
-	QueueWait      float64
-	SpecLaunched   int
-	SpecWon        int
-	SpecWastedSec  float64
-	PrefViolations int
 }
 
 // RunStage schedules tasks onto the cluster's slots; see RunStageReport.

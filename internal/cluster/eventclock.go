@@ -32,7 +32,7 @@ type Event struct {
 // events ordered by (time, schedule order). Unlike Simulator's
 // wave-at-a-time clock, it can interleave individually timed tasks from
 // many concurrent jobs. It is not safe for concurrent use; the scheduler
-// serializes access under its own quiescence protocol.
+// drives it from one goroutine.
 type EventClock struct {
 	now float64
 	seq uint64

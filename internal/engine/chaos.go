@@ -34,9 +34,8 @@ const (
 
 // Residency is the optional machine-failure facet of a Backend: it tracks
 // which machines hold which stage outputs, so fetches can fail when a
-// machine crashes. The private cluster.Simulator implements it; shared
-// scheduler tenants do not (the scheduler handles crashes at task
-// granularity instead), and the engine no-ops without it.
+// machine crashes. The private cluster.Simulator and the process pool
+// implement it; the engine no-ops on a backend without it.
 type Residency interface {
 	// RegisterOutput records a completed stage's shuffle output (one
 	// partition per entry) on the currently live machines.

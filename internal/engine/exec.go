@@ -28,11 +28,6 @@ import (
 type job struct {
 	s  *Session
 	ep *execPlan // the bound physical plan (rebuilt on recovery replans)
-	// ctx is the submission context (SubmitJobCtx): cancellation stops
-	// launching stages and propagates into the RemoteRunner so a pool
-	// stops dispatching the job's queued tasks. Background when the job
-	// was submitted without one.
-	ctx context.Context
 	// front is the job's stage frontier: the checkpoint of every stage
 	// root materialized so far, with the cost provenance of the attempt
 	// that produced it.
@@ -128,7 +123,6 @@ func (s *Session) runJob(target *node) ([]Batch, error) {
 func (s *Session) newJob() *job {
 	return &job{
 		s:          s,
-		ctx:        s.jobCtx(),
 		front:      map[*node]*checkpoint{},
 		blocks:     map[*dep]*routed{},
 		bcast:      map[*dep]Batch{},
@@ -263,10 +257,6 @@ func (j *job) launchStage(n *node, st *stage) stageResult {
 			Retries:       rep.Retries,
 			MaxTaskSec:    rep.MaxTaskSec,
 			MaxTaskMem:    rep.MaxTaskMem,
-			QueueWait:     rep.QueueWait,
-			SpecLaunched:  rep.SpecLaunched,
-			SpecWon:       rep.SpecWon,
-			SpecWastedSec: rep.SpecWastedSec,
 			BoundaryBytes: boundaryBytes,
 			BatchShape:    batchShape,
 			WallSeconds:   wallSeconds,
@@ -312,7 +302,7 @@ func (j *job) launchStageRemote(n *node, st *stage) (stageResult, bool) {
 		return driverLocal(err)
 	}
 	wallStart := time.Now()
-	res, err := j.s.remote.RunRemoteStage(j.ctx, spec)
+	res, err := j.s.remote.RunRemoteStage(context.Background(), spec)
 	if err != nil {
 		if fail, hard := j.classifyRemoteErr(n, st, err, owners); hard {
 			return stageResult{fail: fail}, true
@@ -365,7 +355,7 @@ func (j *job) launchStageRemote(n *node, st *stage) (stageResult, bool) {
 //   - *PoisonTaskError: the task destroys workers deterministically;
 //     running it driver-local would kill the driver. Hard abort, with
 //     the operator chain in the message.
-//   - ctx cancellation: the submitting caller gave up; hard abort.
+//   - a context error: the runner was cancelled; hard abort.
 //
 // Anything else (codec trouble, unregistered ops reported late, pool
 // shutdown) keeps the existing contract: run the stage driver-local.

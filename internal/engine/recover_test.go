@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"matryoshka/internal/cluster"
@@ -331,5 +332,65 @@ func TestRecoverDemotionUnfusesStaleChains(t *testing.T) {
 	}
 	if !slices.ContainsFunc(slices.Collect(maps.Keys(ep.fused)), func(n *node) bool { return n.label == "crossBroadcastSmall" }) {
 		t.Error("the mirrored cross tops no fused chain")
+	}
+}
+
+// TestRecoveryFeedbackIsolatedAcrossSessions: session A's broadcast join
+// OOMs and is adaptively re-lowered to a repartition join while session B
+// runs its own broadcast join at the same time, each on its own private
+// simulator. A's failure must denylist the choice in A's session only —
+// B's feedback stays clean, B keeps broadcasting, and both get correct
+// results.
+func TestRecoveryFeedbackIsolatedAcrossSessions(t *testing.T) {
+	// 1 MB machines: A broadcasts ~1.4 MB (OOMs, recovers); B broadcasts
+	// ~7 KB (fits).
+	ca, recA := recoverConfig(1 << 20)
+	cb, recB := recoverConfig(1 << 20)
+	sa, sb := mustSession(ca), mustSession(cb)
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		small := Parallelize(sa, makePairs(2000), 4)
+		big := Parallelize(sa, makePairs(10), 2)
+		got, err := Collect(JoinWith(small, big, JoinBroadcastLeft, 0))
+		if err != nil {
+			t.Errorf("session A join with recovery: %v", err)
+			return
+		}
+		if len(got) != 10 {
+			t.Errorf("session A joined %d keys, want 10", len(got))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		small := Parallelize(sb, makePairs(10), 2)
+		big := Parallelize(sb, makePairs(2000), 4)
+		got, err := Collect(JoinWith(small, big, JoinBroadcastLeft, 0))
+		if err != nil {
+			t.Errorf("session B join: %v", err)
+			return
+		}
+		if len(got) != 10 {
+			t.Errorf("session B joined %d keys, want 10", len(got))
+		}
+	}()
+	wg.Wait()
+
+	if _, denied := sa.Feedback().Denied("join", "broadcast"); !denied {
+		t.Error("session A's failed broadcast choice not denylisted in A's session")
+	}
+	if why, denied := sb.Feedback().Denied("join", "broadcast"); denied {
+		t.Errorf("session A's denylist leaked into session B: %q", why)
+	}
+	if boost := sb.Feedback().PartsBoost(); boost != 1 {
+		t.Errorf("session B's partition boost perturbed: %d, want 1", boost)
+	}
+	if n := len(recoveries(recA)); n != 1 {
+		t.Errorf("session A recorded %d recoveries, want 1", n)
+	}
+	if n := len(recoveries(recB)); n != 0 {
+		t.Errorf("session B recorded %d recoveries, want 0", n)
 	}
 }

@@ -96,14 +96,6 @@ func (j *job) run(target *node) ([]Batch, error) {
 func (j *job) runStages(target *node) *stageFailure {
 	var visit func(n *node) *stageFailure
 	visit = func(n *node) *stageFailure {
-		// A cancelled submission context (SubmitJobCtx) aborts the job at
-		// the next stage boundary: no new stage launches, and the failure
-		// carries the context error so recovery never retries it.
-		if j.ctx != nil {
-			if err := j.ctx.Err(); err != nil {
-				return &stageFailure{root: n, err: fmt.Errorf("engine: job cancelled before stage %q: %w", n.label, err)}
-			}
-		}
 		if _, ok := j.front[n]; ok {
 			return nil
 		}

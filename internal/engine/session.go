@@ -20,7 +20,6 @@
 package engine
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -45,12 +44,11 @@ type Config struct {
 	// event spine behind EXPLAIN ANALYZE; see internal/obs).
 	Obs *obs.Recorder
 	// Backend, when non-nil, replaces the session's private simulator as
-	// the target the session charges virtual time and memory to — the
-	// multi-tenant scheduler's Tenant handles (internal/sched) implement
-	// it, so many sessions can share one slot pool. Cluster must describe
-	// the same pool the backend schedules onto (it still sizes
-	// DefaultParallelism and the optimizer's memory estimates). When nil,
-	// NewSession builds a private cluster.Simulator as before.
+	// the target the session charges time and memory to — a process pool
+	// (internal/procpool) implements it. Cluster must describe the pool
+	// the backend runs on (it still sizes DefaultParallelism and the
+	// optimizer's memory estimates). When nil, NewSession builds a private
+	// cluster.Simulator.
 	Backend Backend
 	// Recover enables the adaptive recovery loop: when a stage or
 	// broadcast fails with cluster.ErrOutOfMemory (or exhausts its
@@ -62,6 +60,31 @@ type Config struct {
 	Recover bool
 }
 
+// Backend is where a session charges time and memory: a private
+// *cluster.Simulator or a process pool. The method set is exactly the
+// slice of the Simulator API the executor uses, so the Simulator
+// satisfies it unchanged.
+type Backend interface {
+	// StartJob charges the per-job launch overhead and counts the job.
+	StartJob()
+	// RunStageReport charges one stage of tasks and reports what the
+	// cluster did.
+	RunStageReport(tasks []cluster.Task) (cluster.StageReport, error)
+	// Broadcast pins bytes cluster-wide until the job ends (or they are
+	// unpinned), charging the distribution time.
+	Broadcast(bytes int64) error
+	// Unpin releases part of the pinned broadcast bytes early.
+	Unpin(bytes int64)
+	// ReleaseBroadcasts unpins everything — the end-of-job hook.
+	ReleaseBroadcasts()
+	// Clock returns the time charged so far, in seconds.
+	Clock() float64
+	// Stats returns the session's accumulated counters.
+	Stats() cluster.Stats
+}
+
+var _ Backend = (*cluster.Simulator)(nil)
+
 // DefaultConfig returns a Config for the paper's 25-machine cluster.
 func DefaultConfig() Config {
 	return Config{Cluster: cluster.DefaultConfig()}
@@ -72,7 +95,7 @@ func DefaultConfig() Config {
 type Session struct {
 	cfg Config
 	// sim is the session-private simulator; nil when the session runs on
-	// a shared Backend. exec is what jobs actually charge: sim, or
+	// Config.Backend. exec is what jobs actually charge: sim, or
 	// Config.Backend. All execution paths go through exec.
 	sim    *cluster.Simulator
 	exec   Backend
@@ -117,24 +140,7 @@ type Session struct {
 	// non-nil; it only receives entries when Config.Recover is on.
 	feedback *Feedback
 
-	// submitCtx is the context of the SubmitJobCtx submission currently
-	// running its closure (guarded by ctxMu, not mu: runJob reads it
-	// while already holding mu). Jobs started while it is set inherit it;
-	// nil means Background.
-	ctxMu     sync.Mutex
-	submitCtx context.Context
-
 	mu sync.Mutex
-}
-
-// jobCtx returns the context jobs started right now should run under.
-func (s *Session) jobCtx() context.Context {
-	s.ctxMu.Lock()
-	defer s.ctxMu.Unlock()
-	if s.submitCtx != nil {
-		return s.submitCtx
-	}
-	return context.Background()
 }
 
 // Feedback is the session-level channel from the executor's adaptive
@@ -275,23 +281,22 @@ func (s *Session) Config() Config { return s.cfg }
 func (s *Session) DefaultParallelism() int { return s.cfg.DefaultParallelism }
 
 // Simulator exposes the simulated cluster (for harnesses and tests).
-// It is nil when the session runs on a shared Backend.
+// It is nil when the session runs on Config.Backend.
 func (s *Session) Simulator() *cluster.Simulator { return s.sim }
 
 // Obs returns the session's event recorder; nil (a valid no-op sink) when
 // observation is off. The lowering phase logs optimizer decisions here.
 func (s *Session) Obs() *obs.Recorder { return s.obs }
 
-// Clock returns the current virtual time in seconds. On a shared
-// Backend this is the session's own timeline, not the global clock.
+// Clock returns the time charged so far, in seconds: virtual on the
+// private simulator, wall-clock on a process pool.
 func (s *Session) Clock() float64 { return s.exec.Clock() }
 
 // Stats returns cluster statistics (jobs, stages, tasks, broadcasts).
 func (s *Session) Stats() cluster.Stats { return s.exec.Stats() }
 
 // ResetClock rewinds the virtual clock and stats; the DAG and caches are
-// kept. Useful to time a phase in isolation. No-op on a shared Backend —
-// a tenant cannot rewind the pool's clock.
+// kept. Useful to time a phase in isolation. No-op on Config.Backend.
 func (s *Session) ResetClock() {
 	if s.sim != nil {
 		s.sim.Reset()

@@ -59,15 +59,6 @@ type Stage struct {
 	WallSeconds   float64
 	RemoteBytes   int64
 	RemoteWorkers int
-
-	// Multi-tenant scheduler accounting (zero when the session runs
-	// directly on the single-job simulator). QueueWait is virtual time the
-	// stage spent waiting for slots held by other tenants; the Spec fields
-	// count speculative straggler mitigation on this stage.
-	QueueWait     float64
-	SpecLaunched  int
-	SpecWon       int
-	SpecWastedSec float64
 }
 
 // Broadcast is the record of one pinned broadcast.
@@ -91,27 +82,13 @@ type Recovery struct {
 // FaultEvent is one machine-failure transition applied by the simulated
 // cluster's fault plan (internal/cluster chaos): a crash that destroyed
 // the machine's resident shuffle outputs, or a rejoin that brought it
-// back empty. Like scheduler events, fault events describe the cluster,
-// not one job, so they live on their own stream.
+// back empty. Fault events describe the cluster, not one job, so they
+// live on their own stream.
 type FaultEvent struct {
 	At      float64 // virtual time the transition was applied
 	Machine int
 	Kind    string // "crash" or "rejoin"
 	Detail  string // e.g. "lost 3 shuffle partitions"
-}
-
-// SchedEvent is one multi-tenant scheduler event: a stage queue wait, a
-// speculative backup launched / won / wasted, or an admission rejection.
-// Unlike the per-job records above, scheduler events are recorded on a
-// session-independent stream: they describe the shared pool, not one
-// session's job.
-type SchedEvent struct {
-	Tenant  string
-	Job     int    // tenant-local job sequence
-	Stage   int    // job-local stage sequence
-	Kind    string // "queue-wait", "speculate", "spec-won", "spec-wasted", "admit-reject"
-	Seconds float64
-	Detail  string
 }
 
 // Job is the record of one engine job: the plan it ran and what happened.
@@ -133,7 +110,6 @@ type Recorder struct {
 	jobs      []Job
 	cur       *Job
 	decisions []Decision
-	sched     []SchedEvent
 	faults    []FaultEvent
 }
 
@@ -219,16 +195,6 @@ func (r *Recorder) Decide(d Decision) {
 	r.decisions = append(r.decisions, d)
 }
 
-// Sched appends a multi-tenant scheduler event.
-func (r *Recorder) Sched(e SchedEvent) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sched = append(r.sched, e)
-}
-
 // Fault appends a machine-failure event.
 func (r *Recorder) Fault(e FaultEvent) {
 	if r == nil {
@@ -247,16 +213,6 @@ func (r *Recorder) Faults() []FaultEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]FaultEvent(nil), r.faults...)
-}
-
-// SchedEvents returns the scheduler event stream.
-func (r *Recorder) SchedEvents() []SchedEvent {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]SchedEvent(nil), r.sched...)
 }
 
 // Jobs returns the completed job records.
@@ -365,12 +321,6 @@ func (r *Recorder) Report() string {
 			if s.Retries > 0 {
 				fmt.Fprintf(&b, " retries=%d", s.Retries)
 			}
-			if s.QueueWait > 0.005 {
-				fmt.Fprintf(&b, " wait=%s", secs(s.QueueWait))
-			}
-			if s.SpecLaunched > 0 {
-				fmt.Fprintf(&b, " spec=%d/%d won, %s wasted", s.SpecWon, s.SpecLaunched, secs(s.SpecWastedSec))
-			}
 			fmt.Fprintf(&b, " maxtask=%s", secs(s.MaxTaskSec))
 			if s.Remote {
 				fmt.Fprintf(&b, " remote[wall=%s", secs(s.WallSeconds))
@@ -430,31 +380,6 @@ func (r *Recorder) Report() string {
 		b.WriteString("\n")
 		for _, e := range faults {
 			fmt.Fprintf(&b, "  [t=%s] machine %d %-6s %s\n", secs(e.At), e.Machine, e.Kind, e.Detail)
-		}
-	}
-
-	if sched := r.SchedEvents(); len(sched) > 0 {
-		b.WriteString("\nScheduler events:\n")
-		var wait, wasted float64
-		launched, won, rejected := 0, 0, 0
-		for _, e := range sched {
-			switch e.Kind {
-			case "queue-wait":
-				wait += e.Seconds
-			case "speculate":
-				launched++
-			case "spec-won":
-				won++
-			case "spec-wasted":
-				wasted += e.Seconds
-			case "admit-reject":
-				rejected++
-			}
-		}
-		fmt.Fprintf(&b, "  queue wait %s across stages; %d backups launched, %d won, %s wasted; %d submissions rejected\n",
-			secs(wait), launched, won, secs(wasted), rejected)
-		for _, e := range sched {
-			fmt.Fprintf(&b, "  [%s job %d stage %d] %-11s %s  %s\n", e.Tenant, e.Job, e.Stage, e.Kind, secs(e.Seconds), e.Detail)
 		}
 	}
 	return b.String()
@@ -553,10 +478,6 @@ func (r *Recorder) Trace() string {
 	for _, e := range r.Faults() {
 		fmt.Fprintf(&b, "fault t=%s machine=%d kind=%s detail=%q\n",
 			secs(e.At), e.Machine, e.Kind, e.Detail)
-	}
-	for _, e := range r.SchedEvents() {
-		fmt.Fprintf(&b, "sched tenant=%s job=%d stage=%d kind=%s dt=%s detail=%q\n",
-			e.Tenant, e.Job, e.Stage, e.Kind, secs(e.Seconds), e.Detail)
 	}
 	return b.String()
 }

@@ -267,8 +267,8 @@ func TestTaskDeadlineBoundsOneTaskNotTheShare(t *testing.T) {
 	}
 }
 
-// TestCtxCancelStopsDispatch covers the SubmitJobCtx plumbing at the pool
-// level: a pre-cancelled context dispatches nothing, and a mid-flight
+// TestCtxCancelStopsDispatch covers RunRemoteStage's cancellation
+// contract: a pre-cancelled context dispatches nothing, and a mid-flight
 // cancellation returns promptly, dropping the pending replies without
 // killing any worker.
 func TestCtxCancelStopsDispatch(t *testing.T) {

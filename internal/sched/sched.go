@@ -1,9 +1,8 @@
 // Package sched is a multi-tenant job scheduler for the simulated
-// cluster: it sits between engine sessions and the shared slot pool,
-// accepting concurrent job submissions from multiple tenants and placing
-// their stages' tasks under a pluggable policy (FIFO, weighted fair
-// share), with per-tenant admission control and speculative re-execution
-// of straggling tasks.
+// cluster: it runs declared jobs from several tenants on one shared slot
+// pool, placing their stages' tasks under a pluggable policy (FIFO,
+// weighted fair share), with per-tenant admission control and
+// speculative re-execution of straggling tasks.
 //
 // The paper's inner-parallel programs launch thousands of tiny jobs
 // (Sec. 9 measures exactly that job-launch overhead), but a single
@@ -13,21 +12,12 @@
 // (cluster.EventClock): tasks from different jobs interleave at task
 // granularity, not wave granularity, and every decision — placement
 // order, straggler draws, speculation triggers — is a pure function of
-// virtual state and the seed, never of goroutine interleaving. For a
-// fixed seed, makespans and per-job latencies are bit-identical across
-// runs.
+// virtual state and the seed. For a fixed seed, makespans and per-job
+// latencies are bit-identical across runs.
 //
-// Two entry points share the same event loop:
-//
-//   - RunWorkload executes a declared batch of jobs (arrival times,
-//     stages, tasks) single-threadedly — the sec-sched experiment's path.
-//   - Register returns a Tenant that implements the engine's Backend
-//     interface, so real engine sessions running on separate goroutines
-//     charge their stages to the shared pool. Determinism under real
-//     concurrency comes from quiescence gating: the event loop only
-//     advances when every live tenant is parked inside a scheduler call,
-//     and pending submissions are admitted in virtual-time order with
-//     total tie-breaking (tenant id, job, stage).
+// The one entry point is RunWorkload: it executes a declared batch of
+// jobs (arrival times, stages, tasks) single-threadedly — the path of the
+// sec-sched experiments and `matbench -tenants`.
 package sched
 
 import (
@@ -38,7 +28,6 @@ import (
 	"sync"
 
 	"matryoshka/internal/cluster"
-	"matryoshka/internal/obs"
 )
 
 // Policy names a task-placement policy.
@@ -81,14 +70,11 @@ type Config struct {
 	// capacity, repeat offenders are blacklisted. The zero plan injects
 	// nothing.
 	Chaos cluster.FaultPlan
-	// Obs, when non-nil, receives scheduler events (queue waits,
-	// speculation, admission rejections) rendered by EXPLAIN ANALYZE.
-	Obs *obs.Recorder
 }
 
 // Scheduler owns the shared virtual clock, the slot pool and the queues.
-// All mutable state is guarded by mu; the event loop (drive) runs under
-// it at quiescence points.
+// All mutable state is guarded by mu, which RunWorkload holds while the
+// event loop (drive) runs.
 type Scheduler struct {
 	mu      sync.Mutex
 	cfg     Config
@@ -111,21 +97,8 @@ type Scheduler struct {
 	tenants []*tenantState
 	byName  map[string]*tenantState
 
-	// live/parked implement quiescence gating for concurrent tenants:
-	// the event loop advances only when every live tenant is parked in a
-	// scheduler call. fulfilled counts requests completed by the current
-	// drive, which stops the loop so unparked tenants can resubmit before
-	// the clock moves again. pending holds parked submissions that have
-	// not been admitted yet: they are scheduled in sorted virtual order
-	// at quiescence, so event sequence numbers — the clock's tie-breaker
-	// — never depend on which goroutine reached the lock first.
-	live      int
-	parked    int
-	fulfilled int
-	pending   []*stageRun
-
-	// workload is set while RunWorkload owns the loop (single-threaded
-	// mode: stage completion chains the job's next stage directly).
+	// workload is set once RunWorkload has run: an instance runs one
+	// workload.
 	workload bool
 
 	met aggMetrics
@@ -184,27 +157,19 @@ func New(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// Config returns the scheduler's configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
-
 // tenantState is the scheduler-side record of one tenant. Tenant ids are
-// registration order, which callers must keep deterministic (register
-// from one goroutine, in a fixed order) — ids break policy ties.
+// the order of RunWorkload's tenant list — ids break policy ties.
 type tenantState struct {
 	id     int
 	name   string
 	weight float64
 	budget int
 
-	vnow     float64 // the tenant's own virtual time
-	inflight int     // admission-gated submissions in flight (concurrent mode)
-	active   int     // jobs in flight (workload mode)
-	jobSeq   int
-	cur      *jobRun // engine mode: job between StartJob and ReleaseBroadcasts
+	active int // jobs in flight
+	jobSeq int
 
 	coreSec    float64 // fairness usage: core·seconds placed
 	memByteSec float64 // fairness usage: byte·seconds placed
-	done       bool
 
 	stats     cluster.Stats
 	latencies []float64
@@ -216,10 +181,9 @@ type jobRun struct {
 	t        *tenantState
 	seq      int // tenant-local sequence, 1-based
 	arrival  float64
-	resident int64 // broadcast bytes pinned for the job's remainder
 	stageSeq int
 
-	// workload mode: the declared stages still to run.
+	// The declared stages still to run.
 	stages [][]cluster.Task
 	next   int
 	finish float64
@@ -227,15 +191,13 @@ type jobRun struct {
 	done   bool
 }
 
-// stageRun is one submitted stage: its tasks, live copies, and the
-// report being accumulated.
+// stageRun is one submitted stage: its tasks and their live copies.
 type stageRun struct {
-	job      *jobRun
-	seq      int // job-local, 1-based
-	submitVT float64
-	readyAt  float64
-	total    int
-	specs    []cluster.Task // the submitted tasks, until readiness
+	job     *jobRun
+	seq     int // job-local, 1-based
+	readyAt float64
+	total   int
+	specs   []cluster.Task // the submitted tasks, until readiness
 
 	taskDone  []bool
 	live      [][2]*taskRun // per task index: primary, backup
@@ -244,18 +206,8 @@ type stageRun struct {
 
 	firstStart float64 // -1 until the first placement
 	nDone      int
-	running    int
-	busy       float64
-	maxTaskSec float64
-	maxTaskMem int64
-
-	specLaunched int
-	specWon      int
-	specWasted   float64
-	prefViol     int
 
 	failed error
-	req    *stageReq // concurrent mode; nil under RunWorkload
 }
 
 const (
@@ -272,20 +224,12 @@ type taskRun struct {
 	backup bool
 	nomDur float64 // compute + task overhead, unskewed
 	dur    float64 // actual duration (primary: nomDur × straggler stretch)
-	need   int64   // memory to reserve: task memory + job-resident broadcasts
+	need   int64   // memory to reserve
 	pref   int     // locality-preferred machine
 
 	state   int
 	machine int
 	start   float64
-}
-
-// stageReq parks a concurrent tenant's stage submission until the event
-// loop completes (or fails) the stage.
-type stageReq struct {
-	done chan struct{}
-	rep  cluster.StageReport
-	err  error
 }
 
 // aggMetrics are the scheduler-wide counters behind Metrics.
@@ -336,14 +280,8 @@ type Metrics struct {
 	Tenants []TenantMetrics
 }
 
-// Metrics returns a deterministic snapshot (tenants in registration
-// order).
-func (s *Scheduler) Metrics() Metrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.metricsLocked()
-}
-
+// metricsLocked returns a deterministic snapshot (tenants in
+// registration order).
 func (s *Scheduler) metricsLocked() Metrics {
 	m := Metrics{
 		Clock:          s.clock.Now(),
@@ -405,17 +343,17 @@ func (s *Scheduler) schedule(at float64, p any) {
 	}
 }
 
-// newStage records a submitted stage. The caller schedules (or defers)
-// its readiness: workload mode schedules immediately, the concurrent
-// path queues it on pending for sorted admission at quiescence.
-func (s *Scheduler) newStage(j *jobRun, tasks []cluster.Task, submitVT float64) *stageRun {
+// newStage records a stage submitted at virtual time at; the caller
+// schedules its readiness. Task copies are created at readiness, not
+// here.
+func (s *Scheduler) newStage(j *jobRun, tasks []cluster.Task, at float64) *stageRun {
 	j.stageSeq++
 	st := &stageRun{
 		job:        j,
 		seq:        j.stageSeq,
-		submitVT:   submitVT,
-		readyAt:    submitVT + s.cfg.Cluster.StageOverhead,
+		readyAt:    at + s.cfg.Cluster.StageOverhead,
 		total:      len(tasks),
+		specs:      tasks,
 		taskDone:   make([]bool, len(tasks)),
 		live:       make([][2]*taskRun, len(tasks)),
 		backed:     make([]bool, len(tasks)),
@@ -423,52 +361,19 @@ func (s *Scheduler) newStage(j *jobRun, tasks []cluster.Task, submitVT float64) 
 	}
 	j.t.stats.Stages++
 	j.t.stats.Tasks += len(tasks)
-	// Task copies are created at readiness, not here: straggler draws are
-	// hash-derived from ids, so the timing makes no difference, but the
-	// resident-broadcast memory need is sampled as late as possible.
-	st.specs = tasks
 	return st
 }
 
-// admitPending schedules the parked submissions accumulated since the
-// last drive, in virtual order (submission time, then tenant id — a
-// tenant parks at most one request). Wall-clock arrival order at the
-// mutex never reaches the event heap.
-func (s *Scheduler) admitPending() {
-	sort.Slice(s.pending, func(i, j int) bool {
-		a, b := s.pending[i], s.pending[j]
-		if a.submitVT != b.submitVT {
-			return a.submitVT < b.submitVT
-		}
-		return a.job.t.id < b.job.t.id
-	})
-	for _, st := range s.pending {
-		s.schedule(st.readyAt, evStageReady{st})
-	}
-	s.pending = s.pending[:0]
-}
-
-// drive advances the event loop. In workload mode it runs until the
-// system drains; in concurrent mode it returns as soon as at least one
-// parked request has been fulfilled, so the woken tenants can resubmit
-// before the clock moves past them.
+// drive runs the event loop until the system drains.
 func (s *Scheduler) drive() {
 	for {
 		s.placeReady()
-		if !s.workload && s.fulfilled > 0 {
-			s.fulfilled = 0
-			return
-		}
 		ev, ok := s.clock.Peek()
 		if !ok {
 			// A dead pool with nothing scheduled to revive it: fail the
-			// stranded stages (their completions may wake parked tenants)
-			// instead of hanging or silently returning.
+			// stranded stages instead of hanging or silently returning.
 			if s.failStranded() {
 				continue
-			}
-			if !s.workload && s.parked > 0 {
-				panic(fmt.Sprintf("sched: stuck: %d parked requests, no events, nothing placeable", s.parked))
 			}
 			return
 		}
@@ -484,10 +389,10 @@ func (s *Scheduler) drive() {
 			continue
 		}
 		// When only cluster weather remains — no work scheduled, nothing
-		// queued, nobody parked — the system is drained: return with the
-		// remaining (possibly endless, under a hazard) machine events
-		// unplayed rather than simulating an empty cluster forever.
-		if machineEvent(s.payload[ev.Key]) && s.workEvents == 0 && len(s.ready) == 0 && s.parked == 0 {
+		// queued — the system is drained: return with the remaining
+		// (possibly endless, under a hazard) machine events unplayed rather
+		// than simulating an empty cluster forever.
+		if machineEvent(s.payload[ev.Key]) && s.workEvents == 0 && len(s.ready) == 0 {
 			return
 		}
 		ev, _ = s.clock.Next()
@@ -559,12 +464,9 @@ func (s *Scheduler) stageBecameReady(st *stageRun) {
 			idx:    i,
 			nomDur: nom,
 			dur:    nom * stretch,
-			need:   spec.Memory + st.job.resident,
+			need:   spec.Memory,
 			pref:   s.prefMachine(t.id, st.job.seq, st.seq, i),
 			state:  taskQueued,
-		}
-		if spec.Memory > st.maxTaskMem {
-			st.maxTaskMem = spec.Memory
 		}
 		st.live[i][0] = tr
 		s.ready = append(s.ready, tr)
@@ -598,7 +500,7 @@ func (s *Scheduler) placeReady() {
 		if tr.need > s.cfg.Cluster.MemoryPerMachine {
 			s.failStage(tr.st, &cluster.OOMError{
 				What: "task", Bytes: tr.need, Limit: s.cfg.Cluster.MemoryPerMachine,
-				Wave: 1, Machine: tr.pref, Resident: tr.st.job.resident,
+				Wave: 1, Machine: tr.pref,
 			})
 			continue
 		}
@@ -731,12 +633,10 @@ func (s *Scheduler) place(tr *taskRun, m int, viol bool) {
 	s.machines[m].freeCores--
 	s.machines[m].freeMem -= tr.need
 	s.freeSlots--
-	st.running++
 	if st.firstStart < 0 {
 		st.firstStart = now
 	}
 	if viol {
-		st.prefViol++
 		s.met.prefViol++
 	}
 	// Fairness usage is charged at placement from the nominal duration:
@@ -772,15 +672,9 @@ func (s *Scheduler) taskFinished(tr *taskRun) {
 	st.nDone++
 	win := now - tr.start
 	st.completed = append(st.completed, win)
-	st.busy += win
 	st.job.t.stats.BusySeconds += win
-	if win > st.maxTaskSec {
-		st.maxTaskSec = win
-	}
 	if tr.backup {
-		st.specWon++
 		s.met.specWon++
-		s.schedEvent("spec-won", st, now-tr.start, fmt.Sprintf("backup of task %d finished first", tr.idx))
 	}
 	// The losing copy is cancelled; its burned core·seconds stay charged,
 	// as on a real cluster.
@@ -794,13 +688,10 @@ func (s *Scheduler) taskFinished(tr *taskRun) {
 		switch sib.state {
 		case taskRunning:
 			waste := now - sib.start
-			st.busy += waste
-			st.specWasted += waste
 			st.job.t.stats.BusySeconds += waste
 			s.met.specWasted += waste
 			s.release(sib)
 			sib.state = taskCancelled
-			s.schedEvent("spec-wasted", st, waste, fmt.Sprintf("losing copy of task %d cancelled", sib.idx))
 		case taskQueued:
 			sib.state = taskCancelled
 		}
@@ -818,7 +709,6 @@ func (s *Scheduler) release(tr *taskRun) {
 	s.machines[tr.machine].freeCores++
 	s.machines[tr.machine].freeMem += tr.need
 	s.freeSlots++
-	tr.st.running--
 }
 
 // maybeSpeculate launches (or schedules a future check for) backup
@@ -892,55 +782,23 @@ func (s *Scheduler) launchBackup(tr *taskRun) {
 	}
 	st.live[tr.idx][1] = bk
 	s.ready = append(s.ready, bk)
-	st.specLaunched++
 	s.met.specLaunched++
-	s.schedEvent("speculate", st, s.clock.Now()-tr.start, fmt.Sprintf("task %d running %.2fs past threshold", tr.idx, s.clock.Now()-tr.start))
 }
 
-// completeStage finalizes a stage, reports it, and hands control back:
-// to the parked tenant (concurrent mode) or to the job's next stage
-// (workload mode).
+// completeStage accounts a finished stage's queue wait (readiness to its
+// first placement) and chains the job's next stage.
 func (s *Scheduler) completeStage(st *stageRun) {
-	now := s.clock.Now()
-	t := st.job.t
 	qw := 0.0
 	if st.firstStart >= 0 {
 		qw = st.firstStart - st.readyAt
 	}
-	rep := cluster.StageReport{
-		Tasks:          st.total,
-		Makespan:       now - st.readyAt,
-		Seconds:        now - st.submitVT,
-		BusySeconds:    st.busy,
-		MaxTaskSec:     st.maxTaskSec,
-		MaxTaskMem:     st.maxTaskMem,
-		QueueWait:      qw,
-		SpecLaunched:   st.specLaunched,
-		SpecWon:        st.specWon,
-		SpecWastedSec:  st.specWasted,
-		PrefViolations: st.prefViol,
-	}
-	if st.total > 0 {
-		rep.Waves = (st.total + s.slots - 1) / s.slots
-	}
-	t.vnow = now
-	t.queueWait += qw
+	st.job.t.queueWait += qw
 	s.met.queueWait += qw
-	if qw > 1e-9 {
-		s.schedEvent("queue-wait", st, qw, fmt.Sprintf("%d tasks waited for slots", st.total))
-	}
-	if st.req != nil {
-		st.req.rep = rep
-		close(st.req.done)
-		s.parked--
-		s.fulfilled++
-		return
-	}
-	s.advanceWorkloadJob(st.job, now)
+	s.submitWorkloadStage(st.job, s.clock.Now())
 }
 
 // failStage aborts a stage: live copies are cancelled (burned time stays
-// charged), and the failure is reported to the waiting side.
+// charged), and the job finishes with the failure.
 func (s *Scheduler) failStage(st *stageRun, err error) {
 	if st.failed != nil {
 		return
@@ -955,9 +813,7 @@ func (s *Scheduler) failStage(st *stageRun, err error) {
 			}
 			switch tr.state {
 			case taskRunning:
-				elapsed := now - tr.start
-				st.busy += elapsed
-				st.job.t.stats.BusySeconds += elapsed
+				st.job.t.stats.BusySeconds += now - tr.start
 				s.release(tr)
 				tr.state = taskCancelled
 			case taskQueued:
@@ -965,16 +821,6 @@ func (s *Scheduler) failStage(st *stageRun, err error) {
 			}
 			st.live[i][c] = nil
 		}
-	}
-	t := st.job.t
-	t.vnow = now
-	if st.req != nil {
-		st.req.rep = cluster.StageReport{Tasks: st.total, Seconds: now - st.submitVT, BusySeconds: st.busy}
-		st.req.err = err
-		close(st.req.done)
-		s.parked--
-		s.fulfilled++
-		return
 	}
 	st.job.err = err
 	s.finishWorkloadJob(st.job, now)
@@ -989,25 +835,6 @@ func (s *Scheduler) compactReady() {
 		}
 	}
 	s.ready = kept
-}
-
-// schedEvent forwards a scheduler event to the recorder (nil-safe).
-func (s *Scheduler) schedEvent(kind string, st *stageRun, seconds float64, detail string) {
-	s.schedEventRaw(st.job.t, st.job.seq, st.seq, kind, seconds, detail)
-}
-
-func (s *Scheduler) schedEventRaw(t *tenantState, job, stage int, kind string, seconds float64, detail string) {
-	if !s.cfg.Obs.Enabled() {
-		return
-	}
-	s.cfg.Obs.Sched(obs.SchedEvent{
-		Tenant:  t.name,
-		Job:     job,
-		Stage:   stage,
-		Kind:    kind,
-		Seconds: seconds,
-		Detail:  detail,
-	})
 }
 
 // sortJobSpecs orders workload jobs deterministically.

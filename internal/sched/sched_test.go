@@ -2,13 +2,10 @@ package sched
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"matryoshka/internal/cluster"
-	"matryoshka/internal/obs"
 )
 
 // testConfig is a small pool: 2 machines × 4 cores, 1 GB each, with
@@ -234,148 +231,5 @@ func TestTaskOverMachineMemoryFailsStageWithOOM(t *testing.T) {
 	}
 	if !errors.Is(res.Jobs[0].Err, cluster.ErrOutOfMemory) {
 		t.Error("OOM should unwrap to ErrOutOfMemory for the engine's recovery path")
-	}
-}
-
-func TestTenantBackendAccounting(t *testing.T) {
-	cfg := testConfig()
-	s, err := New(Config{Cluster: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn, err := s.Register("solo", 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tn.Done()
-
-	tn.StartJob()
-	if err := tn.Broadcast(1 << 20); err != nil {
-		t.Fatal(err)
-	}
-	before := tn.Clock()
-	rep, err := tn.RunStageReport(uniformStage(8, 1, 1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn.ReleaseBroadcasts()
-
-	// 8 tasks on 8 slots: one wave of 1s plus the 0.1 stage overhead.
-	if math.Abs(rep.Seconds-1.1) > 1e-9 {
-		t.Errorf("stage seconds = %f, want 1.1", rep.Seconds)
-	}
-	if rep.Waves != 1 || rep.Tasks != 8 {
-		t.Errorf("waves=%d tasks=%d, want 1, 8", rep.Waves, rep.Tasks)
-	}
-	if got := tn.Clock() - before; math.Abs(got-1.1) > 1e-9 {
-		t.Errorf("clock delta = %f, want 1.1", got)
-	}
-	st := tn.Stats()
-	if st.Jobs != 1 || st.Stages != 1 || st.Tasks != 8 || st.Broadcasts != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-	if math.Abs(st.BusySeconds-8) > 1e-9 {
-		t.Errorf("busy = %f, want 8", st.BusySeconds)
-	}
-
-	// Job latency (launch 0.5 + broadcast + stage 1.1) was recorded.
-	m := s.Metrics()
-	if len(m.Tenants) != 1 || len(m.Tenants[0].Latencies) != 1 {
-		t.Fatalf("metrics = %+v", m)
-	}
-	wantLat := 0.5 + float64(1<<20)*cfg.PerByteBroadcast + 1.1
-	if got := m.Tenants[0].Latencies[0]; math.Abs(got-wantLat) > 1e-9 {
-		t.Errorf("job latency = %f, want %f", got, wantLat)
-	}
-}
-
-func TestTenantBroadcastOOMMirrorsSimulator(t *testing.T) {
-	s, err := New(Config{Cluster: testConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn, err := s.Register("a", 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tn.Done()
-	tn.StartJob()
-	err = tn.Broadcast(2 << 30)
-	var oom *cluster.OOMError
-	if !errors.As(err, &oom) || oom.What != "broadcast" {
-		t.Fatalf("err = %v, want broadcast OOMError", err)
-	}
-	tn.ReleaseBroadcasts()
-}
-
-func TestAdmitGateBackpressure(t *testing.T) {
-	s, err := New(Config{Cluster: testConfig(), Obs: obs.NewRecorder()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn, err := s.Register("a", 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tn.Done()
-	if err := tn.Admit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tn.Admit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tn.Admit(); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("third Admit = %v, want ErrBackpressure", err)
-	}
-	tn.Finish()
-	if err := tn.Admit(); err != nil {
-		t.Fatalf("Admit after Finish = %v", err)
-	}
-	evs := s.cfg.Obs.SchedEvents()
-	if len(evs) != 1 || evs[0].Kind != "admit-reject" {
-		t.Errorf("sched events = %+v, want one admit-reject", evs)
-	}
-}
-
-// TestConcurrentTenantsShareThePool runs two engine-style tenants on
-// goroutines and checks the shared pool actually made them contend:
-// with both submitting 8-slot-wide stages at once, someone must queue.
-func TestConcurrentTenantsShareThePool(t *testing.T) {
-	s, err := New(Config{Cluster: testConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tenants []*Tenant
-	for i := 0; i < 2; i++ {
-		tn, err := s.Register(fmt.Sprintf("t%d", i), 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tenants = append(tenants, tn)
-	}
-	var wg sync.WaitGroup
-	for _, tn := range tenants {
-		wg.Add(1)
-		go func(tn *Tenant) {
-			defer wg.Done()
-			defer tn.Done()
-			for j := 0; j < 3; j++ {
-				tn.StartJob()
-				if _, err := tn.RunStageReport(uniformStage(8, 1, 1<<20)); err != nil {
-					t.Error(err)
-				}
-				tn.ReleaseBroadcasts()
-			}
-		}(tn)
-	}
-	wg.Wait()
-	m := s.Metrics()
-	if m.QueueWaitSec <= 0 {
-		t.Error("two tenants × 8-wide stages on 8 slots should produce queue wait")
-	}
-	// 6 jobs × (0.5 launch + 1.1 stage) of work on a shared clock: the
-	// makespan must exceed any single tenant's isolated runtime.
-	if m.Clock <= 3*1.1 {
-		t.Errorf("makespan %f is impossibly small for 6 8-wide stages", m.Clock)
 	}
 }

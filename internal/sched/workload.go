@@ -1,11 +1,9 @@
 package sched
 
-// The declarative path: RunWorkload executes a batch of jobs whose
-// arrival times and stage shapes are declared up front, single-threaded
-// on the same event loop the concurrent facade uses. This is what the
-// sec-sched experiment sweeps: it needs thousands of jobs across many
-// tenants with exact arrival control, which would be pure overhead to
-// route through real engine sessions.
+// RunWorkload executes a batch of jobs whose arrival times and stage
+// shapes are declared up front, single-threaded on the scheduler's event
+// loop. This is what the sec-sched experiments sweep: thousands of jobs
+// across many tenants with exact arrival control.
 
 import (
 	"fmt"
@@ -59,13 +57,10 @@ type jobSpecRef struct {
 // per-job latencies and scheduler metrics. It is deterministic: results
 // depend only on the config (including the straggler seed) and the
 // inputs. A scheduler instance runs one workload; use a fresh one per
-// run. RunWorkload and Register are mutually exclusive on an instance.
+// run.
 func (s *Scheduler) RunWorkload(tenants []TenantSpec, jobs []JobSpec) (WorkloadResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.live > 0 {
-		return WorkloadResult{}, fmt.Errorf("sched: RunWorkload on a scheduler with registered tenants")
-	}
 	if s.workload {
 		return WorkloadResult{}, fmt.Errorf("sched: RunWorkload called twice; use a fresh scheduler")
 	}
@@ -128,8 +123,6 @@ func (s *Scheduler) startWorkloadJob(j *jobRun) {
 		j.done = true
 		j.finish = now
 		s.met.admitRejected++
-		s.schedEventRaw(t, j.seq, 0, "admit-reject", 0,
-			fmt.Sprintf("%d jobs in flight, budget %d", t.active, t.budget))
 		return
 	}
 	t.active++
@@ -150,11 +143,6 @@ func (s *Scheduler) submitWorkloadStage(j *jobRun, at float64) {
 	s.schedule(st.readyAt, evStageReady{st})
 }
 
-// advanceWorkloadJob chains the job forward after a stage completes.
-func (s *Scheduler) advanceWorkloadJob(j *jobRun, now float64) {
-	s.submitWorkloadStage(j, now)
-}
-
 // finishWorkloadJob closes a job at virtual time `now`; latency is
 // recorded only for jobs that ran to success.
 func (s *Scheduler) finishWorkloadJob(j *jobRun, now float64) {
@@ -165,7 +153,6 @@ func (s *Scheduler) finishWorkloadJob(j *jobRun, now float64) {
 	j.finish = now
 	t := j.t
 	t.active--
-	t.vnow = math.Max(t.vnow, now)
 	if j.err == nil {
 		t.latencies = append(t.latencies, now-j.arrival)
 	}
