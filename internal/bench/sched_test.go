@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -46,13 +45,13 @@ func TestSecSchedShape(t *testing.T) {
 	}
 }
 
-// TestSecSchedDeterministic: the sweep is pure — two runs produce
-// bit-identical rows.
-func TestSecSchedDeterministic(t *testing.T) {
-	a, b := SecSched(DefaultScale()), SecSched(DefaultScale())
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("sec-sched rows differ between runs")
-	}
+// TestSecSchedRowsMatchGolden pins both scheduling sweeps row for row
+// (testdata/sched_rows.golden, exact floats): the scheduler is a pure
+// function of its inputs and the straggler seed, so any drift is a
+// behaviour change.
+func TestSecSchedRowsMatchGolden(t *testing.T) {
+	checkGolden(t, "sched_rows.golden", "sec-sched", rowLines(SecSched(DefaultScale())))
+	checkGolden(t, "sched_rows.golden", "sec-sched-straggle", rowLines(SecSchedStraggle(DefaultScale())))
 }
 
 // TestSecSchedStraggleSpeculationClipsTail: at a 15% straggler rate the
