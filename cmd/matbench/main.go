@@ -50,7 +50,6 @@ type knobs struct {
 	mem        int64
 	faultRate  float64
 	straggle   float64
-	chaos      float64
 	mtbf       float64
 	seed       int64
 	tenants    int
@@ -81,14 +80,8 @@ func validateFlags(k knobs) error {
 	if k.straggle < 0 || k.straggle > 1 {
 		return fmt.Errorf("-straggle %v is not a rate (want 0..1)", k.straggle)
 	}
-	if k.chaos < 0 {
-		return fmt.Errorf("-chaos %v is negative (want crashes per machine per 1000 simulated seconds, 0 = off)", k.chaos)
-	}
 	if k.mtbf < 0 {
 		return fmt.Errorf("-mtbf %v is negative (want mean seconds between crashes per machine, 0 = off)", k.mtbf)
-	}
-	if k.chaos > 0 && k.mtbf > 0 {
-		return fmt.Errorf("-chaos and -mtbf both set; they are two spellings of the same hazard, pick one")
 	}
 	if k.seed < 0 {
 		return fmt.Errorf("-seed %d is negative (want a non-negative hazard/skew seed, 0 = default)", k.seed)
@@ -164,8 +157,7 @@ func run() int {
 		policy     = flag.String("policy", "fair", "scheduling policy for -tenants: fifo or fair")
 		speculate  = flag.Bool("speculate", false, "enable speculative straggler re-execution for -tenants")
 		straggle   = flag.Float64("straggle", 0.25, "straggler rate for -tenants: fraction of tasks stretched 8x")
-		chaos      = flag.Float64("chaos", 0, "machine crash rate: crashes per machine per 1000 simulated seconds (0 = off)")
-		mtbf       = flag.Float64("mtbf", 0, "machine crash hazard: mean simulated seconds between crashes per machine (alternative spelling of -chaos)")
+		mtbf       = flag.Float64("mtbf", 0, "machine crash hazard: mean simulated seconds between crashes per machine (0 = off)")
 		seed       = flag.Int64("seed", 0, "seed for the crash hazard and straggler skew (0 = default, runs stay bit-reproducible)")
 		skew       = flag.Float64("skew", 0, "override the Zipf exponent of skewed datasets (> 1; 0 = each generator's default)")
 		shred      = flag.String("shred", "auto", "nested-bag materialization lowering: auto (optimizer picks per group-by), on (force shredded), off (force materialized)")
@@ -177,7 +169,7 @@ func run() int {
 	)
 	flag.Parse()
 	if err := validateFlags(knobs{mem: *mem, faultRate: *faultRate, straggle: *straggle,
-		chaos: *chaos, mtbf: *mtbf, seed: *seed, tenants: *tenants, policy: *policy,
+		mtbf: *mtbf, seed: *seed, tenants: *tenants, policy: *policy,
 		cpuProfile: *cpuProfile, memProfile: *memProfile,
 		explain: *explain, trace: *trace, batchStats: *batchStats,
 		backend: *backend, workers: *workers, procChaos: *procChaos,
@@ -227,13 +219,7 @@ func run() int {
 		}
 		return 0
 	}
-	sc := bench.Scale{RecordsPerGB: *perGB, MemoryPerMachine: *mem, FaultRate: *faultRate, Seed: uint64(*seed), Skew: *skew}
-	switch {
-	case *chaos > 0:
-		sc.MTBF = 1000 / *chaos
-	case *mtbf > 0:
-		sc.MTBF = *mtbf
-	}
+	sc := bench.Scale{RecordsPerGB: *perGB, MemoryPerMachine: *mem, FaultRate: *faultRate, Seed: uint64(*seed), Skew: *skew, MTBF: *mtbf}
 
 	if *backend == "proc" {
 		runProc := bench.ProcAB

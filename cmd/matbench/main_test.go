@@ -14,7 +14,7 @@ func TestValidateFlags(t *testing.T) {
 		{name: "defaults", k: knobs{backend: "sim", straggle: 0.25, policy: "fair"}},
 		{name: "fifo policy", k: knobs{backend: "sim", tenants: 4, policy: "fifo"}},
 		{name: "boundary rates", k: knobs{backend: "sim", faultRate: 1, straggle: 1, policy: "fair"}},
-		{name: "chaos rate", k: knobs{backend: "sim", chaos: 4, seed: 7, policy: "fair"}},
+		{name: "chaos rate", k: knobs{backend: "sim", mtbf: 250, seed: 7, policy: "fair"}},
 		{name: "mtbf hazard", k: knobs{backend: "sim", mtbf: 250, policy: "fair"}},
 		{name: "profiles to distinct files", k: knobs{backend: "sim", policy: "fair", cpuProfile: "cpu.out", memProfile: "mem.out"}},
 		{name: "cpu profile alone", k: knobs{backend: "sim", policy: "fair", cpuProfile: "cpu.out"}},
@@ -23,9 +23,7 @@ func TestValidateFlags(t *testing.T) {
 		{name: "faultrate negative", k: knobs{faultRate: -0.1, policy: "fair"}, wantErr: "-faultrate"},
 		{name: "mem negative", k: knobs{mem: -1, policy: "fair"}, wantErr: "-mem"},
 		{name: "straggle above 1", k: knobs{straggle: 1.5, policy: "fair"}, wantErr: "-straggle"},
-		{name: "chaos negative", k: knobs{chaos: -2, policy: "fair"}, wantErr: "-chaos"},
 		{name: "mtbf negative", k: knobs{mtbf: -50, policy: "fair"}, wantErr: "-mtbf"},
-		{name: "chaos and mtbf both set", k: knobs{chaos: 2, mtbf: 500, policy: "fair"}, wantErr: "-chaos and -mtbf"},
 		{name: "seed negative", k: knobs{seed: -3, policy: "fair"}, wantErr: "-seed"},
 		{name: "tenants negative", k: knobs{tenants: -2, policy: "fair"}, wantErr: "-tenants"},
 		{name: "unknown policy", k: knobs{policy: "lottery"}, wantErr: "-policy"},

@@ -71,17 +71,13 @@ func schedWorkload(interactive int) ([]sched.TenantSpec, []sched.JobSpec) {
 
 // runSched measures one (policy, speculation, straggler-rate) cell.
 func runSched(sc Scale, interactive int, straggle float64, policy sched.Policy, speculate bool) (schedOutcome, error) {
-	s, err := sched.New(sched.Config{
+	tenants, jobs := schedWorkload(interactive)
+	res, err := sched.Run(sched.Config{
 		Cluster:   schedCluster(sc),
 		Policy:    policy,
 		Speculate: speculate,
-		Straggle:  cluster.Skew{Rate: straggle, Factor: 8, Seed: sc.seed()},
-	})
-	if err != nil {
-		return schedOutcome{}, err
-	}
-	tenants, jobs := schedWorkload(interactive)
-	res, err := s.RunWorkload(tenants, jobs)
+		Straggle:  sched.Skew{Rate: straggle, Factor: 8, Seed: sc.seed()},
+	}, tenants, jobs)
 	if err != nil {
 		return schedOutcome{}, err
 	}
@@ -170,8 +166,8 @@ func SchedSummary(sc Scale, interactive int, straggle float64, policy sched.Poli
 	for _, tm := range m.Tenants {
 		busy += tm.BusySec
 	}
-	fmt.Fprintf(&b, "pool: core-seconds busy=%.1f  queue-wait=%.1f  admit-rejected=%d  pref-violations=%d\n",
-		busy, m.QueueWaitSec, m.AdmitRejected, m.PrefViolations)
+	fmt.Fprintf(&b, "pool: core-seconds busy=%.1f  queue-wait=%.1f  pref-violations=%d\n",
+		busy, m.QueueWaitSec, m.PrefViolations)
 	if m.SpecLaunched > 0 {
 		fmt.Fprintf(&b, "speculation: launched=%d won=%d wasted=%.1f core-sec\n",
 			m.SpecLaunched, m.SpecWon, m.SpecWastedSec)

@@ -94,10 +94,8 @@ type FaultPlan struct {
 // Active reports whether the plan injects any faults.
 func (p FaultPlan) Active() bool { return p.MTBF > 0 || len(p.Events) > 0 }
 
-// WithDefaults returns the plan with zero fields defaulted (Repair 10).
-// Exported for the multi-tenant scheduler, which runs a plan against its
-// own pool with the same semantics.
-func (p FaultPlan) WithDefaults() FaultPlan {
+// withDefaults returns the plan with zero fields defaulted (Repair 10).
+func (p FaultPlan) withDefaults() FaultPlan {
 	if p.Repair <= 0 {
 		p.Repair = 10
 	}
@@ -126,15 +124,24 @@ func (p FaultPlan) Validate(machines int) error {
 	return nil
 }
 
-// CrashGap returns machine m's draw-th up-time gap: an exponential with
+// crashGap returns machine m's draw-th up-time gap: an exponential with
 // mean MTBF, derived purely from (Seed, m, draw).
-func (p FaultPlan) CrashGap(machine, draw int) float64 {
+func (p FaultPlan) crashGap(machine, draw int) float64 {
 	h := splitmix64(p.Seed ^ 0x51b9d1e4c2a7f36d)
 	h = splitmix64(h ^ uint64(machine)*0x9e3779b97f4a7c15)
 	h = splitmix64(h ^ uint64(draw))
 	// Top 53 bits, offset to (0,1) so log never sees zero.
 	u := (float64(h>>11) + 0.5) / (1 << 53)
 	return -p.MTBF * math.Log(u)
+}
+
+// splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed 64-bit
+// permutation used to derive per-draw randomness from structured ids.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // OutputID is a handle to one stage's registered shuffle output. The
@@ -167,7 +174,7 @@ type faultState struct {
 }
 
 func newFaultState(p FaultPlan, machines int) faultState {
-	f := faultState{plan: p.WithDefaults(), active: p.Active()}
+	f := faultState{plan: p.withDefaults(), active: p.Active()}
 	if !f.active {
 		return f
 	}
@@ -186,7 +193,7 @@ func newFaultState(p FaultPlan, machines int) faultState {
 	f.hazDraw = make([]int, machines)
 	for m := range f.hazAt {
 		if f.plan.MTBF > 0 {
-			f.hazAt[m] = f.plan.CrashGap(m, 0)
+			f.hazAt[m] = f.plan.crashGap(m, 0)
 			f.hazDraw[m] = 1
 		} else {
 			f.hazAt[m] = math.Inf(1)
@@ -236,7 +243,7 @@ func (s *Simulator) advanceFaults(now float64) {
 			f.hazAt[m] = at + f.plan.Repair
 		} else {
 			f.hazUp[m] = false
-			f.hazAt[m] = at + f.plan.CrashGap(m, f.hazDraw[m])
+			f.hazAt[m] = at + f.plan.crashGap(m, f.hazDraw[m])
 			f.hazDraw[m]++
 		}
 		switch kind {

@@ -21,8 +21,8 @@ func TestFaultPlanHazardDeterministic(t *testing.T) {
 	p := FaultPlan{MTBF: 50, Seed: 7}
 	for m := 0; m < 3; m++ {
 		for k := 0; k < 5; k++ {
-			g1 := p.CrashGap(m, k)
-			g2 := p.CrashGap(m, k)
+			g1 := p.crashGap(m, k)
+			g2 := p.crashGap(m, k)
 			if g1 != g2 {
 				t.Fatalf("gap(%d,%d) not deterministic: %g vs %g", m, k, g1, g2)
 			}
@@ -31,18 +31,18 @@ func TestFaultPlanHazardDeterministic(t *testing.T) {
 			}
 		}
 	}
-	if p.CrashGap(0, 0) == p.CrashGap(1, 0) {
+	if p.crashGap(0, 0) == p.crashGap(1, 0) {
 		t.Error("different machines drew identical first gaps")
 	}
 	other := FaultPlan{MTBF: 50, Seed: 8}
-	if p.CrashGap(0, 0) == other.CrashGap(0, 0) {
+	if p.crashGap(0, 0) == other.crashGap(0, 0) {
 		t.Error("different seeds drew identical gaps")
 	}
 	// The exponential mean should be in the right ballpark.
 	var sum float64
 	const draws = 2000
 	for k := 0; k < draws; k++ {
-		sum += p.CrashGap(0, k)
+		sum += p.crashGap(0, k)
 	}
 	if mean := sum / draws; mean < 40 || mean > 60 {
 		t.Errorf("hazard mean %g, want ~50", mean)

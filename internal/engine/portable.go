@@ -36,19 +36,18 @@ import (
 // executor treats it as "run this stage driver-local", never as a failure.
 var ErrNotPortable = errors.New("engine: stage is not portable")
 
-// QuorumLostError reports that a RemoteRunner fell below its minimum live
-// worker quorum and could not restore it within its bounded wait. The
-// executor converts it into a fetch-style stage failure so the lineage
-// recovery loop and the bounded job retry decide the job's fate — a stage
-// never deadlocks waiting for workers that will not come back.
+// QuorumLostError reports that a RemoteRunner has no live worker and
+// could not restore one within its bounded wait. The executor converts it
+// into a fetch-style stage failure so the lineage recovery loop and the
+// bounded job retry decide the job's fate — a stage never deadlocks
+// waiting for workers that will not come back.
 type QuorumLostError struct {
 	Stage string // stage label, for diagnostics
 	Live  int    // live workers observed
-	Min   int    // configured quorum
 }
 
 func (e *QuorumLostError) Error() string {
-	return fmt.Sprintf("engine: stage %q: worker quorum lost (%d live < %d required)", e.Stage, e.Live, e.Min)
+	return fmt.Sprintf("engine: stage %q: worker quorum lost (no worker is live)", e.Stage)
 }
 
 // PoisonTaskError reports a task that was quarantined: it killed (or

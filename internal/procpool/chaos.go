@@ -98,7 +98,7 @@ func (p FaultPlan) delay() time.Duration {
 }
 
 // draw hashes (Seed, domain, counter) to a uniform uint64 — the same
-// stateless splitmix64 derivation cluster.FaultPlan.CrashGap uses, so
+// stateless splitmix64 derivation as cluster.FaultPlan's crash hazard, so
 // injected choices depend only on the seed and the event index, never on
 // goroutine interleaving.
 func (p FaultPlan) draw(domain, n uint64) uint64 {

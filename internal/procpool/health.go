@@ -36,7 +36,7 @@ const (
 )
 
 // monitor scans for workers whose heartbeat went stale. The scan interval
-// (Config.HeartbeatCheck) is independent of HeartbeatEvery: beats set the
+// (heartbeatCheck) is independent of HeartbeatEvery: beats set the
 // staleness clock, the monitor only bounds detection latency.
 func (p *Pool) monitor() {
 	t := time.NewTicker(p.cfg.heartbeatCheck())
@@ -247,7 +247,7 @@ func (p *Pool) respawnWorker(idx, deaths int) {
 	}
 }
 
-// waitQuorum blocks until at least MinLive workers are up, a bounded wait
+// waitQuorum blocks until at least one worker is up, a bounded wait
 // that rides out respawn backoff. It fails immediately — not after
 // QuorumWait — once no respawn is in flight and none can be scheduled
 // (respawn disabled or budget spent): the fleet can only stay short, and
@@ -265,11 +265,11 @@ func (p *Pool) waitQuorum(ctx context.Context, label string) ([]*workerProc, err
 		if closed {
 			return nil, fmt.Errorf("procpool: pool is closed")
 		}
-		if len(live) >= p.cfg.MinLive {
+		if len(live) > 0 {
 			return live, nil
 		}
 		if (inFlight == 0 && !canRespawn) || time.Now().After(deadline) {
-			return nil, &engine.QuorumLostError{Stage: label, Live: len(live), Min: p.cfg.MinLive}
+			return nil, &engine.QuorumLostError{Stage: label, Live: len(live)}
 		}
 		select {
 		case <-ctx.Done():

@@ -141,7 +141,7 @@ func TestQuorumLostFailsFast(t *testing.T) {
 	if !errors.As(err, &q) {
 		t.Fatalf("got %v, want QuorumLostError", err)
 	}
-	if q.Stage != "quorum-stage" || q.Live != 0 || q.Min != 1 {
+	if q.Stage != "quorum-stage" || q.Live != 0 {
 		t.Fatalf("bad quorum error: %+v", q)
 	}
 	if elapsed > 5*time.Second {

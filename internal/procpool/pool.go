@@ -34,13 +34,6 @@ type Config struct {
 	// before it is declared crashed (default 3s).
 	HeartbeatEvery   time.Duration
 	HeartbeatTimeout time.Duration
-	// HeartbeatCheck is how often the driver-side monitor scans for stale
-	// workers (default HeartbeatTimeout/4, clamped to [10ms, 1s]).
-	// Staleness itself is governed by HeartbeatTimeout; this interval
-	// only bounds detection latency, so it deliberately does not track
-	// HeartbeatEvery — a short beat period must not make the driver poll
-	// needlessly hot.
-	HeartbeatCheck time.Duration
 	// TaskDeadline bounds how long one dispatched task may run (0 = no
 	// deadline). A task that exceeds it on a live, heartbeating worker is
 	// cancelled — the worker is killed and respawned, the task requeued —
@@ -58,12 +51,10 @@ type Config struct {
 	// 50ms). It doubles per consecutive fast death of that slot (capped
 	// at 2s); an incarnation that survived a while resets the doubling.
 	RespawnBackoff time.Duration
-	// MinLive is the dispatch quorum (default 1): a stage waits up to
-	// QuorumWait (default 2s) for respawn to restore at least MinLive
-	// workers, then fails with engine.QuorumLostError — which the engine
-	// turns into a fetch-style failure for the bounded job retry, never a
-	// deadlock.
-	MinLive    int
+	// QuorumWait bounds how long a stage with no live worker waits for
+	// respawn to restore one (default 2s) before it fails with
+	// engine.QuorumLostError — which the engine turns into a fetch-style
+	// failure for the bounded job retry, never a deadlock.
 	QuorumWait time.Duration
 	// DrainTimeout bounds Close's graceful drain: workers get msgShutdown
 	// and this long to exit before SIGKILL (default 2s).
@@ -109,9 +100,6 @@ func (c *Config) defaults() {
 	if c.RespawnBackoff <= 0 {
 		c.RespawnBackoff = 50 * time.Millisecond
 	}
-	if c.MinLive <= 0 {
-		c.MinLive = 1
-	}
 	if c.QuorumWait <= 0 {
 		c.QuorumWait = 2 * time.Second
 	}
@@ -120,11 +108,12 @@ func (c *Config) defaults() {
 	}
 }
 
-// heartbeatCheck is the monitor's scan interval (see Config.HeartbeatCheck).
+// heartbeatCheck is how often the driver-side monitor scans for stale
+// workers: HeartbeatTimeout/4, clamped to [10ms, 1s]. Staleness itself is
+// governed by HeartbeatTimeout; this interval only bounds detection
+// latency, so it deliberately does not track HeartbeatEvery — a short
+// beat period must not make the driver poll needlessly hot.
 func (c *Config) heartbeatCheck() time.Duration {
-	if c.HeartbeatCheck > 0 {
-		return c.HeartbeatCheck
-	}
 	d := c.HeartbeatTimeout / 4
 	if d < 10*time.Millisecond {
 		d = 10 * time.Millisecond

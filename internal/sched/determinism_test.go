@@ -17,14 +17,11 @@ import (
 // requires exactly equal latencies, makespan, and metrics.
 func TestWorkloadBitIdentical(t *testing.T) {
 	run := func() WorkloadResult {
-		s, err := New(Config{
+		cfg := Config{
 			Cluster:   testConfig(),
 			Policy:    PolicyFair,
 			Speculate: true,
-			Straggle:  cluster.Skew{Rate: 0.2, Factor: 8, Seed: 42},
-		})
-		if err != nil {
-			t.Fatal(err)
+			Straggle:  Skew{Rate: 0.2, Factor: 8, Seed: 42},
 		}
 		var jobs []JobSpec
 		for i := 0; i < 20; i++ {
@@ -41,8 +38,8 @@ func TestWorkloadBitIdentical(t *testing.T) {
 				},
 			})
 		}
-		res, err := s.RunWorkload(
-			[]TenantSpec{{Name: "a", Weight: 1}, {Name: "b", Weight: 2, Budget: 8}},
+		res, err := Run(cfg,
+			[]TenantSpec{{Name: "a", Weight: 1}, {Name: "b", Weight: 2}},
 			jobs,
 		)
 		if err != nil {
@@ -62,20 +59,17 @@ func TestWorkloadBitIdentical(t *testing.T) {
 // counters: every win implies a launch, and wins never exceed launches;
 // wasted time only appears when something won or was cancelled.
 func TestSpeculationAccountingConsistent(t *testing.T) {
-	s, err := New(Config{
+	cfg := Config{
 		Cluster:   testConfig(),
 		Speculate: true,
-		Straggle:  cluster.Skew{Rate: 0.25, Factor: 10, Seed: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
+		Straggle:  Skew{Rate: 0.25, Factor: 10, Seed: 5},
 	}
 	var jobs []JobSpec
 	for i := 0; i < 6; i++ {
 		jobs = append(jobs, JobSpec{Tenant: "a", Arrival: float64(i),
 			Stages: [][]cluster.Task{uniformStage(32, 0.5, 1<<20)}})
 	}
-	res, err := s.RunWorkload([]TenantSpec{{Name: "a"}}, jobs)
+	res, err := Run(cfg, []TenantSpec{{Name: "a"}}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,31 +1,28 @@
 // Package sched is a multi-tenant job scheduler for the simulated
 // cluster: it runs declared jobs from several tenants on one shared slot
 // pool, placing their stages' tasks under a pluggable policy (FIFO,
-// weighted fair share), with per-tenant admission control and
-// speculative re-execution of straggling tasks.
+// weighted fair share), with speculative re-execution of straggling
+// tasks.
 //
 // The paper's inner-parallel programs launch thousands of tiny jobs
 // (Sec. 9 measures exactly that job-launch overhead), but a single
 // cluster.Simulator executes one job at a time: there is no notion of
 // concurrent jobs, tenants, or contention. This package adds that layer.
-// Time is kept on a deterministic event-queue virtual clock
-// (cluster.EventClock): tasks from different jobs interleave at task
-// granularity, not wave granularity, and every decision — placement
-// order, straggler draws, speculation triggers — is a pure function of
-// virtual state and the seed. For a fixed seed, makespans and per-job
-// latencies are bit-identical across runs.
+// Time is kept on a private deterministic event-queue virtual clock
+// (clock.go): tasks from different jobs interleave at task granularity,
+// not wave granularity, and every decision — placement order, straggler
+// draws, speculation triggers — is a pure function of virtual state and
+// the seed. For a fixed seed, makespans and per-job latencies are
+// bit-identical across runs.
 //
-// The one entry point is RunWorkload: it executes a declared batch of
-// jobs (arrival times, stages, tasks) single-threadedly — the path of the
+// The one entry point is Run: it executes a declared batch of jobs
+// (arrival times, stages, tasks) single-threadedly — the path of the
 // sec-sched experiments and `matbench -tenants`.
 package sched
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"matryoshka/internal/cluster"
 )
@@ -42,64 +39,36 @@ const (
 	PolicyFair Policy = "fair"
 )
 
-// ErrBackpressure reports a submission rejected by per-tenant admission
-// control: the tenant already has its budget of jobs in flight.
-var ErrBackpressure = errors.New("sched: tenant submission queue over budget")
-
 // Config describes the shared pool and the scheduling policy.
 type Config struct {
 	// Cluster provides the slot pool (Machines × CoresPerMachine), the
-	// per-machine memory budget, and the overhead cost model
+	// per-machine memory, and the overhead cost model
 	// (JobLaunchOverhead, StageOverhead, TaskOverhead).
 	Cluster cluster.Config
 	// Policy selects task placement; default PolicyFIFO.
 	Policy Policy
 	// Speculate enables speculative straggler mitigation: a backup copy
-	// of a task whose elapsed time exceeds Spec's quantile threshold is
-	// launched; the first finisher wins, the loser's burned core·seconds
-	// stay charged.
+	// of a task whose elapsed time exceeds the speculation threshold
+	// (specThreshold) is launched; the first finisher wins, the loser's
+	// burned core·seconds stay charged.
 	Speculate bool
-	// Spec is the speculation trigger; zero fields take Spark-like
-	// defaults (quantile 0.75, multiplier 1.5).
-	Spec cluster.SpecPolicy
 	// Straggle injects deterministic per-task duration skew. Factor
 	// defaults to 8 when Rate > 0.
-	Straggle cluster.Skew
-	// Chaos injects machine failures into the pool (chaos.go): crashes
-	// kill and re-queue the machine's running tasks, rejoins restore its
-	// capacity, repeat offenders are blacklisted. The zero plan injects
-	// nothing.
-	Chaos cluster.FaultPlan
+	Straggle Skew
 }
 
-// Scheduler owns the shared virtual clock, the slot pool and the queues.
-// All mutable state is guarded by mu, which RunWorkload holds while the
-// event loop (drive) runs.
-type Scheduler struct {
-	mu      sync.Mutex
-	cfg     Config
-	slots   int
-	clock   cluster.EventClock
-	keySeq  uint64
-	payload map[uint64]any
+// scheduler owns one run's virtual clock, slot pool and queues.
+type scheduler struct {
+	cfg   Config
+	slots int
+	clock eventClock
 
 	machines  []machineState
 	freeSlots int
 	ready     []*taskRun
 
-	// liveMachines counts machines not down; workEvents counts scheduled
-	// events that represent work (stage readiness, arrivals, task
-	// completions, spec checks) as opposed to machine weather. Together
-	// they let drive stop when only an endless hazard remains (chaos.go).
-	liveMachines int
-	workEvents   int
-
 	tenants []*tenantState
 	byName  map[string]*tenantState
-
-	// workload is set once RunWorkload has run: an instance runs one
-	// workload.
-	workload bool
 
 	met aggMetrics
 }
@@ -107,71 +76,21 @@ type Scheduler struct {
 type machineState struct {
 	freeCores int
 	freeMem   int64
-
-	// Machine-failure state (chaos.go). A down machine holds no capacity;
-	// a rejoined one may still be blacklisted (not placed on) until
-	// blackUntil. hazDraw counts the MTBF hazard's exponential draws.
-	down       bool
-	blackUntil float64
-	crashes    int
-	hazDraw    int
-}
-
-// New builds a scheduler over the given pool. Invalid configurations are
-// reported as errors.
-func New(cfg Config) (*Scheduler, error) {
-	if err := cfg.Cluster.Validate(); err != nil {
-		return nil, err
-	}
-	switch cfg.Policy {
-	case "":
-		cfg.Policy = PolicyFIFO
-	case PolicyFIFO, PolicyFair:
-	default:
-		return nil, fmt.Errorf("sched: unknown policy %q", cfg.Policy)
-	}
-	if cfg.Straggle.Rate > 0 && cfg.Straggle.Factor <= 1 {
-		cfg.Straggle.Factor = 8
-	}
-	if err := cfg.Chaos.Validate(cfg.Cluster.Machines); err != nil {
-		return nil, err
-	}
-	if cfg.Chaos.Active() {
-		cfg.Chaos = cfg.Chaos.WithDefaults()
-	}
-	s := &Scheduler{
-		cfg:     cfg,
-		slots:   cfg.Cluster.Slots(),
-		payload: map[uint64]any{},
-		byName:  map[string]*tenantState{},
-	}
-	s.freeSlots = s.slots
-	s.machines = make([]machineState, cfg.Cluster.Machines)
-	for i := range s.machines {
-		s.machines[i] = machineState{freeCores: cfg.Cluster.CoresPerMachine, freeMem: cfg.Cluster.MemoryPerMachine}
-	}
-	s.liveMachines = cfg.Cluster.Machines
-	if cfg.Chaos.Active() {
-		s.scheduleFaults()
-	}
-	return s, nil
 }
 
 // tenantState is the scheduler-side record of one tenant. Tenant ids are
-// the order of RunWorkload's tenant list — ids break policy ties.
+// the order of Run's tenant list — ids break policy ties.
 type tenantState struct {
 	id     int
 	name   string
 	weight float64
-	budget int
-
-	active int // jobs in flight
 	jobSeq int
 
 	coreSec    float64 // fairness usage: core·seconds placed
 	memByteSec float64 // fairness usage: byte·seconds placed
 
-	stats     cluster.Stats
+	jobs      int
+	busySec   float64
 	latencies []float64
 	queueWait float64
 }
@@ -188,7 +107,6 @@ type jobRun struct {
 	next   int
 	finish float64
 	err    error
-	done   bool
 }
 
 // stageRun is one submitted stage: its tasks and their live copies.
@@ -234,24 +152,16 @@ type taskRun struct {
 
 // aggMetrics are the scheduler-wide counters behind Metrics.
 type aggMetrics struct {
-	specLaunched  int
-	specWon       int
-	specWasted    float64
-	prefViol      int
-	admitRejected int
-	queueWait     float64
-
-	// chaos counters (chaos.go)
-	crashes      int
-	rejoins      int
-	requeues     int
-	requeueWaste float64
+	specLaunched int
+	specWon      int
+	specWasted   float64
+	prefViol     int
+	queueWait    float64
 }
 
 // TenantMetrics is one tenant's share of a Metrics snapshot.
 type TenantMetrics struct {
 	Name      string
-	Weight    float64
 	Jobs      int
 	Latencies []float64 // per finished job, submission → completion
 	QueueWait float64   // summed stage queue waits
@@ -259,96 +169,56 @@ type TenantMetrics struct {
 	BusySec   float64
 }
 
-// Metrics is a snapshot of what the scheduler has done.
+// Metrics is what the scheduler did over one run.
 type Metrics struct {
-	Clock          float64 // current virtual time (makespan so far)
 	SpecLaunched   int
 	SpecWon        int
 	SpecWastedSec  float64
 	PrefViolations int
-	AdmitRejected  int
 	QueueWaitSec   float64
-
-	// Machine-failure accounting (chaos.go): crashes applied, rejoins
-	// applied, task copies re-queued off crashed machines, and the
-	// core·seconds those killed copies had burned.
-	Crashes          int
-	Rejoins          int
-	Requeues         int
-	RequeueWastedSec float64
 
 	Tenants []TenantMetrics
 }
 
-// metricsLocked returns a deterministic snapshot (tenants in
-// registration order).
-func (s *Scheduler) metricsLocked() Metrics {
+// metrics returns a deterministic snapshot (tenants in registration
+// order).
+func (s *scheduler) metrics() Metrics {
 	m := Metrics{
-		Clock:          s.clock.Now(),
 		SpecLaunched:   s.met.specLaunched,
 		SpecWon:        s.met.specWon,
 		SpecWastedSec:  s.met.specWasted,
 		PrefViolations: s.met.prefViol,
-		AdmitRejected:  s.met.admitRejected,
 		QueueWaitSec:   s.met.queueWait,
-
-		Crashes:          s.met.crashes,
-		Rejoins:          s.met.rejoins,
-		Requeues:         s.met.requeues,
-		RequeueWastedSec: s.met.requeueWaste,
 	}
 	for _, t := range s.tenants {
 		m.Tenants = append(m.Tenants, TenantMetrics{
 			Name:      t.name,
-			Weight:    t.weight,
-			Jobs:      t.stats.Jobs,
+			Jobs:      t.jobs,
 			Latencies: append([]float64(nil), t.latencies...),
 			QueueWait: t.queueWait,
 			CoreSec:   t.coreSec,
-			BusySec:   t.stats.BusySeconds,
+			BusySec:   t.busySec,
 		})
 	}
 	return m
-}
-
-// register adds a tenant under the lock.
-func (s *Scheduler) register(name string, weight float64, budget int) (*tenantState, error) {
-	if _, dup := s.byName[name]; dup {
-		return nil, fmt.Errorf("sched: tenant %q already registered", name)
-	}
-	if weight <= 0 {
-		weight = 1
-	}
-	t := &tenantState{id: len(s.tenants), name: name, weight: weight, budget: budget}
-	s.tenants = append(s.tenants, t)
-	s.byName[name] = t
-	return t, nil
 }
 
 // ---- event plumbing -------------------------------------------------
 
 // evStageReady marks a stage's tasks becoming runnable (StageOverhead
 // elapsed after submission); evArrival is a workload job arriving;
-// evSpecCheck re-examines one running task for speculation.
+// evSpecCheck re-examines one running task for speculation. A *taskRun
+// event is that copy's completion.
 type evStageReady struct{ st *stageRun }
 type evArrival struct{ j *jobRun }
 type evSpecCheck struct{ tr *taskRun }
 
-func (s *Scheduler) schedule(at float64, p any) {
-	s.keySeq++
-	s.payload[s.keySeq] = p
-	s.clock.Schedule(at, s.keySeq)
-	if !machineEvent(p) {
-		s.workEvents++
-	}
-}
-
 // newStage records a stage submitted at virtual time at; the caller
 // schedules its readiness. Task copies are created at readiness, not
 // here.
-func (s *Scheduler) newStage(j *jobRun, tasks []cluster.Task, at float64) *stageRun {
+func (s *scheduler) newStage(j *jobRun, tasks []cluster.Task, at float64) *stageRun {
 	j.stageSeq++
-	st := &stageRun{
+	return &stageRun{
 		job:        j,
 		seq:        j.stageSeq,
 		readyAt:    at + s.cfg.Cluster.StageOverhead,
@@ -359,49 +229,25 @@ func (s *Scheduler) newStage(j *jobRun, tasks []cluster.Task, at float64) *stage
 		backed:     make([]bool, len(tasks)),
 		firstStart: -1,
 	}
-	j.t.stats.Stages++
-	j.t.stats.Tasks += len(tasks)
-	return st
 }
 
 // drive runs the event loop until the system drains.
-func (s *Scheduler) drive() {
+func (s *scheduler) drive() {
 	for {
 		s.placeReady()
-		ev, ok := s.clock.Peek()
+		ev, ok := s.clock.peek()
 		if !ok {
-			// A dead pool with nothing scheduled to revive it: fail the
-			// stranded stages instead of hanging or silently returning.
-			if s.failStranded() {
-				continue
-			}
 			return
 		}
 		// Lazily-cancelled events (a speculated task's losing copy, a
 		// speculation check for a task that already finished) must not
-		// advance the clock: drop them where Next would jump to them.
-		if s.staleEvent(s.payload[ev.Key]) {
-			if !machineEvent(s.payload[ev.Key]) {
-				s.workEvents--
-			}
-			s.clock.Drop()
-			delete(s.payload, ev.Key)
+		// advance the clock: drop them where next would jump to them.
+		if staleEvent(ev.p) {
+			s.clock.drop()
 			continue
 		}
-		// When only cluster weather remains — no work scheduled, nothing
-		// queued — the system is drained: return with the remaining
-		// (possibly endless, under a hazard) machine events unplayed rather
-		// than simulating an empty cluster forever.
-		if machineEvent(s.payload[ev.Key]) && s.workEvents == 0 && len(s.ready) == 0 {
-			return
-		}
-		ev, _ = s.clock.Next()
-		p := s.payload[ev.Key]
-		delete(s.payload, ev.Key)
-		if !machineEvent(p) {
-			s.workEvents--
-		}
-		switch e := p.(type) {
+		s.clock.next()
+		switch e := ev.p.(type) {
 		case evStageReady:
 			s.stageBecameReady(e.st)
 		case evArrival:
@@ -410,30 +256,13 @@ func (s *Scheduler) drive() {
 			s.specCheck(e.tr)
 		case *taskRun:
 			s.taskFinished(e)
-		case evCrash:
-			if e.hazard {
-				// Hazard transitions chain their successor whether or not
-				// they apply, so the schedule survives explicit overlaps.
-				s.schedule(s.clock.Now()+s.cfg.Chaos.Repair, evRejoin{machine: e.machine, hazard: true})
-			}
-			s.machineCrash(e.machine)
-		case evRejoin:
-			if e.hazard {
-				ms := &s.machines[e.machine]
-				s.schedule(s.clock.Now()+s.cfg.Chaos.CrashGap(e.machine, ms.hazDraw), evCrash{machine: e.machine, hazard: true})
-				ms.hazDraw++
-			}
-			s.machineRejoin(e.machine)
-		case evBlacklistOver:
-			// Nothing to do: placeReady at the top of the loop re-examines
-			// the queue now that the machine is placeable again.
 		}
 	}
 }
 
 // staleEvent reports whether a scheduled event no longer matters: its
 // task was cancelled or finished, or its stage already failed.
-func (s *Scheduler) staleEvent(p any) bool {
+func staleEvent(p any) bool {
 	switch e := p.(type) {
 	case *taskRun:
 		return e.state != taskRunning
@@ -447,10 +276,7 @@ func (s *Scheduler) staleEvent(p any) bool {
 
 // stageBecameReady creates the stage's primary task copies and enqueues
 // them.
-func (s *Scheduler) stageBecameReady(st *stageRun) {
-	if st.failed != nil {
-		return
-	}
+func (s *scheduler) stageBecameReady(st *stageRun) {
 	if st.total == 0 {
 		s.completeStage(st)
 		return
@@ -458,7 +284,7 @@ func (s *Scheduler) stageBecameReady(st *stageRun) {
 	t := st.job.t
 	for i, spec := range st.specs {
 		nom := spec.Compute + s.cfg.Cluster.TaskOverhead
-		stretch := s.cfg.Straggle.Stretch(uint64(t.id), uint64(st.job.seq), uint64(st.seq), uint64(i))
+		stretch := s.cfg.Straggle.stretch(uint64(t.id), uint64(st.job.seq), uint64(st.seq), uint64(i))
 		tr := &taskRun{
 			st:     st,
 			idx:    i,
@@ -476,7 +302,7 @@ func (s *Scheduler) stageBecameReady(st *stageRun) {
 // prefMachine derives a task's locality-preferred machine from its
 // identity — a stand-in for "where its input block lives". Pure hash:
 // the same task prefers the same machine on every run.
-func (s *Scheduler) prefMachine(ids ...int) int {
+func (s *scheduler) prefMachine(ids ...int) int {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, id := range ids {
 		h ^= uint64(id)
@@ -490,7 +316,7 @@ func (s *Scheduler) prefMachine(ids ...int) int {
 // allow, in policy order. A copy that fits no machine right now is
 // skipped for this round (it stays queued); a copy that could not fit
 // even on an idle machine fails its stage with an OOM.
-func (s *Scheduler) placeReady() {
+func (s *scheduler) placeReady() {
 	var blocked map[*taskRun]bool
 	for s.freeSlots > 0 {
 		tr := s.pickNext(blocked)
@@ -519,7 +345,7 @@ func (s *Scheduler) placeReady() {
 
 // pickNext returns the queued copy the policy would place next, skipping
 // blocked ones; nil when nothing is placeable.
-func (s *Scheduler) pickNext(blocked map[*taskRun]bool) *taskRun {
+func (s *scheduler) pickNext(blocked map[*taskRun]bool) *taskRun {
 	var best *taskRun
 	switch s.cfg.Policy {
 	case PolicyFair:
@@ -593,26 +419,25 @@ func fifoLess(a, b *taskRun) bool {
 // domShare is the tenant's weighted dominant share: the larger of its
 // core·time and memory·time usage, each normalized by cluster capacity,
 // divided by its weight.
-func (s *Scheduler) domShare(t *tenantState) float64 {
+func (s *scheduler) domShare(t *tenantState) float64 {
 	core := t.coreSec / float64(s.slots)
 	mem := t.memByteSec / (float64(s.cfg.Cluster.Machines) * float64(s.cfg.Cluster.MemoryPerMachine))
 	return math.Max(core, mem) / t.weight
 }
 
 // chooseMachine picks where to run tr: its preferred machine when that
-// is available with a free core and memory, else the feasible machine
-// with the most free memory (lowest index on ties) — counted as a
-// locality preference violation. Down and blacklisted machines are never
-// chosen. Returns -1 when nothing currently fits.
-func (s *Scheduler) chooseMachine(tr *taskRun) (int, bool) {
+// has a free core and memory, else the feasible machine with the most
+// free memory (lowest index on ties) — counted as a locality preference
+// violation. Returns -1 when nothing currently fits.
+func (s *scheduler) chooseMachine(tr *taskRun) (int, bool) {
 	p := &s.machines[tr.pref]
-	if s.available(tr.pref) && p.freeCores > 0 && p.freeMem >= tr.need {
+	if p.freeCores > 0 && p.freeMem >= tr.need {
 		return tr.pref, false
 	}
 	best := -1
 	for i := range s.machines {
 		m := &s.machines[i]
-		if !s.available(i) || m.freeCores <= 0 || m.freeMem < tr.need {
+		if m.freeCores <= 0 || m.freeMem < tr.need {
 			continue
 		}
 		if best < 0 || m.freeMem > s.machines[best].freeMem {
@@ -623,8 +448,8 @@ func (s *Scheduler) chooseMachine(tr *taskRun) (int, bool) {
 }
 
 // place starts copy tr on machine m at the current virtual time.
-func (s *Scheduler) place(tr *taskRun, m int, viol bool) {
-	now := s.clock.Now()
+func (s *scheduler) place(tr *taskRun, m int, viol bool) {
+	now := s.clock.now
 	st := tr.st
 	t := st.job.t
 	tr.state = taskRunning
@@ -644,51 +469,46 @@ func (s *Scheduler) place(tr *taskRun, m int, viol bool) {
 	// straggler-inflated actual.
 	t.coreSec += tr.nomDur
 	t.memByteSec += float64(tr.need) * tr.nomDur
-	s.schedule(now+tr.dur, tr)
+	s.clock.schedule(now+tr.dur, tr)
 	// A task placed after the stage's speculation threshold is already
 	// known may never see another sibling completion (the tail case that
 	// decides the makespan) — schedule its threshold check now.
 	if s.cfg.Speculate && !tr.backup && !st.backed[tr.idx] {
-		if thr, ok := s.cfg.Spec.Threshold(st.completed, st.total); ok && thr > 0 {
+		if thr, ok := specThreshold(st.completed, st.total); ok && thr > 0 {
 			st.backed[tr.idx] = true
-			s.schedule(now+thr, evSpecCheck{tr})
+			s.clock.schedule(now+thr, evSpecCheck{tr})
 		}
 	}
 }
 
 // taskFinished handles a task-completion event.
-func (s *Scheduler) taskFinished(tr *taskRun) {
-	if tr.state != taskRunning {
-		return // cancelled earlier; its slot is already free
-	}
-	now := s.clock.Now()
+func (s *scheduler) taskFinished(tr *taskRun) {
+	now := s.clock.now
 	st := tr.st
 	s.release(tr)
 	tr.state = taskDone
-	if st.failed != nil || st.taskDone[tr.idx] {
+	if st.taskDone[tr.idx] {
 		return
 	}
 	st.taskDone[tr.idx] = true
 	st.nDone++
 	win := now - tr.start
 	st.completed = append(st.completed, win)
-	st.job.t.stats.BusySeconds += win
+	st.job.t.busySec += win
 	if tr.backup {
 		s.met.specWon++
 	}
 	// The losing copy is cancelled; its burned core·seconds stay charged,
 	// as on a real cluster.
 	sib := st.live[tr.idx][0]
-	if tr.backup {
-		// tr is the backup; the primary is the sibling.
-	} else {
+	if !tr.backup {
 		sib = st.live[tr.idx][1]
 	}
-	if sib != nil && sib != tr {
+	if sib != nil {
 		switch sib.state {
 		case taskRunning:
 			waste := now - sib.start
-			st.job.t.stats.BusySeconds += waste
+			st.job.t.busySec += waste
 			s.met.specWasted += waste
 			s.release(sib)
 			sib.state = taskCancelled
@@ -705,7 +525,7 @@ func (s *Scheduler) taskFinished(tr *taskRun) {
 }
 
 // release frees tr's slot and memory.
-func (s *Scheduler) release(tr *taskRun) {
+func (s *scheduler) release(tr *taskRun) {
 	s.machines[tr.machine].freeCores++
 	s.machines[tr.machine].freeMem += tr.need
 	s.freeSlots++
@@ -713,15 +533,15 @@ func (s *Scheduler) release(tr *taskRun) {
 
 // maybeSpeculate launches (or schedules a future check for) backup
 // copies of running tasks that exceed the speculation threshold.
-func (s *Scheduler) maybeSpeculate(st *stageRun) {
-	if !s.cfg.Speculate || st.failed != nil {
+func (s *scheduler) maybeSpeculate(st *stageRun) {
+	if !s.cfg.Speculate {
 		return
 	}
-	thr, ok := s.cfg.Spec.Threshold(st.completed, st.total)
+	thr, ok := specThreshold(st.completed, st.total)
 	if !ok || thr <= 0 {
 		return
 	}
-	now := s.clock.Now()
+	now := s.clock.now
 	for i := range st.live {
 		tr := st.live[i][0]
 		if tr == nil || tr.state != taskRunning || st.backed[i] || st.taskDone[i] {
@@ -735,36 +555,32 @@ func (s *Scheduler) maybeSpeculate(st *stageRun) {
 		} else {
 			// Not over the bar yet: re-check exactly when it would be.
 			st.backed[i] = true // one pending check or backup per task
-			s.schedule(at, evSpecCheck{tr})
+			s.clock.schedule(at, evSpecCheck{tr})
 		}
 	}
 }
 
 // specCheck re-examines one task at its scheduled threshold crossing.
-func (s *Scheduler) specCheck(tr *taskRun) {
+func (s *scheduler) specCheck(tr *taskRun) {
 	st := tr.st
-	if st.failed != nil || tr.state != taskRunning || st.taskDone[tr.idx] {
-		return
-	}
 	// The threshold may have moved as more tasks completed; recompute.
-	thr, ok := s.cfg.Spec.Threshold(st.completed, st.total)
+	thr, ok := specThreshold(st.completed, st.total)
 	if !ok || thr <= 0 {
 		st.backed[tr.idx] = false
 		return
 	}
-	now := s.clock.Now()
-	if at := tr.start + thr; now >= at {
+	if at := tr.start + thr; s.clock.now >= at {
 		st.backed[tr.idx] = false
 		s.launchBackup(tr)
 	} else {
-		s.schedule(at, evSpecCheck{tr})
+		s.clock.schedule(at, evSpecCheck{tr})
 	}
 }
 
 // launchBackup enqueues a speculative copy of running primary tr. The
 // backup runs the nominal duration: stragglers are machine-local, and
 // the copy prefers a different machine.
-func (s *Scheduler) launchBackup(tr *taskRun) {
+func (s *scheduler) launchBackup(tr *taskRun) {
 	st := tr.st
 	if st.backed[tr.idx] || st.live[tr.idx][1] != nil {
 		return
@@ -787,23 +603,20 @@ func (s *Scheduler) launchBackup(tr *taskRun) {
 
 // completeStage accounts a finished stage's queue wait (readiness to its
 // first placement) and chains the job's next stage.
-func (s *Scheduler) completeStage(st *stageRun) {
+func (s *scheduler) completeStage(st *stageRun) {
 	qw := 0.0
 	if st.firstStart >= 0 {
 		qw = st.firstStart - st.readyAt
 	}
 	st.job.t.queueWait += qw
 	s.met.queueWait += qw
-	s.submitWorkloadStage(st.job, s.clock.Now())
+	s.submitWorkloadStage(st.job, s.clock.now)
 }
 
 // failStage aborts a stage: live copies are cancelled (burned time stays
 // charged), and the job finishes with the failure.
-func (s *Scheduler) failStage(st *stageRun, err error) {
-	if st.failed != nil {
-		return
-	}
-	now := s.clock.Now()
+func (s *scheduler) failStage(st *stageRun, err error) {
+	now := s.clock.now
 	st.failed = err
 	for i := range st.live {
 		for c := 0; c < 2; c++ {
@@ -813,7 +626,7 @@ func (s *Scheduler) failStage(st *stageRun, err error) {
 			}
 			switch tr.state {
 			case taskRunning:
-				st.job.t.stats.BusySeconds += now - tr.start
+				st.job.t.busySec += now - tr.start
 				s.release(tr)
 				tr.state = taskCancelled
 			case taskQueued:
@@ -827,7 +640,7 @@ func (s *Scheduler) failStage(st *stageRun, err error) {
 }
 
 // compactReady drops placed and cancelled copies from the ready queue.
-func (s *Scheduler) compactReady() {
+func (s *scheduler) compactReady() {
 	kept := s.ready[:0]
 	for _, tr := range s.ready {
 		if tr.state == taskQueued && tr.st.failed == nil {

@@ -31,25 +31,28 @@ func uniformStage(n int, compute float64, mem int64) []cluster.Task {
 	return tasks
 }
 
-func TestNewRejectsBadConfig(t *testing.T) {
+func TestRunRejectsBadConfig(t *testing.T) {
+	tenants := []TenantSpec{{Name: "a"}}
+	jobs := []JobSpec{{Tenant: "a", Stages: [][]cluster.Task{uniformStage(1, 1, 1<<20)}}}
 	bad := testConfig()
 	bad.Machines = 0
-	if _, err := New(Config{Cluster: bad}); err == nil {
-		t.Error("New accepted a zero-machine cluster")
+	if _, err := Run(Config{Cluster: bad}, tenants, jobs); err == nil {
+		t.Error("Run accepted a zero-machine cluster")
 	}
-	if _, err := New(Config{Cluster: testConfig(), Policy: "lottery"}); err == nil {
-		t.Error("New accepted an unknown policy")
+	if _, err := Run(Config{Cluster: testConfig(), Policy: "lottery"}, tenants, jobs); err == nil {
+		t.Error("Run accepted an unknown policy")
+	}
+	unknown := []JobSpec{{Tenant: "b", Stages: jobs[0].Stages}}
+	if _, err := Run(Config{Cluster: testConfig()}, tenants, unknown); err == nil {
+		t.Error("Run accepted a job naming an unknown tenant")
 	}
 }
 
 func TestWorkloadSingleJobAccounting(t *testing.T) {
-	s, err := New(Config{Cluster: testConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Cluster: testConfig()}
 	// 16 tasks × 1s on 8 slots = 2 waves; latency = launch 0.5 +
 	// stage overhead 0.1 + 2s.
-	res, err := s.RunWorkload(
+	res, err := Run(cfg,
 		[]TenantSpec{{Name: "a"}},
 		[]JobSpec{{Tenant: "a", Stages: [][]cluster.Task{uniformStage(16, 1, 1<<20)}}},
 	)
@@ -79,13 +82,10 @@ func TestWorkloadSingleJobAccounting(t *testing.T) {
 }
 
 func TestWorkloadQueueWaitUnderContention(t *testing.T) {
-	s, err := New(Config{Cluster: testConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Cluster: testConfig()}
 	// Job a fills all 8 slots for 10s; job b arrives just after and its
 	// single task must wait for a slot.
-	res, err := s.RunWorkload(
+	res, err := Run(cfg,
 		[]TenantSpec{{Name: "a"}, {Name: "b"}},
 		[]JobSpec{
 			{Tenant: "a", Arrival: 0, Stages: [][]cluster.Task{uniformStage(8, 10, 1<<20)}},
@@ -110,11 +110,7 @@ func TestFairShareUnblocksLightTenant(t *testing.T) {
 	// trickle in behind. FIFO makes the light jobs wait for the flood;
 	// fair share interleaves them.
 	lightLatency := func(policy Policy) float64 {
-		cfg := testConfig()
-		s, err := New(Config{Cluster: cfg, Policy: policy})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := Config{Cluster: testConfig(), Policy: policy}
 		jobs := []JobSpec{}
 		for i := 0; i < 4; i++ {
 			jobs = append(jobs, JobSpec{Tenant: "heavy", Arrival: 0,
@@ -124,7 +120,7 @@ func TestFairShareUnblocksLightTenant(t *testing.T) {
 			jobs = append(jobs, JobSpec{Tenant: "light", Arrival: 0.2 + 0.1*float64(i),
 				Stages: [][]cluster.Task{uniformStage(2, 0.1, 1<<20)}})
 		}
-		res, err := s.RunWorkload([]TenantSpec{{Name: "heavy"}, {Name: "light"}}, jobs)
+		res, err := Run(cfg, []TenantSpec{{Name: "heavy"}, {Name: "light"}}, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,15 +149,12 @@ func TestFairShareUnblocksLightTenant(t *testing.T) {
 
 func TestSpeculationCutsStragglerTail(t *testing.T) {
 	run := func(speculate bool) (float64, Metrics) {
-		s, err := New(Config{
+		cfg := Config{
 			Cluster:   testConfig(),
 			Speculate: speculate,
-			Straggle:  cluster.Skew{Rate: 0.1, Factor: 8, Seed: 3},
-		})
-		if err != nil {
-			t.Fatal(err)
+			Straggle:  Skew{Rate: 0.1, Factor: 8, Seed: 3},
 		}
-		res, err := s.RunWorkload(
+		res, err := Run(cfg,
 			[]TenantSpec{{Name: "a"}},
 			[]JobSpec{{Tenant: "a", Stages: [][]cluster.Task{uniformStage(64, 1, 1<<20)}}},
 		)
@@ -186,39 +179,9 @@ func TestSpeculationCutsStragglerTail(t *testing.T) {
 	}
 }
 
-func TestWorkloadAdmissionControl(t *testing.T) {
-	s, err := New(Config{Cluster: testConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Budget 1: the second overlapping arrival is rejected, the third
-	// (after the first finishes) is admitted.
-	jobs := []JobSpec{
-		{Tenant: "a", Arrival: 0, Stages: [][]cluster.Task{uniformStage(8, 5, 1<<20)}},
-		{Tenant: "a", Arrival: 1, Stages: [][]cluster.Task{uniformStage(1, 1, 1<<20)}},
-		{Tenant: "a", Arrival: 50, Stages: [][]cluster.Task{uniformStage(1, 1, 1<<20)}},
-	}
-	res, err := s.RunWorkload([]TenantSpec{{Name: "a", Budget: 1}}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Jobs[0].Err != nil || res.Jobs[2].Err != nil {
-		t.Errorf("admitted jobs failed: %v, %v", res.Jobs[0].Err, res.Jobs[2].Err)
-	}
-	if !errors.Is(res.Jobs[1].Err, ErrBackpressure) {
-		t.Errorf("overlapping job error = %v, want ErrBackpressure", res.Jobs[1].Err)
-	}
-	if res.Metrics.AdmitRejected != 1 {
-		t.Errorf("AdmitRejected = %d, want 1", res.Metrics.AdmitRejected)
-	}
-}
-
 func TestTaskOverMachineMemoryFailsStageWithOOM(t *testing.T) {
-	s, err := New(Config{Cluster: testConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.RunWorkload(
+	cfg := Config{Cluster: testConfig()}
+	res, err := Run(cfg,
 		[]TenantSpec{{Name: "a"}},
 		[]JobSpec{{Tenant: "a", Stages: [][]cluster.Task{uniformStage(1, 1, 2<<30)}}},
 	)

@@ -1,9 +1,9 @@
 package sched
 
-// RunWorkload executes a batch of jobs whose arrival times and stage
-// shapes are declared up front, single-threaded on the scheduler's event
-// loop. This is what the sec-sched experiments sweep: thousands of jobs
-// across many tenants with exact arrival control.
+// Run executes a batch of jobs whose arrival times and stage shapes are
+// declared up front, single-threaded on the scheduler's event loop. This
+// is what the sec-sched experiments sweep: thousands of jobs across many
+// tenants with exact arrival control.
 
 import (
 	"fmt"
@@ -17,7 +17,6 @@ import (
 type TenantSpec struct {
 	Name   string
 	Weight float64 // fair-share weight; ≤ 0 means 1
-	Budget int     // max jobs in flight before arrivals are rejected; 0 = unlimited
 }
 
 // JobSpec declares one job: who submits it, when, and its stages (run
@@ -34,10 +33,10 @@ type JobResult struct {
 	Arrival float64
 	Finish  float64
 	Latency float64 // Finish − Arrival; includes launch overhead and queue waits
-	Err     error   // ErrBackpressure-wrapped rejection or a stage failure
+	Err     error   // a stage failure, e.g. a task over machine memory
 }
 
-// WorkloadResult is what RunWorkload reports.
+// WorkloadResult is what Run reports.
 type WorkloadResult struct {
 	Jobs     []JobResult // in input order
 	Makespan float64     // virtual time when the last job finished
@@ -53,23 +52,47 @@ type jobSpecRef struct {
 	j      *jobRun
 }
 
-// RunWorkload executes the declared jobs to completion and reports
-// per-job latencies and scheduler metrics. It is deterministic: results
-// depend only on the config (including the straggler seed) and the
-// inputs. A scheduler instance runs one workload; use a fresh one per
-// run.
-func (s *Scheduler) RunWorkload(tenants []TenantSpec, jobs []JobSpec) (WorkloadResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.workload {
-		return WorkloadResult{}, fmt.Errorf("sched: RunWorkload called twice; use a fresh scheduler")
+// Run executes the declared jobs to completion on a fresh pool and
+// reports per-job latencies and scheduler metrics. It is deterministic:
+// results depend only on the config (including the straggler seed) and
+// the inputs. Invalid configurations and workloads are reported as
+// errors.
+func Run(cfg Config, tenants []TenantSpec, jobs []JobSpec) (WorkloadResult, error) {
+	if err := cfg.Cluster.Validate(); err != nil {
+		return WorkloadResult{}, err
 	}
-	s.workload = true
+	switch cfg.Policy {
+	case "":
+		cfg.Policy = PolicyFIFO
+	case PolicyFIFO, PolicyFair:
+	default:
+		return WorkloadResult{}, fmt.Errorf("sched: unknown policy %q", cfg.Policy)
+	}
+	if cfg.Straggle.Rate > 0 && cfg.Straggle.Factor <= 1 {
+		cfg.Straggle.Factor = 8
+	}
+	s := &scheduler{
+		cfg:       cfg,
+		slots:     cfg.Cluster.Slots(),
+		freeSlots: cfg.Cluster.Slots(),
+		machines:  make([]machineState, cfg.Cluster.Machines),
+		byName:    map[string]*tenantState{},
+	}
+	for i := range s.machines {
+		s.machines[i] = machineState{freeCores: cfg.Cluster.CoresPerMachine, freeMem: cfg.Cluster.MemoryPerMachine}
+	}
 
 	for _, ts := range tenants {
-		if _, err := s.register(ts.Name, ts.Weight, ts.Budget); err != nil {
-			return WorkloadResult{}, err
+		if _, dup := s.byName[ts.Name]; dup {
+			return WorkloadResult{}, fmt.Errorf("sched: tenant %q already registered", ts.Name)
 		}
+		weight := ts.Weight
+		if weight <= 0 {
+			weight = 1
+		}
+		t := &tenantState{id: len(s.tenants), name: ts.Name, weight: weight}
+		s.tenants = append(s.tenants, t)
+		s.byName[ts.Name] = t
 	}
 	refs := make([]jobSpecRef, 0, len(jobs))
 	for i, js := range jobs {
@@ -89,15 +112,15 @@ func (s *Scheduler) RunWorkload(tenants []TenantSpec, jobs []JobSpec) (WorkloadR
 	for i := range refs {
 		r := &refs[i]
 		r.j = &jobRun{t: r.tenant, arrival: r.spec.Arrival, stages: r.spec.Stages}
-		s.schedule(r.spec.Arrival, evArrival{r.j})
+		s.clock.schedule(r.spec.Arrival, evArrival{r.j})
 	}
 
 	s.drive()
 
 	res := WorkloadResult{
 		Jobs:     make([]JobResult, len(jobs)),
-		Makespan: s.clock.Now(),
-		Metrics:  s.metricsLocked(),
+		Makespan: s.clock.now,
+		Metrics:  s.metrics(),
 	}
 	for _, r := range refs {
 		res.Jobs[r.pos] = JobResult{
@@ -111,28 +134,19 @@ func (s *Scheduler) RunWorkload(tenants []TenantSpec, jobs []JobSpec) (WorkloadR
 	return res, nil
 }
 
-// startWorkloadJob handles a job-arrival event: admission, the launch
-// overhead, and the first stage.
-func (s *Scheduler) startWorkloadJob(j *jobRun) {
+// startWorkloadJob handles a job-arrival event: the launch overhead and
+// the first stage.
+func (s *scheduler) startWorkloadJob(j *jobRun) {
 	t := j.t
 	t.jobSeq++
 	j.seq = t.jobSeq
-	now := s.clock.Now()
-	if t.budget > 0 && t.active >= t.budget {
-		j.err = fmt.Errorf("tenant %s: %d jobs in flight (budget %d): %w", t.name, t.active, t.budget, ErrBackpressure)
-		j.done = true
-		j.finish = now
-		s.met.admitRejected++
-		return
-	}
-	t.active++
-	t.stats.Jobs++
-	s.submitWorkloadStage(j, now+s.cfg.Cluster.JobLaunchOverhead)
+	t.jobs++
+	s.submitWorkloadStage(j, s.clock.now+s.cfg.Cluster.JobLaunchOverhead)
 }
 
 // submitWorkloadStage submits the job's next stage at virtual time
 // `at`, or finishes the job when none remain.
-func (s *Scheduler) submitWorkloadStage(j *jobRun, at float64) {
+func (s *scheduler) submitWorkloadStage(j *jobRun, at float64) {
 	if j.next >= len(j.stages) {
 		s.finishWorkloadJob(j, at)
 		return
@@ -140,21 +154,15 @@ func (s *Scheduler) submitWorkloadStage(j *jobRun, at float64) {
 	tasks := j.stages[j.next]
 	j.next++
 	st := s.newStage(j, tasks, at)
-	s.schedule(st.readyAt, evStageReady{st})
+	s.clock.schedule(st.readyAt, evStageReady{st})
 }
 
 // finishWorkloadJob closes a job at virtual time `now`; latency is
 // recorded only for jobs that ran to success.
-func (s *Scheduler) finishWorkloadJob(j *jobRun, now float64) {
-	if j.done {
-		return
-	}
-	j.done = true
+func (s *scheduler) finishWorkloadJob(j *jobRun, now float64) {
 	j.finish = now
-	t := j.t
-	t.active--
 	if j.err == nil {
-		t.latencies = append(t.latencies, now-j.arrival)
+		j.t.latencies = append(j.t.latencies, now-j.arrival)
 	}
 }
 
