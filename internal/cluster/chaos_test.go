@@ -223,29 +223,35 @@ func TestHazardFlapsDeterministically(t *testing.T) {
 	}
 }
 
-// TestResetRestoresFaultState: Reset rewinds the fault schedule along with
-// the clock, so a reset simulator replays the same failures.
-func TestResetRestoresFaultState(t *testing.T) {
-	sim, err := New(chaosConfig(FaultPlan{Events: []FaultEvent{
+// TestFreshSimulatorReplaysFaults: the fault schedule lives in the
+// configuration, not in what a run did, so a second simulator built from
+// the same configuration starts whole and replays the same failures.
+func TestFreshSimulatorReplaysFaults(t *testing.T) {
+	cfg := chaosConfig(FaultPlan{Events: []FaultEvent{
 		{At: 1, Machine: 0, Kind: FaultCrash},
-	}}))
+	}})
+	first, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := sim.RegisterOutput(2)
-	sim.Advance(2)
-	if sim.CheckFetch(id) == nil {
+	lost := first.RegisterOutput(2)
+	first.Advance(2)
+	if first.CheckFetch(lost) == nil {
 		t.Fatal("fetch after crash should fail")
 	}
-	sim.Reset()
-	if sim.LiveMachines() != 2 {
-		t.Errorf("live machines after reset = %d, want 2", sim.LiveMachines())
+	second, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := sim.CheckFetch(id); err != nil {
-		t.Errorf("reset did not clear outputs: %v", err)
+	if second.LiveMachines() != 2 {
+		t.Errorf("live machines of a fresh simulator = %d, want 2", second.LiveMachines())
 	}
-	sim.Advance(2)
-	if sim.LiveMachines() != 1 {
-		t.Error("reset simulator does not replay the crash")
+	id := second.RegisterOutput(2)
+	if err := second.CheckFetch(id); err != nil {
+		t.Errorf("fresh simulator lost an output before its crash: %v", err)
+	}
+	second.Advance(2)
+	if second.LiveMachines() != 1 || second.CheckFetch(id) == nil {
+		t.Error("fresh simulator does not replay the crash")
 	}
 }

@@ -259,19 +259,6 @@ func (s *Simulator) Stats() Stats {
 	return s.stats
 }
 
-// Reset rewinds the clock and statistics, releasing pinned broadcasts.
-func (s *Simulator) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.clock = 0
-	s.resident = 0
-	s.stats = Stats{}
-	s.rng = rand.New(rand.NewSource(42))
-	s.faults = newFaultState(s.cfg.Faults, s.cfg.Machines)
-	s.outputs = nil
-	s.nextOut = 0
-}
-
 // Advance adds dt virtual seconds of driver-side time.
 func (s *Simulator) Advance(dt float64) {
 	s.mu.Lock()

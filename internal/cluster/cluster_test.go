@@ -141,24 +141,6 @@ func TestBroadcastOOMAndResidency(t *testing.T) {
 	}
 }
 
-func TestResetClearsEverything(t *testing.T) {
-	s := mustNew(testConfig())
-	s.StartJob()
-	if err := s.Broadcast(500); err != nil {
-		t.Fatal(err)
-	}
-	s.Reset()
-	if s.Clock() != 0 {
-		t.Errorf("clock after reset = %v", s.Clock())
-	}
-	if st := s.Stats(); st.Jobs != 0 || st.Broadcasts != 0 {
-		t.Errorf("stats after reset = %+v", st)
-	}
-	if err := s.RunStage([]Task{{Memory: 900}}); err != nil {
-		t.Errorf("broadcast residency should be cleared: %v", err)
-	}
-}
-
 func TestMakespanProperties(t *testing.T) {
 	// Property: makespan >= max duration, makespan >= sum/slots,
 	// makespan <= sum (never worse than fully serial).

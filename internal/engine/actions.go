@@ -2,7 +2,7 @@ package engine
 
 import "errors"
 
-// ErrEmpty is returned by Reduce/First on an empty dataset.
+// ErrEmpty is returned by Reduce on an empty dataset.
 var ErrEmpty = errors.New("engine: empty dataset")
 
 // Collect launches a job and returns all elements (driver-side).
@@ -35,13 +35,6 @@ func Count[T any](d Dataset[T]) (int64, error) {
 	return n, nil
 }
 
-// IsEmpty launches a job and reports whether the dataset has no elements.
-// The lifted while loop calls it once per superstep (Listing 4, line 9).
-func IsEmpty[T any](d Dataset[T]) (bool, error) {
-	n, err := Count(d)
-	return n == 0, err
-}
-
 // Reduce launches a job and folds all elements with f.
 func Reduce[T any](d Dataset[T], f func(T, T) T) (T, error) {
 	var zero T
@@ -67,22 +60,6 @@ func Reduce[T any](d Dataset[T], f func(T, T) T) (T, error) {
 	return acc, nil
 }
 
-// First launches a job and returns one element (the first of the first
-// non-empty partition).
-func First[T any](d Dataset[T]) (T, error) {
-	var zero T
-	parts, err := d.s.runJob(d.n)
-	if err != nil {
-		return zero, err
-	}
-	for _, p := range parts {
-		if batchLen(p) > 0 {
-			return p.At(0).(T), nil
-		}
-	}
-	return zero, ErrEmpty
-}
-
 // CollectMap collects a pair dataset into a map, assuming unique keys.
 func CollectMap[K comparable, V any](d Dataset[Pair[K, V]]) (map[K]V, error) {
 	kvs, err := Collect(d)
@@ -94,22 +71,4 @@ func CollectMap[K comparable, V any](d Dataset[Pair[K, V]]) (map[K]V, error) {
 		m[kv.Key] = kv.Val
 	}
 	return m, nil
-}
-
-// Take launches a job and returns up to n elements.
-func Take[T any](d Dataset[T], n int) ([]T, error) {
-	parts, err := d.s.runJob(d.n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]T, 0, n)
-	for _, p := range parts {
-		for _, e := range elems[T](p) {
-			if len(out) == n {
-				return out, nil
-			}
-			out = append(out, e)
-		}
-	}
-	return out, nil
 }

@@ -209,11 +209,6 @@ func batchOf[T any](xs []T, bcap int) Batch {
 	return &Vec[T]{xs: xs, bcap: bcap}
 }
 
-// boxedBatch wraps an already-boxed partition; bcap is taken from the
-// slice itself, so appends that grew it through Go's size classes are
-// charged exactly as the boxed representation was.
-func boxedBatch(xs []any) Batch { return &Vec[any]{xs: xs, bcap: cap(xs)} }
-
 // batchLen is Len on a possibly-nil batch (empty shuffle blocks stay nil).
 func batchLen(b Batch) int {
 	if b == nil {
@@ -233,20 +228,6 @@ func elems[T any](b Batch) []T {
 	out := make([]T, n)
 	for i := range out {
 		out[i] = b.At(i).(T)
-	}
-	return out
-}
-
-// toBoxed returns b's elements as []any, aliasing the backing slice when b
-// is already boxed.
-func toBoxed(b Batch) []any {
-	if v, ok := b.(*Vec[any]); ok {
-		return v.xs
-	}
-	n := b.Len()
-	out := make([]any, n)
-	for i := range out {
-		out[i] = b.At(i)
 	}
 	return out
 }

@@ -1,9 +1,9 @@
 package engine
 
-// batchio is the length-prefixed binary codec for Batch values — the wire
-// format stage boundaries will use when a real distributed Backend ships
-// partitions between worker processes, and the byte counter behind the
-// EXPLAIN ANALYZE boundary-bytes column today.
+// batchio is the length-prefixed binary codec for Batch values — the format
+// the process pool (internal/procpool) ships blocks and results in between
+// the driver and its workers, and the byte counter behind the EXPLAIN
+// ANALYZE boundary-bytes column.
 //
 // Frame layout (all integers little-endian):
 //
@@ -31,7 +31,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"reflect"
 	"sync"
@@ -229,52 +228,6 @@ func DecodeBatch(data []byte) (Batch, int, error) {
 		return nil, 0, codecErr("%d trailing bytes in frame", len(r.data)-r.pos)
 	}
 	return out, 8 + frameLen, nil
-}
-
-// maxFrameBytes caps the declared length of a streamed frame: a corrupt or
-// adversarial header must not make ReadBatch allocate unbounded memory
-// before the bounds-checked decoder ever sees the payload.
-const maxFrameBytes = 1 << 30
-
-// WriteBatch encodes b and writes its complete frame to w. It returns the
-// frame's byte size. Torn writes are w's concern — the frame is handed to
-// a single Write call, and net-style writers either deliver it all or
-// return an error.
-func WriteBatch(w io.Writer, b Batch) (int, error) {
-	frame, err := EncodeBatch(nil, b)
-	if err != nil {
-		return 0, err
-	}
-	return w.Write(frame)
-}
-
-// ReadBatch reads exactly one frame from r and decodes it. A clean end of
-// stream — zero bytes before the next frame — returns io.EOF untouched so
-// callers can range over a stream; a stream that dies mid-frame (torn
-// write, truncated file, dead peer) is a codec error wrapping the
-// position, matching the rest of the decoder's error discipline.
-func ReadBatch(r io.Reader) (Batch, error) {
-	var head [8]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, codecErr("truncated frame header: %v", err)
-	}
-	if [4]byte(head[:4]) != batchMagic {
-		return nil, codecErr("bad magic %q", head[:4])
-	}
-	frameLen := binary.LittleEndian.Uint32(head[4:8])
-	if frameLen > maxFrameBytes {
-		return nil, codecErr("frame length %d exceeds cap %d", frameLen, maxFrameBytes)
-	}
-	buf := make([]byte, 8+int(frameLen))
-	copy(buf, head[:])
-	if n, err := io.ReadFull(r, buf[8:]); err != nil {
-		return nil, codecErr("truncated frame body after %d of %d bytes: %v", n, frameLen, err)
-	}
-	b, _, err := DecodeBatch(buf)
-	return b, err
 }
 
 // encodedBatchBytes returns the frame size EncodeBatch would produce for

@@ -27,6 +27,12 @@ func randString(rng *rand.Rand, maxLen int) string {
 	return string(b)
 }
 
+// maybeString is an optional value, so the codec cases carry a bool.
+type maybeString struct {
+	Val string
+	OK  bool
+}
+
 // codecBatches generates one randomized batch per supported shape —
 // typed scalars, strings, pairs, nested slices, and the boxed fallback
 // (including nil elements and mixed element types).
@@ -40,7 +46,7 @@ func codecBatches(rng *rand.Rand) []Batch {
 	groups := make([]Pair[int, []int], n)
 	dict := make([]Pair[uint64, int64], n)
 	dictGroups := make([]Pair[uint64, []int64], n)
-	opts := make([]Pair[int, Tuple2[int, Opt[string]]], n)
+	opts := make([]Pair[int, Tuple2[int, maybeString]], n)
 	for i := 0; i < n; i++ {
 		ints[i] = rng.Int() - rng.Int()
 		floats[i] = rng.NormFloat64()
@@ -58,8 +64,8 @@ func codecBatches(rng *rand.Rand) []Batch {
 			dg[k] = int64(rng.Intn(1 << 16))
 		}
 		dictGroups[i] = Pair[uint64, []int64]{rng.Uint64(), dg}
-		opts[i] = Pair[int, Tuple2[int, Opt[string]]]{
-			Key: i, Val: Tuple2[int, Opt[string]]{A: rng.Intn(5), B: Opt[string]{Val: randString(rng, 6), OK: rng.Intn(2) == 0}},
+		opts[i] = Pair[int, Tuple2[int, maybeString]]{
+			Key: i, Val: Tuple2[int, maybeString]{A: rng.Intn(5), B: maybeString{Val: randString(rng, 6), OK: rng.Intn(2) == 0}},
 		}
 	}
 	boxed := make([]any, n)
@@ -86,7 +92,7 @@ func codecBatches(rng *rand.Rand) []Batch {
 		batchOf(dict, bcap),
 		batchOf(dictGroups, bcap),
 		batchOf(opts, bcap),
-		boxedBatch(boxed),
+		boxedOf(boxed),
 		zeroBatch,
 		nil, // encodes as the empty boxed frame
 	}
@@ -197,7 +203,7 @@ func TestBatchCodecRejects(t *testing.T) {
 	if err := encodeErr(batchOf([]hidden{{x: 1}}, 1)); !errors.Is(err, errBatchCodec) {
 		t.Fatalf("unexported field: err = %v, want errBatchCodec", err)
 	}
-	if err := encodeErr(boxedBatch([]any{func() {}})); !errors.Is(err, errBatchCodec) {
+	if err := encodeErr(boxedOf([]any{func() {}})); !errors.Is(err, errBatchCodec) {
 		t.Fatalf("boxed func element: err = %v, want errBatchCodec", err)
 	}
 

@@ -56,14 +56,6 @@ func (d Dataset[T]) CachedBytes() int64 {
 	return int64(float64(total) * d.n.weight)
 }
 
-// Unpersist drops cached partitions (e.g. the previous iteration's state in
-// a loop) so the host's memory is not retained indefinitely.
-func (d Dataset[T]) Unpersist() {
-	d.n.cacheMu.Lock()
-	d.n.cacheData = nil
-	d.n.cacheMu.Unlock()
-}
-
 // Parallelize distributes data across parts partitions (parts <= 0 uses the
 // session default). It is the engine's source operator; the per-element
 // read cost is charged when a job first scans it.

@@ -74,9 +74,6 @@ func TestEmptyDataset(t *testing.T) {
 	if _, err := Reduce(d, func(a, b string) string { return a + b }); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("Reduce on empty: %v, want ErrEmpty", err)
 	}
-	if _, err := First(d); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("First on empty: %v, want ErrEmpty", err)
-	}
 }
 
 func TestMapFilterFlatMapChain(t *testing.T) {
@@ -389,13 +386,6 @@ func TestCacheAvoidsRecompute(t *testing.T) {
 	if calls != 10 {
 		t.Fatalf("map called %d times, want 10 (cached second job)", calls)
 	}
-	d.Unpersist()
-	if _, err := Count(d); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 20 {
-		t.Fatalf("map called %d times after unpersist, want 20", calls)
-	}
 }
 
 func TestDiamondReusesWithinJobViaRoots(t *testing.T) {
@@ -468,7 +458,7 @@ func TestRepartitionPreservesElements(t *testing.T) {
 
 func TestKeyByKeysValuesMapValues(t *testing.T) {
 	s := testSession()
-	d := KeyBy(Parallelize(s, []string{"aa", "b", "ccc"}, 2), func(s string) int { return len(s) })
+	d := Map(Parallelize(s, []string{"aa", "b", "ccc"}, 2), func(s string) Pair[int, string] { return KV(len(s), s) })
 	ks := sortedCollect(t, Keys(d), func(a, b int) bool { return a < b })
 	if fmt.Sprint(ks) != "[1 2 3]" {
 		t.Fatalf("keys %v", ks)
@@ -623,65 +613,6 @@ func TestCoPartitionedJoinCorrectness(t *testing.T) {
 	}
 }
 
-func TestLeftOuterJoin(t *testing.T) {
-	s := testSession()
-	l := Parallelize(s, []Pair[int, string]{{1, "a"}, {2, "b"}, {3, "c"}}, 2)
-	r := Parallelize(s, []Pair[int, int]{{2, 20}, {2, 21}}, 2)
-	got, err := Collect(LeftOuterJoin(l, r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	matched, unmatched := 0, 0
-	for _, p := range got {
-		if p.Val.B.OK {
-			matched++
-			if p.Key != 2 {
-				t.Errorf("unexpected match for key %d", p.Key)
-			}
-		} else {
-			unmatched++
-		}
-	}
-	if matched != 2 || unmatched != 2 {
-		t.Fatalf("matched=%d unmatched=%d, want 2/2", matched, unmatched)
-	}
-}
-
-func TestCoGroup(t *testing.T) {
-	s := testSession()
-	l := Parallelize(s, []Pair[int, string]{{1, "a"}, {1, "b"}, {2, "c"}}, 2)
-	r := Parallelize(s, []Pair[int, int]{{2, 20}, {3, 30}}, 2)
-	m, err := CollectMap(CoGroup(l, r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 3 {
-		t.Fatalf("keys = %d, want 3", len(m))
-	}
-	if len(m[1].A) != 2 || len(m[1].B) != 0 {
-		t.Errorf("key 1: %+v", m[1])
-	}
-	if len(m[2].A) != 1 || len(m[2].B) != 1 {
-		t.Errorf("key 2: %+v", m[2])
-	}
-	if len(m[3].A) != 0 || len(m[3].B) != 1 {
-		t.Errorf("key 3: %+v", m[3])
-	}
-}
-
-func TestTake(t *testing.T) {
-	s := testSession()
-	d := Parallelize(s, ints(100), 5)
-	got, err := Take(d, 7)
-	if err != nil || len(got) != 7 {
-		t.Fatalf("take: %v %v", got, err)
-	}
-	all, err := Take(d, 1000)
-	if err != nil || len(all) != 100 {
-		t.Fatalf("take beyond size: %d %v", len(all), err)
-	}
-}
-
 func TestRecordWeightScalesCosts(t *testing.T) {
 	run := func(weight float64) float64 {
 		cfg := DefaultConfig()
@@ -771,38 +702,6 @@ func TestReduceByKeyBoundOutputUnscaled(t *testing.T) {
 	}
 }
 
-func TestExplainShowsPlanStructure(t *testing.T) {
-	s := testSession()
-	pairs := Parallelize(s, makePairs(100), 4)
-	part := PartitionByKey(pairs, 8).Cache()
-	red := ReduceByKey(MapValues(part, func(v int64) int64 { return v + 1 }),
-		func(a, b int64) int64 { return a + b })
-	out := Explain(red)
-	for _, want := range []string{
-		"reduceByKey",
-		"<-shuffle",
-		"mapPartitions", // the map-side combine
-		"partitionByKey",
-		"cached",
-		"partitioned-by=",
-		"parallelize",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("explain missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestExplainMarksSharedSubplans(t *testing.T) {
-	s := testSession()
-	base := Map(Parallelize(s, ints(10), 2), inc)
-	u := Union(Map(base, inc), Filter(base, func(int) bool { return true }))
-	out := Explain(u)
-	if !strings.Contains(out, "(shared)") {
-		t.Errorf("diamond base should print as shared:\n%s", out)
-	}
-}
-
 func TestStageErrorIncludesChain(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cluster.Machines = 2
@@ -834,40 +733,11 @@ func TestBroadcastCountedInStats(t *testing.T) {
 	}
 }
 
-func TestCollectMapAndFirst(t *testing.T) {
+func TestCollectMap(t *testing.T) {
 	s := testSession()
 	d := Parallelize(s, []Pair[string, int]{{"x", 1}, {"y", 2}}, 2)
 	m, err := CollectMap(d)
 	if err != nil || m["x"] != 1 || m["y"] != 2 {
 		t.Fatalf("m = %v, err %v", m, err)
-	}
-	v, err := First(Parallelize(s, []int{42}, 1))
-	if err != nil || v != 42 {
-		t.Fatalf("first = %v, %v", v, err)
-	}
-}
-
-func TestCoalesce(t *testing.T) {
-	s := testSession()
-	d := Parallelize(s, ints(100), 10)
-	c := Coalesce(d, 3)
-	if c.NumPartitions() != 3 {
-		t.Fatalf("parts = %d", c.NumPartitions())
-	}
-	got := sortedCollect(t, c, func(a, b int) bool { return a < b })
-	if len(got) != 100 || got[0] != 0 || got[99] != 99 {
-		t.Fatalf("coalesce lost data: %d", len(got))
-	}
-	// No shuffle: coalescing adds no extra stage.
-	before := s.Stats().Stages
-	if _, err := Count(c); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats().Stages-before != 1 {
-		t.Errorf("coalesce must stay narrow")
-	}
-	// Degenerate arguments are no-ops.
-	if Coalesce(d, 0).n != d.n || Coalesce(d, 100).n != d.n {
-		t.Error("invalid/larger parts should return the receiver")
 	}
 }

@@ -63,8 +63,8 @@ type job struct {
 	jobRetries int
 
 	// memo caches computed partitions of the plan's fan-in>1 narrow
-	// nodes (diamond DAGs, overlapping narrowMaps, nodes read from
-	// several stages): evalPart computes each exactly once instead of
+	// nodes (diamond DAGs, a Union of a dataset with itself, nodes read
+	// from several stages): evalPart computes each exactly once instead of
 	// once per consumer.
 	memo sync.Map // memoKey -> *memoEntry
 	// memoHits counts fan-in partitions served from the memo (an
@@ -525,22 +525,9 @@ func (j *job) evalPartDirect(tc *Ctx, n *node, p int) Batch {
 		var b Batch
 		switch d.kind {
 		case depNarrow:
-			if d.narrowMap == nil {
-				b = j.evalPart(tc, d.parent, p)
-			} else if pps := d.narrowMap(p); len(pps) == 1 {
-				b = j.evalPart(tc, d.parent, pps[0])
-			} else if len(pps) == 0 {
-				b = zeroBatch
-			} else {
-				// Fan-in concat. The boxed representation grew this
-				// slice by chunk-wise appends, whose capacity growth is
-				// observable downstream — run the identical appends and
-				// adopt the resulting capacity as the batch's BoxedCap.
-				var in []any
-				for _, pp := range pps {
-					in = append(in, toBoxed(j.evalPart(tc, d.parent, pp))...)
-				}
-				b = boxedBatch(in)
+			b = zeroBatch
+			if pp, ok := d.parentPart(p); ok {
+				b = j.evalPart(tc, d.parent, pp)
 			}
 			tc.work += float64(batchLen(b)) * d.parent.weight
 		case depShuffle:

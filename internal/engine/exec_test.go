@@ -23,6 +23,9 @@ func poolSession(workers int) *Session {
 	return mustSession(cfg)
 }
 
+// boxedOf is the boxed fallback batch of xs, at xs's capacity.
+func boxedOf(xs []any) Batch { return &Vec[any]{xs: xs, bcap: cap(xs)} }
+
 // randomParent builds a random materialized partition structure of ints.
 // Partitions are typed int batches except an occasional boxed fallback, so
 // routing tests cover the homogeneous typed path, the mixed-shape path,
@@ -39,7 +42,7 @@ func randomParent(rng *rand.Rand, maxSrc, maxLen int) []Batch {
 			for k, v := range part {
 				boxed[k] = v
 			}
-			parent[i] = boxedBatch(boxed)
+			parent[i] = boxedOf(boxed)
 		} else {
 			parent[i] = batchOf(part, len(part))
 		}
@@ -102,7 +105,7 @@ func checkRoute(t *testing.T, d *dep, parent, blocks []Batch) {
 			}
 			continue
 		}
-		if b == nil || !slices.Equal(toBoxed(b), ref) {
+		if b == nil || !slices.Equal(elems[any](b), ref) {
 			t.Fatalf("block %d: got %v want %v", tgt, b, ref)
 		}
 		if b.Shape() != shape {
@@ -128,7 +131,7 @@ func TestRouteMatchesReference(t *testing.T) {
 		sparse[src] = nil
 	}
 	mixed := benchParent(12, 30, true)
-	mixed[5] = boxedBatch(toBoxed(mixed[5]))
+	mixed[5] = boxedOf(elems[any](mixed[5]))
 	type routeCase struct {
 		name   string
 		parent []Batch
@@ -274,7 +277,7 @@ func TestEstPartitionBytesMatchesBoxedReference(t *testing.T) {
 		if got := estPartitionBytes(batchOf(vals, blockCap(n))); got != want {
 			t.Errorf("n=%d: typed estPartitionBytes=%d, boxed reference=%d", n, got, want)
 		}
-		if got := estPartitionBytes(boxedBatch(append(make([]any, 0, blockCap(n)), boxed...))); got != want {
+		if got := estPartitionBytes(boxedOf(append(make([]any, 0, blockCap(n)), boxed...))); got != want {
 			t.Errorf("n=%d: boxed-batch estPartitionBytes=%d, boxed reference=%d", n, got, want)
 		}
 	}
@@ -338,8 +341,9 @@ func TestRepartitionDeterministic(t *testing.T) {
 }
 
 // TestNarrowFanInMemo asserts that a narrow parent consumed by several
-// children (a diamond) or by several partitions of one child (Concat) is
-// computed exactly once per partition, and that results stay correct.
+// children (a diamond) or by two partitions of one child (a Union of a
+// dataset with itself) is computed exactly once per partition, and that
+// results stay correct.
 func TestNarrowFanInMemo(t *testing.T) {
 	t.Run("diamond", func(t *testing.T) {
 		s := poolSession(4)
@@ -359,7 +363,7 @@ func TestNarrowFanInMemo(t *testing.T) {
 			t.Fatalf("base UDF ran %d times, want 100 (fan-in memo)", n)
 		}
 	})
-	t.Run("concat-coalesce-chain", func(t *testing.T) {
+	t.Run("union-with-itself", func(t *testing.T) {
 		s := poolSession(4)
 		defer s.Close()
 		var calls atomic.Int64
@@ -367,11 +371,8 @@ func TestNarrowFanInMemo(t *testing.T) {
 			calls.Add(1)
 			return x * 2
 		})
-		// base feeds both a Concat (one task reading all 8 partitions) and
-		// a Coalesce chain — every base partition has fan-in 2.
-		a := Concat(base)
-		b := Coalesce(base, 3)
-		got := sortedCollect(t, Union(a, b), func(x, y int) bool { return x < y })
+		// Union partitions p and p+8 both read base partition p.
+		got := sortedCollect(t, Union(base, base), func(x, y int) bool { return x < y })
 		if len(got) != 128 {
 			t.Fatalf("len = %d, want 128", len(got))
 		}
@@ -394,22 +395,6 @@ func TestNarrowFanInMemo(t *testing.T) {
 			t.Fatalf("base UDF ran %d times, want 50", n)
 		}
 	})
-}
-
-// TestConcat checks order preservation and partition count.
-func TestConcat(t *testing.T) {
-	s := testSession()
-	c := Concat(Parallelize(s, ints(40), 6))
-	if c.NumPartitions() != 1 {
-		t.Fatalf("parts = %d, want 1", c.NumPartitions())
-	}
-	got, err := Collect(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ints(40)) {
-		t.Fatalf("concat reordered elements: %v", got)
-	}
 }
 
 // TestOnceSharded asserts that job.once entries for different ids do not
@@ -449,7 +434,8 @@ func TestOnceSharded(t *testing.T) {
 
 // randomDAG builds a reproducible random DAG over s (same rng sequence =>
 // same structure) and returns its final dataset. It mixes narrow ops,
-// diamonds, Coalesce/Concat/Union fan-in, Repartition, and hash shuffles.
+// diamonds, unions (of a dataset with itself too), Repartition, and hash
+// shuffles.
 func randomDAG(s *Session, seed int64) Dataset[int] {
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]int, 200+rng.Intn(200))
@@ -470,14 +456,16 @@ func randomDAG(s *Session, seed int64) Dataset[int] {
 		case 2:
 			next = Union(pick(), pick())
 		case 3:
-			next = Coalesce(pick(), 1+rng.Intn(4))
+			p := pick()
+			next = Union(p, p)
 		case 4:
-			next = Concat(pick())
+			p := pick()
+			next = Union(Map(p, func(x int) int { return x ^ 1 }), Filter(p, func(x int) bool { return x%3 != 0 }))
 		case 5:
 			next = Repartition(pick(), 1+rng.Intn(10))
 		case 6:
 			k := 1 + rng.Intn(50)
-			red := ReduceByKey(KeyBy(pick(), func(x int) int { return x % k }),
+			red := ReduceByKey(Map(pick(), func(x int) Pair[int, int] { return KV(x%k, x) }),
 				func(a, b int) int { return a + b })
 			// Sort within each partition: reduceByKey emits in random map
 			// order, and order-dependent downstream routing (Repartition)
@@ -517,16 +505,11 @@ func randomDAG(s *Session, seed int64) Dataset[int] {
 	// broadcast-row major would reorder every partition.
 	few := Parallelize(s, []int{100, 200, 300}, 2)
 	mix := func(a, b int) int { return a*7 + b }
-	// mirrored reads its parent's partitions in reverse through a narrowMap:
-	// a link whose streamed dep is not the identity must not fuse into the
-	// chain below it (a fused chain reads head partition p for output p).
-	mirrored := Map(Map(head(), inc), inc)
-	mirrored.n.deps[0].narrowMap = func(p int) []int { return []int{mirrored.n.parts - 1 - p} }
 	for _, d := range []Dataset[int]{
 		FlatMap(Map(head(), inc), dup),
 		Filter(Map(head(), inc), odd),
 		// The hidden map-side combine of ReduceByKey tops map∘mapPartitions.
-		Values(ReduceByKey(KeyBy(head(), func(x int) int { return x % 7 }), func(a, b int) int { return a + b })),
+		Values(ReduceByKey(Map(head(), func(x int) Pair[int, int] { return KV(x%7, x) }), func(a, b int) int { return a + b })),
 		Union(Filter(Map(shared, inc), odd), Map(shared, inc)),
 		// A cross between 1:1 links (sized up front), below a flatMap and
 		// above a filter, and as the top of a chain with and without a
@@ -535,7 +518,6 @@ func randomDAG(s *Session, seed int64) Dataset[int] {
 		FlatMap(CrossBroadcastBig(Filter(head(), odd), few, mix), dup),
 		CrossWithBroadcast(few, Map(head(), inc), mix),
 		CrossBroadcastBig(Filter(Map(head(), inc), odd), few, mix),
-		Map(mirrored, inc),
 	} {
 		out = Union(out, d)
 	}
@@ -567,21 +549,9 @@ func (o refOracle) eval(n *node, p int) Batch {
 		d := &n.deps[i]
 		switch d.kind {
 		case depNarrow:
-			pps := []int{p}
-			if d.narrowMap != nil {
-				pps = d.narrowMap(p)
-			}
-			switch len(pps) {
-			case 0:
-				inputs[i] = zeroBatch
-			case 1:
-				inputs[i] = o.parts(d.parent)[pps[0]]
-			default: // fan-in concat: chunk-wise boxed appends, as observed downstream
-				var in []any
-				for _, pp := range pps {
-					in = append(in, toBoxed(o.parts(d.parent)[pp])...)
-				}
-				inputs[i] = boxedBatch(in)
+			inputs[i] = zeroBatch
+			if pp := p - d.off; pp >= 0 && pp < d.parent.parts {
+				inputs[i] = o.parts(d.parent)[pp]
 			}
 		case depShuffle:
 			if inputs[i] = routeCore(d, o.parts(d.parent), nil, 1, nil).blocks[p]; inputs[i] == nil {
@@ -617,11 +587,6 @@ func TestRandomDAGFusedMatchesPerOperator(t *testing.T) {
 			k := len(fi.via)
 			tops[fi.via[k-1].label] = true
 			crossInside = crossInside || slices.ContainsFunc(fi.via[:k-1], func(m *node) bool { return m.label == "crossBroadcastSmall" })
-			for _, m := range fi.via {
-				if m.deps[m.link.stream].narrowMap != nil {
-					t.Errorf("seed %d: chain fused through the narrowMap under #%d %s", seed, m.id, m.label)
-				}
-			}
 		}
 		for _, top := range []string{"filter", "flatMap", "mapPartitions", "crossBroadcastSmall", "crossBroadcastBig"} {
 			if !tops[top] {
@@ -630,6 +595,9 @@ func TestRandomDAGFusedMatchesPerOperator(t *testing.T) {
 		}
 		if !crossInside {
 			t.Errorf("seed %d: no fused chain with a cross product below its top", seed)
+		}
+		if len(ep.memo) == 0 {
+			t.Errorf("seed %d: the diamonds planned no memo site", seed)
 		}
 		// A memo site cuts a chain in two, and both sides fuse: the chain
 		// above heads at the site, which tops the chain below it.
@@ -642,8 +610,27 @@ func TestRandomDAGFusedMatchesPerOperator(t *testing.T) {
 		}
 
 		perParts := materializedParts(t, perOut)
-		if want := (refOracle{}).parts(perOut.n); !sameParts(perParts, want) {
+		oracle := refOracle{}
+		if want := oracle.parts(perOut.n); !sameParts(perParts, want) {
 			t.Fatalf("seed %d: per-operator partitions differ from the plan-free oracle", seed)
+		}
+		// Typed pipelines never box: the non-empty partitions of every node
+		// are one *Vec of the node's element type — int, or the pairs
+		// ReduceByKey folds.
+		for n, parts := range oracle {
+			var shape reflect.Type
+			for _, b := range parts {
+				if batchLen(b) == 0 {
+					continue
+				}
+				got := reflect.TypeOf(b)
+				if shape == nil {
+					shape = got
+				}
+				if got != shape || (got != reflect.TypeFor[*Vec[int]]() && got != reflect.TypeFor[*Vec[Pair[int, int]]]()) {
+					t.Fatalf("seed %d: #%d %s has a %v partition (first: %v), want one typed vector", seed, n.id, n.label, got, shape)
+				}
+			}
 		}
 		if parts := materializedParts(t, fusOut); !sameParts(perParts, parts) {
 			t.Fatalf("seed %d: fused materialized partitions differ from per-operator", seed)

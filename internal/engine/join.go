@@ -178,89 +178,3 @@ func crossNode[R, S, C any](label string, bcast Dataset[R], streamed Dataset[S],
 	linkCross(n, g)
 	return n
 }
-
-// LeftOuterJoin joins every left element with its matching right values,
-// or with `missing: true` when the key has no right match. Implemented as
-// a repartition join whose probe side is the left input.
-func LeftOuterJoin[K comparable, A, B any](l Dataset[Pair[K, A]], r Dataset[Pair[K, B]]) Dataset[Pair[K, Tuple2[A, Opt[B]]]] {
-	s := l.s
-	parts := s.cfg.DefaultParallelism
-	deps := []dep{
-		pairShuffleDep[K, B](r.n),
-		pairShuffleDep[K, A](l.n),
-	}
-	buildWeight := r.n.weight
-	n := s.newNode("leftOuterJoin", parts, deps, func(tc *Ctx, p int, in []Batch) Batch {
-		tc.UseMemory(s.estResidentBytes(in[0], buildWeight))
-		rhs := elems[Pair[K, B]](in[0])
-		build := make(map[K][]B, len(rhs))
-		for _, kv := range rhs {
-			build[kv.Key] = append(build[kv.Key], kv.Val)
-		}
-		var out []Pair[K, Tuple2[A, Opt[B]]]
-		for _, kv := range elems[Pair[K, A]](in[1]) {
-			bs := build[kv.Key]
-			if len(bs) == 0 {
-				out = append(out, Pair[K, Tuple2[A, Opt[B]]]{kv.Key, Tuple2[A, Opt[B]]{A: kv.Val}})
-				continue
-			}
-			for _, b := range bs {
-				out = append(out, Pair[K, Tuple2[A, Opt[B]]]{kv.Key, Tuple2[A, Opt[B]]{A: kv.Val, B: Opt[B]{Val: b, OK: true}}})
-			}
-		}
-		return batchOf(out, blockCap(len(out)))
-	})
-	return fromNode[Pair[K, Tuple2[A, Opt[B]]]](s, n)
-}
-
-// Opt is an optional value (outer-join results).
-type Opt[T any] struct {
-	Val T
-	OK  bool
-}
-
-// CoGroup gathers, per key, all left values and all right values.
-func CoGroup[K comparable, A, B any](l Dataset[Pair[K, A]], r Dataset[Pair[K, B]]) Dataset[Pair[K, Tuple2[[]A, []B]]] {
-	s := l.s
-	parts := s.cfg.DefaultParallelism
-	deps := []dep{
-		pairShuffleDep[K, A](l.n),
-		pairShuffleDep[K, B](r.n),
-	}
-	inWeight := max(l.n.weight, r.n.weight)
-	n := s.newNode("coGroup", parts, deps, func(tc *Ctx, p int, in []Batch) Batch {
-		// The combined-input footprint is charged over a literally rebuilt
-		// boxed concat: the chunk-wise append growth of the second append is
-		// part of the observed capacity and is not reproduced by formula.
-		tc.UseMemory(s.estResidentBoxed(append(append([]any{}, toBoxed(in[0])...), toBoxed(in[1])...), inWeight))
-		lhs := elems[Pair[K, A]](in[0])
-		rhs := elems[Pair[K, B]](in[1])
-		la := map[K][]A{}
-		for _, kv := range lhs {
-			la[kv.Key] = append(la[kv.Key], kv.Val)
-		}
-		rb := map[K][]B{}
-		for _, kv := range rhs {
-			rb[kv.Key] = append(rb[kv.Key], kv.Val)
-		}
-		// Emit in first-seen input order, not map iteration order, so
-		// partition contents (and the size estimator's positional samples)
-		// are deterministic across processes.
-		seen := map[K]bool{}
-		var out []Pair[K, Tuple2[[]A, []B]]
-		emit := func(k K) {
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, Pair[K, Tuple2[[]A, []B]]{k, Tuple2[[]A, []B]{A: la[k], B: rb[k]}})
-			}
-		}
-		for _, kv := range lhs {
-			emit(kv.Key)
-		}
-		for _, kv := range rhs {
-			emit(kv.Key)
-		}
-		return batchOf(out, blockCap(len(out)))
-	})
-	return fromNode[Pair[K, Tuple2[[]A, []B]]](s, n)
-}

@@ -12,9 +12,9 @@ import (
 type depKind int
 
 const (
-	// depNarrow: child partition p reads specific parent partitions
-	// (default: the same index p). Narrow chains are pipelined into a
-	// single task, as in Spark stages.
+	// depNarrow: child partition p reads at most one parent partition, the
+	// same index p unless the dep is offset (dep.off). Narrow chains are
+	// pipelined into a single task, as in Spark stages.
 	depNarrow depKind = iota
 	// depShuffle: child partition p reads the elements of every parent
 	// partition routed to p by the dep's partitioner (a stage boundary).
@@ -38,8 +38,11 @@ func (k depKind) String() string {
 type dep struct {
 	parent     *node
 	kind       depKind
-	childParts int                   // partition count of the owning node
-	narrowMap  func(child int) []int // narrow only; nil means identity
+	childParts int // partition count of the owning node
+	// off is a narrow dep's partition offset: child partition p reads parent
+	// partition p-off when that index is in range, and nothing otherwise
+	// (parentPart). It is 0 except on Union's second input.
+	off int
 	// targets is the shuffle dep's partitioner, a batch at a time: for source
 	// partition src it fills tg[i] with the target of b's element i (len(tg)
 	// == b.Len() > 0) and bumps ct[target]. Routing runs concurrently and
@@ -186,14 +189,6 @@ func (s *Session) estResidentBytes(part Batch, weight float64) int64 {
 	return int64(float64(estPartitionBytes(part)) * f * weight)
 }
 
-// estResidentBoxed is estResidentBytes for a transient boxed slice that
-// never becomes a Batch (coGroup's combined-input footprint). The boxed
-// estimate observes the slice's real capacity, exactly as the boxed
-// representation did.
-func (s *Session) estResidentBoxed(part []any, weight float64) int64 {
-	return s.estResidentBytes(boxedBatch(part), weight)
-}
-
 // estPartitionBytes estimates the in-memory size of a partition by sampling
 // up to sampleN elements and scaling. Estimation must stay cheap because it
 // runs once per node per partition.
@@ -284,6 +279,13 @@ func (s *Session) newNode(label string, parts int, deps []dep, compute func(tc *
 }
 
 func narrowDep(parent *node) dep { return dep{parent: parent, kind: depNarrow} }
+
+// parentPart returns the parent partition narrow dep d reads for child
+// partition p, and false when it reads none.
+func (d *dep) parentPart(p int) (int, bool) {
+	pp := p - d.off
+	return pp, pp >= 0 && pp < d.parent.parts
+}
 
 // partInfo identifies a hash partitioning: the key type and partition
 // count fully determine the routing (pairShuffleDep hashes only the key,

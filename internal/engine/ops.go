@@ -57,22 +57,8 @@ func MapPartitions[A, B any](d Dataset[A], f func([]A) []B) Dataset[B] {
 // a narrow operation: output partitions are the partitions of both inputs.
 func Union[A any](a, b Dataset[A]) Dataset[A] {
 	aParts := a.n.parts
-	parts := aParts + b.n.parts
-	deps := []dep{
-		{parent: a.n, kind: depNarrow, narrowMap: func(p int) []int {
-			if p < aParts {
-				return []int{p}
-			}
-			return nil
-		}},
-		{parent: b.n, kind: depNarrow, narrowMap: func(p int) []int {
-			if p >= aParts {
-				return []int{p - aParts}
-			}
-			return nil
-		}},
-	}
-	n := a.s.newNode("union", parts, deps, func(tc *Ctx, p int, in []Batch) Batch {
+	deps := []dep{narrowDep(a.n), {parent: b.n, kind: depNarrow, off: aParts}}
+	n := a.s.newNode("union", aParts+b.n.parts, deps, func(tc *Ctx, p int, in []Batch) Batch {
 		if p < aParts {
 			return in[0]
 		}
@@ -101,11 +87,6 @@ func ZipWithUniqueID[A any](d Dataset[A]) Dataset[Pair[uint64, A]] {
 	return fromNode[Pair[uint64, A]](d.s, n)
 }
 
-// KeyBy maps every element to a Pair keyed by f(elem).
-func KeyBy[A any, K comparable](d Dataset[A], f func(A) K) Dataset[Pair[K, A]] {
-	return Map(d, func(a A) Pair[K, A] { return Pair[K, A]{Key: f(a), Val: a} })
-}
-
 // Keys projects the keys of a pair dataset.
 func Keys[K comparable, V any](d Dataset[Pair[K, V]]) Dataset[K] {
 	return Map(d, func(p Pair[K, V]) K { return p.Key })
@@ -126,33 +107,3 @@ func MapValues[K comparable, V, W any](d Dataset[Pair[K, V]], f func(V) W) Datas
 	})
 	return fromNode[Pair[K, W]](d.s, n)
 }
-
-// Coalesce merges the dataset into parts partitions *without* a shuffle:
-// each output partition concatenates a contiguous range of input
-// partitions (Spark's coalesce). Useful after heavy filtering, when many
-// near-empty partitions would otherwise pay per-task overhead.
-func Coalesce[A any](d Dataset[A], parts int) Dataset[A] {
-	in := d.n.parts
-	if parts <= 0 || parts >= in {
-		return d
-	}
-	merge := dep{parent: d.n, kind: depNarrow, narrowMap: func(p int) []int {
-		lo, hi := p*in/parts, (p+1)*in/parts
-		out := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, i)
-		}
-		return out
-	}}
-	n := d.s.newNode("coalesce", parts, []dep{merge}, identityCompute)
-	// Pure routing: trivially portable to a process-pool backend.
-	n.port = &portableMark{op: "identity"}
-	return fromNode[A](d.s, n)
-}
-
-// Concat merges every partition into a single partition without a shuffle,
-// preserving partition order (Coalesce to one partition). The single task
-// reads every input partition — when those inputs are also consumed
-// elsewhere in the same job, the engine's fan-in memo ensures they are
-// still computed only once.
-func Concat[A any](d Dataset[A]) Dataset[A] { return Coalesce(d, 1) }

@@ -27,17 +27,6 @@ func TestExplainPhysicalUnionDiamond(t *testing.T) {
 			"Memo sites: #1 parallelize\n")
 }
 
-func TestExplainPhysicalConcatFanIn(t *testing.T) {
-	s := testSession()
-	d := Parallelize(s, ints(12), 6)
-	c := Concat(Map(d, func(x int) int { return x + 1 }))
-
-	// The all-partitions fan-in stays narrow: one stage, no memo (each
-	// parent partition has exactly one consumer).
-	explainGolden(t, ExplainPhysical(c),
-		"Stage 1 root=#3 coalesce parts=1 chain=coalesce<-map<-parallelize\n")
-}
-
 func TestExplainPhysicalBroadcastJoin(t *testing.T) {
 	s := testSession()
 	small := Parallelize(s, []Pair[int, string]{{1, "a"}}, 1)

@@ -68,12 +68,11 @@ type edge struct {
 //
 // Everything but a stage root is pipelined into the tasks of its consuming
 // stage. Memo sites are the narrow, non-root nodes with partition fan-in >
-// 1: a parent partition listed by several consuming child partitions
-// (Concat/Coalesce-style narrow maps) or consumed by several child nodes
-// (diamond DAGs) would otherwise be recomputed once per consumer. The
-// fan-in count is a static over-approximation of demand — memoizing a
-// partition that is consumed once is harmless, because the executor
-// replays exact costs.
+// 1: a parent partition consumed by several child nodes (diamond DAGs) or
+// by two partitions of one Union of a dataset with itself would otherwise
+// be recomputed once per consumer. The fan-in count is a static
+// over-approximation of demand — memoizing a partition that is consumed
+// once is harmless, because the executor replays exact costs.
 func (s *Session) buildExecPlan(target *node, done func(*node) bool) *execPlan {
 	ep := &execPlan{
 		stageOf: map[*node]*stage{target: {root: target}},
@@ -118,17 +117,9 @@ func (s *Session) buildExecPlan(target *node, done func(*node) bool) *execPlan {
 				rs = make([]int32, d.parent.parts)
 				refs[d.parent] = rs
 			}
-			if d.narrowMap == nil {
-				for c := 0; c < n.parts && c < len(rs); c++ {
-					rs[c]++
-				}
-				continue
-			}
 			for c := 0; c < n.parts; c++ {
-				for _, pp := range d.narrowMap(c) {
-					if pp >= 0 && pp < len(rs) {
-						rs[pp]++
-					}
+				if pp, ok := d.parentPart(c); ok {
+					rs[pp]++
 				}
 			}
 		}
@@ -267,9 +258,9 @@ func (ep *execPlan) String() string {
 
 // compileFusion finds this plan's fused chains (fuse.go); runners compose
 // their instances from the operators' links. A chain runs top to bottom
-// through each link's streamed dep while that dep reads partition p for
-// partition p (no narrowMap) and the parent is itself a link the plan cannot
-// see: not a stage root (its partitions must materialize: shuffle and
+// through each link's streamed dep — a narrow dep without offset, so it reads
+// partition p for partition p — while the parent is itself a link the plan
+// cannot see: not a stage root (its partitions must materialize: shuffle and
 // broadcast parents, cached nodes, the recovery frontier), not a fan-in memo
 // site (a multi-consumer intermediate must still be computed exactly once).
 // Such a parent has one consumer in the plan, so it lies inside exactly one
@@ -282,30 +273,25 @@ func (ep *execPlan) String() string {
 // run through a lowering the current plan abandoned.
 func (ep *execPlan) compileFusion() {
 	ep.fused = make(map[*node]*fuseInfo)
-	// fusible: n is a link streaming its parent's partition p into its own
-	// partition p, as a chain's loop over head partition p does.
-	fusible := func(n *node) bool {
-		return n.link != nil && n.deps[n.link.stream].narrowMap == nil
-	}
 	// below returns the link n's chain continues into, nil if it ends at n
 	// (a frontier leaf is a stage root).
 	below := func(n *node) *node {
 		m := n.deps[n.link.stream].parent
-		if !fusible(m) || m.link.sink == nil || ep.stageOf[m] != nil || ep.memo[m] {
+		if m.link == nil || m.link.sink == nil || ep.stageOf[m] != nil || ep.memo[m] {
 			return nil
 		}
 		return m
 	}
 	interior := map[*node]bool{}
 	for n, leaf := range ep.planned {
-		if fusible(n) && !leaf {
+		if n.link != nil && !leaf {
 			if m := below(n); m != nil {
 				interior[m] = true
 			}
 		}
 	}
 	for n, leaf := range ep.planned {
-		if !fusible(n) || leaf || interior[n] {
+		if n.link == nil || leaf || interior[n] {
 			continue
 		}
 		for top := n; top != nil; {

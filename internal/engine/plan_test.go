@@ -102,16 +102,18 @@ func TestPlanMemoDiamondFanIn(t *testing.T) {
 	}
 }
 
-func TestPlanMemoConcatFanInIsSingleUse(t *testing.T) {
-	// Concat/Coalesce: one child partition reads every parent partition —
-	// each parent partition still has exactly one consumer, so no memo.
+func TestPlanMemoUnionWithItself(t *testing.T) {
+	// Union partitions p and p+4 both read partition p of its one input;
+	// a union of two inputs reads each partition once.
 	s := testSession()
-	ep := s.buildExecPlan(Concat(Parallelize(s, ints(12), 6)).n, nil)
-	if len(ep.memo) != 0 {
-		t.Fatalf("memo sites = %d, want 0 (each partition read once)", len(ep.memo))
+	m := Map(Parallelize(s, ints(8), 4), func(x int) int { return x + 1 })
+	f := Filter(Parallelize(s, ints(8), 4), func(x int) bool { return x > 2 })
+	ep := s.buildExecPlan(Union(Union(m, m), f).n, nil)
+	if !ep.memo[m.n] || ep.memo[f.n] || len(ep.memo) != 1 {
+		t.Fatalf("memo sites = %v, want the self-unioned map alone", ep.memo)
 	}
 	if len(ep.stages) != 1 {
-		t.Fatalf("stages = %d, want 1 (fan-in is still narrow)", len(ep.stages))
+		t.Fatalf("stages = %d, want 1 (a union is narrow)", len(ep.stages))
 	}
 }
 

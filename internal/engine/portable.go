@@ -92,17 +92,8 @@ func (t *RemoteTask) OpChain() string {
 		if rn == nil {
 			return
 		}
-		var desc func(in *RemoteInput)
-		desc = func(in *RemoteInput) {
-			if in.Node != nil {
-				walk(in.Node)
-			}
-			for i := range in.Concat {
-				desc(&in.Concat[i])
-			}
-		}
 		for i := range rn.Inputs {
-			desc(&rn.Inputs[i])
+			walk(rn.Inputs[i].Node)
 		}
 		ops = append(ops, rn.Op)
 	}
@@ -210,12 +201,11 @@ type RemoteNode struct {
 }
 
 // RemoteInput is one dep's input batch: a block from the driver's store,
-// a nested in-chain operator, a fan-in concatenation, or nothing.
+// a nested in-chain operator, or nothing.
 type RemoteInput struct {
-	Kind   string        `json:"kind"` // "block" | "node" | "concat" | "empty"
-	Block  uint64        `json:"block,omitempty"`
-	Node   *RemoteNode   `json:"node,omitempty"`
-	Concat []RemoteInput `json:"concat,omitempty"`
+	Kind  string      `json:"kind"` // "block" | "node" | "empty"
+	Block uint64      `json:"block,omitempty"`
+	Node  *RemoteNode `json:"node,omitempty"`
 }
 
 // RemoteStageResult is what a RemoteRunner reports back for one stage.
@@ -337,20 +327,9 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 			var err error
 			switch d.kind {
 			case depNarrow:
-				if d.narrowMap == nil {
-					in, err = inputFor(d.parent, p)
-				} else if pps := d.narrowMap(p); len(pps) == 1 {
-					in, err = inputFor(d.parent, pps[0])
-				} else if len(pps) == 0 {
-					in = RemoteInput{Kind: "empty"}
-				} else {
-					sub := make([]RemoteInput, len(pps))
-					for k, pp := range pps {
-						if sub[k], err = inputFor(d.parent, pp); err != nil {
-							break
-						}
-					}
-					in = RemoteInput{Kind: "concat", Concat: sub}
+				in = RemoteInput{Kind: "empty"}
+				if pp, ok := d.parentPart(p); ok {
+					in, err = inputFor(d.parent, pp)
 				}
 			case depShuffle:
 				in, err = blockInput(d.parent, j.blocks[d].blocks[p])
@@ -470,18 +449,6 @@ func (e *RemoteEvaluator) evalInput(in *RemoteInput, fetch FetchFunc) (Batch, er
 		return b, nil
 	case "node":
 		return e.evalNode(in.Node, fetch)
-	case "concat":
-		// Fan-in concat replays the driver's boxed chunk-wise appends
-		// (see evalPartDirect), adopting the grown capacity as BoxedCap.
-		var xs []any
-		for i := range in.Concat {
-			b, err := e.evalInput(&in.Concat[i], fetch)
-			if err != nil {
-				return nil, err
-			}
-			xs = append(xs, toBoxed(b)...)
-		}
-		return boxedBatch(xs), nil
 	default:
 		return nil, fmt.Errorf("engine: unknown remote input kind %q", in.Kind)
 	}

@@ -179,8 +179,8 @@ func (j *job) demoteBroadcastIn(f *stageFailure, target *node) (*node, string, b
 // failed stage's narrow component: the same data in more, smaller
 // partitions fits the per-machine wave budget (Sec. 8.1's partition rule,
 // applied reactively). It refuses when the component's layout is
-// load-bearing (fixed-partition operators, partition-mapped fan-ins,
-// sources, already-materialized members) — a single giant group stays an
+// load-bearing (fixed-partition operators, unions, sources,
+// already-materialized members) — a single giant group stays an
 // OOM, exactly as the paper observes.
 func (j *job) raiseParts(f *stageFailure) (string, bool) {
 	oom := f.oom
@@ -225,10 +225,11 @@ func (j *job) raiseParts(f *stageFailure) (string, bool) {
 	return fmt.Sprintf("re-lowered(parts %d→%d)", old, newParts), true
 }
 
-// narrowComponent collects the closure of identity-narrow edges around
-// root — the set of nodes that must change partition count together for
-// the DAG to stay consistent — or reports that raising partitions is not
-// applicable.
+// narrowComponent collects the closure of narrow edges around root — the
+// set of nodes that must change partition count together for the DAG to
+// stay consistent — or reports that raising partitions is not applicable.
+// A Union is never in a component: it has more partitions than either of
+// its inputs, and every member must have root's.
 func (j *job) narrowComponent(root *node) ([]*node, bool) {
 	comp := map[*node]bool{root: true}
 	queue := []*node{root}
@@ -255,9 +256,6 @@ func (j *job) narrowComponent(root *node) ([]*node, bool) {
 			if d.kind != depNarrow {
 				continue
 			}
-			if d.narrowMap != nil {
-				return nil, false // partition-mapped fan-in owns its layout
-			}
 			if !comp[d.parent] {
 				comp[d.parent] = true
 				queue = append(queue, d.parent)
@@ -268,9 +266,6 @@ func (j *job) narrowComponent(root *node) ([]*node, bool) {
 				d := &c.deps[i]
 				if d.parent != m || d.kind != depNarrow {
 					continue
-				}
-				if d.narrowMap != nil {
-					return nil, false
 				}
 				if !comp[c] {
 					comp[c] = true

@@ -68,7 +68,7 @@ func TestOnlyPointerFreeShapesAreCarved(t *testing.T) {
 		{batchOf([]*int{&x}, 1), false},
 		{batchOf([]struct{ F func() }{{}}, 1), false},
 		{batchOf([]map[int]int{nil}, 1), false},
-		{boxedBatch([]any{1}), false},
+		{boxedOf([]any{1}), false},
 	} {
 		var list arenaList
 		blocks := make([]Batch, len(lens))

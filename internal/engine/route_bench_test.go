@@ -87,7 +87,7 @@ func BenchmarkShuffleBoundary(b *testing.B) {
 				for k, v := range vals {
 					out[k] = v
 				}
-				parent[s] = boxedBatch(out)
+				parent[s] = boxedOf(out)
 			}
 			routeCore(d, parent, nil, 1, nil)
 		}
@@ -394,9 +394,9 @@ func BenchmarkJoinProbe(b *testing.B) {
 }
 
 // BenchmarkFanInMemo runs a fan-in-heavy DAG: one expensive base dataset
-// consumed by four narrow branches that are unioned and concatenated. The
-// fan-in memo computes the base once per (node, partition) instead of once
-// per consumer.
+// consumed by four narrow branches that are unioned, a four-way diamond.
+// The fan-in memo computes the base once per (node, partition) instead of
+// once per consumer.
 func BenchmarkFanInMemo(b *testing.B) {
 	data := make([]int, 1<<12)
 	for i := range data {
@@ -413,7 +413,7 @@ func BenchmarkFanInMemo(b *testing.B) {
 				Union(Map(base, func(v int) int { return v + 1 }), Filter(base, func(v int) bool { return v%2 == 0 })),
 				Union(Map(base, func(v int) int { return v - 1 }), Filter(base, func(v int) bool { return v%3 == 0 })),
 			)
-			if _, err := Count(Concat(u)); err != nil {
+			if _, err := Count(u); err != nil {
 				b.Fatal(err)
 			}
 		}

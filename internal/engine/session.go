@@ -3,7 +3,7 @@
 // It is the substrate the paper assumes (Sec. 3: "standard dataflow
 // engines"): datasets are immutable, partitioned collections transformed by
 // a lazy DAG of operators. Transformations (Map, Filter, ReduceByKey, Join,
-// ...) only extend the DAG; actions (Collect, Count, Reduce, IsEmpty)
+// ...) only extend the DAG; actions (Collect, Count, Reduce, CollectMap)
 // launch a job that executes the necessary stages. Stages are split at
 // shuffle boundaries and narrow chains are pipelined into single tasks,
 // exactly the structure whose overheads the paper's experiments measure:
@@ -94,10 +94,8 @@ func DefaultConfig() Config {
 // simulated cluster, and the worker pool that executes tasks for real.
 type Session struct {
 	cfg Config
-	// sim is the session-private simulator; nil when the session runs on
-	// Config.Backend. exec is what jobs actually charge: sim, or
+	// exec is what jobs charge: the session-private simulator, or
 	// Config.Backend. All execution paths go through exec.
-	sim    *cluster.Simulator
 	exec   Backend
 	nextID atomic.Int64
 
@@ -228,7 +226,6 @@ func NewSession(cfg Config) (*Session, error) {
 	}
 	s := &Session{
 		cfg:      cfg,
-		sim:      sim,
 		exec:     exec,
 		workers:  workers,
 		pool:     newWorkerPool(workers),
@@ -280,10 +277,6 @@ func (s *Session) Config() Config { return s.cfg }
 // DefaultParallelism returns the session's default partition count.
 func (s *Session) DefaultParallelism() int { return s.cfg.DefaultParallelism }
 
-// Simulator exposes the simulated cluster (for harnesses and tests).
-// It is nil when the session runs on Config.Backend.
-func (s *Session) Simulator() *cluster.Simulator { return s.sim }
-
 // Obs returns the session's event recorder; nil (a valid no-op sink) when
 // observation is off. The lowering phase logs optimizer decisions here.
 func (s *Session) Obs() *obs.Recorder { return s.obs }
@@ -294,13 +287,5 @@ func (s *Session) Clock() float64 { return s.exec.Clock() }
 
 // Stats returns cluster statistics (jobs, stages, tasks, broadcasts).
 func (s *Session) Stats() cluster.Stats { return s.exec.Stats() }
-
-// ResetClock rewinds the virtual clock and stats; the DAG and caches are
-// kept. Useful to time a phase in isolation. No-op on Config.Backend.
-func (s *Session) ResetClock() {
-	if s.sim != nil {
-		s.sim.Reset()
-	}
-}
 
 func (s *Session) newID() int64 { return s.nextID.Add(1) }

@@ -18,8 +18,8 @@ func place(hash uint64, nParts, i int, tg, ct []int32) {
 // key hash. K's hasher is resolved here, once — a key type that cannot be
 // hashed is refused here — and the counting pass hashes the typed pairs
 // where they lie, no boxing. Any other batch shape holding the same pairs
-// (the fan-in concat's boxed batches) is walked element by element through
-// hashOf, to the same bits.
+// (the boxed blocks the router builds when a shuffle's sources mix shapes)
+// is walked element by element through hashOf, to the same bits.
 func pairShuffleDep[K comparable, V any](parent *node) dep {
 	h := keyHasher[K]()
 	return dep{parent: parent, kind: depShuffle, targets: func(_ int, b Batch, nParts int, tg, ct []int32) {
@@ -201,24 +201,11 @@ func Distinct[T comparable](d Dataset[T]) Dataset[T] {
 // DistinctN is Distinct with an explicit partition count. Duplicates are
 // dropped map-side first, then routed by element hash and dropped again.
 func DistinctN[T comparable](d Dataset[T], parts int) Dataset[T] {
-	return distinct(d, parts, false)
-}
-
-// DistinctBound is DistinctN for value sets whose cardinality does not
-// scale with the input (e.g. grouping keys): the result is unscaled.
-func DistinctBound[T comparable](d Dataset[T], parts int) Dataset[T] {
-	return distinct(d, parts, true)
-}
-
-func distinct[T comparable](d Dataset[T], parts int, bound bool) Dataset[T] {
 	if parts <= 0 {
 		parts = d.s.cfg.DefaultParallelism
 	}
 	tables := newSetTables[T]()
 	local := foldPartitions[T](d, tables)
-	if bound {
-		local = local.Unscaled()
-	}
 	outWeight := local.n.weight
 	s := d.s
 	sd := elemShuffleDep[T](local.n)

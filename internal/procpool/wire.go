@@ -315,12 +315,6 @@ func validInput(in *engine.RemoteInput) error {
 			return fmt.Errorf("node input without a node")
 		}
 		return validNode(in.Node)
-	case "concat":
-		for i := range in.Concat {
-			if err := validInput(&in.Concat[i]); err != nil {
-				return err
-			}
-		}
 	default:
 		return fmt.Errorf("unknown input kind %q", in.Kind)
 	}
@@ -344,10 +338,6 @@ func eachInputBlock(in *engine.RemoteInput, f func(id uint64)) {
 		f(in.Block)
 	case "node":
 		eachBlock(in.Node, f)
-	case "concat":
-		for i := range in.Concat {
-			eachInputBlock(&in.Concat[i], f)
-		}
 	}
 }
 

@@ -156,6 +156,11 @@ func TestWireRejectsMalformed(t *testing.T) {
 			t.Fatalf("malformed task parsed: %s", js)
 		}
 	}
+	// A narrow dep reads at most one partition: there is no fan-in kind.
+	concat := `{"root":{"op":"x","inputs":[{"kind":"concat","concat":[{"kind":"empty"}]}]}}`
+	if _, _, err := parseTask(append(make([]byte, 8), concat...)); err == nil || !strings.Contains(err.Error(), `unknown input kind "concat"`) {
+		t.Fatalf("concat input: got %v, want an unknown input kind", err)
+	}
 }
 
 // fakeDriver listens where a worker will dial, runs workerRun against it
@@ -249,7 +254,6 @@ func FuzzRemoteTask(f *testing.F) {
 			{Kind: "block", Block: 12},
 			{Kind: "empty"},
 			{Kind: "node", Node: &engine.RemoteNode{Op: "identity", Inputs: []engine.RemoteInput{{Kind: "block", Block: 13}}}},
-			{Kind: "concat", Concat: []engine.RemoteInput{{Kind: "block", Block: 12}, {Kind: "empty"}}},
 		},
 	}})
 	if err != nil {

@@ -4,9 +4,11 @@
 // task's memory), a shredded bag keeps the top-level bag as flat
 // (key, groupID, size) records and the inner-bag contents as a keyed
 // dictionary bag of (groupID, value) pairs spread across ordinary
-// partitions. Lifted operations run directly on the dictionary as flat
-// dataflow; only at a consumption boundary (CollectNested/SaveNested)
-// is the dictionary un-shredded back into per-group slices, and even
+// partitions. The lifted operations of the nested-bag lowering
+// (internal/core) need no shredded versions: its tagged inner bag is keyed
+// by the same group identity, so it already is the dictionary. Only at a
+// consumption boundary (CollectNested/SaveNested) is the dictionary
+// un-shredded back into per-group slices, and even
 // that un-shredding is a spill-friendly group-by plus a dictionary join
 // rather than a single-task group build. The design follows "Scalable
 // Querying of Nested Data" (shredded compilation: top-level bag +
@@ -26,9 +28,8 @@ import "matryoshka/internal/engine"
 // 64-bit dictionary identity, and the observed inner-bag size (in
 // simulated rows, at the weight of the dataset that was shredded).
 //
-// Size is the size observed when the bag was shredded. Lifted
-// filter/map do not rewrite it — it documents the grouping the
-// optimizer reasoned about, not the current dictionary cardinality.
+// Size is the size observed when the bag was shredded: the grouping the
+// optimizer reasons about.
 type Record[K comparable] struct {
 	Key   K
 	Group uint64
@@ -101,68 +102,6 @@ func Observe[K comparable, V any](b Bag[K, V]) (Stats, error) {
 		}
 	}
 	return st, nil
-}
-
-// MapValues is the lifted map: apply f to every inner element of every
-// group. Flat narrow dataflow over the dictionary; Top is unchanged.
-func MapValues[K comparable, V, W any](b Bag[K, V], f func(V) W) Bag[K, W] {
-	return Bag[K, W]{
-		Top: b.Top,
-		Dict: engine.Map(b.Dict, func(p engine.Pair[uint64, V]) engine.Pair[uint64, W] {
-			return engine.KV(p.Key, f(p.Val))
-		}),
-	}
-}
-
-// FilterValues is the lifted filter: keep the inner elements satisfying
-// pred. Top keeps its shred-time Sizes (see Record); groups whose
-// dictionary entries all drop simply become empty in the dictionary,
-// exactly like an inner bag filtered to nothing.
-func FilterValues[K comparable, V any](b Bag[K, V], pred func(V) bool) Bag[K, V] {
-	return Bag[K, V]{
-		Top: b.Top,
-		Dict: engine.MapPartitions(b.Dict, func(in []engine.Pair[uint64, V]) []engine.Pair[uint64, V] {
-			out := make([]engine.Pair[uint64, V], 0, len(in))
-			for _, p := range in {
-				if pred(p.Val) {
-					out = append(out, p)
-				}
-			}
-			return out
-		}),
-	}
-}
-
-// ReduceValues is the lifted reduce (InnerScalar extraction): fold each
-// group's inner bag with f and re-key the per-group scalar by the
-// original top-level key via a dictionary join with Top. Groups left
-// empty by a lifted filter produce no row, matching the nested
-// semantics of reducing an empty bag.
-func ReduceValues[K comparable, V any](b Bag[K, V], f func(V, V) V) engine.Dataset[engine.Pair[K, V]] {
-	reduced := engine.ReduceByKey(b.Dict, f)
-	return rekey(b, reduced)
-}
-
-// CountValues is the lifted count over the current dictionary (after
-// any lifted filters), as a per-key scalar dataset.
-func CountValues[K comparable, V any](b Bag[K, V]) engine.Dataset[engine.Pair[K, int64]] {
-	counts := engine.ReduceByKey(
-		engine.Map(b.Dict, func(p engine.Pair[uint64, V]) engine.Pair[uint64, int64] {
-			return engine.KV(p.Key, int64(1))
-		}),
-		func(a, b int64) int64 { return a + b })
-	return rekey(b, counts)
-}
-
-// rekey joins a per-group scalar dataset back to the original keys
-// through Top's (groupID -> key) directory.
-func rekey[K comparable, V, W any](b Bag[K, V], scalars engine.Dataset[engine.Pair[uint64, W]]) engine.Dataset[engine.Pair[K, W]] {
-	keys := engine.Map(b.Top, func(r Record[K]) engine.Pair[uint64, K] {
-		return engine.KV(r.Group, r.Key)
-	})
-	return engine.Map(engine.Join(keys, scalars), func(p engine.Pair[uint64, engine.Tuple2[K, W]]) engine.Pair[K, W] {
-		return engine.KV(p.Val.A, p.Val.B)
-	})
 }
 
 // Unshred converts the shredded bag back to materialized per-group

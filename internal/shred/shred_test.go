@@ -69,41 +69,6 @@ func TestUnshredMatchesGroupByKey(t *testing.T) {
 	}
 }
 
-// TestLiftedOpsMatchReference: lifted map/filter/reduce/count over the
-// dictionary agree with the per-group sequential reference.
-func TestLiftedOpsMatchReference(t *testing.T) {
-	s := testSession()
-	data := skewedPairs(2000, 23)
-	b := Shred(engine.Parallelize(s, data, 8))
-
-	doubledThenOdd := FilterValues(MapValues(b, func(v int64) int64 { return v + 1 }),
-		func(v int64) bool { return v%2 == 1 })
-	sums, err := engine.CollectMap(ReduceValues(doubledThenOdd, func(a, b int64) int64 { return a + b }))
-	if err != nil {
-		t.Fatalf("ReduceValues: %v", err)
-	}
-	counts, err := engine.CollectMap(CountValues(doubledThenOdd))
-	if err != nil {
-		t.Fatalf("CountValues: %v", err)
-	}
-
-	wantSum := map[int]int64{}
-	wantCount := map[int]int64{}
-	for _, p := range data {
-		v := p.Val + 1
-		if v%2 == 1 {
-			wantSum[p.Key] += v
-			wantCount[p.Key]++
-		}
-	}
-	if !reflect.DeepEqual(sums, wantSum) {
-		t.Fatalf("lifted reduce = %v, want %v", sums, wantSum)
-	}
-	if !reflect.DeepEqual(counts, wantCount) {
-		t.Fatalf("lifted count = %v, want %v", counts, wantCount)
-	}
-}
-
 // TestTopRecordsEnumerateGroupsOnce: Top holds exactly one record per
 // key with the observed size, and Group is the session's stable key
 // hash (the same identity the tag lowering mints).
