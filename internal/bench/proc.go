@@ -20,6 +20,9 @@ import (
 // The k-means rows are the Fig. 1 workload (the inner-parallel plan ships
 // its assign/reduce stages to workers; the outer-parallel plan's MapCtx
 // UDF has no portable form and exercises the driver-local fallback). The
+// inner plan's cached points stay on the pool for the session, so the
+// "2nd session" row runs it again on the same pool: the first session's
+// Close must have released them, and the second puts them afresh. The
 // chaos row is the lineage-recovery diamond, run here without a fault
 // plan — fault injection is the simulator's; real crashes are covered by
 // the procpool test suite's kill hook.
@@ -66,8 +69,10 @@ func ProcAB(sc Scale, workers int) (string, error) {
 	}
 
 	ksp := kmeansSpec(sc, 8)
-	if err := run("k-means/inner", true, func() tasks.Outcome { return ksp.Run(tasks.InnerParallel, cc) }); err != nil {
-		return "", err
+	for _, name := range []string{"k-means/inner", "2nd session"} {
+		if err := run(name, true, func() tasks.Outcome { return ksp.Run(tasks.InnerParallel, cc) }); err != nil {
+			return "", err
+		}
 	}
 	if err := run("k-means/outer", false, func() tasks.Outcome { return ksp.Run(tasks.OuterParallel, cc) }); err != nil {
 		return "", err

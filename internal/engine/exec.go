@@ -45,6 +45,11 @@ type job struct {
 	// bcastBytes records the residency charged per pinned broadcast dep,
 	// so recovery can unpin a broadcast it re-lowers away.
 	bcastBytes map[*dep]int64
+	// listed holds the cached-partition block ids the job's remote specs
+	// listed as Resident: the blocks a process pool keeps past the job's
+	// end, and so the only cacheBlocks entries job.end keeps. Nil until a
+	// spec lists one.
+	listed map[uint64]bool
 
 	// attempts counts launches per stage root (recovery bounds reruns);
 	// raised tracks the cumulative partition-raise factor per stage root;
@@ -135,13 +140,20 @@ func (s *Session) newJob() *job {
 }
 
 // end releases the shuffle blocks the job still holds — those of a stage
-// that never ran or never succeeded — and lets the free list forget what
-// the job had no use for.
+// that never ran or never succeeded — lets the free list forget what the
+// job had no use for, and forgets every cached block id the job did not
+// list: the backend's ReleaseBroadcasts, which follows, drops exactly
+// those blocks.
 func (j *job) end() {
 	for _, r := range j.blocks {
 		j.releaseBlocks(r)
 	}
 	j.s.arenas.endJob()
+	for n := range j.s.resident {
+		if !n.keepBlocks(func(id uint64) bool { return j.listed[id] }) {
+			delete(j.s.resident, n)
+		}
+	}
 }
 
 // launchStage runs the tasks of stage st (rooted at n) for real on the
@@ -274,6 +286,7 @@ func (j *job) commit(n *node, parts []Batch, rep cluster.StageReport) stageResul
 	if n.cached {
 		n.cacheMu.Lock()
 		n.cacheData = parts
+		n.cacheBlocks = nil
 		n.cacheMu.Unlock()
 	}
 	return stageResult{rep: rep}
@@ -300,6 +313,12 @@ func (j *job) launchStageRemote(n *node, st *stage) (stageResult, bool) {
 	spec, owners, err := j.buildRemoteSpec(n, j.s.remote.PutBlock)
 	if err != nil {
 		return driverLocal(err)
+	}
+	for _, id := range spec.Resident {
+		if j.listed == nil {
+			j.listed = map[uint64]bool{}
+		}
+		j.listed[id] = true
 	}
 	wallStart := time.Now()
 	res, err := j.s.remote.RunRemoteStage(context.Background(), spec)
@@ -348,7 +367,8 @@ func (j *job) launchStageRemote(n *node, st *stage) (stageResult, bool) {
 //   - *BlockLostError: a stored block failed its integrity check. The
 //     failure is pinned on the block's producing node (owners map) as a
 //     fetch failure, so lineage recomputation rebuilds exactly that
-//     output — corrupt bytes never reach results.
+//     output — corrupt bytes never reach results. A lost cached partition
+//     is forgotten, so the retry puts it again from the intact cacheData.
 //   - *QuorumLostError: the pool is below its live-worker quorum. Also a
 //     fetch-style failure (no specific lost parent), so the bounded job
 //     retry — not an infinite driver wait — decides the job's fate.
@@ -369,7 +389,9 @@ func (j *job) classifyRemoteErr(n *node, st *stage, err error, owners map[uint64
 		ff := &cluster.FetchFailedError{Machine: -1, Parts: []int{0}, Total: 1}
 		if owner != nil {
 			ff.Total = owner.parts
+			owner.keepBlocks(func(id uint64) bool { return id != blockLost.Block })
 		}
+		delete(j.listed, blockLost.Block)
 		return &stageFailure{
 			root: n, st: st, fetch: ff, lost: owner,
 			err: fmt.Errorf("engine: stage %q (%s): %w", n.label, j.chainOf(st), err),

@@ -112,6 +112,12 @@ type node struct {
 	cached    bool
 	cacheMu   sync.Mutex
 	cacheData []Batch
+	// cacheBlocks[p] is the RemoteRunner block id cacheData[p] was put
+	// under (0: not put, or forgotten), so a process pool receives each
+	// cached partition once per session rather than once per job
+	// (buildRemoteSpec). Reset with cacheData; a job that does not list an
+	// id forgets it (job.end), as the backend then drops the block.
+	cacheBlocks []uint64
 }
 
 // Ctx carries per-task cost accounting. Operator UDFs that do significant
@@ -276,6 +282,25 @@ func (s *Session) newNode(label string, parts int, deps []dep, compute func(tc *
 		p.cacheMu.Unlock()
 	}
 	return n
+}
+
+// keepBlocks forgets every cacheBlocks id keep rejects and reports
+// whether any is left.
+func (n *node) keepBlocks(keep func(id uint64) bool) bool {
+	n.cacheMu.Lock()
+	defer n.cacheMu.Unlock()
+	left := false
+	for p, id := range n.cacheBlocks {
+		if id != 0 && keep(id) {
+			left = true
+		} else {
+			n.cacheBlocks[p] = 0
+		}
+	}
+	if !left {
+		n.cacheBlocks = nil
+	}
+	return left
 }
 
 func narrowDep(parent *node) dep { return dep{parent: parent, kind: depNarrow} }

@@ -184,6 +184,14 @@ func MarkCombinePortable[T any](d Dataset[T], op string, arg []byte) Dataset[T] 
 type RemoteStageSpec struct {
 	Label string       `json:"label"`
 	Tasks []RemoteTask `json:"tasks"`
+	// Resident lists the blocks the tasks read that are partitions of a
+	// cached dataset, put once for the session: the runner keeps every
+	// block a spec of the current job listed here past ReleaseBroadcasts
+	// and drops every other one (see RemoteRunner). A resident block's
+	// batch is the node cache's and never changes, so the runner may keep
+	// the batch put rather than its encoding. It stays on the driver;
+	// task frames do not carry it.
+	Resident []uint64 `json:"resident,omitempty"`
 }
 
 // RemoteTask computes one output partition of the stage root.
@@ -230,6 +238,13 @@ type RemoteStageResult struct {
 // fetch-style stage failures (lineage recovery / bounded job retry),
 // *PoisonTaskError and ctx errors fail the stage hard, and any other
 // error means "run this stage driver-local".
+//
+// A stored block lives until the backend's ReleaseBroadcasts, the
+// end-of-job hook, and past it exactly when a spec passed to
+// RunRemoteStage since the previous ReleaseBroadcasts listed it in
+// Resident — unless the block was found lost. The engine applies the same
+// rule to the ids it remembers (node.cacheBlocks), so both sides agree on
+// what survives a job without a call of their own.
 type RemoteRunner interface {
 	PutBlock(b Batch) (uint64, error)
 	RunRemoteStage(ctx context.Context, spec *RemoteStageSpec) (*RemoteStageResult, error)
@@ -272,7 +287,9 @@ func (j *job) stagePortable(n *node) error {
 
 // buildRemoteSpec assembles the shippable spec for the stage rooted at n,
 // storing every leaf batch through put exactly once (batches shared across
-// tasks — broadcasts, fan-in reads — dedupe on identity). It mirrors
+// tasks — broadcasts, fan-in reads — dedupe on identity). A cached node's
+// partition is put once per session: its id is kept in cacheBlocks, reused
+// by every later spec and listed in spec.Resident. It mirrors
 // evalPartDirect's per-operator input assembly exactly; fusion never
 // applies remotely, which the fused-vs-per-operator suites (fuse_test.go,
 // TestRandomDAGFusedMatchesPerOperator) prove is invisible to results.
@@ -280,6 +297,7 @@ func (j *job) stagePortable(n *node) error {
 // so a BlockLostError from the runner can be pinned on its producing stage
 // for lineage recomputation.
 func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*RemoteStageSpec, map[uint64]*node, error) {
+	spec := &RemoteStageSpec{Label: n.label, Tasks: make([]RemoteTask, 0, n.parts)}
 	ids := map[Batch]uint64{}
 	owners := map[uint64]*node{}
 	blockInput := func(owner *node, b Batch) (RemoteInput, error) {
@@ -297,11 +315,43 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 		owners[id] = owner
 		return RemoteInput{Kind: "block", Block: id}, nil
 	}
+	cachedInput := func(nd *node, data []Batch, pp int) (RemoteInput, error) {
+		b := data[pp]
+		if _, ok := ids[b]; ok || b == nil || b == zeroBatch {
+			return blockInput(nd, b)
+		}
+		nd.cacheMu.Lock()
+		defer nd.cacheMu.Unlock()
+		if pp < len(nd.cacheBlocks) && nd.cacheBlocks[pp] != 0 {
+			id := nd.cacheBlocks[pp]
+			ids[b] = id
+			owners[id] = nd
+			spec.Resident = append(spec.Resident, id)
+			return RemoteInput{Kind: "block", Block: id}, nil
+		}
+		in, err := blockInput(nd, b)
+		if err != nil {
+			return in, err
+		}
+		if nd.cacheBlocks == nil {
+			nd.cacheBlocks = make([]uint64, len(data))
+			if j.s.resident == nil {
+				j.s.resident = map[*node]bool{}
+			}
+			j.s.resident[nd] = true
+		}
+		nd.cacheBlocks[pp] = in.Block
+		spec.Resident = append(spec.Resident, in.Block)
+		return in, nil
+	}
 
 	var buildNode func(nd *node, p int) (*RemoteNode, error)
 	var inputFor func(nd *node, pp int) (RemoteInput, error)
 	inputFor = func(nd *node, pp int) (RemoteInput, error) {
 		if cp, ok := j.front[nd]; ok {
+			if nd.cached {
+				return cachedInput(nd, cp.data, pp)
+			}
 			return blockInput(nd, cp.data[pp])
 		}
 		if len(nd.deps) == 0 {
@@ -344,7 +394,6 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 		return rn, nil
 	}
 
-	spec := &RemoteStageSpec{Label: n.label, Tasks: make([]RemoteTask, 0, n.parts)}
 	for p := 0; p < n.parts; p++ {
 		root, err := buildNode(n, p)
 		if err != nil {
@@ -379,7 +428,7 @@ type RemoteEvaluator struct {
 type kernelKey struct{ op, arg string }
 
 // Reset forgets every resolved kernel (and the scratch it pooled). The
-// worker calls it when a job ends, with the block cache.
+// worker calls it when a job ends; its cached blocks may outlive the job.
 func (e *RemoteEvaluator) Reset() { e.kernels = nil }
 
 // RunRemoteTask evaluates one shipped task: fetch leaf blocks and run the

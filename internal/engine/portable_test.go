@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -52,6 +53,14 @@ type fakeRemoteRunner struct {
 	eval               RemoteEvaluator
 	stages             int
 	tasks              int
+	specs              []*RemoteStageSpec // every spec received, failed ones too
+	releases           int                // ReleaseBroadcasts calls
+	lose               uint64             // a block to report lost once, when a stage reads it
+}
+
+func (f *fakeRemoteRunner) ReleaseBroadcasts() {
+	f.releases++
+	f.Simulator.ReleaseBroadcasts()
 }
 
 func newFakeRemoteRunner(t *testing.T) *fakeRemoteRunner {
@@ -80,6 +89,15 @@ func (f *fakeRemoteRunner) PutBlock(b Batch) (uint64, error) {
 }
 
 func (f *fakeRemoteRunner) RunRemoteStage(_ context.Context, spec *RemoteStageSpec) (*RemoteStageResult, error) {
+	f.specs = append(f.specs, spec)
+	for i := range spec.Tasks {
+		for _, in := range spec.Tasks[i].Root.Inputs {
+			if id := in.Block; id != 0 && id == f.lose {
+				f.lose = 0
+				return nil, &BlockLostError{Block: id, Reason: "test"}
+			}
+		}
+	}
 	parts := make([]Batch, len(spec.Tasks))
 	for i := range spec.Tasks {
 		b, err := f.eval.RunRemoteTask(&spec.Tasks[i], func(id uint64) (Batch, error) {
@@ -212,5 +230,77 @@ func TestUnportableStageFallsBackDriverLocal(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no driver-local fallback decision logged; decisions: %+v", rec.Decisions())
+	}
+}
+
+// TestCachedPartitionsPutOncePerSession: a cached dataset's partitions
+// are put once for the session and listed as resident by every spec that
+// reads them. A job that does not read them forgets their ids, as the
+// backend drops those blocks at its end, so a later job puts them again.
+// A lost one is put again by the job that lost it. Close hands the
+// backend one more ReleaseBroadcasts when the session holds any, and
+// closing twice releases nothing more.
+func TestCachedPartitionsPutOncePerSession(t *testing.T) {
+	fr := newFakeRemoteRunner(t)
+	sess, err := NewSession(Config{Backend: fr, Recover: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]int, 100)
+	for i := range data {
+		data[i] = i
+	}
+	cached := Parallelize(sess, data, 4).Cache()
+	scale := func(k int) {
+		t.Helper()
+		f := func(x int) int { return k * x }
+		got, err := Collect(MarkPortable(Map(cached, f), "ptest.scale", []byte(strconv.Itoa(k))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range got {
+			if x != k*data[i] {
+				t.Fatalf("scale %d: element %d = %d, want %d", k, i, x, k*data[i])
+			}
+		}
+	}
+	lastResident := func() []uint64 { return fr.specs[len(fr.specs)-1].Resident }
+
+	scale(2)
+	first := lastResident()
+	if fr.next != 4 || len(first) != 4 {
+		t.Fatalf("first job: %d puts, %d resident ids; want 4 and 4", fr.next, len(first))
+	}
+	scale(3)
+	if fr.next != 4 || !reflect.DeepEqual(lastResident(), first) {
+		t.Fatalf("second job: %d puts, resident %v; want 4 and %v", fr.next, lastResident(), first)
+	}
+
+	// A lost resident block is put again, alone, by the job that lost it.
+	fr.lose = first[1]
+	scale(4)
+	again := lastResident()
+	if fr.next != 5 || again[1] != 5 || again[0] != first[0] || again[2] != first[2] {
+		t.Fatalf("after losing block %d: %d puts, resident %v; want 5 puts and only id %d replaced", first[1], fr.next, again, first[1])
+	}
+
+	// A job that does not read the cached dataset lets its blocks go.
+	if _, err := Collect(MarkPortable(Map(Parallelize(sess, data, 2), func(x int) int { return x }), "ptest.scale", []byte("1"))); err != nil {
+		t.Fatal(err)
+	}
+	if cached.n.cacheBlocks != nil || len(sess.resident) != 0 {
+		t.Fatalf("unread cached blocks kept: %v (%d resident nodes)", cached.n.cacheBlocks, len(sess.resident))
+	}
+	puts := fr.next
+	scale(5)
+	if fr.next != puts+4 || slices.Contains(first, lastResident()[0]) {
+		t.Fatalf("after a job without them: %d new puts, resident %v; want 4 fresh ids", fr.next-puts, lastResident())
+	}
+
+	releases := fr.releases
+	sess.Close()
+	sess.Close()
+	if fr.releases != releases+1 || cached.n.cacheBlocks != nil {
+		t.Fatalf("Close twice: %d releases, cache blocks %v; want 1 and none", fr.releases-releases, cached.n.cacheBlocks)
 	}
 }

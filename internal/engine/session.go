@@ -133,6 +133,10 @@ type Session struct {
 	// Recorder methods are nil-safe).
 	obs *obs.Recorder
 
+	// resident is the set of cached nodes whose partitions a process pool
+	// holds under their cacheBlocks ids across jobs. Guarded by mu.
+	resident map[*node]bool
+
 	// feedback carries runtime failures back to the lowering phase:
 	// denylisted physical choices and partition-count boosts. Always
 	// non-nil; it only receives entries when Config.Recover is on.
@@ -247,15 +251,27 @@ func NewSession(cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// Close releases the session's host worker pool and its recycled shuffle
-// memory. The session must not be used afterwards. Closing is optional —
-// abandoned sessions are cleaned up by the garbage collector — but makes
-// the release deterministic.
+// Close releases the session's host worker pool, its recycled shuffle
+// memory and the cached partitions a process pool holds for it. The
+// session must not be used afterwards. Closing is optional — abandoned
+// sessions are cleaned up by the garbage collector, and a pool drops an
+// abandoned session's blocks at the end of the next session's first job —
+// but makes the release deterministic. Closing twice is safe.
 func (s *Session) Close() {
 	s.pool.close()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.arenas = arenaList{}
-	s.mu.Unlock()
+	if len(s.resident) == 0 {
+		return
+	}
+	for n := range s.resident {
+		n.keepBlocks(func(uint64) bool { return false })
+	}
+	s.resident = nil
+	// No spec has listed a block since the last job ended, so the
+	// backend keeps none.
+	s.exec.ReleaseBroadcasts()
 }
 
 // stageCosts returns a zeroed []cluster.Task of length n backed by the

@@ -12,12 +12,16 @@ import (
 )
 
 // blockStore holds the encoded batch frames workers fetch by id: shuffle
-// blocks, broadcast pins, materialized frontier partitions. Frames live in
-// memory up to a byte budget; past it the oldest frames spill to per-block
-// temp files (oldest-first: a stage's own inputs were put most recently
-// and are the ones about to be fetched). Ids are monotonic for the life of
-// the store, so a worker-side cache can never alias two different blocks
-// across jobs even though clear() empties the store between them.
+// blocks, broadcast pins, materialized frontier partitions, cached
+// partitions. Frames live in memory up to a byte budget; past it the
+// oldest frames spill to per-block temp files (oldest-first: a stage's own
+// inputs were put most recently and are the ones about to be fetched).
+// At each job end retain drops every block but the cached partitions the
+// job listed as resident, which stay for the session — as the batch the
+// driver already holds in its node cache, not as a second copy in frame
+// form, and encoded again when one is pushed. Ids are monotonic for the
+// life of the store, so a worker-side cache can never alias two different
+// blocks across jobs.
 //
 // Spill files are integrity-checked: each is a u32 big-endian CRC-32C of
 // the frame followed by the frame bytes. A read that fails the checksum —
@@ -35,6 +39,12 @@ type blockStore struct {
 	order    []uint64 // in-memory ids, insertion order (spill candidates)
 	memBytes int64
 	disk     map[uint64]string // spilled id -> file path
+	// src holds the batch behind every block put since the last retain,
+	// and the batch of every block a retain kept. A block retain kept is
+	// served from it; any other is served from its frame, so a spill
+	// file that fails its checksum is a lost block even though its batch
+	// is here.
+	src map[uint64]engine.Batch
 
 	spilledBlocks int
 	spilledBytes  int64
@@ -51,16 +61,21 @@ func newBlockStore(dir string, budget int64) *blockStore {
 		budget: budget,
 		mem:    map[uint64][]byte{},
 		disk:   map[uint64]string{},
+		src:    map[uint64]engine.Batch{},
 	}
 }
 
-// put stores one encoded frame and returns its id, spilling oldest
-// in-memory frames to disk while the budget is exceeded.
-func (s *blockStore) put(frame []byte) (uint64, error) {
+// put stores b, encoded as frame, and returns its id, spilling oldest
+// in-memory frames to disk while the budget is exceeded. The store serves
+// b itself only once retain has kept it, so b may change until then (the
+// engine recycles shuffle blocks) but not after (a resident block is a
+// cached partition, which never changes).
+func (s *blockStore) put(b engine.Batch, frame []byte) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.next++
 	id := s.next
+	s.src[id] = b
 	s.mem[id] = frame
 	s.order = append(s.order, id)
 	s.memBytes += int64(len(frame))
@@ -92,10 +107,10 @@ func (s *blockStore) put(frame []byte) (uint64, error) {
 
 // get returns the encoded frame for id, reading it back from its spill
 // file if it left memory (without re-admitting it: a spilled block is
-// usually fetched once per worker and cached there). A spill file that is
-// missing, truncated, or fails its checksum is reported as
-// engine.BlockLostError — a lost block for lineage to recompute — never
-// as data.
+// usually fetched once per worker and cached there), or encoding the batch
+// of a block retain kept. A spill file that is missing, truncated, or
+// fails its checksum is reported as engine.BlockLostError — a lost block
+// for lineage to recompute — never as data.
 func (s *blockStore) get(id uint64) ([]byte, error) {
 	s.mu.Lock()
 	if data, ok := s.mem[id]; ok {
@@ -103,7 +118,11 @@ func (s *blockStore) get(id uint64) ([]byte, error) {
 		return data, nil
 	}
 	path, ok := s.disk[id]
+	b, held := s.src[id]
 	s.mu.Unlock()
+	if !ok && held {
+		return engine.EncodeBatch(nil, b)
+	}
 	if !ok {
 		return nil, fmt.Errorf("procpool: unknown block %d", id)
 	}
@@ -122,17 +141,28 @@ func (s *blockStore) get(id uint64) ([]byte, error) {
 	return data, nil
 }
 
-// clear drops every block and deletes spill files. Ids keep counting up.
-func (s *blockStore) clear() {
+// retain keeps the blocks whose ids are in keep as their batches, drops
+// every other block, deletes every spill file and returns the ids it
+// kept. retain(nil) empties the store. Ids keep counting up.
+func (s *blockStore) retain(keep map[uint64]bool) map[uint64]bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, path := range s.disk {
 		os.Remove(path)
 	}
+	kept := map[uint64]bool{}
+	for id := range s.src {
+		if keep[id] {
+			kept[id] = true
+		} else {
+			delete(s.src, id)
+		}
+	}
 	s.mem = map[uint64][]byte{}
 	s.disk = map[uint64]string{}
 	s.order = nil
 	s.memBytes = 0
+	return kept
 }
 
 // spillStats reports how many blocks (and bytes) have ever spilled.

@@ -74,7 +74,7 @@ func TestBlockStoreDetectsDamage(t *testing.T) {
 	frame := []byte("the quick brown fox jumps over the lazy dog")
 	vandalize := func(f func(path string)) error {
 		s := newBlockStore(t.TempDir(), 1) // everything spills
-		id, err := s.put(append([]byte(nil), frame...))
+		id, err := s.put(nil, append([]byte(nil), frame...))
 		if err != nil {
 			t.Fatalf("put: %v", err)
 		}
@@ -121,7 +121,7 @@ func TestBlockStoreDetectsDamage(t *testing.T) {
 	}
 	// Undamaged control: the spill round-trips.
 	s := newBlockStore(t.TempDir(), 1)
-	id, _ := s.put(append([]byte(nil), frame...))
+	id, _ := s.put(nil, append([]byte(nil), frame...))
 	got, err := s.get(id)
 	if err != nil {
 		t.Fatalf("clean spill: %v", err)
@@ -231,6 +231,49 @@ func TestDroppedBlockIsPushedAgain(t *testing.T) {
 	}
 	if st := pool.Stats(); st.MachineCrashes != 0 || pool.Respawns() != 0 {
 		t.Fatalf("a dropped block cost %d crashes and %d respawns, want none", st.MachineCrashes, pool.Respawns())
+	}
+}
+
+// TestDroppedResidentBlockIsPushedAgain drops the push of a block the
+// stage lists as resident — the fourth task's, as in
+// TestDroppedBlockIsPushedAgain — so it is pushed again. The job's end
+// keeps all four blocks in the store and on the worker, and the next
+// job's stage over three of them sends three task frames and no block.
+func TestDroppedResidentBlockIsPushedAgain(t *testing.T) {
+	pool := startPool(t, Config{Workers: 1, Faults: FaultPlan{DropEveryFrames: 7}})
+	spec, want := blockSpec(t, pool, "dropped-resident", 4)
+	for _, task := range spec.Tasks {
+		spec.Resident = append(spec.Resident, task.Root.Inputs[0].Block)
+	}
+	res, err := pool.RunRemoteStage(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("stage with a dropped resident block: %v", err)
+	}
+	checkParts(t, res.Parts, want)
+	pool.ReleaseBroadcasts()
+	if got := pool.storeIDs(); !reflect.DeepEqual(got, spec.Resident) {
+		t.Fatalf("store keeps %v, want the resident %v", got, spec.Resident)
+	}
+	w := pool.snapshotWorkers()[0]
+	w.wmu.Lock()
+	held := len(w.held)
+	w.wmu.Unlock()
+	if held != 4 {
+		t.Fatalf("worker is believed to hold %d blocks, want 4", held)
+	}
+
+	next := &engine.RemoteStageSpec{Label: "resident-again", Tasks: spec.Tasks[:3], Resident: spec.Resident[:3]}
+	res, err = pool.RunRemoteStage(context.Background(), next)
+	if err != nil {
+		t.Fatalf("second job: %v", err)
+	}
+	checkParts(t, res.Parts, want[:3])
+	if got := atomic.LoadUint64(&pool.frameSeq); got != 13 {
+		t.Fatalf("%d data-plane frames, want 13: ten in the first job, three tasks in the second", got)
+	}
+	pool.ReleaseBroadcasts()
+	if got := pool.storeIDs(); !reflect.DeepEqual(got, next.Resident) {
+		t.Fatalf("store keeps %v after the second job, want %v", got, next.Resident)
 	}
 }
 

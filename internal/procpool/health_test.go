@@ -315,15 +315,28 @@ func TestCtxCancelStopsDispatch(t *testing.T) {
 }
 
 // TestCloseDrainsEverything: after Close, no worker process may survive
-// (drained or killed, but always reaped) and the pool's temp directory —
+// (drained or killed, but always reaped), the store holds no block — not
+// even one a job kept as resident — and the pool's temp directory —
 // socket, spill files — must be gone.
 func TestCloseDrainsEverything(t *testing.T) {
-	pool, err := Start(Config{Workers: 3, DrainTimeout: 2 * time.Second})
+	pool, err := Start(Config{Workers: 3, DrainTimeout: 2 * time.Second, MemoryBudget: 1})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
 	if _, err := pool.RunRemoteStage(context.Background(), opSpec("pre-close", "htest.ok", nil, 3)); err != nil {
 		t.Fatalf("stage: %v", err)
+	}
+	spec, _ := blockSpec(t, pool, "resident", 3)
+	spec.Resident = []uint64{spec.Tasks[1].Root.Inputs[0].Block}
+	if _, err := pool.RunRemoteStage(context.Background(), spec); err != nil {
+		t.Fatalf("resident stage: %v", err)
+	}
+	pool.ReleaseBroadcasts()
+	if got := pool.storeIDs(); !reflect.DeepEqual(got, spec.Resident) {
+		t.Fatalf("store keeps %v, want the resident %v", got, spec.Resident)
+	}
+	if files, _ := filepath.Glob(filepath.Join(pool.dir, "blk-*")); len(files) != 0 {
+		t.Fatalf("spill files %v survived the job's end: the resident block is kept as its batch", files)
 	}
 	var pids []int
 	for _, w := range pool.snapshotWorkers() {
@@ -340,6 +353,9 @@ func TestCloseDrainsEverything(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("pool dir %s survived Close (stat err %v)", dir, err)
+	}
+	if got := pool.storeIDs(); len(got) != 0 {
+		t.Fatalf("store holds %v after Close", got)
 	}
 	// Close is idempotent.
 	pool.Close()

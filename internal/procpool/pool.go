@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,7 +184,7 @@ type workerProc struct {
 
 	wmu  sync.Mutex      // serializes frame writes to bw, guards held
 	bw   *bufio.Writer   // conn, buffered: a share is written through it and flushed once
-	held map[uint64]bool // blocks pushed to this incarnation since the last msgClearCache
+	held map[uint64]bool // blocks this incarnation holds: pushed to it, and not dropped by a msgClearCache since
 
 	mu       sync.Mutex
 	dead     bool
@@ -239,7 +240,9 @@ type poolOutput struct {
 // and worker crashes surface as fetch failures the engine recovers from.
 // Create with Start, stop with Close. A Pool may serve many sequential
 // sessions (the engine runs one stage at a time per session; Pools are
-// not meant to be shared by concurrent sessions).
+// not meant to be shared by concurrent sessions). A session's cached
+// partitions stay in the store and in the workers from the job that
+// first reads them until the session's Close (ReleaseBroadcasts).
 //
 // Dispatch is one pipeline per (worker, stage): RunRemoteStage hands each
 // live worker its whole share — input blocks pushed ahead of the tasks
@@ -285,6 +288,7 @@ type Pool struct {
 	clockOffset float64
 	lastClock   float64
 	pinned      int64
+	keep        map[uint64]bool // blocks the current job's specs listed as resident (ReleaseBroadcasts keeps them)
 	outputs     map[cluster.OutputID]*poolOutput
 	nextOut     cluster.OutputID
 	rrOut       int // round-robin cursor for RegisterOutput placement
@@ -412,7 +416,7 @@ func (p *Pool) Close() {
 	for _, w := range workers {
 		<-w.exited
 	}
-	p.store.clear()
+	p.store.retain(nil)
 	os.RemoveAll(p.dir)
 }
 
@@ -592,14 +596,15 @@ func (p *Pool) PutBlock(b engine.Batch) (uint64, error) {
 		return 0, err
 	}
 	atomic.AddInt64(&p.localPut, 1)
-	return p.store.put(frame)
+	return p.store.put(b, frame)
 }
 
 // RunRemoteStage splits the spec's tasks round-robin into one share per
 // live worker, ships every share whole (runShare) and collects the decoded
-// result partitions. Workers run their shares in order, so when one dies
-// the task to blame is the first one of its share it had been sent and not
-// answered; that task is re-dispatched on a survivor — until
+// result partitions. The spec's Resident blocks join the set the job's end
+// keeps (ReleaseBroadcasts). Workers run their shares in order, so when one
+// dies the task to blame is the first one of its share it had been sent
+// and not answered; that task is re-dispatched on a survivor — until
 // quarantineAfter distinct worker incarnations died under it, at which
 // point it is quarantined (engine.PoisonTaskError; the pool stays live).
 // Everything else the dead worker left unanswered or unsent requeues
@@ -609,6 +614,16 @@ func (p *Pool) PutBlock(b engine.Batch) (uint64, error) {
 func (p *Pool) RunRemoteStage(ctx context.Context, spec *engine.RemoteStageSpec) (*engine.RemoteStageResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if len(spec.Resident) > 0 {
+		p.mu.Lock()
+		if p.keep == nil {
+			p.keep = map[uint64]bool{}
+		}
+		for _, id := range spec.Resident {
+			p.keep[id] = true
+		}
+		p.mu.Unlock()
 	}
 	if len(spec.Tasks) == 0 {
 		return &engine.RemoteStageResult{}, nil
@@ -891,7 +906,8 @@ func (p *Pool) sendShare(ctx context.Context, w *workerProc, spec *engine.Remote
 // pushBlock sends block id to w unless this incarnation already holds it.
 // A spilled block that fails its integrity check comes back as
 // engine.BlockLostError and is counted like a failed shuffle fetch:
-// lineage recomputes it.
+// lineage recomputes it, and the job's end drops it even if it was listed
+// as resident (the engine puts the partition again).
 func (p *Pool) pushBlock(w *workerProc, id uint64) error {
 	w.wmu.Lock()
 	have := w.held[id]
@@ -905,6 +921,7 @@ func (p *Pool) pushBlock(w *workerProc, id uint64) error {
 		if errors.As(err, &bl) {
 			p.mu.Lock()
 			p.stats.FetchFailures++
+			delete(p.keep, id)
 			p.mu.Unlock()
 			p.event("corrupt-block", w.idx, err.Error())
 		}
@@ -978,19 +995,33 @@ func (p *Pool) Unpin(bytes int64) {
 	p.mu.Unlock()
 }
 
-// ReleaseBroadcasts is the end-of-job hook: the job's blocks are dead, so
-// the store empties, workers drop their caches and resolved kernels, and
-// the driver forgets what it pushed to each of them.
+// ReleaseBroadcasts is the end-of-job hook. The blocks the job's specs
+// listed as resident — partitions of cached datasets — stay in the store
+// and in every worker that holds them; every other block is dead, so the
+// store drops it, each worker drops it from its cache (msgClearCache
+// names what that worker keeps) along with its resolved kernels, and the
+// driver forgets it pushed it there. A session's Close calls it once
+// more, with nothing listed, to drop the rest.
 func (p *Pool) ReleaseBroadcasts() {
 	p.mu.Lock()
 	p.pinned = 0
+	keep := p.keep
+	p.keep = nil
 	p.mu.Unlock()
-	p.store.clear()
+	keep = p.store.retain(keep)
 	for _, w := range p.liveWorkers() {
+		var ids []uint64
 		w.wmu.Lock()
-		w.held = map[uint64]bool{}
+		for id := range w.held {
+			if keep[id] {
+				ids = append(ids, id)
+			} else {
+				delete(w.held, id)
+			}
+		}
 		w.wmu.Unlock()
-		w.send(msgClearCache, nil)
+		slices.Sort(ids)
+		w.send(msgClearCache, encodeIDs(ids))
 	}
 }
 

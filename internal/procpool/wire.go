@@ -64,7 +64,7 @@ const (
 	msgTaskResult                 // worker → driver: u64 task id | u8 result tag | see the tags
 	msgBlockData                  // driver → worker: u64 block id | u8 resultOK | batch frame
 	msgHeartbeat                  // worker → driver: empty
-	msgClearCache                 // driver → worker: empty (drop cached blocks and kernels, end of job)
+	msgClearCache                 // driver → worker: u64 block ids to keep (end of job: drop every other cached block, and all kernels)
 	msgShutdown                   // driver → worker: empty (exit cleanly)
 )
 
@@ -363,7 +363,8 @@ func parseTagged(body []byte) (id uint64, tag byte, rest []byte, err error) {
 	return id, tag, r.rest(), nil
 }
 
-// encodeIDs and parseIDs carry the block ids of a resultMissing answer.
+// encodeIDs and parseIDs carry the block ids of a resultMissing answer
+// and of a msgClearCache.
 func encodeIDs(ids []uint64) []byte {
 	b := make([]byte, 0, 8*len(ids))
 	for _, id := range ids {

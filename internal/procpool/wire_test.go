@@ -28,7 +28,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 		msgBlockData:  encodeTagged(77, resultOK, []byte("frame-bytes")),
 		msgTaskResult: encodeTagged(9, resultErr, []byte("boom")),
 		msgHeartbeat:  nil,
-		msgClearCache: nil,
+		msgClearCache: encodeIDs([]uint64{4, 1 << 33}),
 		msgShutdown:   nil,
 	}
 	order := []byte{msgHello, msgHelloAck, msgBlockData, msgTaskResult, msgHeartbeat, msgClearCache, msgShutdown}
@@ -148,6 +148,9 @@ func TestWireRejectsMalformed(t *testing.T) {
 	if _, err := parseIDs([]byte{0, 0, 0, 0, 0, 0, 0, 1, 2}); err == nil {
 		t.Fatal("ragged block-id list parsed")
 	}
+	if ids, err := parseIDs(nil); err != nil || len(ids) != 0 {
+		t.Fatalf("empty keep list: ids %v err %v", ids, err)
+	}
 	if _, _, err := parseTask([]byte{0, 0, 0, 0, 0, 0, 0, 1, '{'}); err == nil {
 		t.Fatal("bad task json parsed")
 	}
@@ -204,8 +207,9 @@ func fakeDriver(t *testing.T, talk func(conn net.Conn)) (code int, stderr string
 
 // TestWorkerSaysWhyItExits: a worker that reads garbage — a frame that
 // fails its checksum, a frame cut short, a pushed block that is not a
-// batch — exits 1 and says what it read; only the driver hanging up at a
-// frame boundary is a clean exit.
+// batch, a keep list that is not whole ids — exits 1 and says what it
+// read; only the driver hanging up at a frame boundary is a clean exit,
+// after a keep list naming blocks the worker never had too.
 func TestWorkerSaysWhyItExits(t *testing.T) {
 	block := appendFrame(nil, msgBlockData, encodeTagged(3, resultOK, []byte("not a batch frame")))
 	corrupt := append([]byte(nil), block...)
@@ -221,6 +225,8 @@ func TestWorkerSaysWhyItExits(t *testing.T) {
 		{"truncated", block[:len(block)-4], 1, "truncated wire frame"},
 		{"bad block", block, 1, "block data"},
 		{"bad task", appendFrame(nil, msgTask, append(make([]byte, 8), malformedTasks[2]...)), 1, "node input without a node"},
+		{"ragged keep list", appendFrame(nil, msgClearCache, make([]byte, 12)), 1, "12 bytes of block ids is not a multiple of 8"},
+		{"unknown keep ids", appendFrame(nil, msgClearCache, encodeIDs([]uint64{5, 6})), 0, ""},
 	}
 	for _, tc := range cases {
 		code, stderr := fakeDriver(t, func(conn net.Conn) { conn.Write(tc.bytes) })
@@ -289,6 +295,7 @@ func FuzzWireFrame(f *testing.F) {
 	writeFrame(&seed, msgBlockData, encodeTagged(9, resultOK, []byte("pushed-block")))
 	writeFrame(&seed, msgTaskResult, encodeTagged(8, resultMissing, encodeIDs([]uint64{9})))
 	writeFrame(&seed, msgHeartbeat, nil)
+	writeFrame(&seed, msgClearCache, encodeIDs([]uint64{9, 12}))
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, byte(msgTask)}) // runt: length below frameOverhead
@@ -318,7 +325,33 @@ func FuzzWireFrame(f *testing.F) {
 				if _, tag, rest, err := parseTagged(body); err == nil && tag == resultMissing {
 					parseIDs(rest)
 				}
+			case msgClearCache:
+				parseIDs(body)
 			}
 		}
 	})
+}
+
+// TestRunnerKeepsListedBlocks: the end of a job keeps exactly the listed
+// blocks the worker holds — an id it never had is ignored — and drops
+// every kernel.
+func TestRunnerKeepsListedBlocks(t *testing.T) {
+	r := taskRunner{cache: map[uint64]engine.Batch{}}
+	for id := uint64(1); id <= 3; id++ {
+		r.cache[id] = sliceBatch([]int{int(id)})
+	}
+	task := &engine.RemoteTask{Root: &engine.RemoteNode{Op: "identity", Inputs: []engine.RemoteInput{{Kind: "block", Block: 2}}}}
+	if tag, _ := r.run(task); tag != resultOK {
+		t.Fatalf("task over a cached block answered tag %d", tag)
+	}
+	r.keep([]uint64{2, 9})
+	if len(r.cache) != 1 || r.cache[2] == nil {
+		t.Fatalf("cache after keeping [2 9]: %v, want block 2 alone", r.cache)
+	}
+	fresh := false
+	r.eval.FirstRun = func() { fresh = true }
+	r.run(task)
+	if !fresh {
+		t.Fatal("a kernel survived the end of the job")
+	}
 }

@@ -141,8 +141,12 @@ func workerRun(sock string) int {
 				return 0
 			}
 		case msgClearCache:
-			runner.cache = map[uint64]engine.Batch{}
-			runner.eval.Reset()
+			ids, perr := parseIDs(body)
+			if perr != nil {
+				fmt.Fprintf(os.Stderr, "procpool worker: clear cache: %v\n", perr)
+				return 1
+			}
+			runner.keep(ids)
 		case msgShutdown:
 			return 0
 		default:
@@ -152,16 +156,31 @@ func workerRun(sock string) int {
 	}
 }
 
-// taskRunner is what a worker keeps between the tasks of one job: every
-// block the driver pushed since the last msgClearCache, and the kernels
-// resolved for the operators seen so far. The driver keeps the same set of
-// block ids (workerProc.held) and pushes a block once, so shared blocks
-// (broadcasts, fan-in reads) cross the wire once per worker. Ids are never
-// reused by the driver, so caching by id alone is safe; msgClearCache
-// bounds the runner's memory to a job's working set.
+// taskRunner is what a worker keeps between tasks: every block the driver
+// pushed and has not dropped, and the kernels resolved for the operators
+// seen so far in the job. The driver keeps the same set of block ids
+// (workerProc.held) and pushes a block once, so shared blocks (broadcasts,
+// fan-in reads) cross the wire once per worker, and a cached dataset's
+// partitions once per session. Ids are never reused by the driver, so
+// caching by id alone is safe; msgClearCache bounds the runner's memory
+// to a job's working set plus the session's resident blocks.
 type taskRunner struct {
 	cache map[uint64]engine.Batch
 	eval  engine.RemoteEvaluator
+}
+
+// keep is the end of a job: the cache drops every block but the listed
+// ones (an id it does not hold is ignored), and every kernel goes, since
+// a kernel's argument belongs to its job.
+func (r *taskRunner) keep(ids []uint64) {
+	next := make(map[uint64]engine.Batch, len(ids))
+	for _, id := range ids {
+		if b, ok := r.cache[id]; ok {
+			next[id] = b
+		}
+	}
+	r.cache = next
+	r.eval.Reset()
 }
 
 func (r *taskRunner) fetch(id uint64) (engine.Batch, error) {

@@ -112,8 +112,10 @@ func failed(task string, strat Strategy, err error) Outcome {
 	return Outcome{Task: task, Strategy: strat, Err: err}
 }
 
-// finish assembles an Outcome from a finished (or failed) run.
+// finish assembles an Outcome from a finished (or failed) run and closes
+// its session.
 func finish(task string, strat Strategy, sess *engine.Session, value any, err error) Outcome {
+	defer sess.Close()
 	st := sess.Stats()
 	return Outcome{
 		Task:     task,

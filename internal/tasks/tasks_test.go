@@ -2,7 +2,10 @@ package tasks
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"matryoshka/internal/cluster"
 	"matryoshka/internal/core"
@@ -372,5 +375,25 @@ func TestOutcomeString(t *testing.T) {
 	failed := Outcome{Task: "t", Strategy: DIQL, Err: ErrControlFlowUnsupported}
 	if s := failed.String(); s == "" {
 		t.Error("error string empty")
+	}
+}
+
+// TestFinishClosesSession: a run closes its session when it finishes, so
+// the session's host worker goroutines are gone once it returns, without
+// waiting for the garbage collector to find the session (it is off for
+// the test, so only Close can release them).
+func TestFinishClosesSession(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	base := runtime.NumGoroutine()
+	spec := BounceRateSpec{Visits: 2000, Days: 5, Seed: 1}
+	for _, strat := range []Strategy{Matryoshka, InnerParallel} {
+		checkOutcome(t, spec.Run(strat, testCluster()))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the runs, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
