@@ -179,11 +179,10 @@ func MarkCombinePortable[T any](d Dataset[T], op string, arg []byte) Dataset[T] 
 }
 
 // RemoteStageSpec is one stage as shipped to the process pool: a task per
-// output partition. All fields are exported value data so the spec
-// marshals with encoding/json.
+// output partition.
 type RemoteStageSpec struct {
-	Label string       `json:"label"`
-	Tasks []RemoteTask `json:"tasks"`
+	Label string
+	Tasks []RemoteTask
 	// Resident lists the blocks the tasks read that are partitions of a
 	// cached dataset, put once for the session: the runner keeps every
 	// block a spec of the current job listed here past ReleaseBroadcasts
@@ -191,29 +190,29 @@ type RemoteStageSpec struct {
 	// batch is the node cache's and never changes, so the runner may keep
 	// the batch put rather than its encoding. It stays on the driver;
 	// task frames do not carry it.
-	Resident []uint64 `json:"resident,omitempty"`
+	Resident []uint64
 }
 
 // RemoteTask computes one output partition of the stage root.
 type RemoteTask struct {
-	Part int         `json:"part"`
-	Root *RemoteNode `json:"root"`
+	Part int
+	Root *RemoteNode
 }
 
 // RemoteNode is one operator application in a task's chain.
 type RemoteNode struct {
-	Op     string        `json:"op"`
-	Arg    []byte        `json:"arg,omitempty"`
-	Part   int           `json:"part"`
-	Inputs []RemoteInput `json:"inputs,omitempty"`
+	Op     string
+	Arg    []byte
+	Part   int
+	Inputs []RemoteInput
 }
 
 // RemoteInput is one dep's input batch: a block from the driver's store,
 // a nested in-chain operator, or nothing.
 type RemoteInput struct {
-	Kind  string      `json:"kind"` // "block" | "node" | "empty"
-	Block uint64      `json:"block,omitempty"`
-	Node  *RemoteNode `json:"node,omitempty"`
+	Kind  string // "block" | "node" | "empty"
+	Block uint64
+	Node  *RemoteNode
 }
 
 // RemoteStageResult is what a RemoteRunner reports back for one stage.

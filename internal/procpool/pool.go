@@ -859,6 +859,7 @@ func (p *Pool) runShare(ctx context.Context, w *workerProc, spec *engine.RemoteS
 // task that reads it is sent.
 func (p *Pool) sendShare(ctx context.Context, w *workerProc, spec *engine.RemoteStageSpec, sh *share) error {
 	defer w.flush() // a failed flush kills the connection: readLoop reports it
+	var body []byte // one task body at a time: sendData copies it out
 	for pos, ti := range sh.tasks {
 		if ctx.Err() != nil {
 			return nil
@@ -874,8 +875,8 @@ func (p *Pool) sendShare(ctx context.Context, w *workerProc, spec *engine.Remote
 			return fmt.Errorf("procpool: stage %q task %d: %w", spec.Label, t.Part, perr)
 		}
 		id := sh.base + uint64(pos)
-		body, err := encodeTask(id, t)
-		if err != nil {
+		var err error
+		if body, err = encodeTask(body[:0], id, t); err != nil {
 			return err
 		}
 		w.mu.Lock()

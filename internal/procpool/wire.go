@@ -16,10 +16,10 @@ package procpool
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"time"
 
 	"matryoshka/internal/engine"
@@ -57,10 +57,21 @@ import (
 // from a quiet writer; and the first run of a kernel, so a process that
 // dies under an operator has answered every task before it (see
 // engine.RemoteEvaluator.FirstRun and runShare's blame rule).
+//
+// A task body is binary and self-contained — no state outlives the frame:
+//
+//	task  = u64 id | uvarint part | node
+//	node  = uvarint len | op | uvarint len | arg | uvarint part | uvarint n | n × input
+//	input = u8 kind: 0 empty | 1 block, uvarint block id (≠ 0) | 2 node
+//
+// parseTask checks it in the one pass that reads it: lengths and counts
+// inside the body, known kinds, no trailing bytes, and at most
+// maxTaskDepth nested operators, so a hostile body cannot recurse the
+// worker off its stack.
 const (
 	msgHello      byte = iota + 1 // worker → driver: u64 pid
 	msgHelloAck                   // driver → worker: u32 index | u64 heartbeat period (ns)
-	msgTask                       // driver → worker: u64 task id | JSON engine.RemoteTask
+	msgTask                       // driver → worker: u64 task id | binary engine.RemoteTask (grammar above)
 	msgTaskResult                 // worker → driver: u64 task id | u8 result tag | see the tags
 	msgBlockData                  // driver → worker: u64 block id | u8 resultOK | batch frame
 	msgHeartbeat                  // worker → driver: empty
@@ -218,6 +229,46 @@ func (r *wireReader) u64() (uint64, error) {
 	return v, nil
 }
 
+func (r *wireReader) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n == 0 {
+		return 0, fmt.Errorf("procpool: frame body truncated in a varint at byte %d", r.off)
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("procpool: varint overflows 64 bits at byte %d", r.off)
+	}
+	r.off += n
+	return v, nil
+}
+
+// count reads a uvarint that must fit a non-negative int (a partition
+// index, a number of inputs).
+func (r *wireReader) count() (int, error) {
+	v, err := r.uvarint()
+	if err == nil && v > math.MaxInt32 {
+		err = fmt.Errorf("procpool: count %d at byte %d is out of range", v, r.off)
+	}
+	return int(v), err
+}
+
+// bytes reads a uvarint length and that many bytes, aliasing the body; a
+// zero length reads as nil.
+func (r *wireReader) bytes() ([]byte, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(r.b)-r.off) {
+		return nil, fmt.Errorf("procpool: length %d at byte %d runs past the body's %d bytes", n, r.off, len(r.b))
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	v := r.b[r.off : r.off+int(n) : r.off+int(n)]
+	r.off += int(n)
+	return v, nil
+}
+
 // rest returns everything after the cursor (may be empty, never nil).
 func (r *wireReader) rest() []byte {
 	if r.off >= len(r.b) {
@@ -261,62 +312,160 @@ func parseHelloAck(body []byte) (int, time.Duration, error) {
 	return int(idx), time.Duration(ns), nil
 }
 
-func encodeTask(id uint64, t *engine.RemoteTask) ([]byte, error) {
-	js, err := json.Marshal(t)
-	if err != nil {
-		return nil, fmt.Errorf("procpool: marshal task %d: %w", t.Part, err)
+// Input kind bytes of the binary task body. The engine names kinds by
+// string in memory (engine.RemoteInput.Kind); appendNode and wireReader.input
+// map between the two in one switch each.
+const (
+	inputEmpty byte = iota
+	inputBlock
+	inputNode
+)
+
+// maxTaskDepth caps how deeply a task body may nest operators. The parser
+// recurses once per level, so a hostile body must not be able to nest it
+// off the stack; a tree the driver builds is one stage's fused chain, far
+// shallower. encodeTask refuses what parseTask would.
+const maxTaskDepth = 10000
+
+// encodeTask appends the msgTask body of task t under id to dst (see the
+// grammar in the protocol header). The driver passes one buffer for a
+// whole share: the frame writers copy the body before the next task
+// overwrites it.
+func encodeTask(dst []byte, id uint64, t *engine.RemoteTask) ([]byte, error) {
+	if t.Root == nil {
+		return dst, fmt.Errorf("procpool: task %d has no root operator", t.Part)
 	}
-	b := make([]byte, 8+len(js))
-	binary.BigEndian.PutUint64(b, id)
-	copy(b[8:], js)
-	return b, nil
+	dst = binary.BigEndian.AppendUint64(dst, id)
+	dst = binary.AppendUvarint(dst, uint64(t.Part))
+	dst, err := appendNode(dst, t.Root, 1)
+	if err != nil {
+		return dst, fmt.Errorf("procpool: task %d: %w", t.Part, err)
+	}
+	return dst, nil
 }
 
+func appendNode(dst []byte, rn *engine.RemoteNode, depth int) ([]byte, error) {
+	if depth > maxTaskDepth {
+		return dst, fmt.Errorf("operator tree deeper than the depth cap of %d", maxTaskDepth)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(rn.Op)))
+	dst = append(dst, rn.Op...)
+	dst = binary.AppendUvarint(dst, uint64(len(rn.Arg)))
+	dst = append(dst, rn.Arg...)
+	dst = binary.AppendUvarint(dst, uint64(rn.Part))
+	dst = binary.AppendUvarint(dst, uint64(len(rn.Inputs)))
+	for i := range rn.Inputs {
+		in := &rn.Inputs[i]
+		var err error
+		switch in.Kind {
+		case "empty":
+			dst = append(dst, inputEmpty)
+		case "block":
+			dst = binary.AppendUvarint(append(dst, inputBlock), in.Block)
+		case "node":
+			if in.Node == nil {
+				return dst, fmt.Errorf("%q input %d: node input without a node", rn.Op, i)
+			}
+			dst, err = appendNode(append(dst, inputNode), in.Node, depth+1)
+		default:
+			err = fmt.Errorf("%q input %d: unknown input kind %q", rn.Op, i, in.Kind)
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
+// parseTask reads a msgTask body, validating as it reads: every length
+// lies inside the body, every input has a known kind and carries what
+// that kind reads, the tree nests at most maxTaskDepth operators, and no
+// byte is left over. What it accepts, evaluation can walk. An operator's
+// argument aliases body (readFrame allocates every body fresh).
 func parseTask(body []byte) (uint64, *engine.RemoteTask, error) {
 	r := &wireReader{b: body}
 	id, err := r.u64()
 	if err != nil {
 		return 0, nil, err
 	}
-	var t engine.RemoteTask
-	if err := json.Unmarshal(r.rest(), &t); err != nil {
-		return 0, nil, fmt.Errorf("procpool: unmarshal task %d: %w", id, err)
+	t := &engine.RemoteTask{}
+	if t.Part, err = r.count(); err != nil {
+		return 0, nil, fmt.Errorf("procpool: task %d: part: %w", id, err)
 	}
-	if t.Root == nil {
+	if r.off == len(r.b) {
 		return 0, nil, fmt.Errorf("procpool: task %d has no root operator", id)
 	}
-	if err := validNode(t.Root); err != nil {
+	if t.Root, err = r.node(1); err != nil {
 		return 0, nil, fmt.Errorf("procpool: task %d: %w", id, err)
 	}
-	return id, &t, nil
+	if r.off != len(r.b) {
+		return 0, nil, fmt.Errorf("procpool: task %d: %d trailing bytes after the operator tree", id, len(r.b)-r.off)
+	}
+	return id, t, nil
 }
 
-// validNode checks that a decoded operator tree is one evaluation can walk
-// without dereferencing what is not there: every input has a known kind
-// and carries what that kind reads.
-func validNode(rn *engine.RemoteNode) error {
+// node reads one operator and, recursively, its inputs; depth is its
+// level in the tree, the root's being 1.
+func (r *wireReader) node(depth int) (*engine.RemoteNode, error) {
+	if depth > maxTaskDepth {
+		return nil, fmt.Errorf("operator tree deeper than the depth cap of %d", maxTaskDepth)
+	}
+	rn := &engine.RemoteNode{}
+	op, err := r.bytes()
+	if err != nil {
+		return nil, fmt.Errorf("op: %w", err)
+	}
+	rn.Op = string(op)
+	if rn.Arg, err = r.bytes(); err != nil {
+		return nil, fmt.Errorf("%q arg: %w", rn.Op, err)
+	}
+	if rn.Part, err = r.count(); err != nil {
+		return nil, fmt.Errorf("%q part: %w", rn.Op, err)
+	}
+	n, err := r.count()
+	if err != nil {
+		return nil, fmt.Errorf("%q input count: %w", rn.Op, err)
+	}
+	if n > len(r.b)-r.off { // every input takes at least its kind byte
+		return nil, fmt.Errorf("%q declares %d inputs in %d bytes", rn.Op, n, len(r.b)-r.off)
+	}
+	if n > 0 {
+		rn.Inputs = make([]engine.RemoteInput, n)
+	}
 	for i := range rn.Inputs {
-		if err := validInput(&rn.Inputs[i]); err != nil {
-			return fmt.Errorf("%q input %d: %w", rn.Op, i, err)
+		if err := r.input(&rn.Inputs[i], rn.Op, i, depth); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return rn, nil
 }
 
-func validInput(in *engine.RemoteInput) error {
-	switch in.Kind {
-	case "empty":
-	case "block":
-		if in.Block == 0 {
-			return fmt.Errorf("block input without a block id")
+// input reads input i of operator op. An error names the operator it
+// arises under and no other: wrapping it once per enclosing level would
+// cost the square of the depth.
+func (r *wireReader) input(in *engine.RemoteInput, op string, i, depth int) error {
+	kind, err := r.u8()
+	switch {
+	case err != nil:
+	case kind == inputEmpty:
+		in.Kind = "empty"
+	case kind == inputBlock:
+		in.Kind = "block"
+		if in.Block, err = r.uvarint(); err == nil && in.Block == 0 {
+			err = fmt.Errorf("block input without a block id")
 		}
-	case "node":
-		if in.Node == nil {
-			return fmt.Errorf("node input without a node")
+	case kind == inputNode:
+		in.Kind = "node"
+		if r.off == len(r.b) {
+			err = fmt.Errorf("node input without a node")
+		} else if in.Node, err = r.node(depth + 1); err != nil {
+			return err
 		}
-		return validNode(in.Node)
 	default:
-		return fmt.Errorf("unknown input kind %q", in.Kind)
+		err = fmt.Errorf("unknown input kind %d", kind)
+	}
+	if err != nil {
+		return fmt.Errorf("%q input %d: %w", op, i, err)
 	}
 	return nil
 }

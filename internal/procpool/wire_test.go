@@ -2,6 +2,8 @@ package procpool
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -74,16 +76,15 @@ func TestWireFieldRoundTrips(t *testing.T) {
 		Op: "identity", Part: 3,
 		Inputs: []engine.RemoteInput{{Kind: "block", Block: 12}},
 	}}
-	body, err := encodeTask(55, task)
-	if err != nil {
-		t.Fatalf("encodeTask: %v", err)
-	}
-	gotID, gotTask, err := parseTask(body)
-	if err != nil || gotID != 55 {
-		t.Fatalf("parseTask: id %d err %v", gotID, err)
-	}
-	if gotTask.Part != 3 || gotTask.Root.Op != "identity" || gotTask.Root.Inputs[0].Block != 12 {
-		t.Fatalf("parseTask: task mismatch: %+v", gotTask)
+	for _, want := range []*engine.RemoteTask{task, kmeansMapTask(7)} {
+		body, err := encodeTask(nil, 55, want)
+		if err != nil {
+			t.Fatalf("encodeTask: %v", err)
+		}
+		gotID, got, err := parseTask(body)
+		if err != nil || gotID != 55 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("parseTask: id %d err %v\ngot  %+v\nwant %+v", gotID, err, got, want)
+		}
 	}
 }
 
@@ -151,19 +152,40 @@ func TestWireRejectsMalformed(t *testing.T) {
 	if ids, err := parseIDs(nil); err != nil || len(ids) != 0 {
 		t.Fatalf("empty keep list: ids %v err %v", ids, err)
 	}
-	if _, _, err := parseTask([]byte{0, 0, 0, 0, 0, 0, 0, 1, '{'}); err == nil {
-		t.Fatal("bad task json parsed")
-	}
-	for _, js := range malformedTasks {
-		if _, _, err := parseTask(append(make([]byte, 8), js...)); err == nil {
-			t.Fatalf("malformed task parsed: %s", js)
+	for _, tc := range malformedTasks {
+		if _, _, err := parseTask(tc.body); err == nil || !strings.Contains(err.Error(), tc.says) {
+			t.Errorf("malformed task %s: got %v, want an error saying %q", tc.name, err, tc.says)
 		}
 	}
 	// A narrow dep reads at most one partition: there is no fan-in kind.
-	concat := `{"root":{"op":"x","inputs":[{"kind":"concat","concat":[{"kind":"empty"}]}]}}`
-	if _, _, err := parseTask(append(make([]byte, 8), concat...)); err == nil || !strings.Contains(err.Error(), `unknown input kind "concat"`) {
+	// The next kind byte after node is what a concat kind would have been.
+	concat := taskBody(node("x", 1), inputNode+1, node("", 1), inputEmpty)
+	if _, _, err := parseTask(concat); err == nil || !strings.Contains(err.Error(), `"x" input 0: unknown input kind 3`) {
 		t.Fatalf("concat input: got %v, want an unknown input kind", err)
 	}
+	// The encoder refuses what the parser would: a tree it cannot walk.
+	for _, bad := range []*engine.RemoteTask{
+		{},
+		{Root: &engine.RemoteNode{Op: "x", Inputs: []engine.RemoteInput{{Kind: "node"}}}},
+		{Root: &engine.RemoteNode{Op: "x", Inputs: []engine.RemoteInput{{Kind: "concat"}}}},
+		{Root: chain(maxTaskDepth + 1)},
+	} {
+		if _, err := encodeTask(nil, 1, bad); err == nil {
+			t.Errorf("encodeTask accepted %+v", bad)
+		}
+	}
+	if _, err := encodeTask(nil, 1, &engine.RemoteTask{Root: chain(maxTaskDepth)}); err != nil {
+		t.Errorf("encodeTask refused a tree at the depth cap: %v", err)
+	}
+}
+
+// chain is a tree of depth operators, each the one input of the one above.
+func chain(depth int) *engine.RemoteNode {
+	root := &engine.RemoteNode{Op: "leaf"}
+	for i := 1; i < depth; i++ {
+		root = &engine.RemoteNode{Op: "link", Inputs: []engine.RemoteInput{{Kind: "node", Node: root}}}
+	}
+	return root
 }
 
 // fakeDriver listens where a worker will dial, runs workerRun against it
@@ -224,7 +246,7 @@ func TestWorkerSaysWhyItExits(t *testing.T) {
 		{"checksum", corrupt, 1, "checksum mismatch"},
 		{"truncated", block[:len(block)-4], 1, "truncated wire frame"},
 		{"bad block", block, 1, "block data"},
-		{"bad task", appendFrame(nil, msgTask, append(make([]byte, 8), malformedTasks[2]...)), 1, "node input without a node"},
+		{"bad task", appendFrame(nil, msgTask, malformedTasks[2].body), 1, "node input without a node"},
 		{"ragged keep list", appendFrame(nil, msgClearCache, make([]byte, 12)), 1, "12 bytes of block ids is not a multiple of 8"},
 		{"unknown keep ids", appendFrame(nil, msgClearCache, encodeIDs([]uint64{5, 6})), 0, ""},
 	}
@@ -236,25 +258,91 @@ func TestWorkerSaysWhyItExits(t *testing.T) {
 	}
 }
 
-// malformedTasks are task bodies (after the id) that decode as JSON but
-// name a tree evaluation could not walk.
-var malformedTasks = []string{
-	`{}`,
-	`{"part":1}`,
-	`{"root":{"op":"x","inputs":[{"kind":"node"}]}}`,
-	`{"root":{"op":"x","inputs":[{"kind":"block"}]}}`,
-	`{"root":{"op":"x","inputs":[{"kind":"shuffle","block":3}]}}`,
-	`{"root":{"op":"x","inputs":[{"kind":""}]}}`,
-	`{"root":{"op":"x","inputs":[{"kind":"concat","concat":[{"kind":"empty"},{"kind":"node"}]}]}}`,
-	`{"root":{"op":"x","inputs":[{"kind":"node","node":{"op":"y","inputs":[{"kind":"bogus"}]}}]}}`,
+// kmeansMapTask is the shape of kmeans_inner_proc's remote map task: the
+// map-side combine of kmeans.sum over kmeans.assign, whose argument is
+// the current centroids as JSON, over one cached block of points.
+func kmeansMapTask(part int) *engine.RemoteTask {
+	centroids := []byte(`[{"X":0.1258413622938497,"Y":-1.3321471038541706},{"X":2.047530812310211,"Y":0.8765102946351803},` +
+		`{"X":-0.6734490213947731,"Y":1.9087713359814412},{"X":1.4407211890615364,"Y":-2.0316789011294467}]`)
+	return &engine.RemoteTask{Part: part, Root: &engine.RemoteNode{
+		Op: "kmeans.sum.combine", Part: part,
+		Inputs: []engine.RemoteInput{{Kind: "node", Node: &engine.RemoteNode{
+			Op: "kmeans.assign", Arg: centroids, Part: part,
+			Inputs: []engine.RemoteInput{{Kind: "block", Block: 4097 + uint64(part)}},
+		}}},
+	}}
+}
+
+// taskBody joins hand-written pieces of a task body after id 0 and part 0;
+// a piece is a byte or a []byte.
+func taskBody(pieces ...any) []byte {
+	b := make([]byte, 9)
+	for _, p := range pieces {
+		switch p := p.(type) {
+		case byte:
+			b = append(b, p)
+		case []byte:
+			b = append(b, p...)
+		default:
+			panic(fmt.Sprintf("taskBody: piece of type %T", p))
+		}
+	}
+	return b
+}
+
+// node is an operator's head without an argument: op, part 0 and the
+// input count; the inputs follow it.
+func node(op string, inputs uint64) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(op)))
+	b = append(b, op...)
+	return binary.AppendUvarint(append(b, 0, 0), inputs)
+}
+
+// depthBomb nests levels operators, each the one input of the one before.
+func depthBomb(levels int) []byte {
+	b := make([]byte, 9, 9+5*levels)
+	for i := 0; i < levels; i++ {
+		b = append(b, node("", 1)...)
+		b = append(b, inputNode)
+	}
+	return b
+}
+
+// malformedTasks are task bodies evaluation could not walk, each with what
+// the parser's error must say.
+var malformedTasks = []struct {
+	name string
+	body []byte
+	says string
+}{
+	{"no-root", taskBody(), "no root operator"},
+	{"part-no-root", []byte{0, 0, 0, 0, 0, 0, 0, 0, 1}, "no root operator"},
+	{"node-without-node", taskBody(node("x", 1), inputNode), "node input without a node"},
+	{"block-without-id", taskBody(node("x", 1), inputBlock), `"x" input 0: procpool: frame body truncated in a varint`},
+	{"block-id-zero", taskBody(node("x", 1), inputBlock, byte(0)), "block input without a block id"},
+	{"unknown-kind", taskBody(node("x", 1), byte(7), byte(3)), "unknown input kind 7"},
+	{"kind-255", taskBody(node("x", 1), byte(255)), "unknown input kind 255"},
+	{"nested-unknown-kind", taskBody(node("x", 1), inputNode, node("y", 1), byte(9)), `task 0: "y" input 0: unknown input kind 9`},
+	{"truncated-varint", []byte{0, 0, 0, 0, 0, 0, 0, 0, 0x80}, "truncated in a varint"},
+	{"varint-overflow", taskBody(node("x", 1), inputBlock, bytes.Repeat([]byte{0xff}, 10), byte(1)), "overflows 64 bits"},
+	{"part-out-of-range", taskBody(byte(1), byte('x'), byte(0), []byte{0xff, 0xff, 0xff, 0xff, 0x0f}, byte(0)), "out of range"},
+	{"length-past-body", taskBody(byte(50), []byte("short")), "runs past the body"},
+	{"inputs-past-body", taskBody(node("x", 1000), inputEmpty), "declares 1000 inputs in 1 bytes"},
+	{"trailing-bytes", taskBody(node("x", 1), inputEmpty, byte(0)), "1 trailing bytes"},
+	{"depth-bomb", depthBomb(100000), "depth cap of 10000"},
 }
 
 // FuzzRemoteTask feeds arbitrary bytes through the task parser the worker
 // runs on every msgTask body: it must reject what it cannot walk with an
-// error, and everything it accepts must survive the two walks made over a
-// task before it is evaluated (the operator chain, the block ids).
+// error, everything it accepts must survive the two walks made over a
+// task before it is evaluated (the operator chain, the block ids), and
+// re-encoding an accepted task must parse back to the same task. Equal as
+// trees, not as bytes: a uvarint has overlong spellings. The checked-in
+// corpus (testdata/fuzz/FuzzRemoteTask) holds a k-means map task and each
+// malformed class below; the depth bomb is seeded here, since as a corpus
+// file it would be hundreds of kilobytes.
 func FuzzRemoteTask(f *testing.F) {
-	good, err := encodeTask(5, &engine.RemoteTask{Part: 2, Root: &engine.RemoteNode{
+	good, err := encodeTask(nil, 5, &engine.RemoteTask{Part: 2, Root: &engine.RemoteNode{
 		Op: "sum", Part: 2, Arg: []byte(`{"k":3}`),
 		Inputs: []engine.RemoteInput{
 			{Kind: "block", Block: 12},
@@ -266,22 +354,66 @@ func FuzzRemoteTask(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good)
-	for _, js := range malformedTasks {
-		f.Add(append(make([]byte, 8), js...))
+	kmeans, err := encodeTask(nil, 6, kmeansMapTask(3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(kmeans)
+	for _, tc := range malformedTasks {
+		f.Add(tc.body)
 	}
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		_, task, err := parseTask(body)
+		id, task, err := parseTask(body)
 		if err != nil {
 			return
 		}
 		task.OpChain()
 		eachBlock(task.Root, func(id uint64) {
 			if id == 0 {
-				t.Fatalf("accepted a block input without an id: %s", body)
+				t.Fatalf("accepted a block input without an id: %x", body)
 			}
 		})
+		again, err := encodeTask(nil, id, task)
+		if err != nil {
+			t.Fatalf("accepted task does not re-encode: %v", err)
+		}
+		id2, task2, err := parseTask(again)
+		if err != nil || id2 != id || !reflect.DeepEqual(task2, task) {
+			t.Fatalf("re-encoded task parsed back as id %d %+v (err %v), want id %d %+v", id2, task2, err, id, task)
+		}
 	})
+}
+
+// TestTaskFrameAllocs bounds what one task frame costs on each side, on
+// the k-means map task: the worker parses it in at most 8 allocations
+// (the task, two nodes, their op strings and input slices — the argument
+// aliases the frame), and the driver encodes it into a warmed buffer in
+// none.
+func TestTaskFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	task := kmeansMapTask(11)
+	body, err := encodeTask(nil, 99, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, _, err := parseTask(body); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 8 {
+		t.Errorf("parseTask: %.1f allocations, want ≤ 8", avg)
+	}
+	buf := body
+	if avg := testing.AllocsPerRun(100, func() {
+		if buf, err = encodeTask(buf[:0], 99, task); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("encodeTask into a reused buffer: %.1f allocations, want 0", avg)
+	}
 }
 
 // FuzzWireFrame feeds arbitrary bytes through the frame reader and every
@@ -354,4 +486,30 @@ func TestRunnerKeepsListedBlocks(t *testing.T) {
 	if !fresh {
 		t.Fatal("a kernel survived the end of the job")
 	}
+}
+
+// BenchmarkTaskFrame times both ends of the k-means map task's frame body:
+// the driver's encodeTask into a reused buffer and the worker's parseTask.
+func BenchmarkTaskFrame(b *testing.B) {
+	task := kmeansMapTask(11)
+	body, err := encodeTask(nil, 99, task)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		buf := body
+		for i := 0; i < b.N; i++ {
+			buf, _ = encodeTask(buf[:0], 99, task)
+		}
+		b.ReportMetric(float64(len(buf)), "bytes/task")
+	})
+	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := parseTask(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
