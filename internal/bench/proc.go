@@ -82,8 +82,7 @@ func ProcAB(sc Scale, workers int) (string, error) {
 		return "", err
 	}
 
-	spillBlocks, spillBytes := pool.Spills()
-	fmt.Fprintf(&b, "pool: %d bytes shipped, %d blocks (%d bytes) spilled, %d/%d workers live\n",
-		pool.BytesShipped(), spillBlocks, spillBytes, pool.LiveWorkers(), pool.Workers())
+	fmt.Fprintf(&b, "pool: %d bytes shipped, %d/%d workers live\n",
+		pool.BytesShipped(), pool.LiveWorkers(), pool.Workers())
 	return b.String(), nil
 }

@@ -310,7 +310,7 @@ func (j *job) launchStageRemote(n *node, st *stage) (stageResult, bool) {
 	if err := j.stagePortable(n); err != nil {
 		return driverLocal(err)
 	}
-	spec, owners, err := j.buildRemoteSpec(n, j.s.remote.PutBlock)
+	spec, err := j.buildRemoteSpec(n, j.s.remote.PutBlock)
 	if err != nil {
 		return driverLocal(err)
 	}
@@ -323,7 +323,7 @@ func (j *job) launchStageRemote(n *node, st *stage) (stageResult, bool) {
 	wallStart := time.Now()
 	res, err := j.s.remote.RunRemoteStage(context.Background(), spec)
 	if err != nil {
-		if fail, hard := j.classifyRemoteErr(n, st, err, owners); hard {
+		if fail, hard := j.classifyRemoteErr(n, st, err); hard {
 			return stageResult{fail: fail}, true
 		}
 		return driverLocal(err)
@@ -364,11 +364,6 @@ func (j *job) launchStageRemote(n *node, st *stage) (stageResult, bool) {
 // stage. hard=true returns a typed stageFailure instead of falling back
 // driver-local:
 //
-//   - *BlockLostError: a stored block failed its integrity check. The
-//     failure is pinned on the block's producing node (owners map) as a
-//     fetch failure, so lineage recomputation rebuilds exactly that
-//     output — corrupt bytes never reach results. A lost cached partition
-//     is forgotten, so the retry puts it again from the intact cacheData.
 //   - *QuorumLostError: the pool is below its live-worker quorum. Also a
 //     fetch-style failure (no specific lost parent), so the bounded job
 //     retry — not an infinite driver wait — decides the job's fate.
@@ -379,23 +374,10 @@ func (j *job) launchStageRemote(n *node, st *stage) (stageResult, bool) {
 //
 // Anything else (codec trouble, unregistered ops reported late, pool
 // shutdown) keeps the existing contract: run the stage driver-local.
-func (j *job) classifyRemoteErr(n *node, st *stage, err error, owners map[uint64]*node) (*stageFailure, bool) {
-	var blockLost *BlockLostError
+func (j *job) classifyRemoteErr(n *node, st *stage, err error) (*stageFailure, bool) {
 	var quorum *QuorumLostError
 	var poison *PoisonTaskError
 	switch {
-	case errors.As(err, &blockLost):
-		owner := owners[blockLost.Block]
-		ff := &cluster.FetchFailedError{Machine: -1, Parts: []int{0}, Total: 1}
-		if owner != nil {
-			ff.Total = owner.parts
-			owner.keepBlocks(func(id uint64) bool { return id != blockLost.Block })
-		}
-		delete(j.listed, blockLost.Block)
-		return &stageFailure{
-			root: n, st: st, fetch: ff, lost: owner,
-			err: fmt.Errorf("engine: stage %q (%s): %w", n.label, j.chainOf(st), err),
-		}, true
 	case errors.As(err, &quorum):
 		return &stageFailure{
 			root: n, st: st,

@@ -69,20 +69,6 @@ func (e *PoisonTaskError) Error() string {
 		e.Stage, e.Part, e.Ops, e.Workers)
 }
 
-// BlockLostError reports that a stored block could not be served intact —
-// its spill file failed the integrity checksum, was truncated, or
-// vanished. The executor surfaces it as a lost shuffle output of the
-// block's producing stage, so lineage recomputation rebuilds the data;
-// the corrupt bytes are never returned.
-type BlockLostError struct {
-	Block  uint64
-	Reason string
-}
-
-func (e *BlockLostError) Error() string {
-	return fmt.Sprintf("lost block %d: %s", e.Block, e.Reason)
-}
-
 // OpChain renders the operator names of a task tree, root-last, for
 // quarantine diagnostics ("which compute is killing my workers").
 func (t *RemoteTask) OpChain() string {
@@ -187,9 +173,9 @@ type RemoteStageSpec struct {
 	// cached dataset, put once for the session: the runner keeps every
 	// block a spec of the current job listed here past ReleaseBroadcasts
 	// and drops every other one (see RemoteRunner). A resident block's
-	// batch is the node cache's and never changes, so the runner may keep
-	// the batch put rather than its encoding. It stays on the driver;
-	// task frames do not carry it.
+	// batch is the node cache's and never changes, so the runner may read
+	// it for the whole session. It stays on the driver; task frames do
+	// not carry it.
 	Resident []uint64
 }
 
@@ -228,22 +214,24 @@ type RemoteStageResult struct {
 
 // RemoteRunner is the optional process-pool facet of a Backend: a backend
 // that implements it receives portable stages instead of having the driver
-// execute their tasks locally. PutBlock stores one encoded batch in the
-// backend's block store (spilling to disk over its budget) and returns the
-// id task trees name it by. RunRemoteStage distributes the spec's tasks over
-// live workers, retrying tasks whose worker died mid-stage; ctx
-// cancellation must stop dispatching promptly. Error semantics the
-// executor relies on: *QuorumLostError and *BlockLostError become
-// fetch-style stage failures (lineage recovery / bounded job retry),
-// *PoisonTaskError and ctx errors fail the stage hard, and any other
-// error means "run this stage driver-local".
+// execute their tasks locally. PutBlock stores batch b in the backend's
+// block store and returns the id task trees name it by; the backend reads
+// b only while it runs a spec naming that id — for the session, when the
+// block is Resident — so it may keep b itself and encode it when it ships
+// it. RunRemoteStage distributes the spec's tasks over live workers,
+// retrying tasks whose worker died mid-stage; ctx cancellation must stop
+// dispatching promptly. Error semantics the executor relies on:
+// *QuorumLostError becomes a fetch-style stage failure (lineage recovery /
+// bounded job retry), *PoisonTaskError and ctx errors fail the stage hard,
+// and any other error — a shape the codec refuses among them — means "run
+// this stage driver-local".
 //
 // A stored block lives until the backend's ReleaseBroadcasts, the
 // end-of-job hook, and past it exactly when a spec passed to
 // RunRemoteStage since the previous ReleaseBroadcasts listed it in
-// Resident — unless the block was found lost. The engine applies the same
-// rule to the ids it remembers (node.cacheBlocks), so both sides agree on
-// what survives a job without a call of their own.
+// Resident. The engine applies the same rule to the ids it remembers
+// (node.cacheBlocks), so both sides agree on what survives a job without a
+// call of their own.
 type RemoteRunner interface {
 	PutBlock(b Batch) (uint64, error)
 	RunRemoteStage(ctx context.Context, spec *RemoteStageSpec) (*RemoteStageResult, error)
@@ -292,14 +280,10 @@ func (j *job) stagePortable(n *node) error {
 // evalPartDirect's per-operator input assembly exactly; fusion never
 // applies remotely, which the fused-vs-per-operator suites (fuse_test.go,
 // TestRandomDAGFusedMatchesPerOperator) prove is invisible to results.
-// The returned owners map records which node produced each stored block,
-// so a BlockLostError from the runner can be pinned on its producing stage
-// for lineage recomputation.
-func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*RemoteStageSpec, map[uint64]*node, error) {
+func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*RemoteStageSpec, error) {
 	spec := &RemoteStageSpec{Label: n.label, Tasks: make([]RemoteTask, 0, n.parts)}
 	ids := map[Batch]uint64{}
-	owners := map[uint64]*node{}
-	blockInput := func(owner *node, b Batch) (RemoteInput, error) {
+	blockInput := func(b Batch) (RemoteInput, error) {
 		if b == nil || b == zeroBatch {
 			return RemoteInput{Kind: "empty"}, nil
 		}
@@ -311,24 +295,22 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 			return RemoteInput{}, err
 		}
 		ids[b] = id
-		owners[id] = owner
 		return RemoteInput{Kind: "block", Block: id}, nil
 	}
 	cachedInput := func(nd *node, data []Batch, pp int) (RemoteInput, error) {
 		b := data[pp]
 		if _, ok := ids[b]; ok || b == nil || b == zeroBatch {
-			return blockInput(nd, b)
+			return blockInput(b)
 		}
 		nd.cacheMu.Lock()
 		defer nd.cacheMu.Unlock()
 		if pp < len(nd.cacheBlocks) && nd.cacheBlocks[pp] != 0 {
 			id := nd.cacheBlocks[pp]
 			ids[b] = id
-			owners[id] = nd
 			spec.Resident = append(spec.Resident, id)
 			return RemoteInput{Kind: "block", Block: id}, nil
 		}
-		in, err := blockInput(nd, b)
+		in, err := blockInput(b)
 		if err != nil {
 			return in, err
 		}
@@ -351,13 +333,13 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 			if nd.cached {
 				return cachedInput(nd, cp.data, pp)
 			}
-			return blockInput(nd, cp.data[pp])
+			return blockInput(cp.data[pp])
 		}
 		if len(nd.deps) == 0 {
 			// In-chain source (Parallelize, readers): its partitions are
 			// built from driver-captured state, so evaluate here and ship
 			// the batch rather than the closure.
-			return blockInput(nd, nd.compute(&Ctx{}, pp, nil))
+			return blockInput(nd.compute(&Ctx{}, pp, nil))
 		}
 		rn, err := buildNode(nd, pp)
 		if err != nil {
@@ -381,9 +363,9 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 					in, err = inputFor(d.parent, pp)
 				}
 			case depShuffle:
-				in, err = blockInput(d.parent, j.blocks[d].blocks[p])
+				in, err = blockInput(j.blocks[d].blocks[p])
 			case depBroadcast:
-				in, err = blockInput(d.parent, j.bcast[d])
+				in, err = blockInput(j.bcast[d])
 			}
 			if err != nil {
 				return nil, err
@@ -396,11 +378,11 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 	for p := 0; p < n.parts; p++ {
 		root, err := buildNode(n, p)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		spec.Tasks = append(spec.Tasks, RemoteTask{Part: p, Root: root})
 	}
-	return spec, owners, nil
+	return spec, nil
 }
 
 // FetchFunc resolves a block id to its batch. The worker's implementation

@@ -13,8 +13,9 @@ import (
 
 // The test pipeline's operators, registered once for the whole process
 // (the registry is global and rejects duplicates).
-func ptestTag(x int) Pair[int, int] { return KV(x%7, x) }
-func ptestSum(a, b int) int         { return a + b }
+func ptestTag(x int) Pair[int, int]               { return KV(x%7, x) }
+func ptestRekey(kv Pair[int, int]) Pair[int, int] { return KV(kv.Key%3, kv.Val) }
+func ptestSum(a, b int) int                       { return a + b }
 
 // ptestScaleMade counts calls of ptest.scale's factory: what the evaluator
 // is meant to make once per (op, arg), not once per task.
@@ -34,6 +35,9 @@ func init() {
 	RegisterPortableOp("ptest.tag", func([]byte) (PortableCompute, error) {
 		return MapCompute(ptestTag), nil
 	})
+	RegisterPortableOp("ptest.rekey", func([]byte) (PortableCompute, error) {
+		return MapCompute(ptestRekey), nil
+	})
 	RegisterPortableOp("ptest.sum", func([]byte) (PortableCompute, error) {
 		return ReduceByKeyCompute[int](ptestSum), nil
 	})
@@ -42,10 +46,13 @@ func init() {
 	})
 }
 
-// fakeRemoteRunner is an in-process RemoteRunner: it stores blocks in a
-// map and evaluates shipped tasks with a RemoteEvaluator right here — the
-// whole portable spec/serialization path without process management, so
-// failures point at the spec builder rather than the pool.
+// fakeRemoteRunner is an in-process RemoteRunner: it keeps the batches put
+// in a map and evaluates shipped tasks with a RemoteEvaluator right here —
+// the whole portable spec/serialization path without process management,
+// so failures point at the spec builder rather than the pool. Like the
+// pool, it encodes a block only when a stage reads it: a spec naming a
+// block whose shuffle memory the engine already released would decode
+// the poison a mustSession writes there.
 type fakeRemoteRunner struct {
 	*cluster.Simulator // Backend + Residency facets
 	blocks             map[uint64]Batch
@@ -55,7 +62,6 @@ type fakeRemoteRunner struct {
 	tasks              int
 	specs              []*RemoteStageSpec // every spec received, failed ones too
 	releases           int                // ReleaseBroadcasts calls
-	lose               uint64             // a block to report lost once, when a stage reads it
 }
 
 func (f *fakeRemoteRunner) ReleaseBroadcasts() {
@@ -73,31 +79,16 @@ func newFakeRemoteRunner(t *testing.T) *fakeRemoteRunner {
 }
 
 func (f *fakeRemoteRunner) PutBlock(b Batch) (uint64, error) {
-	// Round-trip through the codec like the real pool, so shapes that
-	// cannot cross a process boundary fail here too.
-	enc, err := EncodeBatch(nil, b)
-	if err != nil {
-		return 0, err
-	}
-	dec, _, err := DecodeBatch(enc)
-	if err != nil {
-		return 0, err
-	}
 	f.next++
-	f.blocks[f.next] = dec
+	f.blocks[f.next] = b
 	return f.next, nil
 }
 
+// RunRemoteStage round-trips every block a task reads through the codec
+// as it runs, like the real pool, so shapes that cannot cross a process
+// boundary fail here too.
 func (f *fakeRemoteRunner) RunRemoteStage(_ context.Context, spec *RemoteStageSpec) (*RemoteStageResult, error) {
 	f.specs = append(f.specs, spec)
-	for i := range spec.Tasks {
-		for _, in := range spec.Tasks[i].Root.Inputs {
-			if id := in.Block; id != 0 && id == f.lose {
-				f.lose = 0
-				return nil, &BlockLostError{Block: id, Reason: "test"}
-			}
-		}
-	}
 	parts := make([]Batch, len(spec.Tasks))
 	for i := range spec.Tasks {
 		b, err := f.eval.RunRemoteTask(&spec.Tasks[i], func(id uint64) (Batch, error) {
@@ -105,7 +96,12 @@ func (f *fakeRemoteRunner) RunRemoteStage(_ context.Context, spec *RemoteStageSp
 			if !ok {
 				return nil, codecErr("fake runner: unknown block %d", id)
 			}
-			return blk, nil
+			enc, err := EncodeBatch(nil, blk)
+			if err != nil {
+				return nil, err
+			}
+			dec, _, err := DecodeBatch(enc)
+			return dec, err
 		})
 		if err != nil {
 			return nil, err
@@ -119,10 +115,7 @@ func (f *fakeRemoteRunner) RunRemoteStage(_ context.Context, spec *RemoteStageSp
 
 func ptestPipeline(t *testing.T, cfg Config) map[int]int {
 	t.Helper()
-	sess, err := NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := mustSession(cfg)
 	data := make([]int, 500)
 	for i := range data {
 		data[i] = i
@@ -154,6 +147,58 @@ func TestRemoteRunnerBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRemoteShuffleChainReadsLiveBlocks runs two portable shuffles in one
+// job: ptest.sum by x%7, then again by that key mod 3. The runner encodes
+// each block only as the stage reading it runs, and the session poisons
+// the shuffle memory a stage releases, so the result is right only if no
+// spec names a block the engine released — that is, only if a block that
+// is not resident is named by the one spec it was put for.
+func TestRemoteShuffleChainReadsLiveBlocks(t *testing.T) {
+	fr := newFakeRemoteRunner(t)
+	sess := mustSession(Config{Backend: fr})
+	data := make([]int, 500)
+	want := map[int]int{}
+	for i := range data {
+		data[i] = i
+		want[i%7%3] += i
+	}
+	sum := func(d Dataset[Pair[int, int]], parts int) Dataset[Pair[int, int]] {
+		return MarkCombinePortable(MarkPortable(ReduceByKeyN(d, ptestSum, parts), "ptest.sum", nil), "ptest.sum.combine", nil)
+	}
+	tagged := MarkPortable(Map(Parallelize(sess, data, 4), ptestTag), "ptest.tag", nil)
+	rekeyed := MarkPortable(Map(sum(tagged, 3), ptestRekey), "ptest.rekey", nil)
+	got, err := CollectMap(sum(rekeyed, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	if fr.stages < 3 {
+		t.Fatalf("%d stages ran remotely, want the three of two shuffles", fr.stages)
+	}
+	namedBy := map[uint64]int{} // block id -> the spec that named it first
+	var walk func(si int, rn *RemoteNode)
+	walk = func(si int, rn *RemoteNode) {
+		for _, in := range rn.Inputs {
+			switch {
+			case in.Node != nil:
+				walk(si, in.Node)
+			case in.Block != 0:
+				if first, ok := namedBy[in.Block]; ok && first != si {
+					t.Fatalf("block %d is named by specs %d and %d", in.Block, first, si)
+				}
+				namedBy[in.Block] = si
+			}
+		}
+	}
+	for si, spec := range fr.specs {
+		for ti := range spec.Tasks {
+			walk(si, spec.Tasks[ti].Root)
+		}
+	}
+}
+
 // TestEvaluatorResolvesKernelsOnce ships a 64-task stage through one
 // RemoteEvaluator: the operator's factory must run once for the whole
 // stage, once more for a second argument, and again after Reset — and the
@@ -165,10 +210,7 @@ func TestEvaluatorResolvesKernelsOnce(t *testing.T) {
 	}
 	scaled := func(cfg Config, k int) []int {
 		t.Helper()
-		sess, err := NewSession(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := mustSession(cfg)
 		f := func(x int) int { return k * x }
 		out, err := Collect(MarkPortable(Map(Parallelize(sess, data, 64), f), "ptest.scale", []byte(strconv.Itoa(k))))
 		if err != nil {
@@ -207,10 +249,7 @@ func TestEvaluatorResolvesKernelsOnce(t *testing.T) {
 func TestUnportableStageFallsBackDriverLocal(t *testing.T) {
 	fr := newFakeRemoteRunner(t)
 	rec := obs.NewRecorder()
-	sess, err := NewSession(Config{Backend: fr, Obs: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := mustSession(Config{Backend: fr, Obs: rec})
 	data := []int{5, 6, 7, 8}
 	doubled, err := Collect(Map(Parallelize(sess, data, 2), func(x int) int { return 2 * x }))
 	if err != nil {
@@ -237,15 +276,11 @@ func TestUnportableStageFallsBackDriverLocal(t *testing.T) {
 // are put once for the session and listed as resident by every spec that
 // reads them. A job that does not read them forgets their ids, as the
 // backend drops those blocks at its end, so a later job puts them again.
-// A lost one is put again by the job that lost it. Close hands the
-// backend one more ReleaseBroadcasts when the session holds any, and
-// closing twice releases nothing more.
+// Close hands the backend one more ReleaseBroadcasts when the session
+// holds any, and closing twice releases nothing more.
 func TestCachedPartitionsPutOncePerSession(t *testing.T) {
 	fr := newFakeRemoteRunner(t)
-	sess, err := NewSession(Config{Backend: fr, Recover: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := mustSession(Config{Backend: fr, Recover: true})
 	data := make([]int, 100)
 	for i := range data {
 		data[i] = i
@@ -274,14 +309,6 @@ func TestCachedPartitionsPutOncePerSession(t *testing.T) {
 	scale(3)
 	if fr.next != 4 || !reflect.DeepEqual(lastResident(), first) {
 		t.Fatalf("second job: %d puts, resident %v; want 4 and %v", fr.next, lastResident(), first)
-	}
-
-	// A lost resident block is put again, alone, by the job that lost it.
-	fr.lose = first[1]
-	scale(4)
-	again := lastResident()
-	if fr.next != 5 || again[1] != 5 || again[0] != first[0] || again[2] != first[2] {
-		t.Fatalf("after losing block %d: %d puts, resident %v; want 5 puts and only id %d replaced", first[1], fr.next, again, first[1])
 	}
 
 	// A job that does not read the cached dataset lets its blocks go.

@@ -364,7 +364,7 @@ func (r *Recorder) Report() string {
 	if faults := r.Faults(); len(faults) > 0 {
 		// Count per kind, rendering the classic pair first (crash/rejoin,
 		// the simulator's vocabulary) and any further kinds — the process
-		// pool's respawn/quarantine/corrupt-block — in first-seen order.
+		// pool's respawn/quarantine — in first-seen order.
 		counts := map[string]int{}
 		var extra []string
 		for _, e := range faults {

@@ -3,9 +3,8 @@ package procpool
 // Seeded fault injection for the process pool, mirroring cluster.FaultPlan
 // (PR 5) at the substrate level: where the simulator's plan crashes model
 // machines at virtual times, this one damages the real transport — worker
-// kills keyed to the dispatch counter, delayed/dropped/torn data-plane
-// frames keyed to a frame counter, and spill-file corruption/truncation
-// keyed to the spill counter. Every decision is a pure function of
+// kills keyed to the dispatch counter, and delayed/dropped/torn data-plane
+// frames keyed to a frame counter. Every decision is a pure function of
 // (Seed, counter) via splitmix64, so a fixed-seed chaos run injects the
 // same faults at the same points on every execution — the property the
 // proc-chaos soak's bit-identity assertion rests on.
@@ -17,11 +16,10 @@ package procpool
 import "time"
 
 // FaultPlan describes deterministic faults to inject into a running pool.
-// Counters are global across the pool (dispatches, data frames, spills),
+// Counters are global across the pool (dispatches, data frames),
 // so "every Nth" is exact and seed-stable. The zero value injects nothing.
 type FaultPlan struct {
-	// Seed drives every per-event choice (which byte to flip, where to
-	// tear a frame). Two runs with the same seed and workload inject
+	// Seed drives every per-event choice (where to tear a frame). Two runs with the same seed and workload inject
 	// identically.
 	Seed uint64
 
@@ -43,19 +41,11 @@ type FaultPlan struct {
 	// ResetEveryFrames tears every Nth data-plane frame mid-write and
 	// resets the connection, killing the worker link (0 disables).
 	ResetEveryFrames int
-
-	// CorruptSpillEvery flips one seeded byte of every Nth spill file
-	// after it is written; TruncateSpillEvery cuts every Nth spill file
-	// to half length (0 disables). Both must surface as checksum
-	// failures → lost blocks, never as data.
-	CorruptSpillEvery  int
-	TruncateSpillEvery int
 }
 
 // Active reports whether the plan injects anything.
 func (p FaultPlan) Active() bool {
-	return p.KillEveryTasks > 0 || p.DelayEveryFrames > 0 || p.DropEveryFrames > 0 ||
-		p.ResetEveryFrames > 0 || p.CorruptSpillEvery > 0 || p.TruncateSpillEvery > 0
+	return p.KillEveryTasks > 0 || p.DelayEveryFrames > 0 || p.DropEveryFrames > 0 || p.ResetEveryFrames > 0
 }
 
 // frameFault classifies what happens to the n-th data-plane frame.
@@ -115,14 +105,6 @@ func (p FaultPlan) tearPoint(n uint64, frameLen int) int {
 		return 0
 	}
 	return 1 + int(p.draw(1, n)%uint64(frameLen-1))
-}
-
-// corruptByte picks which byte of the n-th damaged spill file to flip.
-func (p FaultPlan) corruptByte(n uint64, size int) int {
-	if size <= 0 {
-		return 0
-	}
-	return int(p.draw(2, n) % uint64(size))
 }
 
 // splitmix64 is the finalizer from Vigna's splitmix64 generator: a cheap,

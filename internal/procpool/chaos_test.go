@@ -2,17 +2,13 @@ package procpool
 
 import (
 	"context"
-	"errors"
-	"os"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"matryoshka/internal/cluster"
 	"matryoshka/internal/engine"
-	"matryoshka/internal/obs"
 	"matryoshka/internal/tasks"
 )
 
@@ -40,9 +36,6 @@ func TestFaultPlanDeterministic(t *testing.T) {
 		if tp := a.tearPoint(n, 100); tp < 1 || tp > 99 {
 			t.Fatalf("tear point %d of frame 100 out of range", tp)
 		}
-		if cb := a.corruptByte(n, 64); cb < 0 || cb > 63 {
-			t.Fatalf("corrupt byte %d of size 64 out of range", cb)
-		}
 	}
 	if !sawDiff {
 		t.Fatal("different seeds never produced a different draw")
@@ -63,112 +56,6 @@ func TestFaultPlanDeterministic(t *testing.T) {
 	}
 	if (FaultPlan{}).Active() {
 		t.Fatal("zero plan claims to be active")
-	}
-}
-
-// TestBlockStoreDetectsDamage spills a frame and vandalizes the file in
-// each of the three ways: flipped byte, truncation, deletion. Every read
-// must come back as engine.BlockLostError — the corrupt bytes never as
-// data.
-func TestBlockStoreDetectsDamage(t *testing.T) {
-	frame := []byte("the quick brown fox jumps over the lazy dog")
-	vandalize := func(f func(path string)) error {
-		s := newBlockStore(t.TempDir(), 1) // everything spills
-		id, err := s.put(nil, append([]byte(nil), frame...))
-		if err != nil {
-			t.Fatalf("put: %v", err)
-		}
-		s.mu.Lock()
-		path := s.disk[id]
-		s.mu.Unlock()
-		if path == "" {
-			t.Fatal("frame never spilled under a 1-byte budget")
-		}
-		f(path)
-		_, err = s.get(id)
-		return err
-	}
-	cases := []struct {
-		name string
-		f    func(path string)
-		want string
-	}{
-		{"flipped byte", func(p string) {
-			data, _ := os.ReadFile(p)
-			data[len(data)-1] ^= 0x01
-			os.WriteFile(p, data, 0o600)
-		}, "checksum mismatch"},
-		{"flipped stored crc", func(p string) {
-			data, _ := os.ReadFile(p)
-			data[0] ^= 0x80
-			os.WriteFile(p, data, 0o600)
-		}, "checksum mismatch"},
-		{"truncated", func(p string) { os.Truncate(p, 2) }, "truncated"},
-		{"deleted", func(p string) { os.Remove(p) }, "unreadable"},
-	}
-	for _, tc := range cases {
-		err := vandalize(tc.f)
-		if err == nil {
-			t.Fatalf("%s: damaged spill read back as data", tc.name)
-		}
-		var bl *engine.BlockLostError
-		if !errors.As(err, &bl) {
-			t.Fatalf("%s: got %v, want BlockLostError", tc.name, err)
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
-	}
-	// Undamaged control: the spill round-trips.
-	s := newBlockStore(t.TempDir(), 1)
-	id, _ := s.put(nil, append([]byte(nil), frame...))
-	got, err := s.get(id)
-	if err != nil {
-		t.Fatalf("clean spill: %v", err)
-	}
-	if !reflect.DeepEqual(got, frame) {
-		t.Fatal("clean spill corrupted the frame")
-	}
-}
-
-// TestCorruptSpillRecovery is the integrity-checked-spill acceptance
-// test: a 1-byte store budget spills every block, the fault plan flips a
-// seeded byte in every 17th spill file, and the workload must STILL
-// produce reference results — each corrupt read surfaces as a lost block,
-// lineage recomputes the producing stage, and EXPLAIN ANALYZE shows the
-// recovery. Fully deterministic: same seed, same spill sequence, same
-// flipped bytes.
-func TestCorruptSpillRecovery(t *testing.T) {
-	rec := obs.NewRecorder()
-	pool := startPool(t, Config{
-		Workers:      2,
-		MemoryBudget: 1,
-		Faults:       FaultPlan{Seed: 7, CorruptSpillEvery: 17},
-		Events:       rec,
-	})
-	sp := tasks.ChaosSpec{Records: 1500, Keys: 32, Parts: 3, Rounds: 1}
-
-	oldObs := tasks.Obs
-	tasks.Obs = rec
-	defer func() { tasks.Obs = oldObs }()
-
-	var out tasks.Outcome
-	withBackend(t, pool, func() { out = sp.Run(cluster.Config{}) })
-	if out.Err != nil {
-		t.Fatalf("run over corrupt spills: %v", out.Err)
-	}
-	if want := sp.Reference(); !reflect.DeepEqual(out.Value, want) {
-		t.Fatalf("value %+v != reference %+v", out.Value, want)
-	}
-	if got := pool.Stats().FetchFailures; got == 0 {
-		t.Fatal("no fetch failure recorded: corruption never bit or was served as data")
-	}
-	report := rec.Report()
-	if !strings.Contains(report, "corrupt-block") {
-		t.Fatalf("no corrupt-block fault event:\n%s", report)
-	}
-	if !strings.Contains(report, "Recovery") {
-		t.Fatalf("EXPLAIN ANALYZE shows no Recovery line:\n%s", report)
 	}
 }
 
@@ -274,30 +161,6 @@ func TestDroppedResidentBlockIsPushedAgain(t *testing.T) {
 	pool.ReleaseBroadcasts()
 	if got := pool.storeIDs(); !reflect.DeepEqual(got, next.Resident) {
 		t.Fatalf("store keeps %v after the second job, want %v", got, next.Resident)
-	}
-}
-
-// TestLostBlockIsTypedOnTheDriver: a spilled block that fails its
-// checksum is found when dispatch reads it from the store to push it —
-// before the task that needs it is sent — and fails the stage as a typed
-// engine.BlockLostError naming the block, with nothing parsed out of an
-// error string and no worker involved.
-func TestLostBlockIsTypedOnTheDriver(t *testing.T) {
-	pool := startPool(t, Config{Workers: 1, MemoryBudget: 1, Faults: FaultPlan{Seed: 7, CorruptSpillEvery: 1}})
-	spec, _ := blockSpec(t, pool, "lost-block", 1)
-	_, err := pool.RunRemoteStage(context.Background(), spec)
-	var bl *engine.BlockLostError
-	if !errors.As(err, &bl) {
-		t.Fatalf("got %v, want BlockLostError", err)
-	}
-	if want := spec.Tasks[0].Root.Inputs[0].Block; bl.Block != want {
-		t.Fatalf("lost block %d, want %d", bl.Block, want)
-	}
-	if st := pool.Stats(); st.FetchFailures != 1 || st.MachineCrashes != 0 {
-		t.Fatalf("fetch failures %d, crashes %d; want 1 and 0", st.FetchFailures, st.MachineCrashes)
-	}
-	if got := atomic.LoadInt64(&pool.nDispatch); got != 0 {
-		t.Fatalf("%d tasks were dispatched ahead of a block the store could not serve", got)
 	}
 }
 

@@ -317,31 +317,6 @@ func (p *Pool) sendData(w *workerProc, typ byte, body ...[]byte) error {
 	return writeFrame(w.bw, typ, body...)
 }
 
-// spillDamage builds the block store's post-spill damage hook from the
-// fault plan (nil when the plan injects no disk faults).
-func (p *Pool) spillDamage() func(path string, seq int) {
-	f := p.cfg.Faults
-	if f.CorruptSpillEvery <= 0 && f.TruncateSpillEvery <= 0 {
-		return nil
-	}
-	return func(path string, seq int) {
-		if f.TruncateSpillEvery > 0 && seq%f.TruncateSpillEvery == 0 {
-			if st, err := os.Stat(path); err == nil {
-				os.Truncate(path, st.Size()/2)
-			}
-			return
-		}
-		if f.CorruptSpillEvery > 0 && seq%f.CorruptSpillEvery == 0 {
-			data, err := os.ReadFile(path)
-			if err != nil || len(data) == 0 {
-				return
-			}
-			data[f.corruptByte(uint64(seq), len(data))] ^= 0x40
-			os.WriteFile(path, data, 0o600)
-		}
-	}
-}
-
 // noteQuarantine records a poison-task quarantine (count + fault event).
 func (p *Pool) noteQuarantine(pe *engine.PoisonTaskError) {
 	p.mu.Lock()

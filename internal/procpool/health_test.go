@@ -316,10 +316,10 @@ func TestCtxCancelStopsDispatch(t *testing.T) {
 
 // TestCloseDrainsEverything: after Close, no worker process may survive
 // (drained or killed, but always reaped), the store holds no block — not
-// even one a job kept as resident — and the pool's temp directory —
-// socket, spill files — must be gone.
+// even one a job kept as resident — and the pool's temp directory, where
+// its socket was, must be gone.
 func TestCloseDrainsEverything(t *testing.T) {
-	pool, err := Start(Config{Workers: 3, DrainTimeout: 2 * time.Second, MemoryBudget: 1})
+	pool, err := Start(Config{Workers: 3, DrainTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -334,9 +334,6 @@ func TestCloseDrainsEverything(t *testing.T) {
 	pool.ReleaseBroadcasts()
 	if got := pool.storeIDs(); !reflect.DeepEqual(got, spec.Resident) {
 		t.Fatalf("store keeps %v, want the resident %v", got, spec.Resident)
-	}
-	if files, _ := filepath.Glob(filepath.Join(pool.dir, "blk-*")); len(files) != 0 {
-		t.Fatalf("spill files %v survived the job's end: the resident block is kept as its batch", files)
 	}
 	var pids []int
 	for _, w := range pool.snapshotWorkers() {

@@ -3,7 +3,6 @@ package procpool
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -27,9 +26,6 @@ type Config struct {
 	// (unless DisableRespawn), so the fleet does not monotonically shrink
 	// under sustained faults.
 	Workers int
-	// MemoryBudget bounds the driver-side block store in bytes before
-	// frames spill to per-block temp files (default 256 MiB).
-	MemoryBudget int64
 	// HeartbeatEvery is how often workers beat (default 100ms);
 	// HeartbeatTimeout is how long a silent worker stays presumed-live
 	// before it is declared crashed (default 3s).
@@ -66,13 +62,13 @@ type Config struct {
 	// repeating kills and transport faults, use Faults.
 	KillAfterTasks int
 	// Faults is the seeded fault-injection plan (chaos.go): repeating
-	// worker kills, delayed/dropped/torn data-plane frames, spill-file
-	// corruption. Zero value injects nothing.
+	// worker kills, delayed/dropped/torn data-plane frames. Zero value
+	// injects nothing.
 	Faults FaultPlan
 	// Events, when non-nil, receives the pool's fault events — kinds
-	// "crash", "respawn", "quarantine", "corrupt-block" — timed on the
-	// pool clock, so EXPLAIN ANALYZE renders real process churn next to
-	// the simulator's crash/rejoin vocabulary.
+	// "crash", "respawn", "quarantine" — timed on the pool clock, so
+	// EXPLAIN ANALYZE renders real process churn next to the simulator's
+	// crash/rejoin vocabulary.
 	Events *obs.Recorder
 }
 
@@ -85,9 +81,6 @@ func (c *Config) defaults() {
 		if c.Workers < 1 {
 			c.Workers = 1
 		}
-	}
-	if c.MemoryBudget <= 0 {
-		c.MemoryBudget = 256 << 20
 	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = 100 * time.Millisecond
@@ -272,7 +265,6 @@ type Pool struct {
 	shipped   int64  // atomic: bytes served to + returned by workers
 	remoteSt  int64  // atomic: remote stages completed
 	remoteTk  int64  // atomic: remote tasks completed
-	localPut  int64  // atomic: blocks stored via PutBlock
 
 	mu          sync.Mutex
 	closed      bool
@@ -287,7 +279,6 @@ type Pool struct {
 	stats       cluster.Stats
 	clockOffset float64
 	lastClock   float64
-	pinned      int64
 	keep        map[uint64]bool // blocks the current job's specs listed as resident (ReleaseBroadcasts keeps them)
 	outputs     map[cluster.OutputID]*poolOutput
 	nextOut     cluster.OutputID
@@ -325,7 +316,7 @@ func Start(cfg Config) (*Pool, error) {
 		exe:        exe,
 		sock:       sock,
 		ln:         ln,
-		store:      newBlockStore(dir, cfg.MemoryBudget),
+		store:      newBlockStore(),
 		start:      time.Now(),
 		stopCh:     make(chan struct{}),
 		workerList: make([]*workerProc, cfg.Workers),
@@ -334,7 +325,6 @@ func Start(cfg Config) (*Pool, error) {
 		slotBorn:   make([]time.Time, cfg.Workers),
 		outputs:    map[cluster.OutputID]*poolOutput{},
 	}
-	p.store.damage = p.spillDamage()
 	fail := func(err error) (*Pool, error) {
 		p.Close()
 		return nil, err
@@ -364,7 +354,7 @@ func Start(cfg Config) (*Pool, error) {
 // Close shuts the pool down gracefully: every live worker gets a shutdown
 // frame and DrainTimeout to exit on its own; stragglers are SIGKILLed.
 // Every spawned process is reaped before Close returns (no orphans, no
-// zombies), spilled block files and the socket directory are removed.
+// zombies), the store is emptied and the socket directory removed.
 // Teardown deaths are not counted as crashes.
 func (p *Pool) Close() {
 	p.mu.Lock()
@@ -568,8 +558,10 @@ func (p *Pool) RemoteTasks() int { return int(atomic.LoadInt64(&p.remoteTk)) }
 // BytesShipped totals the encoded frames that crossed process boundaries.
 func (p *Pool) BytesShipped() int64 { return atomic.LoadInt64(&p.shipped) }
 
-// Spills reports blocks (and bytes) the driver store spilled to disk.
-func (p *Pool) Spills() (blocks int, bytes int64) { return p.store.spillStats() }
+// Spills always reports 0: the store keeps batches in memory and never
+// spills. It stays for the wall-clock benchmark, which reads it as
+// procpool.spill_blocks; a change to the benchmark removes both.
+func (p *Pool) Spills() (blocks int, bytes int64) { return 0, 0 }
 
 // Respawns reports how many replacement workers completed their handshake.
 func (p *Pool) Respawns() int {
@@ -587,16 +579,11 @@ func (p *Pool) Quarantines() int {
 
 // ---- engine.RemoteRunner ----
 
-// PutBlock frames b with the batch codec and stores it for dispatch to
-// push to the workers whose tasks read it (spilling to disk over the
-// store's budget).
+// PutBlock stores b for dispatch to push to the workers whose tasks read
+// it. It never fails: the batch is encoded as it is pushed (pushBlock), so
+// a shape the codec refuses fails the stage that reads it.
 func (p *Pool) PutBlock(b engine.Batch) (uint64, error) {
-	frame, err := engine.EncodeBatch(nil, b)
-	if err != nil {
-		return 0, err
-	}
-	atomic.AddInt64(&p.localPut, 1)
-	return p.store.put(b, frame)
+	return p.store.put(b), nil
 }
 
 // RunRemoteStage splits the spec's tasks round-robin into one share per
@@ -710,7 +697,7 @@ type share struct {
 	ran     bool  // the worker answered at least one task
 	blamed  int   // task the worker died under, -1 if none
 	requeue []int // tasks to dispatch again, blame-free
-	err     error // fails the stage: compute error, lost block, cancellation
+	err     error // fails the stage: compute error, unencodable block, cancellation
 }
 
 // runShare ships sh to w and collects the answers. A sender goroutine
@@ -781,7 +768,7 @@ func (p *Pool) runShare(ctx context.Context, w *workerProc, spec *engine.RemoteS
 			case r.errMsg != "":
 				sh.err = fmt.Errorf("procpool: stage %q task %d: %s", spec.Label, spec.Tasks[ti].Part, r.errMsg)
 			default:
-				b, _, derr := engine.DecodeBatch(r.payload)
+				b, derr := decodeBatchFrame(r.payload)
 				if derr != nil {
 					sh.err = fmt.Errorf("procpool: stage %q task %d result: %v", spec.Label, spec.Tasks[ti].Part, derr)
 					break
@@ -855,11 +842,13 @@ func (p *Pool) runShare(ctx context.Context, w *workerProc, spec *engine.RemoteS
 // hooks (KillAfterTasks, FaultPlan) fire synchronously here, so the crash
 // and its lost-output bookkeeping are ordered before any later stage of
 // the run, making recovery tests deterministic. A block the store cannot
-// serve is the one error returned: it is found here, typed, before the
-// task that reads it is sent.
+// serve or the codec refuses is the one error returned: it is found here,
+// before the task that reads it is sent.
 func (p *Pool) sendShare(ctx context.Context, w *workerProc, spec *engine.RemoteStageSpec, sh *share) error {
 	defer w.flush() // a failed flush kills the connection: readLoop reports it
-	var body []byte // one task body at a time: sendData copies it out
+	// One task body and one block frame at a time: sendData copies each
+	// out before the next is encoded into the same buffer.
+	var body, frame []byte
 	for pos, ti := range sh.tasks {
 		if ctx.Err() != nil {
 			return nil
@@ -868,7 +857,7 @@ func (p *Pool) sendShare(ctx context.Context, w *workerProc, spec *engine.Remote
 		var perr error
 		eachBlock(t.Root, func(id uint64) {
 			if perr == nil {
-				perr = p.pushBlock(w, id)
+				frame, perr = p.pushBlock(w, id, frame)
 			}
 		})
 		if perr != nil {
@@ -904,40 +893,34 @@ func (p *Pool) sendShare(ctx context.Context, w *workerProc, spec *engine.Remote
 	return nil
 }
 
-// pushBlock sends block id to w unless this incarnation already holds it.
-// A spilled block that fails its integrity check comes back as
-// engine.BlockLostError and is counted like a failed shuffle fetch:
-// lineage recomputes it, and the job's end drops it even if it was listed
-// as resident (the engine puts the partition again).
-func (p *Pool) pushBlock(w *workerProc, id uint64) error {
+// pushBlock sends block id to w unless this incarnation already holds it,
+// encoding the stored batch into buf, and returns buf for the next block.
+// A batch the codec refuses is an error: the stage runs driver-local.
+func (p *Pool) pushBlock(w *workerProc, id uint64, buf []byte) ([]byte, error) {
 	w.wmu.Lock()
 	have := w.held[id]
 	w.wmu.Unlock()
 	if have {
-		return nil
+		return buf, nil
 	}
-	data, err := p.store.get(id)
+	b, ok := p.store.get(id)
+	if !ok {
+		return buf, fmt.Errorf("procpool: unknown block %d", id)
+	}
+	buf, err := engine.EncodeBatch(buf[:0], b)
 	if err != nil {
-		var bl *engine.BlockLostError
-		if errors.As(err, &bl) {
-			p.mu.Lock()
-			p.stats.FetchFailures++
-			delete(p.keep, id)
-			p.mu.Unlock()
-			p.event("corrupt-block", w.idx, err.Error())
-		}
-		return err
+		return buf, fmt.Errorf("procpool: block %d: %w", id, err)
 	}
 	head := taggedHead(id, resultOK)
-	if err := p.sendData(w, msgBlockData, head[:], data); err != nil {
+	if err := p.sendData(w, msgBlockData, head[:], buf); err != nil {
 		p.markDead(w, fmt.Errorf("procpool: worker %d send failed: %v", w.idx, err))
-		return nil // sendShare finds the worker dead before the next task frame
+		return buf, nil // sendShare finds the worker dead before the next task frame
 	}
-	atomic.AddInt64(&p.shipped, int64(len(data)))
+	atomic.AddInt64(&p.shipped, int64(len(buf)))
 	w.wmu.Lock()
 	w.held[id] = true
 	w.wmu.Unlock()
-	return nil
+	return buf, nil
 }
 
 // forget drops ids from the set of blocks w is believed to hold.
@@ -979,22 +962,17 @@ func (p *Pool) RunStageReport(tasks []cluster.Task) (cluster.StageReport, error)
 	}, nil
 }
 
-// Broadcast pins bytes for the current job (bookkeeping only: actual
-// broadcast batches ship as ordinary blocks, cached per worker).
-func (p *Pool) Broadcast(bytes int64) error {
+// Broadcast counts a broadcast (actual broadcast batches ship as ordinary
+// blocks, cached per worker).
+func (p *Pool) Broadcast(int64) error {
 	p.mu.Lock()
 	p.stats.Broadcasts++
-	p.pinned += bytes
 	p.mu.Unlock()
 	return nil
 }
 
-// Unpin releases part of the pinned broadcast bytes early.
-func (p *Pool) Unpin(bytes int64) {
-	p.mu.Lock()
-	p.pinned -= bytes
-	p.mu.Unlock()
-}
+// Unpin is a no-op: the pool charges no broadcast residency.
+func (p *Pool) Unpin(int64) {}
 
 // ReleaseBroadcasts is the end-of-job hook. The blocks the job's specs
 // listed as resident — partitions of cached datasets — stay in the store
@@ -1005,7 +983,6 @@ func (p *Pool) Unpin(bytes int64) {
 // more, with nothing listed, to drop the rest.
 func (p *Pool) ReleaseBroadcasts() {
 	p.mu.Lock()
-	p.pinned = 0
 	keep := p.keep
 	p.keep = nil
 	p.mu.Unlock()

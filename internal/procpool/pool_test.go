@@ -1,10 +1,8 @@
 package procpool
 
 import (
-	"bytes"
 	"context"
 	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -16,7 +14,6 @@ import (
 	"matryoshka/internal/cluster"
 	"matryoshka/internal/engine"
 	"matryoshka/internal/obs"
-	"matryoshka/internal/taskreg"
 	"matryoshka/internal/tasks"
 )
 
@@ -88,11 +85,9 @@ func TestChaosABBitIdentical(t *testing.T) {
 // resident blocks, and the puts are those blocks plus every job's shuffle
 // blocks. A second session on the same pool puts them afresh and computes
 // the same value, and once both sessions are closed nothing is left in
-// the store, on its disk or in the driver's view of any worker. The small
-// store budget makes blocks spill, resident ones too, in the job that puts
-// them.
+// the store or in the driver's view of any worker.
 func TestKMeansInnerABBitIdentical(t *testing.T) {
-	pool := startPool(t, Config{Workers: 2, MemoryBudget: 16 << 10})
+	pool := startPool(t, Config{Workers: 2})
 	sp := tasks.KMeansSpec{TotalPoints: 2000, K: 3, Configs: 3, Eps: 1e-6, MaxIters: 4, Seed: 1}
 
 	simOut := sp.Run(tasks.InnerParallel, cluster.Config{})
@@ -117,9 +112,6 @@ func TestKMeansInnerABBitIdentical(t *testing.T) {
 	}
 	if pool.RemoteTasks() == 0 {
 		t.Fatal("no tasks ran in worker processes")
-	}
-	if blocks, _ := pool.Spills(); blocks == 0 {
-		t.Fatal("nothing spilled under a 16 KiB budget")
 	}
 	checkReleased(t, pool)
 }
@@ -155,20 +147,27 @@ func (l *jobLog) ReleaseBroadcasts() {
 
 // runLogged runs f with every session the tasks package builds on a
 // jobLog over pool, and returns its outcome, the log and the blocks put.
-func runLogged(t *testing.T, pool *Pool, f func() tasks.Outcome) (tasks.Outcome, *jobLog, int64) {
+func runLogged(t *testing.T, pool *Pool, f func() tasks.Outcome) (tasks.Outcome, *jobLog, uint64) {
 	t.Helper()
 	log := &jobLog{Pool: pool, t: t}
-	before := atomic.LoadInt64(&pool.localPut)
+	before := pool.puts()
 	var out tasks.Outcome
 	withBackend(t, log, func() { out = f() })
-	return out, log, atomic.LoadInt64(&pool.localPut) - before
+	return out, log, pool.puts() - before
+}
+
+// puts is how many blocks the store has ever been given: its last id.
+func (p *Pool) puts() uint64 {
+	p.store.mu.Lock()
+	defer p.store.mu.Unlock()
+	return p.store.next
 }
 
 // checkPutOnce checks a fault-free session: every job lists the same
 // resident blocks, the session's Close released the pool once more with
 // nothing listed, and the blocks put are the resident ones once plus
 // every job's others. It returns the resident ids.
-func (l *jobLog) checkPutOnce(t *testing.T, puts int64) []uint64 {
+func (l *jobLog) checkPutOnce(t *testing.T, puts uint64) []uint64 {
 	t.Helper()
 	if n := len(l.jobs); n < 3 || len(l.jobs[n-1]) != 0 {
 		t.Fatalf("%d job ends: want at least two jobs, then Close's with no spec", n)
@@ -195,7 +194,7 @@ func (l *jobLog) checkPutOnce(t *testing.T, puts int64) []uint64 {
 			}
 		}
 	}
-	if want := int64(len(resident) + others); puts != want {
+	if want := uint64(len(resident) + others); puts != want {
 		t.Fatalf("%d blocks put, want %d: %d resident once and %d others over %d jobs", puts, want, len(resident), others, len(jobs))
 	}
 	return resident
@@ -215,40 +214,24 @@ func residentIDs(specs []*engine.RemoteStageSpec) []uint64 {
 	return ids
 }
 
-// storeIDs lists the blocks the store holds: as frames in memory or
-// spilled, or as batches.
+// storeIDs lists the blocks the store holds, sorted.
 func (p *Pool) storeIDs() []uint64 {
-	s := p.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	held := map[uint64]bool{}
-	for id := range s.mem {
-		held[id] = true
-	}
-	for id := range s.disk {
-		held[id] = true
-	}
-	for id := range s.src {
-		held[id] = true
-	}
+	p.store.mu.Lock()
+	defer p.store.mu.Unlock()
 	ids := []uint64{}
-	for id := range held {
+	for id := range p.store.blocks {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 	return ids
 }
 
-// checkReleased: the pool holds no block — not in the store, not in a
-// spill file, not in the driver's view of any live worker.
+// checkReleased: the pool holds no block — not in the store, not in the
+// driver's view of any live worker.
 func checkReleased(t *testing.T, pool *Pool) {
 	t.Helper()
 	if ids := pool.storeIDs(); len(ids) != 0 {
 		t.Fatalf("store still holds %v", ids)
-	}
-	files, err := filepath.Glob(filepath.Join(pool.dir, "blk-*"))
-	if err != nil || len(files) != 0 {
-		t.Fatalf("spill files left: %v (err %v)", files, err)
 	}
 	for _, w := range pool.liveWorkers() {
 		w.wmu.Lock()
@@ -297,69 +280,6 @@ func TestKillInSecondJobPushesFromStore(t *testing.T) {
 	checkReleased(t, pool)
 }
 
-// TestCorruptResidentSpillIsPutAgain spills every block and corrupts
-// every 100th spill file. A cached dataset of 300 partitions is read by
-// three jobs, so the 100th, 200th and 300th puts are resident blocks,
-// found lost when they are first pushed. Each loss is a BlockLostError, a
-// lineage recovery and one fresh put of that partition; the later jobs
-// list the repaired set and put none of it again. Values are exact.
-func TestCorruptResidentSpillIsPutAgain(t *testing.T) {
-	rec := obs.NewRecorder()
-	pool := startPool(t, Config{
-		Workers:      2,
-		MemoryBudget: 1,
-		Faults:       FaultPlan{Seed: 7, CorruptSpillEvery: 100},
-		Events:       rec,
-	})
-	log := &jobLog{Pool: pool, t: t}
-	sess, err := engine.NewSession(engine.Config{Backend: log, Obs: rec, Recover: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := make([]engine.Pair[int, int64], 3000)
-	want := map[int]int64{}
-	for i := range pairs {
-		pairs[i] = engine.KV(i%7, int64(i))
-		want[i%7] += int64(i)
-	}
-	cached := engine.Parallelize(sess, pairs, 300).Cache()
-	for job := 1; job <= 3; job++ {
-		got, err := engine.CollectMap(taskreg.ReduceByKeyN[int, int64](cached, "chaos.sum", 4))
-		if err != nil {
-			t.Fatalf("job %d over corrupt resident spills: %v", job, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("job %d: %v, want %v", job, got, want)
-		}
-	}
-	sess.Close()
-
-	first := log.tried[0].Resident
-	lost := pool.Stats().FetchFailures
-	if len(first) != 300 || lost != 3 {
-		t.Fatalf("%d cached partitions put first, %d blocks lost; want 300 and 3", len(first), lost)
-	}
-	repaired := residentIDs(log.jobs[0])
-	fresh := 0
-	for _, id := range repaired {
-		if !slices.Contains(first, id) {
-			fresh++
-		}
-	}
-	if len(repaired) != 300 || fresh != lost {
-		t.Fatalf("job 1 ends with %d resident blocks, %d of them fresh; want 300 and %d", len(repaired), fresh, lost)
-	}
-	for i, specs := range log.jobs[1:3] {
-		if got := residentIDs(specs); !reflect.DeepEqual(got, repaired) {
-			t.Fatalf("job %d lists resident %v, want job 1's repaired %v", i+2, got, repaired)
-		}
-	}
-	if report := rec.Report(); !strings.Contains(report, "corrupt-block") || !strings.Contains(report, "Recovery") {
-		t.Fatalf("no corrupt-block event or Recovery line:\n%s", report)
-	}
-	checkReleased(t, pool)
-}
-
 // TestWorkerCrashRecovery kills a worker mid-stage (the KillAfterTasks
 // hook) and asserts the run still completes correctly: the dead worker's
 // registered shuffle outputs surface as a cluster.FetchFailedError at the
@@ -402,29 +322,6 @@ func TestWorkerCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestSpillToDisk shrinks the block-store budget to a single byte so
-// every stored frame spills, and asserts results are still correct.
-func TestSpillToDisk(t *testing.T) {
-	pool := startPool(t, Config{Workers: 2, MemoryBudget: 1})
-	sp := tasks.ChaosSpec{Records: 1500, Keys: 32, Parts: 3, Rounds: 1}
-
-	var out tasks.Outcome
-	withBackend(t, pool, func() { out = sp.Run(cluster.Config{}) })
-	if out.Err != nil {
-		t.Fatalf("run: %v", out.Err)
-	}
-	if want := sp.Reference(); !reflect.DeepEqual(out.Value, want) {
-		t.Fatalf("value %+v != reference %+v", out.Value, want)
-	}
-	blocks, bytes := pool.Spills()
-	if blocks == 0 || bytes == 0 {
-		t.Fatalf("nothing spilled under a 1-byte budget (blocks=%d bytes=%d)", blocks, bytes)
-	}
-	if pool.RemoteTasks() == 0 {
-		t.Fatal("no tasks ran in worker processes")
-	}
-}
-
 // TestHeartbeatDetectsStoppedWorker SIGSTOPs a worker: it is not dead
 // (the connection stays open, no process exit), so only the heartbeat
 // timeout can catch it.
@@ -462,100 +359,101 @@ func TestHeartbeatDetectsStoppedWorker(t *testing.T) {
 	}
 }
 
-// TestBlockStoreSpillRoundTrip exercises the store directly: frames must
-// come back bit-identical whether they stayed in memory or spilled.
-func TestBlockStoreSpillRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s := newBlockStore(dir, 32) // tiny: most frames spill
-	var ids []uint64
-	var want [][]byte
-	for i := 0; i < 10; i++ {
-		frame := make([]byte, 16+i)
-		for j := range frame {
-			frame[j] = byte(i*31 + j)
-		}
-		id, err := s.put(nil, frame)
-		if err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-		ids = append(ids, id)
-		want = append(want, frame)
-	}
-	blocks, _ := s.spillStats()
-	if blocks == 0 {
-		t.Fatal("nothing spilled under a 32-byte budget")
-	}
-	for i, id := range ids {
-		got, err := s.get(id)
-		if err != nil {
-			t.Fatalf("get %d: %v", id, err)
-		}
-		if !reflect.DeepEqual(got, want[i]) {
-			t.Fatalf("block %d corrupted by spill", id)
-		}
-	}
-	s.retain(nil)
-	if _, err := s.get(ids[0]); err == nil {
-		t.Fatal("dropped block still readable")
-	}
-	left, err := os.ReadDir(dir)
+// ptrRow is a shape the batch codec refuses: it has a pointer field.
+type ptrRow struct{ P *int }
+
+func derefRow(r ptrRow) int { return *r.P }
+
+func init() {
+	engine.RegisterPortableOp("ptest.deref", func([]byte) (engine.PortableCompute, error) {
+		return engine.MapCompute(derefRow), nil
+	})
+}
+
+// TestUnencodableBlockRunsDriverLocal: a portable stage over a shape the
+// codec refuses is found out when its first block is pushed, before any
+// task is sent. The stage runs driver-local with the right value, the
+// decision log quotes the codec's reason, no worker dies and no remote
+// stage is counted.
+func TestUnencodableBlockRunsDriverLocal(t *testing.T) {
+	pool := startPool(t, Config{Workers: 2})
+	rec := obs.NewRecorder()
+	sess, err := engine.NewSession(engine.Config{Backend: pool, Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range left {
-		if strings.HasPrefix(e.Name(), "blk-") {
-			t.Fatalf("spill file %s survived retain(nil)", e.Name())
+	rows := make([]ptrRow, 8)
+	want := make([]int, len(rows))
+	for i := range rows {
+		v := 10 * i
+		rows[i], want[i] = ptrRow{&v}, v
+	}
+	got, err := engine.Collect(engine.MarkPortable(engine.Map(engine.Parallelize(sess, rows, 2), derefRow), "ptest.deref", nil))
+	sess.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	why := ""
+	for _, d := range rec.Decisions() {
+		if d.Rule == "proc-backend" && d.Choice == "driver-local" {
+			why = d.Why
 		}
+	}
+	if !strings.Contains(why, "unsupported element kind ptr") {
+		t.Fatalf("driver-local decision %q does not quote the codec; decisions: %+v", why, rec.Decisions())
+	}
+	if pool.RemoteStages() != 0 || atomic.LoadInt64(&pool.nDispatch) != 0 {
+		t.Fatalf("%d remote stages and %d dispatches over an unencodable block, want none", pool.RemoteStages(), pool.nDispatch)
+	}
+	if st := pool.Stats(); st.MachineCrashes != 0 || pool.LiveWorkers() != 2 {
+		t.Fatalf("%d crashes and %d live workers, want 0 and 2", st.MachineCrashes, pool.LiveWorkers())
 	}
 }
 
-// TestBlockStoreKeepsResidentAsBatch: the blocks retain keeps are served
-// from their batches, encoded as they were put, wherever their frames were;
-// every other block is gone, and so is every spill file.
+// TestBlockStoreKeepsResidentAsBatch: retain keeps the listed blocks as
+// the very batches put — an id it never handed out is ignored — and drops
+// every other one, and ids keep counting up past it.
 func TestBlockStoreKeepsResidentAsBatch(t *testing.T) {
-	dir := t.TempDir()
-	s := newBlockStore(dir, 64) // the first frames spill
+	s := newBlockStore()
 	var ids []uint64
-	var frames [][]byte
+	var batches []engine.Batch
 	for i := 0; i < 4; i++ {
 		b := sliceBatch([]int{i, 2 * i, 3 * i, 4 * i})
-		frame, err := engine.EncodeBatch(nil, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, err := s.put(b, frame)
-		if err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-		ids = append(ids, id)
-		frames = append(frames, frame)
-	}
-	if blocks, _ := s.spillStats(); blocks == 0 {
-		t.Fatal("nothing spilled under a 64-byte budget")
+		ids = append(ids, s.put(b))
+		batches = append(batches, b)
 	}
 	kept := s.retain(map[uint64]bool{ids[0]: true, ids[3]: true, 99: true})
 	if !reflect.DeepEqual(kept, map[uint64]bool{ids[0]: true, ids[3]: true}) {
 		t.Fatalf("retain kept %v, want %d and %d", kept, ids[0], ids[3])
 	}
 	for _, i := range []int{0, 3} {
-		got, err := s.get(ids[i])
-		if err != nil || !bytes.Equal(got, frames[i]) {
-			t.Fatalf("kept block %d: %v, err %v; want its frame", ids[i], got, err)
+		if b, ok := s.get(ids[i]); !ok || b != batches[i] {
+			t.Fatalf("kept block %d: %v (found %v), want the batch put", ids[i], b, ok)
 		}
 	}
-	if _, err := s.get(ids[1]); err == nil {
-		t.Fatal("dropped block still readable")
+	for _, i := range []int{1, 2} {
+		if _, ok := s.get(ids[i]); ok {
+			t.Fatalf("dropped block %d still readable", ids[i])
+		}
 	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "blk-*")); len(files) != 0 {
-		t.Fatalf("spill files %v survived retain", files)
+	if id := s.put(sliceBatch([]int{7})); id != ids[3]+1 {
+		t.Fatalf("put after retain got id %d, want %d", id, ids[3]+1)
+	}
+	s.retain(nil)
+	if _, ok := s.get(ids[0]); ok {
+		t.Fatal("retain(nil) left a block")
 	}
 }
 
 // BenchmarkRemoteStage is the pool's own per-layer number: one stage of
 // 1 200 single-block identity tasks on two workers — the paper's 3 × cores
 // partitions over almost no data, where nothing but dispatch costs — with
-// the blocks stored before the clock starts and dropped, on the driver and
-// in the workers, after it stops. Host-bound (three processes share the
+// the blocks put before the clock starts (they are encoded as they are
+// pushed, inside it) and dropped, on the driver and in the workers, after
+// it stops. Host-bound (three processes share the
 // cores), so it is quoted in EXPERIMENTS.md, not gated.
 func BenchmarkRemoteStage(b *testing.B) {
 	const tasks = 1200

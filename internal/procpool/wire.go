@@ -1,8 +1,8 @@
 // Package procpool is the process-pool backend: a driver-side Pool that
 // spawns real worker processes (re-execs of the current binary), ships
 // each its share of a portable stage (engine.RemoteStageSpec) — the input
-// blocks, from a spill-capable block store, pushed ahead of the tasks that
-// read them — and detects worker death by heartbeat, surfacing lost
+// blocks, encoded from the driver's block store as they are pushed ahead
+// of the tasks that read them — and detects worker death by heartbeat, surfacing lost
 // shuffle outputs through the same cluster.FetchFailedError the
 // simulator's fault injection raises, so the engine's lineage-based
 // recovery handles real crashes unchanged.
@@ -98,8 +98,8 @@ const maxWireFrame = 1 << 30
 // frameOverhead is the payload's fixed prefix: type byte + body checksum.
 const frameOverhead = 5
 
-// wireCRC is the Castagnoli polynomial table shared by the wire framing
-// and the spill files (hardware-accelerated on amd64/arm64).
+// wireCRC is the Castagnoli polynomial table of the wire framing
+// (hardware-accelerated on amd64/arm64).
 var wireCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // frameHead is a frame's fixed nine bytes: payload length, type, body
@@ -468,6 +468,20 @@ func (r *wireReader) input(in *engine.RemoteInput, op string, i, depth int) erro
 		return fmt.Errorf("%q input %d: %w", op, i, err)
 	}
 	return nil
+}
+
+// decodeBatchFrame decodes a body that is exactly one batch frame — a
+// pushed block or a task's result. Bytes after the frame are refused, as
+// they are after a task body.
+func decodeBatchFrame(body []byte) (engine.Batch, error) {
+	b, n, err := engine.DecodeBatch(body)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(body) {
+		return nil, fmt.Errorf("procpool: %d trailing bytes after a %d-byte batch frame", len(body)-n, n)
+	}
+	return b, nil
 }
 
 // eachBlock calls f with the id of every block the tree under rn reads, in

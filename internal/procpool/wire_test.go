@@ -1,18 +1,22 @@
 package procpool
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"matryoshka/internal/cluster"
 	"matryoshka/internal/engine"
 )
 
@@ -236,6 +240,11 @@ func TestWorkerSaysWhyItExits(t *testing.T) {
 	block := appendFrame(nil, msgBlockData, encodeTagged(3, resultOK, []byte("not a batch frame")))
 	corrupt := append([]byte(nil), block...)
 	corrupt[len(corrupt)-1] ^= 0x01
+	batch, err := engine.EncodeBatch(nil, sliceBatch([]int{1, 2, 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailing := appendFrame(nil, msgBlockData, encodeTagged(4, resultOK, append(batch, 0xde, 0xad)))
 	cases := []struct {
 		name  string
 		bytes []byte
@@ -246,6 +255,7 @@ func TestWorkerSaysWhyItExits(t *testing.T) {
 		{"checksum", corrupt, 1, "checksum mismatch"},
 		{"truncated", block[:len(block)-4], 1, "truncated wire frame"},
 		{"bad block", block, 1, "block data"},
+		{"block with trailing bytes", trailing, 1, "block 4: procpool: 2 trailing bytes after a"},
 		{"bad task", appendFrame(nil, msgTask, malformedTasks[2].body), 1, "node input without a node"},
 		{"ragged keep list", appendFrame(nil, msgClearCache, make([]byte, 12)), 1, "12 bytes of block ids is not a multiple of 8"},
 		{"unknown keep ids", appendFrame(nil, msgClearCache, encodeIDs([]uint64{5, 6})), 0, ""},
@@ -255,6 +265,54 @@ func TestWorkerSaysWhyItExits(t *testing.T) {
 		if code != tc.code || !strings.Contains(stderr, tc.says) || (tc.says == "") != (stderr == "") {
 			t.Errorf("%s: exit %d saying %q, want exit %d saying %q", tc.name, code, stderr, tc.code, tc.says)
 		}
+	}
+}
+
+// TestResultWithTrailingBytesFailsTheStage plays a worker by hand over an
+// in-memory connection. It answers its first task with a batch frame,
+// which the driver takes, and its second with the same frame and two bytes
+// more, which the driver refuses: the stage fails with a result error.
+func TestResultWithTrailingBytesFailsTheStage(t *testing.T) {
+	frame, err := engine.EncodeBatch(nil, sliceBatch([]int{1, 2, 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drv, wrk := net.Pipe()
+	defer wrk.Close()
+	go func() {
+		br := bufio.NewReader(wrk)
+		var extra []byte
+		for {
+			typ, body, err := readFrame(br)
+			if err != nil {
+				return
+			}
+			if id, _, err := parseTask(body); typ == msgTask && err == nil {
+				head := taggedHead(id, resultOK)
+				writeFrame(wrk, msgTaskResult, head[:], frame, extra)
+				extra = []byte{0xde, 0xad}
+			}
+		}
+	}()
+	cfg := Config{DisableRespawn: true}
+	cfg.defaults()
+	w := &workerProc{
+		cmd: &exec.Cmd{}, conn: drv, br: bufio.NewReader(drv), bw: bufio.NewWriter(drv),
+		readDone: make(chan struct{}), exited: make(chan struct{}),
+		held: map[uint64]bool{}, pending: map[uint64]pendingTask{}, lastBeat: time.Now(),
+	}
+	p := &Pool{cfg: cfg, store: newBlockStore(), stopCh: make(chan struct{}),
+		workerList: []*workerProc{w}, outputs: map[cluster.OutputID]*poolOutput{}}
+	go p.readLoop(w)
+
+	res, err := p.RunRemoteStage(context.Background(), opSpec("exact", "htest.ok", nil, 1))
+	if err != nil {
+		t.Fatalf("a result that is exactly one frame: %v", err)
+	}
+	checkParts(t, res.Parts, [][]int{{1, 2, 3}})
+	_, err = p.RunRemoteStage(context.Background(), opSpec("trailing", "htest.ok", nil, 1))
+	if want := `stage "trailing" task 0 result: procpool: 2 trailing bytes after a`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("result with trailing bytes: got %v, want an error saying %q", err, want)
 	}
 }
 

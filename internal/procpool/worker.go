@@ -120,7 +120,9 @@ func workerRun(sock string) int {
 			}
 			var b engine.Batch
 			if perr == nil {
-				b, _, perr = engine.DecodeBatch(frame)
+				if b, perr = decodeBatchFrame(frame); perr != nil {
+					perr = fmt.Errorf("block %d: %w", id, perr)
+				}
 			}
 			if perr != nil {
 				fmt.Fprintf(os.Stderr, "procpool worker: block data: %v\n", perr)
