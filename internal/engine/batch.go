@@ -1,12 +1,13 @@
 package engine
 
-// Batch is the partition representation carried across the data path: a
-// typed, monomorphic vector for the hot element shapes (ints, strings,
-// floats, pairs — whatever the operator constructors instantiate) with a
-// boxed *Vec[any] fallback for everything else. Operators build batches
-// with batchOf and read them with elems; between operators the engine
-// moves them opaquely (routing, flattening, caching, memoization,
-// serialization) without re-boxing every element into []any.
+// Batch is the partition representation carried across the data path: one
+// typed, monomorphic vector per partition. The rule every path relies on: a
+// non-empty partition of a Dataset[T] is always a *Vec[T], and an empty one
+// may be any empty batch (zeroBatch, a nil shuffle block). The ir front end's
+// datasets are Dataset[any], so theirs are *Vec[any] under the same rule.
+// Operators build batches with batchOf and read them with elems; between
+// operators the engine moves them opaquely (routing, flattening, caching,
+// memoization, serialization) and never converts one shape into another.
 //
 // Simulated-cluster accounting must stay bit-identical to the boxed
 // representation it replaced, so a batch carries BoxedCap — the capacity
@@ -15,6 +16,7 @@ package engine
 // layout is free to change; the observable numbers are not.
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"regexp"
@@ -24,17 +26,15 @@ import (
 	"matryoshka/internal/sizeest"
 )
 
-// Batch is one partition of elements. Implementations are *Vec[T] for
-// some element type T; *Vec[any] is the boxed fallback and the shape every
-// batch can be converted to.
+// Batch is one partition of elements. Its one implementation is *Vec[T]
+// for the dataset's element type T (*Vec[any] for the ir front end's
+// boxed datasets).
 type Batch interface {
 	// Len returns the number of elements.
 	Len() int
 	// BoxedCap returns the capacity of the equivalent boxed []any
 	// partition — the number simulated size estimation charges.
 	BoxedCap() int
-	// At returns element i, boxed.
-	At(i int) any
 	// Data returns the underlying typed slice ([]T for *Vec[T]). Callers
 	// must not mutate it.
 	Data() any
@@ -44,7 +44,7 @@ type Batch interface {
 
 	// elemSize is sizeest.FixedSize of the element type: the deep size every
 	// element has, ok=false where it depends on the value (and always for
-	// the boxed fallback).
+	// *Vec[any]).
 	elemSize() (size int64, ok bool)
 
 	// newLike allocates a same-shaped batch of n zero elements with the
@@ -59,16 +59,13 @@ type Batch interface {
 	// put back once the blocks are dead. Shapes the collector has to scan,
 	// and a nil list, allocate each block on the heap and return nothing.
 	newBlocks(lens []int32, blocks []Batch, from *arenaList) [][]uint64
-	// setAny stores a boxed element at i; the dynamic type must match.
-	setAny(i int, v any)
-	// copyFrom copies src into this batch starting at off, returning
-	// false if src has a different shape (broadcast flatten).
-	copyFrom(off int, src Batch) bool
+	// copyFrom copies src, a batch of the same shape, into this batch
+	// starting at off (broadcast flatten).
+	copyFrom(off int, src Batch)
 	// scatter distributes this batch's elements into same-shaped blocks:
 	// element i goes to blocks[tg[i]] at off[tg[i]], which is then
-	// incremented. Returns false if any non-empty target block has a
-	// different shape (the router falls back to boxed blocks).
-	scatter(tg, off []int32, blocks []Batch) bool
+	// incremented.
+	scatter(tg, off []int32, blocks []Batch)
 	// sampleEvery returns every step-th element as a batch with the given
 	// boxed capacity (size-estimator sampling).
 	sampleEvery(step, bcap int) Batch
@@ -83,7 +80,6 @@ type Vec[T any] struct {
 
 func (v *Vec[T]) Len() int      { return len(v.xs) }
 func (v *Vec[T]) BoxedCap() int { return v.bcap }
-func (v *Vec[T]) At(i int) any  { return v.xs[i] }
 func (v *Vec[T]) Data() any     { return v.xs }
 
 func (v *Vec[T]) Shape() string { return shapeName(reflect.TypeFor[T]()) }
@@ -157,18 +153,9 @@ func carve[T any](arena []uint64) []T {
 	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(arena))), len(arena)*8/int(unsafe.Sizeof(zero)))
 }
 
-func (v *Vec[T]) setAny(i int, e any) { v.xs[i] = e.(T) }
+func (v *Vec[T]) copyFrom(off int, src Batch) { copy(v.xs[off:], src.(*Vec[T]).xs) }
 
-func (v *Vec[T]) copyFrom(off int, src Batch) bool {
-	s, ok := src.(*Vec[T])
-	if !ok {
-		return false
-	}
-	copy(v.xs[off:], s.xs)
-	return true
-}
-
-func (v *Vec[T]) scatter(tg, off []int32, blocks []Batch) bool {
+func (v *Vec[T]) scatter(tg, off []int32, blocks []Batch) {
 	// The write loop caches the last target's slice: shuffle targets are
 	// bursty (runs of equal keys), so most iterations skip the type
 	// assertion entirely.
@@ -176,17 +163,12 @@ func (v *Vec[T]) scatter(tg, off []int32, blocks []Batch) bool {
 	var dst []T
 	for i, t := range tg {
 		if t != last {
-			b, ok := blocks[t].(*Vec[T])
-			if !ok {
-				return false
-			}
-			dst = b.xs
+			dst = blocks[t].(*Vec[T]).xs
 			last = t
 		}
 		dst[off[t]] = v.xs[i]
 		off[t]++
 	}
-	return true
 }
 
 func (v *Vec[T]) sampleEvery(step, bcap int) Batch {
@@ -217,25 +199,18 @@ func batchLen(b Batch) int {
 	return b.Len()
 }
 
-// elems returns b's elements as []T. For a *Vec[T] it returns the backing
-// slice without copying — callers must not mutate it; any other shape is
-// converted element-wise.
+// elems returns b's elements as []T: the backing slice of a *Vec[T],
+// without copying — callers must not mutate it — and nil for an empty
+// batch of any other shape. A non-empty batch of another shape breaks the
+// one-shape rule and panics.
 func elems[T any](b Batch) []T {
 	if v, ok := b.(*Vec[T]); ok {
 		return v.xs
 	}
-	n := b.Len()
-	out := make([]T, n)
-	for i := range out {
-		out[i] = b.At(i).(T)
+	if b.Len() > 0 {
+		panic(fmt.Sprintf("engine: a %s partition read as %s", b.Shape(), shapeName(reflect.TypeFor[T]())))
 	}
-	return out
-}
-
-// sameBatchShape reports whether two batches have the same dynamic
-// representation (so typed block routing and flattening apply).
-func sameBatchShape(a, b Batch) bool {
-	return reflect.TypeOf(a) == reflect.TypeOf(b)
+	return nil
 }
 
 var shapeNames sync.Map // reflect.Type -> string

@@ -114,7 +114,9 @@ func EncodeBatch(dst []byte, b Batch) ([]byte, error) {
 
 	data := reflect.ValueOf(b.Data())
 	elem := data.Type().Elem()
-	boxed := elem.Kind() == reflect.Interface
+	// Only *Vec[any] is boxed: a frame decodes to the shape it was encoded
+	// from, so any other interface element type is refused below.
+	boxed := elem == reflect.TypeFor[any]()
 	if boxed {
 		dst = append(dst, batchKindBoxed)
 		dst = appendU32String(dst, "")
@@ -132,7 +134,7 @@ func EncodeBatch(dst []byte, b Batch) ([]byte, error) {
 	var err error
 	for i := 0; i < n; i++ {
 		if boxed {
-			dst, err = appendBoxedElem(dst, b.At(i))
+			dst, err = appendBoxedElem(dst, data.Index(i).Interface())
 		} else {
 			dst, err = appendValue(dst, data.Index(i))
 		}

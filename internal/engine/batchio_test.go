@@ -34,8 +34,8 @@ type maybeString struct {
 }
 
 // codecBatches generates one randomized batch per supported shape —
-// typed scalars, strings, pairs, nested slices, and the boxed fallback
-// (including nil elements and mixed element types).
+// typed scalars, strings, pairs, nested slices, and the boxed batches of an
+// ir dataset (including nil elements and mixed element types).
 func codecBatches(rng *rand.Rand) []Batch {
 	n := rng.Intn(40)
 	ints := make([]int, n)
@@ -109,12 +109,7 @@ func batchEqual(a, b Batch) bool {
 	if a.Len() != b.Len() || a.BoxedCap() != b.BoxedCap() {
 		return false
 	}
-	for i := 0; i < a.Len(); i++ {
-		if !reflect.DeepEqual(a.At(i), b.At(i)) {
-			return false
-		}
-	}
-	return true
+	return reflect.DeepEqual(boxedElems(a), boxedElems(b))
 }
 
 // TestBatchCodecRoundTrip: EncodeBatch then DecodeBatch reproduces every
@@ -205,6 +200,11 @@ func TestBatchCodecRejects(t *testing.T) {
 	}
 	if err := encodeErr(boxedOf([]any{func() {}})); !errors.Is(err, errBatchCodec) {
 		t.Fatalf("boxed func element: err = %v, want errBatchCodec", err)
+	}
+	// A batch of another interface type would decode boxed, in a shape
+	// its dataset's readers do not take.
+	if err := encodeErr(batchOf([]error{nil}, 1)); !errors.Is(err, errBatchCodec) {
+		t.Fatalf("non-empty interface element: err = %v, want errBatchCodec", err)
 	}
 
 	good, err := EncodeBatch(nil, batchOf([]int{1, 2, 3}, 3))

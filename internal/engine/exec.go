@@ -447,7 +447,7 @@ func (j *job) pinBroadcast(d *dep, root *node, st *stage, owner *node) *stageFai
 	if _, ok := j.bcast[d]; ok {
 		return nil
 	}
-	flat := j.s.flatten(j.front[d.parent].data)
+	flat := flatten(j.front[d.parent].data)
 	bytes := j.s.estResidentBytes(flat, d.parent.weight)
 	clockBefore := j.s.exec.Clock()
 	if err := j.s.exec.Broadcast(bytes); err != nil {

@@ -23,13 +23,36 @@ func poolSession(workers int) *Session {
 	return mustSession(cfg)
 }
 
-// boxedOf is the boxed fallback batch of xs, at xs's capacity.
+// boxedOf is the boxed batch of xs (an ir dataset's shape), at xs's
+// capacity.
 func boxedOf(xs []any) Batch { return &Vec[any]{xs: xs, bcap: cap(xs)} }
 
+// boxedElems reads the elements of a batch of any shape, boxed: the form a
+// test compares them in.
+func boxedElems(b Batch) []any {
+	data := reflect.ValueOf(b.Data())
+	out := make([]any, data.Len())
+	for i := range out {
+		out[i] = data.Index(i).Interface()
+	}
+	return out
+}
+
+// boxAll returns parent with every partition boxed: the same elements as an
+// ir dataset would carry them.
+func boxAll(parent []Batch) []Batch {
+	out := make([]Batch, len(parent))
+	for i, part := range parent {
+		if part != nil {
+			out[i] = boxedOf(boxedElems(part))
+		}
+	}
+	return out
+}
+
 // randomParent builds a random materialized partition structure of ints.
-// Partitions are typed int batches except an occasional boxed fallback, so
-// routing tests cover the homogeneous typed path, the mixed-shape path,
-// and the all-boxed path.
+// Partitions are typed int batches, or, for one parent in four, all boxed,
+// so routing tests cover both the typed and the ir datasets' shape.
 func randomParent(rng *rand.Rand, maxSrc, maxLen int) []Batch {
 	parent := make([]Batch, rng.Intn(maxSrc+1))
 	for i := range parent {
@@ -37,15 +60,10 @@ func randomParent(rng *rand.Rand, maxSrc, maxLen int) []Batch {
 		for k := range part {
 			part[k] = rng.Intn(1 << 20)
 		}
-		if rng.Intn(4) == 0 {
-			boxed := make([]any, len(part))
-			for k, v := range part {
-				boxed[k] = v
-			}
-			parent[i] = boxedOf(boxed)
-		} else {
-			parent[i] = batchOf(part, len(part))
-		}
+		parent[i] = batchOf(part, len(part))
+	}
+	if rng.Intn(4) == 0 {
+		return boxAll(parent)
 	}
 	return parent
 }
@@ -54,8 +72,8 @@ func randomParent(rng *rand.Rand, maxSrc, maxLen int) []Batch {
 // form a test states a placement in.
 func perElement(f func(src, idx int, e any, n int) int) func(int, Batch, int, []int32, []int32) {
 	return func(src int, b Batch, nParts int, tg, ct []int32) {
-		for i := range tg {
-			place(uint64(f(src, i, b.At(i), nParts)), nParts, i, tg, ct)
+		for i, e := range boxedElems(b) {
+			place(uint64(f(src, i, e, nParts)), nParts, i, tg, ct)
 		}
 	}
 }
@@ -71,26 +89,23 @@ func refRoute(d *dep, parent []Batch) [][]any {
 		}
 		tg := make([]int32, n)
 		d.targets(src, part, d.childParts, tg, make([]int32, d.childParts))
+		xs := boxedElems(part)
 		for idx, t := range tg {
-			out[t] = append(out[t], part.At(idx))
+			out[t] = append(out[t], xs[idx])
 		}
 	}
 	return out
 }
 
 // checkRoute asserts routed blocks against refRoute: contents and element
-// order, nil empty blocks, blockCap boxed capacity, and the typed shape
-// when every non-empty source shares one (boxed otherwise).
+// order, nil empty blocks, blockCap boxed capacity, and the sources' shape.
 func checkRoute(t *testing.T, d *dep, parent, blocks []Batch) {
 	t.Helper()
 	shape := ""
 	for _, part := range parent {
-		switch {
-		case batchLen(part) == 0:
-		case shape == "":
+		if batchLen(part) > 0 {
 			shape = part.Shape()
-		case shape != part.Shape():
-			shape = "any"
+			break
 		}
 	}
 	want := refRoute(d, parent)
@@ -105,7 +120,7 @@ func checkRoute(t *testing.T, d *dep, parent, blocks []Batch) {
 			}
 			continue
 		}
-		if b == nil || !slices.Equal(elems[any](b), ref) {
+		if b == nil || !slices.Equal(boxedElems(b), ref) {
 			t.Fatalf("block %d: got %v want %v", tgt, b, ref)
 		}
 		if b.Shape() != shape {
@@ -120,7 +135,8 @@ func checkRoute(t *testing.T, d *dep, parent, blocks []Batch) {
 // TestRouteMatchesReference asserts the router against refRoute at several
 // worker counts: on the shapes where chunking has edges (nothing to route,
 // one source holding everything, fewer sources than chunks, the paper's
-// sparse 1200 × 1200 shuffle, mixed batch shapes) and on randomized
+// sparse 1200 × 1200 shuffle, typed sources among empty batches of other
+// shapes, an ir dataset's boxed batches) and on randomized
 // partition structures, with value-hash and positional partitioners.
 func TestRouteMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -130,8 +146,12 @@ func TestRouteMatchesReference(t *testing.T) {
 	for src := 0; src < len(sparse); src += 7 {
 		sparse[src] = nil
 	}
+	// Only a non-empty partition has its dataset's shape; an empty one may
+	// be any empty batch.
 	mixed := benchParent(12, 30, true)
-	mixed[5] = boxedOf(elems[any](mixed[5]))
+	mixed[0], mixed[5], mixed[9] = zeroBatch, boxedOf(nil), batchOf([]string{}, 0)
+	boxed := boxAll(benchParent(12, 30, true))
+	boxed[3] = nil
 	type routeCase struct {
 		name   string
 		parent []Batch
@@ -144,6 +164,7 @@ func TestRouteMatchesReference(t *testing.T) {
 		{"fewer-sources-than-chunks", benchParent(3, 100, false), 7},
 		{"sparse-paper-shape", sparse, 1200},
 		{"mixed-shapes", mixed, 6},
+		{"all-boxed", boxed, 6},
 	}
 	for trial := 0; trial < 100; trial++ {
 		cases = append(cases, routeCase{"random", randomParent(rng, 40, 60), 1 + rng.Intn(17)})
@@ -152,8 +173,7 @@ func TestRouteMatchesReference(t *testing.T) {
 		s := poolSession(workers)
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, c.name), func(t *testing.T) {
-				// benchDep hashes typed int batches in place and walks
-				// boxed ones element by element.
+				// benchDep hashes typed and boxed int batches in place.
 				byValue := benchDep(c.nt)
 				checkRoute(t, byValue, c.parent, s.route(byValue, c.parent).blocks)
 				byPos := &dep{kind: depShuffle, childParts: c.nt,
@@ -178,34 +198,81 @@ func TestRouteMatchesReference(t *testing.T) {
 			s.route(bad, benchParent(20, 10, false))
 		}()
 		good := benchDep(4)
-		checkRoute(t, good, mixed, s.route(good, mixed).blocks)
+		checkRoute(t, good, boxed, s.route(good, boxed).blocks)
 		s.Close()
 	}
 }
 
-// TestPooledFlattenMatchesInline covers the broadcast flatten path.
-func TestPooledFlattenMatchesInline(t *testing.T) {
-	s := poolSession(8)
-	defer s.Close()
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 100; trial++ {
-		parent := randomParent(rng, 9, 60)
-		want := flattenCore(parent, nil, 1)
-		got := s.flatten(parent)
-		if batchLen(want) == 0 && batchLen(got) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: flatten differs", trial)
-		}
+// TestFlattenMatchesConcatenation checks the broadcast flatten against a
+// plain concatenation of its parts' elements, on typed, boxed and empty
+// parents: the same elements in the same order, the parts' shape, and a
+// boxed capacity equal to the length.
+func TestFlattenMatchesConcatenation(t *testing.T) {
+	typed := []Batch{batchOf([]int{1, 2}, 2), nil, batchOf([]int{}, 0), batchOf([]int{3, 4, 5}, 8)}
+	pairs := []Batch{batchOf([]Pair[string, int]{KV("a", 1)}, 1), zeroBatch, batchOf([]Pair[string, int]{KV("b", 2), KV("a", 3)}, 2)}
+	for _, c := range []struct {
+		name   string
+		parent []Batch
+	}{
+		{"typed", typed},
+		{"typed-pairs", pairs},
+		{"all-boxed", boxAll(typed)},
+		{"all-boxed-pairs", boxAll(pairs)},
+		{"all-empty", []Batch{nil, zeroBatch, batchOf([]int{}, 4)}},
+		{"none", nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var want []any
+			shape := ""
+			for _, part := range c.parent {
+				if batchLen(part) > 0 {
+					want = append(want, boxedElems(part)...)
+					shape = part.Shape()
+				}
+			}
+			flat := flatten(c.parent)
+			if got := boxedElems(flat); !slices.Equal(got, want) {
+				t.Fatalf("flatten = %v, want %v", got, want)
+			}
+			if flat.BoxedCap() != flat.Len() {
+				t.Errorf("boxed cap %d, want the length %d", flat.BoxedCap(), flat.Len())
+			}
+			if shape != "" && flat.Shape() != shape {
+				t.Errorf("shape %s, want %s", flat.Shape(), shape)
+			}
+			if want == nil && flat.Len() != 0 {
+				t.Errorf("an empty parent flattened to %d elements", flat.Len())
+			}
+		})
 	}
 }
 
+// TestElemsTakesOneShape: elems reads a *Vec[T] in place, reads an empty
+// batch of any shape as no elements, and refuses a non-empty batch of
+// another shape rather than converting it.
+func TestElemsTakesOneShape(t *testing.T) {
+	xs := []int{1, 2}
+	if got := elems[int](batchOf(xs, 2)); &got[0] != &xs[0] {
+		t.Error("elems copied a *Vec[int]")
+	}
+	for _, b := range []Batch{zeroBatch, boxedOf(nil), batchOf([]string{}, 0)} {
+		if got := elems[int](b); got != nil {
+			t.Errorf("elems[int](%s batch of 0) = %v, want nil", b.Shape(), got)
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil {
+			t.Error("elems[int] read a non-empty boxed batch")
+		}
+	}()
+	elems[int](boxedOf([]any{1}))
+}
+
 // TestSingleWorkerRoutesSerial is the 1-core pessimization audit: on a
-// single-worker session, route and flatten must take the serial path
-// outright — pool dispatch would be pure overhead with nothing to overlap
-// it with. The session's pool is closed up front, so any dispatch attempt
-// panics instead of silently passing.
+// single-worker session, route must take the serial path outright — pool
+// dispatch would be pure overhead with nothing to overlap it with. The
+// session's pool is closed up front, so any dispatch attempt panics
+// instead of silently passing.
 func TestSingleWorkerRoutesSerial(t *testing.T) {
 	s := poolSession(1)
 	s.Close()
@@ -214,18 +281,6 @@ func TestSingleWorkerRoutesSerial(t *testing.T) {
 		parent := randomParent(rng, 6, 50)
 		d := benchDep(1 + rng.Intn(9))
 		checkRoute(t, d, parent, s.route(d, parent).blocks)
-		if want, got := flattenCore(parent, nil, 1), s.flatten(parent); batchLen(want) != 0 || batchLen(got) != 0 {
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: flatten differs on 1-worker session", trial)
-			}
-		}
-	}
-	// Above flattenCutoff the size heuristic alone no longer routes to the
-	// serial sweep; only the single-worker guard keeps the pool out of it.
-	big := make([]int, flattenCutoff)
-	parent := []Batch{batchOf(big, len(big)), batchOf([]int{1, 2, 3}, 3)}
-	if got := s.flatten(parent); got.Len() != flattenCutoff+3 {
-		t.Fatalf("big flatten length %d, want %d", got.Len(), flattenCutoff+3)
 	}
 }
 
@@ -526,7 +581,7 @@ func randomDAG(s *Session, seed int64) Dataset[int] {
 
 // refOracle is the plan-free value oracle: plain recursion over node.deps
 // with no planner, runner, fan-in memo, fusion or cost accounting. It
-// shares only the operator kernels and the route/flatten cores with the
+// shares only the operator kernels, routeCore and flatten with the
 // executor, so it also catches planner and runner bugs. Nodes are
 // evaluated once each (computes are pure), which keeps diamonds linear.
 type refOracle map[*node][]Batch
@@ -558,7 +613,7 @@ func (o refOracle) eval(n *node, p int) Batch {
 				inputs[i] = zeroBatch
 			}
 		case depBroadcast:
-			inputs[i] = flattenCore(o.parts(d.parent), nil, 1)
+			inputs[i] = flatten(o.parts(d.parent))
 		}
 	}
 	return n.compute(&Ctx{job: &job{}}, p, inputs)

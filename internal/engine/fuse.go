@@ -169,20 +169,13 @@ func (c *chain) run(p int, in Batch) Batch {
 	return c.done()
 }
 
-// feedRows returns the loop feeding a chain from its head partition. Typed
-// head batches feed the chain monomorphically; any other shape unboxes
-// element-wise, as the boxed loop did.
+// feedRows returns the loop feeding a chain from its head partition, one
+// typed row at a time.
 func feedRows[A any](push any) func(in Batch) {
 	emit := push.(func(A))
 	return func(in Batch) {
-		if v, ok := in.(*Vec[A]); ok {
-			for _, a := range v.xs {
-				emit(a)
-			}
-			return
-		}
-		for i := range in.Len() {
-			emit(in.At(i).(A))
+		for _, a := range elems[A](in) {
+			emit(a)
 		}
 	}
 }

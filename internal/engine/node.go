@@ -63,7 +63,7 @@ type dep struct {
 }
 
 // node is an untyped dataset DAG vertex. Partitions flow as Batch values
-// (typed vectors with a boxed fallback, batch.go); the typed operator
+// (one typed vector per partition, batch.go); the typed operator
 // constructors (ops.go etc.) wrap and unwrap them.
 type node struct {
 	id    int64

@@ -10,11 +10,11 @@ package engine
 // slots. The cost is O(elements + chunks × targets) — no term in sources ×
 // targets, which at the paper's 1200 × 1200 shuffle width used to dwarf
 // the ~2000 records of an inner job. A one-worker session is the same
-// code with one chunk, so the blocks are equal by construction. Typed
-// batches route without boxing: the dep's targets hashes a whole batch
+// code with one chunk, so the blocks are equal by construction. Batches
+// route without boxing: the dep's targets hashes a whole batch
 // monomorphically in the counting pass, and scatter moves elements between
-// typed blocks in the write pass. Partitioners must be pure: routing runs
-// concurrently and may evaluate sources in any order.
+// blocks of the sources' shape in the write pass. Partitioners must be
+// pure: routing runs concurrently and may evaluate sources in any order.
 
 // routeChunksPerWorker is how many chunks each worker gets to claim: more
 // than one, so a chunk that happens to hold the slow sources does not set
@@ -73,11 +73,10 @@ type routed struct {
 // directly into its final slot. Output block order is deterministic
 // regardless of worker count: sources in order, elements in source order.
 //
-// When every non-empty source shares one batch shape, blocks are
-// allocated in that shape and filled by typed scatter; mixed shapes fall
-// back to boxed blocks. Either way a block's boxed capacity is
-// blockCap(len), reproducing the append-grown []any blocks the simulator
-// observed before batches existed.
+// Every non-empty source of a dataset has its one shape (batch.go), so
+// blocks are allocated in that shape and filled by scatter. A block's boxed
+// capacity is blockCap(len), reproducing the append-grown []any blocks the
+// simulator observed before batches existed.
 //
 // Memory comes from the free list: the pass's own scratch, which goes back
 // before routeCore returns, and the blocks of a pointer-free shape
@@ -130,17 +129,12 @@ func routeCore(d *dep, parent []Batch, pool *workerPool, workers int, from *aren
 		lens[t] = run
 	}
 	// Allocate each block exactly once at its final size — empty blocks stay
-	// nil, as the boxed reference kept them — typed when every non-empty
-	// source agrees on a shape.
-	proto, homogeneous := routeProto(parent)
-	if !homogeneous {
-		proto = zeroBatch
-	}
+	// nil, as the boxed reference kept them.
 	blockMem := from
 	if d.aliased {
 		blockMem = nil // the blocks are the consumer's output and outlive their readers
 	}
-	arenas := proto.newBlocks(lens, blocks, blockMem)
+	arenas := routeProto(parent).newBlocks(lens, blocks, blockMem)
 
 	// Write pass: each chunk owns its offset row and advances it through
 	// its sources in order, so writes to a shared block land in disjoint
@@ -148,18 +142,8 @@ func routeCore(d *dep, parent []Batch, pool *workerPool, workers int, from *aren
 	pool.parallelFor(workers, nch, func(_, c int) {
 		off := counts[c*nt : (c+1)*nt]
 		for src := bounds[c]; src < bounds[c+1]; src++ {
-			part := parent[src]
-			tg := targets[starts[src]:starts[src+1]]
-			if len(tg) == 0 {
-				continue
-			}
-			if homogeneous {
-				part.scatter(tg, off, blocks)
-				continue
-			}
-			for idx, t := range tg {
-				blocks[t].setAny(int(off[t]), part.At(idx))
-				off[t]++
+			if tg := targets[starts[src]:starts[src+1]]; len(tg) > 0 {
+				parent[src].scatter(tg, off, blocks)
 			}
 		}
 	})
@@ -169,31 +153,21 @@ func routeCore(d *dep, parent []Batch, pool *workerPool, workers int, from *aren
 	return routed{blocks, arenas}
 }
 
-// routeProto scans the non-empty sources for a shared batch shape. It
-// returns the first non-empty batch as the prototype and whether every
-// other non-empty source matches it.
-func routeProto(parent []Batch) (Batch, bool) {
-	var proto Batch
+// routeProto returns the first non-empty source, whose shape every other
+// non-empty source shares, or zeroBatch when there is none.
+func routeProto(parent []Batch) Batch {
 	for _, part := range parent {
-		if batchLen(part) == 0 {
-			continue
-		}
-		if proto == nil {
-			proto = part
-		} else if !sameBatchShape(proto, part) {
-			return proto, false
+		if batchLen(part) > 0 {
+			return part
 		}
 	}
-	if proto == nil {
-		return zeroBatch, true
-	}
-	return proto, true
+	return zeroBatch
 }
 
 // route routes source partitions on the session's worker pool. A
 // single-worker session routes as one chunk on the caller and never
 // touches the pool — the dispatch would be pure overhead with no one to
-// overlap it with (the same 1-core audit flatten got).
+// overlap it with.
 func (s *Session) route(d *dep, parent []Batch) routed {
 	return routeCore(d, parent, s.pool, s.workers, &s.arenas)
 }
@@ -220,58 +194,19 @@ func blockCap(n int) int {
 	return c
 }
 
-// flattenCore copies every parent partition into its pre-computed region
-// of one exactly-sized batch. Same-shaped sources flatten typed; mixed
-// shapes fall back to a boxed batch. Both report boxed capacity == total,
-// matching the boxed flatten's exact pre-size.
-func flattenCore(parent []Batch, pool *workerPool, workers int) Batch {
+// flatten copies every parent partition, in order, into one exactly-sized
+// batch of their shape, whose boxed capacity is its length (the boxed
+// flatten's exact pre-size). It runs on the caller: a broadcast is the
+// small side of its operator, and the copy is a memcpy sweep that pool
+// dispatch would only add to.
+func flatten(parent []Batch) Batch {
 	offsets := partStarts(parent)
 	total := offsets[len(parent)]
-	proto, homogeneous := routeProto(parent)
-	var flat Batch
-	if homogeneous {
-		flat = proto.newLike(total, total)
-	} else {
-		flat = &Vec[any]{xs: make([]any, total), bcap: total}
-	}
-	copySrc := func(_, src int) {
-		part := parent[src]
-		n := batchLen(part)
-		if n == 0 {
-			return
-		}
-		off := offsets[src]
-		if flat.copyFrom(off, part) {
-			return
-		}
-		for idx := 0; idx < n; idx++ {
-			flat.setAny(off+idx, part.At(idx))
+	flat := routeProto(parent).newLike(total, total)
+	for src, part := range parent {
+		if batchLen(part) > 0 {
+			flat.copyFrom(offsets[src], part)
 		}
 	}
-	pool.parallelFor(workers, len(parent), copySrc)
 	return flat
-}
-
-// flattenCutoff is the total element count below which flatten routes to
-// the serial copy: a broadcast flatten is a pure memcpy sweep, and for
-// small inputs the pool dispatch and per-partition goroutine
-// handoff cost as much as the copy itself (BenchmarkBroadcastFlatten
-// measured ~131k elements finishing in identical time either way). Both
-// paths produce a batch of identical length, order, and boxed capacity,
-// so the routing choice is invisible to simulated accounting.
-const flattenCutoff = 1 << 18
-
-// flatten copies partitions concurrently; inputs below flattenCutoff, and
-// single-worker pools, take the serial copy instead.
-func (s *Session) flatten(parent []Batch) Batch {
-	var total int
-	for _, part := range parent {
-		total += batchLen(part)
-	}
-	// A single-worker pool can never win a memcpy sweep: the dispatch is
-	// pure overhead with no one to overlap it with.
-	if total < flattenCutoff || s.workers == 1 {
-		return flattenCore(parent, nil, 1)
-	}
-	return flattenCore(parent, s.pool, s.workers)
 }

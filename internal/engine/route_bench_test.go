@@ -1,10 +1,10 @@
 package engine
 
 // Benchmarks for the execution hot path: shuffle routing, broadcast
-// flattening, stage execution, and the narrow fan-in memo. Routing and
-// flatten report the inline and the pooled loop dispatch side by side, and
-// narrow chains the per-operator and the fused evaluator. Wall-clock gains
-// from the worker pool scale with GOMAXPROCS.
+// flattening, stage execution, and the narrow fan-in memo. Routing reports
+// the inline and the pooled loop dispatch side by side, and narrow chains
+// the per-operator and the fused evaluator. Wall-clock gains from the
+// worker pool scale with GOMAXPROCS.
 
 import (
 	"runtime"
@@ -40,8 +40,8 @@ func benchSession() *Session {
 }
 
 // benchDep places ints by a multiplicative hash, spelled as the production
-// shuffle-dep constructors spell targets: the typed batch in place, any
-// other shape element by element.
+// shuffle-dep constructors spell targets: the batch's slice in place, for
+// typed int batches and for the boxed ones an ir dataset carries.
 func benchDep(parts int) *dep {
 	hash := func(e int) uint64 { return uint64(int(uint32(e) * 2654435761)) }
 	return &dep{kind: depShuffle, childParts: parts, targets: func(_ int, b Batch, nParts int, tg, ct []int32) {
@@ -51,8 +51,8 @@ func benchDep(parts int) *dep {
 			}
 			return
 		}
-		for i := range tg {
-			place(hash(b.At(i).(int)), nParts, i, tg, ct)
+		for i, e := range b.(*Vec[any]).xs {
+			place(hash(e.(int)), nParts, i, tg, ct)
 		}
 	}}
 }
@@ -177,36 +177,24 @@ func BenchmarkShuffleRoute(b *testing.B) {
 	}
 }
 
-// BenchmarkBroadcastFlatten compares the serial and parallel broadcast
-// flatten used by pinBroadcast. The small shape sits below flattenCutoff
-// — there the pool dispatch used to cost as much as the copy itself, so
-// flatten now routes it to the serial sweep — and the large shape is
-// where the parallel copy actually engages. Each sub runs one untimed
-// warm-up flatten first: the output is a single multi-MB allocation, and
-// without the warm-up a short -benchtime run (like the bench-check smoke
-// gate's 3x) measures mostly first-touch page faults instead of the copy.
+// BenchmarkBroadcastFlatten times the broadcast flatten pinBroadcast runs:
+// one copy of every partition into a single exactly-sized batch. Each sub
+// runs one untimed warm-up flatten first: the output is a single multi-MB
+// allocation, and without the warm-up a short -benchtime run (like the
+// bench-check smoke gate's 10x) measures mostly first-touch page faults
+// instead of the copy.
 func BenchmarkBroadcastFlatten(b *testing.B) {
 	for _, size := range []struct {
 		name         string
 		nsrc, perSrc int
 	}{{"small", 16, 8192}, {"large", 16, 65536}} {
 		parent := benchParent(size.nsrc, size.perSrc, false)
-		b.Run(size.name+"/serial", func(b *testing.B) {
-			flattenCore(parent, nil, 1)
+		b.Run(size.name, func(b *testing.B) {
+			flatten(parent)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				flattenCore(parent, nil, 1)
-			}
-		})
-		b.Run(size.name+"/parallel", func(b *testing.B) {
-			s := benchSession()
-			defer s.Close()
-			s.flatten(parent)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.flatten(parent)
+				flatten(parent)
 			}
 		})
 	}

@@ -17,20 +17,13 @@ func place(hash uint64, nParts, i int, tg, ct []int32) {
 // pairShuffleDep builds a shuffle dep over Pair[K, V] partitions placed by
 // key hash. K's hasher is resolved here, once — a key type that cannot be
 // hashed is refused here — and the counting pass hashes the typed pairs
-// where they lie, no boxing. Any other batch shape holding the same pairs
-// (the boxed blocks the router builds when a shuffle's sources mix shapes)
-// is walked element by element through hashOf, to the same bits.
+// where they lie, no boxing.
 func pairShuffleDep[K comparable, V any](parent *node) dep {
 	h := keyHasher[K]()
 	return dep{parent: parent, kind: depShuffle, targets: func(_ int, b Batch, nParts int, tg, ct []int32) {
-		if v, ok := b.(*Vec[Pair[K, V]]); ok {
-			for i := range v.xs {
-				place(h(&v.xs[i].Key), nParts, i, tg, ct)
-			}
-			return
-		}
-		for i := range tg {
-			place(hashOf(b.At(i).(Pair[K, V]).Key), nParts, i, tg, ct)
+		xs := b.(*Vec[Pair[K, V]]).xs
+		for i := range xs {
+			place(h(&xs[i].Key), nParts, i, tg, ct)
 		}
 	}}
 }
@@ -39,14 +32,9 @@ func pairShuffleDep[K comparable, V any](parent *node) dep {
 func elemShuffleDep[T comparable](parent *node) dep {
 	h := keyHasher[T]()
 	return dep{parent: parent, kind: depShuffle, targets: func(_ int, b Batch, nParts int, tg, ct []int32) {
-		if v, ok := b.(*Vec[T]); ok {
-			for i := range v.xs {
-				place(h(&v.xs[i]), nParts, i, tg, ct)
-			}
-			return
-		}
-		for i := range tg {
-			place(hashOf(b.At(i).(T)), nParts, i, tg, ct)
+		xs := b.(*Vec[T]).xs
+		for i := range xs {
+			place(h(&xs[i]), nParts, i, tg, ct)
 		}
 	}}
 }

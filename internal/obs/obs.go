@@ -44,8 +44,8 @@ type Stage struct {
 	// Stage-boundary batch observability: the encoded wire size of the
 	// shuffle blocks the stage's tasks read (batchio frames, the distributed
 	// backend's serialization) and the element shape of those batches
-	// (e.g. "Pair[int,int]"; "any" for the boxed fallback, "" when the
-	// stage read no shuffle input).
+	// (e.g. "Pair[int,int]"; "any" for an ir dataset's boxed batches, ""
+	// when the stage read no shuffle input).
 	BoundaryBytes int64
 	BatchShape    string
 

@@ -208,9 +208,6 @@ func (r *taskRunner) run(task *engine.RemoteTask) (tag byte, rest []byte) {
 	}
 	b, err := r.eval.RunRemoteTask(task, r.fetch)
 	if err == nil {
-		if b == nil {
-			b = &engine.Vec[any]{}
-		}
 		rest, err = engine.EncodeBatch(nil, b)
 	}
 	if err != nil {
