@@ -1,10 +1,12 @@
 GO ?= go
 
-.PHONY: check test race vet build bench-module bench bench-check figures figures-check fmt-check sched-bench chaos-bench shred-bench procchaos-bench fuzz-smoke
+.PHONY: check test race vet build bench-module examples bench bench-check figures figures-check fmt-check sched-bench chaos-bench shred-bench procchaos-bench fuzz-smoke
 
-## check: everything CI runs — formatting, vet, build, tests, race tests,
-## and the benchmark module.
-check: fmt-check vet build test race bench-module
+## check: what CI's `make check` job runs — formatting, vet, build, tests,
+## race tests, the benchmark module and the examples. CI's other jobs add
+## bench-check, fuzz-smoke, figures-check, the process-pool e2e and chaos
+## runs and the experiment smokes (.github/workflows/ci.yml).
+check: fmt-check vet build test race bench-module examples
 
 ## fmt-check: fail if any file needs gofmt.
 fmt-check:
@@ -33,6 +35,15 @@ race:
 ## in benchmark/README.md) would otherwise break the yardstick silently.
 bench-module:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+## examples: run every program under examples/. Each checks its own answer
+## and exits nonzero (log.Fatal) on a wrong one; they are the public-API
+## callers of internal/core, so a broken lifted operation shows up here.
+examples:
+	@set -e; for ex in $(wildcard examples/*); do \
+		echo "== go run ./$$ex"; \
+		$(GO) run ./$$ex; \
+	done
 
 ## bench: run the engine hot-path benchmarks and save them as JSON.
 ## Committed results live in BENCH_engine.json; regenerate on a quiet

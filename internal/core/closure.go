@@ -19,20 +19,6 @@ func MapWithClosure[A, C, B any](b InnerBag[A], clos InnerScalar[C], f func(A, C
 	return InnerBag[B]{repr: repr, ctx: ctx}
 }
 
-// FilterWithClosure filters an InnerBag with a predicate over the element
-// and the invocation's closure value (same tag join as MapWithClosure).
-func FilterWithClosure[A, C any](b InnerBag[A], clos InnerScalar[C], pred func(A, C) bool) InnerBag[A] {
-	ctx := b.ctx
-	joined := engine.JoinWith(clos.repr, b.repr, ctx.BagScalarJoinStrategy(), 0)
-	filtered := engine.Filter(joined, func(p engine.Pair[Tag, engine.Tuple2[C, A]]) bool {
-		return pred(p.Val.B, p.Val.A)
-	})
-	repr := engine.Map(filtered, func(p engine.Pair[Tag, engine.Tuple2[C, A]]) engine.Pair[Tag, A] {
-		return engine.KV(p.Key, p.Val.B)
-	})
-	return InnerBag[A]{repr: repr, ctx: ctx}
-}
-
 // LiftScalarClosure is the lifted-UDF closure case (Sec. 5.2) for scalars:
 // a driver-side value referenced inside a lifted UDF is replicated for
 // every tag.
@@ -47,21 +33,6 @@ func LiftBagClosure[E any](ctx *Ctx, d engine.Dataset[E]) InnerBag[E] {
 		return engine.KV(t, e)
 	})
 	return InnerBag[E]{repr: repr, ctx: ctx}
-}
-
-// HalfLiftedJoin is the half-lifted equi-join of Sec. 5.2: left is an
-// InnerBag (lifted), right is a plain outside bag (not lifted). The
-// implementation is the paper's 3-line re-keying: move the tag into the
-// value, join on the plain key, move the tag back out.
-func HalfLiftedJoin[K comparable, V, W any](left InnerBag[engine.Pair[K, V]], right engine.Dataset[engine.Pair[K, W]]) InnerBag[engine.Pair[K, engine.Tuple2[V, W]]] {
-	rekeyed := engine.Map(left.repr, func(p engine.Pair[Tag, engine.Pair[K, V]]) engine.Pair[K, engine.Tuple2[Tag, V]] {
-		return engine.KV(p.Val.Key, engine.Tuple2[Tag, V]{A: p.Key, B: p.Val.Val})
-	})
-	joined := engine.Join(rekeyed, right)
-	repr := engine.Map(joined, func(p engine.Pair[K, engine.Tuple2[engine.Tuple2[Tag, V], W]]) engine.Pair[Tag, engine.Pair[K, engine.Tuple2[V, W]]] {
-		return engine.KV(p.Val.A.A, engine.KV(p.Key, engine.Tuple2[V, W]{A: p.Val.A.B, B: p.Val.B}))
-	})
-	return InnerBag[engine.Pair[K, engine.Tuple2[V, W]]]{repr: repr, ctx: left.ctx}
 }
 
 // HalfLiftedMapWithClosure is the half-lifted mapWithClosure of Sec. 8.3:

@@ -61,8 +61,7 @@ func While[S any](ctx *Ctx, init S, ops StateOps[S], body func(*Ctx, S) (S, Inne
 		next = ops.Cache(next)
 		condRepr := cond.Repr().Cache()
 
-		contTags := engine.Map(engine.Filter(condRepr, func(p engine.Pair[Tag, bool]) bool { return p.Val }),
-			func(p engine.Pair[Tag, bool]) Tag { return p.Key }).Cache()
+		contTags := tagsWhere(condRepr, true)
 		nCont, err := engine.Count(contTags) // the one action per superstep
 		if err != nil {
 			return zero, err
@@ -70,8 +69,7 @@ func While[S any](ctx *Ctx, init S, ops StateOps[S], body func(*Ctx, S) (S, Inne
 		nDone := curCtx.Size - nCont
 
 		if nDone > 0 {
-			doneTags := engine.Map(engine.Filter(condRepr, func(p engine.Pair[Tag, bool]) bool { return !p.Val }),
-				func(p engine.Pair[Tag, bool]) Tag { return p.Key }).Cache()
+			doneTags := tagsWhere(condRepr, false)
 			doneCtx := curCtx.withTags(doneTags, nDone)
 			finished := ops.Filter(next, doneTags, doneCtx)
 			// The union's representation holds exactly the right tags;
@@ -99,15 +97,13 @@ func If[S any](ctx *Ctx, cond InnerScalar[bool], state S, ops StateOps[S],
 	thenF, elseF func(*Ctx, S) (S, error)) (S, error) {
 	var zero S
 	condRepr := cond.Repr().Cache()
-	thenTags := engine.Map(engine.Filter(condRepr, func(p engine.Pair[Tag, bool]) bool { return p.Val }),
-		func(p engine.Pair[Tag, bool]) Tag { return p.Key }).Cache()
+	thenTags := tagsWhere(condRepr, true)
 	nThen, err := engine.Count(thenTags)
 	if err != nil {
 		return zero, err
 	}
 	nElse := ctx.Size - nThen
-	elseTags := engine.Map(engine.Filter(condRepr, func(p engine.Pair[Tag, bool]) bool { return !p.Val }),
-		func(p engine.Pair[Tag, bool]) Tag { return p.Key }).Cache()
+	elseTags := tagsWhere(condRepr, false)
 
 	thenCtx := ctx.withTags(thenTags, nThen)
 	elseCtx := ctx.withTags(elseTags, nElse)
@@ -120,6 +116,13 @@ func If[S any](ctx *Ctx, cond InnerScalar[bool], state S, ops StateOps[S],
 		return zero, err
 	}
 	return ops.Union(thenRes, elseRes), nil
+}
+
+// tagsWhere is the cached set of tags whose condition equals want (the
+// filter on the loop condition in Listing 4, lines 5-6).
+func tagsWhere(cond engine.Dataset[engine.Pair[Tag, bool]], want bool) engine.Dataset[Tag] {
+	return engine.Map(engine.Filter(cond, func(p engine.Pair[Tag, bool]) bool { return p.Val == want }),
+		func(p engine.Pair[Tag, bool]) Tag { return p.Key }).Cache()
 }
 
 // filterByTags restricts a tagged representation to a tag subset via a tag
@@ -172,31 +175,6 @@ func BagState[E any]() StateOps[InnerBag[E]] {
 type State2[A, B any] struct {
 	A A
 	B B
-}
-
-// State3 combines three loop-state components.
-type State3[A, B, C any] struct {
-	A A
-	B B
-	C C
-}
-
-// State3Ops composes StateOps for a three-component state.
-func State3Ops[A, B, C any](a StateOps[A], b StateOps[B], c StateOps[C]) StateOps[State3[A, B, C]] {
-	return StateOps[State3[A, B, C]]{
-		Empty: func(ctx *Ctx) State3[A, B, C] {
-			return State3[A, B, C]{a.Empty(ctx), b.Empty(ctx), c.Empty(ctx)}
-		},
-		Filter: func(s State3[A, B, C], keep engine.Dataset[Tag], sub *Ctx) State3[A, B, C] {
-			return State3[A, B, C]{a.Filter(s.A, keep, sub), b.Filter(s.B, keep, sub), c.Filter(s.C, keep, sub)}
-		},
-		Union: func(x, y State3[A, B, C]) State3[A, B, C] {
-			return State3[A, B, C]{a.Union(x.A, y.A), b.Union(x.B, y.B), c.Union(x.C, y.C)}
-		},
-		Cache: func(s State3[A, B, C]) State3[A, B, C] {
-			return State3[A, B, C]{a.Cache(s.A), b.Cache(s.B), c.Cache(s.C)}
-		},
-	}
 }
 
 // State2Ops composes StateOps for a two-component state.

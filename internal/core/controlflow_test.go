@@ -412,25 +412,27 @@ func sameGroups(a, b map[string][]int) bool {
 }
 
 // TestState3LoopAllComponents runs a loop whose state has three
-// components: an InnerBag, and two InnerScalars with different roles.
+// components: an InnerBag, and two InnerScalars with different roles,
+// composed as nested State2s.
 func TestState3LoopAllComponents(t *testing.T) {
 	s := testSession()
 	nb := buildNested(t, s, map[string][]int{"x": {1, 2}, "y": {1, 2, 3, 4}})
-	type st = State3[InnerBag[int], InnerScalar[int64], InnerScalar[int64]]
-	ops := State3Ops(BagState[int](), ScalarState[int64](), ScalarState[int64]())
-	init := st{A: nb.Inner, B: Pure(nb.Ctx(), int64(0)), C: CountBag(nb.Inner)}
+	type scalars = State2[InnerScalar[int64], InnerScalar[int64]]
+	type st = State2[InnerBag[int], scalars]
+	ops := State2Ops(BagState[int](), State2Ops(ScalarState[int64](), ScalarState[int64]()))
+	init := st{A: nb.Inner, B: scalars{A: Pure(nb.Ctx(), int64(0)), B: CountBag(nb.Inner)}}
 	out, err := While(nb.Ctx(), init, ops, func(c *Ctx, cur st) (st, InnerScalar[bool], error) {
 		grown := UnionBags(cur.A, cur.A)
-		iters := UnaryScalarOp(cur.B, func(i int64) int64 { return i + 1 })
+		iters := UnaryScalarOp(cur.B.A, func(i int64) int64 { return i + 1 })
 		sizes := CountBag(grown)
 		cond := UnaryScalarOp(sizes, func(n int64) bool { return n < 8 })
-		return st{A: grown, B: iters, C: sizes}, cond, nil
+		return st{A: grown, B: scalars{A: iters, B: sizes}}, cond, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	iters := scalarByOuter(t, nb, out.B)
-	sizes := scalarByOuter(t, nb, out.C)
+	iters := scalarByOuter(t, nb, out.B.A)
+	sizes := scalarByOuter(t, nb, out.B.B)
 	// x: 2 -> 4 -> 8 (2 iterations); y: 4 -> 8 (1 iteration).
 	if iters["x"] != 2 || iters["y"] != 1 {
 		t.Fatalf("iters = %v", iters)

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -214,28 +212,39 @@ func TestDistinctBagPerInvocation(t *testing.T) {
 }
 
 func TestReduceByKeyBagKeepsTagsSeparate(t *testing.T) {
-	s := testSession()
-	nb := buildNested(t, s, map[string][]string{
-		"g1": {"x", "x", "y"},
-		"g2": {"x"},
-	})
-	keyed := MapBag(nb.Inner, func(v string) engine.Pair[string, int] { return engine.KV(v, 1) })
-	red := ReduceByKeyBag(keyed, func(a, b int) int { return a + b })
-	groups, err := red.CollectGroups()
-	if err != nil {
-		t.Fatal(err)
-	}
-	outer, _ := nb.Outer.Collect()
-	byName := map[string]map[string]int{}
-	for tag, name := range outer {
-		m := map[string]int{}
-		for _, kv := range groups[tag] {
-			m[kv.Key] = kv.Val
-		}
-		byName[name] = m
-	}
-	if byName["g1"]["x"] != 2 || byName["g1"]["y"] != 1 || byName["g2"]["x"] != 1 {
-		t.Fatalf("byName = %v", byName)
+	type reduceByKey = func(InnerBag[engine.Pair[string, int]], func(int, int) int) InnerBag[engine.Pair[string, int]]
+	for _, tc := range []struct {
+		name   string
+		reduce reduceByKey
+	}{
+		{"ReduceByKeyBag", ReduceByKeyBag[string, int]},
+		{"ReduceByKeyBagBound", ReduceByKeyBagBound[string, int]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := testSession()
+			nb := buildNested(t, s, map[string][]string{
+				"g1": {"x", "x", "y"},
+				"g2": {"x"},
+			})
+			keyed := MapBag(nb.Inner, func(v string) engine.Pair[string, int] { return engine.KV(v, 1) })
+			red := tc.reduce(keyed, func(a, b int) int { return a + b })
+			groups, err := red.CollectGroups()
+			if err != nil {
+				t.Fatal(err)
+			}
+			outer, _ := nb.Outer.Collect()
+			byName := map[string]map[string]int{}
+			for tag, name := range outer {
+				m := map[string]int{}
+				for _, kv := range groups[tag] {
+					m[kv.Key] = kv.Val
+				}
+				byName[name] = m
+			}
+			if byName["g1"]["x"] != 2 || byName["g1"]["y"] != 1 || byName["g2"]["x"] != 1 {
+				t.Fatalf("byName = %v", byName)
+			}
+		})
 	}
 }
 
@@ -291,19 +300,6 @@ func TestMapWithClosure(t *testing.T) {
 	}
 }
 
-func TestFilterWithClosure(t *testing.T) {
-	s := testSession()
-	nb := buildNested(t, s, map[string][]int{"a": {1, 2, 3}, "b": {1, 2, 3}})
-	// Keep elements below the group's mean-ish threshold: use count as
-	// stand-in closure (3 for both groups, keep v < count).
-	counts := CountBag(nb.Inner)
-	kept := FilterWithClosure(nb.Inner, counts, func(v int, c int64) bool { return int64(v) < c })
-	m := scalarByOuter(t, nb, CountBag(kept))
-	if m["a"] != 2 || m["b"] != 2 {
-		t.Fatalf("m = %v", m)
-	}
-}
-
 func TestLiftScalarAndBagClosure(t *testing.T) {
 	s := testSession()
 	nb := buildNested(t, s, map[string][]int{"a": {1}, "b": {2}})
@@ -317,20 +313,6 @@ func TestLiftScalarAndBagClosure(t *testing.T) {
 	m := scalarByOuter(t, nb, CountBag(ib))
 	if m["a"] != 2 || m["b"] != 2 {
 		t.Fatalf("replicated counts = %v", m)
-	}
-}
-
-func TestHalfLiftedJoin(t *testing.T) {
-	s := testSession()
-	nb := buildNested(t, s, map[string][]int{"a": {1, 2}, "b": {2}})
-	keyed := MapBag(nb.Inner, func(v int) engine.Pair[int, string] {
-		return engine.KV(v, "inner")
-	})
-	outside := engine.Parallelize(s, []engine.Pair[int, string]{{Key: 1, Val: "one"}, {Key: 2, Val: "two"}}, 2)
-	joined := HalfLiftedJoin(keyed, outside)
-	m := scalarByOuter(t, nb, CountBag(joined))
-	if m["a"] != 2 || m["b"] != 1 {
-		t.Fatalf("m = %v", m)
 	}
 }
 
@@ -441,52 +423,6 @@ func TestPartsForScalesAndClamps(t *testing.T) {
 	c.Opt.TargetScalarsPerPartition = 10
 	if p := c.partsFor(35); p != 4 {
 		t.Errorf("partsFor(35, target 10) = %d, want 4", p)
-	}
-}
-
-func TestCrossBagsWithinInvocation(t *testing.T) {
-	s := testSession()
-	nb := buildNested(t, s, map[string][]int{"a": {1, 2}, "b": {5}})
-	crossed := CrossBags(nb.Inner, MapBag(nb.Inner, func(v int) int { return v * 10 }))
-	counts := scalarByOuter(t, nb, CountBag(crossed))
-	// a: 2x2 = 4 pairs; b: 1x1 = 1. No cross-group pairs.
-	if counts["a"] != 4 || counts["b"] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-	groups, err := crossed.CollectGroups()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, vs := range groups {
-		for _, pair := range vs {
-			if pair.B != pair.A*10 && pair.B != (3-pair.A)*10 && pair.B != 50 {
-				t.Errorf("cross leaked across groups: %+v", pair)
-			}
-		}
-	}
-}
-
-// TestSaveNestedMatchesSequentialOutput is Theorem 2's final step as a
-// test: the flattened output operation writes the same file the original
-// nested program would have written.
-func TestSaveNestedMatchesSequentialOutput(t *testing.T) {
-	s := testSession()
-	groups := map[string][]int{"b": {3, 1}, "a": {2}}
-	nb := buildNested(t, s, groups)
-	dir := t.TempDir()
-	err := SaveNested(nb, dir,
-		func(k string) string { return k },
-		func(v int) string { return fmt.Sprint(v) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "part-00000"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "a: 2\nb: 1,3\n"
-	if string(data) != want {
-		t.Fatalf("file = %q, want %q", data, want)
 	}
 }
 
@@ -685,18 +621,6 @@ func TestConstructorsAndAccessors(t *testing.T) {
 	if nb.Inner.Ctx() != ctx || nb.Outer.Ctx() != ctx {
 		t.Fatal("components must share the LiftingContext")
 	}
-	ib := BagFromRepr(ctx, nb.Inner.Repr())
-	if n, err := engine.Count(ib.Repr()); err != nil || n != 2 {
-		t.Fatalf("BagFromRepr count = %d, %v", n, err)
-	}
-	is := ScalarFromRepr(ctx, nb.Outer.Repr())
-	if vals, err := is.Collect(); err != nil || len(vals) != 1 {
-		t.Fatalf("ScalarFromRepr = %v, %v", vals, err)
-	}
-	om, im, err := nb.Collect()
-	if err != nil || len(om) != 1 || len(im) != 1 {
-		t.Fatalf("nb.Collect: %v %v %v", om, im, err)
-	}
 	if RootTag(7).Push(2).Leaf() != 2 || (Tag{}).Leaf() != 0 {
 		t.Error("Leaf accessor wrong")
 	}
@@ -710,43 +634,6 @@ func TestFlatMapBagExpandsPerInvocation(t *testing.T) {
 	counts := scalarByOuter(t, nb, CountBag(fm))
 	if counts["a"] != 2 || counts["b"] != 4 {
 		t.Fatalf("counts = %v", counts)
-	}
-}
-
-// TestGroupByKeyBagGroupsWithinInvocation covers the lifted groupByKey.
-func TestGroupByKeyBagGroupsWithinInvocation(t *testing.T) {
-	s := testSession()
-	nb := buildNested(t, s, map[string][]int{"g1": {1, 2, 3, 4}, "g2": {5}})
-	keyed := MapBag(nb.Inner, func(v int) engine.Pair[int, int] { return engine.KV(v%2, v) })
-	grouped := GroupByKeyBag(keyed)
-	byName := groupsOf(nb, grouped)
-	g1 := map[int]int{}
-	for _, kv := range byName["g1"] {
-		g1[kv.Key] = len(kv.Val)
-	}
-	if g1[0] != 2 || g1[1] != 2 {
-		t.Fatalf("g1 parity groups = %v", g1)
-	}
-	if len(byName["g2"]) != 1 || len(byName["g2"][0].Val) != 1 {
-		t.Fatalf("g2 = %v", byName["g2"])
-	}
-}
-
-// TestMapNestedBagCallsUDFOnce covers the mapWithLiftedUDF entry point.
-func TestMapNestedBagCallsUDFOnce(t *testing.T) {
-	s := testSession()
-	nb := buildNested(t, s, map[string][]int{"a": {1, 2}, "b": {3}})
-	calls := 0
-	res := MapNestedBag(nb, func(ctx *Ctx, outer InnerScalar[string], inner InnerBag[int]) InnerScalar[int64] {
-		calls++
-		return CountBag(inner)
-	})
-	if calls != 1 {
-		t.Fatalf("UDF called %d times, want exactly once (lowering-phase semantics)", calls)
-	}
-	m := scalarByOuter(t, nb, res)
-	if m["a"] != 2 || m["b"] != 1 {
-		t.Fatalf("m = %v", m)
 	}
 }
 

@@ -11,11 +11,6 @@ type InnerBag[E any] struct {
 	ctx  *Ctx
 }
 
-// BagFromRepr wraps an existing flat representation.
-func BagFromRepr[E any](ctx *Ctx, repr engine.Dataset[engine.Pair[Tag, E]]) InnerBag[E] {
-	return InnerBag[E]{repr: repr, ctx: ctx}
-}
-
 // Repr exposes the flat bag representing the InnerBag.
 func (b InnerBag[E]) Repr() engine.Dataset[engine.Pair[Tag, E]] { return b.repr }
 
@@ -133,17 +128,28 @@ type tagKey[K comparable] struct {
 	K K
 }
 
+// byTagKey re-keys a lifted bag of pairs by the composite (tag, key), so a
+// flat keyed operator keeps each invocation's keys apart — the first
+// operator of Sec. 4.4's rewrite.
+func byTagKey[K comparable, V any](d engine.Dataset[engine.Pair[Tag, engine.Pair[K, V]]]) engine.Dataset[engine.Pair[tagKey[K], V]] {
+	return engine.Map(d, func(p engine.Pair[Tag, engine.Pair[K, V]]) engine.Pair[tagKey[K], V] {
+		return engine.KV(tagKey[K]{p.Key, p.Val.Key}, p.Val.Val)
+	})
+}
+
+// fromTagKey is byTagKey's inverse: it moves the tag back out of the key —
+// the last operator of Sec. 4.4's rewrite.
+func fromTagKey[K comparable, V any](d engine.Dataset[engine.Pair[tagKey[K], V]]) engine.Dataset[engine.Pair[Tag, engine.Pair[K, V]]] {
+	return engine.Map(d, func(p engine.Pair[tagKey[K], V]) engine.Pair[Tag, engine.Pair[K, V]] {
+		return engine.KV(p.Key.T, engine.KV(p.Key.K, p.Val))
+	})
+}
+
 // ReduceByKeyBag lifts reduceByKey: re-key by (tag, key), reduce, re-key
 // back — the exact three-operator rewrite given in Sec. 4.4.
 func ReduceByKeyBag[K comparable, V any](b InnerBag[engine.Pair[K, V]], f func(V, V) V) InnerBag[engine.Pair[K, V]] {
-	rekeyed := engine.Map(b.repr, func(p engine.Pair[Tag, engine.Pair[K, V]]) engine.Pair[tagKey[K], V] {
-		return engine.KV(tagKey[K]{p.Key, p.Val.Key}, p.Val.Val)
-	})
-	reduced := engine.ReduceByKey(rekeyed, f)
-	repr := engine.Map(reduced, func(p engine.Pair[tagKey[K], V]) engine.Pair[Tag, engine.Pair[K, V]] {
-		return engine.KV(p.Key.T, engine.KV(p.Key.K, p.Val))
-	})
-	return InnerBag[engine.Pair[K, V]]{repr: repr, ctx: b.ctx}
+	reduced := engine.ReduceByKey(byTagKey(b.repr), f)
+	return InnerBag[engine.Pair[K, V]]{repr: fromTagKey(reduced), ctx: b.ctx}
 }
 
 // ReduceByKeyBagBound is ReduceByKeyBag for key sets whose cardinality is
@@ -151,54 +157,22 @@ func ReduceByKeyBag[K comparable, V any](b InnerBag[engine.Pair[K, V]], f func(V
 // run): the aggregate's row count does not scale with the data, so the
 // simulator costs it unscaled, like InnerScalars.
 func ReduceByKeyBagBound[K comparable, V any](b InnerBag[engine.Pair[K, V]], f func(V, V) V) InnerBag[engine.Pair[K, V]] {
-	rekeyed := engine.Map(b.repr, func(p engine.Pair[Tag, engine.Pair[K, V]]) engine.Pair[tagKey[K], V] {
-		return engine.KV(tagKey[K]{p.Key, p.Val.Key}, p.Val.Val)
-	})
-	reduced := engine.ReduceByKeyBound(rekeyed, f, 0)
-	repr := engine.Map(reduced, func(p engine.Pair[tagKey[K], V]) engine.Pair[Tag, engine.Pair[K, V]] {
-		return engine.KV(p.Key.T, engine.KV(p.Key.K, p.Val))
-	})
-	return InnerBag[engine.Pair[K, V]]{repr: repr, ctx: b.ctx}
-}
-
-// GroupByKeyBag lifts groupByKey with the same composite re-keying.
-func GroupByKeyBag[K comparable, V any](b InnerBag[engine.Pair[K, V]]) InnerBag[engine.Pair[K, []V]] {
-	rekeyed := engine.Map(b.repr, func(p engine.Pair[Tag, engine.Pair[K, V]]) engine.Pair[tagKey[K], V] {
-		return engine.KV(tagKey[K]{p.Key, p.Val.Key}, p.Val.Val)
-	})
-	grouped := engine.GroupByKey(rekeyed)
-	repr := engine.Map(grouped, func(p engine.Pair[tagKey[K], []V]) engine.Pair[Tag, engine.Pair[K, []V]] {
-		return engine.KV(p.Key.T, engine.KV(p.Key.K, p.Val))
-	})
-	return InnerBag[engine.Pair[K, []V]]{repr: repr, ctx: b.ctx}
+	reduced := engine.ReduceByKeyBound(byTagKey(b.repr), f, 0)
+	return InnerBag[engine.Pair[K, V]]{repr: fromTagKey(reduced), ctx: b.ctx}
 }
 
 // JoinBags lifts an equi-join between two inner bags of the same UDF,
 // re-keying both sides by (tag, key) so matches stay within an invocation.
 func JoinBags[K comparable, A, B any](l InnerBag[engine.Pair[K, A]], r InnerBag[engine.Pair[K, B]]) InnerBag[engine.Pair[K, engine.Tuple2[A, B]]] {
-	lk := engine.Map(l.repr, func(p engine.Pair[Tag, engine.Pair[K, A]]) engine.Pair[tagKey[K], A] {
-		return engine.KV(tagKey[K]{p.Key, p.Val.Key}, p.Val.Val)
-	})
-	rk := engine.Map(r.repr, func(p engine.Pair[Tag, engine.Pair[K, B]]) engine.Pair[tagKey[K], B] {
-		return engine.KV(tagKey[K]{p.Key, p.Val.Key}, p.Val.Val)
-	})
-	joined := engine.Join(lk, rk)
-	repr := engine.Map(joined, func(p engine.Pair[tagKey[K], engine.Tuple2[A, B]]) engine.Pair[Tag, engine.Pair[K, engine.Tuple2[A, B]]] {
-		return engine.KV(p.Key.T, engine.KV(p.Key.K, p.Val))
-	})
-	return InnerBag[engine.Pair[K, engine.Tuple2[A, B]]]{repr: repr, ctx: l.ctx}
+	lk := byTagKey(l.repr)
+	rk := byTagKey(r.repr)
+	return joinByTagKey(l.ctx, lk, rk)
 }
 
-// CrossBags lifts the cartesian product of two inner bags of the same
-// UDF: every pair of elements within an invocation meets (the "cross
-// products in some flattened operations" of Sec. 4.4). Implemented as a
-// tag join, so each invocation's product stays separate.
-func CrossBags[A, B any](l InnerBag[A], r InnerBag[B]) InnerBag[engine.Tuple2[A, B]] {
-	joined := engine.Join(l.repr, r.repr)
-	repr := engine.Map(joined, func(p engine.Pair[Tag, engine.Tuple2[A, B]]) engine.Pair[Tag, engine.Tuple2[A, B]] {
-		return engine.KV(p.Key, p.Val)
-	})
-	return InnerBag[engine.Tuple2[A, B]]{repr: repr, ctx: l.ctx}
+// joinByTagKey joins two (tag, key)-keyed sides and moves the tag back
+// out: the shared tail of JoinBags and JoinBagsPartitioned.
+func joinByTagKey[K comparable, A, B any](ctx *Ctx, l engine.Dataset[engine.Pair[tagKey[K], A]], r engine.Dataset[engine.Pair[tagKey[K], B]]) InnerBag[engine.Pair[K, engine.Tuple2[A, B]]] {
+	return InnerBag[engine.Pair[K, engine.Tuple2[A, B]]]{repr: fromTagKey(engine.Join(l, r)), ctx: ctx}
 }
 
 // FlattenBag implements the flatten of Sec. 4.6 (used to lift flatMap at

@@ -12,12 +12,6 @@ type InnerScalar[S any] struct {
 	ctx  *Ctx
 }
 
-// ScalarFromRepr wraps an existing flat representation. The representation
-// must contain exactly one element per tag of ctx.
-func ScalarFromRepr[S any](ctx *Ctx, repr engine.Dataset[engine.Pair[Tag, S]]) InnerScalar[S] {
-	return InnerScalar[S]{repr: repr, ctx: ctx}
-}
-
 // Repr exposes the flat bag representing the InnerScalar (the paper's
 // `.repr`, Sec. 5.2).
 func (s InnerScalar[S]) Repr() engine.Dataset[engine.Pair[Tag, S]] { return s.repr }

@@ -14,45 +14,23 @@ type KeyedBag[K comparable, V any] struct {
 
 // PartitionBagByKey builds a KeyedBag from an InnerBag of pairs: re-keys
 // by the composite (tag, key), hash-partitions at the engine's default
-// parallelism, and caches the result.
+// parallelism, and caches the result. It serves both as JoinBagsPartitioned's
+// right side and as JoinWithEnclosingKeyed's enclosing side, whose keys are
+// the enclosing level's own (tag, key) pairs.
 func PartitionBagByKey[K comparable, V any](b InnerBag[engine.Pair[K, V]]) KeyedBag[K, V] {
-	rekeyed := engine.Map(b.repr, func(p engine.Pair[Tag, engine.Pair[K, V]]) engine.Pair[tagKey[K], V] {
-		return engine.KV(tagKey[K]{p.Key, p.Val.Key}, p.Val.Val)
-	})
-	return KeyedBag[K, V]{repr: engine.PartitionByKey(rekeyed, 0).Cache(), ctx: b.ctx}
+	return KeyedBag[K, V]{repr: engine.PartitionByKey(byTagKey(b.repr), 0).Cache(), ctx: b.ctx}
 }
 
 // JoinBagsPartitioned is JoinBags with a pre-partitioned right side: the
 // left InnerBag is shuffled to the right side's layout; the right side is
 // read in place.
 func JoinBagsPartitioned[K comparable, A, B any](l InnerBag[engine.Pair[K, A]], r KeyedBag[K, B]) InnerBag[engine.Pair[K, engine.Tuple2[A, B]]] {
-	lk := engine.Map(l.repr, func(p engine.Pair[Tag, engine.Pair[K, A]]) engine.Pair[tagKey[K], A] {
-		return engine.KV(tagKey[K]{p.Key, p.Val.Key}, p.Val.Val)
-	})
-	joined := engine.Join(lk, r.repr)
-	repr := engine.Map(joined, func(p engine.Pair[tagKey[K], engine.Tuple2[A, B]]) engine.Pair[Tag, engine.Pair[K, engine.Tuple2[A, B]]] {
-		return engine.KV(p.Key.T, engine.KV(p.Key.K, p.Val))
-	})
-	return InnerBag[engine.Pair[K, engine.Tuple2[A, B]]]{repr: repr, ctx: l.ctx}
-}
-
-// PartitionEnclosingBagByKey prepares an *enclosing-level* InnerBag for
-// repeated joins from a deeper nesting level (JoinWithEnclosingKeyed):
-// keys are the enclosing level's own (tag, key) pairs.
-func PartitionEnclosingBagByKey[K comparable, V any](b InnerBag[engine.Pair[K, V]]) KeyedBag[K, V] {
-	return PartitionBagByKey(b)
+	return joinByTagKey(l.ctx, byTagKey(l.repr), r.repr)
 }
 
 // JoinWithEnclosingKeyed is JoinWithEnclosingBag with the enclosing side
 // pre-partitioned: only the deeper level's (usually small, per-superstep)
 // bag is shuffled.
 func JoinWithEnclosingKeyed[K comparable, V, W any](deep InnerBag[engine.Pair[K, V]], enclosing KeyedBag[K, W]) InnerBag[engine.Pair[K, engine.Tuple2[V, W]]] {
-	dk := engine.Map(deep.repr, func(p engine.Pair[Tag, engine.Pair[K, V]]) engine.Pair[tagKey[K], engine.Tuple2[Tag, V]] {
-		return engine.KV(tagKey[K]{p.Key.Pop(), p.Val.Key}, engine.Tuple2[Tag, V]{A: p.Key, B: p.Val.Val})
-	})
-	joined := engine.Join(dk, enclosing.repr)
-	repr := engine.Map(joined, func(p engine.Pair[tagKey[K], engine.Tuple2[engine.Tuple2[Tag, V], W]]) engine.Pair[Tag, engine.Pair[K, engine.Tuple2[V, W]]] {
-		return engine.KV(p.Val.A.A, engine.KV(p.Key.K, engine.Tuple2[V, W]{A: p.Val.A.B, B: p.Val.B}))
-	})
-	return InnerBag[engine.Pair[K, engine.Tuple2[V, W]]]{repr: repr, ctx: deep.ctx}
+	return joinEnclosing(deep.ctx, byEnclosingKey(deep.repr), enclosing.repr)
 }

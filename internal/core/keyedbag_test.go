@@ -61,7 +61,7 @@ func TestJoinWithEnclosingKeyedMatchesUnkeyed(t *testing.T) {
 			return engine.KV(int64(v), struct{}{})
 		})
 		viaPlain := CountBag(JoinWithEnclosingBag(deepKeyed, enclosing))
-		viaKeyed := CountBag(JoinWithEnclosingKeyed(deepKeyed, PartitionEnclosingBagByKey(enclosing)))
+		viaKeyed := CountBag(JoinWithEnclosingKeyed(deepKeyed, PartitionBagByKey(enclosing)))
 		return BinaryScalarOp(viaPlain, viaKeyed, func(a, b int64) int64 {
 			if a != b {
 				return -1

@@ -1,11 +1,6 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-
 	"matryoshka/internal/engine"
 	"matryoshka/internal/shred"
 )
@@ -18,15 +13,15 @@ type NestedBag[O, I any] struct {
 	Outer InnerScalar[O]
 	Inner InnerBag[I]
 
-	// materialize, when non-nil, is the physical lowering of the
-	// consumption boundary (CollectNested), chosen by the shred rule in
+	// materialize is the physical lowering of the consumption boundary
+	// (CollectNested), chosen by the shred rule in
 	// GroupByKeyIntoNestedBag: either a cluster-side group build
 	// (materialized — each group in one task) or an un-shred of the
 	// dictionary form (shredded — spill group-by + dictionary join).
+	// GroupByKeyIntoNestedBag, the only constructor, always sets it.
 	// Type-erased because NestedBag's O is unconstrained; it returns a
 	// map[O][]I and CollectNested asserts it back. Lazy: bags that are
-	// never collected never pay for it. Struct-literal NestedBags leave
-	// it nil and use the generic driver-side tag collection.
+	// never collected never pay for it.
 	materialize func() (any, error)
 }
 
@@ -40,52 +35,17 @@ func (nb NestedBag[O, I]) Cache() NestedBag[O, I] {
 	return nb
 }
 
-// Collect gathers the nested bag back into driver memory as (outer, group)
-// pairs — the inverse of the flattening isomorphism m of Theorem 2, used
-// by output operations and tests.
-func (nb NestedBag[O, I]) Collect() (map[Tag]engine.Pair[Tag, O], map[Tag][]I, error) {
-	outer, err := nb.Outer.Collect()
-	if err != nil {
-		return nil, nil, err
-	}
-	inner, err := nb.Inner.CollectGroups()
-	if err != nil {
-		return nil, nil, err
-	}
-	om := make(map[Tag]engine.Pair[Tag, O], len(outer))
-	for t, o := range outer {
-		om[t] = engine.KV(t, o)
-	}
-	return om, inner, nil
-}
-
 // CollectNested gathers the nested bag as outer-value -> inner elements,
-// for outer types that are comparable. Nested bags built by
-// GroupByKeyIntoNestedBag carry the shred rule's chosen materialization
-// lowering and run that; per-group element order is identical either
-// way (source-partition-major input order), so the choice is invisible
-// to the result.
+// for outer types that are comparable. It runs the materialization
+// lowering the shred rule chose; per-group element order is identical
+// either way (source-partition-major input order), so the choice is
+// invisible to the result.
 func CollectNested[O comparable, I any](nb NestedBag[O, I]) (map[O][]I, error) {
-	if nb.materialize != nil {
-		m, err := nb.materialize()
-		if err != nil {
-			return nil, err
-		}
-		return m.(map[O][]I), nil
-	}
-	outer, err := nb.Outer.Collect()
+	m, err := nb.materialize()
 	if err != nil {
 		return nil, err
 	}
-	inner, err := nb.Inner.CollectGroups()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[O][]I, len(outer))
-	for t, o := range outer {
-		out[o] = inner[t] // nil slice for empty groups is correct bag semantics
-	}
-	return out, nil
+	return m.(map[O][]I), nil
 }
 
 // GroupByKeyIntoNestedBag is the parsing phase's replacement for a
@@ -137,14 +97,6 @@ func GroupByKeyIntoNestedBag[K comparable, V any](d engine.Dataset[engine.Pair[K
 		nb.materialize = func() (any, error) { return engine.CollectMap(engine.GroupByKey(d)) }
 	}
 	return nb, nil
-}
-
-// MapNestedBag is mapWithLiftedUDF on a NestedBag (Listing 2, line 4): the
-// UDF is called exactly once, during lowering, and operates on the lifted
-// representations of all groups at the same time. R is whatever the UDF
-// produces (typically an InnerScalar or InnerBag).
-func MapNestedBag[O, I, R any](nb NestedBag[O, I], udf func(ctx *Ctx, outer InnerScalar[O], inner InnerBag[I]) R) R {
-	return udf(nb.Inner.ctx, nb.Outer, nb.Inner)
 }
 
 // LiftFlat is mapWithLiftedUDF on a *flat* bag (the hyperparameter
@@ -217,34 +169,6 @@ func GroupByKeyIntoNestedBagInner[K comparable, V any](b InnerBag[engine.Pair[K,
 	return outer, inner, nil
 }
 
-// SaveNested is the flattened output operation o' of Theorem 2's proof:
-// it writes the nested bag to dir producing the same file content as the
-// original output operation o would have produced from the nested
-// representation — one line per group, "outer: e1,e2,...", with elements
-// in a canonical order.
-func SaveNested[O comparable, I any](nb NestedBag[O, I], dir string,
-	formatOuter func(O) string, formatInner func(I) string) error {
-	groups, err := CollectNested(nb)
-	if err != nil {
-		return err
-	}
-	var lines []string
-	for o, elems := range groups {
-		parts := make([]string, len(elems))
-		for i, e := range elems {
-			parts[i] = formatInner(e)
-		}
-		sort.Strings(parts)
-		lines = append(lines, formatOuter(o)+": "+strings.Join(parts, ","))
-	}
-	sort.Strings(lines)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "part-00000"),
-		[]byte(strings.Join(lines, "\n")+"\n"), 0o644)
-}
-
 // BagOfScalar views an InnerScalar as an InnerBag whose inner bags are
 // singletons (e.g. a BFS source vertex becoming the initial frontier bag).
 func BagOfScalar[S any](s InnerScalar[S]) InnerBag[S] {
@@ -258,17 +182,28 @@ func BagOfScalar[S any](s InnerScalar[S]) InnerBag[S] {
 // composite tags): e.g. every per-(component, source) BFS frontier joins
 // the per-component edge bag of the level above.
 func JoinWithEnclosingBag[K comparable, V, W any](deep InnerBag[engine.Pair[K, V]], enclosing InnerBag[engine.Pair[K, W]]) InnerBag[engine.Pair[K, engine.Tuple2[V, W]]] {
-	dk := engine.Map(deep.repr, func(p engine.Pair[Tag, engine.Pair[K, V]]) engine.Pair[tagKey[K], engine.Tuple2[Tag, V]] {
+	dk := byEnclosingKey(deep.repr)
+	ek := byTagKey(enclosing.repr)
+	return joinEnclosing(deep.ctx, dk, ek)
+}
+
+// byEnclosingKey re-keys a deeper level's bag of pairs by the enclosing
+// invocation's (tag, key), carrying the deep tag in the value.
+func byEnclosingKey[K comparable, V any](d engine.Dataset[engine.Pair[Tag, engine.Pair[K, V]]]) engine.Dataset[engine.Pair[tagKey[K], engine.Tuple2[Tag, V]]] {
+	return engine.Map(d, func(p engine.Pair[Tag, engine.Pair[K, V]]) engine.Pair[tagKey[K], engine.Tuple2[Tag, V]] {
 		return engine.KV(tagKey[K]{p.Key.Pop(), p.Val.Key}, engine.Tuple2[Tag, V]{A: p.Key, B: p.Val.Val})
 	})
-	ek := engine.Map(enclosing.repr, func(p engine.Pair[Tag, engine.Pair[K, W]]) engine.Pair[tagKey[K], W] {
-		return engine.KV(tagKey[K]{p.Key, p.Val.Key}, p.Val.Val)
-	})
-	joined := engine.Join(dk, ek)
+}
+
+// joinEnclosing joins a byEnclosingKey side to an enclosing side keyed by
+// (tag, key) and restores the deep tag: the shared tail of
+// JoinWithEnclosingBag and JoinWithEnclosingKeyed.
+func joinEnclosing[K comparable, V, W any](ctx *Ctx, deep engine.Dataset[engine.Pair[tagKey[K], engine.Tuple2[Tag, V]]], enclosing engine.Dataset[engine.Pair[tagKey[K], W]]) InnerBag[engine.Pair[K, engine.Tuple2[V, W]]] {
+	joined := engine.Join(deep, enclosing)
 	repr := engine.Map(joined, func(p engine.Pair[tagKey[K], engine.Tuple2[engine.Tuple2[Tag, V], W]]) engine.Pair[Tag, engine.Pair[K, engine.Tuple2[V, W]]] {
 		return engine.KV(p.Val.A.A, engine.KV(p.Key.K, engine.Tuple2[V, W]{A: p.Val.A.B, B: p.Val.B}))
 	})
-	return InnerBag[engine.Pair[K, engine.Tuple2[V, W]]]{repr: repr, ctx: deep.ctx}
+	return InnerBag[engine.Pair[K, engine.Tuple2[V, W]]]{repr: repr, ctx: ctx}
 }
 
 // UnliftScalarToOuter folds a deeper level's InnerScalar back into the

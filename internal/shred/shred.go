@@ -6,8 +6,8 @@
 // dictionary bag of (groupID, value) pairs spread across ordinary
 // partitions. The lifted operations of the nested-bag lowering
 // (internal/core) need no shredded versions: its tagged inner bag is keyed
-// by the same group identity, so it already is the dictionary. Only at a
-// consumption boundary (CollectNested/SaveNested) is the dictionary
+// by the same group identity, so it already is the dictionary. Only at
+// the consumption boundary (CollectNested) is the dictionary
 // un-shredded back into per-group slices, and even
 // that un-shredding is a spill-friendly group-by plus a dictionary join
 // rather than a single-task group build. The design follows "Scalable

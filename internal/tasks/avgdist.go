@@ -138,7 +138,7 @@ func (sp AvgDistSpec) runMatryoshka(cc cluster.Config) Outcome {
 	// The per-component adjacency is static across all BFS supersteps:
 	// partition it once so every frontier expansion shuffles only the
 	// frontier.
-	compEdges := core.PartitionEnclosingBagByKey(core.MapBag(nb.Inner, func(e datagen.Edge) engine.Pair[int64, int64] {
+	compEdges := core.PartitionBagByKey(core.MapBag(nb.Inner, func(e datagen.Edge) engine.Pair[int64, int64] {
 		return engine.KV(e.Src, e.Dst)
 	}))
 	verts := core.DistinctBag(core.FlatMapBag(nb.Inner, func(e datagen.Edge) []int64 {
