@@ -9,8 +9,6 @@
 //	matbench -records-per-gb 2000   # smaller/faster sweep
 //	matbench -csv rows.csv          # raw rows for external plotting
 //	matbench -explain bounce-rate   # EXPLAIN ANALYZE one task's Matryoshka run
-//	matbench -trace bounce-rate     # raw job/stage/decision event stream
-//	matbench -batchstats bounce-rate # per-stage batch shape/count/encoded wire bytes
 //	matbench -explain recovery -mem 2147483648   # watch adaptive recovery re-lower OOMs
 //	matbench -explain bounce-rate -faultrate 0.2 # task retries + rerun recoveries
 //	matbench -explain chaos                      # machine crashes + lineage recomputation
@@ -22,7 +20,6 @@
 //	matbench -exp fig1 -cpuprofile cpu.out -memprofile mem.out
 //	                                 # profile the host engine under a real workload
 //	matbench -exp sec-shred -skew 1.5            # nested-bag lowerings under a chosen Zipf exponent
-//	matbench -exp fig7-bounce -shred on          # force the shredded group materialization
 //	matbench -explain shred                      # watch the shred rule pick a lowering from observed sizes
 //
 // Reported times are simulated cluster seconds (see internal/cluster);
@@ -42,7 +39,6 @@ import (
 	"matryoshka/internal/bench"
 	"matryoshka/internal/procpool"
 	"matryoshka/internal/sched"
-	"matryoshka/internal/tasks"
 )
 
 // knobs carries every validated flag value.
@@ -57,13 +53,10 @@ type knobs struct {
 	cpuProfile string
 	memProfile string
 	explain    string
-	trace      string
-	batchStats string
 	backend    string
 	workers    int
 	procChaos  bool
 	skew       float64
-	shred      string
 }
 
 // validateFlags rejects out-of-domain knob values before any experiment
@@ -95,16 +88,8 @@ func validateFlags(k knobs) error {
 	if k.cpuProfile != "" && k.cpuProfile == k.memProfile {
 		return fmt.Errorf("-cpuprofile and -memprofile both write %q; the second would truncate the first", k.cpuProfile)
 	}
-	if k.batchStats != "" && (k.explain != "" || k.trace != "") {
-		return fmt.Errorf("-batchstats runs its own instrumented pass; drop -explain/-trace or run them separately")
-	}
 	if k.skew != 0 && k.skew <= 1 {
 		return fmt.Errorf("-skew %v is not a valid Zipf exponent (want > 1, 0 = each generator's default)", k.skew)
-	}
-	switch k.shred {
-	case "", "auto", "on", "off":
-	default:
-		return fmt.Errorf("-shred %q is unknown (want auto, on, or off)", k.shred)
 	}
 	if k.backend != "sim" && k.backend != "proc" {
 		return fmt.Errorf("-backend %q is unknown (want sim or proc)", k.backend)
@@ -120,8 +105,8 @@ func validateFlags(k knobs) error {
 	}
 	if k.backend == "proc" {
 		switch {
-		case k.explain != "" || k.trace != "" || k.batchStats != "":
-			return fmt.Errorf("-backend proc runs the sim-vs-proc A/B comparison; -explain/-trace/-batchstats are simulator views, run them separately")
+		case k.explain != "":
+			return fmt.Errorf("-backend proc runs the sim-vs-proc A/B comparison; -explain is a simulator view, run it separately")
 		case k.tenants > 0:
 			return fmt.Errorf("-backend proc and -tenants are exclusive: the multi-tenant scheduler is a simulator backend of its own")
 		}
@@ -149,8 +134,6 @@ func run() int {
 		quiet      = flag.Bool("q", false, "suppress progress output")
 		csvPath    = flag.String("csv", "", "also write raw rows as CSV to this file")
 		explain    = flag.String("explain", "", "EXPLAIN ANALYZE one task's Matryoshka run (bounce-rate, pagerank, k-means, avg-distances, recovery, chaos, shred)")
-		trace      = flag.String("trace", "", "print the raw job/stage/decision event stream of one task's Matryoshka run")
-		batchStats = flag.String("batchstats", "", "print per-stage batch shape, batch count, and encoded boundary bytes of one task's Matryoshka run")
 		mem        = flag.Int64("mem", 0, "override per-machine memory in bytes (creates the pressure adaptive recovery reacts to)")
 		faultRate  = flag.Float64("faultrate", 0, "inject transient task failures with this probability per task")
 		tenants    = flag.Int("tenants", 0, "run one multi-tenant scheduling workload with this many interactive tenants (plus a batch tenant)")
@@ -160,7 +143,6 @@ func run() int {
 		mtbf       = flag.Float64("mtbf", 0, "machine crash hazard: mean simulated seconds between crashes per machine (0 = off)")
 		seed       = flag.Int64("seed", 0, "seed for the crash hazard and straggler skew (0 = default, runs stay bit-reproducible)")
 		skew       = flag.Float64("skew", 0, "override the Zipf exponent of skewed datasets (> 1; 0 = each generator's default)")
-		shred      = flag.String("shred", "auto", "nested-bag materialization lowering: auto (optimizer picks per group-by), on (force shredded), off (force materialized)")
 		backend    = flag.String("backend", "sim", "execution backend: sim (per-run simulator) or proc (run the sim-vs-process-pool A/B comparison)")
 		workers    = flag.Int("workers", 0, "worker process count for -backend proc (0 = min(4, NumCPU))")
 		procChaos  = flag.Bool("procchaos", false, "with -backend proc: run the self-healing soak (seeded worker kills; respawn-on must match the reference, respawn-off must abort)")
@@ -171,17 +153,12 @@ func run() int {
 	if err := validateFlags(knobs{mem: *mem, faultRate: *faultRate, straggle: *straggle,
 		mtbf: *mtbf, seed: *seed, tenants: *tenants, policy: *policy,
 		cpuProfile: *cpuProfile, memProfile: *memProfile,
-		explain: *explain, trace: *trace, batchStats: *batchStats,
-		backend: *backend, workers: *workers, procChaos: *procChaos,
-		skew: *skew, shred: *shred}); err != nil {
+		explain: *explain, backend: *backend, workers: *workers,
+		procChaos: *procChaos, skew: *skew}); err != nil {
 		fmt.Fprintf(os.Stderr, "matbench: %v\n", err)
 		flag.Usage()
 		return 2
 	}
-	if *shred != "" {
-		tasks.Shred = *shred
-	}
-
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -245,22 +222,8 @@ func run() int {
 		return 0
 	}
 
-	if *explain != "" || *trace != "" {
-		task, asTrace := *explain, false
-		if *trace != "" {
-			task, asTrace = *trace, true
-		}
-		out, err := bench.ExplainRun(task, sc, asTrace)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "matbench: %v\n", err)
-			return 1
-		}
-		fmt.Print(out)
-		return 0
-	}
-
-	if *batchStats != "" {
-		out, err := bench.BatchStatsRun(*batchStats, sc)
+	if *explain != "" {
+		out, err := bench.ExplainRun(*explain, sc)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "matbench: %v\n", err)
 			return 1

@@ -28,9 +28,6 @@ func TestValidateFlags(t *testing.T) {
 		{name: "tenants negative", k: knobs{tenants: -2, policy: "fair"}, wantErr: "-tenants"},
 		{name: "unknown policy", k: knobs{policy: "lottery"}, wantErr: "-policy"},
 		{name: "profiles collide", k: knobs{policy: "fair", cpuProfile: "prof.out", memProfile: "prof.out"}, wantErr: "-cpuprofile and -memprofile"},
-		{name: "batchstats alone", k: knobs{backend: "sim", policy: "fair", batchStats: "bounce-rate"}},
-		{name: "batchstats with explain", k: knobs{policy: "fair", batchStats: "bounce-rate", explain: "bounce-rate"}, wantErr: "-batchstats"},
-		{name: "batchstats with trace", k: knobs{policy: "fair", batchStats: "bounce-rate", trace: "pagerank"}, wantErr: "-batchstats"},
 		{name: "proc backend", k: knobs{backend: "proc", policy: "fair"}},
 		{name: "proc backend with workers", k: knobs{backend: "proc", workers: 2, policy: "fair"}},
 		{name: "proc chaos soak", k: knobs{backend: "proc", procChaos: true, policy: "fair"}},
@@ -40,16 +37,11 @@ func TestValidateFlags(t *testing.T) {
 		{name: "workers negative", k: knobs{backend: "proc", workers: -1, policy: "fair"}, wantErr: "-workers"},
 		{name: "workers without proc", k: knobs{backend: "sim", workers: 2, policy: "fair"}, wantErr: "-workers"},
 		{name: "proc with explain", k: knobs{backend: "proc", explain: "chaos", policy: "fair"}, wantErr: "-backend proc"},
-		{name: "proc with trace", k: knobs{backend: "proc", trace: "chaos", policy: "fair"}, wantErr: "-backend proc"},
-		{name: "proc with batchstats", k: knobs{backend: "proc", batchStats: "bounce-rate", policy: "fair"}, wantErr: "-backend proc"},
 		{name: "proc with tenants", k: knobs{backend: "proc", tenants: 2, policy: "fair"}, wantErr: "-tenants"},
 		{name: "skew exponent", k: knobs{backend: "sim", skew: 1.5, policy: "fair"}},
-		{name: "shred forced on", k: knobs{backend: "sim", shred: "on", policy: "fair"}},
-		{name: "shred forced off", k: knobs{backend: "sim", shred: "off", policy: "fair"}},
 		{name: "skew exactly 1", k: knobs{skew: 1, policy: "fair"}, wantErr: "-skew"},
 		{name: "skew negative", k: knobs{skew: -0.5, policy: "fair"}, wantErr: "-skew"},
 		{name: "skew below 1", k: knobs{skew: 0.8, policy: "fair"}, wantErr: "-skew"},
-		{name: "unknown shred mode", k: knobs{shred: "maybe", policy: "fair"}, wantErr: "-shred"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

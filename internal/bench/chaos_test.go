@@ -92,7 +92,7 @@ func TestSec9ChaosBitIdentical(t *testing.T) {
 // the full causal chain — machines crashing, the lost fetch, and the
 // lineage recomputation that repaired it.
 func TestExplainChaosShowsLineageRecovery(t *testing.T) {
-	rep, err := ExplainRun("chaos", chaosTestScale(), false)
+	rep, err := ExplainRun("chaos", chaosTestScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -254,22 +254,11 @@ func Fig8b(sc Scale) []Row {
 	return rows
 }
 
-// fig9 runs a weak-scaling sweep on the large cluster with 8x input.
-func fig9(exp string, xs []int, cc cluster.Config, run func(x int, s tasks.Strategy) tasks.Outcome) []Row {
-	var rows []Row
-	for _, x := range xs {
-		for _, s := range []tasks.Strategy{tasks.Matryoshka, tasks.InnerParallel, tasks.OuterParallel} {
-			rows = append(rows, row(exp, string(s), float64(x), run(x, s)))
-		}
-	}
-	return rows
-}
-
 // Fig9PageRank is the 8x-input PageRank weak scaling on the Sec. 9.7
 // cluster (160 GB of edges, 36 machines).
 func Fig9PageRank(sc Scale) []Row {
 	cc := sc.LargeCluster()
-	return fig9("fig9-pagerank", []int{32, 128, 512}, cc, func(x int, s tasks.Strategy) tasks.Outcome {
+	return weakScaling("fig9-pagerank", []int{32, 128, 512}, func(x int, s tasks.Strategy) tasks.Outcome {
 		spec := pageRankSpec(sc, x, 160, false)
 		spec.MaxIters = 5
 		return spec.Run(s, cc)
@@ -279,7 +268,7 @@ func Fig9PageRank(sc Scale) []Row {
 // Fig9Bounce is the 8x-input Bounce Rate weak scaling (384 GB of visits).
 func Fig9Bounce(sc Scale) []Row {
 	cc := sc.LargeCluster()
-	return fig9("fig9-bounce", []int{32, 128, 512}, cc, func(x int, s tasks.Strategy) tasks.Outcome {
+	return weakScaling("fig9-bounce", []int{32, 128, 512}, func(x int, s tasks.Strategy) tasks.Outcome {
 		return bounceSpec(sc, x, 384, false).Run(s, cc)
 	})
 }
@@ -354,19 +343,19 @@ func SecShred(sc Scale) []Row {
 	for _, skew := range []float64{1.05, 1.2, 1.5, 2.0} {
 		for _, mode := range []struct {
 			name  string
-			shred string
+			shred *core.ShredChoice // nil: the shred rule picks
 			rec   bool
 		}{
-			{"materialized/abort", "off", false},
-			{"materialized/recover", "off", true},
-			{"shredded", "on", false},
-			{"auto", "auto", true},
+			{"materialized/abort", core.ForceShredChoice(core.ShredMaterialized), false},
+			{"materialized/recover", core.ForceShredChoice(core.ShredMaterialized), true},
+			{"shredded", core.ForceShredChoice(core.ShredShredded), false},
+			{"auto", nil, true},
 		} {
-			prevShred, prevRec, prevObs := tasks.Shred, tasks.Recovery, tasks.Obs
+			prevRec, prevObs := tasks.Recovery, tasks.Obs
 			rec := obs.NewRecorder()
-			tasks.Shred, tasks.Recovery, tasks.Obs = mode.shred, mode.rec, rec
-			out := shredSpec(sc, skew).Run(sc.Cluster(2, 2, 1))
-			tasks.Shred, tasks.Recovery, tasks.Obs = prevShred, prevRec, prevObs
+			tasks.Recovery, tasks.Obs = mode.rec, rec
+			out := shredSpec(sc, skew).RunMatryoshka(sc.Cluster(2, 2, 1), core.Options{ForceShred: mode.shred})
+			tasks.Recovery, tasks.Obs = prevRec, prevObs
 			rows = append(rows,
 				row("sec-shred", mode.name, skew, out),
 				Row{Exp: "sec-shred", Series: "peakMB/" + mode.name, X: skew,

@@ -16,32 +16,17 @@ func ExplainTasks() []string {
 // ExplainRun runs one task's Matryoshka strategy at this scale with the
 // event spine attached and renders what happened: the EXPLAIN ANALYZE
 // report (per-job physical plans, per-stage measured costs, and the
-// Sec. 8 optimizer decision log), or, when trace is set, the raw event
-// stream. It is the engine behind matbench's -explain/-trace flags.
+// Sec. 8 optimizer decision log). It is the engine behind matbench's
+// -explain flag.
 //
 // The run is deliberately small (a few groups at the configured scale):
 // the point is the plan and the decisions, not the figure-scale numbers.
-func ExplainRun(task string, sc Scale, trace bool) (string, error) {
+func ExplainRun(task string, sc Scale) (string, error) {
 	rec, err := explainRecorder(task, sc)
 	if err != nil {
 		return "", err
-	}
-	if trace {
-		return rec.Trace(), nil
 	}
 	return rec.Report(), nil
-}
-
-// BatchStatsRun runs one task like ExplainRun and renders the per-stage
-// batch statistics instead: element shape, batch count, and encoded wire
-// bytes of every stage boundary crossed. It is the engine behind
-// matbench's -batchstats flag.
-func BatchStatsRun(task string, sc Scale) (string, error) {
-	rec, err := explainRecorder(task, sc)
-	if err != nil {
-		return "", err
-	}
-	return rec.BatchStats(), nil
 }
 
 // explainRecorder runs one task with the event spine attached and returns

@@ -35,7 +35,7 @@ func TestExplainRunGolden(t *testing.T) {
 			if task == "recovery" {
 				sc.RecordsPerGB = 2000
 			}
-			out, err := ExplainRun(task, sc, false)
+			out, err := ExplainRun(task, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +59,7 @@ func TestExplainRunGolden(t *testing.T) {
 }
 
 func TestExplainRunReportShape(t *testing.T) {
-	out, err := ExplainRun("bounce-rate", explainScale(), false)
+	out, err := ExplainRun("bounce-rate", explainScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,24 +82,12 @@ func TestExplainRunReportShape(t *testing.T) {
 	}
 }
 
-func TestExplainRunTraceShape(t *testing.T) {
-	out, err := ExplainRun("bounce-rate", explainScale(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"job 1 start target=", "stage 1 label=", "decision rule="} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestExplainRunShredShape: `matbench -explain shred` renders the shred
 // rule's decision — the optimizer reading observed group sizes and
 // picking the shredded lowering for the high-skew demo workload — in
-// both the report's decision log and the raw trace.
+// the report's decision log.
 func TestExplainRunShredShape(t *testing.T) {
-	out, err := ExplainRun("shred", explainScale(), false)
+	out, err := ExplainRun("shred", explainScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,49 +100,38 @@ func TestExplainRunShredShape(t *testing.T) {
 			t.Errorf("shred report missing %q:\n%s", want, out)
 		}
 	}
-	trace, err := ExplainRun("shred", explainScale(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(trace, "decision rule=shred choice=shredded") {
-		t.Errorf("shred trace missing shred decision:\n%s", trace)
-	}
 }
 
 func TestExplainRunUnknownTask(t *testing.T) {
-	if _, err := ExplainRun("no-such-task", explainScale(), false); err == nil {
-		t.Fatal("want error for unknown task")
-	}
-	if _, err := BatchStatsRun("no-such-task", explainScale()); err == nil {
+	if _, err := ExplainRun("no-such-task", explainScale()); err == nil {
 		t.Fatal("want error for unknown task")
 	}
 }
 
-// TestBatchStatsRunShape: the -batchstats rendering names every shuffle
-// boundary the bounce-rate plan crosses, with typed element shapes (the
-// group-size reduce that shredding derives key tags from and the per-tag
-// reduce on Pair batches), batch counts, and encoded byte totals.
-func TestBatchStatsRunShape(t *testing.T) {
-	out, err := BatchStatsRun("bounce-rate", explainScale())
+// TestExplainRecorderBoundaryShapes: the recorded stage boundaries of
+// the bounce-rate plan carry typed element shapes — the group-size reduce
+// that shredding derives key tags from and the per-tag reduce on Pair
+// batches — and none fell back to boxed batches.
+func TestExplainRecorderBoundaryShapes(t *testing.T) {
+	rec, err := explainRecorder("bounce-rate", explainScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		"BATCH STATS:",
-		"boundary stages",
-		"encoded",
-		"shape=Pair[int64,int64]",
-		"shape=Pair[Tag,int64]",
-		"stages=",
-		"batches=",
-		"bytes=",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("batch stats missing %q:\n%s", want, out)
+	shapes := map[string]bool{}
+	for _, j := range rec.Jobs() {
+		for _, s := range j.Stages {
+			if s.BoundaryBytes > 0 {
+				shapes[s.BatchShape] = true
+			}
 		}
 	}
-	if strings.Contains(out, "shape=any") {
-		t.Errorf("bounce-rate boundaries should all be typed, got a boxed fallback:\n%s", out)
+	for _, want := range []string{"Pair[int64,int64]", "Pair[Tag,int64]"} {
+		if !shapes[want] {
+			t.Errorf("no boundary of shape %s; shapes: %v", want, shapes)
+		}
+	}
+	if shapes["any"] {
+		t.Errorf("bounce-rate boundaries should all be typed, got a boxed fallback: %v", shapes)
 	}
 }
 

@@ -79,7 +79,7 @@ func TestMemPressureValueMatchesReference(t *testing.T) {
 // TestExplainShowsRecovery: `matbench -explain recovery` renders the
 // adaptive re-lowerings in the EXPLAIN ANALYZE report.
 func TestExplainShowsRecovery(t *testing.T) {
-	rep, err := ExplainRun("recovery", Scale{RecordsPerGB: 2000}, false)
+	rep, err := ExplainRun("recovery", Scale{RecordsPerGB: 2000})
 	if err != nil {
 		t.Fatalf("ExplainRun: %v", err)
 	}
@@ -102,14 +102,14 @@ func TestExplainShowsRecovery(t *testing.T) {
 // the whole report — virtual clock included — is deterministic.
 func TestExplainFaultRateShowsRetries(t *testing.T) {
 	sc := Scale{RecordsPerGB: 2000, FaultRate: 0.02}
-	rep1, err := ExplainRun("bounce-rate", sc, false)
+	rep1, err := ExplainRun("bounce-rate", sc)
 	if err != nil {
 		t.Fatalf("ExplainRun: %v", err)
 	}
 	if !strings.Contains(rep1, "retries=") {
 		t.Errorf("report shows no retries:\n%s", rep1)
 	}
-	rep2, err := ExplainRun("bounce-rate", sc, false)
+	rep2, err := ExplainRun("bounce-rate", sc)
 	if err != nil {
 		t.Fatalf("ExplainRun again: %v", err)
 	}

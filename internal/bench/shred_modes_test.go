@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"testing"
 
+	"matryoshka/internal/core"
 	"matryoshka/internal/tasks"
 )
 
@@ -20,30 +21,36 @@ func TestShredLoweringsBitIdentical(t *testing.T) {
 	cc := sc.PaperCluster()
 	for _, task := range []struct {
 		name string
-		run  func() tasks.Outcome
+		run  func(core.Options) tasks.Outcome
 	}{
-		{"bounce-rate", func() tasks.Outcome { return bounceSpec(sc, 8, 2, true).Run(tasks.Matryoshka, cc) }},
-		{"pagerank", func() tasks.Outcome { return pageRankSpec(sc, 8, 2, true).Run(tasks.Matryoshka, cc) }},
-		{"shred", func() tasks.Outcome { return shredSpec(sc, 1.3).Run(sc.Cluster(2, 2, 1)) }},
+		{"bounce-rate", func(opt core.Options) tasks.Outcome { return bounceSpec(sc, 8, 2, true).RunMatryoshka(cc, opt) }},
+		{"pagerank", func(opt core.Options) tasks.Outcome { return pageRankSpec(sc, 8, 2, true).RunMatryoshka(cc, opt) }},
+		{"shred", func(opt core.Options) tasks.Outcome {
+			return shredSpec(sc, 1.3).RunMatryoshka(sc.Cluster(2, 2, 1), opt)
+		}},
 	} {
 		t.Run(task.name, func(t *testing.T) {
-			defer func() { tasks.Shred = "auto" }()
 			var refValue any
 			atProcs(t, func(t *testing.T) {
 				var got []string
-				for _, shredMode := range []string{"off", "on"} {
-					tasks.Shred = shredMode
-					out := task.run()
+				for _, lowering := range []struct {
+					label string
+					force *core.ShredChoice
+				}{
+					{"off", core.ForceShredChoice(core.ShredMaterialized)},
+					{"on", core.ForceShredChoice(core.ShredShredded)},
+				} {
+					out := task.run(core.Options{ForceShred: lowering.force})
 					if out.Err != nil {
-						t.Fatalf("shred=%s: %v", shredMode, out.Err)
+						t.Fatalf("shred=%s: %v", lowering.label, out.Err)
 					}
 					if refValue == nil {
 						refValue = out.Value
 					} else if !reflect.DeepEqual(refValue, out.Value) {
-						t.Fatalf("shred=%s: value diverged from the first run", shredMode)
+						t.Fatalf("shred=%s: value diverged from the first run", lowering.label)
 					}
 					got = append(got, fmt.Sprintf("shred=%s seconds=%s jobs=%d stages=%d tasks=%d",
-						shredMode, fmtFloat(out.Seconds), out.Jobs, out.Stages, out.Tasks))
+						lowering.label, fmtFloat(out.Seconds), out.Jobs, out.Stages, out.Tasks))
 				}
 				checkGolden(t, "exec_rows.golden", "shred/"+task.name, got)
 			})

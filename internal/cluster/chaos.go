@@ -127,17 +127,19 @@ func (p FaultPlan) Validate(machines int) error {
 // crashGap returns machine m's draw-th up-time gap: an exponential with
 // mean MTBF, derived purely from (Seed, m, draw).
 func (p FaultPlan) crashGap(machine, draw int) float64 {
-	h := splitmix64(p.Seed ^ 0x51b9d1e4c2a7f36d)
-	h = splitmix64(h ^ uint64(machine)*0x9e3779b97f4a7c15)
-	h = splitmix64(h ^ uint64(draw))
+	h := SplitMix64(p.Seed ^ 0x51b9d1e4c2a7f36d)
+	h = SplitMix64(h ^ uint64(machine)*0x9e3779b97f4a7c15)
+	h = SplitMix64(h ^ uint64(draw))
 	// Top 53 bits, offset to (0,1) so log never sees zero.
 	u := (float64(h>>11) + 0.5) / (1 << 53)
 	return -p.MTBF * math.Log(u)
 }
 
-// splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed 64-bit
+// SplitMix64 is the SplitMix64 finalizer: a cheap, well-mixed 64-bit
 // permutation used to derive per-draw randomness from structured ids.
-func splitmix64(x uint64) uint64 {
+// The crash hazard, the process pool's fault plan and the scheduler's
+// straggler skew all draw through it.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

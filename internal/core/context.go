@@ -16,7 +16,7 @@ type Options struct {
 	ForceHalfLifted *HalfLiftedChoice
 	// ForceShred, when non-nil, fixes the nested-bag representation
 	// (materialized vs shredded) instead of letting ShredStrategy pick
-	// from observed group sizes (matbench -shred on/off).
+	// from observed group sizes.
 	ForceShred *ShredChoice
 	// TargetScalarsPerPartition overrides the partition-count rule of
 	// Sec. 8.1 (0 = default).

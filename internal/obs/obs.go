@@ -6,8 +6,9 @@
 //
 // A Recorder is attached to an engine session (engine.Config.Obs); every
 // method is safe on a nil receiver, so instrumented code paths pay one nil
-// check when observation is off. The EXPLAIN ANALYZE renderer (Report)
-// and the flat event stream (Trace) read the recorded events back.
+// check when observation is off. The recorded events are the run's
+// machine-readable artifact (Jobs, Decisions, Faults); the EXPLAIN ANALYZE
+// renderer (Report) is its one text view.
 package obs
 
 import (
@@ -381,103 +382,6 @@ func (r *Recorder) Report() string {
 		for _, e := range faults {
 			fmt.Fprintf(&b, "  [t=%s] machine %d %-6s %s\n", secs(e.At), e.Machine, e.Kind, e.Detail)
 		}
-	}
-	return b.String()
-}
-
-// BatchStats renders the stage-boundary batch statistics of the recorded
-// run: for every stage that read shuffle input, the element shape of its
-// batches, how many batches its tasks read (one block per task), and their
-// total encoded wire size (batchio frames). Stages are aggregated across
-// jobs and supersteps by (label, shape) in first-seen order.
-func (r *Recorder) BatchStats() string {
-	if r == nil {
-		return ""
-	}
-	type statKey struct{ label, shape string }
-	type stat struct {
-		runs    int
-		batches int
-		bytes   int64
-	}
-	stats := map[statKey]*stat{}
-	var order []statKey
-	var total int64
-	stages := 0
-	for _, j := range r.Jobs() {
-		for _, s := range j.Stages {
-			if s.BoundaryBytes <= 0 {
-				continue
-			}
-			stages++
-			total += s.BoundaryBytes
-			k := statKey{s.Label, s.BatchShape}
-			a := stats[k]
-			if a == nil {
-				a = &stat{}
-				stats[k] = a
-				order = append(order, k)
-			}
-			a.runs++
-			a.batches += s.Parts
-			a.bytes += s.BoundaryBytes
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "BATCH STATS: %d boundary stages, %s encoded\n", stages, bytesStr(total))
-	for _, k := range order {
-		a := stats[k]
-		fmt.Fprintf(&b, "  %-20s shape=%-28s stages=%-4d batches=%-6d bytes=%s\n",
-			k.label, k.shape, a.runs, a.batches, bytesStr(a.bytes))
-	}
-	return b.String()
-}
-
-// Trace renders the raw event stream, one line per event, in order.
-func (r *Recorder) Trace() string {
-	if r == nil {
-		return ""
-	}
-	var b strings.Builder
-	for _, j := range r.Jobs() {
-		fmt.Fprintf(&b, "job %d start target=%s\n", j.ID, j.Target)
-		for _, s := range j.Stages {
-			fused := ""
-			if s.Fused != "" {
-				fused = " " + s.Fused
-			}
-			boundary := ""
-			if s.BoundaryBytes > 0 {
-				boundary = fmt.Sprintf(" boundary=%s shape=%s", bytesStr(s.BoundaryBytes), s.BatchShape)
-			}
-			remote := ""
-			if s.Remote {
-				remote = fmt.Sprintf(" remote=true wall=%s shipped=%s workers=%d",
-					secs(s.WallSeconds), bytesStr(s.RemoteBytes), s.RemoteWorkers)
-			}
-			fmt.Fprintf(&b, "job %d stage %d label=%s parts=%d dt=%s busy=%s shuffle=%s memo-hits=%d retries=%d maxtask=%s maxmem=%s chain=%s%s%s%s\n",
-				j.ID, s.Stage, s.Label, s.Parts, secs(s.Seconds), secs(s.BusySeconds),
-				bytesStr(int64(s.ShuffleBytes)), s.MemoHits, s.Retries, secs(s.MaxTaskSec), bytesStr(s.MaxTaskMem), s.Chain, fused, boundary, remote)
-		}
-		for _, bc := range j.Broadcasts {
-			fmt.Fprintf(&b, "job %d broadcast label=%s bytes=%s dt=%s\n", j.ID, bc.Label, bytesStr(bc.Bytes), secs(bc.Seconds))
-		}
-		for _, rc := range j.Recoveries {
-			fmt.Fprintf(&b, "job %d recovery stage=%d label=%s what=%q action=%q charged=%s\n",
-				j.ID, rc.Stage, rc.Label, rc.What, rc.Action, secs(rc.Seconds))
-		}
-		fmt.Fprintf(&b, "job %d end dt=%s err=%q\n", j.ID, secs(j.Seconds), j.Err)
-	}
-	for _, d := range r.Decisions() {
-		forced := ""
-		if d.Forced {
-			forced = " forced"
-		}
-		fmt.Fprintf(&b, "decision rule=%s choice=%s%s why=%q\n", d.Rule, d.Choice, forced, d.Why)
-	}
-	for _, e := range r.Faults() {
-		fmt.Fprintf(&b, "fault t=%s machine=%d kind=%s detail=%q\n",
-			secs(e.At), e.Machine, e.Kind, e.Detail)
 	}
 	return b.String()
 }

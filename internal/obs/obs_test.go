@@ -53,28 +53,6 @@ func TestReportGolden(t *testing.T) {
 	}
 }
 
-func TestTraceGolden(t *testing.T) {
-	got := record().Trace()
-	want := strings.Join([]string{
-		"job 1 start target=#5 count",
-		"job 1 stage 1 label=count parts=4 dt=1.50s busy=4.00s shuffle=2.0KB memo-hits=3 retries=1 maxtask=0.50s maxmem=1.0KB chain=count<-map",
-		"job 1 broadcast label=map bytes=4.0KB dt=0.25s",
-		`job 1 end dt=1.75s err=""`,
-		"job 2 start target=#7 reduce",
-		"job 2 stage 1 label=reduce parts=2 dt=0.90s busy=1.00s shuffle=0B memo-hits=0 retries=0 maxtask=0.45s maxmem=0B chain=reduce",
-		`job 2 end dt=1.00s err=""`,
-		"job 3 start target=#7 reduce",
-		"job 3 stage 1 label=reduce parts=2 dt=0.90s busy=1.00s shuffle=0B memo-hits=0 retries=0 maxtask=0.45s maxmem=0B chain=reduce",
-		`job 3 end dt=1.00s err=""`,
-		"decision rule=scalar-join choice=broadcast-left why=\"8 tags < parallelism 16\"",
-		"decision rule=scalar-join choice=broadcast-left why=\"8 tags < parallelism 16\"",
-		"decision rule=half-lifted choice=bypass forced why=\"Options override\"",
-	}, "\n") + "\n"
-	if got != want {
-		t.Errorf("Trace():\n%s\nwant:\n%s", got, want)
-	}
-}
-
 func TestFailedJobsDoNotCollapse(t *testing.T) {
 	r := NewRecorder()
 	for i := 0; i < 2; i++ {
@@ -110,7 +88,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.BroadcastPinned(Broadcast{})
 	r.Decide(Decision{})
 	r.EndJob(0, nil)
-	if r.Report() != "" || r.Trace() != "" || r.Jobs() != nil || r.Decisions() != nil {
+	if r.Report() != "" || r.Jobs() != nil || r.Decisions() != nil {
 		t.Error("nil recorder produced output")
 	}
 	if rules := r.SortedRules(); len(rules) != 0 {
@@ -130,8 +108,7 @@ func TestEventsOutsideJobAreDropped(t *testing.T) {
 	}
 }
 
-// TestRecoveryRendering: recovery events appear in both Report and Trace,
-// with the outcome taken from how the job ended, and a recovered job is
+// TestRecoveryRendering: recovery events appear in Report, with the outcome taken from how the job ended, and a recovered job is
 // never collapsed into an iterative run.
 func TestRecoveryRendering(t *testing.T) {
 	r := NewRecorder()
@@ -161,9 +138,6 @@ func TestRecoveryRendering(t *testing.T) {
 	}
 	if strings.Contains(rep, "(x2)") {
 		t.Errorf("recovered job collapsed with a clean one:\n%s", rep)
-	}
-	if !strings.Contains(r.Trace(), `job 1 recovery stage=2 label=groupByKey what="task OOM (wave 2, machine 1: 9000 bytes over a 4096-byte budget)" action="re-lowered(parts 200→800)" charged=1.25s`) {
-		t.Errorf("trace missing recovery line:\n%s", r.Trace())
 	}
 
 	// A failed job renders the same recovery with outcome "failed".

@@ -13,7 +13,11 @@ package procpool
 // control plane (hello, heartbeat, shutdown) stays clean so a chaos run
 // exercises task recovery, not pool bring-up.
 
-import "time"
+import (
+	"time"
+
+	"matryoshka/internal/cluster"
+)
 
 // FaultPlan describes deterministic faults to inject into a running pool.
 // Counters are global across the pool (dispatches, data frames),
@@ -88,13 +92,13 @@ func (p FaultPlan) delay() time.Duration {
 }
 
 // draw hashes (Seed, domain, counter) to a uniform uint64 — the same
-// stateless splitmix64 derivation as cluster.FaultPlan's crash hazard, so
+// stateless SplitMix64 derivation as cluster.FaultPlan's crash hazard, so
 // injected choices depend only on the seed and the event index, never on
 // goroutine interleaving.
 func (p FaultPlan) draw(domain, n uint64) uint64 {
-	h := splitmix64(p.Seed ^ 0x6a09e667f3bcc908)
-	h = splitmix64(h ^ domain*0x9e3779b97f4a7c15)
-	return splitmix64(h ^ n)
+	h := cluster.SplitMix64(p.Seed ^ 0x6a09e667f3bcc908)
+	h = cluster.SplitMix64(h ^ domain*0x9e3779b97f4a7c15)
+	return cluster.SplitMix64(h ^ n)
 }
 
 // tearPoint picks where to cut the n-th torn frame: somewhere strictly
@@ -105,14 +109,4 @@ func (p FaultPlan) tearPoint(n uint64, frameLen int) int {
 		return 0
 	}
 	return 1 + int(p.draw(1, n)%uint64(frameLen-1))
-}
-
-// splitmix64 is the finalizer from Vigna's splitmix64 generator: a cheap,
-// well-mixed bijection on uint64 (same idiom as internal/cluster).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

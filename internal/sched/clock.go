@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"matryoshka/internal/cluster"
 )
 
 // event is one scheduled occurrence on an eventClock: its virtual time,
@@ -110,7 +112,7 @@ func (k Skew) stretch(ids ...uint64) float64 {
 	}
 	h := k.Seed ^ 0x9e3779b97f4a7c15
 	for _, id := range ids {
-		h = splitmix64(h ^ id)
+		h = cluster.SplitMix64(h ^ id)
 	}
 	// Top 53 bits → uniform [0, 1).
 	u := float64(h>>11) / (1 << 53)
@@ -118,15 +120,6 @@ func (k Skew) stretch(ids ...uint64) float64 {
 		return k.Factor
 	}
 	return 1
-}
-
-// splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed 64-bit
-// permutation used to derive per-task randomness from structured ids.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // The speculation trigger, Spark's spark.speculation.{quantile,multiplier}

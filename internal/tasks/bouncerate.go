@@ -62,7 +62,7 @@ func (sp BounceRateSpec) Reference() BounceRates {
 func (sp BounceRateSpec) Run(strat Strategy, cc cluster.Config) Outcome {
 	switch strat {
 	case Matryoshka:
-		return sp.runMatryoshka(cc, core.Options{})
+		return sp.RunMatryoshka(cc, core.Options{})
 	case InnerParallel:
 		return sp.runInner(cc)
 	case OuterParallel:
@@ -84,11 +84,10 @@ type unknownStrategyError struct{ s Strategy }
 
 func (e *unknownStrategyError) Error() string { return "tasks: unknown strategy " + string(e.s) }
 
-// runMatryoshka is the paper's Listings 1-3 end to end: the nested program
+// RunMatryoshka is the paper's Listings 1-3 end to end: the nested program
 // expressed with the nesting primitives (Listing 2), lowered to the flat
 // plan (Listing 3) at run time.
-func (sp BounceRateSpec) runMatryoshka(cc cluster.Config, opt core.Options) Outcome {
-	opt = shredOptions(opt)
+func (sp BounceRateSpec) RunMatryoshka(cc cluster.Config, opt core.Options) Outcome {
 	sess, err := newMatryoshkaSession(cc)
 	if err != nil {
 		return failed(bounceRateName, Matryoshka, err)

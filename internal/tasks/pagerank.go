@@ -93,7 +93,6 @@ type prDN struct {
 // iteration lifted per Sec. 6 (groups converge at different iterations).
 // opt is exposed for the Fig. 8 join-strategy ablation.
 func (sp PageRankSpec) RunMatryoshka(cc cluster.Config, opt core.Options) Outcome {
-	opt = shredOptions(opt)
 	sess, err := newMatryoshkaSession(cc)
 	if err != nil {
 		return failed(pageRankName, Matryoshka, err)

@@ -85,7 +85,7 @@ func (sp ShredSpec) Reference() ShredValue {
 
 // Run executes the task under the Matryoshka strategy (the only one: the
 // workload exists to compare that strategy's two nested-bag lowerings,
-// selected via tasks.Shred / core.Options.ForceShred).
+// selected via RunMatryoshka's core.Options.ForceShred).
 func (sp ShredSpec) Run(cc cluster.Config) Outcome {
 	return sp.RunMatryoshka(cc, core.Options{})
 }
@@ -94,7 +94,6 @@ func (sp ShredSpec) Run(cc cluster.Config) Outcome {
 // over the dictionary (distinct visitors per day), then crosses the
 // un-shred boundary by materializing every group's rows.
 func (sp ShredSpec) RunMatryoshka(cc cluster.Config, opt core.Options) Outcome {
-	opt = shredOptions(opt)
 	sess, err := newMatryoshkaSession(cc)
 	if err != nil {
 		return failed(shredName, Matryoshka, err)

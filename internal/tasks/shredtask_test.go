@@ -40,21 +40,3 @@ func TestShredTaskMatchesReference(t *testing.T) {
 		t.Fatal("forced lowerings diverged from each other")
 	}
 }
-
-// TestShredToggleForcesLowering: the package-level Shred toggle
-// (matbench -shred) changes nothing about results.
-func TestShredToggleForcesLowering(t *testing.T) {
-	spec := ShredSpec{Visits: 10_000, Days: 11, Skew: 1.5, Seed: 7}
-	prev := Shred
-	defer func() { Shred = prev }()
-	var vals []ShredValue
-	for _, mode := range []string{"auto", "on", "off"} {
-		Shred = mode
-		o := spec.Run(testCluster())
-		checkOutcome(t, o)
-		vals = append(vals, o.Value.(ShredValue))
-	}
-	if !reflect.DeepEqual(vals[0], vals[1]) || !reflect.DeepEqual(vals[1], vals[2]) {
-		t.Fatal("-shred toggle changed the task's value")
-	}
-}

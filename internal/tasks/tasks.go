@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"matryoshka/internal/cluster"
-	"matryoshka/internal/core"
 	"matryoshka/internal/datagen"
 	"matryoshka/internal/engine"
 	"matryoshka/internal/obs"
@@ -132,7 +131,7 @@ func finish(task string, strat Strategy, sess *engine.Session, value any, err er
 
 // Obs, when non-nil, receives the job/stage/broadcast events and optimizer
 // decisions of every session created by tasks — the hook matbench's
-// --explain/--trace flags use to render EXPLAIN ANALYZE for a run.
+// -explain flag uses to render EXPLAIN ANALYZE for a run.
 var Obs *obs.Recorder
 
 // Backend, when non-nil, replaces the per-run private simulator on every
@@ -148,24 +147,3 @@ var Backend engine.Backend
 // experiments flip it off to show the abort-vs-recover gap. Workaround
 // baselines never recover regardless.
 var Recovery = true
-
-// Shred selects the nested-bag materialization lowering on Matryoshka
-// runs (matbench -shred): "auto" (default) lets the Sec. 8 shred rule
-// pick per group-by from observed group sizes, "on" forces the shredded
-// flat/dictionary lowering, "off" forces whole-group materialization.
-var Shred = "auto"
-
-// shredOptions applies the package-level Shred toggle to a run's
-// optimizer options, keeping an explicit per-call ForceShred intact.
-func shredOptions(opt core.Options) core.Options {
-	if opt.ForceShred != nil {
-		return opt
-	}
-	switch Shred {
-	case "on":
-		opt.ForceShred = core.ForceShredChoice(core.ShredShredded)
-	case "off":
-		opt.ForceShred = core.ForceShredChoice(core.ShredMaterialized)
-	}
-	return opt
-}
