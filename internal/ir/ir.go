@@ -115,6 +115,38 @@ func (Union) isExpr()       {}
 func (UnOp) isExpr()        {}
 func (BinOp) isExpr()       {}
 
+// operands lists an expression's sub-expressions in evaluation order: In,
+// or A then B. It is the one place that states which children an
+// expression has; kind inference, lowering and rendering all walk it.
+// (desugar.go rebuilds each expression type with its own fields.)
+func operands(e Expr) []Expr {
+	switch x := e.(type) {
+	case Map:
+		return []Expr{x.In}
+	case Filter:
+		return []Expr{x.In}
+	case FlatMap:
+		return []Expr{x.In}
+	case GroupByKey:
+		return []Expr{x.In}
+	case ReduceByKey:
+		return []Expr{x.In}
+	case Distinct:
+		return []Expr{x.In}
+	case Count:
+		return []Expr{x.In}
+	case Reduce:
+		return []Expr{x.In}
+	case Union:
+		return []Expr{x.A, x.B}
+	case UnOp:
+		return []Expr{x.A}
+	case BinOp:
+		return []Expr{x.A, x.B}
+	}
+	return nil
+}
+
 // Fn is a UDF with named parameters and a statement body. A map over a
 // nested bag receives two parameters (the outer component and the inner
 // bag, cf. Listing 1 line 5); a map over a flat bag receives one.

@@ -745,3 +745,23 @@ func TestLoopBodyLoweringErrorSurfaces(t *testing.T) {
 		t.Fatal("unbound loop-body ref should fail parsing")
 	}
 }
+
+// TestParseRejectsInnerMapWithoutFunction: a map inside a lifted UDF needs
+// exactly one of F or UDF, as at top level.
+func TestParseRejectsInnerMapWithoutFunction(t *testing.T) {
+	udf := &Fn{
+		Params: []string{"key", "group"},
+		Body:   []Stmt{Return{E: Count{In: Map{In: Ref{"group"}}}}},
+	}
+	p := &Program{
+		Lets: []Let{
+			{"d", Source{"d"}},
+			{"g", GroupByKey{In: Ref{"d"}}},
+			{"r", Map{In: Ref{"g"}, UDF: udf}},
+		},
+		Result: "r",
+	}
+	if _, err := Parse(p); err == nil || !strings.Contains(err.Error(), "exactly one of F or UDF") {
+		t.Errorf("Parse error = %v, want one naming the missing function", err)
+	}
+}

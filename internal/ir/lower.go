@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"maps"
 
 	"matryoshka/internal/core"
 	"matryoshka/internal/engine"
@@ -26,7 +27,7 @@ type value struct {
 // Source names to their driver-side data. The result is []any for a bag
 // result or a single any for a scalar result.
 func Lower(ps *Parsed, sess *engine.Session, sources map[string][]any, opt core.Options) (any, error) {
-	lw := &lowerer{ps: ps, sess: sess, sources: sources, opt: opt, env: map[string]value{}}
+	lw := &lowerer{sess: sess, sources: sources, opt: opt, env: map[string]value{}}
 	for _, l := range ps.Prog.Lets {
 		v, err := lw.evalTop(l.E)
 		if err != nil {
@@ -46,14 +47,32 @@ func Lower(ps *Parsed, sess *engine.Session, sources map[string][]any, opt core.
 }
 
 type lowerer struct {
-	ps      *Parsed
 	sess    *engine.Session
 	sources map[string][]any
 	opt     core.Options
 	env     map[string]value
 }
 
+// evalOperands evaluates e's operands, in order, with eval.
+func evalOperands(e Expr, eval func(Expr) (value, error)) ([]value, error) {
+	var vs []value
+	for _, in := range operands(e) {
+		v, err := eval(in)
+		if err != nil {
+			return nil, err
+		}
+		vs = append(vs, v)
+	}
+	return vs, nil
+}
+
+// evalTop lowers one top-level expression to engine operations. The
+// parsing phase has checked every operand's kind.
 func (lw *lowerer) evalTop(e Expr) (value, error) {
+	in, err := evalOperands(e, lw.evalTop)
+	if err != nil {
+		return value{}, err
+	}
 	switch x := e.(type) {
 	case Ref:
 		return lw.env[x.Name], nil
@@ -66,136 +85,71 @@ func (lw *lowerer) evalTop(e Expr) (value, error) {
 		}
 		return value{kind: KBag, bag: engine.Parallelize(lw.sess, data, 0)}, nil
 	case GroupByKey:
-		in, err := lw.evalTop(x.In)
-		if err != nil {
-			return value{}, err
-		}
-		pairs := engine.Map(in.bag, func(e any) engine.Pair[any, any] { return e.(engine.Pair[any, any]) })
+		pairs := engine.Map(in[0].bag, func(e any) engine.Pair[any, any] { return e.(engine.Pair[any, any]) })
 		nb, err := core.GroupByKeyIntoNestedBag(pairs, lw.opt)
 		if err != nil {
 			return value{}, err
 		}
 		return value{kind: KNested, nbO: nb.Outer, nbI: nb.Inner}, nil
 	case Map:
-		in, err := lw.evalTop(x.In)
-		if err != nil {
-			return value{}, err
-		}
 		if x.F != nil {
-			return value{kind: KBag, bag: engine.Map(in.bag, x.F)}, nil
+			return value{kind: KBag, bag: engine.Map(in[0].bag, x.F)}, nil
 		}
-		return lw.lowerLiftedMap(in, x.UDF)
+		return lw.lowerLiftedMap(in[0], x.UDF)
 	case Filter:
-		in, err := lw.evalTop(x.In)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: KBag, bag: engine.Filter(in.bag, x.Pred)}, nil
+		return value{kind: KBag, bag: engine.Filter(in[0].bag, x.Pred)}, nil
 	case FlatMap:
-		in, err := lw.evalTop(x.In)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: KBag, bag: engine.FlatMap(in.bag, x.F)}, nil
+		return value{kind: KBag, bag: engine.FlatMap(in[0].bag, x.F)}, nil
 	case Distinct:
-		in, err := lw.evalTop(x.In)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: KBag, bag: engine.Distinct(in.bag)}, nil
+		return value{kind: KBag, bag: engine.Distinct(in[0].bag)}, nil
 	case Union:
-		a, err := lw.evalTop(x.A)
-		if err != nil {
-			return value{}, err
-		}
-		b, err := lw.evalTop(x.B)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: KBag, bag: engine.Union(a.bag, b.bag)}, nil
+		return value{kind: KBag, bag: engine.Union(in[0].bag, in[1].bag)}, nil
 	case ReduceByKey:
-		in, err := lw.evalTop(x.In)
-		if err != nil {
-			return value{}, err
-		}
-		pairs := engine.Map(in.bag, func(e any) engine.Pair[any, any] { return e.(engine.Pair[any, any]) })
+		pairs := engine.Map(in[0].bag, func(e any) engine.Pair[any, any] { return e.(engine.Pair[any, any]) })
 		red := engine.ReduceByKey(pairs, x.F)
 		return value{kind: KBag, bag: engine.Map(red, func(p engine.Pair[any, any]) any { return any(p) })}, nil
 	case Count:
-		in, err := lw.evalTop(x.In)
-		if err != nil {
-			return value{}, err
-		}
-		n, err := engine.Count(in.bag)
+		n, err := engine.Count(in[0].bag)
 		return value{kind: KScalar, sc: n}, err
 	case Reduce:
-		in, err := lw.evalTop(x.In)
-		if err != nil {
-			return value{}, err
-		}
-		r, err := engine.Reduce(in.bag, x.F)
+		r, err := engine.Reduce(in[0].bag, x.F)
 		return value{kind: KScalar, sc: r}, err
 	case UnOp:
-		a, err := lw.evalTop(x.A)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: KScalar, sc: x.F(a.sc)}, nil
+		return value{kind: KScalar, sc: x.F(in[0].sc)}, nil
 	case BinOp:
-		a, err := lw.evalTop(x.A)
-		if err != nil {
-			return value{}, err
-		}
-		b, err := lw.evalTop(x.B)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: KScalar, sc: x.F(a.sc, b.sc)}, nil
+		return value{kind: KScalar, sc: x.F(in[0].sc, in[1].sc)}, nil
 	}
 	return value{}, fmt.Errorf("unsupported top-level expression %T", e)
 }
 
 // lowerLiftedMap is mapWithLiftedUDF: the UDF runs exactly once, over the
-// lifted representations of all invocations (Sec. 4.2).
+// lifted representations of all invocations (Sec. 4.2). The input is a
+// nested bag or a flat one, and the UDF returns an inner scalar or an
+// inner bag; the parsing phase has rejected everything else.
 func (lw *lowerer) lowerLiftedMap(in value, fn *Fn) (value, error) {
-	info := lw.ps.Fns[fn]
-	if info == nil || !info.Lifted {
-		return value{}, fmt.Errorf("map UDF was not marked lifted by the parsing phase")
-	}
-	runBody := func(ctx *core.Ctx, params []value) (value, error) {
+	runBody := func(ctx *core.Ctx, params ...value) (value, error) {
 		env := map[string]value{}
 		for i, p := range fn.Params {
 			env[p] = params[i]
 		}
 		return lw.evalBody(ctx, fn.Body, env)
 	}
-	finishInner := func(res value, err error) (value, error) {
-		if err != nil {
-			return value{}, err
-		}
-		switch res.kind {
-		case KInnerScalar:
-			return value{kind: KBag, bag: engine.Values(res.isc.Repr())}, nil
-		case KInnerBag:
-			return value{kind: KBag, bag: core.FlattenBag(res.ibg)}, nil
-		}
-		return value{}, fmt.Errorf("lifted UDF returned %v", res.kind)
-	}
-	switch in.kind {
-	case KNested:
-		ctx := in.nbI.Ctx()
-		res, err := runBody(ctx, []value{
-			{kind: KInnerScalar, isc: in.nbO},
-			{kind: KInnerBag, ibg: in.nbI},
+	var res value
+	var err error
+	if in.kind == KNested {
+		res, err = runBody(in.nbI.Ctx(), value{kind: KInnerScalar, isc: in.nbO}, value{kind: KInnerBag, ibg: in.nbI})
+	} else {
+		res, err = core.LiftFlat(in.bag, lw.opt, func(ctx *core.Ctx, elems core.InnerScalar[any]) (value, error) {
+			return runBody(ctx, value{kind: KInnerScalar, isc: elems})
 		})
-		return finishInner(res, err)
-	case KBag:
-		res, err := core.LiftFlat(in.bag, lw.opt, func(ctx *core.Ctx, elems core.InnerScalar[any]) (value, error) {
-			return runBody(ctx, []value{{kind: KInnerScalar, isc: elems}})
-		})
-		return finishInner(res, err)
 	}
-	return value{}, fmt.Errorf("lifted map over %v", in.kind)
+	if err != nil {
+		return value{}, err
+	}
+	if res.kind == KInnerScalar {
+		return value{kind: KBag, bag: engine.Values(res.isc.Repr())}, nil
+	}
+	return value{kind: KBag, bag: core.FlattenBag(res.ibg)}, nil
 }
 
 // evalBody executes the statements of a lifted UDF during lowering.
@@ -224,7 +178,12 @@ func (lw *lowerer) evalBody(ctx *core.Ctx, body []Stmt, env map[string]value) (v
 }
 
 // evalInner lowers one expression inside a lifted UDF to core operations.
+// The parsing phase has checked every operand's kind.
 func (lw *lowerer) evalInner(ctx *core.Ctx, e Expr, env map[string]value) (value, error) {
+	in, err := evalOperands(e, func(o Expr) (value, error) { return lw.evalInner(ctx, o, env) })
+	if err != nil {
+		return value{}, err
+	}
 	switch x := e.(type) {
 	case Ref:
 		if v, ok := env[x.Name]; ok {
@@ -235,110 +194,37 @@ func (lw *lowerer) evalInner(ctx *core.Ctx, e Expr, env map[string]value) (value
 		if !ok {
 			return value{}, fmt.Errorf("unbound variable %s", x.Name)
 		}
-		switch outer.kind {
-		case KScalar:
+		if outer.kind == KScalar {
 			return value{kind: KInnerScalar, isc: core.LiftScalarClosure(ctx, outer.sc)}, nil
-		case KBag:
-			return value{kind: KInnerBag, ibg: core.LiftBagClosure(ctx, outer.bag)}, nil
 		}
-		return value{}, fmt.Errorf("closure over %v", outer.kind)
+		return value{kind: KInnerBag, ibg: core.LiftBagClosure(ctx, outer.bag)}, nil
 	case Const:
 		return value{kind: KInnerScalar, isc: core.Pure(ctx, x.V)}, nil
 	case Map:
-		in, err := lw.innerBag(ctx, x.In, env)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: KInnerBag, ibg: core.MapBag(in, x.F)}, nil
+		return value{kind: KInnerBag, ibg: core.MapBag(in[0].ibg, x.F)}, nil
 	case Filter:
-		in, err := lw.innerBag(ctx, x.In, env)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: KInnerBag, ibg: core.FilterBag(in, x.Pred)}, nil
+		return value{kind: KInnerBag, ibg: core.FilterBag(in[0].ibg, x.Pred)}, nil
 	case FlatMap:
-		in, err := lw.innerBag(ctx, x.In, env)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: KInnerBag, ibg: core.FlatMapBag(in, x.F)}, nil
+		return value{kind: KInnerBag, ibg: core.FlatMapBag(in[0].ibg, x.F)}, nil
 	case Distinct:
-		in, err := lw.innerBag(ctx, x.In, env)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: KInnerBag, ibg: core.DistinctBag(in)}, nil
+		return value{kind: KInnerBag, ibg: core.DistinctBag(in[0].ibg)}, nil
 	case Union:
-		a, err := lw.innerBag(ctx, x.A, env)
-		if err != nil {
-			return value{}, err
-		}
-		b, err := lw.innerBag(ctx, x.B, env)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: KInnerBag, ibg: core.UnionBags(a, b)}, nil
+		return value{kind: KInnerBag, ibg: core.UnionBags(in[0].ibg, in[1].ibg)}, nil
 	case ReduceByKey:
-		in, err := lw.innerBag(ctx, x.In, env)
-		if err != nil {
-			return value{}, err
-		}
-		keyed := core.MapBag(in, func(e any) engine.Pair[any, any] { return e.(engine.Pair[any, any]) })
+		keyed := core.MapBag(in[0].ibg, func(e any) engine.Pair[any, any] { return e.(engine.Pair[any, any]) })
 		red := core.ReduceByKeyBag(keyed, x.F)
 		return value{kind: KInnerBag, ibg: core.MapBag(red, func(p engine.Pair[any, any]) any { return any(p) })}, nil
 	case Count:
-		in, err := lw.innerBag(ctx, x.In, env)
-		if err != nil {
-			return value{}, err
-		}
-		cnt := core.CountBag(in)
+		cnt := core.CountBag(in[0].ibg)
 		return value{kind: KInnerScalar, isc: core.UnaryScalarOp(cnt, func(n int64) any { return n })}, nil
 	case Reduce:
-		in, err := lw.innerBag(ctx, x.In, env)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: KInnerScalar, isc: core.ReduceBag(in, x.F)}, nil
+		return value{kind: KInnerScalar, isc: core.ReduceBag(in[0].ibg, x.F)}, nil
 	case UnOp:
-		a, err := lw.innerScalar(ctx, x.A, env)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: KInnerScalar, isc: core.UnaryScalarOp(a, x.F)}, nil
+		return value{kind: KInnerScalar, isc: core.UnaryScalarOp(in[0].isc, x.F)}, nil
 	case BinOp:
-		a, err := lw.innerScalar(ctx, x.A, env)
-		if err != nil {
-			return value{}, err
-		}
-		b, err := lw.innerScalar(ctx, x.B, env)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: KInnerScalar, isc: core.BinaryScalarOp(a, b, x.F)}, nil
+		return value{kind: KInnerScalar, isc: core.BinaryScalarOp(in[0].isc, in[1].isc, x.F)}, nil
 	}
 	return value{}, fmt.Errorf("unsupported inner expression %T", e)
-}
-
-func (lw *lowerer) innerBag(ctx *core.Ctx, e Expr, env map[string]value) (core.InnerBag[any], error) {
-	v, err := lw.evalInner(ctx, e, env)
-	if err != nil {
-		return core.InnerBag[any]{}, err
-	}
-	if v.kind != KInnerBag {
-		return core.InnerBag[any]{}, fmt.Errorf("expected an inner bag, got %v", v.kind)
-	}
-	return v.ibg, nil
-}
-
-func (lw *lowerer) innerScalar(ctx *core.Ctx, e Expr, env map[string]value) (core.InnerScalar[any], error) {
-	v, err := lw.evalInner(ctx, e, env)
-	if err != nil {
-		return core.InnerScalar[any]{}, err
-	}
-	if v.kind != KInnerScalar {
-		return core.InnerScalar[any]{}, fmt.Errorf("expected an inner scalar, got %v", v.kind)
-	}
-	return v.isc, nil
 }
 
 // dynState is the loop state of a lowered control-flow construct: the
@@ -411,60 +297,67 @@ func loopState(vars []string, env map[string]value) dynState {
 	return s
 }
 
+// runLets binds the loop variables to their current values in a copy of
+// env and evaluates lets there: one iteration of a loop body, or one
+// branch of an if.
+func (lw *lowerer) runLets(c *core.Ctx, env map[string]value, vars []string, cur dynState, lets []LetS) (map[string]value, error) {
+	inner := maps.Clone(env)
+	bindVars(inner, vars, cur)
+	for _, l := range lets {
+		v, err := lw.evalInner(c, l.E, inner)
+		if err != nil {
+			return nil, fmt.Errorf("let %s: %w", l.Name, err)
+		}
+		inner[l.Name] = v
+	}
+	return inner, nil
+}
+
+// bindVars sets the named loop variables to the values of s.
+func bindVars(env map[string]value, vars []string, s dynState) {
+	for i, name := range vars {
+		env[name] = s.vals[i]
+	}
+}
+
 // lowerWhile lifts a while loop (Sec. 6.2 / Listing 4) via core.While.
 // Lowering errors inside the loop body flow out through the body closure's
 // error return.
 func (lw *lowerer) lowerWhile(ctx *core.Ctx, s While, env map[string]value) error {
 	init := loopState(s.Vars, env)
 	out, err := core.While(ctx, init, dynOps(init.kinds), func(c *core.Ctx, cur dynState) (dynState, core.InnerScalar[bool], error) {
-		inner := cloneEnv(env)
-		for i, name := range s.Vars {
-			inner[name] = cur.vals[i]
+		inner, err := lw.runLets(c, env, s.Vars, cur, s.Body)
+		if err != nil {
+			return dynState{}, core.InnerScalar[bool]{}, fmt.Errorf("loop body: %w", err)
 		}
-		for _, l := range s.Body {
-			v, err := lw.evalInner(c, l.E, inner)
-			if err != nil {
-				return dynState{}, core.InnerScalar[bool]{}, fmt.Errorf("loop body let %s: %w", l.Name, err)
-			}
-			inner[l.Name] = v
-		}
-		condV, err := lw.innerScalar(c, s.Cond, inner)
+		condV, err := lw.evalInner(c, s.Cond, inner)
 		if err != nil {
 			return dynState{}, core.InnerScalar[bool]{}, fmt.Errorf("loop condition: %w", err)
 		}
-		cond := core.UnaryScalarOp(condV, func(v any) bool { return v.(bool) })
+		cond := core.UnaryScalarOp(condV.isc, func(v any) bool { return v.(bool) })
 		return loopState(s.Vars, inner), cond, nil
 	})
 	if err != nil {
 		return err
 	}
-	for i, name := range s.Vars {
-		env[name] = out.vals[i]
-	}
+	bindVars(env, s.Vars, out)
 	return nil
 }
 
 // lowerIf lifts an if statement (Sec. 6.2) via core.If. Branch-lowering
 // errors flow out through the branch closures' error returns.
 func (lw *lowerer) lowerIf(ctx *core.Ctx, s If, env map[string]value) error {
-	condV, err := lw.innerScalar(ctx, s.Cond, env)
+	condV, err := lw.evalInner(ctx, s.Cond, env)
 	if err != nil {
 		return err
 	}
-	cond := core.UnaryScalarOp(condV, func(v any) bool { return v.(bool) })
+	cond := core.UnaryScalarOp(condV.isc, func(v any) bool { return v.(bool) })
 	init := loopState(s.Vars, env)
 	branch := func(body []LetS) func(*core.Ctx, dynState) (dynState, error) {
 		return func(c *core.Ctx, cur dynState) (dynState, error) {
-			inner := cloneEnv(env)
-			for i, name := range s.Vars {
-				inner[name] = cur.vals[i]
-			}
-			for _, l := range body {
-				v, err := lw.evalInner(c, l.E, inner)
-				if err != nil {
-					return dynState{}, fmt.Errorf("branch let %s: %w", l.Name, err)
-				}
-				inner[l.Name] = v
+			inner, err := lw.runLets(c, env, s.Vars, cur, body)
+			if err != nil {
+				return dynState{}, fmt.Errorf("branch: %w", err)
 			}
 			return loopState(s.Vars, inner), nil
 		}
@@ -473,16 +366,6 @@ func (lw *lowerer) lowerIf(ctx *core.Ctx, s If, env map[string]value) error {
 	if err != nil {
 		return err
 	}
-	for i, name := range s.Vars {
-		env[name] = out.vals[i]
-	}
+	bindVars(env, s.Vars, out)
 	return nil
-}
-
-func cloneEnv(env map[string]value) map[string]value {
-	out := make(map[string]value, len(env))
-	for k, v := range env {
-		out[k] = v
-	}
-	return out
 }

@@ -1,6 +1,10 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // Kind is the nesting kind the parsing phase assigns to every variable and
 // expression — the information that decides which nesting primitive
@@ -81,7 +85,7 @@ func Parse(p *Program) (*Parsed, error) {
 		Fns:      map[*Fn]*FnInfo{},
 	}
 	for _, l := range p.Lets {
-		k, err := ps.inferTop(l.E)
+		k, err := ps.infer(l.E, ps.TopKinds, nil)
 		if err != nil {
 			return nil, fmt.Errorf("ir: let %s: %w", l.Name, err)
 		}
@@ -98,108 +102,80 @@ func Parse(p *Program) (*Parsed, error) {
 	return ps, nil
 }
 
-// inferTop assigns a kind to a top-level expression.
-func (ps *Parsed) inferTop(e Expr) (Kind, error) {
+// infer assigns a kind to an expression at either nesting level. At top
+// level (info == nil) env is ps.TopKinds, bags are Bag and scalars Scalar.
+// Inside a lifted UDF (info is its annotation) bags are InnerBag and
+// scalars InnerScalar, and a free variable is recorded as a closure over
+// the driver scope (Sec. 5). Only references, constants, sources,
+// groupByKey and UDF maps differ by level; every other operation takes
+// operands of one kind and yields one kind at both.
+func (ps *Parsed) infer(e Expr, env map[string]Kind, info *FnInfo) (Kind, error) {
+	bag, scalar := KBag, KScalar
+	if info != nil {
+		bag, scalar = KInnerBag, KInnerScalar
+	}
+	var kinds []Kind
+	for _, in := range operands(e) {
+		k, err := ps.infer(in, env, info)
+		if err != nil {
+			return 0, err
+		}
+		kinds = append(kinds, k)
+	}
+	want, result := bag, bag
 	switch x := e.(type) {
 	case Ref:
-		k, ok := ps.TopKinds[x.Name]
-		if !ok {
-			return 0, fmt.Errorf("unbound variable %s", x.Name)
+		if k, ok := env[x.Name]; ok {
+			return k, nil
 		}
-		return k, nil
+		if k, ok := ps.TopKinds[x.Name]; ok && info != nil {
+			info.Closures[x.Name] = k
+			switch k {
+			case KScalar:
+				return KInnerScalar, nil // lifted by replication (Sec. 5.2)
+			case KBag:
+				return KInnerBag, nil // lifted bag closure (Sec. 5.2)
+			}
+			return 0, fmt.Errorf("closure over %v is not supported", k)
+		}
+		return 0, fmt.Errorf("unbound variable %s", x.Name)
 	case Const:
-		return KScalar, nil
+		return scalar, nil // inside a UDF, constants replicate per invocation
 	case Source:
+		if info != nil {
+			return 0, fmt.Errorf("sources must be bound at top level")
+		}
 		return KBag, nil
 	case GroupByKey:
-		in, err := ps.inferTop(x.In)
-		if err != nil {
-			return 0, err
-		}
-		if in != KBag {
-			return 0, fmt.Errorf("groupByKey needs a flat bag, got %v", in)
+		if info != nil {
+			return 0, fmt.Errorf("groupByKey inside a lifted UDF needs a third nesting level; use internal/core directly")
 		}
 		// The nested output becomes a NestedBag primitive (Sec. 4.5).
-		return KNested, nil
+		result = KNested
 	case Map:
-		in, err := ps.inferTop(x.In)
-		if err != nil {
-			return 0, err
-		}
 		if (x.F == nil) == (x.UDF == nil) {
 			return 0, fmt.Errorf("map needs exactly one of F or UDF")
 		}
-		if x.F != nil {
-			if in != KBag {
-				return 0, fmt.Errorf("plain map needs a flat bag, got %v", in)
+		if x.UDF != nil {
+			if info != nil {
+				return 0, fmt.Errorf("nested lifted UDFs are not supported by the IR front end (use internal/core for >2 levels)")
 			}
-			return KBag, nil
+			return ps.parseUDFMap(kinds[0], x.UDF)
 		}
-		return ps.parseUDFMap(in, x.UDF)
-	case Filter:
-		return ps.sameBag(x.In, "filter")
-	case FlatMap:
-		return ps.sameBag(x.In, "flatMap")
-	case Distinct:
-		return ps.sameBag(x.In, "distinct")
-	case Union:
-		a, err := ps.inferTop(x.A)
-		if err != nil {
-			return 0, err
-		}
-		b, err := ps.inferTop(x.B)
-		if err != nil {
-			return 0, err
-		}
-		if a != KBag || b != KBag {
-			return 0, fmt.Errorf("union needs flat bags, got %v and %v", a, b)
-		}
-		return KBag, nil
-	case ReduceByKey:
-		return ps.sameBag(x.In, "reduceByKey")
-	case Count:
-		if _, err := ps.sameBag(x.In, "count"); err != nil {
-			return 0, err
-		}
-		return KScalar, nil
-	case Reduce:
-		if _, err := ps.sameBag(x.In, "reduce"); err != nil {
-			return 0, err
-		}
-		return KScalar, nil
-	case UnOp:
-		in, err := ps.inferTop(x.A)
-		if err != nil {
-			return 0, err
-		}
-		if in != KScalar {
-			return 0, fmt.Errorf("scalar op over %v", in)
-		}
-		return KScalar, nil
-	case BinOp:
-		for _, sub := range []Expr{x.A, x.B} {
-			in, err := ps.inferTop(sub)
-			if err != nil {
-				return 0, err
-			}
-			if in != KScalar {
-				return 0, fmt.Errorf("scalar op over %v", in)
-			}
-		}
-		return KScalar, nil
+	case Filter, FlatMap, Distinct, ReduceByKey, Union:
+	case Count, Reduce:
+		result = scalar
+	case UnOp, BinOp:
+		want, result = scalar, scalar
+	default:
+		return 0, fmt.Errorf("unsupported expression %T", e)
 	}
-	return 0, fmt.Errorf("unsupported top-level expression %T", e)
-}
-
-func (ps *Parsed) sameBag(in Expr, op string) (Kind, error) {
-	k, err := ps.inferTop(in)
-	if err != nil {
-		return 0, err
+	for _, k := range kinds {
+		if k != want {
+			return 0, fmt.Errorf("%T over %v, want %v", e, k, want)
+		}
 	}
-	if k != KBag {
-		return 0, fmt.Errorf("%s over %v is not supported at top level", op, k)
-	}
-	return KBag, nil
+	return result, nil
 }
 
 // parseUDFMap analyses a map whose UDF is a program: it decides whether
@@ -262,7 +238,7 @@ func (ps *Parsed) parseBody(body []Stmt, env map[string]Kind, info *FnInfo) (Kin
 	for _, st := range body {
 		switch s := st.(type) {
 		case LetS:
-			k, err := ps.inferInner(s.E, env, info)
+			k, err := ps.infer(s.E, env, info)
 			if err != nil {
 				return 0, fmt.Errorf("let %s: %w", s.Name, err)
 			}
@@ -273,11 +249,11 @@ func (ps *Parsed) parseBody(body []Stmt, env map[string]Kind, info *FnInfo) (Kin
 				return 0, fmt.Errorf("while: %w", err)
 			}
 		case If:
-			if err := ps.parseLoop(s.Vars, append(append([]LetS{}, s.Then...), s.Else...), s.Cond, env, info); err != nil {
+			if err := ps.parseLoop(s.Vars, slices.Concat(s.Then, s.Else), s.Cond, env, info); err != nil {
 				return 0, fmt.Errorf("if: %w", err)
 			}
 		case Return:
-			k, err := ps.inferInner(s.E, env, info)
+			k, err := ps.infer(s.E, env, info)
 			if err != nil {
 				return 0, fmt.Errorf("return: %w", err)
 			}
@@ -303,12 +279,9 @@ func (ps *Parsed) parseLoop(vars []string, body []LetS, cond Expr, env map[strin
 	}
 	// Loop body sees the current loop variables; temporaries are scoped
 	// to the body.
-	inner := map[string]Kind{}
-	for k, v := range env {
-		inner[k] = v
-	}
+	inner := maps.Clone(env)
 	for _, s := range body {
-		k, err := ps.inferInner(s.E, inner, info)
+		k, err := ps.infer(s.E, inner, info)
 		if err != nil {
 			return fmt.Errorf("let %s: %w", s.Name, err)
 		}
@@ -320,7 +293,7 @@ func (ps *Parsed) parseLoop(vars []string, body []LetS, cond Expr, env map[strin
 			return fmt.Errorf("loop variable %s changes kind from %v to %v", v, env[v], inner[v])
 		}
 	}
-	ck, err := ps.inferInner(cond, inner, info)
+	ck, err := ps.infer(cond, inner, info)
 	if err != nil {
 		return fmt.Errorf("condition: %w", err)
 	}
@@ -328,96 +301,6 @@ func (ps *Parsed) parseLoop(vars []string, body []LetS, cond Expr, env map[strin
 		return fmt.Errorf("condition must be an inner scalar, got %v", ck)
 	}
 	return nil
-}
-
-// inferInner assigns kinds inside a lifted UDF, recording closures for
-// free variables (Sec. 5).
-func (ps *Parsed) inferInner(e Expr, env map[string]Kind, info *FnInfo) (Kind, error) {
-	switch x := e.(type) {
-	case Ref:
-		if k, ok := env[x.Name]; ok {
-			return k, nil
-		}
-		// Free variable: a closure over the enclosing (driver) scope.
-		if k, ok := ps.TopKinds[x.Name]; ok {
-			info.Closures[x.Name] = k
-			switch k {
-			case KScalar:
-				return KInnerScalar, nil // lifted by replication (Sec. 5.2)
-			case KBag:
-				return KInnerBag, nil // lifted bag closure (Sec. 5.2)
-			default:
-				return 0, fmt.Errorf("closure over %v is not supported", k)
-			}
-		}
-		return 0, fmt.Errorf("unbound variable %s", x.Name)
-	case Const:
-		return KInnerScalar, nil // constants replicate per invocation
-	case Map:
-		if x.UDF != nil {
-			return 0, fmt.Errorf("nested lifted UDFs are not supported by the IR front end (use internal/core for >2 levels)")
-		}
-		return ps.innerBagIn(x.In, env, info, "map")
-	case Filter:
-		return ps.innerBagIn(x.In, env, info, "filter")
-	case FlatMap:
-		return ps.innerBagIn(x.In, env, info, "flatMap")
-	case Distinct:
-		return ps.innerBagIn(x.In, env, info, "distinct")
-	case ReduceByKey:
-		return ps.innerBagIn(x.In, env, info, "reduceByKey")
-	case Union:
-		if _, err := ps.innerBagIn(x.A, env, info, "union"); err != nil {
-			return 0, err
-		}
-		return ps.innerBagIn(x.B, env, info, "union")
-	case Count:
-		if _, err := ps.innerBagIn(x.In, env, info, "count"); err != nil {
-			return 0, err
-		}
-		return KInnerScalar, nil
-	case Reduce:
-		if _, err := ps.innerBagIn(x.In, env, info, "reduce"); err != nil {
-			return 0, err
-		}
-		return KInnerScalar, nil
-	case UnOp:
-		k, err := ps.inferInner(x.A, env, info)
-		if err != nil {
-			return 0, err
-		}
-		if k != KInnerScalar {
-			return 0, fmt.Errorf("unary scalar op over %v", k)
-		}
-		return KInnerScalar, nil
-	case BinOp:
-		for _, sub := range []Expr{x.A, x.B} {
-			k, err := ps.inferInner(sub, env, info)
-			if err != nil {
-				return 0, err
-			}
-			if k != KInnerScalar {
-				return 0, fmt.Errorf("binary scalar op over %v", k)
-			}
-		}
-		return KInnerScalar, nil
-	case GroupByKey:
-		return 0, fmt.Errorf("groupByKey inside a lifted UDF needs a third nesting level; use internal/core directly")
-	case Source:
-		return 0, fmt.Errorf("sources must be bound at top level")
-	}
-	return 0, fmt.Errorf("unsupported inner expression %T", e)
-}
-
-func (ps *Parsed) innerBagIn(in Expr, env map[string]Kind, info *FnInfo, op string) (Kind, error) {
-	k, err := ps.inferInner(in, env, info)
-	if err != nil {
-		return 0, err
-	}
-	if k != KInnerBag {
-		return 0, fmt.Errorf("%s over %v inside a lifted UDF", op, k)
-	}
-	return KInnerBag, nil
 }
 
 // bodyHasBagOps reports whether a UDF body contains bag operations —
@@ -430,41 +313,33 @@ func bodyHasBagOps(body []Stmt, top map[string]Kind) bool {
 			return true
 		case Ref:
 			return top[x.Name] == KBag || top[x.Name] == KNested
-		case UnOp:
-			return exprHas(x.A)
-		case BinOp:
-			return exprHas(x.A) || exprHas(x.B)
 		}
-		return false
-	}
-	var stmtHas func(st Stmt) bool
-	stmtHas = func(st Stmt) bool {
-		switch s := st.(type) {
-		case LetS:
-			return exprHas(s.E)
-		case Return:
-			return exprHas(s.E)
-		case While:
-			for _, l := range s.Body {
-				if exprHas(l.E) {
-					return true
-				}
-			}
-			return exprHas(s.Cond)
-		case If:
-			for _, l := range append(append([]LetS{}, s.Then...), s.Else...) {
-				if exprHas(l.E) {
-					return true
-				}
-			}
-			return exprHas(s.Cond)
-		}
-		return false
+		return slices.ContainsFunc(operands(e), exprHas)
 	}
 	for _, st := range body {
-		if stmtHas(st) {
+		var es []Expr
+		switch s := st.(type) {
+		case LetS:
+			es = []Expr{s.E}
+		case Return:
+			es = []Expr{s.E}
+		case While:
+			es = append(letExprs(s.Body), s.Cond)
+		case If:
+			es = append(letExprs(slices.Concat(s.Then, s.Else)), s.Cond)
+		}
+		if slices.ContainsFunc(es, exprHas) {
 			return true
 		}
 	}
 	return false
+}
+
+// letExprs lists the right-hand sides of a block of lets.
+func letExprs(ls []LetS) []Expr {
+	es := make([]Expr, len(ls))
+	for i, l := range ls {
+		es[i] = l.E
+	}
+	return es
 }

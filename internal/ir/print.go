@@ -13,122 +13,100 @@ import (
 func (ps *Parsed) Render() string {
 	var b strings.Builder
 	for _, l := range ps.Prog.Lets {
-		fmt.Fprintf(&b, "val %s: %s = %s\n", l.Name, ps.TopKinds[l.Name], ps.renderTop(l.E, &b))
+		fmt.Fprintf(&b, "val %s: %s = %s\n", l.Name, ps.TopKinds[l.Name], ps.render(l.E, nil))
 	}
 	fmt.Fprintf(&b, "return %s\n", ps.Prog.Result)
 	return b.String()
 }
 
-// renderTop returns the one-line form of a top-level expression, emitting
-// lifted UDF bodies inline through b when needed.
-func (ps *Parsed) renderTop(e Expr, b *strings.Builder) string {
+// render returns the one-line form of an expression at top level (info ==
+// nil) or inside the lifted UDF that info annotates, where references to
+// closures are marked. A lifted map's body follows on its own lines.
+func (ps *Parsed) render(e Expr, info *FnInfo) string {
+	var in []string
+	for _, o := range operands(e) {
+		in = append(in, ps.render(o, info))
+	}
 	switch x := e.(type) {
 	case Ref:
+		if info != nil {
+			if k, ok := info.Closures[x.Name]; ok {
+				return fmt.Sprintf("%s/*closure:%s*/", x.Name, k)
+			}
+		}
 		return x.Name
 	case Const:
 		return fmt.Sprintf("%v", x.V)
 	case Source:
 		return fmt.Sprintf("read(%q)", x.Name)
 	case GroupByKey:
-		return fmt.Sprintf("%s.groupByKeyIntoNestedBag()", ps.renderTop(x.In, b))
+		return in[0] + ".groupByKeyIntoNestedBag()"
 	case Map:
-		if x.UDF == nil {
-			return fmt.Sprintf("%s.map(f)", ps.renderTop(x.In, b))
+		if x.UDF != nil {
+			return ps.renderLiftedMap(in[0], x.UDF)
 		}
-		info := ps.Fns[x.UDF]
-		in := ps.renderTop(x.In, b)
-		if info == nil || !info.Lifted {
-			return fmt.Sprintf("%s.map(udf)", in)
-		}
-		var params []string
-		for i, p := range x.UDF.Params {
-			params = append(params, fmt.Sprintf("%s: %s", p, info.ParamKinds[i]))
-		}
-		body := renderBody(x.UDF.Body, info, "  ")
-		closures := ""
-		if len(info.Closures) > 0 {
-			var cs []string
-			for name, k := range info.Closures {
-				cs = append(cs, fmt.Sprintf("%s: %s", name, k))
-			}
-			sort.Strings(cs)
-			closures = fmt.Sprintf("  // closures: %s\n", strings.Join(cs, ", "))
-		}
-		return fmt.Sprintf("%s.mapWithLiftedUDF { (%s) =>\n%s%s}",
-			in, strings.Join(params, ", "), closures+body, "")
+		return in[0] + ".map(f)"
 	case Filter:
-		return fmt.Sprintf("%s.filter(p)", ps.renderTop(x.In, b))
+		return in[0] + ".filter(p)"
 	case FlatMap:
-		return fmt.Sprintf("%s.flatMap(f)", ps.renderTop(x.In, b))
+		return in[0] + ".flatMap(f)"
 	case Distinct:
-		return fmt.Sprintf("%s.distinct()", ps.renderTop(x.In, b))
+		return in[0] + ".distinct()"
 	case ReduceByKey:
-		return fmt.Sprintf("%s.reduceByKey(f)", ps.renderTop(x.In, b))
+		return in[0] + ".reduceByKey(f)"
 	case Count:
-		return fmt.Sprintf("%s.count()", ps.renderTop(x.In, b))
+		return in[0] + ".count()"
 	case Reduce:
-		return fmt.Sprintf("%s.reduce(f)", ps.renderTop(x.In, b))
+		return in[0] + ".reduce(f)"
 	case Union:
-		return fmt.Sprintf("%s.union(%s)", ps.renderTop(x.A, b), ps.renderTop(x.B, b))
+		return fmt.Sprintf("%s.union(%s)", in[0], in[1])
 	case UnOp:
-		return fmt.Sprintf("unaryScalarOp(%s)(f)", ps.renderTop(x.A, b))
+		return fmt.Sprintf("unaryScalarOp(%s)(f)", in[0])
 	case BinOp:
-		return fmt.Sprintf("binaryScalarOp(%s, %s)(f)", ps.renderTop(x.A, b), ps.renderTop(x.B, b))
+		return fmt.Sprintf("binaryScalarOp(%s, %s)(f)", in[0], in[1])
 	}
 	return fmt.Sprintf("<%T>", e)
 }
 
-func renderBody(body []Stmt, info *FnInfo, indent string) string {
+// renderLiftedMap renders mapWithLiftedUDF over the rendered input in:
+// the UDF's parameters with their inner kinds, its closures, and its body.
+func (ps *Parsed) renderLiftedMap(in string, fn *Fn) string {
+	info := ps.Fns[fn]
+	var params []string
+	for i, p := range fn.Params {
+		params = append(params, fmt.Sprintf("%s: %s", p, info.ParamKinds[i]))
+	}
+	closures := ""
+	if len(info.Closures) > 0 {
+		var cs []string
+		for name, k := range info.Closures {
+			cs = append(cs, fmt.Sprintf("%s: %s", name, k))
+		}
+		sort.Strings(cs)
+		closures = fmt.Sprintf("  // closures: %s\n", strings.Join(cs, ", "))
+	}
+	return fmt.Sprintf("%s.mapWithLiftedUDF { (%s) =>\n%s%s}",
+		in, strings.Join(params, ", "), closures, ps.renderBody(fn.Body, info, "  "))
+}
+
+func (ps *Parsed) renderBody(body []Stmt, info *FnInfo, indent string) string {
 	var b strings.Builder
 	for _, st := range body {
 		switch s := st.(type) {
 		case LetS:
-			fmt.Fprintf(&b, "%sval %s: %s = %s\n", indent, s.Name, info.VarKinds[s.Name], renderInner(s.E, info))
+			fmt.Fprintf(&b, "%sval %s: %s = %s\n", indent, s.Name, info.VarKinds[s.Name], ps.render(s.E, info))
 		case While:
 			fmt.Fprintf(&b, "%sliftedWhile(%s) {\n", indent, strings.Join(s.Vars, ", "))
 			for _, l := range s.Body {
-				fmt.Fprintf(&b, "%s  val %s = %s\n", indent, l.Name, renderInner(l.E, info))
+				fmt.Fprintf(&b, "%s  val %s = %s\n", indent, l.Name, ps.render(l.E, info))
 			}
-			fmt.Fprintf(&b, "%s} while (%s)\n", indent, renderInner(s.Cond, info))
+			fmt.Fprintf(&b, "%s} while (%s)\n", indent, ps.render(s.Cond, info))
 		case If:
 			fmt.Fprintf(&b, "%sliftedIf(%s) over (%s) { ... } else { ... }\n",
-				indent, renderInner(s.Cond, info), strings.Join(s.Vars, ", "))
+				indent, ps.render(s.Cond, info), strings.Join(s.Vars, ", "))
 		case Return:
-			fmt.Fprintf(&b, "%sreturn %s\n", indent, renderInner(s.E, info))
+			fmt.Fprintf(&b, "%sreturn %s\n", indent, ps.render(s.E, info))
 		}
 	}
 	return b.String()
-}
-
-func renderInner(e Expr, info *FnInfo) string {
-	switch x := e.(type) {
-	case Ref:
-		if k, ok := info.Closures[x.Name]; ok {
-			return fmt.Sprintf("%s/*closure:%s*/", x.Name, k)
-		}
-		return x.Name
-	case Const:
-		return fmt.Sprintf("%v", x.V)
-	case Map:
-		return fmt.Sprintf("%s.map(f)", renderInner(x.In, info))
-	case Filter:
-		return fmt.Sprintf("%s.filter(p)", renderInner(x.In, info))
-	case FlatMap:
-		return fmt.Sprintf("%s.flatMap(f)", renderInner(x.In, info))
-	case Distinct:
-		return fmt.Sprintf("%s.distinct()", renderInner(x.In, info))
-	case ReduceByKey:
-		return fmt.Sprintf("%s.reduceByKey(f)", renderInner(x.In, info))
-	case Count:
-		return fmt.Sprintf("%s.count()", renderInner(x.In, info))
-	case Reduce:
-		return fmt.Sprintf("%s.reduce(f)", renderInner(x.In, info))
-	case Union:
-		return fmt.Sprintf("%s.union(%s)", renderInner(x.A, info), renderInner(x.B, info))
-	case UnOp:
-		return fmt.Sprintf("unaryScalarOp(%s)(f)", renderInner(x.A, info))
-	case BinOp:
-		return fmt.Sprintf("binaryScalarOp(%s, %s)(f)", renderInner(x.A, info), renderInner(x.B, info))
-	}
-	return fmt.Sprintf("<%T>", e)
 }
