@@ -193,10 +193,10 @@ type RemoteNode struct {
 	Inputs []RemoteInput
 }
 
-// RemoteInput is one dep's input batch: a block from the driver's store,
-// a nested in-chain operator, or nothing.
+// RemoteInput is one dep's input batch: the nested in-chain operator Node
+// if set, else the block Block of the driver's store (block ids start at
+// 1), else nothing.
 type RemoteInput struct {
-	Kind  string // "block" | "node" | "empty"
 	Block uint64
 	Node  *RemoteNode
 }
@@ -285,17 +285,17 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 	ids := map[Batch]uint64{}
 	blockInput := func(b Batch) (RemoteInput, error) {
 		if b == nil || b == zeroBatch {
-			return RemoteInput{Kind: "empty"}, nil
+			return RemoteInput{}, nil
 		}
 		if id, ok := ids[b]; ok {
-			return RemoteInput{Kind: "block", Block: id}, nil
+			return RemoteInput{Block: id}, nil
 		}
 		id, err := put(b)
 		if err != nil {
 			return RemoteInput{}, err
 		}
 		ids[b] = id
-		return RemoteInput{Kind: "block", Block: id}, nil
+		return RemoteInput{Block: id}, nil
 	}
 	cachedInput := func(nd *node, data []Batch, pp int) (RemoteInput, error) {
 		b := data[pp]
@@ -308,7 +308,7 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 			id := nd.cacheBlocks[pp]
 			ids[b] = id
 			spec.Resident = append(spec.Resident, id)
-			return RemoteInput{Kind: "block", Block: id}, nil
+			return RemoteInput{Block: id}, nil
 		}
 		in, err := blockInput(b)
 		if err != nil {
@@ -345,7 +345,7 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 		if err != nil {
 			return RemoteInput{}, err
 		}
-		return RemoteInput{Kind: "node", Node: rn}, nil
+		return RemoteInput{Node: rn}, nil
 	}
 	buildNode = func(nd *node, p int) (*RemoteNode, error) {
 		if nd.port == nil {
@@ -358,7 +358,6 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 			var err error
 			switch d.kind {
 			case depNarrow:
-				in = RemoteInput{Kind: "empty"}
 				if pp, ok := d.parentPart(p); ok {
 					in, err = inputFor(d.parent, pp)
 				}
@@ -465,10 +464,10 @@ func (e *RemoteEvaluator) evalNode(rn *RemoteNode, fetch FetchFunc) (Batch, erro
 }
 
 func (e *RemoteEvaluator) evalInput(in *RemoteInput, fetch FetchFunc) (Batch, error) {
-	switch in.Kind {
-	case "empty":
-		return zeroBatch, nil
-	case "block":
+	switch {
+	case in.Node != nil:
+		return e.evalNode(in.Node, fetch)
+	case in.Block != 0:
 		b, err := fetch(in.Block)
 		if err != nil {
 			return nil, err
@@ -477,11 +476,8 @@ func (e *RemoteEvaluator) evalInput(in *RemoteInput, fetch FetchFunc) (Batch, er
 			b = zeroBatch
 		}
 		return b, nil
-	case "node":
-		return e.evalNode(in.Node, fetch)
-	default:
-		return nil, fmt.Errorf("engine: unknown remote input kind %q", in.Kind)
 	}
+	return zeroBatch, nil
 }
 
 // ---- Operator kernels ----
@@ -590,14 +586,10 @@ func foldCompute[A any](tables *sync.Pool) PortableCompute {
 	}
 }
 
-// CombineCompute is the kernel of ReduceByKey's hidden map-side combine:
-// the same fold as the reduce side, over the map task's own rows.
-func CombineCompute[K comparable, V any](f func(V, V) V) PortableCompute {
-	return ReduceByKeyCompute[K](f)
-}
-
-// ReduceByKeyCompute is the reduce-side kernel of ReduceByKey: fold equal
-// keys with f, emitting in first-seen key order (see reduceByKey).
+// ReduceByKeyCompute is ReduceByKey's kernel, on both sides of the
+// shuffle: fold equal keys with f, emitting in first-seen key order (see
+// reduceByKey). The hidden map-side combine runs it over the map task's
+// own rows.
 func ReduceByKeyCompute[K comparable, V any](f func(V, V) V) PortableCompute {
 	return foldCompute[Pair[K, V]](newPairTables[K](f))
 }

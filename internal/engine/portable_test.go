@@ -41,9 +41,6 @@ func init() {
 	RegisterPortableOp("ptest.sum", func([]byte) (PortableCompute, error) {
 		return ReduceByKeyCompute[int](ptestSum), nil
 	})
-	RegisterPortableOp("ptest.sum.combine", func([]byte) (PortableCompute, error) {
-		return CombineCompute[int](ptestSum), nil
-	})
 }
 
 // fakeRemoteRunner is an in-process RemoteRunner: it keeps the batches put
@@ -124,7 +121,7 @@ func ptestPipeline(t *testing.T, cfg Config) map[int]int {
 	tagged := MarkPortable(Map(d, ptestTag), "ptest.tag", nil)
 	summed := MarkCombinePortable(
 		MarkPortable(ReduceByKeyN(tagged, ptestSum, 3), "ptest.sum", nil),
-		"ptest.sum.combine", nil)
+		"ptest.sum", nil)
 	out, err := CollectMap(summed)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +160,7 @@ func TestRemoteShuffleChainReadsLiveBlocks(t *testing.T) {
 		want[i%7%3] += i
 	}
 	sum := func(d Dataset[Pair[int, int]], parts int) Dataset[Pair[int, int]] {
-		return MarkCombinePortable(MarkPortable(ReduceByKeyN(d, ptestSum, parts), "ptest.sum", nil), "ptest.sum.combine", nil)
+		return MarkCombinePortable(MarkPortable(ReduceByKeyN(d, ptestSum, parts), "ptest.sum", nil), "ptest.sum", nil)
 	}
 	tagged := MarkPortable(Map(Parallelize(sess, data, 4), ptestTag), "ptest.tag", nil)
 	rekeyed := MarkPortable(Map(sum(tagged, 3), ptestRekey), "ptest.rekey", nil)

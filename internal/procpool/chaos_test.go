@@ -80,7 +80,7 @@ func blockSpec(t testing.TB, pool *Pool, label string, n int) (*engine.RemoteSta
 			t.Fatalf("PutBlock: %v", err)
 		}
 		spec.Tasks = append(spec.Tasks, engine.RemoteTask{Part: i, Root: &engine.RemoteNode{
-			Op: "identity", Part: i, Inputs: []engine.RemoteInput{{Kind: "block", Block: id}},
+			Op: "identity", Part: i, Inputs: []engine.RemoteInput{{Block: id}},
 		}})
 	}
 	return spec, want

@@ -73,7 +73,7 @@ func opSpec(label, op string, arg []byte, parts int) *engine.RemoteStageSpec {
 	for p := 0; p < parts; p++ {
 		spec.Tasks = append(spec.Tasks, engine.RemoteTask{Part: p, Root: &engine.RemoteNode{
 			Op: op, Arg: arg, Part: p,
-			Inputs: []engine.RemoteInput{{Kind: "empty"}},
+			Inputs: []engine.RemoteInput{{}},
 		}})
 	}
 	return spec
@@ -227,7 +227,7 @@ func TestTaskDeadlineRequeues(t *testing.T) {
 	rec := obs.NewRecorder()
 	pool := startPool(t, Config{Workers: 2, TaskDeadline: 500 * time.Millisecond, RespawnBackoff: 10 * time.Millisecond, Events: rec})
 	spec := opSpec("deadline-stage", "htest.ok", nil, 6)
-	spec.Tasks[3].Root = &engine.RemoteNode{Op: "htest.hang", Arg: []byte(flag), Part: 3, Inputs: []engine.RemoteInput{{Kind: "empty"}}}
+	spec.Tasks[3].Root = &engine.RemoteNode{Op: "htest.hang", Arg: []byte(flag), Part: 3, Inputs: []engine.RemoteInput{{}}}
 	res, err := pool.RunRemoteStage(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("stage with one wedged attempt: %v", err)
@@ -415,7 +415,7 @@ func TestWorkerDiesBetweenPutAndLaunch(t *testing.T) {
 	spec := &engine.RemoteStageSpec{Label: "put-then-die", Tasks: []engine.RemoteTask{{
 		Part: 0,
 		Root: &engine.RemoteNode{Op: "identity", Part: 0,
-			Inputs: []engine.RemoteInput{{Kind: "block", Block: id}}},
+			Inputs: []engine.RemoteInput{{Block: id}}},
 	}}}
 	res, err := pool.RunRemoteStage(context.Background(), spec)
 	if err != nil {

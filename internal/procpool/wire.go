@@ -312,9 +312,9 @@ func parseHelloAck(body []byte) (int, time.Duration, error) {
 	return int(idx), time.Duration(ns), nil
 }
 
-// Input kind bytes of the binary task body. The engine names kinds by
-// string in memory (engine.RemoteInput.Kind); appendNode and wireReader.input
-// map between the two in one switch each.
+// Input kind bytes of the binary task body. In memory an input is its node
+// if set, else its block, else empty (engine.RemoteInput); appendNode and
+// wireReader.input map between the two in one switch each.
 const (
 	inputEmpty byte = iota
 	inputBlock
@@ -356,22 +356,16 @@ func appendNode(dst []byte, rn *engine.RemoteNode, depth int) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(rn.Inputs)))
 	for i := range rn.Inputs {
 		in := &rn.Inputs[i]
-		var err error
-		switch in.Kind {
-		case "empty":
-			dst = append(dst, inputEmpty)
-		case "block":
-			dst = binary.AppendUvarint(append(dst, inputBlock), in.Block)
-		case "node":
-			if in.Node == nil {
-				return dst, fmt.Errorf("%q input %d: node input without a node", rn.Op, i)
+		switch {
+		case in.Node != nil:
+			var err error
+			if dst, err = appendNode(append(dst, inputNode), in.Node, depth+1); err != nil {
+				return dst, err
 			}
-			dst, err = appendNode(append(dst, inputNode), in.Node, depth+1)
+		case in.Block != 0:
+			dst = binary.AppendUvarint(append(dst, inputBlock), in.Block)
 		default:
-			err = fmt.Errorf("%q input %d: unknown input kind %q", rn.Op, i, in.Kind)
-		}
-		if err != nil {
-			return dst, err
+			dst = append(dst, inputEmpty)
 		}
 	}
 	return dst, nil
@@ -448,14 +442,11 @@ func (r *wireReader) input(in *engine.RemoteInput, op string, i, depth int) erro
 	switch {
 	case err != nil:
 	case kind == inputEmpty:
-		in.Kind = "empty"
 	case kind == inputBlock:
-		in.Kind = "block"
 		if in.Block, err = r.uvarint(); err == nil && in.Block == 0 {
 			err = fmt.Errorf("block input without a block id")
 		}
 	case kind == inputNode:
-		in.Kind = "node"
 		if r.off == len(r.b) {
 			err = fmt.Errorf("node input without a node")
 		} else if in.Node, err = r.node(depth + 1); err != nil {
@@ -496,11 +487,11 @@ func eachBlock(rn *engine.RemoteNode, f func(id uint64)) {
 }
 
 func eachInputBlock(in *engine.RemoteInput, f func(id uint64)) {
-	switch in.Kind {
-	case "block":
-		f(in.Block)
-	case "node":
+	switch {
+	case in.Node != nil:
 		eachBlock(in.Node, f)
+	case in.Block != 0:
+		f(in.Block)
 	}
 }
 

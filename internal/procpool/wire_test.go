@@ -78,7 +78,7 @@ func TestWireFieldRoundTrips(t *testing.T) {
 	}
 	task := &engine.RemoteTask{Part: 3, Root: &engine.RemoteNode{
 		Op: "identity", Part: 3,
-		Inputs: []engine.RemoteInput{{Kind: "block", Block: 12}},
+		Inputs: []engine.RemoteInput{{Block: 12}},
 	}}
 	for _, want := range []*engine.RemoteTask{task, kmeansMapTask(7)} {
 		body, err := encodeTask(nil, 55, want)
@@ -170,8 +170,6 @@ func TestWireRejectsMalformed(t *testing.T) {
 	// The encoder refuses what the parser would: a tree it cannot walk.
 	for _, bad := range []*engine.RemoteTask{
 		{},
-		{Root: &engine.RemoteNode{Op: "x", Inputs: []engine.RemoteInput{{Kind: "node"}}}},
-		{Root: &engine.RemoteNode{Op: "x", Inputs: []engine.RemoteInput{{Kind: "concat"}}}},
 		{Root: chain(maxTaskDepth + 1)},
 	} {
 		if _, err := encodeTask(nil, 1, bad); err == nil {
@@ -187,7 +185,7 @@ func TestWireRejectsMalformed(t *testing.T) {
 func chain(depth int) *engine.RemoteNode {
 	root := &engine.RemoteNode{Op: "leaf"}
 	for i := 1; i < depth; i++ {
-		root = &engine.RemoteNode{Op: "link", Inputs: []engine.RemoteInput{{Kind: "node", Node: root}}}
+		root = &engine.RemoteNode{Op: "link", Inputs: []engine.RemoteInput{{Node: root}}}
 	}
 	return root
 }
@@ -323,10 +321,10 @@ func kmeansMapTask(part int) *engine.RemoteTask {
 	centroids := []byte(`[{"X":0.1258413622938497,"Y":-1.3321471038541706},{"X":2.047530812310211,"Y":0.8765102946351803},` +
 		`{"X":-0.6734490213947731,"Y":1.9087713359814412},{"X":1.4407211890615364,"Y":-2.0316789011294467}]`)
 	return &engine.RemoteTask{Part: part, Root: &engine.RemoteNode{
-		Op: "kmeans.sum.combine", Part: part,
-		Inputs: []engine.RemoteInput{{Kind: "node", Node: &engine.RemoteNode{
+		Op: "kmeans.sum", Part: part,
+		Inputs: []engine.RemoteInput{{Node: &engine.RemoteNode{
 			Op: "kmeans.assign", Arg: centroids, Part: part,
-			Inputs: []engine.RemoteInput{{Kind: "block", Block: 4097 + uint64(part)}},
+			Inputs: []engine.RemoteInput{{Block: 4097 + uint64(part)}},
 		}}},
 	}}
 }
@@ -403,9 +401,9 @@ func FuzzRemoteTask(f *testing.F) {
 	good, err := encodeTask(nil, 5, &engine.RemoteTask{Part: 2, Root: &engine.RemoteNode{
 		Op: "sum", Part: 2, Arg: []byte(`{"k":3}`),
 		Inputs: []engine.RemoteInput{
-			{Kind: "block", Block: 12},
-			{Kind: "empty"},
-			{Kind: "node", Node: &engine.RemoteNode{Op: "identity", Inputs: []engine.RemoteInput{{Kind: "block", Block: 13}}}},
+			{Block: 12},
+			{},
+			{Node: &engine.RemoteNode{Op: "identity", Inputs: []engine.RemoteInput{{Block: 13}}}},
 		},
 	}})
 	if err != nil {
@@ -530,7 +528,7 @@ func TestRunnerKeepsListedBlocks(t *testing.T) {
 	for id := uint64(1); id <= 3; id++ {
 		r.cache[id] = sliceBatch([]int{int(id)})
 	}
-	task := &engine.RemoteTask{Root: &engine.RemoteNode{Op: "identity", Inputs: []engine.RemoteInput{{Kind: "block", Block: 2}}}}
+	task := &engine.RemoteTask{Root: &engine.RemoteNode{Op: "identity", Inputs: []engine.RemoteInput{{Block: 2}}}}
 	if tag, _ := r.run(task); tag != resultOK {
 		t.Fatalf("task over a cached block answered tag %d", tag)
 	}

@@ -18,18 +18,18 @@ func tregSum(a, b int) int                    { return a + b }
 func tregKey(x int) engine.Pair[int, int]     { return engine.KV(x%5, x) }
 func tregWord(x int) engine.Pair[int, string] { return engine.KV(x%5, fmt.Sprint("w", x)) }
 
-func init() {
-	RegisterMap("tregtest.double", tregDouble)
-	RegisterMapArg("tregtest.scale", tregScale)
-	RegisterFilter("tregtest.odd", tregOdd)
-	RegisterFlatMap("tregtest.twice", tregTwice)
-	RegisterMapValues[int]("tregtest.len", tregLen)
-	RegisterReduceByKey[int]("tregtest.sum", tregSum)
-	RegisterGroupByKey[int, int]("tregtest.group")
-	RegisterJoin[int, int, string]("tregtest.join")
-	RegisterMap("tregtest.key", tregKey)
-	RegisterMap("tregtest.word", tregWord)
-}
+var (
+	tregDoubleOp = RegisterMap("tregtest.double", tregDouble)
+	tregScaleOp  = RegisterMapArg("tregtest.scale", tregScale)
+	tregOddOp    = RegisterFilter("tregtest.odd", tregOdd)
+	tregTwiceOp  = RegisterFlatMap("tregtest.twice", tregTwice)
+	tregLenOp    = RegisterMapValues[int]("tregtest.len", tregLen)
+	tregSumOp    = RegisterReduceByKey[int]("tregtest.sum", tregSum)
+	tregGroupOp  = RegisterGroupByKey[int, int]("tregtest.group")
+	tregJoinOp   = RegisterJoin[int, int, string]("tregtest.join")
+	tregKeyOp    = RegisterMap("tregtest.key", tregKey)
+	tregWordOp   = RegisterMap("tregtest.word", tregWord)
+)
 
 // sliceBatch wraps xs in a Batch using only what engine exports: the
 // MapPartitions kernel over an empty input hands back whatever its UDF
@@ -46,7 +46,7 @@ func throughKernel(t *testing.T, op string, arg []byte, inputs ...engine.Batch) 
 	t.Helper()
 	root := &engine.RemoteNode{Op: op, Arg: arg}
 	for i := range inputs {
-		root.Inputs = append(root.Inputs, engine.RemoteInput{Kind: "block", Block: uint64(i + 1)})
+		root.Inputs = append(root.Inputs, engine.RemoteInput{Block: uint64(i + 1)})
 	}
 	var eval engine.RemoteEvaluator
 	out, err := eval.RunRemoteTask(&engine.RemoteTask{Root: root}, func(id uint64) (engine.Batch, error) {
@@ -82,8 +82,8 @@ func TestRegisteredKernelsMatchConstructors(t *testing.T) {
 		ints[i] = (i * 7) % 23
 	}
 	one := func() engine.Dataset[int] { return engine.Parallelize(sess, ints, 1) }
-	keyed := collect(t, Map[int, engine.Pair[int, int]](one(), "tregtest.key"))
-	words := collect(t, Map[int, engine.Pair[int, string]](one(), "tregtest.word"))
+	keyed := collect(t, Map(one(), tregKeyOp))
+	words := collect(t, Map(one(), tregWordOp))
 	onePairs := func() engine.Dataset[engine.Pair[int, int]] { return engine.Parallelize(sess, keyed, 1) }
 	oneWords := func() engine.Dataset[engine.Pair[int, string]] { return engine.Parallelize(sess, words, 1) }
 
@@ -95,29 +95,28 @@ func TestRegisteredKernelsMatchConstructors(t *testing.T) {
 	}
 	check("tregtest.double",
 		throughKernel(t, "tregtest.double", nil, sliceBatch(ints)),
-		collect(t, Map[int, int](one(), "tregtest.double")))
+		collect(t, Map(one(), tregDoubleOp)))
 	check("tregtest.scale",
 		throughKernel(t, "tregtest.scale", []byte("3"), sliceBatch(ints)),
-		collect(t, MapArg[int, int, int](one(), "tregtest.scale", 3)))
+		collect(t, MapArg(one(), tregScaleOp, 3)))
 	check("tregtest.odd",
 		throughKernel(t, "tregtest.odd", nil, sliceBatch(ints)),
-		collect(t, Filter(one(), "tregtest.odd")))
+		collect(t, Filter(one(), tregOddOp)))
 	check("tregtest.twice",
 		throughKernel(t, "tregtest.twice", nil, sliceBatch(ints)),
-		collect(t, FlatMap[int, int](one(), "tregtest.twice")))
+		collect(t, FlatMap(one(), tregTwiceOp)))
 	check("tregtest.len",
 		throughKernel(t, "tregtest.len", nil, sliceBatch(words)),
-		collect(t, MapValues[int, string, int](oneWords(), "tregtest.len")))
-	// One partition in, one out: the combine sees what the reduce sees.
-	reduced := collect(t, ReduceByKeyN(onePairs(), "tregtest.sum", 1))
-	check("tregtest.sum", throughKernel(t, "tregtest.sum", nil, sliceBatch(keyed)), reduced)
-	check("tregtest.sum.combine", throughKernel(t, "tregtest.sum.combine", nil, sliceBatch(keyed)), reduced)
+		collect(t, MapValues(oneWords(), tregLenOp)))
+	// One partition in, one out: the map-side combine runs this kernel too.
+	check("tregtest.sum", throughKernel(t, "tregtest.sum", nil, sliceBatch(keyed)),
+		collect(t, ReduceByKeyN(onePairs(), tregSumOp, 1)))
 	check("tregtest.sum (bound)", throughKernel(t, "tregtest.sum", nil, sliceBatch(keyed)),
-		collect(t, ReduceByKeyBound(onePairs(), "tregtest.sum", 1)))
+		collect(t, ReduceByKeyBound(onePairs(), tregSumOp, 1)))
 	check("tregtest.group",
 		throughKernel(t, "tregtest.group", nil, sliceBatch(keyed)),
-		collect(t, GroupByKeyN(onePairs(), "tregtest.group", 1)))
+		collect(t, GroupByKeyN(onePairs(), tregGroupOp, 1)))
 	check("tregtest.join",
 		throughKernel(t, "tregtest.join", nil, sliceBatch(keyed), sliceBatch(words)),
-		collect(t, JoinWith(onePairs(), oneWords(), "tregtest.join", engine.JoinRepartition, 1)))
+		collect(t, JoinWith(onePairs(), oneWords(), tregJoinOp, engine.JoinRepartition, 1)))
 }

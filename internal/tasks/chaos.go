@@ -15,13 +15,13 @@ func chaosSum(a, b int64) int64                      { return a + b }
 func chaosCount(vs []int64) int64                    { return int64(len(vs)) }
 func chaosTotal(t engine.Tuple2[int64, int64]) int64 { return t.A + t.B }
 
-func init() {
-	taskreg.RegisterReduceByKey[int, int64]("chaos.sum", chaosSum)
-	taskreg.RegisterGroupByKey[int, int64]("chaos.group")
-	taskreg.RegisterMapValues[int, []int64, int64]("chaos.count", chaosCount)
-	taskreg.RegisterJoin[int, int64, int64]("chaos.join")
-	taskreg.RegisterMapValues[int, engine.Tuple2[int64, int64], int64]("chaos.total", chaosTotal)
-}
+var (
+	chaosSumOp   = taskreg.RegisterReduceByKey[int]("chaos.sum", chaosSum)
+	chaosGroupOp = taskreg.RegisterGroupByKey[int, int64]("chaos.group")
+	chaosCountOp = taskreg.RegisterMapValues[int]("chaos.count", chaosCount)
+	chaosJoinOp  = taskreg.RegisterJoin[int, int64, int64]("chaos.join")
+	chaosTotalOp = taskreg.RegisterMapValues[int]("chaos.total", chaosTotal)
+)
 
 // ChaosSpec is the fault-tolerance workload behind `matbench -explain
 // chaos` and the sec9-chaos experiment: several back-to-back jobs, each
@@ -87,10 +87,10 @@ func (sp ChaosSpec) Run(cc cluster.Config) Outcome {
 	for r := 0; r < sp.Rounds; r++ {
 		left := engine.Parallelize(sess, sp.pairs(r), sp.Parts)
 		right := engine.Parallelize(sess, sp.pairs(r), sp.Parts+2)
-		sums := taskreg.ReduceByKeyN[int, int64](left, "chaos.sum", sp.Parts)
-		counts := taskreg.MapValues[int, []int64, int64](taskreg.GroupByKeyN[int, int64](right, "chaos.group", sp.Parts+2), "chaos.count")
-		joined := taskreg.JoinWith[int, int64, int64](sums, counts, "chaos.join", engine.JoinRepartition, sp.Parts+1)
-		got, err := engine.CollectMap(taskreg.MapValues[int, engine.Tuple2[int64, int64], int64](joined, "chaos.total"))
+		sums := taskreg.ReduceByKeyN(left, chaosSumOp, sp.Parts)
+		counts := taskreg.MapValues(taskreg.GroupByKeyN(right, chaosGroupOp, sp.Parts+2), chaosCountOp)
+		joined := taskreg.JoinWith(sums, counts, chaosJoinOp, engine.JoinRepartition, sp.Parts+1)
+		got, err := engine.CollectMap(taskreg.MapValues(joined, chaosTotalOp))
 		if err != nil {
 			return finish(chaosName, Matryoshka, sess, nil, err)
 		}

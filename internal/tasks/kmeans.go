@@ -10,19 +10,19 @@ import (
 	"matryoshka/internal/taskreg"
 )
 
-func init() {
-	// The inner-parallel loop's assignment step closes over the current
-	// centroids, which change every iteration: it registers as a
-	// parameterized op whose JSON argument carries the means (float64s
-	// round-trip exactly through encoding/json's shortest representation).
-	taskreg.RegisterMapArg[ml.Point, engine.Pair[int, ml.PointSum], []ml.Point]("kmeans.assign",
+// The inner-parallel loop's assignment step closes over the current
+// centroids, which change every iteration: it registers as a
+// parameterized op whose JSON argument carries the means (float64s
+// round-trip exactly through encoding/json's shortest representation).
+var (
+	kmeansAssign = taskreg.RegisterMapArg("kmeans.assign",
 		func(means []ml.Point) func(ml.Point) engine.Pair[int, ml.PointSum] {
 			return func(p ml.Point) engine.Pair[int, ml.PointSum] {
 				return engine.KV(ml.Nearest(means, p), ml.PointSum{}.Add(p))
 			}
 		})
-	taskreg.RegisterReduceByKey[int, ml.PointSum]("kmeans.sum", ml.PointSum.Merge)
-}
+	kmeansSum = taskreg.RegisterReduceByKey[int]("kmeans.sum", ml.PointSum.Merge)
+)
 
 // KMeansSpec parameterizes K-means hyperparameter search (Sec. 2.3 /
 // Fig. 1): Configs initial centroid sets are trained, each on the same
@@ -189,9 +189,7 @@ func (sp KMeansSpec) runInner(cc cluster.Config) Outcome {
 			// Cluster indices are a bounded key set: the aggregate's
 			// cardinality (and shuffle volume) does not scale with the
 			// points.
-			sums := taskreg.ReduceByKeyBound[int, ml.PointSum](
-				taskreg.MapArg[ml.Point, engine.Pair[int, ml.PointSum], []ml.Point](points, "kmeans.assign", cur),
-				"kmeans.sum", 0)
+			sums := taskreg.ReduceByKeyBound(taskreg.MapArg(points, kmeansAssign, cur), kmeansSum, 0)
 			collected, err := engine.CollectMap(sums) // one job per iteration
 			if err != nil {
 				return finish(kMeansName, InnerParallel, sess, nil, err)
