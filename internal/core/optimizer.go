@@ -67,24 +67,7 @@ func (c *Ctx) partsFor(size int64) int {
 // otherwise (Sec. 8.2). Broadcasting below the threshold also keeps tag
 // joins skew-immune: a repartition join partitioned by the tag would put a
 // Zipf head group's entire state into one task (cf. Sec. 9.5).
-func (c *Ctx) ScalarJoinStrategy() engine.JoinStrategy {
-	if f := c.Opt.ForceScalarJoin; f != nil {
-		c.decide("scalar-join", f.String(), true, "Options.ForceScalarJoin override")
-		return *f
-	}
-	if why, denied := c.Sess.Feedback().Denied("join", "broadcast"); denied {
-		c.decide("scalar-join", engine.JoinRepartition.String(), true, "retried-after-OOM: %s", why)
-		return engine.JoinRepartition
-	}
-	if c.Size >= int64(c.Sess.DefaultParallelism()) {
-		c.decide("scalar-join", engine.JoinRepartition.String(), false,
-			"Sec. 8.2: %d tags >= parallelism %d", c.Size, c.Sess.DefaultParallelism())
-		return engine.JoinRepartition
-	}
-	c.decide("scalar-join", engine.JoinBroadcastLeft.String(), false,
-		"Sec. 8.2: %d tags < parallelism %d", c.Size, c.Sess.DefaultParallelism())
-	return engine.JoinBroadcastLeft
-}
+func (c *Ctx) ScalarJoinStrategy() engine.JoinStrategy { return c.tagJoinStrategy("scalar-join") }
 
 // BagScalarJoinStrategy picks the algorithm for an InnerBag⋈InnerScalar
 // tag join (mapWithClosure, Sec. 5.1; the loop-condition join of Listing 4,
@@ -92,20 +75,27 @@ func (c *Ctx) ScalarJoinStrategy() engine.JoinStrategy {
 // the scalar side while it is small; repartition once it is large enough to
 // occupy the cluster (Sec. 8.2).
 func (c *Ctx) BagScalarJoinStrategy() engine.JoinStrategy {
+	return c.tagJoinStrategy("bag-scalar-join")
+}
+
+// tagJoinStrategy is the one rule behind both tag joins, recorded under
+// rule: an override, then a broadcast denied after an OOM, then the size
+// threshold of Sec. 8.2.
+func (c *Ctx) tagJoinStrategy(rule string) engine.JoinStrategy {
 	if f := c.Opt.ForceScalarJoin; f != nil {
-		c.decide("bag-scalar-join", f.String(), true, "Options.ForceScalarJoin override")
+		c.decide(rule, f.String(), true, "Options.ForceScalarJoin override")
 		return *f
 	}
 	if why, denied := c.Sess.Feedback().Denied("join", "broadcast"); denied {
-		c.decide("bag-scalar-join", engine.JoinRepartition.String(), true, "retried-after-OOM: %s", why)
+		c.decide(rule, engine.JoinRepartition.String(), true, "retried-after-OOM: %s", why)
 		return engine.JoinRepartition
 	}
 	if c.Size >= int64(c.Sess.DefaultParallelism()) {
-		c.decide("bag-scalar-join", engine.JoinRepartition.String(), false,
+		c.decide(rule, engine.JoinRepartition.String(), false,
 			"Sec. 8.2: %d tags >= parallelism %d", c.Size, c.Sess.DefaultParallelism())
 		return engine.JoinRepartition
 	}
-	c.decide("bag-scalar-join", engine.JoinBroadcastLeft.String(), false,
+	c.decide(rule, engine.JoinBroadcastLeft.String(), false,
 		"Sec. 8.2: %d tags < parallelism %d", c.Size, c.Sess.DefaultParallelism())
 	return engine.JoinBroadcastLeft
 }
