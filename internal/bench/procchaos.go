@@ -27,9 +27,10 @@ const procChaosRounds = 20
 //     with each worker, and the final value must be bit-identical to the
 //     sequential reference — with at least one respawn and at least one
 //     lineage recomputation actually observed, or the soak fails.
-//   - respawn OFF: same seed, same kill cadence, DisableRespawn. The
-//     fleet shrinks to zero, quorum is lost, and the run must abort with
-//     a typed error instead of hanging or fabricating a value.
+//   - respawn OFF: same seed, same kill cadence, a negative
+//     RespawnBudget. The fleet shrinks to zero, quorum is lost, and the
+//     run must abort with a typed error instead of hanging or
+//     fabricating a value.
 //
 // Both phases render their EXPLAIN ANALYZE report so the crash, respawn
 // and Recovery lines are visible evidence, not just counters.
@@ -96,12 +97,12 @@ func ProcChaos(sc Scale, workers int) (string, error) {
 	// dead, the fleet drains below quorum, and the run must abort.
 	rec2 := obs.NewRecorder()
 	pool2, err := procpool.Start(procpool.Config{
-		Workers:        workers,
-		TaskDeadline:   10 * time.Second,
-		DisableRespawn: true,
-		QuorumWait:     200 * time.Millisecond,
-		Faults:         plan,
-		Events:         rec2,
+		Workers:       workers,
+		TaskDeadline:  10 * time.Second,
+		RespawnBudget: -1,
+		QuorumWait:    200 * time.Millisecond,
+		Faults:        plan,
+		Events:        rec2,
 	})
 	if err != nil {
 		return "", err

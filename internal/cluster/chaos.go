@@ -151,13 +151,93 @@ func SplitMix64(x uint64) uint64 {
 // before each consuming fetch; the handle stays valid until DropOutput.
 type OutputID int64
 
-// output tracks where each partition of a registered shuffle output
-// lives. A live partition stores its machine index; a lost partition
-// stores -(machine+1), remembering which crash destroyed it.
+// Outputs is the shuffle-residency table: where each partition of every
+// registered output lives, and which partitions a machine loss destroyed.
+// It is the one placement-and-loss rule of both backends — the simulator
+// and the process pool (internal/procpool) keep their outputs here, so a
+// real worker death and a simulated crash produce the same
+// FetchFailedError. Not safe for concurrent use: each caller serializes
+// it under its own lock. The zero value is empty and ready.
+type Outputs struct {
+	m    map[OutputID]*output
+	next OutputID
+}
+
+// output is one registered output. A live partition stores its machine
+// index; a lost partition stores -(machine+1), remembering which loss
+// destroyed it.
 type output struct {
 	machines []int
-	counted  bool // FetchFailures already incremented for this output
+	counted  bool // Check already reported this output's first failure
 }
+
+// Register places an output of parts partitions: partition p on
+// live[p%len(live)], round-robin over the live machines like the wave
+// scheduler's spread. With nothing live the output is born lost on the
+// machine that would have held it, p%machines: the consuming fetch fails
+// and recomputation waits for a machine to come back.
+func (t *Outputs) Register(parts int, live []int, machines int) OutputID {
+	o := &output{machines: make([]int, parts)}
+	for p := range o.machines {
+		if len(live) > 0 {
+			o.machines[p] = live[p%len(live)]
+		} else {
+			o.machines[p] = -(p%machines + 1)
+		}
+	}
+	if t.m == nil {
+		t.m = make(map[OutputID]*output)
+	}
+	id := t.next
+	t.next++
+	t.m[id] = o
+	return id
+}
+
+// Lose marks every partition resident on machine lost and returns how
+// many it marked.
+func (t *Outputs) Lose(machine int) int {
+	lost := 0
+	for _, o := range t.m {
+		for p, loc := range o.machines {
+			if loc == machine {
+				o.machines[p] = -(machine + 1)
+				lost++
+			}
+		}
+	}
+	return lost
+}
+
+// Check returns a *FetchFailedError naming the first lost partition's
+// machine and every lost partition of the output, or nil when all are
+// resident or the handle is unknown (already dropped). first is true the
+// first time an output fails, so each caller counts a fetch failure once
+// per output.
+func (t *Outputs) Check(id OutputID) (ff *FetchFailedError, first bool) {
+	o := t.m[id]
+	if o == nil {
+		return nil, false
+	}
+	for p, loc := range o.machines {
+		if loc >= 0 {
+			continue
+		}
+		if ff == nil {
+			ff = &FetchFailedError{Machine: -loc - 1, Total: len(o.machines)}
+		}
+		ff.Parts = append(ff.Parts, p)
+	}
+	if ff == nil {
+		return nil, false
+	}
+	first = !o.counted
+	o.counted = true
+	return ff, first
+}
+
+// Drop forgets an output; later losses no longer affect it.
+func (t *Outputs) Drop(id OutputID) { delete(t.m, id) }
 
 // faultState is the simulator's view of the fault plan: per-machine
 // liveness plus the merged cursor over explicit events and the hazard.
@@ -265,15 +345,7 @@ func (s *Simulator) applyCrash(at float64, m int) {
 	f.down[m] = true
 	f.crashes[m]++
 	s.stats.MachineCrashes++
-	lost := 0
-	for _, o := range s.outputs {
-		for p, loc := range o.machines {
-			if loc == m {
-				o.machines[p] = -(m + 1)
-				lost++
-			}
-		}
-	}
+	lost := s.outputs.Lose(m)
 	if s.onFault != nil {
 		s.onFault(at, m, "crash", fmt.Sprintf("lost %d shuffle partitions", lost))
 	}
@@ -327,33 +399,15 @@ func (s *Simulator) SetFaultObserver(fn func(at float64, machine int, kind, deta
 	s.onFault = fn
 }
 
-// RegisterOutput records where a completed stage's shuffle output lives:
-// partition p on the p-th live machine, round-robin — mirroring the wave
-// scheduler's spread. The engine calls it after each successful stage and
-// checks the handle with CheckFetch before each consuming stage.
+// RegisterOutput records where a completed stage's shuffle output lives
+// (Outputs.Register over the live machines). The engine calls it after
+// each successful stage and checks the handle with CheckFetch before each
+// consuming stage.
 func (s *Simulator) RegisterOutput(parts int) OutputID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.advanceFaults(s.clock)
-	id := s.nextOut
-	s.nextOut++
-	o := &output{machines: make([]int, parts)}
-	live := s.liveMachines()
-	for p := 0; p < parts; p++ {
-		if len(live) > 0 {
-			o.machines[p] = live[p%len(live)]
-		} else {
-			// Nothing is up to hold the output: place it on the machine
-			// that would have held it and mark it lost immediately. The
-			// consuming fetch fails and recomputation waits for a rejoin.
-			o.machines[p] = -(p%s.cfg.Machines + 1)
-		}
-	}
-	if s.outputs == nil {
-		s.outputs = make(map[OutputID]*output)
-	}
-	s.outputs[id] = o
-	return id
+	return s.outputs.Register(parts, s.liveMachines(), s.cfg.Machines)
 }
 
 // CheckFetch reports whether the output's partitions are all still
@@ -364,28 +418,14 @@ func (s *Simulator) CheckFetch(id OutputID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.advanceFaults(s.clock)
-	o := s.outputs[id]
-	if o == nil {
+	ff, first := s.outputs.Check(id)
+	if ff == nil {
 		return nil
 	}
-	var parts []int
-	machine := -1
-	for p, loc := range o.machines {
-		if loc < 0 {
-			parts = append(parts, p)
-			if machine < 0 {
-				machine = -loc - 1
-			}
-		}
-	}
-	if parts == nil {
-		return nil
-	}
-	if !o.counted {
-		o.counted = true
+	if first {
 		s.stats.FetchFailures++
 	}
-	return &FetchFailedError{Machine: machine, Parts: parts, Total: len(o.machines)}
+	return ff
 }
 
 // DropOutput forgets a registered output (its stage was rewound or its
@@ -393,7 +433,7 @@ func (s *Simulator) CheckFetch(id OutputID) error {
 func (s *Simulator) DropOutput(id OutputID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.outputs, id)
+	s.outputs.Drop(id)
 }
 
 // awaitLiveMachine stalls the clock until at least one machine is up,

@@ -223,8 +223,7 @@ type Simulator struct {
 
 	// Machine-failure state (chaos.go).
 	faults  faultState
-	outputs map[OutputID]*output
-	nextOut OutputID
+	outputs Outputs
 	onFault func(at float64, machine int, kind, detail string)
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"matryoshka/internal/cluster"
@@ -141,6 +142,37 @@ func TestRemoteRunnerBitIdentical(t *testing.T) {
 	}
 	if fr.stages == 0 || fr.tasks == 0 {
 		t.Fatalf("nothing ran remotely (stages=%d tasks=%d)", fr.stages, fr.tasks)
+	}
+}
+
+// quorumOnceRunner fails its first remote stage with *QuorumLostError, as
+// a pool whose whole fleet is dead would, and runs the rest normally.
+type quorumOnceRunner struct {
+	*fakeRemoteRunner
+	failed bool
+}
+
+func (q *quorumOnceRunner) RunRemoteStage(ctx context.Context, spec *RemoteStageSpec) (*RemoteStageResult, error) {
+	if !q.failed {
+		q.failed = true
+		return nil, &QuorumLostError{Stage: spec.Label}
+	}
+	return q.fakeRemoteRunner.RunRemoteStage(ctx, spec)
+}
+
+// TestQuorumLossRecoveryLine: a lost worker quorum is retried as a whole
+// job, and its Recovery line says so instead of naming a fetch failure of
+// a machine -1 that does not exist.
+func TestQuorumLossRecoveryLine(t *testing.T) {
+	rec := obs.NewRecorder()
+	fr := &quorumOnceRunner{fakeRemoteRunner: newFakeRemoteRunner(t)}
+	got := ptestPipeline(t, Config{Backend: fr, Recover: true, Obs: rec})
+	if want := ptestPipeline(t, Config{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a quorum loss: %v, want %v", got, want)
+	}
+	report := rec.Report()
+	if !strings.Contains(report, "worker quorum lost") || !strings.Contains(report, "job retry 1/") || strings.Contains(report, "m-1") {
+		t.Fatalf("report should show the quorum loss retried as a job, and no machine -1:\n%s", report)
 	}
 }
 

@@ -71,14 +71,14 @@ func (j *job) recover(f *stageFailure, target *node) (*node, bool) {
 		// rewind the frontier along lineage and recompute the lost stages
 		// (chaos.go). Not a plan change, so it does not spend the
 		// re-lowering budget; it is bounded by its own recompute caps.
-		// f.lost is nil for fleet-level failures (worker quorum lost) that
-		// name no specific parent; those rewind via the full job retry.
-		lostLabel := "(no specific stage)"
+		// f.lost is nil for the fleet-level failure (worker quorum lost),
+		// which names no machine or parent: rewindLost recomputes what its
+		// probe finds lost, or else retries the whole job.
+		rec.What = "worker quorum lost"
 		if f.lost != nil {
-			lostLabel = fmt.Sprintf("%q", f.lost.label)
+			rec.What = fmt.Sprintf("fetch-failed(m%d): lost %d/%d partitions of %q",
+				f.fetch.Machine, len(f.fetch.Parts), f.fetch.Total, f.lost.label)
 		}
-		rec.What = fmt.Sprintf("fetch-failed(m%d): lost %d/%d partitions of %s",
-			f.fetch.Machine, len(f.fetch.Parts), f.fetch.Total, lostLabel)
 		rec.Action, ok = j.rewindLost(f)
 	case f.oom == nil || j.relowered >= maxJobRecoveries:
 		// Not a memory failure, or the job already spent its re-lowering

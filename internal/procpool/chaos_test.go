@@ -141,7 +141,7 @@ func TestDroppedResidentBlockIsPushedAgain(t *testing.T) {
 	if got := pool.storeIDs(); !reflect.DeepEqual(got, spec.Resident) {
 		t.Fatalf("store keeps %v, want the resident %v", got, spec.Resident)
 	}
-	w := pool.snapshotWorkers()[0]
+	w := pool.liveWorkers()[0]
 	w.wmu.Lock()
 	held := len(w.held)
 	w.wmu.Unlock()

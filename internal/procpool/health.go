@@ -30,9 +30,9 @@ import (
 const (
 	// respawnBackoffCap bounds the exponential respawn backoff.
 	respawnBackoffCap = 2 * time.Second
-	// respawnHandshakeTimeout bounds how long a respawned process may
-	// take to dial back before it is written off (and retried).
-	respawnHandshakeTimeout = 15 * time.Second
+	// handshakeTimeout bounds how long a spawned process may take to dial
+	// back before it is written off: Start fails, respawn retries.
+	handshakeTimeout = 15 * time.Second
 )
 
 // monitor scans for workers whose heartbeat went stale. The scan interval
@@ -46,7 +46,7 @@ func (p *Pool) monitor() {
 		case <-p.stopCh:
 			return
 		case <-t.C:
-			for _, w := range p.snapshotWorkers() {
+			for _, w := range p.liveWorkers() {
 				w.mu.Lock()
 				stale := !w.dead && time.Since(w.lastBeat) > p.cfg.HeartbeatTimeout
 				w.mu.Unlock()
@@ -83,41 +83,47 @@ func (p *Pool) spawnInto(idx int) (*pendingSpawn, error) {
 // handshake completes one accepted connection: read the hello, match the
 // pid to a pending spawn, install the workerProc into its slot, and start
 // its read/reap goroutines. The pending spawn's done channel resolves
-// with the worker (or nil on failure) for respawnWorker.
-func (p *Pool) handshake(conn net.Conn) (*workerProc, error) {
-	fail := func(ps *pendingSpawn, err error) (*workerProc, error) {
+// with the worker, or with nil and the reason in its err, for whoever
+// spawned it (Start or respawnWorker). A connection that matches no
+// pending spawn is closed: nobody is waiting for it.
+func (p *Pool) handshake(conn net.Conn) {
+	var ps *pendingSpawn
+	fail := func(err error) {
 		conn.Close()
 		if ps != nil {
 			if ps.cmd.Process != nil {
 				ps.cmd.Process.Kill()
 			}
 			go ps.cmd.Wait()
+			ps.err = err
 			ps.done <- nil
 		}
-		return nil, err
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	br := bufio.NewReaderSize(conn, wireBuf)
 	typ, body, err := readFrame(br)
 	if err != nil || typ != msgHello {
-		return fail(nil, fmt.Errorf("procpool: bad hello (type %d): %v", typ, err))
+		conn.Close()
+		return
 	}
 	pid, err := parseHello(body)
 	if err != nil {
-		return fail(nil, fmt.Errorf("procpool: hello: %w", err))
+		conn.Close()
+		return
 	}
 	conn.SetReadDeadline(time.Time{})
 	p.mu.Lock()
-	ps, ok := p.spawning[pid]
+	ps = p.spawning[pid]
 	delete(p.spawning, pid)
 	closed := p.closed
 	p.mu.Unlock()
-	if !ok {
+	if ps == nil {
 		conn.Close()
-		return nil, fmt.Errorf("procpool: connection from unknown pid %d", pid)
+		return
 	}
 	if closed {
-		return fail(ps, fmt.Errorf("procpool: pool is closed"))
+		fail(fmt.Errorf("procpool: pool is closed"))
+		return
 	}
 	w := &workerProc{
 		idx:      ps.idx,
@@ -134,12 +140,14 @@ func (p *Pool) handshake(conn net.Conn) (*workerProc, error) {
 		pending:  map[uint64]pendingTask{},
 	}
 	if err := w.send(msgHelloAck, encodeHelloAck(w.idx, p.cfg.HeartbeatEvery)); err != nil {
-		return fail(ps, fmt.Errorf("procpool: worker %d ack: %w", w.idx, err))
+		fail(fmt.Errorf("procpool: worker %d ack: %w", w.idx, err))
+		return
 	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return fail(ps, fmt.Errorf("procpool: pool is closed"))
+		fail(fmt.Errorf("procpool: pool is closed"))
+		return
 	}
 	p.workerList[w.idx] = w
 	p.slotBorn[w.idx] = time.Now()
@@ -147,12 +155,10 @@ func (p *Pool) handshake(conn net.Conn) (*workerProc, error) {
 	go p.readLoop(w)
 	go p.waitWorker(w)
 	ps.done <- w
-	return w, nil
 }
 
-// acceptLoop serves handshakes for respawned workers (the initial fleet
-// handshakes synchronously in Start). Exits when Close closes the
-// listener.
+// acceptLoop serves the handshake of every worker, the initial fleet's
+// and respawned ones alike. Exits when Close closes the listener.
 func (p *Pool) acceptLoop() {
 	for {
 		conn, err := p.ln.Accept()
@@ -170,7 +176,7 @@ func (p *Pool) acceptLoop() {
 // worker or a respawn in flight — never a silent gap.
 func (p *Pool) scheduleRespawnLocked(idx int) {
 	if p.respawnsUse >= p.cfg.RespawnBudget {
-		return // budget spent: the pool degrades to quorum failure
+		return // budget spent (or negative: respawn off): the pool degrades to quorum failure
 	}
 	p.respawnsUse++
 	p.respawnsIn++
@@ -231,7 +237,7 @@ func (p *Pool) respawnWorker(idx, deaths int) {
 		p.stats.MachineRejoins++
 		p.mu.Unlock()
 		p.event("respawn", idx, fmt.Sprintf("worker %d respawned as pid %d after %v backoff", idx, w.pid, backoff))
-	case <-time.After(respawnHandshakeTimeout):
+	case <-time.After(handshakeTimeout):
 		p.mu.Lock()
 		delete(p.spawning, ps.pid)
 		p.mu.Unlock()
@@ -249,8 +255,8 @@ func (p *Pool) respawnWorker(idx, deaths int) {
 
 // waitQuorum blocks until at least one worker is up, a bounded wait
 // that rides out respawn backoff. It fails immediately — not after
-// QuorumWait — once no respawn is in flight and none can be scheduled
-// (respawn disabled or budget spent): the fleet can only stay short, and
+// QuorumWait — once no respawn is in flight and the budget allows none
+// (respawn off or budget spent): the fleet can only stay short, and
 // engine.QuorumLostError hands the decision to lineage recovery and the
 // bounded job retry instead of deadlocking the stage.
 func (p *Pool) waitQuorum(ctx context.Context, label string) ([]*workerProc, error) {
@@ -259,7 +265,7 @@ func (p *Pool) waitQuorum(ctx context.Context, label string) ([]*workerProc, err
 		p.mu.Lock()
 		live := p.liveLocked()
 		inFlight := p.respawnsIn
-		canRespawn := !p.cfg.DisableRespawn && p.respawnsUse < p.cfg.RespawnBudget
+		canRespawn := p.respawnsUse < p.cfg.RespawnBudget
 		closed := p.closed
 		p.mu.Unlock()
 		if closed {

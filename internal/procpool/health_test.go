@@ -126,12 +126,15 @@ func TestRespawnRestoresFleet(t *testing.T) {
 	}
 }
 
-// TestQuorumLostFailsFast: with respawn disabled and the whole fleet
-// dead, dispatch must fail immediately with engine.QuorumLostError — not
-// burn the full QuorumWait, and never deadlock.
+// TestQuorumLostFailsFast: with respawn off and the whole fleet dead,
+// dispatch must fail immediately with engine.QuorumLostError — not burn
+// the full QuorumWait, and never deadlock. An output registered on the
+// dead fleet is born lost by the simulator's rule (cluster.Outputs): every
+// partition lost on the slot that would have held it, one fetch failure
+// counted however often it is checked.
 func TestQuorumLostFailsFast(t *testing.T) {
-	pool := startPool(t, Config{Workers: 1, DisableRespawn: true, QuorumWait: 30 * time.Second})
-	w := pool.snapshotWorkers()[0]
+	pool := startPool(t, Config{Workers: 1, RespawnBudget: -1, QuorumWait: 30 * time.Second})
+	w := pool.liveWorkers()[0]
 	p0 := time.Now()
 	pool.markDead(w, fmt.Errorf("test: induced death"))
 	spec := opSpec("quorum-stage", "htest.ok", nil, 2)
@@ -146,6 +149,17 @@ func TestQuorumLostFailsFast(t *testing.T) {
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("quorum failure took %v; should fail fast when no respawn can come", elapsed)
+	}
+	id := pool.RegisterOutput(2)
+	for i := 1; i <= 2; i++ {
+		var ff *cluster.FetchFailedError
+		if err := pool.CheckFetch(id); !errors.As(err, &ff) ||
+			!reflect.DeepEqual(*ff, cluster.FetchFailedError{Machine: 0, Parts: []int{0, 1}, Total: 2}) {
+			t.Fatalf("check %d of an output born on a dead fleet: %v, want machine 0 holding parts [0 1] of 2", i, err)
+		}
+	}
+	if got := pool.Stats().FetchFailures; got != 1 {
+		t.Fatalf("FetchFailures = %d after two checks of one lost output, want 1", got)
 	}
 }
 
@@ -319,7 +333,7 @@ func TestCtxCancelStopsDispatch(t *testing.T) {
 // even one a job kept as resident — and the pool's temp directory, where
 // its socket was, must be gone.
 func TestCloseDrainsEverything(t *testing.T) {
-	pool, err := Start(Config{Workers: 3, DrainTimeout: 2 * time.Second})
+	pool, err := Start(Config{Workers: 3})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -336,7 +350,7 @@ func TestCloseDrainsEverything(t *testing.T) {
 		t.Fatalf("store keeps %v, want the resident %v", got, spec.Resident)
 	}
 	var pids []int
-	for _, w := range pool.snapshotWorkers() {
+	for _, w := range pool.liveWorkers() {
 		pids = append(pids, w.pid)
 	}
 	dir := pool.dir
@@ -411,7 +425,7 @@ func TestWorkerDiesBetweenPutAndLaunch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PutBlock: %v", err)
 	}
-	pool.markDead(pool.snapshotWorkers()[0], fmt.Errorf("test: died after PutBlock"))
+	pool.markDead(pool.liveWorkers()[0], fmt.Errorf("test: died after PutBlock"))
 	spec := &engine.RemoteStageSpec{Label: "put-then-die", Tasks: []engine.RemoteTask{{
 		Part: 0,
 		Root: &engine.RemoteNode{Op: "identity", Part: 0,

@@ -23,8 +23,8 @@ import (
 type Config struct {
 	// Workers is how many worker slots the pool maintains (default
 	// min(4, NumCPU)). A slot whose process dies is refilled by respawn
-	// (unless DisableRespawn), so the fleet does not monotonically shrink
-	// under sustained faults.
+	// while RespawnBudget lasts, so the fleet does not monotonically
+	// shrink under sustained faults.
 	Workers int
 	// HeartbeatEvery is how often workers beat (default 100ms);
 	// HeartbeatTimeout is how long a silent worker stays presumed-live
@@ -36,13 +36,11 @@ type Config struct {
 	// cancelled — the worker is killed and respawned, the task requeued —
 	// so a wedged compute cannot stall a stage forever.
 	TaskDeadline time.Duration
-	// DisableRespawn turns worker respawn off: a dead worker stays dead,
-	// as in the pre-self-healing pool. The crash-recovery tests use it to
-	// pin the fleet size.
-	DisableRespawn bool
 	// RespawnBudget caps replacement workers over the pool's lifetime
-	// (default 32); past it the pool degrades to quorum failure instead
-	// of respawning a crash loop forever.
+	// (0 means the default of 32); past it the pool degrades to quorum
+	// failure instead of respawning a crash loop forever. A negative
+	// budget turns respawn off: a dead worker stays dead, which pins the
+	// fleet size.
 	RespawnBudget int
 	// RespawnBackoff is the delay before refilling a dead slot (default
 	// 50ms). It doubles per consecutive fast death of that slot (capped
@@ -53,9 +51,6 @@ type Config struct {
 	// engine.QuorumLostError — which the engine turns into a fetch-style
 	// failure for the bounded job retry, never a deadlock.
 	QuorumWait time.Duration
-	// DrainTimeout bounds Close's graceful drain: workers get msgShutdown
-	// and this long to exit before SIGKILL (default 2s).
-	DrainTimeout time.Duration
 	// KillAfterTasks, when >0, SIGKILLs the assigned worker immediately
 	// after the Nth task dispatch of the pool's lifetime (1-based) — the
 	// deterministic mid-stage crash the recovery tests inject. For
@@ -88,7 +83,7 @@ func (c *Config) defaults() {
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 3 * time.Second
 	}
-	if c.RespawnBudget <= 0 {
+	if c.RespawnBudget == 0 {
 		c.RespawnBudget = 32
 	}
 	if c.RespawnBackoff <= 0 {
@@ -96,9 +91,6 @@ func (c *Config) defaults() {
 	}
 	if c.QuorumWait <= 0 {
 		c.QuorumWait = 2 * time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 2 * time.Second
 	}
 }
 
@@ -117,6 +109,10 @@ func (c *Config) heartbeatCheck() time.Duration {
 	}
 	return d
 }
+
+// drainTimeout bounds Close's graceful drain: workers get msgShutdown and
+// this long to exit before SIGKILL.
+const drainTimeout = 2 * time.Second
 
 // quarantineAfter is K in the poison-task rule: a task that kills (or
 // deadline-times-out on) this many distinct worker incarnations is
@@ -210,22 +206,14 @@ func (w *workerProc) isDead() bool {
 
 // pendingSpawn is a worker process that has been started but has not yet
 // completed the socket handshake. handshake resolves done with the
-// installed workerProc, or nil when the handshake failed.
+// installed workerProc, or with nil after setting err to why the
+// handshake failed.
 type pendingSpawn struct {
 	idx  int
 	pid  int
 	cmd  *exec.Cmd
+	err  error
 	done chan *workerProc
-}
-
-// poolOutput mirrors the simulator's shuffle-residency bookkeeping: each
-// partition records the worker index that "holds" it, or -(idx+1) once
-// that worker crashed. The actual bytes stay on the driver's frontier —
-// what this models is which results a real cluster would have lost, so
-// the engine's lineage recovery is exercised by real process deaths.
-type poolOutput struct {
-	locs    []int
-	counted bool // FetchFailures already incremented for this output
 }
 
 // Pool is a process-pool backend for engine sessions: real worker
@@ -280,9 +268,11 @@ type Pool struct {
 	clockOffset float64
 	lastClock   float64
 	keep        map[uint64]bool // blocks the current job's specs listed as resident (ReleaseBroadcasts keeps them)
-	outputs     map[cluster.OutputID]*poolOutput
-	nextOut     cluster.OutputID
-	rrOut       int // round-robin cursor for RegisterOutput placement
+	// outputs is where each registered shuffle output's partitions "live",
+	// by slot index. The actual bytes stay on the driver's frontier: what
+	// it models is which results a real cluster would have lost, so the
+	// engine's lineage recovery is exercised by real process deaths.
+	outputs cluster.Outputs
 }
 
 // The three engine facets the pool provides.
@@ -293,7 +283,8 @@ var (
 )
 
 // Start spawns the workers (re-execs of the current binary; see IsWorker)
-// and waits for all of them to complete the socket handshake.
+// and waits for all of them to complete the socket handshake. They join
+// the way a respawned worker does: acceptLoop serves every handshake.
 func Start(cfg Config) (*Pool, error) {
 	cfg.defaults()
 	exe, err := os.Executable()
@@ -323,36 +314,38 @@ func Start(cfg Config) (*Pool, error) {
 		spawning:   map[int]*pendingSpawn{},
 		slotDeaths: make([]int, cfg.Workers),
 		slotBorn:   make([]time.Time, cfg.Workers),
-		outputs:    map[cluster.OutputID]*poolOutput{},
 	}
 	fail := func(err error) (*Pool, error) {
 		p.Close()
 		return nil, err
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		if _, err := p.spawnInto(i); err != nil {
-			return fail(err)
-		}
-	}
-	ul := ln.(*net.UnixListener)
-	for i := 0; i < cfg.Workers; i++ {
-		ul.SetDeadline(time.Now().Add(10 * time.Second))
-		conn, err := ln.Accept()
-		if err != nil {
-			return fail(fmt.Errorf("procpool: worker %d never connected: %w", i, err))
-		}
-		if _, err := p.handshake(conn); err != nil {
-			return fail(err)
-		}
-	}
-	ul.SetDeadline(time.Time{})
-	go p.monitor()
 	go p.acceptLoop()
+	spawns := make([]*pendingSpawn, cfg.Workers)
+	for i := range spawns {
+		ps, err := p.spawnInto(i)
+		if err != nil {
+			return fail(err)
+		}
+		spawns[i] = ps
+	}
+	timeout := time.NewTimer(handshakeTimeout)
+	defer timeout.Stop()
+	for _, ps := range spawns {
+		select {
+		case w := <-ps.done:
+			if w == nil {
+				return fail(ps.err)
+			}
+		case <-timeout.C:
+			return fail(fmt.Errorf("procpool: worker %d never connected (waited %v)", ps.idx, handshakeTimeout))
+		}
+	}
+	go p.monitor()
 	return p, nil
 }
 
 // Close shuts the pool down gracefully: every live worker gets a shutdown
-// frame and DrainTimeout to exit on its own; stragglers are SIGKILLed.
+// frame and drainTimeout to exit on its own; stragglers are SIGKILLed.
 // Every spawned process is reaped before Close returns (no orphans, no
 // zombies), the store is emptied and the socket directory removed.
 // Teardown deaths are not counted as crashes.
@@ -388,7 +381,7 @@ func (p *Pool) Close() {
 			w.send(msgShutdown, nil)
 		}
 	}
-	deadline := time.Now().Add(p.cfg.DrainTimeout)
+	deadline := time.Now().Add(drainTimeout)
 	for _, w := range workers {
 		select {
 		case <-w.exited:
@@ -485,16 +478,8 @@ func (p *Pool) markDead(w *workerProc, reason error) {
 	closed := p.closed
 	if !closed {
 		p.stats.MachineCrashes++
-		for _, out := range p.outputs {
-			for i, loc := range out.locs {
-				if loc == w.idx {
-					out.locs[i] = -(w.idx + 1)
-				}
-			}
-		}
-		if !p.cfg.DisableRespawn {
-			p.scheduleRespawnLocked(w.idx)
-		}
+		p.outputs.Lose(w.idx)
+		p.scheduleRespawnLocked(w.idx)
 	}
 	p.mu.Unlock()
 	// Only now do the shares waiting on this worker learn of the death:
@@ -522,19 +507,6 @@ func (p *Pool) liveLocked() []*workerProc {
 		}
 	}
 	return live
-}
-
-// snapshotWorkers copies the current slot contents (dead or alive).
-func (p *Pool) snapshotWorkers() []*workerProc {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ws := make([]*workerProc, 0, len(p.workerList))
-	for _, w := range p.workerList {
-		if w != nil {
-			ws = append(ws, w)
-		}
-	}
-	return ws
 }
 
 // LiveWorkers reports how many workers are currently up.
@@ -1023,35 +995,21 @@ func (p *Pool) Stats() cluster.Stats {
 
 // ---- engine.Residency ----
 
-// RegisterOutput places a completed stage's partitions round-robin over
-// the currently live workers, mirroring the simulator's machine
-// placement. If every worker is down the output is born lost; the next
-// CheckFetch fails and recovery (or the job's error path) takes over.
-// Liveness is sampled under the pool lock: markDead marks lost partitions
-// under the same lock, so an output can never land on a worker whose
-// death sweep already ran (it would be stranded "live" on a corpse).
+// RegisterOutput places a completed stage's partitions on the currently
+// live workers by the simulator's rule (cluster.Outputs.Register). If
+// every worker is down the output is born lost; the next CheckFetch fails
+// and recovery (or the job's error path) takes over. Liveness is sampled
+// under the pool lock: markDead marks lost partitions under the same lock,
+// so an output can never land on a worker whose death sweep already ran
+// (it would be stranded "live" on a corpse).
 func (p *Pool) RegisterOutput(parts int) cluster.OutputID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	liveIdx := []int{}
-	for _, w := range p.workerList {
-		if w != nil && !w.isDead() {
-			liveIdx = append(liveIdx, w.idx)
-		}
+	var live []int
+	for _, w := range p.liveLocked() {
+		live = append(live, w.idx)
 	}
-	p.nextOut++
-	id := p.nextOut
-	locs := make([]int, parts)
-	for i := range locs {
-		if len(liveIdx) == 0 {
-			locs[i] = -1
-		} else {
-			locs[i] = liveIdx[(p.rrOut+i)%len(liveIdx)]
-		}
-	}
-	p.rrOut += parts
-	p.outputs[id] = &poolOutput{locs: locs}
-	return id
+	return p.outputs.Register(parts, live, len(p.workerList))
 }
 
 // CheckFetch reports a *cluster.FetchFailedError if any partition of the
@@ -1060,32 +1018,20 @@ func (p *Pool) RegisterOutput(parts int) cluster.OutputID {
 func (p *Pool) CheckFetch(id cluster.OutputID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out, ok := p.outputs[id]
-	if !ok {
+	ff, first := p.outputs.Check(id)
+	if ff == nil {
 		return nil
 	}
-	var lost []int
-	machine := 0
-	for i, loc := range out.locs {
-		if loc < 0 {
-			lost = append(lost, i)
-			machine = -loc - 1
-		}
-	}
-	if len(lost) == 0 {
-		return nil
-	}
-	if !out.counted {
-		out.counted = true
+	if first {
 		p.stats.FetchFailures++
 	}
-	return &cluster.FetchFailedError{Machine: machine, Parts: lost, Total: len(out.locs)}
+	return ff
 }
 
 // DropOutput forgets an output (its stage was rewound or recomputed).
 func (p *Pool) DropOutput(id cluster.OutputID) {
 	p.mu.Lock()
-	delete(p.outputs, id)
+	p.outputs.Drop(id)
 	p.mu.Unlock()
 }
 

@@ -290,7 +290,7 @@ func TestWorkerCrashRecovery(t *testing.T) {
 	// group-count stage, after the reduce parent's outputs registered.
 	// Respawn is off so the fleet stays shrunk and the LiveWorkers
 	// assertion is deterministic (health_test.go covers respawn).
-	pool := startPool(t, Config{Workers: 2, KillAfterTasks: 10, DisableRespawn: true})
+	pool := startPool(t, Config{Workers: 2, KillAfterTasks: 10, RespawnBudget: -1})
 	sp := tasks.ChaosSpec{Records: 2000, Keys: 50, Parts: 4, Rounds: 2}
 
 	rec := obs.NewRecorder()
@@ -326,7 +326,7 @@ func TestWorkerCrashRecovery(t *testing.T) {
 // (the connection stays open, no process exit), so only the heartbeat
 // timeout can catch it.
 func TestHeartbeatDetectsStoppedWorker(t *testing.T) {
-	pool := startPool(t, Config{Workers: 2, HeartbeatEvery: 20 * time.Millisecond, HeartbeatTimeout: 300 * time.Millisecond, DisableRespawn: true})
+	pool := startPool(t, Config{Workers: 2, HeartbeatEvery: 20 * time.Millisecond, HeartbeatTimeout: 300 * time.Millisecond, RespawnBudget: -1})
 	w := pool.workerList[0]
 	if err := syscall.Kill(w.pid, syscall.SIGSTOP); err != nil {
 		t.Fatalf("SIGSTOP: %v", err)

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"matryoshka/internal/cluster"
 	"matryoshka/internal/engine"
 )
 
@@ -292,7 +291,7 @@ func TestResultWithTrailingBytesFailsTheStage(t *testing.T) {
 			}
 		}
 	}()
-	cfg := Config{DisableRespawn: true}
+	cfg := Config{RespawnBudget: -1}
 	cfg.defaults()
 	w := &workerProc{
 		cmd: &exec.Cmd{}, conn: drv, br: bufio.NewReader(drv), bw: bufio.NewWriter(drv),
@@ -300,7 +299,7 @@ func TestResultWithTrailingBytesFailsTheStage(t *testing.T) {
 		held: map[uint64]bool{}, pending: map[uint64]pendingTask{}, lastBeat: time.Now(),
 	}
 	p := &Pool{cfg: cfg, store: newBlockStore(), stopCh: make(chan struct{}),
-		workerList: []*workerProc{w}, outputs: map[cluster.OutputID]*poolOutput{}}
+		workerList: []*workerProc{w}}
 	go p.readLoop(w)
 
 	res, err := p.RunRemoteStage(context.Background(), opSpec("exact", "htest.ok", nil, 1))
