@@ -59,7 +59,8 @@ bench:
 ## full-benchtime steady state (GC pacing and span reuse never settle),
 ## so a tight ns/op bound would flake — order-of-magnitude regressions
 ## still trip it. The precise check is allocs/op on the stage-boundary
-## benchmarks and on the struct-keyed route, gated exactly (allocation
+## benchmarks and on the struct-keyed route (ShuffleRoute/structkey/parallel,
+## the session's router as a stage runs it), gated exactly (allocation
 ## counts are deterministic; any growth is a real change to the typed data
 ## path — a per-row allocation in the router's key hashing, for one). The run is pinned to
 ## `-cpu 1` because every committed baseline row is `procs: 1`: on more

@@ -307,9 +307,6 @@ func (j *job) launchStageRemote(n *node, st *stage) (stageResult, bool) {
 		})
 		return stageResult{}, false
 	}
-	if err := j.stagePortable(n); err != nil {
-		return driverLocal(err)
-	}
 	spec, err := j.buildRemoteSpec(n, j.s.remote.PutBlock)
 	if err != nil {
 		return driverLocal(err)

@@ -5,14 +5,16 @@ package engine
 // can run stage tasks outside the driver.
 //
 // A stage ships as a RemoteStageSpec: one RemoteTask per output partition,
-// each a tree of RemoteNodes (operators named in the portable-op registry,
-// plus their serialized construction arguments) whose leaves are block ids
-// — shuffle blocks, broadcast pins, materialized frontier partitions and
-// driver-evaluated source partitions, all framed with the batchio codec.
-// The worker resolves operator names through the same registry (populated
-// by init-time registrations linked into both processes — see
-// internal/taskreg) once per job (RemoteEvaluator), reads the leaf blocks,
-// and replays the exact unfused per-operator evaluation the driver's
+// each a flat list of RemoteSteps in post-order, the stage root last. A
+// step is one operator application (an operator named in the portable-op
+// registry, plus its serialized construction argument); each of its inputs
+// is empty, an earlier step's output, or a block id — a shuffle block, a
+// broadcast pin, a materialized frontier partition or a driver-evaluated
+// source partition, all framed with the batchio codec. The worker resolves
+// operator names through the same registry (populated by init-time
+// registrations linked into both processes — see internal/taskreg) once
+// per job (RemoteEvaluator), reads the blocks, and runs the steps in
+// order: the exact unfused per-operator evaluation the driver's
 // evalPartDirect would run.
 // Results are bit-identical by construction: both sides run the same
 // registered kernels over the same blocks in the same order.
@@ -60,7 +62,7 @@ func (e *QuorumLostError) Error() string {
 type PoisonTaskError struct {
 	Stage   string // stage label
 	Part    int    // output partition of the quarantined task
-	Ops     string // operator chain of the task's RemoteNode tree
+	Ops     string // operator chain of the task's steps
 	Workers int    // distinct workers it destroyed
 }
 
@@ -69,21 +71,13 @@ func (e *PoisonTaskError) Error() string {
 		e.Stage, e.Part, e.Ops, e.Workers)
 }
 
-// OpChain renders the operator names of a task tree, root-last, for
+// OpChain renders the operator names of a task's steps, root-last, for
 // quarantine diagnostics ("which compute is killing my workers").
 func (t *RemoteTask) OpChain() string {
-	var ops []string
-	var walk func(rn *RemoteNode)
-	walk = func(rn *RemoteNode) {
-		if rn == nil {
-			return
-		}
-		for i := range rn.Inputs {
-			walk(rn.Inputs[i].Node)
-		}
-		ops = append(ops, rn.Op)
+	ops := make([]string, len(t.Steps))
+	for i := range t.Steps {
+		ops[i] = t.Steps[i].Op
 	}
-	walk(t.Root)
 	return strings.Join(ops, " → ")
 }
 
@@ -179,26 +173,28 @@ type RemoteStageSpec struct {
 	Resident []uint64
 }
 
-// RemoteTask computes one output partition of the stage root.
+// RemoteTask computes one output partition of the stage root: its steps
+// run in order, each reading only steps before it, and the last step is
+// the root.
 type RemoteTask struct {
-	Part int
-	Root *RemoteNode
+	Part  int
+	Steps []RemoteStep
 }
 
-// RemoteNode is one operator application in a task's chain.
-type RemoteNode struct {
+// RemoteStep is one operator application in a task's chain.
+type RemoteStep struct {
 	Op     string
 	Arg    []byte
 	Part   int
 	Inputs []RemoteInput
 }
 
-// RemoteInput is one dep's input batch: the nested in-chain operator Node
-// if set, else the block Block of the driver's store (block ids start at
-// 1), else nothing.
+// RemoteInput is one dep's input batch: the output of step Step-1 of the
+// same task if Step is set (an earlier step), else the block Block of the
+// driver's store (block ids start at 1), else nothing.
 type RemoteInput struct {
 	Block uint64
-	Node  *RemoteNode
+	Step  int
 }
 
 // RemoteStageResult is what a RemoteRunner reports back for one stage.
@@ -215,7 +211,7 @@ type RemoteStageResult struct {
 // RemoteRunner is the optional process-pool facet of a Backend: a backend
 // that implements it receives portable stages instead of having the driver
 // execute their tasks locally. PutBlock stores batch b in the backend's
-// block store and returns the id task trees name it by; the backend reads
+// block store and returns the id tasks name it by; the backend reads
 // b only while it runs a spec naming that id — for the session, when the
 // block is Resident — so it may keep b itself and encode it when it ships
 // it. RunRemoteStage distributes the spec's tasks over live workers,
@@ -237,50 +233,24 @@ type RemoteRunner interface {
 	RunRemoteStage(ctx context.Context, spec *RemoteStageSpec) (*RemoteStageResult, error)
 }
 
-// stagePortable reports whether the stage rooted at n can ship: every
-// in-chain operator down to materialized/shipped leaves must carry a
-// portable mark. The walk mirrors buildRemoteSpec's recursion without
-// moving any data, so a non-portable stage is rejected before any block
-// is stored.
-func (j *job) stagePortable(n *node) error {
-	if len(n.deps) == 0 {
-		return fmt.Errorf("%w: stage root %q is a source (its partitions are driver-resident)", ErrNotPortable, n.label)
-	}
-	var walk func(nd *node) error
-	walk = func(nd *node) error {
-		if nd.port == nil {
-			return fmt.Errorf("%w: operator %q has no registered portable form (see internal/taskreg)", ErrNotPortable, nd.label)
-		}
-		for i := range nd.deps {
-			d := &nd.deps[i]
-			if d.kind != depNarrow {
-				continue // shuffle blocks and broadcasts ship as blocks
-			}
-			p := d.parent
-			if _, ok := j.front[p]; ok {
-				continue // materialized: ships as a block
-			}
-			if len(p.deps) == 0 {
-				continue // in-chain source: driver-evaluated, ships as a block
-			}
-			if err := walk(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return walk(n)
-}
-
-// buildRemoteSpec assembles the shippable spec for the stage rooted at n,
-// storing every leaf batch through put exactly once (batches shared across
-// tasks — broadcasts, fan-in reads — dedupe on identity). A cached node's
+// buildRemoteSpec assembles the shippable spec for the stage rooted at n
+// in one walk per task: it checks each in-chain operator's portable mark
+// as it appends the operator's step, so a stage with an unmarked operator
+// fails with ErrNotPortable. The mark is checked before the operator's
+// inputs are built, and no portable operator reads a narrow dep after a
+// block dep, so a failed walk has put no block; a block put anyway would
+// be listed by no spec, and the job's end drops it. Every leaf batch is
+// stored through put exactly once (batches shared across tasks —
+// broadcasts, fan-in reads — dedupe on identity). A cached node's
 // partition is put once per session: its id is kept in cacheBlocks, reused
 // by every later spec and listed in spec.Resident. It mirrors
 // evalPartDirect's per-operator input assembly exactly; fusion never
 // applies remotely, which the fused-vs-per-operator suites (fuse_test.go,
 // TestRandomDAGFusedMatchesPerOperator) prove is invisible to results.
 func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*RemoteStageSpec, error) {
+	if len(n.deps) == 0 {
+		return nil, fmt.Errorf("%w: stage root %q is a source (its partitions are driver-resident)", ErrNotPortable, n.label)
+	}
 	spec := &RemoteStageSpec{Label: n.label, Tasks: make([]RemoteTask, 0, n.parts)}
 	ids := map[Batch]uint64{}
 	blockInput := func(b Batch) (RemoteInput, error) {
@@ -326,9 +296,11 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 		return in, nil
 	}
 
-	var buildNode func(nd *node, p int) (*RemoteNode, error)
-	var inputFor func(nd *node, pp int) (RemoteInput, error)
-	inputFor = func(nd *node, pp int) (RemoteInput, error) {
+	// steps is the task being built; step appends nd's step for partition
+	// p after the steps of its in-chain inputs and returns 1 + its index.
+	var steps []RemoteStep
+	var step func(nd *node, p int) (int, error)
+	narrowInput := func(nd *node, pp int) (RemoteInput, error) {
 		if cp, ok := j.front[nd]; ok {
 			if nd.cached {
 				return cachedInput(nd, cp.data, pp)
@@ -341,45 +313,43 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 			// the batch rather than the closure.
 			return blockInput(nd.compute(&Ctx{}, pp, nil))
 		}
-		rn, err := buildNode(nd, pp)
-		if err != nil {
-			return RemoteInput{}, err
-		}
-		return RemoteInput{Node: rn}, nil
+		s, err := step(nd, pp)
+		return RemoteInput{Step: s}, err
 	}
-	buildNode = func(nd *node, p int) (*RemoteNode, error) {
+	step = func(nd *node, p int) (int, error) {
 		if nd.port == nil {
-			return nil, fmt.Errorf("%w: operator %q has no registered portable form (see internal/taskreg)", ErrNotPortable, nd.label)
+			return 0, fmt.Errorf("%w: operator %q has no registered portable form (see internal/taskreg)", ErrNotPortable, nd.label)
 		}
-		rn := &RemoteNode{Op: nd.port.op, Arg: nd.port.arg, Part: p, Inputs: make([]RemoteInput, len(nd.deps))}
+		st := RemoteStep{Op: nd.port.op, Arg: nd.port.arg, Part: p, Inputs: make([]RemoteInput, len(nd.deps))}
 		for i := range nd.deps {
 			d := &nd.deps[i]
-			var in RemoteInput
 			var err error
 			switch d.kind {
 			case depNarrow:
 				if pp, ok := d.parentPart(p); ok {
-					in, err = inputFor(d.parent, pp)
+					st.Inputs[i], err = narrowInput(d.parent, pp)
 				}
 			case depShuffle:
-				in, err = blockInput(j.blocks[d].blocks[p])
+				st.Inputs[i], err = blockInput(j.blocks[d].blocks[p])
 			case depBroadcast:
-				in, err = blockInput(j.bcast[d])
+				st.Inputs[i], err = blockInput(j.bcast[d])
 			}
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			rn.Inputs[i] = in
 		}
-		return rn, nil
+		steps = append(steps, st)
+		return len(steps), nil
 	}
 
+	// Every task of a stage has the same shape as a rule, so the previous
+	// task's length sizes the next one's steps.
 	for p := 0; p < n.parts; p++ {
-		root, err := buildNode(n, p)
-		if err != nil {
+		steps = make([]RemoteStep, 0, len(steps))
+		if _, err := step(n, p); err != nil {
 			return nil, err
 		}
-		spec.Tasks = append(spec.Tasks, RemoteTask{Part: p, Root: root})
+		spec.Tasks = append(spec.Tasks, RemoteTask{Part: p, Steps: steps})
 	}
 	return spec, nil
 }
@@ -411,73 +381,67 @@ type kernelKey struct{ op, arg string }
 // worker calls it when a job ends; its cached blocks may outlive the job.
 func (e *RemoteEvaluator) Reset() { e.kernels = nil }
 
-// RunRemoteTask evaluates one shipped task: fetch leaf blocks and run the
-// chain bottom-up — exactly the unfused evaluation the driver would
-// perform. A panicking kernel is reported as an error, not a worker death.
+// RunRemoteTask evaluates one shipped task: run its steps in order, each
+// over fetched blocks and the outputs of earlier steps — exactly the
+// unfused evaluation the driver would perform — and return the last
+// step's output. A panicking kernel is reported as an error, not a worker
+// death.
 func (e *RemoteEvaluator) RunRemoteTask(t *RemoteTask, fetch FetchFunc) (b Batch, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("engine: remote task %d panicked: %v", t.Part, r)
 		}
 	}()
-	return e.evalNode(t.Root, fetch)
+	outs := make([]Batch, len(t.Steps))
+	for i := range t.Steps {
+		st := &t.Steps[i]
+		compute, fresh, err := e.kernel(st)
+		if err != nil {
+			return nil, err
+		}
+		inputs := make([]Batch, len(st.Inputs))
+		for k, in := range st.Inputs {
+			inputs[k] = zeroBatch
+			switch {
+			case in.Step != 0:
+				inputs[k] = outs[in.Step-1]
+			case in.Block != 0:
+				b, err := fetch(in.Block)
+				if err != nil {
+					return nil, err
+				}
+				if b != nil {
+					inputs[k] = b
+				}
+			}
+		}
+		if fresh && e.FirstRun != nil {
+			e.FirstRun()
+		}
+		outs[i] = compute(&Ctx{}, st.Part, inputs)
+	}
+	return outs[len(outs)-1], nil
 }
 
-// kernel returns rn's kernel, resolving it if this is the first node with
+// kernel returns st's kernel, resolving it if this is the first step with
 // its (op, arg) since Reset — fresh says so.
-func (e *RemoteEvaluator) kernel(rn *RemoteNode) (compute PortableCompute, fresh bool, err error) {
-	if compute, ok := e.kernels[kernelKey{rn.Op, string(rn.Arg)}]; ok {
+func (e *RemoteEvaluator) kernel(st *RemoteStep) (compute PortableCompute, fresh bool, err error) {
+	if compute, ok := e.kernels[kernelKey{st.Op, string(st.Arg)}]; ok {
 		return compute, false, nil
 	}
-	mkAny, ok := portableOps.Load(rn.Op)
+	mkAny, ok := portableOps.Load(st.Op)
 	if !ok {
-		return nil, false, fmt.Errorf("engine: portable op %q is not registered in this process", rn.Op)
+		return nil, false, fmt.Errorf("engine: portable op %q is not registered in this process", st.Op)
 	}
-	compute, err = mkAny.(PortableFactory)(rn.Arg)
+	compute, err = mkAny.(PortableFactory)(st.Arg)
 	if err != nil {
-		return nil, false, fmt.Errorf("engine: portable op %q: %w", rn.Op, err)
+		return nil, false, fmt.Errorf("engine: portable op %q: %w", st.Op, err)
 	}
 	if e.kernels == nil {
 		e.kernels = map[kernelKey]PortableCompute{}
 	}
-	e.kernels[kernelKey{rn.Op, string(rn.Arg)}] = compute
+	e.kernels[kernelKey{st.Op, string(st.Arg)}] = compute
 	return compute, true, nil
-}
-
-func (e *RemoteEvaluator) evalNode(rn *RemoteNode, fetch FetchFunc) (Batch, error) {
-	compute, fresh, err := e.kernel(rn)
-	if err != nil {
-		return nil, err
-	}
-	inputs := make([]Batch, len(rn.Inputs))
-	for i := range rn.Inputs {
-		b, err := e.evalInput(&rn.Inputs[i], fetch)
-		if err != nil {
-			return nil, err
-		}
-		inputs[i] = b
-	}
-	if fresh && e.FirstRun != nil {
-		e.FirstRun()
-	}
-	return compute(&Ctx{}, rn.Part, inputs), nil
-}
-
-func (e *RemoteEvaluator) evalInput(in *RemoteInput, fetch FetchFunc) (Batch, error) {
-	switch {
-	case in.Node != nil:
-		return e.evalNode(in.Node, fetch)
-	case in.Block != 0:
-		b, err := fetch(in.Block)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			b = zeroBatch
-		}
-		return b, nil
-	}
-	return zeroBatch, nil
 }
 
 // ---- Operator kernels ----

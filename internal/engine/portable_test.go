@@ -207,23 +207,19 @@ func TestRemoteShuffleChainReadsLiveBlocks(t *testing.T) {
 		t.Fatalf("%d stages ran remotely, want the three of two shuffles", fr.stages)
 	}
 	namedBy := map[uint64]int{} // block id -> the spec that named it first
-	var walk func(si int, rn *RemoteNode)
-	walk = func(si int, rn *RemoteNode) {
-		for _, in := range rn.Inputs {
-			switch {
-			case in.Node != nil:
-				walk(si, in.Node)
-			case in.Block != 0:
-				if first, ok := namedBy[in.Block]; ok && first != si {
-					t.Fatalf("block %d is named by specs %d and %d", in.Block, first, si)
-				}
-				namedBy[in.Block] = si
-			}
-		}
-	}
 	for si, spec := range fr.specs {
-		for ti := range spec.Tasks {
-			walk(si, spec.Tasks[ti].Root)
+		for _, task := range spec.Tasks {
+			for _, st := range task.Steps {
+				for _, in := range st.Inputs {
+					if in.Step != 0 || in.Block == 0 {
+						continue
+					}
+					if first, ok := namedBy[in.Block]; ok && first != si {
+						t.Fatalf("block %d is named by specs %d and %d", in.Block, first, si)
+					}
+					namedBy[in.Block] = si
+				}
+			}
 		}
 	}
 }
@@ -298,6 +294,37 @@ func TestUnportableStageFallsBackDriverLocal(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no driver-local fallback decision logged; decisions: %+v", rec.Decisions())
+	}
+}
+
+// TestUnmarkedOperatorUnderPortableRoot: a stage whose root is marked
+// portable but reads an unmarked operator is refused by the walk that
+// builds its spec. It runs driver-local with the driver's values, the
+// decision log names the unmarked operator, the runner never sees the
+// stage, and no block was put.
+func TestUnmarkedOperatorUnderPortableRoot(t *testing.T) {
+	fr := newFakeRemoteRunner(t)
+	rec := obs.NewRecorder()
+	sess := mustSession(Config{Backend: fr, Obs: rec})
+	unmarked := Filter(Parallelize(sess, []int{5, 6, 7, 8}, 2), func(x int) bool { return x > 5 })
+	got, err := Collect(MarkPortable(Map(unmarked, func(x int) int { return 3 * x }), "ptest.scale", []byte("3")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{18, 21, 24}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	if len(fr.specs) != 0 || fr.next != 0 {
+		t.Fatalf("the runner saw %d specs and %d blocks, want none", len(fr.specs), fr.next)
+	}
+	found := false
+	for _, d := range rec.Decisions() {
+		if d.Rule == "proc-backend" && d.Choice == "driver-local" && strings.Contains(d.Why, `operator "filter"`) {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("no driver-local decision naming the unmarked operator; decisions: %+v", rec.Decisions())
 	}
 }
 

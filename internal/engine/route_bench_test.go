@@ -106,12 +106,12 @@ func BenchmarkShuffleBoundary(b *testing.B) {
 	})
 }
 
-// BenchmarkShuffleRoute compares the counting-pass router's inline and
-// pooled loop dispatch on uniform and skewed key distributions, on the
-// paper's sparse shape — an inner job's ~2000 records spread over the fixed
-// 3 × cores = 1200 partitions on both sides, where any cost in sources ×
-// targets shows and the elements do not — and on structkey, the shape of
-// every lifted shuffle: rows keyed by a (tag, key) struct that only the
+// BenchmarkShuffleRoute times the session's counting-pass router, arenas
+// and all, as a stage runs it: on uniform and skewed key distributions, on
+// the paper's sparse shape — an inner job's ~2000 records spread over the
+// fixed 3 × cores = 1200 partitions on both sides, where any cost in
+// sources × targets shows and the elements do not — and on structkey, the
+// shape of every lifted shuffle: rows keyed by a (tag, key) struct that only the
 // compiled hasher covers. `make bench-check` gates structkey's allocs/op
 // exactly: hashing such a key must not allocate per row. twice-in-job is the
 // router where it lives: a job of two reduces over 64-byte rows, whose
@@ -159,12 +159,6 @@ func BenchmarkShuffleRoute(b *testing.B) {
 	})
 	for _, shape := range shapes {
 		parent, d := shape.parent, shape.d
-		b.Run(shape.name+"/serial", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				routeCore(d, parent, nil, 1, nil)
-			}
-		})
 		b.Run(shape.name+"/parallel", func(b *testing.B) {
 			s := benchSession()
 			defer s.Close()
@@ -261,39 +255,6 @@ func BenchmarkStageExec(b *testing.B) {
 		}
 	}
 	b.Run("pooled", func(b *testing.B) { run(b, false) })
-	b.Run("fused", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkNarrowChain isolates the fused path's target shape: a pure
-// narrow map∘filter∘map pipeline materialized at its root, no shuffle.
-// Unfused, every operator materializes its whole output as a typed batch;
-// fused, rows flow through one loop of composed closures and only the root
-// materializes. In isolation the fused loop is the slower of the two (the
-// closure calls cost more than the two typed seams they save); it earns
-// its place on alloc_mb end to end (EXPERIMENTS.md, "Executor paths on the
-// wall-clock benchmark").
-func BenchmarkNarrowChain(b *testing.B) {
-	data := make([]int, 1<<16)
-	for i := range data {
-		data[i] = i
-	}
-	run := func(b *testing.B, fuse bool) {
-		s := benchSession()
-		defer s.Close()
-		s.noFuse = !fuse
-		src := Parallelize(s, data, 8)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mapped := Map(src, func(v int) int { return spin(v, 16) })
-			kept := Filter(mapped, func(v int) bool { return v%8 != 0 })
-			small := Map(kept, func(v int) int { return v & 255 })
-			if _, err := Count(small); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("unfused", func(b *testing.B) { run(b, false) })
 	b.Run("fused", func(b *testing.B) { run(b, true) })
 }
 

@@ -79,9 +79,9 @@ func blockSpec(t testing.TB, pool *Pool, label string, n int) (*engine.RemoteSta
 		if err != nil {
 			t.Fatalf("PutBlock: %v", err)
 		}
-		spec.Tasks = append(spec.Tasks, engine.RemoteTask{Part: i, Root: &engine.RemoteNode{
+		spec.Tasks = append(spec.Tasks, engine.RemoteTask{Part: i, Steps: []engine.RemoteStep{{
 			Op: "identity", Part: i, Inputs: []engine.RemoteInput{{Block: id}},
-		}})
+		}}})
 	}
 	return spec, want
 }
@@ -130,7 +130,7 @@ func TestDroppedResidentBlockIsPushedAgain(t *testing.T) {
 	pool := startPool(t, Config{Workers: 1, Faults: FaultPlan{DropEveryFrames: 7}})
 	spec, want := blockSpec(t, pool, "dropped-resident", 4)
 	for _, task := range spec.Tasks {
-		spec.Resident = append(spec.Resident, task.Root.Inputs[0].Block)
+		spec.Resident = append(spec.Resident, task.Steps[0].Inputs[0].Block)
 	}
 	res, err := pool.RunRemoteStage(context.Background(), spec)
 	if err != nil {

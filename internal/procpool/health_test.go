@@ -71,10 +71,10 @@ func init() {
 func opSpec(label, op string, arg []byte, parts int) *engine.RemoteStageSpec {
 	spec := &engine.RemoteStageSpec{Label: label}
 	for p := 0; p < parts; p++ {
-		spec.Tasks = append(spec.Tasks, engine.RemoteTask{Part: p, Root: &engine.RemoteNode{
+		spec.Tasks = append(spec.Tasks, engine.RemoteTask{Part: p, Steps: []engine.RemoteStep{{
 			Op: op, Arg: arg, Part: p,
 			Inputs: []engine.RemoteInput{{}},
-		}})
+		}}})
 	}
 	return spec
 }
@@ -216,7 +216,7 @@ func TestPoisonMidShareIsTheOneBlamed(t *testing.T) {
 	pool := startPool(t, Config{Workers: 2, RespawnBackoff: 10 * time.Millisecond})
 	spec := opSpec("poison-mid-share", "htest.ok", nil, 40)
 	const poison = 21 // eleventh task of the second worker's share
-	spec.Tasks[poison].Root.Op = "htest.exit"
+	spec.Tasks[poison].Steps[0].Op = "htest.exit"
 	_, err := pool.RunRemoteStage(context.Background(), spec)
 	var pe *engine.PoisonTaskError
 	if !errors.As(err, &pe) {
@@ -241,7 +241,7 @@ func TestTaskDeadlineRequeues(t *testing.T) {
 	rec := obs.NewRecorder()
 	pool := startPool(t, Config{Workers: 2, TaskDeadline: 500 * time.Millisecond, RespawnBackoff: 10 * time.Millisecond, Events: rec})
 	spec := opSpec("deadline-stage", "htest.ok", nil, 6)
-	spec.Tasks[3].Root = &engine.RemoteNode{Op: "htest.hang", Arg: []byte(flag), Part: 3, Inputs: []engine.RemoteInput{{}}}
+	spec.Tasks[3].Steps[0] = engine.RemoteStep{Op: "htest.hang", Arg: []byte(flag), Part: 3, Inputs: []engine.RemoteInput{{}}}
 	res, err := pool.RunRemoteStage(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("stage with one wedged attempt: %v", err)
@@ -341,7 +341,7 @@ func TestCloseDrainsEverything(t *testing.T) {
 		t.Fatalf("stage: %v", err)
 	}
 	spec, _ := blockSpec(t, pool, "resident", 3)
-	spec.Resident = []uint64{spec.Tasks[1].Root.Inputs[0].Block}
+	spec.Resident = []uint64{spec.Tasks[1].Steps[0].Inputs[0].Block}
 	if _, err := pool.RunRemoteStage(context.Background(), spec); err != nil {
 		t.Fatalf("resident stage: %v", err)
 	}
@@ -370,6 +370,35 @@ func TestCloseDrainsEverything(t *testing.T) {
 	}
 	// Close is idempotent.
 	pool.Close()
+}
+
+// TestCloseReapsPendingSpawn closes a pool while a respawned worker has
+// started but not yet joined: Close must kill and reap that process too,
+// so its pid is gone (ESRCH, not a zombie) when Close returns.
+func TestCloseReapsPendingSpawn(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		pool, err := Start(Config{Workers: 1, RespawnBackoff: time.Millisecond})
+		if err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		pool.markDead(pool.liveWorkers()[0], fmt.Errorf("test: killed to respawn"))
+		pid := 0
+		for deadline := time.Now().Add(10 * time.Second); pid == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				pool.Close()
+				t.Fatal("no respawn was ever pending")
+			}
+			pool.mu.Lock()
+			for p := range pool.spawning {
+				pid = p
+			}
+			pool.mu.Unlock()
+		}
+		pool.Close()
+		if err := syscall.Kill(pid, 0); !errors.Is(err, syscall.ESRCH) {
+			t.Fatalf("round %d: pending spawn pid %d survived Close (kill(0) = %v)", round, pid, err)
+		}
+	}
 }
 
 // TestRaceMarkDeadVsDispatch hammers dispatch while concurrently
@@ -428,8 +457,8 @@ func TestWorkerDiesBetweenPutAndLaunch(t *testing.T) {
 	pool.markDead(pool.liveWorkers()[0], fmt.Errorf("test: died after PutBlock"))
 	spec := &engine.RemoteStageSpec{Label: "put-then-die", Tasks: []engine.RemoteTask{{
 		Part: 0,
-		Root: &engine.RemoteNode{Op: "identity", Part: 0,
-			Inputs: []engine.RemoteInput{{Block: id}}},
+		Steps: []engine.RemoteStep{{Op: "identity", Part: 0,
+			Inputs: []engine.RemoteInput{{Block: id}}}},
 	}}}
 	res, err := pool.RunRemoteStage(context.Background(), spec)
 	if err != nil {

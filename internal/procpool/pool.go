@@ -367,13 +367,13 @@ func (p *Pool) Close() {
 	p.mu.Unlock()
 	p.stopOnce.Do(func() { close(p.stopCh) })
 	p.ln.Close()
-	// Processes that never completed the handshake just die (and are
-	// reaped — they have no waitWorker goroutine).
+	// Processes that never completed the handshake just die, and are
+	// reaped here: they have no waitWorker goroutine.
 	for _, ps := range spawning {
 		if ps.cmd.Process != nil {
 			ps.cmd.Process.Kill()
 		}
-		go ps.cmd.Wait()
+		ps.cmd.Wait()
 	}
 	// Graceful drain: ask, then wait bounded.
 	for _, w := range workers {
@@ -808,7 +808,7 @@ func (p *Pool) runShare(ctx context.Context, w *workerProc, spec *engine.RemoteS
 }
 
 // sendShare writes the share in dispatch order: for each task, every block
-// its tree reads that w does not hold yet, then the task frame; one flush
+// its steps read that w does not hold yet, then the task frame; one flush
 // at the end. It stops early when ctx is cancelled, when w is dead (or
 // dies of a failed write), and after a dispatch a kill hook names — the
 // hooks (KillAfterTasks, FaultPlan) fire synchronously here, so the crash
@@ -827,7 +827,7 @@ func (p *Pool) sendShare(ctx context.Context, w *workerProc, spec *engine.Remote
 		}
 		t := &spec.Tasks[ti]
 		var perr error
-		eachBlock(t.Root, func(id uint64) {
+		eachBlock(t, func(id uint64) {
 			if perr == nil {
 				frame, perr = p.pushBlock(w, id, frame)
 			}

@@ -185,7 +185,7 @@ func (l *jobLog) checkPutOnce(t *testing.T, puts uint64) []uint64 {
 		seen := map[uint64]bool{}
 		for _, spec := range specs {
 			for ti := range spec.Tasks {
-				eachBlock(spec.Tasks[ti].Root, func(id uint64) {
+				eachBlock(&spec.Tasks[ti], func(id uint64) {
 					if !seen[id] && !slices.Contains(resident, id) {
 						others++
 					}

@@ -38,7 +38,7 @@ import (
 //
 // The data plane is push only and ordered. The driver writes a worker its
 // whole share of a stage through one buffered writer: for each task, the
-// blocks its tree reads that this worker incarnation does not hold yet
+// blocks its steps read that this worker incarnation does not hold yet
 // (msgBlockData), then the task (msgTask); one flush at the end. The worker
 // never asks for anything: a block is in its cache by the time the task
 // that reads it arrives, because the stream is ordered. Only an injected
@@ -58,16 +58,20 @@ import (
 // dies under an operator has answered every task before it (see
 // engine.RemoteEvaluator.FirstRun and runShare's blame rule).
 //
-// A task body is binary and self-contained — no state outlives the frame:
+// A task body is binary and self-contained — no state outlives the frame.
+// It is the task's steps in evaluation order, the root last:
 //
-//	task  = u64 id | uvarint part | node
-//	node  = uvarint len | op | uvarint len | arg | uvarint part | uvarint n | n × input
-//	input = u8 kind: 0 empty | 1 block, uvarint block id (≠ 0) | 2 node
+//	task  = u64 id | uvarint part | uvarint n | n × step     (n ≥ 1)
+//	step  = uvarint len | op | uvarint len | arg | uvarint part | uvarint k | k × input
+//	input = u8 kind: 0 empty | 1 block, uvarint block id (≠ 0) | 2 step, uvarint s
 //
-// parseTask checks it in the one pass that reads it: lengths and counts
-// inside the body, known kinds, no trailing bytes, and at most
-// maxTaskDepth nested operators, so a hostile body cannot recurse the
-// worker off its stack.
+// A step input names step s-1 of the same task, which must come before
+// the step that reads it (1 ≤ s ≤ the reader's index), so every step's
+// inputs are computed by the time it runs and a task cannot loop. parseTask
+// checks it in the one pass that reads it: lengths and counts inside the
+// body (a step takes at least 4 bytes, so a declared step count is checked
+// against the bytes left before anything is allocated for it), known kinds,
+// earlier steps only, and no trailing bytes.
 const (
 	msgHello      byte = iota + 1 // worker → driver: u64 pid
 	msgHelloAck                   // driver → worker: u32 index | u64 heartbeat period (ns)
@@ -312,72 +316,62 @@ func parseHelloAck(body []byte) (int, time.Duration, error) {
 	return int(idx), time.Duration(ns), nil
 }
 
-// Input kind bytes of the binary task body. In memory an input is its node
-// if set, else its block, else empty (engine.RemoteInput); appendNode and
-// wireReader.input map between the two in one switch each.
+// Input kind bytes of the binary task body. In memory an input is its step
+// if set, else its block, else empty (engine.RemoteInput); encodeTask and
+// parseTask map between the two in one switch each.
 const (
 	inputEmpty byte = iota
 	inputBlock
-	inputNode
+	inputStep
 )
 
-// maxTaskDepth caps how deeply a task body may nest operators. The parser
-// recurses once per level, so a hostile body must not be able to nest it
-// off the stack; a tree the driver builds is one stage's fused chain, far
-// shallower. encodeTask refuses what parseTask would.
-const maxTaskDepth = 10000
+// minStepBytes is the least a step takes on the wire: four empty or zero
+// uvarints (op and arg lengths, part, input count).
+const minStepBytes = 4
 
 // encodeTask appends the msgTask body of task t under id to dst (see the
 // grammar in the protocol header). The driver passes one buffer for a
 // whole share: the frame writers copy the body before the next task
-// overwrites it.
+// overwrites it. It refuses what parseTask would: a task without steps and
+// a step input that is not an earlier step.
 func encodeTask(dst []byte, id uint64, t *engine.RemoteTask) ([]byte, error) {
-	if t.Root == nil {
-		return dst, fmt.Errorf("procpool: task %d has no root operator", t.Part)
+	if len(t.Steps) == 0 {
+		return dst, fmt.Errorf("procpool: task %d has no steps", t.Part)
 	}
 	dst = binary.BigEndian.AppendUint64(dst, id)
 	dst = binary.AppendUvarint(dst, uint64(t.Part))
-	dst, err := appendNode(dst, t.Root, 1)
-	if err != nil {
-		return dst, fmt.Errorf("procpool: task %d: %w", t.Part, err)
-	}
-	return dst, nil
-}
-
-func appendNode(dst []byte, rn *engine.RemoteNode, depth int) ([]byte, error) {
-	if depth > maxTaskDepth {
-		return dst, fmt.Errorf("operator tree deeper than the depth cap of %d", maxTaskDepth)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(rn.Op)))
-	dst = append(dst, rn.Op...)
-	dst = binary.AppendUvarint(dst, uint64(len(rn.Arg)))
-	dst = append(dst, rn.Arg...)
-	dst = binary.AppendUvarint(dst, uint64(rn.Part))
-	dst = binary.AppendUvarint(dst, uint64(len(rn.Inputs)))
-	for i := range rn.Inputs {
-		in := &rn.Inputs[i]
-		switch {
-		case in.Node != nil:
-			var err error
-			if dst, err = appendNode(append(dst, inputNode), in.Node, depth+1); err != nil {
-				return dst, err
+	dst = binary.AppendUvarint(dst, uint64(len(t.Steps)))
+	for i := range t.Steps {
+		st := &t.Steps[i]
+		dst = binary.AppendUvarint(dst, uint64(len(st.Op)))
+		dst = append(dst, st.Op...)
+		dst = binary.AppendUvarint(dst, uint64(len(st.Arg)))
+		dst = append(dst, st.Arg...)
+		dst = binary.AppendUvarint(dst, uint64(st.Part))
+		dst = binary.AppendUvarint(dst, uint64(len(st.Inputs)))
+		for _, in := range st.Inputs {
+			switch {
+			case in.Step < 0 || in.Step > i:
+				return dst, fmt.Errorf("procpool: task %d step %d reads step %d, not an earlier one", t.Part, i, in.Step)
+			case in.Step != 0:
+				dst = binary.AppendUvarint(append(dst, inputStep), uint64(in.Step))
+			case in.Block != 0:
+				dst = binary.AppendUvarint(append(dst, inputBlock), in.Block)
+			default:
+				dst = append(dst, inputEmpty)
 			}
-		case in.Block != 0:
-			dst = binary.AppendUvarint(append(dst, inputBlock), in.Block)
-		default:
-			dst = append(dst, inputEmpty)
 		}
 	}
 	return dst, nil
 }
 
 // parseTask reads a msgTask body, validating as it reads: every length
-// lies inside the body, every input has a known kind and carries what
-// that kind reads, the tree nests at most maxTaskDepth operators, and no
-// byte is left over. What it accepts, evaluation can walk. An operator's
-// argument aliases body (readFrame allocates every body fresh).
+// and count lies inside the body, every input has a known kind and carries
+// what that kind reads, a step input names an earlier step, and no byte is
+// left over. What it accepts, evaluation can run. A step's argument
+// aliases body (readFrame allocates every body fresh).
 func parseTask(body []byte) (uint64, *engine.RemoteTask, error) {
-	r := &wireReader{b: body}
+	r := wireReader{b: body}
 	id, err := r.u64()
 	if err != nil {
 		return 0, nil, err
@@ -386,79 +380,65 @@ func parseTask(body []byte) (uint64, *engine.RemoteTask, error) {
 	if t.Part, err = r.count(); err != nil {
 		return 0, nil, fmt.Errorf("procpool: task %d: part: %w", id, err)
 	}
-	if r.off == len(r.b) {
-		return 0, nil, fmt.Errorf("procpool: task %d has no root operator", id)
-	}
-	if t.Root, err = r.node(1); err != nil {
-		return 0, nil, fmt.Errorf("procpool: task %d: %w", id, err)
-	}
-	if r.off != len(r.b) {
-		return 0, nil, fmt.Errorf("procpool: task %d: %d trailing bytes after the operator tree", id, len(r.b)-r.off)
-	}
-	return id, t, nil
-}
-
-// node reads one operator and, recursively, its inputs; depth is its
-// level in the tree, the root's being 1.
-func (r *wireReader) node(depth int) (*engine.RemoteNode, error) {
-	if depth > maxTaskDepth {
-		return nil, fmt.Errorf("operator tree deeper than the depth cap of %d", maxTaskDepth)
-	}
-	rn := &engine.RemoteNode{}
-	op, err := r.bytes()
-	if err != nil {
-		return nil, fmt.Errorf("op: %w", err)
-	}
-	rn.Op = string(op)
-	if rn.Arg, err = r.bytes(); err != nil {
-		return nil, fmt.Errorf("%q arg: %w", rn.Op, err)
-	}
-	if rn.Part, err = r.count(); err != nil {
-		return nil, fmt.Errorf("%q part: %w", rn.Op, err)
-	}
 	n, err := r.count()
-	if err != nil {
-		return nil, fmt.Errorf("%q input count: %w", rn.Op, err)
-	}
-	if n > len(r.b)-r.off { // every input takes at least its kind byte
-		return nil, fmt.Errorf("%q declares %d inputs in %d bytes", rn.Op, n, len(r.b)-r.off)
-	}
-	if n > 0 {
-		rn.Inputs = make([]engine.RemoteInput, n)
-	}
-	for i := range rn.Inputs {
-		if err := r.input(&rn.Inputs[i], rn.Op, i, depth); err != nil {
-			return nil, err
-		}
-	}
-	return rn, nil
-}
-
-// input reads input i of operator op. An error names the operator it
-// arises under and no other: wrapping it once per enclosing level would
-// cost the square of the depth.
-func (r *wireReader) input(in *engine.RemoteInput, op string, i, depth int) error {
-	kind, err := r.u8()
 	switch {
 	case err != nil:
-	case kind == inputEmpty:
-	case kind == inputBlock:
-		if in.Block, err = r.uvarint(); err == nil && in.Block == 0 {
-			err = fmt.Errorf("block input without a block id")
-		}
-	case kind == inputNode:
-		if r.off == len(r.b) {
-			err = fmt.Errorf("node input without a node")
-		} else if in.Node, err = r.node(depth + 1); err != nil {
-			return err
-		}
-	default:
-		err = fmt.Errorf("unknown input kind %d", kind)
+		return 0, nil, fmt.Errorf("procpool: task %d: step count: %w", id, err)
+	case n == 0:
+		return 0, nil, fmt.Errorf("procpool: task %d has no steps", id)
+	case n > (len(r.b)-r.off)/minStepBytes:
+		return 0, nil, fmt.Errorf("procpool: task %d declares %d steps in %d bytes", id, n, len(r.b)-r.off)
 	}
-	if err != nil {
-		return fmt.Errorf("%q input %d: %w", op, i, err)
+	t.Steps = make([]engine.RemoteStep, n)
+	for i := range t.Steps {
+		st := &t.Steps[i]
+		op, err := r.bytes()
+		if err != nil {
+			return 0, nil, fmt.Errorf("procpool: task %d step %d op: %w", id, i, err)
+		}
+		st.Op = string(op)
+		if st.Arg, err = r.bytes(); err != nil {
+			return 0, nil, fmt.Errorf("procpool: task %d step %d %q arg: %w", id, i, st.Op, err)
+		}
+		if st.Part, err = r.count(); err != nil {
+			return 0, nil, fmt.Errorf("procpool: task %d step %d %q part: %w", id, i, st.Op, err)
+		}
+		k, err := r.count()
+		if err == nil && k > len(r.b)-r.off { // every input takes at least its kind byte
+			err = fmt.Errorf("declares %d inputs in %d bytes", k, len(r.b)-r.off)
+		}
+		if err != nil {
+			return 0, nil, fmt.Errorf("procpool: task %d step %d %q inputs: %w", id, i, st.Op, err)
+		}
+		if k > 0 {
+			st.Inputs = make([]engine.RemoteInput, k)
+		}
+		for j := range st.Inputs {
+			in := &st.Inputs[j]
+			kind, err := r.u8()
+			switch {
+			case err != nil:
+			case kind == inputEmpty:
+			case kind == inputBlock:
+				if in.Block, err = r.uvarint(); err == nil && in.Block == 0 {
+					err = fmt.Errorf("block input without a block id")
+				}
+			case kind == inputStep:
+				if in.Step, err = r.count(); err == nil && (in.Step == 0 || in.Step > i) {
+					err = fmt.Errorf("step input %d does not name a step before step %d", in.Step, i)
+				}
+			default:
+				err = fmt.Errorf("unknown input kind %d", kind)
+			}
+			if err != nil {
+				return 0, nil, fmt.Errorf("procpool: task %d step %d %q input %d: %w", id, i, st.Op, j, err)
+			}
+		}
 	}
-	return nil
+	if r.off != len(r.b) {
+		return 0, nil, fmt.Errorf("procpool: task %d: %d trailing bytes after its steps", id, len(r.b)-r.off)
+	}
+	return id, t, nil
 }
 
 // decodeBatchFrame decodes a body that is exactly one batch frame — a
@@ -475,23 +455,15 @@ func decodeBatchFrame(body []byte) (engine.Batch, error) {
 	return b, nil
 }
 
-// eachBlock calls f with the id of every block the tree under rn reads, in
-// evaluation order (an id shared by two inputs is visited twice).
-func eachBlock(rn *engine.RemoteNode, f func(id uint64)) {
-	if rn == nil {
-		return
-	}
-	for i := range rn.Inputs {
-		eachInputBlock(&rn.Inputs[i], f)
-	}
-}
-
-func eachInputBlock(in *engine.RemoteInput, f func(id uint64)) {
-	switch {
-	case in.Node != nil:
-		eachBlock(in.Node, f)
-	case in.Block != 0:
-		f(in.Block)
+// eachBlock calls f with the id of every block task t reads, in step
+// order (an id shared by two inputs is visited twice).
+func eachBlock(t *engine.RemoteTask, f func(id uint64)) {
+	for i := range t.Steps {
+		for _, in := range t.Steps[i].Inputs {
+			if in.Step == 0 && in.Block != 0 {
+				f(in.Block)
+			}
+		}
 	}
 }
 

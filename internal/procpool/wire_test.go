@@ -75,18 +75,20 @@ func TestWireFieldRoundTrips(t *testing.T) {
 	if ids, perr := parseIDs(rest); err != nil || perr != nil || tag != resultMissing || !reflect.DeepEqual(ids, []uint64{7, 1 << 40}) {
 		t.Fatalf("missing-input result: tag %d ids %v err %v / %v", tag, ids, err, perr)
 	}
-	task := &engine.RemoteTask{Part: 3, Root: &engine.RemoteNode{
+	task := &engine.RemoteTask{Part: 3, Steps: []engine.RemoteStep{{
 		Op: "identity", Part: 3,
 		Inputs: []engine.RemoteInput{{Block: 12}},
-	}}
-	for _, want := range []*engine.RemoteTask{task, kmeansMapTask(7)} {
+	}}}
+	// A long chain is only a long list: no depth bounds what a task may
+	// pipeline.
+	for _, want := range []*engine.RemoteTask{task, kmeansMapTask(7), chain(100000)} {
 		body, err := encodeTask(nil, 55, want)
 		if err != nil {
 			t.Fatalf("encodeTask: %v", err)
 		}
 		gotID, got, err := parseTask(body)
 		if err != nil || gotID != 55 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("parseTask: id %d err %v\ngot  %+v\nwant %+v", gotID, err, got, want)
+			t.Fatalf("parseTask: id %d err %v\ngot  %.200v\nwant %.200v", gotID, err, got, want)
 		}
 	}
 }
@@ -161,32 +163,34 @@ func TestWireRejectsMalformed(t *testing.T) {
 		}
 	}
 	// A narrow dep reads at most one partition: there is no fan-in kind.
-	// The next kind byte after node is what a concat kind would have been.
-	concat := taskBody(node("x", 1), inputNode+1, node("", 1), inputEmpty)
-	if _, _, err := parseTask(concat); err == nil || !strings.Contains(err.Error(), `"x" input 0: unknown input kind 3`) {
+	// The next kind byte after step is what a concat kind would have been.
+	concat := taskBody(byte(2), stepHead("y", 0), stepHead("x", 1), inputStep+1, byte(1), byte(1))
+	if _, _, err := parseTask(concat); err == nil || !strings.Contains(err.Error(), `step 1 "x" input 0: unknown input kind 3`) {
 		t.Fatalf("concat input: got %v, want an unknown input kind", err)
 	}
-	// The encoder refuses what the parser would: a tree it cannot walk.
-	for _, bad := range []*engine.RemoteTask{
-		{},
-		{Root: chain(maxTaskDepth + 1)},
-	} {
+	// The encoder refuses what the parser would: a task with no steps, or
+	// a step that reads itself, a later step or a negative one.
+	refs := func(s int) *engine.RemoteTask {
+		return &engine.RemoteTask{Steps: []engine.RemoteStep{{Op: "leaf"}, {Op: "link", Inputs: []engine.RemoteInput{{Step: s}}}}}
+	}
+	for _, bad := range []*engine.RemoteTask{{}, refs(2), refs(3), refs(-1)} {
 		if _, err := encodeTask(nil, 1, bad); err == nil {
 			t.Errorf("encodeTask accepted %+v", bad)
 		}
 	}
-	if _, err := encodeTask(nil, 1, &engine.RemoteTask{Root: chain(maxTaskDepth)}); err != nil {
-		t.Errorf("encodeTask refused a tree at the depth cap: %v", err)
+	if _, err := encodeTask(nil, 1, refs(1)); err != nil {
+		t.Errorf("encodeTask refused a step reading the step before it: %v", err)
 	}
 }
 
-// chain is a tree of depth operators, each the one input of the one above.
-func chain(depth int) *engine.RemoteNode {
-	root := &engine.RemoteNode{Op: "leaf"}
-	for i := 1; i < depth; i++ {
-		root = &engine.RemoteNode{Op: "link", Inputs: []engine.RemoteInput{{Node: root}}}
+// chain is a task of n steps, each the one input of the step after it.
+func chain(n int) *engine.RemoteTask {
+	t := &engine.RemoteTask{Steps: make([]engine.RemoteStep, n)}
+	t.Steps[0] = engine.RemoteStep{Op: "leaf", Inputs: []engine.RemoteInput{{Block: 1}}}
+	for i := 1; i < n; i++ {
+		t.Steps[i] = engine.RemoteStep{Op: "link", Part: i, Inputs: []engine.RemoteInput{{Step: i}}}
 	}
-	return root
+	return t
 }
 
 // fakeDriver listens where a worker will dial, runs workerRun against it
@@ -253,7 +257,7 @@ func TestWorkerSaysWhyItExits(t *testing.T) {
 		{"truncated", block[:len(block)-4], 1, "truncated wire frame"},
 		{"bad block", block, 1, "block data"},
 		{"block with trailing bytes", trailing, 1, "block 4: procpool: 2 trailing bytes after a"},
-		{"bad task", appendFrame(nil, msgTask, malformedTasks[2].body), 1, "node input without a node"},
+		{"bad task", appendFrame(nil, msgTask, taskBody(byte(1), stepHead("x", 1), inputStep, byte(1))), 1, "step input 1 does not name a step before step 0"},
 		{"ragged keep list", appendFrame(nil, msgClearCache, make([]byte, 12)), 1, "12 bytes of block ids is not a multiple of 8"},
 		{"unknown keep ids", appendFrame(nil, msgClearCache, encodeIDs([]uint64{5, 6})), 0, ""},
 	}
@@ -319,17 +323,14 @@ func TestResultWithTrailingBytesFailsTheStage(t *testing.T) {
 func kmeansMapTask(part int) *engine.RemoteTask {
 	centroids := []byte(`[{"X":0.1258413622938497,"Y":-1.3321471038541706},{"X":2.047530812310211,"Y":0.8765102946351803},` +
 		`{"X":-0.6734490213947731,"Y":1.9087713359814412},{"X":1.4407211890615364,"Y":-2.0316789011294467}]`)
-	return &engine.RemoteTask{Part: part, Root: &engine.RemoteNode{
-		Op: "kmeans.sum", Part: part,
-		Inputs: []engine.RemoteInput{{Node: &engine.RemoteNode{
-			Op: "kmeans.assign", Arg: centroids, Part: part,
-			Inputs: []engine.RemoteInput{{Block: 4097 + uint64(part)}},
-		}}},
+	return &engine.RemoteTask{Part: part, Steps: []engine.RemoteStep{
+		{Op: "kmeans.assign", Arg: centroids, Part: part, Inputs: []engine.RemoteInput{{Block: 4097 + uint64(part)}}},
+		{Op: "kmeans.sum", Part: part, Inputs: []engine.RemoteInput{{Step: 1}}},
 	}}
 }
 
-// taskBody joins hand-written pieces of a task body after id 0 and part 0;
-// a piece is a byte or a []byte.
+// taskBody joins hand-written pieces of a task body after id 0 and part 0,
+// starting with the step count; a piece is a byte or a []byte.
 func taskBody(pieces ...any) []byte {
 	b := make([]byte, 9)
 	for _, p := range pieces {
@@ -345,65 +346,54 @@ func taskBody(pieces ...any) []byte {
 	return b
 }
 
-// node is an operator's head without an argument: op, part 0 and the
-// input count; the inputs follow it.
-func node(op string, inputs uint64) []byte {
+// stepHead is a step's head without an argument: op, part 0 and the input
+// count; the inputs follow it.
+func stepHead(op string, inputs uint64) []byte {
 	b := binary.AppendUvarint(nil, uint64(len(op)))
 	b = append(b, op...)
 	return binary.AppendUvarint(append(b, 0, 0), inputs)
 }
 
-// depthBomb nests levels operators, each the one input of the one before.
-func depthBomb(levels int) []byte {
-	b := make([]byte, 9, 9+5*levels)
-	for i := 0; i < levels; i++ {
-		b = append(b, node("", 1)...)
-		b = append(b, inputNode)
-	}
-	return b
-}
-
-// malformedTasks are task bodies evaluation could not walk, each with what
+// malformedTasks are task bodies evaluation could not run, each with what
 // the parser's error must say.
 var malformedTasks = []struct {
 	name string
 	body []byte
 	says string
 }{
-	{"no-root", taskBody(), "no root operator"},
-	{"part-no-root", []byte{0, 0, 0, 0, 0, 0, 0, 0, 1}, "no root operator"},
-	{"node-without-node", taskBody(node("x", 1), inputNode), "node input without a node"},
-	{"block-without-id", taskBody(node("x", 1), inputBlock), `"x" input 0: procpool: frame body truncated in a varint`},
-	{"block-id-zero", taskBody(node("x", 1), inputBlock, byte(0)), "block input without a block id"},
-	{"unknown-kind", taskBody(node("x", 1), byte(7), byte(3)), "unknown input kind 7"},
-	{"kind-255", taskBody(node("x", 1), byte(255)), "unknown input kind 255"},
-	{"nested-unknown-kind", taskBody(node("x", 1), inputNode, node("y", 1), byte(9)), `task 0: "y" input 0: unknown input kind 9`},
+	{"no-root", taskBody(), "step count: procpool: frame body truncated in a varint"},
+	{"part-no-root", []byte{0, 0, 0, 0, 0, 0, 0, 0, 1}, "step count: procpool: frame body truncated in a varint"},
+	{"no-steps", taskBody(byte(0)), "has no steps"},
+	{"steps-past-body", taskBody(binary.AppendUvarint(nil, 1000000), stepHead("x", 0)), "declares 1000000 steps in 5 bytes"},
+	{"step-without-index", taskBody(byte(1), stepHead("x", 1), inputStep), `step 0 "x" input 0: procpool: frame body truncated in a varint`},
+	{"self-step", taskBody(byte(1), stepHead("x", 1), inputStep, byte(1)), "step input 1 does not name a step before step 0"},
+	{"forward-step", taskBody(byte(2), stepHead("x", 1), inputStep, byte(2), stepHead("y", 0)), "step input 2 does not name a step before step 0"},
+	{"zero-step", taskBody(byte(2), stepHead("y", 0), stepHead("x", 1), inputStep, byte(0)), `step 1 "x" input 0: step input 0 does not name a step before step 1`},
+	{"block-without-id", taskBody(byte(1), stepHead("x", 1), inputBlock), `"x" input 0: procpool: frame body truncated in a varint`},
+	{"block-id-zero", taskBody(byte(1), stepHead("x", 1), inputBlock, byte(0)), "block input without a block id"},
+	{"unknown-kind", taskBody(byte(1), stepHead("x", 1), byte(7), byte(3)), "unknown input kind 7"},
+	{"kind-255", taskBody(byte(1), stepHead("x", 1), byte(255)), "unknown input kind 255"},
+	{"later-step-unknown-kind", taskBody(byte(2), stepHead("y", 0), stepHead("x", 1), byte(9)), `task 0 step 1 "x" input 0: unknown input kind 9`},
 	{"truncated-varint", []byte{0, 0, 0, 0, 0, 0, 0, 0, 0x80}, "truncated in a varint"},
-	{"varint-overflow", taskBody(node("x", 1), inputBlock, bytes.Repeat([]byte{0xff}, 10), byte(1)), "overflows 64 bits"},
-	{"part-out-of-range", taskBody(byte(1), byte('x'), byte(0), []byte{0xff, 0xff, 0xff, 0xff, 0x0f}, byte(0)), "out of range"},
-	{"length-past-body", taskBody(byte(50), []byte("short")), "runs past the body"},
-	{"inputs-past-body", taskBody(node("x", 1000), inputEmpty), "declares 1000 inputs in 1 bytes"},
-	{"trailing-bytes", taskBody(node("x", 1), inputEmpty, byte(0)), "1 trailing bytes"},
-	{"depth-bomb", depthBomb(100000), "depth cap of 10000"},
+	{"varint-overflow", taskBody(byte(1), stepHead("x", 1), inputBlock, bytes.Repeat([]byte{0xff}, 10), byte(1)), "overflows 64 bits"},
+	{"part-out-of-range", taskBody(byte(1), byte(1), byte('x'), byte(0), []byte{0xff, 0xff, 0xff, 0xff, 0x0f}, byte(0)), "out of range"},
+	{"length-past-body", taskBody(byte(1), byte(50), []byte("short")), "runs past the body"},
+	{"inputs-past-body", taskBody(byte(1), stepHead("x", 1000), inputEmpty), "declares 1000 inputs in 1 bytes"},
+	{"trailing-bytes", taskBody(byte(1), stepHead("x", 1), inputEmpty, byte(0)), "1 trailing bytes"},
 }
 
 // FuzzRemoteTask feeds arbitrary bytes through the task parser the worker
-// runs on every msgTask body: it must reject what it cannot walk with an
-// error, everything it accepts must survive the two walks made over a
+// runs on every msgTask body: it must reject what it cannot run with an
+// error, everything it accepts must survive the two loops made over a
 // task before it is evaluated (the operator chain, the block ids), and
 // re-encoding an accepted task must parse back to the same task. Equal as
-// trees, not as bytes: a uvarint has overlong spellings. The checked-in
-// corpus (testdata/fuzz/FuzzRemoteTask) holds a k-means map task and each
-// malformed class below; the depth bomb is seeded here, since as a corpus
-// file it would be hundreds of kilobytes.
+// steps, not as bytes: a uvarint has overlong spellings. The checked-in
+// corpus (testdata/fuzz/FuzzRemoteTask) holds the k-means map task and
+// each malformed class below.
 func FuzzRemoteTask(f *testing.F) {
-	good, err := encodeTask(nil, 5, &engine.RemoteTask{Part: 2, Root: &engine.RemoteNode{
-		Op: "sum", Part: 2, Arg: []byte(`{"k":3}`),
-		Inputs: []engine.RemoteInput{
-			{Block: 12},
-			{},
-			{Node: &engine.RemoteNode{Op: "identity", Inputs: []engine.RemoteInput{{Block: 13}}}},
-		},
+	good, err := encodeTask(nil, 5, &engine.RemoteTask{Part: 2, Steps: []engine.RemoteStep{
+		{Op: "identity", Inputs: []engine.RemoteInput{{Block: 13}}},
+		{Op: "sum", Part: 2, Arg: []byte(`{"k":3}`), Inputs: []engine.RemoteInput{{Block: 12}, {}, {Step: 1}}},
 	}})
 	if err != nil {
 		f.Fatal(err)
@@ -424,7 +414,7 @@ func FuzzRemoteTask(f *testing.F) {
 			return
 		}
 		task.OpChain()
-		eachBlock(task.Root, func(id uint64) {
+		eachBlock(task, func(id uint64) {
 			if id == 0 {
 				t.Fatalf("accepted a block input without an id: %x", body)
 			}
@@ -441,10 +431,10 @@ func FuzzRemoteTask(f *testing.F) {
 }
 
 // TestTaskFrameAllocs bounds what one task frame costs on each side, on
-// the k-means map task: the worker parses it in at most 8 allocations
-// (the task, two nodes, their op strings and input slices — the argument
-// aliases the frame), and the driver encodes it into a warmed buffer in
-// none.
+// the k-means map task: the worker parses it in at most 6 allocations
+// (the task, its steps, their two op strings and two input slices — the
+// argument aliases the frame), and the driver encodes it into a warmed
+// buffer in none.
 func TestTaskFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -458,8 +448,8 @@ func TestTaskFrameAllocs(t *testing.T) {
 		if _, _, err := parseTask(body); err != nil {
 			t.Fatal(err)
 		}
-	}); avg > 8 {
-		t.Errorf("parseTask: %.1f allocations, want ≤ 8", avg)
+	}); avg > 6 {
+		t.Errorf("parseTask: %.1f allocations, want ≤ 6", avg)
 	}
 	buf := body
 	if avg := testing.AllocsPerRun(100, func() {
@@ -527,7 +517,7 @@ func TestRunnerKeepsListedBlocks(t *testing.T) {
 	for id := uint64(1); id <= 3; id++ {
 		r.cache[id] = sliceBatch([]int{int(id)})
 	}
-	task := &engine.RemoteTask{Root: &engine.RemoteNode{Op: "identity", Inputs: []engine.RemoteInput{{Block: 2}}}}
+	task := &engine.RemoteTask{Steps: []engine.RemoteStep{{Op: "identity", Inputs: []engine.RemoteInput{{Block: 2}}}}}
 	if tag, _ := r.run(task); tag != resultOK {
 		t.Fatalf("task over a cached block answered tag %d", tag)
 	}

@@ -198,7 +198,7 @@ func (r *taskRunner) fetch(id uint64) (engine.Batch, error) {
 // without running anything.
 func (r *taskRunner) run(task *engine.RemoteTask) (tag byte, rest []byte) {
 	var missing []uint64
-	eachBlock(task.Root, func(id uint64) {
+	eachBlock(task, func(id uint64) {
 		if _, ok := r.cache[id]; !ok {
 			missing = append(missing, id)
 		}

@@ -44,12 +44,12 @@ func sliceBatch[T any](xs []T) engine.Batch {
 // given batches in dep order.
 func throughKernel(t *testing.T, op string, arg []byte, inputs ...engine.Batch) any {
 	t.Helper()
-	root := &engine.RemoteNode{Op: op, Arg: arg}
+	step := engine.RemoteStep{Op: op, Arg: arg}
 	for i := range inputs {
-		root.Inputs = append(root.Inputs, engine.RemoteInput{Block: uint64(i + 1)})
+		step.Inputs = append(step.Inputs, engine.RemoteInput{Block: uint64(i + 1)})
 	}
 	var eval engine.RemoteEvaluator
-	out, err := eval.RunRemoteTask(&engine.RemoteTask{Root: root}, func(id uint64) (engine.Batch, error) {
+	out, err := eval.RunRemoteTask(&engine.RemoteTask{Steps: []engine.RemoteStep{step}}, func(id uint64) (engine.Batch, error) {
 		return inputs[id-1], nil
 	})
 	if err != nil {
