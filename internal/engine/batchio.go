@@ -52,10 +52,13 @@ func codecErr(format string, args ...any) error {
 
 // batchProtos maps element reflect.Type -> prototype Batch (a *Vec[T] to
 // newLike from) and batchProtoNames maps wire type name -> same prototype.
+// encodeVerdicts holds checkEncodable's answer for every element type the
+// encoder has met, typed or boxed, so a type is walked once per process.
 var (
 	batchProtos     sync.Map // reflect.Type -> Batch
 	batchProtoNames sync.Map // string -> Batch
 	batchElemTypes  sync.Map // string -> reflect.Type (boxed element decode)
+	encodeVerdicts  sync.Map // reflect.Type -> error (nil: encodable)
 )
 
 // registerBatchCodec makes element type T decodable by name. batchOf calls
@@ -121,7 +124,7 @@ func EncodeBatch(dst []byte, b Batch) ([]byte, error) {
 		dst = append(dst, batchKindBoxed)
 		dst = appendU32String(dst, "")
 	} else {
-		if err := checkEncodable(elem); err != nil {
+		if err := encodable(elem); err != nil {
 			return nil, err
 		}
 		dst = append(dst, batchKindTyped)
@@ -151,7 +154,7 @@ func appendBoxedElem(dst []byte, e any) ([]byte, error) {
 		return appendU32String(dst, ""), nil
 	}
 	rv := reflect.ValueOf(e)
-	if err := checkEncodable(rv.Type()); err != nil {
+	if err := encodable(rv.Type()); err != nil {
 		return nil, err
 	}
 	registerElemType(rv.Type())
@@ -258,8 +261,18 @@ func emptyBatchFrameBytes(b Batch) int64 {
 	return int64(4 + 4 + 1 + 4 + len(name) + 4 + 4)
 }
 
-// checkEncodable walks an element type once per batch and rejects the
-// kinds the wire format cannot carry.
+// encodable is checkEncodable's verdict on t, worked out once per type.
+func encodable(t reflect.Type) error {
+	v, ok := encodeVerdicts.Load(t)
+	if !ok {
+		v, _ = encodeVerdicts.LoadOrStore(t, checkEncodable(t))
+	}
+	err, _ := v.(error)
+	return err
+}
+
+// checkEncodable walks an element type and rejects the kinds the wire
+// format cannot carry.
 func checkEncodable(t reflect.Type) error {
 	switch t.Kind() {
 	case reflect.Bool,

@@ -206,6 +206,17 @@ func TestBatchCodecRejects(t *testing.T) {
 	if err := encodeErr(batchOf([]error{nil}, 1)); !errors.Is(err, errBatchCodec) {
 		t.Fatalf("non-empty interface element: err = %v, want errBatchCodec", err)
 	}
+	// The verdict is worked out once per type: encoding a refused shape
+	// again fails with the text a fresh walk of the type gives.
+	for _, b := range []Batch{batchOf([]hidden{{x: 1}}, 1), boxedOf([]any{func() {}})} {
+		elem := reflect.TypeOf(b.Data()).Elem()
+		if elem.Kind() == reflect.Interface {
+			elem = reflect.TypeOf(b.Data().([]any)[0])
+		}
+		if err, want := encodeErr(b), checkEncodable(elem); err == nil || err.Error() != want.Error() {
+			t.Fatalf("%v encoded again: err = %v, want %v", elem, err, want)
+		}
+	}
 
 	good, err := EncodeBatch(nil, batchOf([]int{1, 2, 3}, 3))
 	if err != nil {

@@ -79,7 +79,7 @@ func blockSpec(t testing.TB, pool *Pool, label string, n int) (*engine.RemoteSta
 		if err != nil {
 			t.Fatalf("PutBlock: %v", err)
 		}
-		spec.Tasks = append(spec.Tasks, engine.RemoteTask{Part: i, Steps: []engine.RemoteStep{{
+		spec.Tasks = append(spec.Tasks, engine.RemoteTask{Steps: []engine.RemoteStep{{
 			Op: "identity", Part: i, Inputs: []engine.RemoteInput{{Block: id}},
 		}}})
 	}

@@ -71,7 +71,7 @@ func init() {
 func opSpec(label, op string, arg []byte, parts int) *engine.RemoteStageSpec {
 	spec := &engine.RemoteStageSpec{Label: label}
 	for p := 0; p < parts; p++ {
-		spec.Tasks = append(spec.Tasks, engine.RemoteTask{Part: p, Steps: []engine.RemoteStep{{
+		spec.Tasks = append(spec.Tasks, engine.RemoteTask{Steps: []engine.RemoteStep{{
 			Op: op, Arg: arg, Part: p,
 			Inputs: []engine.RemoteInput{{}},
 		}}})
@@ -456,7 +456,6 @@ func TestWorkerDiesBetweenPutAndLaunch(t *testing.T) {
 	}
 	pool.markDead(pool.liveWorkers()[0], fmt.Errorf("test: died after PutBlock"))
 	spec := &engine.RemoteStageSpec{Label: "put-then-die", Tasks: []engine.RemoteTask{{
-		Part: 0,
 		Steps: []engine.RemoteStep{{Op: "identity", Part: 0,
 			Inputs: []engine.RemoteInput{{Block: id}}}},
 	}}}

@@ -636,7 +636,7 @@ func (p *Pool) RunRemoteStage(ctx context.Context, spec *engine.RemoteStageSpec)
 				if len(failedOn[ti]) >= quarantineAfter {
 					pe := &engine.PoisonTaskError{
 						Stage:   spec.Label,
-						Part:    spec.Tasks[ti].Part,
+						Part:    ti,
 						Ops:     spec.Tasks[ti].OpChain(),
 						Workers: len(failedOn[ti]),
 					}
@@ -738,11 +738,11 @@ func (p *Pool) runShare(ctx context.Context, w *workerProc, spec *engine.RemoteS
 				w.forget(r.missing)
 				sh.requeue = append(sh.requeue, ti)
 			case r.errMsg != "":
-				sh.err = fmt.Errorf("procpool: stage %q task %d: %s", spec.Label, spec.Tasks[ti].Part, r.errMsg)
+				sh.err = fmt.Errorf("procpool: stage %q task %d: %s", spec.Label, ti, r.errMsg)
 			default:
 				b, derr := decodeBatchFrame(r.payload)
 				if derr != nil {
-					sh.err = fmt.Errorf("procpool: stage %q task %d result: %v", spec.Label, spec.Tasks[ti].Part, derr)
+					sh.err = fmt.Errorf("procpool: stage %q task %d result: %v", spec.Label, ti, derr)
 					break
 				}
 				atomic.AddInt64(&p.shipped, int64(len(r.payload)))
@@ -772,7 +772,7 @@ func (p *Pool) runShare(ctx context.Context, w *workerProc, spec *engine.RemoteS
 			// (the sender is still pushing).
 			if h := head(); len(sh.replies) == 0 && h < int(sh.sent.Load()) {
 				p.markDead(w, fmt.Errorf("procpool: worker %d: task %d exceeded its %v deadline; cancelled and requeued",
-					w.idx, spec.Tasks[sh.tasks[h]].Part, p.cfg.TaskDeadline))
+					w.idx, sh.tasks[h], p.cfg.TaskDeadline))
 			} else {
 				deadline.Reset(p.cfg.TaskDeadline)
 			}
@@ -833,7 +833,7 @@ func (p *Pool) sendShare(ctx context.Context, w *workerProc, spec *engine.Remote
 			}
 		})
 		if perr != nil {
-			return fmt.Errorf("procpool: stage %q task %d: %w", spec.Label, t.Part, perr)
+			return fmt.Errorf("procpool: stage %q task %d: %w", spec.Label, ti, perr)
 		}
 		id := sh.base + uint64(pos)
 		var err error

@@ -61,7 +61,7 @@ import (
 // A task body is binary and self-contained — no state outlives the frame.
 // It is the task's steps in evaluation order, the root last:
 //
-//	task  = u64 id | uvarint part | uvarint n | n × step     (n ≥ 1)
+//	task  = u64 id | uvarint n | n × step     (n ≥ 1)
 //	step  = uvarint len | op | uvarint len | arg | uvarint part | uvarint k | k × input
 //	input = u8 kind: 0 empty | 1 block, uvarint block id (≠ 0) | 2 step, uvarint s
 //
@@ -336,10 +336,9 @@ const minStepBytes = 4
 // a step input that is not an earlier step.
 func encodeTask(dst []byte, id uint64, t *engine.RemoteTask) ([]byte, error) {
 	if len(t.Steps) == 0 {
-		return dst, fmt.Errorf("procpool: task %d has no steps", t.Part)
+		return dst, fmt.Errorf("procpool: task %d has no steps", id)
 	}
 	dst = binary.BigEndian.AppendUint64(dst, id)
-	dst = binary.AppendUvarint(dst, uint64(t.Part))
 	dst = binary.AppendUvarint(dst, uint64(len(t.Steps)))
 	for i := range t.Steps {
 		st := &t.Steps[i]
@@ -352,7 +351,7 @@ func encodeTask(dst []byte, id uint64, t *engine.RemoteTask) ([]byte, error) {
 		for _, in := range st.Inputs {
 			switch {
 			case in.Step < 0 || in.Step > i:
-				return dst, fmt.Errorf("procpool: task %d step %d reads step %d, not an earlier one", t.Part, i, in.Step)
+				return dst, fmt.Errorf("procpool: task %d step %d reads step %d, not an earlier one", id, i, in.Step)
 			case in.Step != 0:
 				dst = binary.AppendUvarint(append(dst, inputStep), uint64(in.Step))
 			case in.Block != 0:
@@ -377,9 +376,6 @@ func parseTask(body []byte) (uint64, *engine.RemoteTask, error) {
 		return 0, nil, err
 	}
 	t := &engine.RemoteTask{}
-	if t.Part, err = r.count(); err != nil {
-		return 0, nil, fmt.Errorf("procpool: task %d: part: %w", id, err)
-	}
 	n, err := r.count()
 	switch {
 	case err != nil:

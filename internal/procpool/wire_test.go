@@ -75,7 +75,7 @@ func TestWireFieldRoundTrips(t *testing.T) {
 	if ids, perr := parseIDs(rest); err != nil || perr != nil || tag != resultMissing || !reflect.DeepEqual(ids, []uint64{7, 1 << 40}) {
 		t.Fatalf("missing-input result: tag %d ids %v err %v / %v", tag, ids, err, perr)
 	}
-	task := &engine.RemoteTask{Part: 3, Steps: []engine.RemoteStep{{
+	task := &engine.RemoteTask{Steps: []engine.RemoteStep{{
 		Op: "identity", Part: 3,
 		Inputs: []engine.RemoteInput{{Block: 12}},
 	}}}
@@ -323,16 +323,16 @@ func TestResultWithTrailingBytesFailsTheStage(t *testing.T) {
 func kmeansMapTask(part int) *engine.RemoteTask {
 	centroids := []byte(`[{"X":0.1258413622938497,"Y":-1.3321471038541706},{"X":2.047530812310211,"Y":0.8765102946351803},` +
 		`{"X":-0.6734490213947731,"Y":1.9087713359814412},{"X":1.4407211890615364,"Y":-2.0316789011294467}]`)
-	return &engine.RemoteTask{Part: part, Steps: []engine.RemoteStep{
+	return &engine.RemoteTask{Steps: []engine.RemoteStep{
 		{Op: "kmeans.assign", Arg: centroids, Part: part, Inputs: []engine.RemoteInput{{Block: 4097 + uint64(part)}}},
 		{Op: "kmeans.sum", Part: part, Inputs: []engine.RemoteInput{{Step: 1}}},
 	}}
 }
 
-// taskBody joins hand-written pieces of a task body after id 0 and part 0,
-// starting with the step count; a piece is a byte or a []byte.
+// taskBody joins hand-written pieces of a task body after id 0, starting
+// with the step count; a piece is a byte or a []byte.
 func taskBody(pieces ...any) []byte {
-	b := make([]byte, 9)
+	b := make([]byte, 8)
 	for _, p := range pieces {
 		switch p := p.(type) {
 		case byte:
@@ -362,7 +362,7 @@ var malformedTasks = []struct {
 	says string
 }{
 	{"no-root", taskBody(), "step count: procpool: frame body truncated in a varint"},
-	{"part-no-root", []byte{0, 0, 0, 0, 0, 0, 0, 0, 1}, "step count: procpool: frame body truncated in a varint"},
+	{"part-no-root", taskBody(byte(1), byte(2), []byte("xy"), byte(0)), `step 0 "xy" part: procpool: frame body truncated in a varint`},
 	{"no-steps", taskBody(byte(0)), "has no steps"},
 	{"steps-past-body", taskBody(binary.AppendUvarint(nil, 1000000), stepHead("x", 0)), "declares 1000000 steps in 5 bytes"},
 	{"step-without-index", taskBody(byte(1), stepHead("x", 1), inputStep), `step 0 "x" input 0: procpool: frame body truncated in a varint`},
@@ -391,7 +391,7 @@ var malformedTasks = []struct {
 // corpus (testdata/fuzz/FuzzRemoteTask) holds the k-means map task and
 // each malformed class below.
 func FuzzRemoteTask(f *testing.F) {
-	good, err := encodeTask(nil, 5, &engine.RemoteTask{Part: 2, Steps: []engine.RemoteStep{
+	good, err := encodeTask(nil, 5, &engine.RemoteTask{Steps: []engine.RemoteStep{
 		{Op: "identity", Inputs: []engine.RemoteInput{{Block: 13}}},
 		{Op: "sum", Part: 2, Arg: []byte(`{"k":3}`), Inputs: []engine.RemoteInput{{Block: 12}, {}, {Step: 1}}},
 	}})
