@@ -86,11 +86,13 @@ bench-check:
 ## corpus (internal/engine/testdata/fuzz/FuzzBatchCodec), then the
 ## process-pool frame protocol for 15s (the driver parses these bytes off
 ## a socket from another process) and the task parser for 15s (the worker
-## parses those, and walks what it accepted). No decoder may panic on
-## arbitrary bytes, and everything accepted must round-trip; CI runs this
-## on every push.
+## parses those, and walks what it accepted), then the engine's keyed
+## index against a Go map for 15s. No decoder may panic on arbitrary
+## bytes, everything accepted must round-trip, and the index must answer
+## every put, find and reset as the map does; CI runs this on every push.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBatchCodec -fuzztime 30s ./internal/engine
+	$(GO) test -run '^$$' -fuzz FuzzKeyIndex -fuzztime 15s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime 15s ./internal/procpool
 	$(GO) test -run '^$$' -fuzz FuzzRemoteTask -fuzztime 15s ./internal/procpool
 
