@@ -19,7 +19,7 @@ func poolSession(workers int) *Session {
 	cfg.Cluster.Machines = 4
 	cfg.Cluster.CoresPerMachine = 4
 	cfg.DefaultParallelism = 8
-	cfg.HostParallelism = workers
+	cfg.hostParallelism = workers
 	return mustSession(cfg)
 }
 

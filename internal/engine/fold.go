@@ -57,8 +57,8 @@ func foldBatch[A any](tables *sync.Pool, in Batch) []A {
 // integers and bools folds its padding-masked words (foldWords,
 // stablehash.go), one multiply each, and any other key — a float, a
 // string, an interface inside — goes to hash/maphash, which hashes a boxed
-// pointer instead of refusing it: refusing is the router's job. A slot is taken from a hash's high bits, the bits a multiply mixes
-// best.
+// pointer instead of refusing it: refusing is the router's job. A slot
+// is taken from a hash's high bits, the bits a multiply mixes best.
 type keyIndex[K comparable] struct {
 	keys  []K
 	slots []int32
@@ -183,8 +183,8 @@ func copyOut[E any](scratch *[]E) []E {
 	return out
 }
 
-// foldTable is the scratch the folders and GroupByKey share: the index,
-// and an accumulator holding each key's row at the key's position.
+// foldTable is the scratch pairTable and GroupByKey share: the index, and
+// an accumulator holding each key's row at the key's position.
 type foldTable[K comparable, E any] struct {
 	keyIndex[K]
 	acc []E
@@ -219,19 +219,21 @@ func (t *pairTable[K, V]) add(kv Pair[K, V]) {
 
 func (t *pairTable[K, V]) finish() []Pair[K, V] { return t.drain() }
 
-// setTable keeps the first occurrence of every element.
-type setTable[T comparable] struct{ foldTable[T, T] }
+// setTable keeps the first occurrence of every element: the index's keys,
+// in insertion order, are the rows.
+type setTable[T comparable] struct{ keyIndex[T] }
 
 func newSetTables[T comparable]() *sync.Pool {
-	return &sync.Pool{New: func() any {
-		return &setTable[T]{foldTable[T, T]{keyIndex: newKeyIndex[T]()}}
-	}}
+	return &sync.Pool{New: func() any { return &setTable[T]{newKeyIndex[T]()} }}
 }
 
-func (t *setTable[T]) add(e T) {
-	if _, added := t.put(e); added {
-		t.acc = append(t.acc, e)
-	}
-}
+func (t *setTable[T]) add(e T) { t.put(e) }
 
-func (t *setTable[T]) finish() []T { return t.drain() }
+// finish copies the keys out at exact size before reset zeroes them: reset
+// sizes the next partition's slot array by how many keys this one held.
+func (t *setTable[T]) finish() []T {
+	out := make([]T, len(t.keys))
+	copy(out, t.keys)
+	t.reset()
+	return out
+}

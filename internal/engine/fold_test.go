@@ -73,17 +73,19 @@ func pairTableOf[K comparable, V any](f func(V, V) V) *pairTable[K, V] {
 }
 
 // checkDrained asserts what finish promises about the scratch it leaves
-// behind: an empty index, and an accumulator zeroed over its whole
-// capacity, so a pooled table pins no row of a finished partition.
-func checkDrained[K comparable, E any](t *testing.T, ft *foldTable[K, E]) {
+// behind: an empty index, and the array that held the rows zeroed over
+// its whole capacity, so a pooled table pins no row of a finished
+// partition. A fold table's rows are its accumulator; a set table's are
+// its index's keys.
+func checkDrained[K comparable, E any](t *testing.T, x *keyIndex[K], rows []E) {
 	t.Helper()
-	if ft.len() != 0 || len(ft.acc) != 0 {
-		t.Fatalf("table not empty after finish: %d index entries, %d rows", ft.len(), len(ft.acc))
+	if x.len() != 0 || len(rows) != 0 {
+		t.Fatalf("table not empty after finish: %d index entries, %d rows", x.len(), len(rows))
 	}
 	var zero E
-	for i, e := range ft.acc[:cap(ft.acc)] {
+	for i, e := range rows[:cap(rows)] {
 		if !reflect.DeepEqual(e, zero) {
-			t.Fatalf("accumulator slot %d still holds %v after finish", i, e)
+			t.Fatalf("row slot %d still holds %v after finish", i, e)
 		}
 	}
 }
@@ -124,7 +126,7 @@ func TestFoldPairsMatchReference(t *testing.T) {
 		if cap(got) != len(got) {
 			t.Errorf("%s: result has cap %d for %d rows, want exact size", c.name, cap(got), len(got))
 		}
-		checkDrained(t, &tab.foldTable)
+		checkDrained(t, &tab.keyIndex, tab.acc)
 	}
 }
 
@@ -159,7 +161,7 @@ func TestFoldNaNKeys(t *testing.T) {
 				t.Errorf("round %d: group %d is %v, want %v", round, i, got[i], want[i])
 			}
 		}
-		checkDrained(t, &tab.foldTable)
+		checkDrained(t, &tab.keyIndex, tab.acc)
 	}
 
 	set := newSetTables[float64]().Get().(*setTable[float64])
@@ -173,7 +175,7 @@ func TestFoldNaNKeys(t *testing.T) {
 			t.Errorf("distinct with NaN: element %d is %v, reference %v", i, got[i], want[i])
 		}
 	}
-	checkDrained(t, &set.foldTable)
+	checkDrained(t, &set.keyIndex, set.keys)
 }
 
 // TestFoldPointerfulRows: slice and string values fold like any other, and
@@ -191,21 +193,21 @@ func TestFoldPointerfulRows(t *testing.T) {
 	if got, want := foldRows[Pair[string, string]](st, strs), refMergePairs(concat, strs); !reflect.DeepEqual(got, want) {
 		t.Errorf("string values: folded %v, reference %v", got, want)
 	}
-	checkDrained(t, &st.foldTable)
+	checkDrained(t, &st.keyIndex, st.acc)
 
 	app := func(a, b []int) []int { return append(a[:len(a):len(a)], b...) }
 	sl := pairTableOf[int](app)
 	if got, want := foldRows[Pair[int, []int]](sl, slcs), refMergePairs(app, slcs); !reflect.DeepEqual(got, want) {
 		t.Errorf("slice values: folded %v, reference %v", got, want)
 	}
-	checkDrained(t, &sl.foldTable)
+	checkDrained(t, &sl.keyIndex, sl.acc)
 
 	words := strings.Fields("a b a c b d a e")
 	set := newSetTables[string]().Get().(*setTable[string])
 	if got, want := foldRows[string](set, words), refDistinct(words); !reflect.DeepEqual(got, want) {
 		t.Errorf("distinct strings: folded %v, reference %v", got, want)
 	}
-	checkDrained(t, &set.foldTable)
+	checkDrained(t, &set.keyIndex, set.keys)
 }
 
 // TestFoldAfterGiantPartition: 50 ten-row partitions on a table that just

@@ -96,7 +96,7 @@ func broadcastJoin[K comparable, A, B any](small Dataset[Pair[K, A]], big Datase
 	}
 	var n *node
 	n = s.newNode("broadcastJoin", big.n.parts, deps, func(tc *Ctx, p int, in []Batch) Batch {
-		build := tc.Once(n.id, func() any {
+		build := tc.job.once(n.id, func() any {
 			bc := elems[Pair[K, A]](in[0])
 			m := make(map[K][]A, len(bc))
 			for _, kv := range bc {

@@ -157,13 +157,6 @@ type taskCost struct {
 	batchShape    string
 }
 
-// Once runs f exactly once per job for the given key, returning the cached
-// value on subsequent calls from any task. Operators use it to build
-// job-wide lookup structures (e.g. a broadcast join's hash table) once.
-func (c *Ctx) Once(key int64, f func() any) any {
-	return c.job.once(key, f)
-}
-
 // Charge adds n real element-equivalents of compute work to the task.
 // UDFs doing heavy work over scaled data multiply their operation counts
 // by the session's RecordWeight first.

@@ -35,10 +35,11 @@ type Config struct {
 	// and shuffles. The paper sets Spark parallelism to 3x the total core
 	// count (Sec. 9.1); NewSession applies the same rule when this is 0.
 	DefaultParallelism int
-	// HostParallelism bounds the real host-side worker pool that executes
+	// hostParallelism bounds the real host-side worker pool that executes
 	// tasks and shuffle routing (<= 0: GOMAXPROCS). It affects wall-clock
-	// speed only, never the simulated cluster's accounting.
-	HostParallelism int
+	// speed only, never the simulated cluster's accounting; only the
+	// engine's own tests set it.
+	hostParallelism int
 	// Obs, when non-nil, receives the structured job/stage/broadcast
 	// events and optimizer decisions of every job the session runs (the
 	// event spine behind EXPLAIN ANALYZE; see internal/obs).
@@ -224,7 +225,7 @@ func NewSession(cfg Config) (*Session, error) {
 	} else if err := cfg.Cluster.Validate(); err != nil {
 		return nil, err
 	}
-	workers := cfg.HostParallelism
+	workers := cfg.hostParallelism
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}

@@ -1,10 +1,12 @@
 package procpool
 
 // Seeded fault injection for the process pool, mirroring cluster.FaultPlan
-// (PR 5) at the substrate level: where the simulator's plan crashes model
+// at the substrate level: where the simulator's plan crashes model
 // machines at virtual times, this one damages the real transport — worker
-// kills keyed to the dispatch counter, and delayed/dropped/torn data-plane
-// frames keyed to a frame counter. Every decision is a pure function of
+// kills keyed to the dispatch counter, and delayed or torn data-plane
+// frames keyed to a frame counter. Every fault is one an ordered stream
+// socket can really suffer: it can stall or break, and it never loses a
+// frame while it stays open. Every decision is a pure function of
 // (Seed, counter) via splitmix64, so a fixed-seed chaos run injects the
 // same faults at the same points on every execution — the property the
 // proc-chaos soak's bit-identity assertion rests on.
@@ -19,13 +21,19 @@ import (
 	"matryoshka/internal/cluster"
 )
 
-// FaultPlan describes deterministic faults to inject into a running pool.
-// Counters are global across the pool (dispatches, data frames),
-// so "every Nth" is exact and seed-stable. The zero value injects nothing.
+// FaultPlan describes deterministic faults to inject into a running pool;
+// it is the one place a pool fault is injected. Counters are global across
+// the pool (dispatches, data frames), so "the Nth" and "every Nth" are
+// exact and seed-stable. The zero value injects nothing.
 type FaultPlan struct {
-	// Seed drives every per-event choice (where to tear a frame). Two runs with the same seed and workload inject
-	// identically.
+	// Seed drives every per-event choice (where to tear a frame). Two
+	// runs with the same seed and workload inject identically.
 	Seed uint64
+
+	// KillAfterTasks SIGKILLs the worker a task was just dispatched to on
+	// the Nth dispatch of the pool's lifetime (1-based; 0 disables) — the
+	// one deterministic mid-stage crash the recovery tests inject.
+	KillAfterTasks int
 
 	// KillEveryTasks SIGKILLs the worker a task was just dispatched to on
 	// every Nth dispatch (0 disables) — the continuous-crash source for
@@ -37,11 +45,6 @@ type FaultPlan struct {
 	DelayEveryFrames int
 	Delay            time.Duration
 
-	// DropEveryFrames silently swallows every Nth data-plane frame: the
-	// peer never sees it, so only a task deadline or heartbeat timeout
-	// can unwedge the stage (0 disables).
-	DropEveryFrames int
-
 	// ResetEveryFrames tears every Nth data-plane frame mid-write and
 	// resets the connection, killing the worker link (0 disables).
 	ResetEveryFrames int
@@ -49,7 +52,7 @@ type FaultPlan struct {
 
 // Active reports whether the plan injects anything.
 func (p FaultPlan) Active() bool {
-	return p.KillEveryTasks > 0 || p.DelayEveryFrames > 0 || p.DropEveryFrames > 0 || p.ResetEveryFrames > 0
+	return p.KillAfterTasks > 0 || p.KillEveryTasks > 0 || p.DelayEveryFrames > 0 || p.ResetEveryFrames > 0
 }
 
 // frameFault classifies what happens to the n-th data-plane frame.
@@ -58,19 +61,16 @@ type frameFault int
 const (
 	frameClean frameFault = iota
 	frameDelay
-	frameDrop
 	frameReset
 )
 
 // frameFaultAt returns the fate of the n-th (1-based) data-plane frame.
-// Reset beats drop beats delay when cadences collide, so a plan that sets
-// several is still a total function of n.
+// Reset beats delay when cadences collide, so a plan that sets both is
+// still a total function of n.
 func (p FaultPlan) frameFaultAt(n uint64) frameFault {
 	switch {
 	case p.ResetEveryFrames > 0 && n%uint64(p.ResetEveryFrames) == 0:
 		return frameReset
-	case p.DropEveryFrames > 0 && n%uint64(p.DropEveryFrames) == 0:
-		return frameDrop
 	case p.DelayEveryFrames > 0 && n%uint64(p.DelayEveryFrames) == 0:
 		return frameDelay
 	}
@@ -78,9 +78,9 @@ func (p FaultPlan) frameFaultAt(n uint64) frameFault {
 }
 
 // killsAt reports whether the n-th (1-based) task dispatch kills its
-// worker.
+// worker: the one-shot kill's dispatch, or one of the repeating kill's.
 func (p FaultPlan) killsAt(n uint64) bool {
-	return p.KillEveryTasks > 0 && n%uint64(p.KillEveryTasks) == 0
+	return n == uint64(p.KillAfterTasks) || p.KillEveryTasks > 0 && n%uint64(p.KillEveryTasks) == 0
 }
 
 // delay returns the configured frame delay, defaulted.

@@ -2,8 +2,9 @@ package procpool
 
 import (
 	"context"
+	"fmt"
 	"reflect"
-	"sync/atomic"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,8 +17,8 @@ import (
 // function of (Seed, counter) — two plans with the same seed agree on
 // every draw, and the derived choices stay in range.
 func TestFaultPlanDeterministic(t *testing.T) {
-	a := FaultPlan{Seed: 42, KillEveryTasks: 7, DelayEveryFrames: 3, DropEveryFrames: 5, ResetEveryFrames: 11}
-	b := FaultPlan{Seed: 42, KillEveryTasks: 7, DelayEveryFrames: 3, DropEveryFrames: 5, ResetEveryFrames: 11}
+	a := FaultPlan{Seed: 42, KillAfterTasks: 5, KillEveryTasks: 7, DelayEveryFrames: 3, ResetEveryFrames: 11}
+	b := FaultPlan{Seed: 42, KillAfterTasks: 5, KillEveryTasks: 7, DelayEveryFrames: 3, ResetEveryFrames: 11}
 	other := FaultPlan{Seed: 43}
 	sawDiff := false
 	for n := uint64(1); n <= 1000; n++ {
@@ -40,13 +41,10 @@ func TestFaultPlanDeterministic(t *testing.T) {
 	if !sawDiff {
 		t.Fatal("different seeds never produced a different draw")
 	}
-	// Cadence arithmetic: reset beats drop beats delay on collisions.
-	p := FaultPlan{DelayEveryFrames: 2, DropEveryFrames: 4, ResetEveryFrames: 8}
-	if got := p.frameFaultAt(8); got != frameReset {
-		t.Fatalf("frame 8: got %d, want reset", got)
-	}
-	if got := p.frameFaultAt(4); got != frameDrop {
-		t.Fatalf("frame 4: got %d, want drop", got)
+	// Cadence arithmetic: reset beats delay on collisions.
+	p := FaultPlan{DelayEveryFrames: 2, ResetEveryFrames: 4}
+	if got := p.frameFaultAt(4); got != frameReset {
+		t.Fatalf("frame 4: got %d, want reset", got)
 	}
 	if got := p.frameFaultAt(2); got != frameDelay {
 		t.Fatalf("frame 2: got %d, want delay", got)
@@ -56,6 +54,16 @@ func TestFaultPlanDeterministic(t *testing.T) {
 	}
 	if (FaultPlan{}).Active() {
 		t.Fatal("zero plan claims to be active")
+	}
+	// The one-shot kill fires at its dispatch and no other.
+	once := FaultPlan{KillAfterTasks: 5}
+	if !once.Active() {
+		t.Fatal("a one-shot kill plan claims to be inactive")
+	}
+	for n := uint64(1); n <= 20; n++ {
+		if once.killsAt(n) != (n == 5) {
+			t.Fatalf("one-shot kill at 5: killsAt(%d) = %v", n, once.killsAt(n))
+		}
 	}
 }
 
@@ -98,55 +106,38 @@ func checkParts(t testing.TB, parts []engine.Batch, want [][]int) {
 	}
 }
 
-// TestDroppedBlockIsPushedAgain drops exactly one pushed block. One worker
-// makes the frame order deterministic — block 1, task 1, block 2, ... —
-// so the seventh frame is the fourth task's block, and the re-dispatch
-// (frames nine and ten) stays short of the fourteenth. The task must
-// answer that its input is missing and run again once the block is pushed
-// a second time: reference values, and no worker dies or takes blame for
-// the transport's loss.
-func TestDroppedBlockIsPushedAgain(t *testing.T) {
-	pool := startPool(t, Config{Workers: 1, Faults: FaultPlan{DropEveryFrames: 7}})
-	spec, want := blockSpec(t, pool, "dropped-block", 4)
-	res, err := pool.RunRemoteStage(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("stage with a dropped block frame: %v", err)
-	}
-	checkParts(t, res.Parts, want)
-	if got := atomic.LoadUint64(&pool.frameSeq); got != 10 {
-		t.Fatalf("%d data-plane frames, want 10: eight, then the dropped block and its task again", got)
-	}
-	if st := pool.Stats(); st.MachineCrashes != 0 || pool.Respawns() != 0 {
-		t.Fatalf("a dropped block cost %d crashes and %d respawns, want none", st.MachineCrashes, pool.Respawns())
-	}
-}
-
-// TestDroppedResidentBlockIsPushedAgain drops the push of a block the
-// stage lists as resident — the fourth task's, as in
-// TestDroppedBlockIsPushedAgain — so it is pushed again. The job's end
-// keeps all four blocks in the store and on the worker, and the next
-// job's stage over three of them sends three task frames and no block.
-func TestDroppedResidentBlockIsPushedAgain(t *testing.T) {
-	pool := startPool(t, Config{Workers: 1, Faults: FaultPlan{DropEveryFrames: 7}})
-	spec, want := blockSpec(t, pool, "dropped-resident", 4)
-	for _, task := range spec.Tasks {
+// TestResidentBlocksStayForTheNextJob: blocks a stage lists as resident
+// survive the job's end in the store and on the worker. One worker runs
+// both jobs, so the next job's stage over three of them pushes no block:
+// the worker is still believed to hold them, the bytes shipped are the
+// results alone, and the tasks find their inputs in the worker's cache
+// (a missing one would fail the stage).
+func TestResidentBlocksStayForTheNextJob(t *testing.T) {
+	pool := startPool(t, Config{Workers: 1})
+	spec, want := blockSpec(t, pool, "resident", 4)
+	var frames []int64 // encoded size of each block; an identity task's result is the same frame
+	for i, task := range spec.Tasks {
 		spec.Resident = append(spec.Resident, task.Steps[0].Inputs[0].Block)
+		b, err := engine.EncodeBatch(nil, sliceBatch(want[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, int64(len(b)))
 	}
 	res, err := pool.RunRemoteStage(context.Background(), spec)
 	if err != nil {
-		t.Fatalf("stage with a dropped resident block: %v", err)
+		t.Fatalf("first job: %v", err)
 	}
 	checkParts(t, res.Parts, want)
+	if sum := frames[0] + frames[1] + frames[2] + frames[3]; res.BytesShipped != 2*sum {
+		t.Fatalf("first job shipped %d bytes, want %d: four blocks pushed, four results", res.BytesShipped, 2*sum)
+	}
 	pool.ReleaseBroadcasts()
 	if got := pool.storeIDs(); !reflect.DeepEqual(got, spec.Resident) {
 		t.Fatalf("store keeps %v, want the resident %v", got, spec.Resident)
 	}
-	w := pool.liveWorkers()[0]
-	w.wmu.Lock()
-	held := len(w.held)
-	w.wmu.Unlock()
-	if held != 4 {
-		t.Fatalf("worker is believed to hold %d blocks, want 4", held)
+	if got := heldIDs(pool.liveWorkers()[0]); !reflect.DeepEqual(got, spec.Resident) {
+		t.Fatalf("worker is believed to hold %v, want the resident %v", got, spec.Resident)
 	}
 
 	next := &engine.RemoteStageSpec{Label: "resident-again", Tasks: spec.Tasks[:3], Resident: spec.Resident[:3]}
@@ -155,29 +146,61 @@ func TestDroppedResidentBlockIsPushedAgain(t *testing.T) {
 		t.Fatalf("second job: %v", err)
 	}
 	checkParts(t, res.Parts, want[:3])
-	if got := atomic.LoadUint64(&pool.frameSeq); got != 13 {
-		t.Fatalf("%d data-plane frames, want 13: ten in the first job, three tasks in the second", got)
+	if sum := frames[0] + frames[1] + frames[2]; res.BytesShipped != sum {
+		t.Fatalf("second job shipped %d bytes, want %d: three results and no block", res.BytesShipped, sum)
 	}
 	pool.ReleaseBroadcasts()
 	if got := pool.storeIDs(); !reflect.DeepEqual(got, next.Resident) {
 		t.Fatalf("store keeps %v after the second job, want %v", got, next.Resident)
 	}
+	if got := heldIDs(pool.liveWorkers()[0]); !reflect.DeepEqual(got, next.Resident) {
+		t.Fatalf("worker is believed to hold %v after the second job, want %v", got, next.Resident)
+	}
+	if st := pool.Stats(); st.MachineCrashes != 0 {
+		t.Fatalf("%d crashes in a fault-free run", st.MachineCrashes)
+	}
+}
+
+// TestMissingBlockFailsItsTask: a block the driver believes a worker
+// holds but never pushed — a bookkeeping bug, since an open stream loses
+// no frame — is not pushed again. The task that reads it answers an error
+// naming the block, the stage fails with it (the engine then runs the stage
+// driver-local), and the worker lives on to run the next stage.
+func TestMissingBlockFailsItsTask(t *testing.T) {
+	pool := startPool(t, Config{Workers: 1})
+	spec, want := blockSpec(t, pool, "missing", 3)
+	lost := spec.Tasks[1].Steps[0].Inputs[0].Block
+	w := pool.liveWorkers()[0]
+	w.wmu.Lock()
+	w.held[lost] = true
+	w.wmu.Unlock()
+	_, err := pool.RunRemoteStage(context.Background(), spec)
+	if msg := fmt.Sprintf(`stage "missing" task 1: procpool: block %d is not in the worker's cache`, lost); err == nil || !strings.Contains(err.Error(), msg) {
+		t.Fatalf("stage over a block never pushed: got %v, want an error saying %q", err, msg)
+	}
+	if st := pool.Stats(); st.MachineCrashes != 0 || pool.LiveWorkers() != 1 {
+		t.Fatalf("%d crashes and %d live workers after a missing block, want 0 and 1", st.MachineCrashes, pool.LiveWorkers())
+	}
+	again, _ := blockSpec(t, pool, "after-missing", 3)
+	res, err := pool.RunRemoteStage(context.Background(), again)
+	if err != nil {
+		t.Fatalf("stage after the missing block: %v", err)
+	}
+	checkParts(t, res.Parts, want)
 }
 
 // TestFrameFaultsStillCorrect runs the chaos workload through a transport
-// that delays, drops, and tears data-plane frames on seeded cadences. The
-// task deadline unwedges dropped frames, torn frames kill connections and
-// trigger respawn — and the results must still match the reference.
+// that delays and tears data-plane frames on seeded cadences. Torn frames
+// kill connections and trigger respawn — and the results must still match
+// the reference.
 func TestFrameFaultsStillCorrect(t *testing.T) {
 	pool := startPool(t, Config{
 		Workers:        2,
-		TaskDeadline:   2 * time.Second,
 		RespawnBackoff: 10 * time.Millisecond,
 		Faults: FaultPlan{
 			Seed:             3,
 			DelayEveryFrames: 7,
 			Delay:            time.Millisecond,
-			DropEveryFrames:  23,
 			ResetEveryFrames: 41,
 		},
 	})

@@ -298,13 +298,6 @@ func (p *Pool) sendData(w *workerProc, typ byte, body ...[]byte) error {
 		switch p.cfg.Faults.frameFaultAt(n) {
 		case frameDelay:
 			time.Sleep(p.cfg.Faults.delay())
-		case frameDrop:
-			// Swallowed silently — exactly what a lost datagram looks
-			// like. A task whose block was dropped answers resultMissing
-			// and is sent again; a dropped task is never answered, and
-			// the task deadline (or the heartbeat monitor) unwedges the
-			// share waiting for it.
-			return nil
 		case frameReset:
 			// The frames buffered before this one did leave the driver:
 			// flush them, then tear this one.

@@ -96,7 +96,7 @@ func waitLive(t *testing.T, p *Pool, n int) {
 // the fleet must return to full strength.
 func TestRespawnRestoresFleet(t *testing.T) {
 	rec := obs.NewRecorder()
-	pool := startPool(t, Config{Workers: 2, KillAfterTasks: 10, RespawnBackoff: 10 * time.Millisecond, Events: rec})
+	pool := startPool(t, Config{Workers: 2, Faults: FaultPlan{KillAfterTasks: 10}, RespawnBackoff: 10 * time.Millisecond, Events: rec})
 	sp := tasks.ChaosSpec{Records: 2000, Keys: 50, Parts: 4, Rounds: 2}
 
 	var out tasks.Outcome

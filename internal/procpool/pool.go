@@ -51,13 +51,8 @@ type Config struct {
 	// engine.QuorumLostError — which the engine turns into a fetch-style
 	// failure for the bounded job retry, never a deadlock.
 	QuorumWait time.Duration
-	// KillAfterTasks, when >0, SIGKILLs the assigned worker immediately
-	// after the Nth task dispatch of the pool's lifetime (1-based) — the
-	// deterministic mid-stage crash the recovery tests inject. For
-	// repeating kills and transport faults, use Faults.
-	KillAfterTasks int
-	// Faults is the seeded fault-injection plan (chaos.go): repeating
-	// worker kills, delayed/dropped/torn data-plane frames. Zero value
+	// Faults is the seeded fault-injection plan (chaos.go): a one-shot or
+	// repeating worker kill, delayed or torn data-plane frames. Zero value
 	// injects nothing.
 	Faults FaultPlan
 	// Events, when non-nil, receives the pool's fault events — kinds
@@ -120,16 +115,15 @@ const drainTimeout = 2 * time.Second
 // of the task serially destroying the fleet.
 const quarantineAfter = 3
 
-// taskReply is what a dispatched task resolves to: a batch frame, an error
-// message, or the block ids the worker found missing. died distinguishes a
-// worker death while the task was unanswered (synthesized by markDead)
-// from an error the worker itself reported (deterministic compute
-// failure). pos is the task's place in its share's dispatch order.
+// taskReply is what a dispatched task resolves to: a batch frame or an
+// error message. died distinguishes a worker death while the task was
+// unanswered (synthesized by markDead) from an error the worker itself
+// reported (a compute failure, or an input missing from its cache). pos
+// is the task's place in its share's dispatch order.
 type taskReply struct {
 	pos     int
 	payload []byte
 	errMsg  string
-	missing []uint64
 	died    bool
 }
 
@@ -139,15 +133,12 @@ func parseReply(body []byte) (id uint64, r taskReply, err error) {
 	if err != nil {
 		return 0, r, err
 	}
-	switch tag {
-	case resultOK:
+	if tag == resultOK {
 		r.payload = rest
-	case resultMissing:
-		r.missing, err = parseIDs(rest)
-	default:
+	} else {
 		r.errMsg = string(rest)
 	}
-	return id, r, err
+	return id, r, nil
 }
 
 // pendingTask is where the answer to one dispatched task goes: the reply
@@ -249,7 +240,7 @@ type Pool struct {
 	taskSeq   uint64 // atomic: wire task ids
 	genSeq    uint64 // atomic: worker incarnation ids
 	frameSeq  uint64 // atomic: data-plane frames sent (fault-plan cadence)
-	nDispatch int64  // atomic: lifetime dispatch count (kill hooks)
+	nDispatch int64  // atomic: lifetime dispatch count (fault-plan kills)
 	shipped   int64  // atomic: bytes served to + returned by workers
 	remoteSt  int64  // atomic: remote stages completed
 	remoteTk  int64  // atomic: remote tasks completed
@@ -732,11 +723,6 @@ func (p *Pool) runShare(ctx context.Context, w *workerProc, spec *engine.RemoteS
 			answered++
 			ti := sh.tasks[r.pos]
 			switch {
-			case r.missing != nil:
-				// An input was lost on the way (injected frame drop): the
-				// worker is fine and so is the task. Push again next round.
-				w.forget(r.missing)
-				sh.requeue = append(sh.requeue, ti)
 			case r.errMsg != "":
 				sh.err = fmt.Errorf("procpool: stage %q task %d: %s", spec.Label, ti, r.errMsg)
 			default:
@@ -810,10 +796,10 @@ func (p *Pool) runShare(ctx context.Context, w *workerProc, spec *engine.RemoteS
 // sendShare writes the share in dispatch order: for each task, every block
 // its steps read that w does not hold yet, then the task frame; one flush
 // at the end. It stops early when ctx is cancelled, when w is dead (or
-// dies of a failed write), and after a dispatch a kill hook names — the
-// hooks (KillAfterTasks, FaultPlan) fire synchronously here, so the crash
-// and its lost-output bookkeeping are ordered before any later stage of
-// the run, making recovery tests deterministic. A block the store cannot
+// dies of a failed write), and after a dispatch the fault plan kills at —
+// the kill fires synchronously here, so the crash and its lost-output
+// bookkeeping are ordered before any later stage of the run, making
+// recovery tests deterministic. A block the store cannot
 // serve or the codec refuses is the one error returned: it is found here,
 // before the task that reads it is sent.
 func (p *Pool) sendShare(ctx context.Context, w *workerProc, spec *engine.RemoteStageSpec, sh *share) error {
@@ -853,10 +839,6 @@ func (p *Pool) sendShare(ctx context.Context, w *workerProc, spec *engine.Remote
 		}
 		sh.sent.Add(1)
 		n := atomic.AddInt64(&p.nDispatch, 1)
-		if k := p.cfg.KillAfterTasks; k > 0 && n == int64(k) {
-			p.markDead(w, fmt.Errorf("procpool: worker %d killed by test hook after task %d", w.idx, k))
-			return nil
-		}
 		if p.cfg.Faults.killsAt(uint64(n)) {
 			p.markDead(w, fmt.Errorf("procpool: worker %d killed by fault plan at dispatch %d", w.idx, n))
 			return nil
@@ -883,7 +865,7 @@ func (p *Pool) pushBlock(w *workerProc, id uint64, buf []byte) ([]byte, error) {
 	if err != nil {
 		return buf, fmt.Errorf("procpool: block %d: %w", id, err)
 	}
-	head := taggedHead(id, resultOK)
+	head := blockHead(id)
 	if err := p.sendData(w, msgBlockData, head[:], buf); err != nil {
 		p.markDead(w, fmt.Errorf("procpool: worker %d send failed: %v", w.idx, err))
 		return buf, nil // sendShare finds the worker dead before the next task frame
@@ -893,15 +875,6 @@ func (p *Pool) pushBlock(w *workerProc, id uint64, buf []byte) ([]byte, error) {
 	w.held[id] = true
 	w.wmu.Unlock()
 	return buf, nil
-}
-
-// forget drops ids from the set of blocks w is believed to hold.
-func (w *workerProc) forget(ids []uint64) {
-	w.wmu.Lock()
-	for _, id := range ids {
-		delete(w.held, id)
-	}
-	w.wmu.Unlock()
 }
 
 // ---- engine.Backend ----

@@ -226,6 +226,18 @@ func (p *Pool) storeIDs() []uint64 {
 	return ids
 }
 
+// heldIDs lists the blocks the driver believes w holds, sorted.
+func heldIDs(w *workerProc) []uint64 {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	ids := []uint64{}
+	for id := range w.held {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 // checkReleased: the pool holds no block — not in the store, not in the
 // driver's view of any live worker.
 func checkReleased(t *testing.T, pool *Pool) {
@@ -234,11 +246,8 @@ func checkReleased(t *testing.T, pool *Pool) {
 		t.Fatalf("store still holds %v", ids)
 	}
 	for _, w := range pool.liveWorkers() {
-		w.wmu.Lock()
-		n := len(w.held)
-		w.wmu.Unlock()
-		if n != 0 {
-			t.Fatalf("worker %d is believed to hold %d blocks", w.idx, n)
+		if ids := heldIDs(w); len(ids) != 0 {
+			t.Fatalf("worker %d is believed to hold %v", w.idx, ids)
 		}
 	}
 }
@@ -248,7 +257,7 @@ func checkReleased(t *testing.T, pool *Pool) {
 // the survivor, which never held that worker's half of the cached points:
 // they are pushed from the store, not put again, so the session puts
 // exactly what a run without the kill puts. The value is the reference's,
-// and nobody is quarantined for a death the kill hook caused.
+// and nobody is quarantined for a death the fault plan caused.
 func TestKillInSecondJobPushesFromStore(t *testing.T) {
 	sp := tasks.KMeansSpec{TotalPoints: 2000, K: 3, Configs: 2, Eps: 1e-6, MaxIters: 3, Seed: 2}
 	want := sp.Reference()
@@ -263,7 +272,7 @@ func TestKillInSecondJobPushesFromStore(t *testing.T) {
 		firstJob += len(spec.Tasks)
 	}
 
-	pool := startPool(t, Config{Workers: 2, KillAfterTasks: firstJob + 1, RespawnBackoff: 10 * time.Millisecond})
+	pool := startPool(t, Config{Workers: 2, Faults: FaultPlan{KillAfterTasks: firstJob + 1}, RespawnBackoff: 10 * time.Millisecond})
 	out, _, puts := runLogged(t, pool, func() tasks.Outcome { return sp.Run(tasks.InnerParallel, cluster.Config{}) })
 	if out.Err != nil {
 		t.Fatalf("run with a kill in job 2: %v", out.Err)
@@ -280,17 +289,18 @@ func TestKillInSecondJobPushesFromStore(t *testing.T) {
 	checkReleased(t, pool)
 }
 
-// TestWorkerCrashRecovery kills a worker mid-stage (the KillAfterTasks
-// hook) and asserts the run still completes correctly: the dead worker's
-// registered shuffle outputs surface as a cluster.FetchFailedError at the
-// consuming stage, and the engine's existing lineage recovery rewinds and
-// recomputes them — visible as a Recovery line in EXPLAIN ANALYZE.
+// TestWorkerCrashRecovery kills a worker mid-stage (the fault plan's
+// KillAfterTasks) and asserts the run still completes correctly: the dead
+// worker's registered shuffle outputs surface as a
+// cluster.FetchFailedError at the consuming stage, and the engine's
+// existing lineage recovery rewinds and recomputes them — visible as a
+// Recovery line in EXPLAIN ANALYZE.
 func TestWorkerCrashRecovery(t *testing.T) {
 	// Task 10 of the pool's lifetime lands in the chaos diamond's
 	// group-count stage, after the reduce parent's outputs registered.
 	// Respawn is off so the fleet stays shrunk and the LiveWorkers
 	// assertion is deterministic (health_test.go covers respawn).
-	pool := startPool(t, Config{Workers: 2, KillAfterTasks: 10, RespawnBudget: -1})
+	pool := startPool(t, Config{Workers: 2, Faults: FaultPlan{KillAfterTasks: 10}, RespawnBudget: -1})
 	sp := tasks.ChaosSpec{Records: 2000, Keys: 50, Parts: 4, Rounds: 2}
 
 	rec := obs.NewRecorder()

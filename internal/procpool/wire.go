@@ -41,9 +41,10 @@ import (
 // blocks its steps read that this worker incarnation does not hold yet
 // (msgBlockData), then the task (msgTask); one flush at the end. The worker
 // never asks for anything: a block is in its cache by the time the task
-// that reads it arrives, because the stream is ordered. Only an injected
-// frame drop can break that, and the task then answers resultMissing
-// instead of failing, so the driver pushes the block again. Both sides
+// that reads it arrives, because a stream socket delivers every frame, in
+// order, for as long as it stays open (a broken one kills the worker). A
+// block missing all the same can only be a driver bookkeeping bug: the task
+// answers resultErr naming it, and the stage runs driver-local. Both sides
 // read through a bufio.Reader (one read syscall serves many small frames);
 // no frame is read from the bare connection.
 //
@@ -77,7 +78,7 @@ const (
 	msgHelloAck                   // driver → worker: u32 index | u64 heartbeat period (ns)
 	msgTask                       // driver → worker: u64 task id | binary engine.RemoteTask (grammar above)
 	msgTaskResult                 // worker → driver: u64 task id | u8 result tag | see the tags
-	msgBlockData                  // driver → worker: u64 block id | u8 resultOK | batch frame
+	msgBlockData                  // driver → worker: u64 block id | batch frame
 	msgHeartbeat                  // worker → driver: empty
 	msgClearCache                 // driver → worker: u64 block ids to keep (end of job: drop every other cached block, and all kernels)
 	msgShutdown                   // driver → worker: empty (exit cleanly)
@@ -85,9 +86,8 @@ const (
 
 // The tag byte of a msgTaskResult says what follows it.
 const (
-	resultErr     byte = iota // error string: the task's compute failed deterministically
-	resultOK                  // batch frame: the task's output partition
-	resultMissing             // u64 block ids the task reads that never reached this worker
+	resultErr byte = iota // error string: the task failed (its compute, or an input not in the cache)
+	resultOK              // batch frame: the task's output partition
 )
 
 // wireBuf sizes the bufio readers and writers on both ends of a worker
@@ -463,8 +463,8 @@ func eachBlock(t *engine.RemoteTask, f func(id uint64)) {
 	}
 }
 
-// taggedHead is the prefix of a msgTaskResult or msgBlockData body: the
-// id, then the tag that says what the bytes after it are.
+// taggedHead is the prefix of a msgTaskResult body: the task id, then the
+// tag that says what the bytes after it are.
 func taggedHead(id uint64, tag byte) (h [9]byte) {
 	binary.BigEndian.PutUint64(h[:], id)
 	h[8] = tag
@@ -479,14 +479,35 @@ func parseTagged(body []byte) (id uint64, tag byte, rest []byte, err error) {
 	if tag, err = r.u8(); err != nil {
 		return 0, 0, nil, err
 	}
-	if tag > resultMissing {
+	if tag > resultOK {
 		return 0, 0, nil, fmt.Errorf("procpool: bad result tag %d", tag)
 	}
 	return id, tag, r.rest(), nil
 }
 
-// encodeIDs and parseIDs carry the block ids of a resultMissing answer
-// and of a msgClearCache.
+// blockHead is the prefix of a msgBlockData body: the block id. The batch
+// frame follows it.
+func blockHead(id uint64) (h [8]byte) {
+	binary.BigEndian.PutUint64(h[:], id)
+	return h
+}
+
+// parseBlock reads a msgBlockData body: the id, then exactly one batch
+// frame.
+func parseBlock(body []byte) (uint64, engine.Batch, error) {
+	r := &wireReader{b: body}
+	id, err := r.u64()
+	if err != nil {
+		return 0, nil, err
+	}
+	b, err := decodeBatchFrame(r.rest())
+	if err != nil {
+		return 0, nil, fmt.Errorf("block %d: %w", id, err)
+	}
+	return id, b, nil
+}
+
+// encodeIDs and parseIDs carry the block ids of a msgClearCache.
 func encodeIDs(ids []uint64) []byte {
 	b := make([]byte, 0, 8*len(ids))
 	for _, id := range ids {

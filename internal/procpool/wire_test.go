@@ -19,10 +19,16 @@ import (
 	"matryoshka/internal/engine"
 )
 
-// encodeTagged is a whole msgTaskResult or msgBlockData body.
+// encodeTagged is a whole msgTaskResult body.
 func encodeTagged(id uint64, tag byte, rest []byte) []byte {
 	head := taggedHead(id, tag)
 	return append(head[:], rest...)
+}
+
+// encodeBlock is a whole msgBlockData body.
+func encodeBlock(id uint64, frame []byte) []byte {
+	head := blockHead(id)
+	return append(head[:], frame...)
 }
 
 func TestWireFrameRoundTrip(t *testing.T) {
@@ -30,7 +36,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	bodies := map[byte][]byte{
 		msgHello:      encodeHello(4242),
 		msgHelloAck:   encodeHelloAck(3, 250*time.Millisecond),
-		msgBlockData:  encodeTagged(77, resultOK, []byte("frame-bytes")),
+		msgBlockData:  encodeBlock(77, []byte("frame-bytes")),
 		msgTaskResult: encodeTagged(9, resultErr, []byte("boom")),
 		msgHeartbeat:  nil,
 		msgClearCache: encodeIDs([]uint64{4, 1 << 33}),
@@ -71,9 +77,13 @@ func TestWireFieldRoundTrips(t *testing.T) {
 	if err != nil || id != 31 || tag != resultOK || string(rest) != "payload" {
 		t.Fatalf("tagged: id %d tag %d rest %q err %v", id, tag, rest, err)
 	}
-	_, tag, rest, err = parseTagged(encodeTagged(32, resultMissing, encodeIDs([]uint64{7, 1 << 40})))
-	if ids, perr := parseIDs(rest); err != nil || perr != nil || tag != resultMissing || !reflect.DeepEqual(ids, []uint64{7, 1 << 40}) {
-		t.Fatalf("missing-input result: tag %d ids %v err %v / %v", tag, ids, err, perr)
+	frame, err := engine.EncodeBatch(nil, sliceBatch([]int{5, 6, 7}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bid, b, err := parseBlock(encodeBlock(1<<40, frame))
+	if err != nil || bid != 1<<40 || !reflect.DeepEqual(b.Data(), []int{5, 6, 7}) {
+		t.Fatalf("block: id %d batch %v err %v", bid, b, err)
 	}
 	task := &engine.RemoteTask{Steps: []engine.RemoteStep{{
 		Op: "identity", Part: 3,
@@ -148,8 +158,14 @@ func TestWireRejectsMalformed(t *testing.T) {
 	if _, _, _, err := parseTagged(encodeTagged(1, resultOK, nil)[:8]); err == nil {
 		t.Fatal("tagged without tag parsed")
 	}
-	if _, _, _, err := parseTagged(encodeTagged(1, resultMissing+1, nil)); err == nil {
+	if _, _, _, err := parseTagged(encodeTagged(1, resultOK+1, nil)); err == nil {
 		t.Fatal("unknown result tag parsed")
+	}
+	if _, _, err := parseBlock([]byte{0, 0, 0, 0, 0, 0, 0}); err == nil {
+		t.Fatal("block without a whole id parsed")
+	}
+	if _, _, err := parseBlock(encodeBlock(3, []byte("not a batch frame"))); err == nil || !strings.Contains(err.Error(), "block 3: ") {
+		t.Fatalf("block that is not a batch frame: got %v, want an error naming block 3", err)
 	}
 	if _, err := parseIDs([]byte{0, 0, 0, 0, 0, 0, 0, 1, 2}); err == nil {
 		t.Fatal("ragged block-id list parsed")
@@ -238,14 +254,14 @@ func fakeDriver(t *testing.T, talk func(conn net.Conn)) (code int, stderr string
 // read; only the driver hanging up at a frame boundary is a clean exit,
 // after a keep list naming blocks the worker never had too.
 func TestWorkerSaysWhyItExits(t *testing.T) {
-	block := appendFrame(nil, msgBlockData, encodeTagged(3, resultOK, []byte("not a batch frame")))
+	block := appendFrame(nil, msgBlockData, encodeBlock(3, []byte("not a batch frame")))
 	corrupt := append([]byte(nil), block...)
 	corrupt[len(corrupt)-1] ^= 0x01
 	batch, err := engine.EncodeBatch(nil, sliceBatch([]int{1, 2, 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	trailing := appendFrame(nil, msgBlockData, encodeTagged(4, resultOK, append(batch, 0xde, 0xad)))
+	trailing := appendFrame(nil, msgBlockData, encodeBlock(4, append(batch, 0xde, 0xad)))
 	cases := []struct {
 		name  string
 		bytes []byte
@@ -469,8 +485,11 @@ func FuzzWireFrame(f *testing.F) {
 	writeFrame(&seed, msgHello, encodeHello(123))
 	writeFrame(&seed, msgHelloAck, encodeHelloAck(1, 100*time.Millisecond))
 	writeFrame(&seed, msgTaskResult, encodeTagged(7, resultOK, []byte("data")))
-	writeFrame(&seed, msgBlockData, encodeTagged(9, resultOK, []byte("pushed-block")))
-	writeFrame(&seed, msgTaskResult, encodeTagged(8, resultMissing, encodeIDs([]uint64{9})))
+	block, err := engine.EncodeBatch(nil, sliceBatch([]int{1, 2, 3}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	writeFrame(&seed, msgBlockData, encodeBlock(9, block))
 	writeFrame(&seed, msgHeartbeat, nil)
 	writeFrame(&seed, msgClearCache, encodeIDs([]uint64{9, 12}))
 	f.Add(seed.Bytes())
@@ -498,10 +517,10 @@ func FuzzWireFrame(f *testing.F) {
 				parseHelloAck(body)
 			case msgTask:
 				parseTask(body)
-			case msgTaskResult, msgBlockData:
-				if _, tag, rest, err := parseTagged(body); err == nil && tag == resultMissing {
-					parseIDs(rest)
-				}
+			case msgTaskResult:
+				parseTagged(body)
+			case msgBlockData:
+				parseBlock(body)
 			case msgClearCache:
 				parseIDs(body)
 			}

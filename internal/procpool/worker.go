@@ -114,16 +114,7 @@ func workerRun(sock string) int {
 		}
 		switch typ {
 		case msgBlockData:
-			id, tag, frame, perr := parseTagged(body)
-			if perr == nil && tag != resultOK {
-				perr = fmt.Errorf("procpool: block %d pushed with tag %d", id, tag)
-			}
-			var b engine.Batch
-			if perr == nil {
-				if b, perr = decodeBatchFrame(frame); perr != nil {
-					perr = fmt.Errorf("block %d: %w", id, perr)
-				}
-			}
+			id, b, perr := parseBlock(body)
 			if perr != nil {
 				fmt.Fprintf(os.Stderr, "procpool worker: block data: %v\n", perr)
 				return 1
@@ -194,18 +185,9 @@ func (r *taskRunner) fetch(id uint64) (engine.Batch, error) {
 }
 
 // run evaluates one task against the cache and returns the tag and bytes
-// of its result. A task whose input never arrived answers resultMissing
-// without running anything.
+// of its result. An input not in the cache fails the task (fetch), with
+// the block named.
 func (r *taskRunner) run(task *engine.RemoteTask) (tag byte, rest []byte) {
-	var missing []uint64
-	eachBlock(task, func(id uint64) {
-		if _, ok := r.cache[id]; !ok {
-			missing = append(missing, id)
-		}
-	})
-	if len(missing) > 0 {
-		return resultMissing, encodeIDs(missing)
-	}
 	b, err := r.eval.RunRemoteTask(task, r.fetch)
 	if err == nil {
 		rest, err = engine.EncodeBatch(nil, b)
