@@ -4,7 +4,8 @@ package engine
 // depends on: the monomorphic stable hashers must stay allocation-free,
 // the fused narrow chain must not allocate per element, the parallel
 // shuffle router must allocate only its per-call bookkeeping, and a
-// combine on a warm table must allocate only its output. These run
+// combine on a warm table must allocate only its output, and sizing a
+// boxed partition must not copy its sample. These run
 // as part of `go test` so a regression (an interface conversion sneaking
 // into a hasher, a closure capture boxing rows) fails CI, not a later
 // profiling session. Skipped under -race: instrumentation allocates.
@@ -14,6 +15,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strconv"
 	"testing"
 	"unsafe"
 )
@@ -365,4 +367,29 @@ func TestTinyTaskAllocBound(t *testing.T) {
 		}
 		s.Close()
 	}
+}
+
+// TestEstPartitionBytesAllocBound: sizing a boxed partition of the ir front
+// end's rows, whole at or below sampleN elements and sampled above it,
+// allocates at most the one slice header Data() boxes, whatever n is. The
+// sample is sized where its rows lie, and rows whose leaves are ints,
+// strings and nested pairs never need the shared-pointer table.
+func TestEstPartitionBytesAllocBound(t *testing.T) {
+	skipIfInstrumented(t)
+	var sink int64
+	for _, n := range []int{5, sampleN, 100, 4097, 100_000} {
+		rows := make([]any, n)
+		for i := range rows {
+			if i%3 == 0 {
+				rows[i] = KV[any, any]("day", KV[any, any](int64(i), strconv.Itoa(i)))
+			} else {
+				rows[i] = KV[any, any](i, strconv.Itoa(i%9))
+			}
+		}
+		part := boxedOf(rows)
+		if avg := testing.AllocsPerRun(20, func() { sink += estPartitionBytes(part) }); avg > 1 {
+			t.Errorf("n=%d: estPartitionBytes allocates %.1f per call, want at most 1", n, avg)
+		}
+	}
+	runtime.KeepAlive(sink)
 }

@@ -66,9 +66,6 @@ type Batch interface {
 	// element i goes to blocks[tg[i]] at off[tg[i]], which is then
 	// incremented.
 	scatter(tg, off []int32, blocks []Batch)
-	// sampleEvery returns every step-th element as a batch with the given
-	// boxed capacity (size-estimator sampling).
-	sampleEvery(step, bcap int) Batch
 }
 
 // Vec is the monomorphic Batch implementation: a plain typed slice plus
@@ -169,15 +166,6 @@ func (v *Vec[T]) scatter(tg, off []int32, blocks []Batch) {
 		dst[off[t]] = v.xs[i]
 		off[t]++
 	}
-}
-
-func (v *Vec[T]) sampleEvery(step, bcap int) Batch {
-	n := len(v.xs)
-	out := make([]T, 0, (n+step-1)/step)
-	for i := 0; i < n; i += step {
-		out = append(out, v.xs[i])
-	}
-	return &Vec[T]{xs: out, bcap: bcap}
 }
 
 // zeroBatch is the shared empty partition: narrow reads of absent parents

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -311,30 +312,58 @@ func TestEstPartitionBytesMatchesBoxedReference(t *testing.T) {
 		return sizeest.OfSlice(sample) * int64(n) / int64(len(sample))
 	}
 	ns := []int{0, 1, 5, 31, 32, 33, 63, 64, 65, 100, 127, 1000, 4095, 4096, 10000}
+	shared := []int{1, 2, 3}
 	for _, n := range ns {
-		vals := make([]Pair[int, int64], n)
-		// The reference slice is grown one append at a time from nil, the
-		// way the boxed router built shuffle blocks: for n <= sampleN the
-		// whole slice (capacity included) is what the boxed estimator
-		// measured.
-		var boxed []any
-		for i := range vals {
-			vals[i] = Pair[int, int64]{i, int64(3 * i)}
-			boxed = append(boxed, vals[i])
-		}
-		if n <= sampleN && cap(boxed) != blockCap(n) {
-			t.Fatalf("n=%d: append-grown cap %d, blockCap says %d", n, cap(boxed), blockCap(n))
-		}
-		want := boxedRef(boxed)
-		// Typed batches report the boxed append-grown capacity for small
-		// blocks (blockCap); above sampleN the block capacity is never
-		// observed, only the sample's.
-		if got := estPartitionBytes(batchOf(vals, blockCap(n))); got != want {
-			t.Errorf("n=%d: typed estPartitionBytes=%d, boxed reference=%d", n, got, want)
-		}
-		if got := estPartitionBytes(boxedOf(append(make([]any, 0, blockCap(n)), boxed...))); got != want {
-			t.Errorf("n=%d: boxed-batch estPartitionBytes=%d, boxed reference=%d", n, got, want)
-		}
+		checkEstPartition(t, n, boxedRef, func(i int) Pair[int, int64] { return Pair[int, int64]{i, int64(3 * i)} })
+		// Interface-bearing pairs, the ir front end's rows: small and large
+		// ints, strings, nil, a nested pair, and a slice two rows share,
+		// which only the reflective walk sizes (and dedups).
+		checkEstPartition(t, n, boxedRef, func(i int) Pair[any, any] {
+			switch i % 5 {
+			case 0:
+				return KV[any, any](i, "visit")
+			case 1:
+				return KV[any, any](int64(i)<<40, nil)
+			case 2:
+				return KV[any, any]("day", KV[any, any](i, strings.Repeat("x", i%7)))
+			case 3:
+				return KV[any, any](nil, shared)
+			}
+			return KV[any, any](i, float64(i))
+		})
+		checkEstPartition(t, n, boxedRef, func(i int) Tuple2[string, any] {
+			return Tuple2[string, any]{strings.Repeat("k", i%3), KV[any, any](i, nil)}
+		})
+	}
+}
+
+// checkEstPartition is one TestEstPartitionBytesMatchesBoxedReference
+// case: n elements made by elem, sized as a typed batch and as a boxed one,
+// against the boxed reference.
+func checkEstPartition[T any](t *testing.T, n int, boxedRef func([]any) int64, elem func(int) T) {
+	t.Helper()
+	vals := make([]T, n)
+	// The reference slice is grown one append at a time from nil, the
+	// way the boxed router built shuffle blocks: for n <= sampleN the
+	// whole slice (capacity included) is what the boxed estimator
+	// measured.
+	var boxed []any
+	for i := range vals {
+		vals[i] = elem(i)
+		boxed = append(boxed, vals[i])
+	}
+	if n <= sampleN && cap(boxed) != blockCap(n) {
+		t.Fatalf("n=%d: append-grown cap %d, blockCap says %d", n, cap(boxed), blockCap(n))
+	}
+	want := boxedRef(boxed)
+	// Typed batches report the boxed append-grown capacity for small
+	// blocks (blockCap); above sampleN the block capacity is never
+	// observed, only the sample's.
+	if got := estPartitionBytes(batchOf(vals, blockCap(n))); got != want {
+		t.Errorf("%T, n=%d: typed estPartitionBytes=%d, boxed reference=%d", vals, n, got, want)
+	}
+	if got := estPartitionBytes(boxedOf(append(make([]any, 0, blockCap(n)), boxed...))); got != want {
+		t.Errorf("%T, n=%d: boxed-batch estPartitionBytes=%d, boxed reference=%d", vals, n, got, want)
 	}
 }
 

@@ -208,32 +208,28 @@ func estPartitionBytes(part Batch) int64 {
 	if n == 0 {
 		return 0
 	}
-	// Fixed-size element shapes cost a count times a per-type constant, so a
-	// batch of them is charged by formula — no element looked at, no sample
-	// built; only value-dependent shapes are walked.
-	size, fixed := part.elemSize()
-	if n <= sampleN {
-		if fixed {
-			return sizeest.OfFixed(size, n, part.BoxedCap())
-		}
-		return sizeest.OfBatch(part)
-	}
 	// Evenly spaced sample: catches a giant element in small-cardinality
-	// partitions (e.g. groupByKey outputs), scales for uniform ones. The
-	// sample batch's boxed capacity reproduces the boxed loop's appends
-	// into a cap-sampleN []any: up to sampleN sampled elements fit as
-	// allocated, beyond that the overflow append's growth was observable.
-	step := n / sampleN
+	// partitions (e.g. groupByKey outputs), scales for uniform ones. A
+	// partition of at most sampleN elements is its own sample. Otherwise
+	// the sample's boxed capacity reproduces the boxed loop's appends into a
+	// cap-sampleN []any: up to sampleN sampled elements fit as allocated,
+	// beyond that the overflow append's growth was observable.
+	step, bcap := 1, part.BoxedCap()
+	if n > sampleN {
+		step, bcap = n/sampleN, sampleN
+	}
 	count := (n + step - 1) / step
-	bcap := sampleN
 	if count > sampleN {
 		bcap = sampleGrowCap
 	}
+	// Fixed-size element shapes cost a count times a per-type constant, so a
+	// batch of them is charged by formula, no element looked at; the rest
+	// are sized where the sampled elements lie.
 	var sampled int64
-	if fixed {
+	if size, fixed := part.elemSize(); fixed {
 		sampled = sizeest.OfFixed(size, count, bcap)
 	} else {
-		sampled = sizeest.OfBatch(part.sampleEvery(step, bcap))
+		sampled = sizeest.OfEvery(part, step, bcap)
 	}
 	return sampled * int64(n) / int64(count)
 }

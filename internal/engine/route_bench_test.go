@@ -417,16 +417,26 @@ func BenchmarkTinyStage(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkerPool measures raw parallelFor dispatch overhead.
+var poolSink int
+
+// BenchmarkWorkerPool measures parallelFor dispatch: 64 small bodies
+// handed to at least two runners, so even at -cpu 1 the row times the
+// pool's submit, claims and wait rather than the inline loop. Each body
+// keeps its result in its runner's sum, so none of the work is dropped.
 func BenchmarkWorkerPool(b *testing.B) {
 	const n = 64
-	work := func(_, _ int) { spin(1, 5000) }
+	width := max(2, runtime.GOMAXPROCS(0))
+	sums := make([]int, width)
+	work := func(r, i int) { sums[r] += spin(i, 50) }
 	b.Run("pool", func(b *testing.B) {
-		pool := newWorkerPool(runtime.GOMAXPROCS(0))
+		pool := newWorkerPool(width)
 		defer pool.close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pool.parallelFor(runtime.GOMAXPROCS(0), n, work)
+			pool.parallelFor(width, n, work)
+		}
+		for _, s := range sums {
+			poolSink += s
 		}
 	})
 }

@@ -375,14 +375,20 @@ func TestCloseDrainsEverything(t *testing.T) {
 // TestCloseReapsPendingSpawn closes a pool while a respawned worker has
 // started but not yet joined: Close must kill and reap that process too,
 // so its pid is gone (ESRCH, not a zombie) when Close returns.
+//
+// The test polls for the pending spawn, and a respawn can finish its
+// handshake between two polls. When that happens the new worker is killed
+// again and the next respawn watched, a few times per round at most — far
+// below the pool's respawn budget of 32.
 func TestCloseReapsPendingSpawn(t *testing.T) {
+	const tries = 4 // respawns per round that may join unseen
 	for round := 0; round < 5; round++ {
 		pool, err := Start(Config{Workers: 1, RespawnBackoff: time.Millisecond})
 		if err != nil {
 			t.Fatalf("Start: %v", err)
 		}
 		pool.markDead(pool.liveWorkers()[0], fmt.Errorf("test: killed to respawn"))
-		pid := 0
+		pid, joined, try := 0, pool.Respawns(), 1
 		for deadline := time.Now().Add(10 * time.Second); pid == 0; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				pool.Close()
@@ -393,6 +399,19 @@ func TestCloseReapsPendingSpawn(t *testing.T) {
 				pid = p
 			}
 			pool.mu.Unlock()
+			if pid != 0 || pool.Respawns() == joined {
+				continue
+			}
+			// The respawn joined between two polls: kill it and watch the next.
+			if try == tries {
+				pool.Close()
+				t.Fatalf("round %d: %d respawns in a row joined between two polls", round, tries)
+			}
+			try++
+			joined = pool.Respawns()
+			for _, w := range pool.liveWorkers() {
+				pool.markDead(w, fmt.Errorf("test: killed to respawn again"))
+			}
 		}
 		pool.Close()
 		if err := syscall.Kill(pid, 0); !errors.Is(err, syscall.ESRCH) {

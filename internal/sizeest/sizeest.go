@@ -5,10 +5,18 @@
 // two inputs to decide which side to broadcast, and the cluster simulator
 // uses the same estimates for per-machine memory accounting.
 //
-// The estimate is a deep traversal of the object graph using reflection.
-// Shared pointers are counted once. The numbers follow the layout of the
-// gc runtime on 64-bit platforms closely enough for relative comparisons,
-// which is all the optimizer needs.
+// The estimate is a deep traversal of the object graph. Shared pointers are
+// counted once. The numbers follow the layout of the gc runtime on 64-bit
+// platforms closely enough for relative comparisons, which is all the
+// optimizer needs.
+//
+// Like Spark's estimator, which caches a layout per class, the traversal
+// resolves a type's layout once and reuses it. A type whose values all
+// have one deep size is a cached constant (fixedDeep). A struct whose
+// fields are of such types or of type any, nested structs included, is a
+// cached plan: the constant part plus the offsets of its any fields, read
+// in place. Everything else is walked by reflection. All three give the
+// numbers of the one reflective walk, bit for bit.
 package sizeest
 
 import (
@@ -38,18 +46,15 @@ func Of(v any) int64 {
 // OfSlice estimates the total deep size of a slice of values already boxed
 // as any. It is the common case in the engine, where partitions hold []any.
 //
-// Partitions are almost always type-homogeneous, so the loop works in
-// batch mode: one type inspection per run of same-typed elements. When the
-// run's type has a value-independent deep size (pointer-free scalars and
-// structs/arrays of those — every fixed-size key and pair the engine
-// shuffles), each element adds a precomputed constant; strings add their
-// header plus length monomorphically. Only elements outside those shapes
-// fall back to the per-element reflective walk, and the shared-pointer
-// table is allocated lazily for exactly those — fixed-size and string
-// elements never consult it, so the estimate is bit-identical to the
-// fully reflective loop.
+// Partitions hold few types (almost always one row type, and a pair's key
+// and value types), so the loop resolves a type's layout once and keeps
+// the last few: a constant for fixed-size types, a plan for structs of
+// fixed and any fields (the boxed engine's pairs), and the reflective walk
+// for the rest. Strings add their header plus length. The shared-pointer
+// table is allocated lazily, for the first value the walk has to take, so
+// the estimate is bit-identical to the fully reflective loop.
 func OfSlice(vs []any) int64 {
-	return ofBoxedElems(vs, int64(cap(vs)))
+	return sliceHeaderSize + int64(cap(vs))*ifaceSize + ofBoxed(vs, 1)
 }
 
 // Batch is the engine's typed partition shape, seen structurally to avoid
@@ -64,60 +69,67 @@ type Batch interface {
 }
 
 // OfBatch estimates the total deep size of a batch as if it were the
-// equivalent boxed []any partition. Typed batches are costed with one type
-// inspection per batch: fixed-size element types multiply a precomputed
-// constant, strings sum header+length monomorphically, and only
-// value-dependent element types walk elements reflectively (sharing one
-// lazily allocated pointer table across the batch, exactly as OfSlice
-// does). The boxed fallback reuses OfSlice's loop verbatim.
+// equivalent boxed []any partition: OfEvery with step 1 and the batch's
+// own boxed capacity.
 func OfBatch(b Batch) int64 {
+	return OfEvery(b, 1, b.BoxedCap())
+}
+
+// OfEvery is OfBatch of the sample of b made of every step-th element from
+// the first, under boxed capacity bcap, taken where the elements lie: no
+// sample is built. Typed batches are costed with one type inspection:
+// fixed-size element types multiply a precomputed constant, strings sum
+// header+length, planned structs read their any fields in place, and only
+// the remaining types walk elements by reflection, sharing one lazily
+// allocated pointer table across the sample as OfSlice does. Boxed batches
+// take OfSlice's loop.
+func OfEvery(b Batch, step, bcap int) int64 {
+	total := sliceHeaderSize + int64(bcap)*ifaceSize
 	data := b.Data()
 	if xs, ok := data.([]any); ok {
-		return ofBoxedElems(xs, int64(b.BoxedCap()))
+		return total + ofBoxed(xs, step)
 	}
-	total := sliceHeaderSize + int64(b.BoxedCap())*ifaceSize
+	n := b.Len()
+	count := int64((n + step - 1) / step)
 	switch xs := data.(type) {
-	case []int:
-		return total + int64(len(xs))*8
-	case []int64:
-		return total + int64(len(xs))*8
-	case []uint64:
-		return total + int64(len(xs))*8
-	case []float64:
-		return total + int64(len(xs))*8
+	case []int, []int64, []uint64, []float64:
+		return total + count*8
 	case []string:
-		for _, s := range xs {
-			total += stringHeader + int64(len(s))
+		for i := 0; i < n; i += step {
+			total += stringHeader + int64(len(xs[i]))
 		}
 		return total
 	}
 	rv := reflect.ValueOf(data)
 	t := rv.Type().Elem()
-	n := rv.Len()
 	if sz := fixedDeep(t); sz >= 0 {
-		return total + int64(n)*sz
+		return total + count*sz
 	}
-	if t.Kind() == reflect.String {
-		for i := 0; i < n; i++ {
+	var w walk
+	switch t.Kind() {
+	case reflect.String:
+		for i := 0; i < n; i += step {
 			total += stringHeader + int64(rv.Index(i).Len())
 		}
-		return total
-	}
-	var seen map[uintptr]struct{}
-	for i := 0; i < n; i++ {
-		v := rv.Index(i)
-		if t.Kind() == reflect.Interface {
-			// A boxed loop unwraps the interface before walking (its
-			// header is part of the bcap·ifaceSize term) and skips nils.
-			if v.IsNil() {
-				continue
+	case reflect.Interface:
+		// A boxed loop unwraps the interface before walking (its header
+		// is part of the bcap·ifaceSize term) and skips nils.
+		for i := 0; i < n; i += step {
+			if x := rv.Index(i).Interface(); x != nil {
+				total += w.boxed(&x)
 			}
-			v = v.Elem()
 		}
-		if seen == nil {
-			seen = map[uintptr]struct{}{}
+	default:
+		if p := planFor(t); p != nil {
+			base, size := rv.UnsafePointer(), t.Size()
+			for i := 0; i < n; i += step {
+				total += w.planned(p, unsafe.Add(base, uintptr(i)*size))
+			}
+			break
 		}
-		total += of(v, seen)
+		for i := 0; i < n; i += step {
+			total += of(rv.Index(i), w.table())
+		}
 	}
 	return total
 }
@@ -141,38 +153,153 @@ func OfFixed(size int64, count, bcap int) int64 {
 	return sliceHeaderSize + int64(bcap)*ifaceSize + int64(count)*size
 }
 
-// ofBoxedElems is OfSlice with the observed capacity passed explicitly, so
-// batches can report their boxed-equivalent capacity instead of the host
-// slice's.
-func ofBoxedElems(vs []any, bcap int64) int64 {
-	total := sliceHeaderSize + bcap*ifaceSize
-	var (
-		runT  reflect.Type
-		runSz int64 // deep size of every value of runT, or -1 if value-dependent
-		seen  map[uintptr]struct{}
-	)
-	for _, v := range vs {
-		if v == nil {
-			continue
-		}
-		t := reflect.TypeOf(v)
-		if t != runT {
-			runT = t
-			runSz = fixedDeep(t)
-		}
-		switch {
-		case runSz >= 0:
-			total += runSz
-		case t.Kind() == reflect.String:
-			total += stringHeader + int64(len(v.(string)))
-		default:
-			if seen == nil {
-				seen = map[uintptr]struct{}{}
-			}
-			total += of(reflect.ValueOf(v), seen)
+// ofBoxed sums the deep sizes of the values held by every step-th element
+// of vs from the first, their interface headers excluded; nil elements
+// add nothing.
+func ofBoxed(vs []any, step int) int64 {
+	var w walk
+	var total int64
+	for i := 0; i < len(vs); i += step {
+		if vs[i] != nil {
+			total += w.boxed(&vs[i])
 		}
 	}
 	return total
+}
+
+// A walk is the state of one estimate: the shared-pointer table, allocated
+// when the reflective walk first needs it, and the layouts of the last few
+// types met. A partition's rows and their fields hold few types (a pair's
+// row, key and value types), so nearly every value finds its layout here
+// and pays neither a type inspection nor a cache lookup.
+type walk struct {
+	seen    map[uintptr]struct{}
+	layouts [4]layout
+	next    int // the slot the next layout resolved replaces
+}
+
+// A layout is how values of one type are sized: by a constant, as a
+// string, by a plan, or, with none of these, by the reflective walk.
+type layout struct {
+	typ   unsafe.Pointer // the type word of the type's boxed values
+	fixed int64          // deep size of every value, or -1
+	str   bool           // the type is of string kind
+	plan  *plan          // the type's plan, or nil
+}
+
+// layout returns the layout of the type of the non-nil value at x. The
+// lookup compares type words: comparing reflect.Type values costs a
+// runtime call each.
+func (w *walk) layout(x *any) *layout {
+	typ := (*[2]unsafe.Pointer)(unsafe.Pointer(x))[0]
+	for i := range w.layouts {
+		if w.layouts[i].typ == typ {
+			return &w.layouts[i]
+		}
+	}
+	t := reflect.TypeOf(*x)
+	l := &w.layouts[w.next]
+	w.next = (w.next + 1) % len(w.layouts)
+	*l = layout{typ: typ, fixed: fixedDeep(t), str: t.Kind() == reflect.String}
+	if l.fixed < 0 {
+		l.plan = planFor(t)
+	}
+	return l
+}
+
+// table returns the shared-pointer table, allocating it on first use.
+func (w *walk) table() map[uintptr]struct{} {
+	if w.seen == nil {
+		w.seen = map[uintptr]struct{}{}
+	}
+	return w.seen
+}
+
+// boxed is of(reflect.ValueOf(*x), w.table()) for the non-nil value at x.
+func (w *walk) boxed(x *any) int64 {
+	l := w.layout(x)
+	switch {
+	case l.fixed >= 0:
+		return l.fixed
+	case l.str:
+		return stringHeader + int64(len(*(*string)(dataWord(x))))
+	case l.plan != nil:
+		return w.planned(l.plan, dataWord(x))
+	}
+	return of(reflect.ValueOf(*x), w.table())
+}
+
+// planned is of() of the struct planned by p at base: the fixed part plus,
+// for each any field, its header and the deep size of the value it holds.
+func (w *walk) planned(p *plan, base unsafe.Pointer) int64 {
+	total := p.size
+	for _, off := range p.leaves {
+		total += ifaceSize
+		if x := (*any)(unsafe.Add(base, off)); *x != nil {
+			total += w.boxed(x)
+		}
+	}
+	return total
+}
+
+// dataWord returns the data word of the interface at x, the word after its
+// type word. For the values this package reads through it — strings and
+// planned structs, never pointer-shaped, so never stored in the word
+// itself — it is the address of the value.
+func dataWord(x *any) unsafe.Pointer {
+	return (*[2]unsafe.Pointer)(unsafe.Pointer(x))[1]
+}
+
+// A plan is the compiled layout of a struct type whose fields, nested
+// structs' included, are each of a fixed deep size or of type any: no
+// pointer, slice, map or string field, no interface with methods and no
+// array of any. Of a struct, of() sums its fields in order; a plan sums the
+// fixed ones once, here, and keeps the any fields' offsets in that order,
+// so the values they hold are sized — and meet the shared-pointer table —
+// in the order the walk would meet them.
+type plan struct {
+	size   int64     // deep size of the fixed fields, summed
+	leaves []uintptr // offsets of the any fields, depth first in field order
+}
+
+// plans caches planFor: reflect.Type -> *plan, nil for a type without one.
+var plans sync.Map
+
+// planFor returns the plan of type t, or nil when t has none.
+func planFor(t reflect.Type) *plan {
+	if t.Kind() != reflect.Struct {
+		return nil
+	}
+	if p, ok := plans.Load(t); ok {
+		return p.(*plan)
+	}
+	p := &plan{}
+	if !p.add(t, 0) {
+		p = nil
+	}
+	plans.Store(t, p)
+	return p
+}
+
+// add appends struct type t's fields, laid out from offset off, to p and
+// reports whether every one of them fits a plan.
+func (p *plan) add(t reflect.Type, off uintptr) bool {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		switch sz := fixedDeep(f.Type); {
+		case sz >= 0:
+			p.size += sz
+		case f.Type.Kind() == reflect.Interface && f.Type.NumMethod() == 0:
+			p.leaves = append(p.leaves, off+f.Offset)
+		case f.Type.Kind() == reflect.Struct:
+			if !p.add(f.Type, off+f.Offset) {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // fixedSizes caches fixedDeep of composite types: reflect.Type -> int64.

@@ -1,7 +1,9 @@
 package sizeest
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -210,6 +212,7 @@ func TestOfSliceBatchMatchesReference(t *testing.T) {
 		{map[string][]int{"k": {1}}, map[string][]int{"k": {1}}},
 		{[4]string{"a", "b", "c", "d"}, [2]int{1, 2}},
 	}
+	cases = append(cases, planCases()...)
 	for i, vs := range cases {
 		if got, want := OfSlice(vs), ofSliceReference(vs); got != want {
 			t.Errorf("case %d: OfSlice = %d, reference = %d", i, got, want)
@@ -220,6 +223,51 @@ func TestOfSliceBatchMatchesReference(t *testing.T) {
 	withCap = append(withCap, 1, "x", pair{2, 3})
 	if got, want := OfSlice(withCap), ofSliceReference(withCap); got != want {
 		t.Errorf("cap>len: OfSlice = %d, reference = %d", got, want)
+	}
+}
+
+// kv is the boxed engine's row: a struct of two any fields, which has a
+// plan.
+type kv struct{ K, V any }
+
+// labelled nests a kv and an any beside fixed fields, so its plan flattens
+// a nested struct.
+type labelled struct {
+	ID  int32
+	Row kv
+	Tag any
+	W   [2]float64
+}
+
+// withErr holds an interface with methods, and arrayRow an array of any:
+// neither has a plan, both take the reflective walk.
+type withErr struct {
+	K   int
+	Err error
+}
+
+type arrayRow [2]any
+
+type name string
+
+// planCases are boxed partitions of planned and unplanned rows. The shared
+// slice appears with two capacities, so the total depends on which row the
+// shared-pointer table meets first: a walk that visits leaves out of
+// order would charge the wrong capacity.
+func planCases() [][]any {
+	shared := []int{1, 2, 3, 4}
+	short := shared[:1:1]
+	nested := kv{1, "inner"}
+	return [][]any{
+		{kv{1, 2}, kv{int64(1) << 40, "a longer string value"}, kv{nil, nil}, kv{"k", nested}, kv{kv{nested, nil}, 3.5}},
+		{kv{short, 1}, kv{2, shared}, kv{shared, short}},
+		{kv{shared, 1}, kv{2, short}},
+		{labelled{1, kv{short, "x"}, shared, [2]float64{}}, labelled{ID: 2, Tag: kv{nil, short}}},
+		{arrayRow{1, "x"}, arrayRow{shared, nil}, kv{short, arrayRow{}}},
+		{withErr{1, nil}, withErr{2, errType{"boom"}}, kv{withErr{3, errType{"x"}}, 4}},
+		{kv{1, 2}, nil, "mixed", kv{3, shared}, labelled{}, 7, kv{short, nil}},
+		// A string type of another name is still sized as a string.
+		{name("a"), name("longer"), kv{name("k"), "v"}},
 	}
 }
 
@@ -293,6 +341,23 @@ func TestOfBatchMatchesBoxed(t *testing.T) {
 	}
 	check("interface elems", testBatch{data: errs, n: len(errs), bcap: 8}, boxed)
 
+	// Planned rows as a typed batch read their any fields in place; rows
+	// without a plan walk. Each must equal its boxed equivalent.
+	for i, rows := range planCases() {
+		b, boxed = batchOver(rows, cap(rows)+3)
+		check(fmt.Sprintf("plan case %d as []any", i), b, boxed)
+	}
+	shared4 := []int{1, 2, 3, 4}
+	kvs := []kv{{1, "a"}, {shared4[:2:2], nil}, {kv{2, shared4}, int64(1) << 50}, {}}
+	b, boxed = batchOver(kvs, 8)
+	check("typed planned struct", b, boxed)
+	b, boxed = batchOver([]labelled{{1, kv{shared4, "x"}, shared4[:1:1], [2]float64{}}, {ID: 2}}, 2)
+	check("typed nested planned struct", b, boxed)
+	b, boxed = batchOver([]arrayRow{{1, "x"}, {shared4, nil}}, 2)
+	check("typed array of any", b, boxed)
+	b, boxed = batchOver([]withErr{{1, nil}, {2, errType{"boom"}}}, 4)
+	check("typed interface-with-methods field", b, boxed)
+
 	// The boxed fallback IS the OfSlice loop: same result on shared input.
 	mixed := []any{1, "two", pair{3, 3}, nil, shared}
 	got := OfBatch(testBatch{data: mixed, n: len(mixed), bcap: cap(mixed)})
@@ -301,8 +366,9 @@ func TestOfBatchMatchesBoxed(t *testing.T) {
 	}
 }
 
-// sampleEvery is the engine's sample construction (Vec.sampleEvery): every
-// step-th element, under the given boxed capacity.
+// sampleEvery builds the sample the engine once copied out of a partition
+// and OfEvery now walks in place: every step-th element, under the given
+// boxed capacity.
 func sampleEvery[T any](xs []T, step, bcap int) testBatch {
 	var out []T
 	for i := 0; i < len(xs); i += step {
@@ -356,6 +422,49 @@ func TestOfFixedMatchesSampledBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestOfEveryMatchesBuiltSample: the strided walk equals OfBatch of the
+// sample built explicitly, for every step the engine can take and lengths
+// that are not a multiple of it, on typed, planned, unplanned and boxed
+// partitions.
+func TestOfEveryMatchesBuiltSample(t *testing.T) {
+	shared := []int{1, 2, 3}
+	const n = 100
+	ints, strs, kvs, errs, slices := make([]int, n), make([]string, n), make([]kv, n), make([]error, n), make([][]int, n)
+	boxed := make([]any, n)
+	for i := range n {
+		ints[i] = i
+		strs[i] = strings.Repeat("s", i%11)
+		kvs[i] = kv{i, strs[i]}
+		if i%4 == 0 {
+			kvs[i] = kv{shared[: i%3 : i%3], kv{int64(i), nil}}
+			errs[i] = errType{strs[i]}
+		}
+		slices[i] = shared[:i%4]
+		boxed[i] = kvs[i]
+		if i%7 == 0 {
+			boxed[i] = nil
+		}
+	}
+	for _, step := range []int{1, 2, 3, 31} {
+		for _, m := range []int{0, 1, 31, 62, 63, 64, n} {
+			for name, pair := range map[string][2]testBatch{
+				"int":     {batch(ints[:m], 64), sampleEvery(ints[:m], step, 37)},
+				"string":  {batch(strs[:m], 64), sampleEvery(strs[:m], step, 37)},
+				"planned": {batch(kvs[:m], 64), sampleEvery(kvs[:m], step, 37)},
+				"iface":   {batch(errs[:m], 64), sampleEvery(errs[:m], step, 37)},
+				"slices":  {batch(slices[:m], 64), sampleEvery(slices[:m], step, 37)},
+				"boxed":   {batch(boxed[:m], 64), sampleEvery(boxed[:m], step, 37)},
+			} {
+				if got, want := OfEvery(pair[0], step, 37), OfBatch(pair[1]); got != want {
+					t.Errorf("%s, n=%d, step %d: OfEvery = %d, OfBatch of the sample = %d", name, m, step, got, want)
+				}
+			}
+		}
+	}
+}
+
+func batch[T any](xs []T, bcap int) testBatch { return testBatch{data: xs, n: len(xs), bcap: bcap} }
 
 type errType struct{ s string }
 
