@@ -45,11 +45,6 @@ type job struct {
 	// bcastBytes records the residency charged per pinned broadcast dep,
 	// so recovery can unpin a broadcast it re-lowers away.
 	bcastBytes map[*dep]int64
-	// listed holds the cached-partition block ids the job's remote specs
-	// listed as Resident: the blocks a process pool keeps past the job's
-	// end, and so the only cacheBlocks entries job.end keeps. Nil until a
-	// spec lists one.
-	listed map[uint64]bool
 
 	// attempts counts launches per stage root (recovery bounds reruns);
 	// raised tracks the cumulative partition-raise factor per stage root;
@@ -140,20 +135,13 @@ func (s *Session) newJob() *job {
 }
 
 // end releases the shuffle blocks the job still holds — those of a stage
-// that never ran or never succeeded — lets the free list forget what the
-// job had no use for, and forgets every cached block id the job did not
-// list: the backend's ReleaseBroadcasts, which follows, drops exactly
-// those blocks.
+// that never ran or never succeeded — and lets the free list forget what
+// the job had no use for.
 func (j *job) end() {
 	for _, r := range j.blocks {
 		j.releaseBlocks(r)
 	}
 	j.s.arenas.endJob()
-	for n := range j.s.resident {
-		if !n.keepBlocks(func(id uint64) bool { return j.listed[id] }) {
-			delete(j.s.resident, n)
-		}
-	}
 }
 
 // launchStage runs the tasks of stage st (rooted at n) for real on the
@@ -286,7 +274,6 @@ func (j *job) commit(n *node, parts []Batch, rep cluster.StageReport) stageResul
 	if n.cached {
 		n.cacheMu.Lock()
 		n.cacheData = parts
-		n.cacheBlocks = nil
 		n.cacheMu.Unlock()
 	}
 	return stageResult{rep: rep}
@@ -310,12 +297,6 @@ func (j *job) launchStageRemote(n *node, st *stage) (stageResult, bool) {
 	spec, err := j.buildRemoteSpec(n, j.s.remote.PutBlock)
 	if err != nil {
 		return driverLocal(err)
-	}
-	for _, id := range spec.Resident {
-		if j.listed == nil {
-			j.listed = map[uint64]bool{}
-		}
-		j.listed[id] = true
 	}
 	wallStart := time.Now()
 	res, err := j.s.remote.RunRemoteStage(context.Background(), spec)

@@ -52,7 +52,7 @@ func foldBatch[A any](tables *sync.Pool, in Batch) []A {
 // 1 + the position of the key homed there.
 //
 // It replaces a Go map, whose hash and equality walk a padded key such as
-// core.Tag field by field (EXPERIMENTS.md, "One keyed index"). Its hash
+// core.Tag field by field (BENCHLOG.md, "One keyed index"). Its hash
 // never leaves the process, so it need not be the stable one: a key of
 // integers and bools folds its padding-masked words (foldWords,
 // stablehash.go), one multiply each, and any other key — a float, a

@@ -48,9 +48,9 @@ type dep struct {
 	// == b.Len() > 0) and bumps ct[target]. Routing runs concurrently and
 	// visits sources in any order, so it must be pure — position-dependent
 	// routing (Repartition's round-robin) derives the target from (src, i),
-	// never from a shared counter. The typed constructors (shuffle.go) hash
-	// the batch shape they were built for in place and walk any other shape
-	// element by element, to the same targets.
+	// never from a shared counter. The typed constructors (shuffle.go)
+	// assert the one shape the dataset's batches have, *Vec[T] of its
+	// element type, and hash its elements where they lie.
 	targets func(src int, b Batch, nParts int, tg, ct []int32)
 	// aliased marks a shuffle dep whose consumer returns the routed block
 	// itself as its output (identityCompute: PartitionByKey, Repartition).
@@ -112,12 +112,6 @@ type node struct {
 	cached    bool
 	cacheMu   sync.Mutex
 	cacheData []Batch
-	// cacheBlocks[p] is the RemoteRunner block id cacheData[p] was put
-	// under (0: not put, or forgotten), so a process pool receives each
-	// cached partition once per session rather than once per job
-	// (buildRemoteSpec). Reset with cacheData; a job that does not list an
-	// id forgets it (job.end), as the backend then drops the block.
-	cacheBlocks []uint64
 }
 
 // Ctx carries per-task cost accounting. Operator UDFs that do significant
@@ -271,25 +265,6 @@ func (s *Session) newNode(label string, parts int, deps []dep, compute func(tc *
 		p.cacheMu.Unlock()
 	}
 	return n
-}
-
-// keepBlocks forgets every cacheBlocks id keep rejects and reports
-// whether any is left.
-func (n *node) keepBlocks(keep func(id uint64) bool) bool {
-	n.cacheMu.Lock()
-	defer n.cacheMu.Unlock()
-	left := false
-	for p, id := range n.cacheBlocks {
-		if id != 0 && keep(id) {
-			left = true
-		} else {
-			n.cacheBlocks[p] = 0
-		}
-	}
-	if !left {
-		n.cacheBlocks = nil
-	}
-	return left
 }
 
 func narrowDep(parent *node) dep { return dep{parent: parent, kind: depNarrow} }

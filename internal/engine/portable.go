@@ -10,7 +10,10 @@ package engine
 // registry, plus its serialized construction argument); each of its inputs
 // is empty, an earlier step's output, or a block id — a shuffle block, a
 // broadcast pin, a materialized frontier partition or a driver-evaluated
-// source partition, all framed with the batchio codec. The worker resolves
+// source partition, all framed with the batchio codec. A spec lists the
+// partitions of cached datasets it reads as Resident; the runner keeps
+// those past the job and names them by the same id when they are put
+// again, so a loop over a cached dataset ships it once. The worker resolves
 // operator names through the same registry (populated by init-time
 // registrations linked into both processes — see internal/taskreg) once
 // per job (RemoteEvaluator), reads the blocks, and runs the steps in
@@ -164,12 +167,11 @@ type RemoteStageSpec struct {
 	Label string
 	Tasks []RemoteTask
 	// Resident lists the blocks the tasks read that are partitions of a
-	// cached dataset, put once for the session: the runner keeps every
-	// block a spec of the current job listed here past ReleaseBroadcasts
-	// and drops every other one (see RemoteRunner). A resident block's
-	// batch is the node cache's and never changes, so the runner may read
-	// it for the whole session. It stays on the driver; task frames do
-	// not carry it.
+	// cached dataset: the runner keeps every block a spec of the current
+	// job listed here past ReleaseBroadcasts and drops every other one
+	// (see RemoteRunner). A resident block's batch is the node cache's and
+	// never changes, so the runner may read it for as long as it keeps it.
+	// It stays on the driver; task frames do not carry it.
 	Resident []uint64
 }
 
@@ -225,9 +227,10 @@ type RemoteStageResult struct {
 // A stored block lives until the backend's ReleaseBroadcasts, the
 // end-of-job hook, and past it exactly when a spec passed to
 // RunRemoteStage since the previous ReleaseBroadcasts listed it in
-// Resident. The engine applies the same rule to the ids it remembers
-// (node.cacheBlocks), so both sides agree on what survives a job without a
-// call of their own.
+// Resident. PutBlock keys batches by identity: a batch the backend still
+// holds gets the id it already has, so a cached partition kept from the
+// previous job is named by the same id and not shipped again. The engine
+// remembers no id across specs.
 type RemoteRunner interface {
 	PutBlock(b Batch) (uint64, error)
 	RunRemoteStage(ctx context.Context, spec *RemoteStageSpec) (*RemoteStageResult, error)
@@ -240,10 +243,10 @@ type RemoteRunner interface {
 // inputs are built, and no portable operator reads a narrow dep after a
 // block dep, so a failed walk has put no block; a block put anyway would
 // be listed by no spec, and the job's end drops it. Every leaf batch is
-// stored through put exactly once (batches shared across tasks —
-// broadcasts, fan-in reads — dedupe on identity). A cached node's
-// partition is put once per session: its id is kept in cacheBlocks, reused
-// by every later spec and listed in spec.Resident. It mirrors
+// stored through put once per spec (batches shared across tasks —
+// broadcasts, fan-in reads — dedupe on identity), and a cached node's
+// partition is listed in spec.Resident, so the runner keeps it for the
+// next job and names it by the same id then. It mirrors
 // evalPartDirect's per-operator input assembly exactly; fusion never
 // applies remotely, which the fused-vs-per-operator suites (fuse_test.go,
 // TestRandomDAGFusedMatchesPerOperator) prove is invisible to results.
@@ -253,7 +256,7 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 	}
 	spec := &RemoteStageSpec{Label: n.label, Tasks: make([]RemoteTask, 0, n.parts)}
 	ids := map[Batch]uint64{}
-	blockInput := func(b Batch) (RemoteInput, error) {
+	blockInput := func(b Batch, cached bool) (RemoteInput, error) {
 		if b == nil || b == zeroBatch {
 			return RemoteInput{}, nil
 		}
@@ -265,35 +268,10 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 			return RemoteInput{}, err
 		}
 		ids[b] = id
-		return RemoteInput{Block: id}, nil
-	}
-	cachedInput := func(nd *node, data []Batch, pp int) (RemoteInput, error) {
-		b := data[pp]
-		if _, ok := ids[b]; ok || b == nil || b == zeroBatch {
-			return blockInput(b)
-		}
-		nd.cacheMu.Lock()
-		defer nd.cacheMu.Unlock()
-		if pp < len(nd.cacheBlocks) && nd.cacheBlocks[pp] != 0 {
-			id := nd.cacheBlocks[pp]
-			ids[b] = id
+		if cached {
 			spec.Resident = append(spec.Resident, id)
-			return RemoteInput{Block: id}, nil
 		}
-		in, err := blockInput(b)
-		if err != nil {
-			return in, err
-		}
-		if nd.cacheBlocks == nil {
-			nd.cacheBlocks = make([]uint64, len(data))
-			if j.s.resident == nil {
-				j.s.resident = map[*node]bool{}
-			}
-			j.s.resident[nd] = true
-		}
-		nd.cacheBlocks[pp] = in.Block
-		spec.Resident = append(spec.Resident, in.Block)
-		return in, nil
+		return RemoteInput{Block: id}, nil
 	}
 
 	// steps is the task being built; step appends nd's step for partition
@@ -302,16 +280,13 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 	var step func(nd *node, p int) (int, error)
 	narrowInput := func(nd *node, pp int) (RemoteInput, error) {
 		if cp, ok := j.front[nd]; ok {
-			if nd.cached {
-				return cachedInput(nd, cp.data, pp)
-			}
-			return blockInput(cp.data[pp])
+			return blockInput(cp.data[pp], nd.cached)
 		}
 		if len(nd.deps) == 0 {
 			// In-chain source (Parallelize, readers): its partitions are
 			// built from driver-captured state, so evaluate here and ship
 			// the batch rather than the closure.
-			return blockInput(nd.compute(&Ctx{}, pp, nil))
+			return blockInput(nd.compute(&Ctx{}, pp, nil), false)
 		}
 		s, err := step(nd, pp)
 		return RemoteInput{Step: s}, err
@@ -330,9 +305,9 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 					st.Inputs[i], err = narrowInput(d.parent, pp)
 				}
 			case depShuffle:
-				st.Inputs[i], err = blockInput(j.blocks[d].blocks[p])
+				st.Inputs[i], err = blockInput(j.blocks[d].blocks[p], false)
 			case depBroadcast:
-				st.Inputs[i], err = blockInput(j.bcast[d])
+				st.Inputs[i], err = blockInput(j.bcast[d], false)
 			}
 			if err != nil {
 				return 0, err

@@ -50,11 +50,16 @@ func init() {
 // so failures point at the spec builder rather than the pool. Like the
 // pool, it encodes a block only when a stage reads it: a spec naming a
 // block whose shuffle memory the engine already released would decode
-// the poison a mustSession writes there.
+// the poison a mustSession writes there. It keeps blocks as the contract
+// says: by identity, until a ReleaseBroadcasts no spec since the previous
+// one kept them from.
 type fakeRemoteRunner struct {
 	*cluster.Simulator // Backend + Residency facets
 	blocks             map[uint64]Batch
-	next               uint64
+	ids                map[Batch]uint64
+	keep               map[uint64]bool // listed Resident since the last release
+	next               uint64          // ids handed out
+	puts               int             // PutBlock calls
 	eval               RemoteEvaluator
 	stages             int
 	tasks              int
@@ -64,6 +69,13 @@ type fakeRemoteRunner struct {
 
 func (f *fakeRemoteRunner) ReleaseBroadcasts() {
 	f.releases++
+	for id, b := range f.blocks {
+		if !f.keep[id] {
+			delete(f.blocks, id)
+			delete(f.ids, b)
+		}
+	}
+	f.keep = map[uint64]bool{}
 	f.Simulator.ReleaseBroadcasts()
 }
 
@@ -73,12 +85,17 @@ func newFakeRemoteRunner(t *testing.T) *fakeRemoteRunner {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fakeRemoteRunner{Simulator: sim, blocks: map[uint64]Batch{}}
+	return &fakeRemoteRunner{Simulator: sim, blocks: map[uint64]Batch{}, ids: map[Batch]uint64{}, keep: map[uint64]bool{}}
 }
 
 func (f *fakeRemoteRunner) PutBlock(b Batch) (uint64, error) {
+	f.puts++
+	if id, ok := f.ids[b]; ok {
+		return id, nil
+	}
 	f.next++
 	f.blocks[f.next] = b
+	f.ids[b] = f.next
 	return f.next, nil
 }
 
@@ -87,6 +104,9 @@ func (f *fakeRemoteRunner) PutBlock(b Batch) (uint64, error) {
 // boundary fail here too.
 func (f *fakeRemoteRunner) RunRemoteStage(_ context.Context, spec *RemoteStageSpec) (*RemoteStageResult, error) {
 	f.specs = append(f.specs, spec)
+	for _, id := range spec.Resident {
+		f.keep[id] = true
+	}
 	parts := make([]Batch, len(spec.Tasks))
 	for i := range spec.Tasks {
 		b, err := f.eval.RunRemoteTask(&spec.Tasks[i], func(id uint64) (Batch, error) {
@@ -314,8 +334,8 @@ func TestUnmarkedOperatorUnderPortableRoot(t *testing.T) {
 	if want := []int{18, 21, 24}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
-	if len(fr.specs) != 0 || fr.next != 0 {
-		t.Fatalf("the runner saw %d specs and %d blocks, want none", len(fr.specs), fr.next)
+	if len(fr.specs) != 0 || fr.puts != 0 {
+		t.Fatalf("the runner saw %d specs and %d blocks, want none", len(fr.specs), fr.puts)
 	}
 	found := false
 	for _, d := range rec.Decisions() {
@@ -328,13 +348,14 @@ func TestUnmarkedOperatorUnderPortableRoot(t *testing.T) {
 	}
 }
 
-// TestCachedPartitionsPutOncePerSession: a cached dataset's partitions
-// are put once for the session and listed as resident by every spec that
-// reads them. A job that does not read them forgets their ids, as the
-// backend drops those blocks at its end, so a later job puts them again.
-// Close hands the backend one more ReleaseBroadcasts when the session
-// holds any, and closing twice releases nothing more.
-func TestCachedPartitionsPutOncePerSession(t *testing.T) {
+// TestCachedPartitionsListedAsResident: every spec that reads a cached
+// dataset lists each of its partitions in Resident, under the id PutBlock
+// returned for that very batch. The runner keeps them by identity, so a
+// second job over the same cache puts the same batches and gets the same
+// ids, while a job that does not read them lets them go and the next one
+// gets fresh ids. Each Close hands the backend a ReleaseBroadcasts, after
+// which it holds nothing.
+func TestCachedPartitionsListedAsResident(t *testing.T) {
 	fr := newFakeRemoteRunner(t)
 	sess := mustSession(Config{Backend: fr, Recover: true})
 	data := make([]int, 100)
@@ -342,7 +363,7 @@ func TestCachedPartitionsPutOncePerSession(t *testing.T) {
 		data[i] = i
 	}
 	cached := Parallelize(sess, data, 4).Cache()
-	scale := func(k int) {
+	scale := func(k int) []uint64 {
 		t.Helper()
 		f := func(x int) int { return k * x }
 		got, err := Collect(MarkPortable(Map(cached, f), "ptest.scale", []byte(strconv.Itoa(k))))
@@ -354,36 +375,43 @@ func TestCachedPartitionsPutOncePerSession(t *testing.T) {
 				t.Fatalf("scale %d: element %d = %d, want %d", k, i, x, k*data[i])
 			}
 		}
+		resident := fr.specs[len(fr.specs)-1].Resident
+		if len(resident) != 4 {
+			t.Fatalf("scale %d: resident %v, want the 4 cached partitions", k, resident)
+		}
+		for p, id := range resident {
+			if fr.ids[cached.n.cacheData[p]] != id {
+				t.Fatalf("scale %d: resident id %d of partition %d is not the id its batch was put under", k, id, p)
+			}
+		}
+		return resident
 	}
-	lastResident := func() []uint64 { return fr.specs[len(fr.specs)-1].Resident }
 
-	scale(2)
-	first := lastResident()
-	if fr.next != 4 || len(first) != 4 {
-		t.Fatalf("first job: %d puts, %d resident ids; want 4 and 4", fr.next, len(first))
+	first := scale(2)
+	if fr.next != 4 || fr.puts != 4 {
+		t.Fatalf("first job: %d puts, %d ids; want 4 and 4", fr.puts, fr.next)
 	}
-	scale(3)
-	if fr.next != 4 || !reflect.DeepEqual(lastResident(), first) {
-		t.Fatalf("second job: %d puts, resident %v; want 4 and %v", fr.next, lastResident(), first)
+	if again := scale(3); fr.next != 4 || fr.puts != 8 || !reflect.DeepEqual(again, first) {
+		t.Fatalf("second job: %d puts, %d ids, resident %v; want 8, 4 and %v", fr.puts, fr.next, again, first)
 	}
 
-	// A job that does not read the cached dataset lets its blocks go.
+	// A job that does not read the cached dataset lists nothing and lets
+	// its blocks go.
 	if _, err := Collect(MarkPortable(Map(Parallelize(sess, data, 2), func(x int) int { return x }), "ptest.scale", []byte("1"))); err != nil {
 		t.Fatal(err)
 	}
-	if cached.n.cacheBlocks != nil || len(sess.resident) != 0 {
-		t.Fatalf("unread cached blocks kept: %v (%d resident nodes)", cached.n.cacheBlocks, len(sess.resident))
+	if uncached := fr.specs[len(fr.specs)-1].Resident; len(uncached) != 0 {
+		t.Fatalf("a spec over no cached dataset lists resident %v", uncached)
 	}
-	puts := fr.next
-	scale(5)
-	if fr.next != puts+4 || slices.Contains(first, lastResident()[0]) {
-		t.Fatalf("after a job without them: %d new puts, resident %v; want 4 fresh ids", fr.next-puts, lastResident())
+	ids := fr.next
+	if fresh := scale(5); fr.next != ids+4 || slices.Contains(first, fresh[0]) {
+		t.Fatalf("after a job without them: %d new ids, resident %v; want 4 fresh ids", fr.next-ids, fresh)
 	}
 
 	releases := fr.releases
 	sess.Close()
 	sess.Close()
-	if fr.releases != releases+1 || cached.n.cacheBlocks != nil {
-		t.Fatalf("Close twice: %d releases, cache blocks %v; want 1 and none", fr.releases-releases, cached.n.cacheBlocks)
+	if fr.releases != releases+2 || len(fr.blocks) != 0 {
+		t.Fatalf("Close twice: %d releases, %d blocks kept; want 2 and none", fr.releases-releases, len(fr.blocks))
 	}
 }

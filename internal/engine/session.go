@@ -134,10 +134,6 @@ type Session struct {
 	// Recorder methods are nil-safe).
 	obs *obs.Recorder
 
-	// resident is the set of cached nodes whose partitions a process pool
-	// holds under their cacheBlocks ids across jobs. Guarded by mu.
-	resident map[*node]bool
-
 	// feedback carries runtime failures back to the lowering phase:
 	// denylisted physical choices and partition-count boosts. Always
 	// non-nil; it only receives entries when Config.Recover is on.
@@ -263,16 +259,11 @@ func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.arenas = arenaList{}
-	if len(s.resident) == 0 {
-		return
+	if s.remote != nil {
+		// No spec has listed a block since the last job ended, so the
+		// backend keeps none.
+		s.exec.ReleaseBroadcasts()
 	}
-	for n := range s.resident {
-		n.keepBlocks(func(uint64) bool { return false })
-	}
-	s.resident = nil
-	// No spec has listed a block since the last job ended, so the
-	// backend keeps none.
-	s.exec.ReleaseBroadcasts()
 }
 
 // stageCosts returns a zeroed []cluster.Task of length n backed by the

@@ -33,7 +33,7 @@ package engine
 // place such a key differently in every process.
 //
 // Two switches sit in front of the leaf lists, for the key types that
-// carry the traffic (measured: EXPERIMENTS.md, "Key hashing: one path"):
+// carry the traffic (measured: BENCHLOG.md, "Key hashing: one path"):
 // hashOf dispatches per call and takes the key by value, because a key
 // handed by pointer to an indirect call escapes to the heap — it backs
 // HashKey inside Map closures; keyHasher resolves once per shuffle dep to

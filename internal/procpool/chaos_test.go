@@ -79,11 +79,28 @@ func sliceBatch[T any](xs []T) engine.Batch {
 // reads them back: task i is the identity over block i.
 func blockSpec(t testing.TB, pool *Pool, label string, n int) (*engine.RemoteStageSpec, [][]int) {
 	t.Helper()
-	spec := &engine.RemoteStageSpec{Label: label}
+	want, batches := smallBlocks(n)
+	return specOver(t, pool, label, batches), want
+}
+
+// smallBlocks returns n small int batches and their rows.
+func smallBlocks(n int) ([][]int, []engine.Batch) {
 	want := make([][]int, n)
+	batches := make([]engine.Batch, n)
 	for i := range want {
 		want[i] = []int{i, 10 * i, 100 * i}
-		id, err := pool.PutBlock(sliceBatch(want[i]))
+		batches[i] = sliceBatch(want[i])
+	}
+	return want, batches
+}
+
+// specOver puts batches in the pool and builds the stage that reads them
+// back: task i is the identity over batches[i].
+func specOver(t testing.TB, pool *Pool, label string, batches []engine.Batch) *engine.RemoteStageSpec {
+	t.Helper()
+	spec := &engine.RemoteStageSpec{Label: label}
+	for i, b := range batches {
+		id, err := pool.PutBlock(b)
 		if err != nil {
 			t.Fatalf("PutBlock: %v", err)
 		}
@@ -91,7 +108,7 @@ func blockSpec(t testing.TB, pool *Pool, label string, n int) (*engine.RemoteSta
 			Op: "identity", Part: i, Inputs: []engine.RemoteInput{{Block: id}},
 		}}})
 	}
-	return spec, want
+	return spec
 }
 
 func checkParts(t testing.TB, parts []engine.Batch, want [][]int) {
@@ -108,13 +125,15 @@ func checkParts(t testing.TB, parts []engine.Batch, want [][]int) {
 
 // TestResidentBlocksStayForTheNextJob: blocks a stage lists as resident
 // survive the job's end in the store and on the worker. One worker runs
-// both jobs, so the next job's stage over three of them pushes no block:
-// the worker is still believed to hold them, the bytes shipped are the
-// results alone, and the tasks find their inputs in the worker's cache
-// (a missing one would fail the stage).
+// both jobs, so the next job, which puts three of the same batches again,
+// gets the ids they already have and pushes no block: the worker is still
+// believed to hold them, the bytes shipped are the results alone, and the
+// tasks find their inputs in the worker's cache (a missing one would fail
+// the stage).
 func TestResidentBlocksStayForTheNextJob(t *testing.T) {
 	pool := startPool(t, Config{Workers: 1})
-	spec, want := blockSpec(t, pool, "resident", 4)
+	want, batches := smallBlocks(4)
+	spec := specOver(t, pool, "resident", batches)
 	var frames []int64 // encoded size of each block; an identity task's result is the same frame
 	for i, task := range spec.Tasks {
 		spec.Resident = append(spec.Resident, task.Steps[0].Inputs[0].Block)
@@ -140,7 +159,11 @@ func TestResidentBlocksStayForTheNextJob(t *testing.T) {
 		t.Fatalf("worker is believed to hold %v, want the resident %v", got, spec.Resident)
 	}
 
-	next := &engine.RemoteStageSpec{Label: "resident-again", Tasks: spec.Tasks[:3], Resident: spec.Resident[:3]}
+	next := specOver(t, pool, "resident-again", batches[:3])
+	if !reflect.DeepEqual(next.Tasks, spec.Tasks[:3]) {
+		t.Fatalf("the same batches put again read %+v, want the ids they have %+v", next.Tasks, spec.Tasks[:3])
+	}
+	next.Resident = spec.Resident[:3]
 	res, err = pool.RunRemoteStage(context.Background(), next)
 	if err != nil {
 		t.Fatalf("second job: %v", err)

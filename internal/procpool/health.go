@@ -36,7 +36,7 @@ const (
 )
 
 // monitor scans for workers whose heartbeat went stale. The scan interval
-// (heartbeatCheck) is independent of HeartbeatEvery: beats set the
+// (heartbeatCheck) is independent of heartbeatEvery: beats set the
 // staleness clock, the monitor only bounds detection latency.
 func (p *Pool) monitor() {
 	t := time.NewTicker(p.cfg.heartbeatCheck())
@@ -48,10 +48,10 @@ func (p *Pool) monitor() {
 		case <-t.C:
 			for _, w := range p.liveWorkers() {
 				w.mu.Lock()
-				stale := !w.dead && time.Since(w.lastBeat) > p.cfg.HeartbeatTimeout
+				stale := !w.dead && time.Since(w.lastBeat) > p.cfg.heartbeatTimeout
 				w.mu.Unlock()
 				if stale {
-					p.markDead(w, fmt.Errorf("procpool: worker %d heartbeat timed out (> %v)", w.idx, p.cfg.HeartbeatTimeout))
+					p.markDead(w, fmt.Errorf("procpool: worker %d heartbeat timed out (> %v)", w.idx, p.cfg.heartbeatTimeout))
 				}
 			}
 		}
@@ -139,7 +139,7 @@ func (p *Pool) handshake(conn net.Conn) {
 		lastBeat: time.Now(),
 		pending:  map[uint64]pendingTask{},
 	}
-	if err := w.send(msgHelloAck, encodeHelloAck(w.idx, p.cfg.HeartbeatEvery)); err != nil {
+	if err := w.send(msgHelloAck, encodeHelloAck(w.idx, p.cfg.heartbeatEvery)); err != nil {
 		fail(fmt.Errorf("procpool: worker %d ack: %w", w.idx, err))
 		return
 	}

@@ -268,7 +268,7 @@ func TestTaskDeadlineRequeues(t *testing.T) {
 // for a few hundred milliseconds, which this one does.)
 func TestTaskDeadlineBoundsOneTaskNotTheShare(t *testing.T) {
 	rec := obs.NewRecorder()
-	pool := startPool(t, Config{Workers: 1, TaskDeadline: 500 * time.Millisecond, HeartbeatEvery: 20 * time.Millisecond, Events: rec})
+	pool := startPool(t, Config{Workers: 1, TaskDeadline: 500 * time.Millisecond, heartbeatEvery: 20 * time.Millisecond, Events: rec})
 	res, err := pool.RunRemoteStage(context.Background(), opSpec("long-share", "htest.sleep", []byte("100ms"), 12))
 	if err != nil {
 		t.Fatalf("share of short tasks: %v", err)

@@ -26,11 +26,12 @@ type Config struct {
 	// while RespawnBudget lasts, so the fleet does not monotonically
 	// shrink under sustained faults.
 	Workers int
-	// HeartbeatEvery is how often workers beat (default 100ms);
-	// HeartbeatTimeout is how long a silent worker stays presumed-live
-	// before it is declared crashed (default 3s).
-	HeartbeatEvery   time.Duration
-	HeartbeatTimeout time.Duration
+	// heartbeatEvery is how often workers beat (default 100ms);
+	// heartbeatTimeout is how long a silent worker stays presumed-live
+	// before it is declared crashed (default 3s). Only the pool's own
+	// tests set them.
+	heartbeatEvery   time.Duration
+	heartbeatTimeout time.Duration
 	// TaskDeadline bounds how long one dispatched task may run (0 = no
 	// deadline). A task that exceeds it on a live, heartbeating worker is
 	// cancelled — the worker is killed and respawned, the task requeued —
@@ -72,11 +73,11 @@ func (c *Config) defaults() {
 			c.Workers = 1
 		}
 	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 100 * time.Millisecond
+	if c.heartbeatEvery <= 0 {
+		c.heartbeatEvery = 100 * time.Millisecond
 	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 3 * time.Second
+	if c.heartbeatTimeout <= 0 {
+		c.heartbeatTimeout = 3 * time.Second
 	}
 	if c.RespawnBudget == 0 {
 		c.RespawnBudget = 32
@@ -90,12 +91,12 @@ func (c *Config) defaults() {
 }
 
 // heartbeatCheck is how often the driver-side monitor scans for stale
-// workers: HeartbeatTimeout/4, clamped to [10ms, 1s]. Staleness itself is
-// governed by HeartbeatTimeout; this interval only bounds detection
-// latency, so it deliberately does not track HeartbeatEvery — a short
+// workers: heartbeatTimeout/4, clamped to [10ms, 1s]. Staleness itself is
+// governed by heartbeatTimeout; this interval only bounds detection
+// latency, so it deliberately does not track heartbeatEvery — a short
 // beat period must not make the driver poll needlessly hot.
 func (c *Config) heartbeatCheck() time.Duration {
-	d := c.HeartbeatTimeout / 4
+	d := c.heartbeatTimeout / 4
 	if d < 10*time.Millisecond {
 		d = 10 * time.Millisecond
 	}
@@ -214,7 +215,8 @@ type pendingSpawn struct {
 // sessions (the engine runs one stage at a time per session; Pools are
 // not meant to be shared by concurrent sessions). A session's cached
 // partitions stay in the store and in the workers from the job that
-// first reads them until the session's Close (ReleaseBroadcasts).
+// first reads them for as long as every job reads them, and at the
+// latest until the session's Close (ReleaseBroadcasts).
 //
 // Dispatch is one pipeline per (worker, stage): RunRemoteStage hands each
 // live worker its whole share — input blocks pushed ahead of the tasks
@@ -543,8 +545,9 @@ func (p *Pool) Quarantines() int {
 // ---- engine.RemoteRunner ----
 
 // PutBlock stores b for dispatch to push to the workers whose tasks read
-// it. It never fails: the batch is encoded as it is pushed (pushBlock), so
-// a shape the codec refuses fails the stage that reads it.
+// it, and returns the id b already has if the store still holds it. It
+// never fails: the batch is encoded as it is pushed (pushBlock), so a
+// shape the codec refuses fails the stage that reads it.
 func (p *Pool) PutBlock(b engine.Batch) (uint64, error) {
 	return p.store.put(b), nil
 }

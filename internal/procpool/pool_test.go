@@ -82,10 +82,11 @@ func TestChaosABBitIdentical(t *testing.T) {
 // centroids), so bit-identical results prove float64 parameters survive
 // the driver→worker round trip exactly. Its points are cached, so the
 // pool must receive them once per session: every job lists the same
-// resident blocks, and the puts are those blocks plus every job's shuffle
-// blocks. A second session on the same pool puts them afresh and computes
-// the same value, and once both sessions are closed nothing is left in
-// the store or in the driver's view of any worker.
+// resident blocks, and the ids handed out are those blocks plus every
+// job's shuffle blocks. A second session on the same pool puts them
+// afresh under new ids and computes the same value, and once both
+// sessions are closed nothing is left in the store or in the driver's
+// view of any worker.
 func TestKMeansInnerABBitIdentical(t *testing.T) {
 	pool := startPool(t, Config{Workers: 2})
 	sp := tasks.KMeansSpec{TotalPoints: 2000, K: 3, Configs: 3, Eps: 1e-6, MaxIters: 4, Seed: 1}
@@ -146,7 +147,8 @@ func (l *jobLog) ReleaseBroadcasts() {
 }
 
 // runLogged runs f with every session the tasks package builds on a
-// jobLog over pool, and returns its outcome, the log and the blocks put.
+// jobLog over pool, and returns its outcome, the log and the ids the
+// store handed out.
 func runLogged(t *testing.T, pool *Pool, f func() tasks.Outcome) (tasks.Outcome, *jobLog, uint64) {
 	t.Helper()
 	log := &jobLog{Pool: pool, t: t}
@@ -156,7 +158,8 @@ func runLogged(t *testing.T, pool *Pool, f func() tasks.Outcome) (tasks.Outcome,
 	return out, log, pool.puts() - before
 }
 
-// puts is how many blocks the store has ever been given: its last id.
+// puts is how many ids the store has handed out: its last id. A batch
+// put again while the store holds it takes none.
 func (p *Pool) puts() uint64 {
 	p.store.mu.Lock()
 	defer p.store.mu.Unlock()
@@ -165,7 +168,7 @@ func (p *Pool) puts() uint64 {
 
 // checkPutOnce checks a fault-free session: every job lists the same
 // resident blocks, the session's Close released the pool once more with
-// nothing listed, and the blocks put are the resident ones once plus
+// nothing listed, and the ids handed out are the resident ones once plus
 // every job's others. It returns the resident ids.
 func (l *jobLog) checkPutOnce(t *testing.T, puts uint64) []uint64 {
 	t.Helper()
@@ -336,7 +339,7 @@ func TestWorkerCrashRecovery(t *testing.T) {
 // (the connection stays open, no process exit), so only the heartbeat
 // timeout can catch it.
 func TestHeartbeatDetectsStoppedWorker(t *testing.T) {
-	pool := startPool(t, Config{Workers: 2, HeartbeatEvery: 20 * time.Millisecond, HeartbeatTimeout: 300 * time.Millisecond, RespawnBudget: -1})
+	pool := startPool(t, Config{Workers: 2, heartbeatEvery: 20 * time.Millisecond, heartbeatTimeout: 300 * time.Millisecond, RespawnBudget: -1})
 	w := pool.workerList[0]
 	if err := syscall.Kill(w.pid, syscall.SIGSTOP); err != nil {
 		t.Fatalf("SIGSTOP: %v", err)
@@ -425,15 +428,22 @@ func TestUnencodableBlockRunsDriverLocal(t *testing.T) {
 
 // TestBlockStoreKeepsResidentAsBatch: retain keeps the listed blocks as
 // the very batches put — an id it never handed out is ignored — and drops
-// every other one, and ids keep counting up past it.
+// every other one, and ids keep counting up past it. A batch is keyed by
+// identity: put twice while the store holds it, it gets one id; put again
+// after retain dropped it, a fresh one.
 func TestBlockStoreKeepsResidentAsBatch(t *testing.T) {
 	s := newBlockStore()
 	var ids []uint64
 	var batches []engine.Batch
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 5; i++ {
 		b := sliceBatch([]int{i, 2 * i, 3 * i, 4 * i})
 		ids = append(ids, s.put(b))
 		batches = append(batches, b)
+	}
+	for i, b := range batches {
+		if id := s.put(b); id != ids[i] {
+			t.Fatalf("batch %d put again got id %d, want the %d it has", i, id, ids[i])
+		}
 	}
 	kept := s.retain(map[uint64]bool{ids[0]: true, ids[3]: true, 99: true})
 	if !reflect.DeepEqual(kept, map[uint64]bool{ids[0]: true, ids[3]: true}) {
@@ -443,18 +453,24 @@ func TestBlockStoreKeepsResidentAsBatch(t *testing.T) {
 		if b, ok := s.get(ids[i]); !ok || b != batches[i] {
 			t.Fatalf("kept block %d: %v (found %v), want the batch put", ids[i], b, ok)
 		}
+		if id := s.put(batches[i]); id != ids[i] {
+			t.Fatalf("kept batch %d put again got id %d, want %d", i, id, ids[i])
+		}
 	}
-	for _, i := range []int{1, 2} {
+	for _, i := range []int{1, 2, 4} {
 		if _, ok := s.get(ids[i]); ok {
 			t.Fatalf("dropped block %d still readable", ids[i])
 		}
 	}
-	if id := s.put(sliceBatch([]int{7})); id != ids[3]+1 {
-		t.Fatalf("put after retain got id %d, want %d", id, ids[3]+1)
+	if id := s.put(batches[4]); id != ids[4]+1 {
+		t.Fatalf("dropped batch put again got id %d, want the fresh %d", id, ids[4]+1)
 	}
 	s.retain(nil)
 	if _, ok := s.get(ids[0]); ok {
 		t.Fatal("retain(nil) left a block")
+	}
+	if id := s.put(batches[0]); id != ids[4]+2 {
+		t.Fatalf("batch put after retain(nil) got id %d, want the fresh %d", id, ids[4]+2)
 	}
 }
 
@@ -464,7 +480,7 @@ func TestBlockStoreKeepsResidentAsBatch(t *testing.T) {
 // the blocks put before the clock starts (they are encoded as they are
 // pushed, inside it) and dropped, on the driver and in the workers, after
 // it stops. Host-bound (three processes share the
-// cores), so it is quoted in EXPERIMENTS.md, not gated.
+// cores), so it is quoted in BENCHLOG.md, not gated.
 func BenchmarkRemoteStage(b *testing.B) {
 	const tasks = 1200
 	pool, err := Start(Config{Workers: 2})

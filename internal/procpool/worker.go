@@ -154,9 +154,10 @@ func workerRun(sock string) int {
 // seen so far in the job. The driver keeps the same set of block ids
 // (workerProc.held) and pushes a block once, so shared blocks (broadcasts,
 // fan-in reads) cross the wire once per worker, and a cached dataset's
-// partitions once per session. Ids are never reused by the driver, so
-// caching by id alone is safe; msgClearCache bounds the runner's memory
-// to a job's working set plus the session's resident blocks.
+// partitions once for as long as every job reads them. Ids are never
+// reused by the driver, so caching by id alone is safe; msgClearCache
+// bounds the runner's memory to a job's working set plus the session's
+// resident blocks.
 type taskRunner struct {
 	cache map[uint64]engine.Batch
 	eval  engine.RemoteEvaluator

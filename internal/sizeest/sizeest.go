@@ -338,8 +338,8 @@ func fixedDeep(t reflect.Type) int64 {
 // fixedComposite is fixedDeep's walk of an array or struct type.
 func fixedComposite(t reflect.Type) int64 {
 	if t.Kind() == reflect.Array {
-		if isFixedSize(t.Elem()) {
-			return int64(t.Len()) * fixedSize(t.Elem())
+		if fixedDeep(t.Elem()) >= 0 {
+			return int64(t.Len()) * int64(t.Elem().Size())
 		}
 		return -1
 	}
@@ -378,8 +378,8 @@ func of(v reflect.Value, seen map[uintptr]struct{}) int64 {
 		}
 		elem := v.Type().Elem()
 		total := sliceHeaderSize
-		if isFixedSize(elem) {
-			return total + int64(v.Cap())*fixedSize(elem)
+		if fixedDeep(elem) >= 0 {
+			return total + int64(v.Cap())*int64(elem.Size())
 		}
 		for i := 0; i < v.Len(); i++ {
 			total += of(v.Index(i), seen)
@@ -387,8 +387,8 @@ func of(v reflect.Value, seen map[uintptr]struct{}) int64 {
 		return total
 	case reflect.Array:
 		elem := v.Type().Elem()
-		if isFixedSize(elem) {
-			return int64(v.Len()) * fixedSize(elem)
+		if fixedDeep(elem) >= 0 {
+			return int64(v.Len()) * int64(elem.Size())
 		}
 		var total int64
 		for i := 0; i < v.Len(); i++ {
@@ -443,28 +443,4 @@ func markSeen(p uintptr, seen map[uintptr]struct{}) bool {
 	}
 	seen[p] = struct{}{}
 	return true
-}
-
-func isFixedSize(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32,
-		reflect.Int64, reflect.Uint, reflect.Uint8, reflect.Uint16,
-		reflect.Uint32, reflect.Uint64, reflect.Uintptr, reflect.Float32,
-		reflect.Float64, reflect.Complex64, reflect.Complex128:
-		return true
-	case reflect.Array:
-		return isFixedSize(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if !isFixedSize(t.Field(i).Type) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-func fixedSize(t reflect.Type) int64 {
-	return int64(t.Size())
 }
