@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test race vet build bench-module examples bench bench-check figures figures-check fmt-check sched-bench chaos-bench shred-bench procchaos-bench fuzz-smoke
+.PHONY: check test race vet build bench-module examples bench bench-check figures figures-check fmt-check sched-bench chaos-bench shred-bench procchaos-bench fuzz-smoke loc
 
 ## check: what CI's `make check` job runs — formatting, vet, build, tests,
 ## race tests, the benchmark module and the examples. CI's other jobs add
@@ -81,6 +81,17 @@ bench:
 ## gated: planning must not grow per node or per edge.
 bench-check:
 	$(GO) test -bench . -benchmem -benchtime 10x -cpu 1 -run '^$$' ./internal/engine | $(GO) run ./cmd/benchjson -check BENCH_engine.json -factor 3 -gate-allocs 'ShuffleBoundary|ShuffleRoute/structkey|TinyStage|Plan$$'
+
+## loc: print the code lines of every package under internal/ and cmd/ —
+## Go lines outside _test.go files that are neither blank nor only a
+## comment — and their total. ROADMAP.md and CHANGES.md cite these
+## numbers; a simplicity change reads them before and after. It reports,
+## it gates nothing.
+loc:
+	@total=0; for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
+		n=$$(cat $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go') | grep -cvE '^[[:space:]]*(//.*)?$$'); \
+		printf '%-22s %6d\n' $$d $$n; total=$$((total + n)); \
+	done; printf '%-22s %6d\n' total $$total
 
 ## fuzz-smoke: fuzz the batch wire codec for 30s from the checked-in seed
 ## corpus (internal/engine/testdata/fuzz/FuzzBatchCodec), then the

@@ -13,7 +13,7 @@ import "matryoshka/internal/engine"
 func MapWithClosure[A, C, B any](b InnerBag[A], clos InnerScalar[C], f func(A, C) B) InnerBag[B] {
 	ctx := b.ctx
 	joined := engine.JoinWith(clos.repr, b.repr, ctx.BagScalarJoinStrategy(), 0)
-	repr := engine.Map(joined, func(p engine.Pair[Tag, engine.Tuple2[C, A]]) engine.Pair[Tag, B] {
+	repr := engine.Map(joined, func(p engine.Pair[engine.Tag, engine.Tuple2[C, A]]) engine.Pair[engine.Tag, B] {
 		return engine.KV(p.Key, f(p.Val.B, p.Val.A))
 	})
 	return InnerBag[B]{repr: repr, ctx: ctx}
@@ -29,7 +29,7 @@ func LiftScalarClosure[S any](ctx *Ctx, v S) InnerScalar[S] { return Pure(ctx, v
 // it very large"; prefer the half-lifted operations below when the
 // operation allows it.
 func LiftBagClosure[E any](ctx *Ctx, d engine.Dataset[E]) InnerBag[E] {
-	repr := engine.CrossWithBroadcast(ctx.Tags, d, func(t Tag, e E) engine.Pair[Tag, E] {
+	repr := engine.CrossWithBroadcast(ctx.Tags, d, func(t engine.Tag, e E) engine.Pair[engine.Tag, E] {
 		return engine.KV(t, e)
 	})
 	return InnerBag[E]{repr: repr, ctx: ctx}
@@ -45,8 +45,8 @@ func LiftBagClosure[E any](ctx *Ctx, d engine.Dataset[E]) InnerBag[E] {
 func HalfLiftedMapWithClosure[C, A, B any](clos InnerScalar[C], primary engine.Dataset[A], f func(A, C) B) InnerBag[B] {
 	ctx := clos.ctx
 	choice := ctx.HalfLiftedStrategy(clos.repr.CachedBytes(), primary.CachedBytes())
-	var repr engine.Dataset[engine.Pair[Tag, B]]
-	apply := func(tc engine.Pair[Tag, C], a A) engine.Pair[Tag, B] {
+	var repr engine.Dataset[engine.Pair[engine.Tag, B]]
+	apply := func(tc engine.Pair[engine.Tag, C], a A) engine.Pair[engine.Tag, B] {
 		return engine.KV(tc.Key, f(a, tc.Val))
 	}
 	if choice == BroadcastScalar {

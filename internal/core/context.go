@@ -1,3 +1,23 @@
+// Package core implements Matryoshka's primary contribution: the nesting
+// primitives and runtime lowering machinery of the paper's two-phase
+// flattening process.
+//
+// The parsing phase (internal/ir, or a user writing against this package
+// directly, which corresponds to the explicitly nested-parallel program of
+// the paper's Listing 2) produces programs over three nesting primitives:
+//
+//   - InnerScalar[S] — a scalar inside a lifted UDF (Sec. 4.3), represented
+//     at run time by a flat Bag[(Tag, S)];
+//   - InnerBag[E] — a bag inside a lifted UDF (Sec. 4.4), represented by a
+//     flat Bag[(Tag, E)];
+//   - NestedBag[O, I] — a nested bag outside any UDF (Sec. 4.5), represented
+//     by an InnerScalar[O] plus an InnerBag[I].
+//
+// The lowering phase is this package's operation set: each call resolves to
+// flat engine operators, choosing physical implementations (join algorithm,
+// partition counts, broadcast side) at run time from the cardinalities
+// tracked in the LiftingContext (Sec. 8). Control flow inside lifted UDFs is
+// handled by While and If (Sec. 6, Listing 4).
 package core
 
 import (
@@ -38,7 +58,7 @@ type Ctx struct {
 	// Tags holds every tag of this lifted UDF, cached. Operations that
 	// must produce output for empty inner bags (e.g. count) read it
 	// (Sec. 4.4, "we store the bag of tags once per lifted UDF").
-	Tags engine.Dataset[Tag]
+	Tags engine.Dataset[engine.Tag]
 	// Size is the number of tags — known *before* any InnerScalar inside
 	// the UDF is computed, which is what enables the optimizations of
 	// Sec. 8 (partition counts, join algorithm, broadcast side).
@@ -53,7 +73,7 @@ type Ctx struct {
 // once; it is cached here. The partition count is sized by the *real* tag
 // cardinality — simulated count times the tag dataset's record weight — so
 // deeper, data-scaled tag sets get proportionally more partitions.
-func NewContext(sess *engine.Session, tags engine.Dataset[Tag], size int64, opt Options) *Ctx {
+func NewContext(sess *engine.Session, tags engine.Dataset[engine.Tag], size int64, opt Options) *Ctx {
 	c := &Ctx{Sess: sess, Tags: tags.Cache(), Size: size, Opt: opt}
 	c.Parts = c.partsFor(realSize(size, c.Tags))
 	return c
@@ -61,12 +81,12 @@ func NewContext(sess *engine.Session, tags engine.Dataset[Tag], size int64, opt 
 
 // withTags derives the context of a restricted tag set (loop continuation,
 // if-branch). tags must already be cached.
-func (c *Ctx) withTags(tags engine.Dataset[Tag], size int64) *Ctx {
+func (c *Ctx) withTags(tags engine.Dataset[engine.Tag], size int64) *Ctx {
 	nc := &Ctx{Sess: c.Sess, Tags: tags, Size: size, Opt: c.Opt}
 	nc.Parts = nc.partsFor(realSize(size, tags))
 	return nc
 }
 
-func realSize(size int64, tags engine.Dataset[Tag]) int64 {
+func realSize(size int64, tags engine.Dataset[engine.Tag]) int64 {
 	return int64(float64(size) * tags.Weight())
 }

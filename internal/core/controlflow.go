@@ -22,7 +22,7 @@ const DefaultMaxIterations = 10_000
 // compose to arbitrary shapes.
 type StateOps[S any] struct {
 	Empty  func(ctx *Ctx) S
-	Filter func(s S, keep engine.Dataset[Tag], sub *Ctx) S
+	Filter func(s S, keep engine.Dataset[engine.Tag], sub *Ctx) S
 	Union  func(a, b S) S
 	Cache  func(s S) S
 }
@@ -120,20 +120,20 @@ func If[S any](ctx *Ctx, cond InnerScalar[bool], state S, ops StateOps[S],
 
 // tagsWhere is the cached set of tags whose condition equals want (the
 // filter on the loop condition in Listing 4, lines 5-6).
-func tagsWhere(cond engine.Dataset[engine.Pair[Tag, bool]], want bool) engine.Dataset[Tag] {
-	return engine.Map(engine.Filter(cond, func(p engine.Pair[Tag, bool]) bool { return p.Val == want }),
-		func(p engine.Pair[Tag, bool]) Tag { return p.Key }).Cache()
+func tagsWhere(cond engine.Dataset[engine.Pair[engine.Tag, bool]], want bool) engine.Dataset[engine.Tag] {
+	return engine.Map(engine.Filter(cond, func(p engine.Pair[engine.Tag, bool]) bool { return p.Val == want }),
+		func(p engine.Pair[engine.Tag, bool]) engine.Tag { return p.Key }).Cache()
 }
 
 // filterByTags restricts a tagged representation to a tag subset via a tag
 // join (the joinOnTags of Listing 4, line 5), using the subset context's
 // join strategy.
-func filterByTags[V any](repr engine.Dataset[engine.Pair[Tag, V]], keep engine.Dataset[Tag], sub *Ctx) engine.Dataset[engine.Pair[Tag, V]] {
-	keepPairs := engine.Map(keep, func(t Tag) engine.Pair[Tag, struct{}] {
+func filterByTags[V any](repr engine.Dataset[engine.Pair[engine.Tag, V]], keep engine.Dataset[engine.Tag], sub *Ctx) engine.Dataset[engine.Pair[engine.Tag, V]] {
+	keepPairs := engine.Map(keep, func(t engine.Tag) engine.Pair[engine.Tag, struct{}] {
 		return engine.KV(t, struct{}{})
 	})
 	joined := engine.JoinWith(keepPairs, repr, sub.BagScalarJoinStrategy(), 0)
-	return engine.Map(joined, func(p engine.Pair[Tag, engine.Tuple2[struct{}, V]]) engine.Pair[Tag, V] {
+	return engine.Map(joined, func(p engine.Pair[engine.Tag, engine.Tuple2[struct{}, V]]) engine.Pair[engine.Tag, V] {
 		return engine.KV(p.Key, p.Val.B)
 	})
 }
@@ -142,9 +142,9 @@ func filterByTags[V any](repr engine.Dataset[engine.Pair[Tag, V]], keep engine.D
 func ScalarState[S any]() StateOps[InnerScalar[S]] {
 	return StateOps[InnerScalar[S]]{
 		Empty: func(ctx *Ctx) InnerScalar[S] {
-			return InnerScalar[S]{repr: engine.Empty[engine.Pair[Tag, S]](ctx.Sess), ctx: ctx}
+			return InnerScalar[S]{repr: engine.Empty[engine.Pair[engine.Tag, S]](ctx.Sess), ctx: ctx}
 		},
-		Filter: func(s InnerScalar[S], keep engine.Dataset[Tag], sub *Ctx) InnerScalar[S] {
+		Filter: func(s InnerScalar[S], keep engine.Dataset[engine.Tag], sub *Ctx) InnerScalar[S] {
 			return InnerScalar[S]{repr: filterByTags(s.repr, keep, sub), ctx: sub}
 		},
 		Union: func(a, b InnerScalar[S]) InnerScalar[S] {
@@ -158,9 +158,9 @@ func ScalarState[S any]() StateOps[InnerScalar[S]] {
 func BagState[E any]() StateOps[InnerBag[E]] {
 	return StateOps[InnerBag[E]]{
 		Empty: func(ctx *Ctx) InnerBag[E] {
-			return InnerBag[E]{repr: engine.Empty[engine.Pair[Tag, E]](ctx.Sess), ctx: ctx}
+			return InnerBag[E]{repr: engine.Empty[engine.Pair[engine.Tag, E]](ctx.Sess), ctx: ctx}
 		},
-		Filter: func(b InnerBag[E], keep engine.Dataset[Tag], sub *Ctx) InnerBag[E] {
+		Filter: func(b InnerBag[E], keep engine.Dataset[engine.Tag], sub *Ctx) InnerBag[E] {
 			return InnerBag[E]{repr: filterByTags(b.repr, keep, sub), ctx: sub}
 		},
 		Union: func(a, b InnerBag[E]) InnerBag[E] {
@@ -183,7 +183,7 @@ func State2Ops[A, B any](a StateOps[A], b StateOps[B]) StateOps[State2[A, B]] {
 		Empty: func(ctx *Ctx) State2[A, B] {
 			return State2[A, B]{a.Empty(ctx), b.Empty(ctx)}
 		},
-		Filter: func(s State2[A, B], keep engine.Dataset[Tag], sub *Ctx) State2[A, B] {
+		Filter: func(s State2[A, B], keep engine.Dataset[engine.Tag], sub *Ctx) State2[A, B] {
 			return State2[A, B]{a.Filter(s.A, keep, sub), b.Filter(s.B, keep, sub)}
 		},
 		Union: func(x, y State2[A, B]) State2[A, B] {

@@ -22,7 +22,7 @@ func testSession() *engine.Session {
 }
 
 func TestTagPushPopDepth(t *testing.T) {
-	r := RootTag(7)
+	r := engine.RootTag(7)
 	if r.Depth() != 1 || r.Leaf() != 7 {
 		t.Fatalf("root: %v", r)
 	}
@@ -41,8 +41,8 @@ func TestTagPushPopDepth(t *testing.T) {
 func TestTagCompositeUnique(t *testing.T) {
 	// Property: distinct (outer, inner) pairs give distinct composite tags.
 	f := func(o1, i1, o2, i2 uint16) bool {
-		t1 := RootTag(uint64(o1)).Push(uint64(i1))
-		t2 := RootTag(uint64(o2)).Push(uint64(i2))
+		t1 := engine.RootTag(uint64(o1)).Push(uint64(i1))
+		t2 := engine.RootTag(uint64(o2)).Push(uint64(i2))
 		return (t1 == t2) == (o1 == o2 && i1 == i2)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -56,7 +56,7 @@ func TestTagDepthLimitPanics(t *testing.T) {
 			t.Error("expected panic past MaxNestingLevels")
 		}
 	}()
-	RootTag(1).Push(2).Push(3).Push(4)
+	engine.RootTag(1).Push(2).Push(3).Push(4)
 }
 
 // buildNested creates a NestedBag from explicit groups for tests.
@@ -592,13 +592,13 @@ func TestMapWithClosureBothJoinStrategiesAgree(t *testing.T) {
 
 // TestTagStringForms covers the Tag pretty-printer.
 func TestTagStringForms(t *testing.T) {
-	if got := (Tag{}).String(); got != "τ()" {
+	if got := (engine.Tag{}).String(); got != "τ()" {
 		t.Errorf("empty tag = %q", got)
 	}
-	if got := RootTag(5).String(); got != "τ(5)" {
+	if got := engine.RootTag(5).String(); got != "τ(5)" {
 		t.Errorf("root = %q", got)
 	}
-	if got := RootTag(5).Push(2).Push(9).String(); got != "τ(5.2.9)" {
+	if got := engine.RootTag(5).Push(2).Push(9).String(); got != "τ(5.2.9)" {
 		t.Errorf("deep = %q", got)
 	}
 }
@@ -610,7 +610,7 @@ func TestPopOnEmptyTagPanics(t *testing.T) {
 			t.Error("Pop on empty tag should panic")
 		}
 	}()
-	_ = (Tag{}).Pop()
+	_ = (engine.Tag{}).Pop()
 }
 
 // TestConstructorsAndAccessors covers the wrapper/accessor surface.
@@ -621,7 +621,7 @@ func TestConstructorsAndAccessors(t *testing.T) {
 	if nb.Inner.Ctx() != ctx || nb.Outer.Ctx() != ctx {
 		t.Fatal("components must share the LiftingContext")
 	}
-	if RootTag(7).Push(2).Leaf() != 2 || (Tag{}).Leaf() != 0 {
+	if engine.RootTag(7).Push(2).Leaf() != 2 || (engine.Tag{}).Leaf() != 0 {
 		t.Error("Leaf accessor wrong")
 	}
 }

@@ -7,12 +7,12 @@ import "matryoshka/internal/engine"
 // single flat Bag[(Tag, E)] containing the elements of *all* the inner
 // bags, each tagged with its invocation.
 type InnerBag[E any] struct {
-	repr engine.Dataset[engine.Pair[Tag, E]]
+	repr engine.Dataset[engine.Pair[engine.Tag, E]]
 	ctx  *Ctx
 }
 
 // Repr exposes the flat bag representing the InnerBag.
-func (b InnerBag[E]) Repr() engine.Dataset[engine.Pair[Tag, E]] { return b.repr }
+func (b InnerBag[E]) Repr() engine.Dataset[engine.Pair[engine.Tag, E]] { return b.repr }
 
 // Ctx returns the LiftingContext this bag belongs to.
 func (b InnerBag[E]) Ctx() *Ctx { return b.ctx }
@@ -24,12 +24,12 @@ func (b InnerBag[E]) Cache() InnerBag[E] {
 }
 
 // CollectGroups gathers all inner bags keyed by tag (output operation).
-func (b InnerBag[E]) CollectGroups() (map[Tag][]E, error) {
+func (b InnerBag[E]) CollectGroups() (map[engine.Tag][]E, error) {
 	elems, err := engine.Collect(b.repr)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[Tag][]E)
+	out := make(map[engine.Tag][]E)
 	for _, p := range elems {
 		out[p.Key] = append(out[p.Key], p.Val)
 	}
@@ -41,7 +41,7 @@ func (b InnerBag[E]) CollectGroups() (map[Tag][]E, error) {
 
 // MapBag lifts map.
 func MapBag[A, B any](b InnerBag[A], f func(A) B) InnerBag[B] {
-	repr := engine.Map(b.repr, func(p engine.Pair[Tag, A]) engine.Pair[Tag, B] {
+	repr := engine.Map(b.repr, func(p engine.Pair[engine.Tag, A]) engine.Pair[engine.Tag, B] {
 		return engine.KV(p.Key, f(p.Val))
 	})
 	return InnerBag[B]{repr: repr, ctx: b.ctx}
@@ -49,15 +49,15 @@ func MapBag[A, B any](b InnerBag[A], f func(A) B) InnerBag[B] {
 
 // FilterBag lifts filter.
 func FilterBag[E any](b InnerBag[E], pred func(E) bool) InnerBag[E] {
-	repr := engine.Filter(b.repr, func(p engine.Pair[Tag, E]) bool { return pred(p.Val) })
+	repr := engine.Filter(b.repr, func(p engine.Pair[engine.Tag, E]) bool { return pred(p.Val) })
 	return InnerBag[E]{repr: repr, ctx: b.ctx}
 }
 
 // FlatMapBag lifts flatMap.
 func FlatMapBag[A, B any](b InnerBag[A], f func(A) []B) InnerBag[B] {
-	repr := engine.FlatMap(b.repr, func(p engine.Pair[Tag, A]) []engine.Pair[Tag, B] {
+	repr := engine.FlatMap(b.repr, func(p engine.Pair[engine.Tag, A]) []engine.Pair[engine.Tag, B] {
 		bs := f(p.Val)
-		out := make([]engine.Pair[Tag, B], len(bs))
+		out := make([]engine.Pair[engine.Tag, B], len(bs))
 		for i, v := range bs {
 			out[i] = engine.KV(p.Key, v)
 		}
@@ -73,7 +73,7 @@ func FlatMapBag[A, B any](b InnerBag[A], f func(A) []B) InnerBag[B] {
 // level), the result is marked unscaled so the simulator costs its rows as
 // the per-group scalars they are; deeper tag sets that scale with the data
 // (e.g. per-vertex BFS sources) keep their weight.
-func reduceByTag[V any](ctx *Ctx, d engine.Dataset[engine.Pair[Tag, V]], f func(V, V) V) engine.Dataset[engine.Pair[Tag, V]] {
+func reduceByTag[V any](ctx *Ctx, d engine.Dataset[engine.Pair[engine.Tag, V]], f func(V, V) V) engine.Dataset[engine.Pair[engine.Tag, V]] {
 	if ctx.Tags.Weight() <= 1 {
 		return engine.ReduceByKeyBound(d, f, ctx.Parts)
 	}
@@ -94,10 +94,10 @@ func ReduceBag[E any](b InnerBag[E], f func(E, E) E) InnerScalar[E] {
 // (Sec. 4.4: "To handle operations that produce output for empty input
 // bags ... we additionally need to store all the tags in a separate bag").
 func AggregateBag[E, A any](b InnerBag[E], zero A, add func(A, E) A, merge func(A, A) A) InnerScalar[A] {
-	partial := engine.Map(b.repr, func(p engine.Pair[Tag, E]) engine.Pair[Tag, A] {
+	partial := engine.Map(b.repr, func(p engine.Pair[engine.Tag, E]) engine.Pair[engine.Tag, A] {
 		return engine.KV(p.Key, add(zero, p.Val))
 	})
-	zeros := engine.Map(b.ctx.Tags, func(t Tag) engine.Pair[Tag, A] {
+	zeros := engine.Map(b.ctx.Tags, func(t engine.Tag) engine.Pair[engine.Tag, A] {
 		return engine.KV(t, zero)
 	})
 	repr := reduceByTag(b.ctx, engine.Union(partial, zeros), merge)
@@ -124,23 +124,23 @@ func UnionBags[E any](a, b InnerBag[E]) InnerBag[E] {
 
 // tagKey is the composite key of Sec. 4.4: the original key plus the tag.
 type tagKey[K comparable] struct {
-	T Tag
+	T engine.Tag
 	K K
 }
 
 // byTagKey re-keys a lifted bag of pairs by the composite (tag, key), so a
 // flat keyed operator keeps each invocation's keys apart — the first
 // operator of Sec. 4.4's rewrite.
-func byTagKey[K comparable, V any](d engine.Dataset[engine.Pair[Tag, engine.Pair[K, V]]]) engine.Dataset[engine.Pair[tagKey[K], V]] {
-	return engine.Map(d, func(p engine.Pair[Tag, engine.Pair[K, V]]) engine.Pair[tagKey[K], V] {
+func byTagKey[K comparable, V any](d engine.Dataset[engine.Pair[engine.Tag, engine.Pair[K, V]]]) engine.Dataset[engine.Pair[tagKey[K], V]] {
+	return engine.Map(d, func(p engine.Pair[engine.Tag, engine.Pair[K, V]]) engine.Pair[tagKey[K], V] {
 		return engine.KV(tagKey[K]{p.Key, p.Val.Key}, p.Val.Val)
 	})
 }
 
 // fromTagKey is byTagKey's inverse: it moves the tag back out of the key —
 // the last operator of Sec. 4.4's rewrite.
-func fromTagKey[K comparable, V any](d engine.Dataset[engine.Pair[tagKey[K], V]]) engine.Dataset[engine.Pair[Tag, engine.Pair[K, V]]] {
-	return engine.Map(d, func(p engine.Pair[tagKey[K], V]) engine.Pair[Tag, engine.Pair[K, V]] {
+func fromTagKey[K comparable, V any](d engine.Dataset[engine.Pair[tagKey[K], V]]) engine.Dataset[engine.Pair[engine.Tag, engine.Pair[K, V]]] {
+	return engine.Map(d, func(p engine.Pair[tagKey[K], V]) engine.Pair[engine.Tag, engine.Pair[K, V]] {
 		return engine.KV(p.Key.T, engine.KV(p.Key.K, p.Val))
 	})
 }

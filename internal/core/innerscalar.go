@@ -8,13 +8,13 @@ import "matryoshka/internal/engine"
 // invocation. The tag set is shared across all InnerScalars of a lifted
 // UDF and its size is known up front (Sec. 8.1).
 type InnerScalar[S any] struct {
-	repr engine.Dataset[engine.Pair[Tag, S]]
+	repr engine.Dataset[engine.Pair[engine.Tag, S]]
 	ctx  *Ctx
 }
 
 // Repr exposes the flat bag representing the InnerScalar (the paper's
 // `.repr`, Sec. 5.2).
-func (s InnerScalar[S]) Repr() engine.Dataset[engine.Pair[Tag, S]] { return s.repr }
+func (s InnerScalar[S]) Repr() engine.Dataset[engine.Pair[engine.Tag, S]] { return s.repr }
 
 // Ctx returns the LiftingContext this scalar belongs to.
 func (s InnerScalar[S]) Ctx() *Ctx { return s.ctx }
@@ -27,14 +27,14 @@ func (s InnerScalar[S]) Cache() InnerScalar[S] {
 
 // Collect gathers the per-invocation values keyed by tag (an output
 // operation in the sense of Theorem 2's proof).
-func (s InnerScalar[S]) Collect() (map[Tag]S, error) {
+func (s InnerScalar[S]) Collect() (map[engine.Tag]S, error) {
 	return engine.CollectMap(s.repr)
 }
 
 // Pure lifts a constant: the original UDF's `val x = v` becomes an
 // InnerScalar holding v for every invocation.
 func Pure[S any](ctx *Ctx, v S) InnerScalar[S] {
-	repr := engine.Map(ctx.Tags, func(t Tag) engine.Pair[Tag, S] {
+	repr := engine.Map(ctx.Tags, func(t engine.Tag) engine.Pair[engine.Tag, S] {
 		return engine.KV(t, v)
 	})
 	return InnerScalar[S]{repr: repr, ctx: ctx}
@@ -43,7 +43,7 @@ func Pure[S any](ctx *Ctx, v S) InnerScalar[S] {
 // UnaryScalarOp lifts b = f(a) (Sec. 4.3): a map over the representation,
 // tags forwarded unchanged.
 func UnaryScalarOp[A, B any](a InnerScalar[A], f func(A) B) InnerScalar[B] {
-	repr := engine.Map(a.repr, func(p engine.Pair[Tag, A]) engine.Pair[Tag, B] {
+	repr := engine.Map(a.repr, func(p engine.Pair[engine.Tag, A]) engine.Pair[engine.Tag, B] {
 		return engine.KV(p.Key, f(p.Val))
 	})
 	return InnerScalar[B]{repr: repr, ctx: a.ctx}
@@ -56,7 +56,7 @@ func UnaryScalarOp[A, B any](a InnerScalar[A], f func(A) B) InnerScalar[B] {
 func BinaryScalarOp[A, B, C any](a InnerScalar[A], b InnerScalar[B], f func(A, B) C) InnerScalar[C] {
 	ctx := a.ctx
 	joined := engine.JoinWith(a.repr, b.repr, ctx.ScalarJoinStrategy(), ctx.Parts)
-	repr := engine.Map(joined, func(p engine.Pair[Tag, engine.Tuple2[A, B]]) engine.Pair[Tag, C] {
+	repr := engine.Map(joined, func(p engine.Pair[engine.Tag, engine.Tuple2[A, B]]) engine.Pair[engine.Tag, C] {
 		return engine.KV(p.Key, f(p.Val.A, p.Val.B))
 	})
 	return InnerScalar[C]{repr: repr, ctx: ctx}

@@ -73,8 +73,8 @@ func GroupByKeyIntoNestedBag[K comparable, V any](d engine.Dataset[engine.Pair[K
 	if err != nil {
 		return NestedBag[K, V]{}, err
 	}
-	keyTags := engine.Map(sb.Top, func(r shred.Record[K]) engine.Pair[Tag, K] {
-		return engine.KV(RootTag(r.Group), r.Key)
+	keyTags := engine.Map(sb.Top, func(r shred.Record[K]) engine.Pair[engine.Tag, K] {
+		return engine.KV(engine.RootTag(r.Group), r.Key)
 	}).Cache()
 	tags := engine.Keys(keyTags)
 	ctx := NewContext(sess, tags, st.Groups, opt)
@@ -82,8 +82,8 @@ func GroupByKeyIntoNestedBag[K comparable, V any](d engine.Dataset[engine.Pair[K
 
 	outer := InnerScalar[K]{repr: keyTags, ctx: ctx}
 	inner := InnerBag[V]{
-		repr: engine.Map(d, func(p engine.Pair[K, V]) engine.Pair[Tag, V] {
-			return engine.KV(RootTag(engine.HashKey(p.Key)), p.Val)
+		repr: engine.Map(d, func(p engine.Pair[K, V]) engine.Pair[engine.Tag, V] {
+			return engine.KV(engine.RootTag(engine.HashKey(p.Key)), p.Val)
 		}),
 		ctx: ctx,
 	}
@@ -106,8 +106,8 @@ func GroupByKeyIntoNestedBag[K comparable, V any](d engine.Dataset[engine.Pair[K
 func LiftFlat[A, R any](d engine.Dataset[A], opt Options, udf func(ctx *Ctx, elems InnerScalar[A]) (R, error)) (R, error) {
 	var zero R
 	sess := d.Session()
-	tagged := engine.Map(engine.ZipWithUniqueID(d), func(p engine.Pair[uint64, A]) engine.Pair[Tag, A] {
-		return engine.KV(RootTag(p.Key), p.Val)
+	tagged := engine.Map(engine.ZipWithUniqueID(d), func(p engine.Pair[uint64, A]) engine.Pair[engine.Tag, A] {
+		return engine.KV(engine.RootTag(p.Key), p.Val)
 	}).Unscaled().Cache()
 	size, err := engine.Count(tagged)
 	if err != nil {
@@ -125,7 +125,7 @@ func LiftFlat[A, R any](d engine.Dataset[A], opt Options, udf func(ctx *Ctx, ele
 // Distances.
 func MapBagLifted[A, R any](b InnerBag[A], udf func(ctx *Ctx, elems InnerScalar[A]) (R, error)) (R, error) {
 	var zero R
-	tagged := engine.Map(engine.ZipWithUniqueID(b.repr), func(p engine.Pair[uint64, engine.Pair[Tag, A]]) engine.Pair[Tag, A] {
+	tagged := engine.Map(engine.ZipWithUniqueID(b.repr), func(p engine.Pair[uint64, engine.Pair[engine.Tag, A]]) engine.Pair[engine.Tag, A] {
 		return engine.KV(p.Val.Key.Push(p.Key), p.Val.Val)
 	}).Cache()
 	size, err := engine.Count(tagged)
@@ -148,10 +148,10 @@ func GroupByKeyIntoNestedBagInner[K comparable, V any](b InnerBag[engine.Pair[K,
 	sess := b.ctx.Sess
 	// One deeper tag per (outer tag, key): push the key's hash.
 	subTags := engine.Map(engine.Distinct(
-		engine.Map(b.repr, func(p engine.Pair[Tag, engine.Pair[K, V]]) engine.Pair[Tag, K] {
+		engine.Map(b.repr, func(p engine.Pair[engine.Tag, engine.Pair[K, V]]) engine.Pair[engine.Tag, K] {
 			return engine.KV(p.Key, p.Val.Key)
 		})),
-		func(p engine.Pair[Tag, K]) engine.Pair[Tag, K] {
+		func(p engine.Pair[engine.Tag, K]) engine.Pair[engine.Tag, K] {
 			return engine.KV(p.Key.Push(engine.HashKey(p.Val)), p.Val)
 		}).Cache()
 	size, err := engine.Count(subTags)
@@ -161,7 +161,7 @@ func GroupByKeyIntoNestedBagInner[K comparable, V any](b InnerBag[engine.Pair[K,
 	ctx2 := NewContext(sess, engine.Keys(subTags), size, b.ctx.Opt)
 	outer := InnerScalar[K]{repr: subTags, ctx: ctx2}
 	inner := InnerBag[V]{
-		repr: engine.Map(b.repr, func(p engine.Pair[Tag, engine.Pair[K, V]]) engine.Pair[Tag, V] {
+		repr: engine.Map(b.repr, func(p engine.Pair[engine.Tag, engine.Pair[K, V]]) engine.Pair[engine.Tag, V] {
 			return engine.KV(p.Key.Push(engine.HashKey(p.Val.Key)), p.Val.Val)
 		}),
 		ctx: ctx2,
@@ -189,18 +189,18 @@ func JoinWithEnclosingBag[K comparable, V, W any](deep InnerBag[engine.Pair[K, V
 
 // byEnclosingKey re-keys a deeper level's bag of pairs by the enclosing
 // invocation's (tag, key), carrying the deep tag in the value.
-func byEnclosingKey[K comparable, V any](d engine.Dataset[engine.Pair[Tag, engine.Pair[K, V]]]) engine.Dataset[engine.Pair[tagKey[K], engine.Tuple2[Tag, V]]] {
-	return engine.Map(d, func(p engine.Pair[Tag, engine.Pair[K, V]]) engine.Pair[tagKey[K], engine.Tuple2[Tag, V]] {
-		return engine.KV(tagKey[K]{p.Key.Pop(), p.Val.Key}, engine.Tuple2[Tag, V]{A: p.Key, B: p.Val.Val})
+func byEnclosingKey[K comparable, V any](d engine.Dataset[engine.Pair[engine.Tag, engine.Pair[K, V]]]) engine.Dataset[engine.Pair[tagKey[K], engine.Tuple2[engine.Tag, V]]] {
+	return engine.Map(d, func(p engine.Pair[engine.Tag, engine.Pair[K, V]]) engine.Pair[tagKey[K], engine.Tuple2[engine.Tag, V]] {
+		return engine.KV(tagKey[K]{p.Key.Pop(), p.Val.Key}, engine.Tuple2[engine.Tag, V]{A: p.Key, B: p.Val.Val})
 	})
 }
 
 // joinEnclosing joins a byEnclosingKey side to an enclosing side keyed by
 // (tag, key) and restores the deep tag: the shared tail of
 // JoinWithEnclosingBag and JoinWithEnclosingKeyed.
-func joinEnclosing[K comparable, V, W any](ctx *Ctx, deep engine.Dataset[engine.Pair[tagKey[K], engine.Tuple2[Tag, V]]], enclosing engine.Dataset[engine.Pair[tagKey[K], W]]) InnerBag[engine.Pair[K, engine.Tuple2[V, W]]] {
+func joinEnclosing[K comparable, V, W any](ctx *Ctx, deep engine.Dataset[engine.Pair[tagKey[K], engine.Tuple2[engine.Tag, V]]], enclosing engine.Dataset[engine.Pair[tagKey[K], W]]) InnerBag[engine.Pair[K, engine.Tuple2[V, W]]] {
 	joined := engine.Join(deep, enclosing)
-	repr := engine.Map(joined, func(p engine.Pair[tagKey[K], engine.Tuple2[engine.Tuple2[Tag, V], W]]) engine.Pair[Tag, engine.Pair[K, engine.Tuple2[V, W]]] {
+	repr := engine.Map(joined, func(p engine.Pair[tagKey[K], engine.Tuple2[engine.Tuple2[engine.Tag, V], W]]) engine.Pair[engine.Tag, engine.Pair[K, engine.Tuple2[V, W]]] {
 		return engine.KV(p.Val.A.A, engine.KV(p.Key.K, engine.Tuple2[V, W]{A: p.Val.A.B, B: p.Val.B}))
 	})
 	return InnerBag[engine.Pair[K, engine.Tuple2[V, W]]]{repr: repr, ctx: ctx}
@@ -211,7 +211,7 @@ func joinEnclosing[K comparable, V, W any](ctx *Ctx, deep engine.Dataset[engine.
 // of the outer invocation's bag. It is the inverse boundary crossing of
 // MapBagLifted.
 func UnliftScalarToOuter[S any](inner InnerScalar[S], outerCtx *Ctx) InnerBag[S] {
-	repr := engine.Map(inner.repr, func(p engine.Pair[Tag, S]) engine.Pair[Tag, S] {
+	repr := engine.Map(inner.repr, func(p engine.Pair[engine.Tag, S]) engine.Pair[engine.Tag, S] {
 		return engine.KV(p.Key.Pop(), p.Val)
 	})
 	return InnerBag[S]{repr: repr, ctx: outerCtx}

@@ -371,9 +371,9 @@ func TestTinyTaskAllocBound(t *testing.T) {
 
 // TestEstPartitionBytesAllocBound: sizing a boxed partition of the ir front
 // end's rows, whole at or below sampleN elements and sampled above it,
-// allocates at most the one slice header Data() boxes, whatever n is. The
-// sample is sized where its rows lie, and rows whose leaves are ints,
-// strings and nested pairs never need the shared-pointer table.
+// allocates nothing, whatever n is. The sample is sized where its rows
+// lie, reached through Rows without boxing the slice, and rows whose leaves
+// are ints, strings and nested pairs never need the shared-pointer table.
 func TestEstPartitionBytesAllocBound(t *testing.T) {
 	skipIfInstrumented(t)
 	var sink int64
@@ -387,8 +387,8 @@ func TestEstPartitionBytesAllocBound(t *testing.T) {
 			}
 		}
 		part := boxedOf(rows)
-		if avg := testing.AllocsPerRun(20, func() { sink += estPartitionBytes(part) }); avg > 1 {
-			t.Errorf("n=%d: estPartitionBytes allocates %.1f per call, want at most 1", n, avg)
+		if avg := testing.AllocsPerRun(20, func() { sink += estPartitionBytes(part) }); avg > 0 {
+			t.Errorf("n=%d: estPartitionBytes allocates %.1f per call, want 0", n, avg)
 		}
 	}
 	runtime.KeepAlive(sink)

@@ -23,7 +23,7 @@ import (
 	"sync"
 	"unsafe"
 
-	"matryoshka/internal/sizeest"
+	"matryoshka/internal/layout"
 )
 
 // Batch is one partition of elements. Its one implementation is *Vec[T]
@@ -35,16 +35,18 @@ type Batch interface {
 	// BoxedCap returns the capacity of the equivalent boxed []any
 	// partition — the number simulated size estimation charges.
 	BoxedCap() int
-	// Data returns the underlying typed slice ([]T for *Vec[T]). Callers
-	// must not mutate it.
-	Data() any
+	// Rows returns the element type and the address of the first element
+	// (nil for a batch with no backing array): the elements where they
+	// lie, for the size estimator and the codec to walk by the type's
+	// layout without boxing the slice. Callers must not mutate them.
+	Rows() (reflect.Type, unsafe.Pointer)
 	// Shape names the element type for observability ("int",
 	// "Pair[int,int64]", "any").
 	Shape() string
 
-	// elemSize is sizeest.FixedSize of the element type: the deep size every
-	// element has, ok=false where it depends on the value (and always for
-	// *Vec[any]).
+	// elemSize is the element type's fixed deep size (layout.Layout.Deep):
+	// the size every element has, ok=false where it depends on the value
+	// (and always for *Vec[any]).
 	elemSize() (size int64, ok bool)
 
 	// newLike allocates a same-shaped batch of n zero elements with the
@@ -77,11 +79,16 @@ type Vec[T any] struct {
 
 func (v *Vec[T]) Len() int      { return len(v.xs) }
 func (v *Vec[T]) BoxedCap() int { return v.bcap }
-func (v *Vec[T]) Data() any     { return v.xs }
+func (v *Vec[T]) Rows() (reflect.Type, unsafe.Pointer) {
+	return reflect.TypeFor[T](), unsafe.Pointer(unsafe.SliceData(v.xs))
+}
 
 func (v *Vec[T]) Shape() string { return shapeName(reflect.TypeFor[T]()) }
 
-func (v *Vec[T]) elemSize() (int64, bool) { return sizeest.FixedSize(reflect.TypeFor[T]()) }
+func (v *Vec[T]) elemSize() (int64, bool) {
+	size := layout.Of(reflect.TypeFor[T]()).Deep
+	return size, size >= 0
+}
 
 func (v *Vec[T]) newLike(n, bcap int) Batch {
 	return &Vec[T]{xs: make([]T, n), bcap: bcap}

@@ -34,6 +34,8 @@ import (
 	"math"
 	"reflect"
 	"sync"
+
+	"matryoshka/internal/layout"
 )
 
 var batchMagic = [4]byte{'M', 'B', 'A', '1'}
@@ -43,22 +45,42 @@ const (
 	batchKindTyped = 1
 )
 
-// errBatchCodec wraps every decode failure so callers can errors.Is it.
+// errBatchCodec wraps every codec failure so callers can errors.Is it.
 var errBatchCodec = errors.New("engine: batch codec")
 
 func codecErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errBatchCodec, fmt.Sprintf(format, args...))
 }
 
+// The codec carries plain data (layout.Layout.Opaque): appendValue and
+// batchReader.value take exactly the kinds a plain type's leaves have.
+// unplain is the codec's error for a type that is not plain data, made of
+// the part its layout names; a pointer to that part, so refusing a type
+// allocates nothing however often it is met.
+type unplain layout.Opaque
+
+func unplainErr(t reflect.Type) error {
+	if o := layout.Of(t).Opaque; o != nil {
+		return (*unplain)(o)
+	}
+	return nil
+}
+
+func (e *unplain) Error() string {
+	if e.Field != "" {
+		return fmt.Sprintf("%v: unexported field %s.%s", errBatchCodec, e.Type, e.Field)
+	}
+	return fmt.Sprintf("%v: unsupported element kind %s (%s)", errBatchCodec, e.Type.Kind(), e.Type)
+}
+
+func (e *unplain) Unwrap() error { return errBatchCodec }
+
 // batchProtos maps element reflect.Type -> prototype Batch (a *Vec[T] to
 // newLike from) and batchProtoNames maps wire type name -> same prototype.
-// encodeVerdicts holds checkEncodable's answer for every element type the
-// encoder has met, typed or boxed, so a type is walked once per process.
 var (
 	batchProtos     sync.Map // reflect.Type -> Batch
 	batchProtoNames sync.Map // string -> Batch
 	batchElemTypes  sync.Map // string -> reflect.Type (boxed element decode)
-	encodeVerdicts  sync.Map // reflect.Type -> error (nil: encodable)
 )
 
 // registerBatchCodec makes element type T decodable by name. batchOf calls
@@ -115,22 +137,22 @@ func EncodeBatch(dst []byte, b Batch) ([]byte, error) {
 	lenAt := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // frame length backpatched below
 
-	data := reflect.ValueOf(b.Data())
-	elem := data.Type().Elem()
+	elem, rows := b.Rows()
+	n := b.Len()
+	data := reflect.SliceAt(elem, rows, n)
 	// Only *Vec[any] is boxed: a frame decodes to the shape it was encoded
 	// from, so any other interface element type is refused below.
-	boxed := elem == reflect.TypeFor[any]()
+	boxed := elem == typAny
 	if boxed {
 		dst = append(dst, batchKindBoxed)
 		dst = appendU32String(dst, "")
 	} else {
-		if err := encodable(elem); err != nil {
+		if err := unplainErr(elem); err != nil {
 			return nil, err
 		}
 		dst = append(dst, batchKindTyped)
 		dst = appendU32String(dst, batchTypeName(elem))
 	}
-	n := b.Len()
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.BoxedCap()))
 
@@ -154,7 +176,7 @@ func appendBoxedElem(dst []byte, e any) ([]byte, error) {
 		return appendU32String(dst, ""), nil
 	}
 	rv := reflect.ValueOf(e)
-	if err := encodable(rv.Type()); err != nil {
+	if err := unplainErr(rv.Type()); err != nil {
 		return nil, err
 	}
 	registerElemType(rv.Type())
@@ -219,7 +241,8 @@ func DecodeBatch(data []byte) (Batch, int, error) {
 			return nil, 0, codecErr("unknown batch shape %q", shape)
 		}
 		b := protoAny.(Batch).newLike(int(n), int(bcap))
-		data := reflect.ValueOf(b.Data())
+		elem, rows := b.Rows()
+		data := reflect.SliceAt(elem, rows, int(n))
 		for i := 0; i < int(n); i++ {
 			if err := r.value(data.Index(i)); err != nil {
 				return nil, 0, err
@@ -254,49 +277,11 @@ func encodedBatchBytes(scratch *[]byte, b Batch) int64 {
 func emptyBatchFrameBytes(b Batch) int64 {
 	name := ""
 	if b != nil {
-		if elem := reflect.TypeOf(b.Data()).Elem(); elem.Kind() != reflect.Interface {
+		if elem, _ := b.Rows(); elem.Kind() != reflect.Interface {
 			name = batchTypeName(elem)
 		}
 	}
 	return int64(4 + 4 + 1 + 4 + len(name) + 4 + 4)
-}
-
-// encodable is checkEncodable's verdict on t, worked out once per type.
-func encodable(t reflect.Type) error {
-	v, ok := encodeVerdicts.Load(t)
-	if !ok {
-		v, _ = encodeVerdicts.LoadOrStore(t, checkEncodable(t))
-	}
-	err, _ := v.(error)
-	return err
-}
-
-// checkEncodable walks an element type and rejects the kinds the wire
-// format cannot carry.
-func checkEncodable(t reflect.Type) error {
-	switch t.Kind() {
-	case reflect.Bool,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128,
-		reflect.String:
-		return nil
-	case reflect.Slice, reflect.Array:
-		return checkEncodable(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				return codecErr("unexported field %s.%s", t, f.Name)
-			}
-			if err := checkEncodable(f.Type); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return codecErr("unsupported element kind %s (%s)", t.Kind(), t)
-	}
 }
 
 func appendU32String(dst []byte, s string) []byte {
@@ -304,8 +289,7 @@ func appendU32String(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// appendValue encodes one value by structure. rv's type has passed
-// checkEncodable.
+// appendValue encodes one value by structure. rv's type is plain data.
 func appendValue(dst []byte, rv reflect.Value) ([]byte, error) {
 	switch rv.Kind() {
 	case reflect.Bool:

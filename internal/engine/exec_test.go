@@ -31,7 +31,8 @@ func boxedOf(xs []any) Batch { return &Vec[any]{xs: xs, bcap: cap(xs)} }
 // boxedElems reads the elements of a batch of any shape, boxed: the form a
 // test compares them in.
 func boxedElems(b Batch) []any {
-	data := reflect.ValueOf(b.Data())
+	t, rows := b.Rows()
+	data := reflect.SliceAt(t, rows, b.Len())
 	out := make([]any, data.Len())
 	for i := range out {
 		out[i] = data.Index(i).Interface()

@@ -20,6 +20,8 @@ import (
 	"reflect"
 	"sync"
 	"unsafe"
+
+	"matryoshka/internal/layout"
 )
 
 // folder aggregates one partition. finish returns the result in first-seen
@@ -52,7 +54,7 @@ func foldBatch[A any](tables *sync.Pool, in Batch) []A {
 // 1 + the position of the key homed there.
 //
 // It replaces a Go map, whose hash and equality walk a padded key such as
-// core.Tag field by field (BENCHLOG.md, "One keyed index"). Its hash
+// Tag field by field (BENCHLOG.md, "One keyed index"). Its hash
 // never leaves the process, so it need not be the stable one: a key of
 // integers and bools folds its padding-masked words (foldWords,
 // stablehash.go), one multiply each, and any other key — a float, a
@@ -62,8 +64,8 @@ func foldBatch[A any](tables *sync.Pool, in Batch) []A {
 type keyIndex[K comparable] struct {
 	keys  []K
 	slots []int32
-	shift uint      // 64 - log2(len(slots))
-	words []keyWord // K's words, if it is made of integers and bools
+	shift uint          // 64 - log2(len(slots))
+	words []layout.Word // K's words, if it is made of integers and bools
 	seed  maphash.Seed
 }
 
@@ -73,9 +75,7 @@ const minIndexSlots = 8
 
 func newKeyIndex[K comparable]() keyIndex[K] {
 	var x keyIndex[K]
-	if s := shapeFor(reflect.TypeFor[K]()); s != nil && s.words != nil {
-		x.words = s.words
-	} else {
+	if x.words = layout.Of(reflect.TypeFor[K]()).Words; x.words == nil {
 		x.seed = maphash.MakeSeed()
 	}
 	return x

@@ -105,7 +105,7 @@ func checkEmptied[K comparable](t testing.TB, where string, x *keyIndex[K]) {
 // noisyPadding returns k with the seven padding bytes after its depth
 // overwritten by noise: equal keys made from different codes carry
 // different padding, and must find each other all the same.
-func noisyPadding(k tagKey, noise uint16) tagKey {
+func noisyPadding(k Tag, noise uint16) Tag {
 	b := (*[8]byte)(unsafe.Pointer(&k))
 	for i := 1; i < 8; i++ {
 		b[i] = byte(noise >> (i % 2 * 8))
@@ -121,11 +121,11 @@ func indexKeys(t testing.TB, ops []indexOp) {
 	checkIndex(t, "int", func(c uint16) int { return int(c) - 1000 }, ops)
 	checkIndex(t, "int64", func(c uint16) int64 { return int64(c) << 40 }, ops)
 	checkIndex(t, "uint64", func(c uint16) uint64 { return uint64(c) * 0x9e3779b97f4a7c15 }, ops)
-	checkIndex(t, "tagKey", func(c uint16) tagKey {
-		return noisyPadding(tagKey{uint8(c % 3), [3]uint64{uint64(c / 3 % 1000), 0, uint64(c%2) << 63}}, c)
+	checkIndex(t, "Tag", func(c uint16) Tag {
+		return noisyPadding(Tag{uint8(c % 3), [3]uint64{uint64(c / 3 % 1000), 0, uint64(c%2) << 63}}, c)
 	}, ops)
 	checkIndex(t, "liftedKey", func(c uint16) liftedKey {
-		return liftedKey{noisyPadding(tagKey{1, [3]uint64{uint64(c % 5)}}, c), int64(c/5%1000) - 6}
+		return liftedKey{noisyPadding(Tag{1, [3]uint64{uint64(c % 5)}}, c), int64(c/5%1000) - 6}
 	}, ops)
 	floats := []float64{0, math.Copysign(0, -1), math.NaN(), 1.5, -2, math.Inf(1), math.MaxFloat64}
 	checkIndex(t, "float64", func(c uint16) float64 {
@@ -142,7 +142,7 @@ func indexKeys(t testing.TB, ops []indexOp) {
 		case 1:
 			return fmt.Sprint(c)
 		case 2:
-			return tagKey{1, [3]uint64{uint64(c)}}
+			return Tag{1, [3]uint64{uint64(c)}}
 		case 3:
 			return &pinned[c%3]
 		case 4:
@@ -189,8 +189,8 @@ func TestKeyIndexMatchesMap(t *testing.T) {
 // the small one needed, so the partitions after it clear a few slots, not
 // the giant's; the index stays correct throughout.
 func TestKeyIndexResetAfterGiant(t *testing.T) {
-	x := newKeyIndex[tagKey]()
-	key := func(i int) tagKey { return tagKey{2, [3]uint64{uint64(i), uint64(i % 7)}} }
+	x := newKeyIndex[Tag]()
+	key := func(i int) Tag { return Tag{2, [3]uint64{uint64(i), uint64(i % 7)}} }
 	for i := 0; i < 100_000; i++ {
 		x.put(key(i))
 	}
@@ -202,7 +202,7 @@ func TestKeyIndexResetAfterGiant(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			ops = append(ops, indexOp{0, uint16(p*10 + i%6)}, indexOp{1, uint16(p*10 + i)})
 		}
-		ref := &mapIndex[tagKey]{pos: map[tagKey]int32{}}
+		ref := &mapIndex[Tag]{pos: map[Tag]int32{}}
 		for _, op := range ops {
 			k := key(int(op.code))
 			if op.kind == 1 {

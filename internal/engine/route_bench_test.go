@@ -263,7 +263,7 @@ func BenchmarkStageExec(b *testing.B) {
 // the three shapes the wall-clock benchmark's combines have: kmeans_lifted's
 // 833 rows onto 256 keys of 64 bytes, bounce_lifted's 560 mostly-distinct
 // rows, and the two-row partition of bounce_inner_jobs. tagkey is bounce's
-// rows under the key a lifted combine folds by: a core.Tag-shaped tag,
+// rows under the key a lifted combine folds by: a Tag,
 // padding and all, next to the user's key. after-giant is
 // ten-row partitions on a table that once held 200 000 keys: it stays
 // within a small factor of sparse only while resetting a table costs the
@@ -292,7 +292,7 @@ func BenchmarkCombine(b *testing.B) {
 	b.Run("tagkey", func(b *testing.B) {
 		rows := make([]Pair[liftedKey, int64], 560)
 		for i := range rows {
-			rows[i] = KV(liftedKey{tagKey{2, [3]uint64{17, uint64(i % 4)}}, int64((i * 31) % 500)}, int64(i))
+			rows[i] = KV(liftedKey{Tag{2, [3]uint64{17, uint64(i % 4)}}, int64((i * 31) % 500)}, int64(i))
 		}
 		benchFold[Pair[liftedKey, int64]](b, pairTableOf[liftedKey](sum), rows)
 	})
@@ -305,7 +305,7 @@ func BenchmarkCombine(b *testing.B) {
 
 // liftedKey is the shape of a lifted combine's key (core's tagKey[int64]).
 type liftedKey struct {
-	T tagKey
+	T Tag
 	K int64
 }
 

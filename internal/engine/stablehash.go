@@ -10,18 +10,17 @@ package engine
 // processes, so experiment tables are exactly regenerable and a fixed-seed
 // chaos run fails in exactly the same place every time.
 //
-// compileStableHasher flattens a key type, once, into a leaf list: every
-// scalar it holds (integers, floats, bools, strings, interfaces, the
-// elements of arrays, the fields of structs) with its offset, padding
-// skipped. Two folds walk that one list. keyShape.stable mixes each leaf
-// into the state with splitmix64 from one fixed seed, in declaration order
-// — the hash that places rows. foldWords is the in-process hash of the
-// engine's keyed index (keyIndex, fold.go), whose slots nothing outside
-// the process sees: it mixes, one cheaper multiply each, the aligned words
-// that hold a key's integer and bool leaves, padding masked off
-// (localWords). A key the words cannot hash exactly — a float, a string,
-// an interface — takes hash/maphash there instead; nothing the index
-// emits depends on its hash.
+// A key type's layout (internal/layout) is its leaf list: every scalar it
+// holds (integers, floats, bools, strings, interfaces, the elements of
+// arrays, the fields of structs) with its offset, padding skipped. Two
+// folds walk it. stable mixes each leaf into the state with splitmix64
+// from one fixed seed, in declaration order — the hash that places rows.
+// foldWords is the in-process hash of the engine's keyed index (keyIndex,
+// fold.go), whose slots nothing outside the process sees: it mixes, one
+// cheaper multiply each, the aligned words that hold a key's integer and
+// bool leaves, padding masked off (Layout.Words). A key the words cannot
+// hash exactly — a float, a string, an interface — takes hash/maphash
+// there instead; nothing the index emits depends on its hash.
 //
 // A boxed key (any, or an interface field of a struct key) hashes as the
 // value it holds, through the leaf list of its dynamic type, so an IR
@@ -47,48 +46,19 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
-	"sync"
 	"unsafe"
+
+	"matryoshka/internal/layout"
 )
 
 // stableSeed is the fixed initial state: two sessions, in one process or in
 // two, place elements identically.
 const stableSeed uint64 = 0x9e3779b97f4a7c15
 
-// leaf is one scalar of a key: a bool, integer, float, string or
-// interface of kind at offset off, size bytes wide. typ is set for an
-// interface with methods.
-type leaf struct {
-	off  uintptr
-	size uintptr
-	kind reflect.Kind
-	typ  reflect.Type
-}
-
-// keyShape is a key type's leaf list, in declaration order, and the words
-// the keyed index folds (localWords).
-type keyShape struct {
-	leaves []leaf
-	words  []keyWord
-}
-
-var stableShapes sync.Map // reflect.Type -> *keyShape (nil when refused)
-
-// shapeFor returns the leaf list of t, or nil if t (or a nested field) has
-// no representation to walk.
-func shapeFor(t reflect.Type) *keyShape {
-	if s, ok := stableShapes.Load(t); ok {
-		return s.(*keyShape)
-	}
-	s := compileStableHasher(t)
-	stableShapes.Store(t, s)
-	return s
-}
-
-// mustShape is shapeFor for a type about to be used as a key.
-func mustShape(t reflect.Type) *keyShape {
-	s := shapeFor(t)
-	if s == nil {
+// mustShape is the layout of t, a type about to be used as a key.
+func mustShape(t reflect.Type) *layout.Layout {
+	s := layout.Of(t)
+	if !s.Hashable {
 		panic(fmt.Sprintf("engine: key type %v cannot be hashed reproducibly: it holds a pointer, channel, func, map or slice", t))
 	}
 	return s
@@ -122,7 +92,7 @@ func hashOf[K comparable](k K) uint64 {
 	// interface leaf goes through reflect), but only here, so the cases
 	// above stay allocation-free.
 	kk := k
-	return s.stable(unsafe.Pointer(&kk), stableSeed)
+	return stable(s, unsafe.Pointer(&kk), stableSeed)
 }
 
 // HashKey is the hash shuffles place a key by. The lowering phase derives
@@ -148,7 +118,7 @@ func keyHasher[K comparable]() func(*K) uint64 {
 		return func(k *K) uint64 { return hashBoxed(*(*any)(unsafe.Pointer(k)), stableSeed) }
 	}
 	s := mustShape(reflect.TypeFor[K]())
-	return func(k *K) uint64 { return s.stable(unsafe.Pointer(k), stableSeed) }
+	return func(k *K) uint64 { return stable(s, unsafe.Pointer(k), stableSeed) }
 }
 
 // hashBoxed folds the value e holds into h: what the leaf list of e's
@@ -171,7 +141,7 @@ func hashBoxed(e any, h uint64) uint64 {
 		return hashString(v, h)
 	}
 	s := mustShape(reflect.TypeOf(e))
-	return s.stable((*[2]unsafe.Pointer)(unsafe.Pointer(&e))[1], h)
+	return stable(s, (*[2]unsafe.Pointer)(unsafe.Pointer(&e))[1], h)
 }
 
 func mix64(h, v uint64) uint64 {
@@ -184,12 +154,13 @@ func mix64(h, v uint64) uint64 {
 	return h
 }
 
-// stable folds the key at p into h, leaf by leaf: the placement hash.
-func (s *keyShape) stable(p unsafe.Pointer, h uint64) uint64 {
-	for i := range s.leaves {
-		l := &s.leaves[i]
-		q := unsafe.Add(p, l.off)
-		switch l.kind {
+// stable folds the key at p, laid out by s, into h, leaf by leaf: the
+// placement hash.
+func stable(s *layout.Layout, p unsafe.Pointer, h uint64) uint64 {
+	for i := range s.Leaves {
+		l := &s.Leaves[i]
+		q := unsafe.Add(p, l.Off)
+		switch l.Kind {
 		case reflect.Int64, reflect.Uint64:
 			// The common leaf, read here: through word it costs
 			// ShuffleRoute/structkey about 12 %.
@@ -197,15 +168,15 @@ func (s *keyShape) stable(p unsafe.Pointer, h uint64) uint64 {
 		case reflect.String:
 			h = hashString(*(*string)(q), h)
 		case reflect.Interface:
-			if l.typ == nil {
+			if l.Type == nil {
 				h = hashBoxed(*(*any)(q), h)
 				break
 			}
 			// An interface with methods has an itab where any has the
 			// type; reflect converts between the two.
-			h = hashBoxed(reflect.NewAt(l.typ, q).Elem().Interface(), h)
+			h = hashBoxed(reflect.NewAt(l.Type, q).Elem().Interface(), h)
 		default:
-			h = mix64(h, l.word(q))
+			h = mix64(h, word(l.Kind, q))
 		}
 	}
 	return h
@@ -225,54 +196,19 @@ func localMix(h, v uint64) uint64 {
 	return hi ^ lo
 }
 
-// keyWord is one aligned 64-bit word of a key, with the bits that belong
-// to no integer or bool leaf (padding) masked off.
-type keyWord struct {
-	off  uintptr
-	mask uint64
-}
-
-// localWords returns the words that cover t's leaves, for the keyed index
-// (keyIndex, fold.go) to fold, or nil if reading t whole words at a time
-// is not safe or not exact: t holds a float (two zeros compare equal, and
-// a NaN equals nothing), a string or an interface, or t is not a whole
-// number of aligned words.
-func localWords(t reflect.Type, leaves []leaf) []keyWord {
-	if t.Size() == 0 || t.Size()%8 != 0 || t.Align()%8 != 0 {
-		return nil
-	}
-	masks := make([][8]byte, t.Size()/8)
-	for _, l := range leaves {
-		if l.kind > reflect.Uintptr { // past the integers: a float, string or interface
-			return nil
-		}
-		for b := l.off; b < l.off+l.size; b++ {
-			masks[b/8][b%8] = 0xff
-		}
-	}
-	var words []keyWord
-	for i, m := range masks {
-		if m != [8]byte{} {
-			// The mask in memory order, read as the word is read.
-			words = append(words, keyWord{off: uintptr(i) * 8, mask: *(*uint64)(unsafe.Pointer(&m))})
-		}
-	}
-	return words
-}
-
 // foldWords is the keyed index's hash of the key at p.
-func foldWords(words []keyWord, p unsafe.Pointer) uint64 {
+func foldWords(words []layout.Word, p unsafe.Pointer) uint64 {
 	h := localSeed
 	for _, w := range words {
-		h = localMix(h, *(*uint64)(unsafe.Add(p, w.off))&w.mask)
+		h = localMix(h, *(*uint64)(unsafe.Add(p, w.Off))&w.Mask)
 	}
 	return h
 }
 
-// word reads a bool, integer or float leaf at q as the 64 bits the
-// placement fold mixes: signed integers sign-extended, -0 read as +0.
-func (l *leaf) word(q unsafe.Pointer) uint64 {
-	switch l.kind {
+// word reads a bool, integer or float leaf of kind k at q as the 64 bits
+// the placement fold mixes: signed integers sign-extended, -0 read as +0.
+func word(k reflect.Kind, q unsafe.Pointer) uint64 {
+	switch k {
 	case reflect.Bool, reflect.Uint8:
 		return uint64(*(*uint8)(q))
 	case reflect.Uint16:
@@ -297,57 +233,6 @@ func (l *leaf) word(q unsafe.Pointer) uint64 {
 		return bits64(*(*float64)(q))
 	}
 	return *(*uint64)(q)
-}
-
-// compileStableHasher returns t's leaf list, or nil if t holds something
-// with no value to walk.
-func compileStableHasher(t reflect.Type) *keyShape {
-	leaves, ok := appendLeaves(nil, t, 0)
-	if !ok {
-		return nil
-	}
-	return &keyShape{leaves: leaves, words: localWords(t, leaves)}
-}
-
-// appendLeaves appends the leaves of a t at offset off to dst.
-func appendLeaves(dst []leaf, t reflect.Type, off uintptr) ([]leaf, bool) {
-	switch k := t.Kind(); k {
-	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
-		reflect.Float32, reflect.Float64, reflect.String:
-		return append(dst, leaf{off: off, size: t.Size(), kind: k}), true
-	case reflect.Complex64, reflect.Complex128:
-		part := reflect.Float32
-		if k == reflect.Complex128 {
-			part = reflect.Float64
-		}
-		half := t.Size() / 2
-		return append(dst, leaf{off: off, size: half, kind: part}, leaf{off: off + half, size: half, kind: part}), true
-	case reflect.Interface:
-		l := leaf{off: off, size: t.Size(), kind: k}
-		if t.NumMethod() > 0 {
-			l.typ = t
-		}
-		return append(dst, l), true
-	case reflect.Array:
-		elem, ok := appendLeaves(nil, t.Elem(), 0)
-		for i := 0; i < t.Len() && ok; i++ {
-			for _, l := range elem {
-				l.off += off + uintptr(i)*t.Elem().Size()
-				dst = append(dst, l)
-			}
-		}
-		return dst, ok
-	case reflect.Struct:
-		ok := true
-		for i := 0; i < t.NumField() && ok; i++ {
-			f := t.Field(i)
-			dst, ok = appendLeaves(dst, f.Type, off+f.Offset)
-		}
-		return dst, ok
-	}
-	// Pointers, channels: identity. Funcs, maps, slices: not comparable.
-	return dst, false
 }
 
 // bits64 and bits32 are Float64bits and Float32bits with -0 read as +0: the

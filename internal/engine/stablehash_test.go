@@ -49,7 +49,8 @@ func hashesAgree[K comparable](t *testing.T, keys ...K) {
 
 // stableHasherFor is t's placement fold as a function.
 func stableHasherFor(t reflect.Type) func(unsafe.Pointer, uint64) uint64 {
-	return mustShape(t).stable
+	s := mustShape(t)
+	return func(p unsafe.Pointer, h uint64) uint64 { return stable(s, p, h) }
 }
 
 func TestStableHashersAgree(t *testing.T) {
@@ -171,13 +172,6 @@ func TestUnhashableKeysAreRefused(t *testing.T) {
 	}
 }
 
-// tagKey has core.Tag's layout: a one-byte depth, seven bytes of padding,
-// then the three level ids.
-type tagKey struct {
-	depth uint8
-	lv    [3]uint64
-}
-
 // paddedElem leaves padding after each field but the last.
 type paddedElem struct {
 	A uint8
@@ -223,7 +217,7 @@ func TestStableHashPinned(t *testing.T) {
 	pinnedHash(t, "strAny", strAny{"key", int64(-7), -1}, 0xd85fe62314c1df92)
 	pinnedHash(t, "strAny, nil", strAny{"", nil, 0}, 0x33fe8bd4f9c57863)
 	pinnedHash(t, "strAny, boxed struct", strAny{"a longer key string", paddedElem{1, 2, 3}, 9}, 0xf32ca7e6cde40310)
-	pinnedHash(t, "tagKey", tagKey{2, [3]uint64{17, 4, 0}}, 0xcc20f03751c662a9)
-	pinnedHash(t, "Pair[tagKey, int64]", Pair[tagKey, int64]{tagKey{1, [3]uint64{99}}, -5}, 0xb7f275c5eb264b35)
-	pinnedHash(t, "Pair[tagKey, string]", Pair[tagKey, string]{tagKey{3, [3]uint64{1, 2, 3}}, "ab"}, 0xe985621acb091391)
+	pinnedHash(t, "Tag", Tag{2, [3]uint64{17, 4, 0}}, 0xcc20f03751c662a9)
+	pinnedHash(t, "Pair[Tag, int64]", Pair[Tag, int64]{Tag{1, [3]uint64{99}}, -5}, 0xb7f275c5eb264b35)
+	pinnedHash(t, "Pair[Tag, string]", Pair[Tag, string]{Tag{3, [3]uint64{1, 2, 3}}, "ab"}, 0xe985621acb091391)
 }

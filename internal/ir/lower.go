@@ -257,7 +257,7 @@ func dynOps(kinds []Kind) core.StateOps[dynState] {
 			}
 			return s
 		},
-		Filter: func(s dynState, keep engine.Dataset[core.Tag], sub *core.Ctx) dynState {
+		Filter: func(s dynState, keep engine.Dataset[engine.Tag], sub *core.Ctx) dynState {
 			return apply(s, func(i int, v value) value {
 				if v.kind == KInnerScalar {
 					return value{kind: v.kind, isc: so.Filter(v.isc, keep, sub)}

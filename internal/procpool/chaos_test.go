@@ -75,6 +75,12 @@ func sliceBatch[T any](xs []T) engine.Batch {
 	return k(&engine.Ctx{}, 0, []engine.Batch{&engine.Vec[T]{}})
 }
 
+// rowsOf is b's elements as the typed slice they are kept in.
+func rowsOf(b engine.Batch) any {
+	elem, rows := b.Rows()
+	return reflect.SliceAt(elem, rows, b.Len()).Interface()
+}
+
 // blockSpec stores n small blocks in the pool and builds the stage that
 // reads them back: task i is the identity over block i.
 func blockSpec(t testing.TB, pool *Pool, label string, n int) (*engine.RemoteStageSpec, [][]int) {
@@ -117,8 +123,8 @@ func checkParts(t testing.TB, parts []engine.Batch, want [][]int) {
 		t.Fatalf("got %d parts, want %d", len(parts), len(want))
 	}
 	for i, b := range parts {
-		if !reflect.DeepEqual(b.Data(), want[i]) {
-			t.Fatalf("part %d = %v, want %v", i, b.Data(), want[i])
+		if got := rowsOf(b); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("part %d = %v, want %v", i, got, want[i])
 		}
 	}
 }

@@ -82,7 +82,7 @@ func TestWireFieldRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	bid, b, err := parseBlock(encodeBlock(1<<40, frame))
-	if err != nil || bid != 1<<40 || !reflect.DeepEqual(b.Data(), []int{5, 6, 7}) {
+	if err != nil || bid != 1<<40 || !reflect.DeepEqual(rowsOf(b), []int{5, 6, 7}) {
 		t.Fatalf("block: id %d batch %v err %v", bid, b, err)
 	}
 	task := &engine.RemoteTask{Steps: []engine.RemoteStep{{

@@ -17,7 +17,7 @@
 //
 // Group identity contract: groupID is engine.HashKey of the top-level
 // key, the same 64-bit identity the tag-based nested lowering already
-// mints per group (core.RootTag). Two distinct keys colliding on all 64
+// mints per group (engine.RootTag). Two distinct keys colliding on all 64
 // bits would merge their groups — the identical exposure the existing
 // tag minting accepts, so shredding introduces no new identity risk.
 package shred

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"matryoshka/internal/layout"
 )
 
 func TestPrimitives(t *testing.T) {
@@ -281,7 +284,10 @@ type testBatch struct {
 
 func (b testBatch) Len() int      { return b.n }
 func (b testBatch) BoxedCap() int { return b.bcap }
-func (b testBatch) Data() any     { return b.data }
+func (b testBatch) Rows() (reflect.Type, unsafe.Pointer) {
+	v := reflect.ValueOf(b.data)
+	return v.Type().Elem(), v.UnsafePointer()
+}
 
 // batchOver wraps a typed slice as a testBatch and returns the equivalent
 // boxed partition with the same observed capacity, built element-wise the
@@ -322,7 +328,7 @@ func TestOfBatchMatchesBoxed(t *testing.T) {
 	b, boxed = batchOver([]string{"", "a", "hello world, a longer string"}, 4)
 	check("string", b, boxed)
 	b, boxed = batchOver([]pair{{1, 2}, {3, 4}, {5, 6}}, 4)
-	check("fixedDeep struct", b, boxed)
+	check("fixed-size struct", b, boxed)
 	b, boxed = batchOver([][]int64{shared, shared, {4}}, 4)
 	check("value-dependent with shared pointers", b, boxed)
 	b, boxed = batchOver([]pair{}, 0)
@@ -378,9 +384,9 @@ func sampleEvery[T any](xs []T, step, bcap int) testBatch {
 }
 
 // TestOfFixedMatchesSampledBatch: for every fixed-size shape OfFixed of the
-// element type's FixedSize equals OfBatch over the sample the engine would
-// have built — so the engine may skip building it — and for []any and every
-// value-dependent shape FixedSize declines.
+// element type's fixed deep size (layout.Layout.Deep) equals OfBatch over
+// the sample the engine would have built — so the engine may skip building
+// it — and for []any and every value-dependent shape there is none.
 func TestOfFixedMatchesSampledBatch(t *testing.T) {
 	type pair struct {
 		K int
@@ -393,9 +399,9 @@ func TestOfFixedMatchesSampledBatch(t *testing.T) {
 	}
 	fixed := func(name string, sample testBatch, full any) {
 		t.Helper()
-		size, ok := FixedSize(reflect.TypeOf(full).Elem())
-		if got, want := OfFixed(size, sample.n, sample.bcap), OfBatch(sample); !ok || got != want {
-			t.Errorf("%s: OfFixed = %d, %v; OfBatch of the sample = %d", name, got, ok, want)
+		size := layout.Of(reflect.TypeOf(full).Elem()).Deep
+		if got, want := OfFixed(size, sample.n, sample.bcap), OfBatch(sample); size < 0 || got != want {
+			t.Errorf("%s: OfFixed = %d, Deep %d; OfBatch of the sample = %d", name, got, size, want)
 		}
 	}
 	ints, i64s, u64s, f64s := make([]int, 1000), make([]int64, 100), make([]uint64, 65), make([]float64, 127)
@@ -404,7 +410,7 @@ func TestOfFixedMatchesSampledBatch(t *testing.T) {
 	fixed("int64", sampleEvery(i64s, 3, 37), i64s)
 	fixed("uint64", sampleEvery(u64s, 2, 37), u64s)
 	fixed("float64", sampleEvery(f64s, 3, 64), f64s)
-	fixed("fixedDeep struct", sampleEvery(pairs, 127, 37), pairs)
+	fixed("fixed-size struct", sampleEvery(pairs, 127, 37), pairs)
 	fixed("padded struct", sampleEvery(pads, 10, 64), pads)
 	fixed("array", sampleEvery(arrs, 2, 32), arrs)
 	fixed("empty", sampleEvery(pairs[:0], 1, 0), pairs[:0])
@@ -417,8 +423,8 @@ func TestOfFixedMatchesSampledBatch(t *testing.T) {
 		"interface elems":  []error{nil, errType{"x"}},
 		"pointers":         []*int{nil},
 	} {
-		if got, ok := FixedSize(reflect.TypeOf(data).Elem()); ok {
-			t.Errorf("%s: FixedSize = %d, true; want it to decline a value-dependent shape", name, got)
+		if got := layout.Of(reflect.TypeOf(data).Elem()).Deep; got >= 0 {
+			t.Errorf("%s: Deep = %d; want -1 for a value-dependent shape", name, got)
 		}
 	}
 }
@@ -469,18 +475,3 @@ func batch[T any](xs []T, bcap int) testBatch { return testBatch{data: xs, n: le
 type errType struct{ s string }
 
 func (e errType) Error() string { return e.s }
-
-func TestFixedDeepDomains(t *testing.T) {
-	fixed := []any{true, int16(1), uint32(2), 3.0, complex128(4), [8]int{}, struct{ A, B int }{}}
-	for _, v := range fixed {
-		if fixedDeep(reflect.TypeOf(v)) < 0 {
-			t.Errorf("fixedDeep(%T) should be value-independent", v)
-		}
-	}
-	variable := []any{"s", []int{1}, map[int]int{}, new(int), struct{ S string }{}, [2]string{}}
-	for _, v := range variable {
-		if fixedDeep(reflect.TypeOf(v)) >= 0 {
-			t.Errorf("fixedDeep(%T) should report value-dependent", v)
-		}
-	}
-}

@@ -55,7 +55,8 @@ func throughKernel(t *testing.T, op string, arg []byte, inputs ...engine.Batch) 
 	if err != nil {
 		t.Fatalf("%s: %v", op, err)
 	}
-	return out.Data()
+	elem, rows := out.Rows()
+	return reflect.SliceAt(elem, rows, out.Len()).Interface()
 }
 
 func collect[T any](t *testing.T, d engine.Dataset[T]) []T {
