@@ -78,9 +78,12 @@ bench:
 ## (3605 / 3687 at -cpu 1) and is gated: a per-task allocation would add
 ## 1200 an op. Plan builds a physical plan and runs nothing; its allocs/op
 ## repeats exactly at 10 iterations and at full benchtime (258) and is
-## gated: planning must not grow per node or per edge.
+## gated: planning must not grow per node or per edge. BatchCodec encodes
+## and decodes one frame per op, its allocs/op repeat exactly at 10
+## iterations, and it is gated: a per-row or per-field allocation in the
+## codec's leaf walk would add ten thousand an op.
 bench-check:
-	$(GO) test -bench . -benchmem -benchtime 10x -cpu 1 -run '^$$' ./internal/engine | $(GO) run ./cmd/benchjson -check BENCH_engine.json -factor 3 -gate-allocs 'ShuffleBoundary|ShuffleRoute/structkey|TinyStage|Plan$$'
+	$(GO) test -bench . -benchmem -benchtime 10x -cpu 1 -run '^$$' ./internal/engine | $(GO) run ./cmd/benchjson -check BENCH_engine.json -factor 3 -gate-allocs 'ShuffleBoundary|ShuffleRoute/structkey|TinyStage|Plan$$|BatchCodec'
 
 ## loc: print the code lines of every package under internal/ and cmd/ —
 ## Go lines outside _test.go files that are neither blank nor only a

@@ -15,25 +15,33 @@ package engine
 //	bcap    u32 — boxed-equivalent capacity (BoxedCap)
 //	payload n encoded elements
 //
-// Elements encode deterministically by structure: fixed-width scalars by
-// kind, strings and slices u32-length-prefixed, arrays and structs in
-// declaration order. Boxed payloads carry a type name per element ("" for
-// nil). Maps, channels, funcs, pointers and non-empty interfaces are
-// rejected — the wire format is for value data, not object graphs.
+// An element encodes deterministically as the leaves of its type's layout
+// (internal/layout), in declaration order with arrays expanded: each bool
+// or number at its fixed width, int and uint as 8 bytes, a complex number
+// as its two float parts, strings and slices u32-length-prefixed, a
+// slice's elements leaf by leaf in turn. appendRow and readRow walk those
+// leaves where a row lies in memory, the way the placement hash does
+// (stablehash.go). Boxed payloads carry a type name per element ("" for
+// nil), then the leaves of the value it holds. A type that is not plain
+// data (layout.Layout.Opaque: maps, channels, funcs, pointers, interfaces,
+// unexported fields) is rejected — the wire format is for value data, not
+// object graphs.
 //
 // Decoding is registry-driven: a type name resolves to a prototype batch
 // registered by batchOf (every element shape that ever formed a batch in
 // this process) or by an element type seen while encoding a boxed batch.
-// Every read is bounds-checked and implausible counts are rejected, so the
+// A name that resolves to a type that is not plain data is refused as on
+// encode, every read is bounds-checked, and a count the rest of the frame
+// cannot hold is rejected before anything is allocated for it, so the
 // decoder is safe on adversarial input (FuzzBatchCodec).
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"sync"
+	"unsafe"
 
 	"matryoshka/internal/layout"
 )
@@ -52,16 +60,17 @@ func codecErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errBatchCodec, fmt.Sprintf(format, args...))
 }
 
-// The codec carries plain data (layout.Layout.Opaque): appendValue and
-// batchReader.value take exactly the kinds a plain type's leaves have.
-// unplain is the codec's error for a type that is not plain data, made of
-// the part its layout names; a pointer to that part, so refusing a type
-// allocates nothing however often it is met.
+// The codec carries plain data (layout.Layout.Opaque): appendRow and
+// batchReader.readRow take exactly the kinds a plain type's leaves have,
+// so both directions refuse any other type before walking a row. unplain
+// is the codec's error for a type that is not plain data, made of the part
+// its layout names; a pointer to that part, so refusing a type allocates
+// nothing however often it is met.
 type unplain layout.Opaque
 
-func unplainErr(t reflect.Type) error {
-	if o := layout.Of(t).Opaque; o != nil {
-		return (*unplain)(o)
+func unplainErr(l *layout.Layout) error {
+	if l.Opaque != nil {
+		return (*unplain)(l.Opaque)
 	}
 	return nil
 }
@@ -139,7 +148,6 @@ func EncodeBatch(dst []byte, b Batch) ([]byte, error) {
 
 	elem, rows := b.Rows()
 	n := b.Len()
-	data := reflect.SliceAt(elem, rows, n)
 	// Only *Vec[any] is boxed: a frame decodes to the shape it was encoded
 	// from, so any other interface element type is refused below.
 	boxed := elem == typAny
@@ -147,7 +155,7 @@ func EncodeBatch(dst []byte, b Batch) ([]byte, error) {
 		dst = append(dst, batchKindBoxed)
 		dst = appendU32String(dst, "")
 	} else {
-		if err := unplainErr(elem); err != nil {
+		if err := unplainErr(layout.Of(elem)); err != nil {
 			return nil, err
 		}
 		dst = append(dst, batchKindTyped)
@@ -156,15 +164,17 @@ func EncodeBatch(dst []byte, b Batch) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.BoxedCap()))
 
-	var err error
-	for i := 0; i < n; i++ {
-		if boxed {
-			dst, err = appendBoxedElem(dst, data.Index(i).Interface())
-		} else {
-			dst, err = appendValue(dst, data.Index(i))
+	if boxed {
+		var err error
+		for _, e := range unsafe.Slice((*any)(rows), n) {
+			if dst, err = appendBoxedElem(dst, e); err != nil {
+				return nil, err
+			}
 		}
-		if err != nil {
-			return nil, err
+	} else {
+		l, size := layout.Of(elem), elem.Size()
+		for i := range uintptr(n) {
+			dst = appendRow(dst, l, unsafe.Add(rows, i*size))
 		}
 	}
 	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
@@ -175,13 +185,15 @@ func appendBoxedElem(dst []byte, e any) ([]byte, error) {
 	if e == nil {
 		return appendU32String(dst, ""), nil
 	}
-	rv := reflect.ValueOf(e)
-	if err := unplainErr(rv.Type()); err != nil {
+	t := reflect.TypeOf(e)
+	l := layout.Of(t)
+	if err := unplainErr(l); err != nil {
 		return nil, err
 	}
-	registerElemType(rv.Type())
-	dst = appendU32String(dst, batchTypeName(rv.Type()))
-	return appendValue(dst, rv)
+	registerElemType(t)
+	dst = appendU32String(dst, batchTypeName(t))
+	// The data word is the value's address, as in hashBoxed.
+	return appendRow(dst, l, (*[2]unsafe.Pointer)(unsafe.Pointer(&e))[1]), nil
 }
 
 // DecodeBatch decodes one frame from data, returning the batch and the
@@ -214,11 +226,6 @@ func DecodeBatch(data []byte) (Batch, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if n > uint32(len(r.data)) && n > 1<<16 {
-		// More elements than payload bytes: only possible for zero-size
-		// element types, and no real workload ships 64k of those.
-		return nil, 0, codecErr("implausible element count %d for %d payload bytes", n, len(r.data))
-	}
 
 	var out Batch
 	switch kind {
@@ -226,13 +233,14 @@ func DecodeBatch(data []byte) (Batch, int, error) {
 		if shape != "" {
 			return nil, 0, codecErr("boxed frame with element shape %q", shape)
 		}
-		xs := make([]any, 0, min(int(n), 1<<12))
-		for i := 0; i < int(n); i++ {
-			e, err := r.boxedElem()
-			if err != nil {
+		if err := r.count(n, 4); err != nil { // a boxed element's name length
+			return nil, 0, err
+		}
+		xs := make([]any, n)
+		for i := range xs {
+			if xs[i], err = r.boxedElem(); err != nil {
 				return nil, 0, err
 			}
-			xs = append(xs, e)
 		}
 		out = &Vec[any]{xs: xs, bcap: int(bcap)}
 	case batchKindTyped:
@@ -240,11 +248,20 @@ func DecodeBatch(data []byte) (Batch, int, error) {
 		if !ok {
 			return nil, 0, codecErr("unknown batch shape %q", shape)
 		}
-		b := protoAny.(Batch).newLike(int(n), int(bcap))
-		elem, rows := b.Rows()
-		data := reflect.SliceAt(elem, rows, int(n))
-		for i := 0; i < int(n); i++ {
-			if err := r.value(data.Index(i)); err != nil {
+		proto := protoAny.(Batch)
+		elem, _ := proto.Rows()
+		l := layout.Of(elem)
+		if err := unplainErr(l); err != nil {
+			return nil, 0, err
+		}
+		if err := r.count(n, minWire(l)); err != nil {
+			return nil, 0, err
+		}
+		b := proto.newLike(int(n), int(bcap))
+		_, rows := b.Rows()
+		size := elem.Size()
+		for i := range uintptr(n) {
+			if err := r.readRow(l, unsafe.Add(rows, i*size)); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -289,72 +306,46 @@ func appendU32String(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// appendValue encodes one value by structure. rv's type is plain data.
-func appendValue(dst []byte, rv reflect.Value) ([]byte, error) {
-	switch rv.Kind() {
-	case reflect.Bool:
-		if rv.Bool() {
-			return append(dst, 1), nil
-		}
-		return append(dst, 0), nil
-	case reflect.Int8:
-		return append(dst, byte(rv.Int())), nil
-	case reflect.Int16:
-		return binary.LittleEndian.AppendUint16(dst, uint16(rv.Int())), nil
-	case reflect.Int32:
-		return binary.LittleEndian.AppendUint32(dst, uint32(rv.Int())), nil
-	case reflect.Int, reflect.Int64:
-		return binary.LittleEndian.AppendUint64(dst, uint64(rv.Int())), nil
-	case reflect.Uint8:
-		return append(dst, byte(rv.Uint())), nil
-	case reflect.Uint16:
-		return binary.LittleEndian.AppendUint16(dst, uint16(rv.Uint())), nil
-	case reflect.Uint32:
-		return binary.LittleEndian.AppendUint32(dst, uint32(rv.Uint())), nil
-	case reflect.Uint, reflect.Uint64:
-		return binary.LittleEndian.AppendUint64(dst, rv.Uint()), nil
-	case reflect.Float32:
-		return binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(rv.Float()))), nil
-	case reflect.Float64:
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(rv.Float())), nil
-	case reflect.Complex64:
-		c := rv.Complex()
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(real(c))))
-		return binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(imag(c)))), nil
-	case reflect.Complex128:
-		c := rv.Complex()
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(real(c)))
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(imag(c))), nil
-	case reflect.String:
-		return appendU32String(dst, rv.String()), nil
-	case reflect.Slice:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(rv.Len()))
-		var err error
-		for i := 0; i < rv.Len(); i++ {
-			if dst, err = appendValue(dst, rv.Index(i)); err != nil {
-				return nil, err
+// appendRow encodes the row at p, laid out by l, leaf by leaf: each bool
+// or number at its wire width, int and uint as 8 bytes; a string or a
+// slice as its u32 length, then its bytes or its elements' leaves. l's type
+// is plain data.
+func appendRow(dst []byte, l *layout.Layout, p unsafe.Pointer) []byte {
+	for i := range l.Leaves {
+		lf := &l.Leaves[i]
+		q := unsafe.Add(p, lf.Off)
+		switch lf.Kind {
+		case reflect.Bool, reflect.Int8, reflect.Uint8:
+			dst = append(dst, *(*uint8)(q))
+		case reflect.Int16, reflect.Uint16:
+			dst = binary.LittleEndian.AppendUint16(dst, *(*uint16)(q))
+		case reflect.Int32, reflect.Uint32, reflect.Float32:
+			dst = binary.LittleEndian.AppendUint32(dst, *(*uint32)(q))
+		case reflect.Int:
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(*(*int)(q)))
+		case reflect.Uint:
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(*(*uint)(q)))
+		case reflect.String:
+			dst = appendU32String(dst, *(*string)(q))
+		case reflect.Slice:
+			s := (*sliceHeader)(q)
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Len))
+			el, size := layout.Of(lf.Type.Elem()), lf.Type.Elem().Size()
+			for j := 0; j < s.Len; j++ {
+				dst = appendRow(dst, el, unsafe.Add(s.Data, uintptr(j)*size))
 			}
+		default: // int64, uint64, float64
+			dst = binary.LittleEndian.AppendUint64(dst, *(*uint64)(q))
 		}
-		return dst, nil
-	case reflect.Array:
-		var err error
-		for i := 0; i < rv.Len(); i++ {
-			if dst, err = appendValue(dst, rv.Index(i)); err != nil {
-				return nil, err
-			}
-		}
-		return dst, nil
-	case reflect.Struct:
-		var err error
-		for i := 0; i < rv.NumField(); i++ {
-			if dst, err = appendValue(dst, rv.Field(i)); err != nil {
-				return nil, err
-			}
-		}
-		return dst, nil
-	default:
-		return nil, codecErr("unsupported value kind %s", rv.Kind())
 	}
+	return dst
+}
+
+// sliceHeader is a slice as it lies in memory. Its Data field is a
+// pointer, so a store of a header keeps the collector's write barrier.
+type sliceHeader struct {
+	Data     unsafe.Pointer
+	Len, Cap int
 }
 
 // batchReader is the bounds-checked frame reader.
@@ -380,28 +371,12 @@ func (r *batchReader) u8() (byte, error) {
 	return b[0], nil
 }
 
-func (r *batchReader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
 func (r *batchReader) u32() (uint32, error) {
 	b, err := r.take(4)
 	if err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *batchReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
 }
 
 func (r *batchReader) str() (string, error) {
@@ -428,140 +403,104 @@ func (r *batchReader) boxedElem() (any, error) {
 	if !ok {
 		return nil, codecErr("unknown element type %q", name)
 	}
-	rv := reflect.New(tAny.(reflect.Type)).Elem()
-	if err := r.value(rv); err != nil {
+	t := tAny.(reflect.Type)
+	l := layout.Of(t)
+	if err := unplainErr(l); err != nil {
 		return nil, err
 	}
-	return rv.Interface(), nil
+	v := reflect.New(t)
+	if err := r.readRow(l, v.UnsafePointer()); err != nil {
+		return nil, err
+	}
+	return v.Elem().Interface(), nil
 }
 
-// value decodes one value into the settable rv.
-func (r *batchReader) value(rv reflect.Value) error {
-	switch rv.Kind() {
-	case reflect.Bool:
-		b, err := r.u8()
-		if err != nil {
-			return err
-		}
-		rv.SetBool(b != 0)
-	case reflect.Int8:
-		b, err := r.u8()
-		if err != nil {
-			return err
-		}
-		rv.SetInt(int64(int8(b)))
-	case reflect.Int16:
-		v, err := r.u16()
-		if err != nil {
-			return err
-		}
-		rv.SetInt(int64(int16(v)))
-	case reflect.Int32:
-		v, err := r.u32()
-		if err != nil {
-			return err
-		}
-		rv.SetInt(int64(int32(v)))
-	case reflect.Int, reflect.Int64:
-		v, err := r.u64()
-		if err != nil {
-			return err
-		}
-		rv.SetInt(int64(v))
-	case reflect.Uint8:
-		b, err := r.u8()
-		if err != nil {
-			return err
-		}
-		rv.SetUint(uint64(b))
-	case reflect.Uint16:
-		v, err := r.u16()
-		if err != nil {
-			return err
-		}
-		rv.SetUint(uint64(v))
-	case reflect.Uint32:
-		v, err := r.u32()
-		if err != nil {
-			return err
-		}
-		rv.SetUint(uint64(v))
-	case reflect.Uint, reflect.Uint64:
-		v, err := r.u64()
-		if err != nil {
-			return err
-		}
-		rv.SetUint(v)
-	case reflect.Float32:
-		v, err := r.u32()
-		if err != nil {
-			return err
-		}
-		rv.SetFloat(float64(math.Float32frombits(v)))
-	case reflect.Float64:
-		v, err := r.u64()
-		if err != nil {
-			return err
-		}
-		rv.SetFloat(math.Float64frombits(v))
-	case reflect.Complex64:
-		re, err := r.u32()
-		if err != nil {
-			return err
-		}
-		im, err := r.u32()
-		if err != nil {
-			return err
-		}
-		rv.SetComplex(complex(float64(math.Float32frombits(re)), float64(math.Float32frombits(im))))
-	case reflect.Complex128:
-		re, err := r.u64()
-		if err != nil {
-			return err
-		}
-		im, err := r.u64()
-		if err != nil {
-			return err
-		}
-		rv.SetComplex(complex(math.Float64frombits(re), math.Float64frombits(im)))
-	case reflect.String:
-		s, err := r.str()
-		if err != nil {
-			return err
-		}
-		rv.SetString(s)
-	case reflect.Slice:
-		n, err := r.u32()
-		if err != nil {
-			return err
-		}
-		if int(n) > len(r.data)-r.pos && n > 1<<16 {
-			return codecErr("implausible slice length %d", n)
-		}
-		sl := reflect.MakeSlice(rv.Type(), 0, min(int(n), 1<<12))
-		elem := reflect.New(rv.Type().Elem()).Elem()
-		for i := 0; i < int(n); i++ {
-			elem.SetZero()
-			if err := r.value(elem); err != nil {
-				return err
-			}
-			sl = reflect.Append(sl, elem)
-		}
-		rv.Set(sl)
-	case reflect.Array:
-		for i := 0; i < rv.Len(); i++ {
-			if err := r.value(rv.Index(i)); err != nil {
-				return err
-			}
-		}
-	case reflect.Struct:
-		for i := 0; i < rv.NumField(); i++ {
-			if err := r.value(rv.Field(i)); err != nil {
-				return err
-			}
-		}
-	default:
-		return codecErr("unsupported element kind %s", rv.Kind())
+// count checks an element count read from the frame before anything is
+// allocated for it: n elements of at least least wire bytes each must fit
+// in the rest of the frame, and no real workload ships more than 64k
+// elements that take no bytes (a type of size zero).
+func (r *batchReader) count(n uint32, least int) error {
+	if least > 0 && int(n)*least > len(r.data)-r.pos || least == 0 && n > 1<<16 {
+		return codecErr("implausible element count %d for %d payload bytes", n, len(r.data)-r.pos)
 	}
 	return nil
+}
+
+// minWire is the fewest bytes a row laid out by l takes on the wire.
+func minWire(l *layout.Layout) int {
+	w := 0
+	for i := range l.Leaves {
+		w += wireWidth(l.Leaves[i].Kind)
+	}
+	return w
+}
+
+// readRow decodes a row laid out by l into the zeroed memory at p, the
+// inverse of appendRow. Every store goes through a pointer of the leaf's
+// own type, so the collector sees each pointer it writes.
+func (r *batchReader) readRow(l *layout.Layout, p unsafe.Pointer) error {
+	for i := range l.Leaves {
+		lf := &l.Leaves[i]
+		q := unsafe.Add(p, lf.Off)
+		switch lf.Kind {
+		case reflect.String:
+			s, err := r.str()
+			if err != nil {
+				return err
+			}
+			*(*string)(q) = s
+		case reflect.Slice:
+			n, err := r.u32()
+			if err != nil {
+				return err
+			}
+			el, size := layout.Of(lf.Type.Elem()), lf.Type.Elem().Size()
+			if err := r.count(n, minWire(el)); err != nil {
+				return err
+			}
+			data := reflect.MakeSlice(lf.Type, int(n), int(n)).UnsafePointer()
+			*(*sliceHeader)(q) = sliceHeader{Data: data, Len: int(n), Cap: int(n)}
+			for j := range uintptr(n) {
+				if err := r.readRow(el, unsafe.Add(data, j*size)); err != nil {
+					return err
+				}
+			}
+		default:
+			b, err := r.take(wireWidth(lf.Kind))
+			if err != nil {
+				return err
+			}
+			switch lf.Kind {
+			case reflect.Bool:
+				*(*bool)(q) = b[0] != 0
+			case reflect.Int8, reflect.Uint8:
+				*(*uint8)(q) = b[0]
+			case reflect.Int16, reflect.Uint16:
+				*(*uint16)(q) = binary.LittleEndian.Uint16(b)
+			case reflect.Int32, reflect.Uint32, reflect.Float32:
+				*(*uint32)(q) = binary.LittleEndian.Uint32(b)
+			case reflect.Int:
+				*(*int)(q) = int(binary.LittleEndian.Uint64(b))
+			case reflect.Uint:
+				*(*uint)(q) = uint(binary.LittleEndian.Uint64(b))
+			default: // int64, uint64, float64
+				*(*uint64)(q) = binary.LittleEndian.Uint64(b)
+			}
+		}
+	}
+	return nil
+}
+
+// wireWidth is the bytes a bool or number leaf of kind k takes on the
+// wire, and the fewest a string or slice leaf does: its u32 length.
+func wireWidth(k reflect.Kind) int {
+	switch k {
+	case reflect.Bool, reflect.Int8, reflect.Uint8:
+		return 1
+	case reflect.Int16, reflect.Uint16:
+		return 2
+	case reflect.Int32, reflect.Uint32, reflect.Float32, reflect.String, reflect.Slice:
+		return 4
+	}
+	return 8
 }

@@ -2,8 +2,9 @@
 // of how the type's values lie in memory: the one walk behind the
 // placement hash and the keyed index (internal/engine, stablehash.go and
 // fold.go), the size estimator's per-type constants and plans
-// (internal/sizeest) and whether a value of the type is plain data, the
-// one thing the batch codec carries (internal/engine, batchio.go).
+// (internal/sizeest), and whether a value of the type is plain data, the
+// one thing the batch codec carries, with the leaves the codec walks to
+// write and read it (internal/engine, batchio.go).
 //
 // Of walks a type's fields in declaration order, arrays expanded, down to
 // its leaves, and caches the Layout it builds. Every consumer reads the
@@ -27,7 +28,9 @@ type Leaf struct {
 	Off  uintptr
 	Size uintptr
 	Kind reflect.Kind
-	Type reflect.Type // the interface type, for an interface with methods
+	// Type is the slice type, for a slice, and the interface type, for an
+	// interface with methods; nil for any other leaf.
+	Type reflect.Type
 }
 
 // A Word is one aligned 64-bit word of a value, with the bits that belong
@@ -156,15 +159,16 @@ func walk(t reflect.Type, off uintptr, leaves *[]Leaf, open []reflect.Type) Layo
 			// and slices are not comparable.
 			l.Hashable = false
 		}
-		*leaves = append(*leaves, lf)
 		switch {
 		case k == reflect.Slice:
+			lf.Type = t
 			if !slices.Contains(open, t) {
 				l.Opaque = walk(t.Elem(), 0, new([]Leaf), append(open, t)).Opaque
 			}
 		case k != reflect.String && (k == reflect.Uintptr || l.Deep < 0):
 			l.Opaque = &Opaque{Type: t}
 		}
+		*leaves = append(*leaves, lf)
 	}
 	if l.Deep >= 0 {
 		l.Fixed = l.Deep

@@ -76,6 +76,7 @@ func (p *Pool) spawnInto(idx int) (*pendingSpawn, error) {
 	}
 	ps := &pendingSpawn{idx: idx, pid: cmd.Process.Pid, cmd: cmd, done: make(chan *workerProc, 1)}
 	p.spawning[ps.pid] = ps
+	p.unreaped.Add(1)
 	p.mu.Unlock()
 	return ps, nil
 }
@@ -87,18 +88,6 @@ func (p *Pool) spawnInto(idx int) (*pendingSpawn, error) {
 // spawned it (Start or respawnWorker). A connection that matches no
 // pending spawn is closed: nobody is waiting for it.
 func (p *Pool) handshake(conn net.Conn) {
-	var ps *pendingSpawn
-	fail := func(err error) {
-		conn.Close()
-		if ps != nil {
-			if ps.cmd.Process != nil {
-				ps.cmd.Process.Kill()
-			}
-			go ps.cmd.Wait()
-			ps.err = err
-			ps.done <- nil
-		}
-	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	br := bufio.NewReaderSize(conn, wireBuf)
 	typ, body, err := readFrame(br)
@@ -112,18 +101,22 @@ func (p *Pool) handshake(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
+	// Claim the pending spawn: from here this handshake installs it or
+	// reaps it. Close takes whatever is still pending, so once the pool is
+	// closed there is nothing to claim.
 	p.mu.Lock()
-	ps = p.spawning[pid]
+	ps := p.spawning[pid]
 	delete(p.spawning, pid)
-	closed := p.closed
 	p.mu.Unlock()
 	if ps == nil {
 		conn.Close()
 		return
 	}
-	if closed {
-		fail(fmt.Errorf("procpool: pool is closed"))
-		return
+	fail := func(err error) {
+		conn.Close()
+		p.reap(ps)
+		ps.err = err
+		ps.done <- nil
 	}
 	w := &workerProc{
 		idx:      ps.idx,
@@ -155,6 +148,14 @@ func (p *Pool) handshake(conn net.Conn) {
 	go p.readLoop(w)
 	go p.waitWorker(w)
 	ps.done <- w
+}
+
+// reap kills a spawned process that never joined and waits for it to exit.
+// The caller owns ps: it took ps out of p.spawning.
+func (p *Pool) reap(ps *pendingSpawn) {
+	ps.cmd.Process.Kill()
+	ps.cmd.Wait()
+	p.unreaped.Done()
 }
 
 // acceptLoop serves the handshake of every worker, the initial fleet's
@@ -239,12 +240,14 @@ func (p *Pool) respawnWorker(idx, deaths int) {
 		p.event("respawn", idx, fmt.Sprintf("worker %d respawned as pid %d after %v backoff", idx, w.pid, backoff))
 	case <-time.After(handshakeTimeout):
 		p.mu.Lock()
+		claimed := p.spawning[ps.pid] != ps // by a handshake or Close, which reaps it
 		delete(p.spawning, ps.pid)
 		p.mu.Unlock()
-		if ps.cmd.Process != nil {
+		if claimed {
 			ps.cmd.Process.Kill()
+		} else {
+			p.reap(ps)
 		}
-		go ps.cmd.Wait()
 		retry()
 	case <-p.stopCh:
 		p.mu.Lock()

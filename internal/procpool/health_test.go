@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -417,6 +418,58 @@ func TestCloseReapsPendingSpawn(t *testing.T) {
 		if err := syscall.Kill(pid, 0); !errors.Is(err, syscall.ESRCH) {
 			t.Fatalf("round %d: pending spawn pid %d survived Close (kill(0) = %v)", round, pid, err)
 		}
+	}
+}
+
+// TestCloseWaitsForHandshake closes the pool while a handshake holds its
+// pending spawn between the claim and the install: Close must not return
+// until that process is reaped. The spawn is given a socket path where no
+// socket is, so the process never dials in itself; the test speaks for it
+// over a net.Pipe, whose writes block until read, so the handshake waits
+// in its hello-ack for as long as the test does not read it.
+func TestCloseWaitsForHandshake(t *testing.T) {
+	pool, err := Start(Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	pool.sock = filepath.Join(t.TempDir(), "none.sock")
+	ps, err := pool.spawnInto(0)
+	if err != nil {
+		pool.Close()
+		t.Fatalf("spawnInto: %v", err)
+	}
+	driver, worker := net.Pipe()
+	defer worker.Close()
+	go pool.handshake(driver)
+	if err := writeFrame(worker, msgHello, encodeHello(ps.pid)); err != nil {
+		pool.Close()
+		t.Fatalf("hello: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		pool.mu.Lock()
+		_, pending := pool.spawning[ps.pid]
+		pool.mu.Unlock()
+		if !pending {
+			break // claimed by the handshake, which now blocks in its ack
+		}
+		if time.Now().After(deadline) {
+			pool.Close()
+			t.Fatal("the handshake never claimed its pending spawn")
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		pool.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed: // only right if the held process was reaped anyway
+	case <-time.After(500 * time.Millisecond):
+		worker.Close() // the ack fails, and the handshake reaps its process
+		<-closed
+	}
+	if err := syscall.Kill(ps.pid, 0); !errors.Is(err, syscall.ESRCH) {
+		t.Fatalf("pid %d, held in its handshake, survived Close (kill(0) = %v)", ps.pid, err)
 	}
 }
 

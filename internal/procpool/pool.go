@@ -238,6 +238,10 @@ type Pool struct {
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
+	// unreaped counts the processes the pool started and has not reaped
+	// yet. spawnInto adds one while the pool is open; whoever reaps a
+	// process marks it done; Close waits for none to be left.
+	unreaped sync.WaitGroup
 
 	taskSeq   uint64 // atomic: wire task ids
 	genSeq    uint64 // atomic: worker incarnation ids
@@ -360,13 +364,10 @@ func (p *Pool) Close() {
 	p.mu.Unlock()
 	p.stopOnce.Do(func() { close(p.stopCh) })
 	p.ln.Close()
-	// Processes that never completed the handshake just die, and are
-	// reaped here: they have no waitWorker goroutine.
+	// Processes no handshake has claimed just die, and are reaped here:
+	// they have no waitWorker goroutine.
 	for _, ps := range spawning {
-		if ps.cmd.Process != nil {
-			ps.cmd.Process.Kill()
-		}
-		ps.cmd.Wait()
+		p.reap(ps)
 	}
 	// Graceful drain: ask, then wait bounded.
 	for _, w := range workers {
@@ -381,17 +382,16 @@ func (p *Pool) Close() {
 		case <-time.After(time.Until(deadline)):
 		}
 	}
-	// The hard way for stragglers; then wait for the reap so no zombie
-	// outlives Close (SIGKILL cannot be ignored, so this terminates).
+	// The hard way for stragglers; then wait for every reap, a handshake's
+	// or a dead worker's included, so no zombie outlives Close (SIGKILL
+	// cannot be ignored, so this terminates).
 	for _, w := range workers {
 		w.conn.Close()
 		if w.cmd.Process != nil {
 			w.cmd.Process.Kill()
 		}
 	}
-	for _, w := range workers {
-		<-w.exited
-	}
+	p.unreaped.Wait()
 	p.store.retain(nil)
 	os.RemoveAll(p.dir)
 }
@@ -439,6 +439,7 @@ func (p *Pool) readLoop(w *workerProc) {
 // the worker wrote before dying, or a task that was answered would be the
 // first unanswered one and take the blame.
 func (p *Pool) waitWorker(w *workerProc) {
+	defer p.unreaped.Done()
 	err := w.cmd.Wait()
 	<-w.readDone
 	p.markDead(w, fmt.Errorf("procpool: worker %d exited: %v", w.idx, err))
