@@ -88,8 +88,8 @@ bench-check:
 ## loc: print the code lines of every package under internal/ and cmd/ —
 ## Go lines outside _test.go files that are neither blank nor only a
 ## comment — and their total. ROADMAP.md and CHANGES.md cite these
-## numbers; a simplicity change reads them before and after. It reports,
-## it gates nothing.
+## numbers; a simplicity change reads them before and after, and CI's
+## check job prints them after `make check`. It reports, it gates nothing.
 loc:
 	@total=0; for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
 		n=$$(cat $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go') | grep -cvE '^[[:space:]]*(//.*)?$$'); \
@@ -99,9 +99,10 @@ loc:
 ## fuzz-smoke: fuzz the batch wire codec for 30s from the checked-in seed
 ## corpus (internal/engine/testdata/fuzz/FuzzBatchCodec), then the
 ## process-pool frame protocol for 15s (the driver parses these bytes off
-## a socket from another process) and the task parser for 15s (the worker
-## parses those, and walks what it accepted), then the engine's keyed
-## index against a Go map for 15s. No decoder may panic on arbitrary
+## a socket from another process) and the task decoder for 15s (a task
+## body's engine rows, which the worker reads with engine.ReadTask and
+## walks once accepted), then the engine's keyed index against a Go map
+## for 15s. No decoder may panic on arbitrary
 ## bytes, everything accepted must round-trip, and the index must answer
 ## every put, find and reset as the map does; CI runs this on every push.
 fuzz-smoke:

@@ -125,12 +125,6 @@ func init() {
 	registerBatchCodec[Pair[uint64, []int64]]()
 }
 
-// registerElemType records a boxed element's concrete type so the same
-// process (or one that made the same registrations) can decode it.
-func registerElemType(t reflect.Type) {
-	batchElemTypes.LoadOrStore(batchTypeName(t), t)
-}
-
 // batchTypeName is the wire name of an element type. reflect's rendering
 // is deterministic and unique enough within one module.
 func batchTypeName(t reflect.Type) string { return t.String() }
@@ -165,11 +159,31 @@ func EncodeBatch(dst []byte, b Batch) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.BoxedCap()))
 
 	if boxed {
-		var err error
+		// Boxed rows mostly share one type: it is checked, registered and
+		// named when it differs from the previous row's.
+		var t reflect.Type
+		var l *layout.Layout
+		var name string
 		for _, e := range unsafe.Slice((*any)(rows), n) {
-			if dst, err = appendBoxedElem(dst, e); err != nil {
-				return nil, err
+			if e == nil {
+				dst = appendU32String(dst, "")
+				continue
 			}
+			if et := reflect.TypeOf(e); et != t {
+				t, l, name = et, layout.Of(et), batchTypeName(et)
+				if err := unplainErr(l); err != nil {
+					return nil, err
+				}
+				// Registered so that this process (or one that made the
+				// same registrations) decodes it; Load first, because
+				// LoadOrStore boxes the name on every call.
+				if _, ok := batchElemTypes.Load(name); !ok {
+					batchElemTypes.LoadOrStore(name, t)
+				}
+			}
+			dst = appendU32String(dst, name)
+			// The data word is the value's address, as in hashBoxed.
+			dst = appendRow(dst, l, (*[2]unsafe.Pointer)(unsafe.Pointer(&e))[1])
 		}
 	} else {
 		l, size := layout.Of(elem), elem.Size()
@@ -179,21 +193,6 @@ func EncodeBatch(dst []byte, b Batch) ([]byte, error) {
 	}
 	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
 	return dst, nil
-}
-
-func appendBoxedElem(dst []byte, e any) ([]byte, error) {
-	if e == nil {
-		return appendU32String(dst, ""), nil
-	}
-	t := reflect.TypeOf(e)
-	l := layout.Of(t)
-	if err := unplainErr(l); err != nil {
-		return nil, err
-	}
-	registerElemType(t)
-	dst = appendU32String(dst, batchTypeName(t))
-	// The data word is the value's address, as in hashBoxed.
-	return appendRow(dst, l, (*[2]unsafe.Pointer)(unsafe.Pointer(&e))[1]), nil
 }
 
 // DecodeBatch decodes one frame from data, returning the batch and the
@@ -348,10 +347,15 @@ type sliceHeader struct {
 	Len, Cap int
 }
 
-// batchReader is the bounds-checked frame reader.
+// batchReader is the bounds-checked frame reader. It keeps the last boxed
+// element type it resolved, by its name's bytes in the frame.
 type batchReader struct {
 	data []byte
 	pos  int
+
+	name []byte
+	elem reflect.Type
+	l    *layout.Layout
 }
 
 func (r *batchReader) take(n int) ([]byte, error) {
@@ -392,24 +396,28 @@ func (r *batchReader) str() (string, error) {
 }
 
 func (r *batchReader) boxedElem() (any, error) {
-	name, err := r.str()
+	n, err := r.u32()
 	if err != nil {
 		return nil, err
 	}
-	if name == "" {
-		return nil, nil
-	}
-	tAny, ok := batchElemTypes.Load(name)
-	if !ok {
-		return nil, codecErr("unknown element type %q", name)
-	}
-	t := tAny.(reflect.Type)
-	l := layout.Of(t)
-	if err := unplainErr(l); err != nil {
+	name, err := r.take(int(n))
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	v := reflect.New(t)
-	if err := r.readRow(l, v.UnsafePointer()); err != nil {
+	if string(name) != string(r.name) {
+		tAny, ok := batchElemTypes.Load(string(name))
+		if !ok {
+			return nil, codecErr("unknown element type %q", name)
+		}
+		t := tAny.(reflect.Type)
+		l := layout.Of(t)
+		if err := unplainErr(l); err != nil {
+			return nil, err
+		}
+		r.name, r.elem, r.l = name, t, l
+	}
+	v := reflect.New(r.elem)
+	if err := r.readRow(r.l, v.UnsafePointer()); err != nil {
 		return nil, err
 	}
 	return v.Elem().Interface(), nil

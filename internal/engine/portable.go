@@ -5,14 +5,17 @@ package engine
 // can run stage tasks outside the driver.
 //
 // A stage ships as a RemoteStageSpec: one RemoteTask per output partition,
-// each a flat list of RemoteSteps in post-order, the stage root last. A
-// step is one operator application (an operator named in the portable-op
-// registry, plus its serialized construction argument); each of its inputs
-// is empty, an earlier step's output, or a block id — a shuffle block, a
-// broadcast pin, a materialized frontier partition or a driver-evaluated
-// source partition, all framed with the batchio codec. A spec lists the
-// partitions of cached datasets it reads as Resident; the runner keeps
-// those past the job and names them by the same id when they are put
+// each a flat list of RemoteSteps in post-order, the stage root last, and
+// one flat list of their inputs in step order. A step is one operator
+// application (an operator named in the portable-op registry, plus its
+// serialized construction argument); each of its inputs is empty, an
+// earlier step's output, or a block id — a shuffle block, a broadcast pin,
+// a materialized frontier partition or a driver-evaluated source
+// partition, all framed with the batchio codec. A task crosses the process
+// boundary as batch-codec rows too (AppendTask, ReadTask), so the codec's
+// one bounds-checked reader parses every byte a worker is sent. A spec
+// lists the partitions of cached datasets it reads as Resident; the runner
+// keeps those past the job and names them by the same id when they are put
 // again, so a loop over a cached dataset ships it once. The worker resolves
 // operator names through the same registry (populated by init-time
 // registrations linked into both processes — see internal/taskreg) once
@@ -29,11 +32,17 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
+
+	"matryoshka/internal/layout"
 )
 
 // ErrNotPortable marks a stage that cannot be shipped to a remote worker:
@@ -87,8 +96,7 @@ func (t *RemoteTask) OpChain() string {
 // portableMark names a node's entry in the portable-op registry plus the
 // serialized argument its factory rebuilds the UDF from.
 type portableMark struct {
-	op  string
-	arg []byte
+	op, arg string
 }
 
 // PortableCompute is an operator kernel as a worker runs it: one output
@@ -100,8 +108,8 @@ type portableMark struct {
 type PortableCompute = func(tc *Ctx, p int, inputs []Batch) Batch
 
 // PortableFactory builds a kernel from a node's serialized argument
-// (nil for ops whose UDF is fixed at registration time).
-type PortableFactory = func(arg []byte) (PortableCompute, error)
+// ("" for ops whose UDF is fixed at registration time).
+type PortableFactory = func(arg string) (PortableCompute, error)
 
 // portableOps is the process-wide by-name operator registry. Both the
 // driver and the re-exec'd worker populate it through the same package
@@ -125,7 +133,7 @@ func RegisterPortableOp(name string, mk PortableFactory) {
 func init() {
 	// The shuffle-only operators (Repartition, PartitionByKey) compute
 	// nothing: routing happened when the driver built the blocks.
-	RegisterPortableOp("identity", func([]byte) (PortableCompute, error) {
+	RegisterPortableOp("identity", func(string) (PortableCompute, error) {
 		return identityCompute, nil
 	})
 }
@@ -141,7 +149,7 @@ func RegisterBatchShape[T any]() { registerBatchCodec[T]() }
 // it shippable to a process-pool backend. The mark is inert on simulator
 // sessions. The op must already be registered — a typo'd name would
 // otherwise surface only as a remote failure at run time.
-func MarkPortable[T any](d Dataset[T], op string, arg []byte) Dataset[T] {
+func MarkPortable[T any](d Dataset[T], op, arg string) Dataset[T] {
 	if _, ok := portableOps.Load(op); !ok {
 		panic(fmt.Sprintf("engine: MarkPortable: op %q is not registered", op))
 	}
@@ -153,7 +161,7 @@ func MarkPortable[T any](d Dataset[T], op string, arg []byte) Dataset[T] {
 // (e.g. the hidden combine of ReduceByKey) as the registered portable op.
 // It must be called on the shuffle consumer returned by the operator
 // constructor, whose first dep is the shuffle edge.
-func MarkCombinePortable[T any](d Dataset[T], op string, arg []byte) Dataset[T] {
+func MarkCombinePortable[T any](d Dataset[T], op, arg string) Dataset[T] {
 	if _, ok := portableOps.Load(op); !ok {
 		panic(fmt.Sprintf("engine: MarkCombinePortable: op %q is not registered", op))
 	}
@@ -177,18 +185,22 @@ type RemoteStageSpec struct {
 
 // RemoteTask computes one output partition of the stage root: its steps
 // run in order, each reading only steps before it, and the last step is
-// the root, whose Part is the partition. The driver names a task by its
-// index in RemoteStageSpec.Tasks, which is the same number.
+// the root, whose Part is the partition. Inputs holds every step's inputs
+// in step order: a step reads the next NumInputs of them. The driver names
+// a task by its index in RemoteStageSpec.Tasks, which is the same number.
 type RemoteTask struct {
-	Steps []RemoteStep
+	Steps  []RemoteStep
+	Inputs []RemoteInput
 }
 
-// RemoteStep is one operator application in a task's chain.
+// RemoteStep is one operator application in a task's chain: the portable
+// op Op, built from Arg, computes partition Part from NumInputs inputs, one
+// per dep of its node.
 type RemoteStep struct {
-	Op     string
-	Arg    []byte
-	Part   int
-	Inputs []RemoteInput
+	Op        string
+	Arg       string
+	Part      int
+	NumInputs int
 }
 
 // RemoteInput is one dep's input batch: the output of step Step-1 of the
@@ -197,6 +209,97 @@ type RemoteStep struct {
 type RemoteInput struct {
 	Block uint64
 	Step  int
+}
+
+// check holds a task to what evaluation needs: at least one step, every
+// part a partition index, every step's inputs inside Inputs and together
+// all of them, and every step input an earlier step.
+func (t *RemoteTask) check() error {
+	if len(t.Steps) == 0 {
+		return errors.New("engine: task has no steps")
+	}
+	next := 0
+	for i := range t.Steps {
+		st := &t.Steps[i]
+		if st.Part < 0 || st.Part > math.MaxInt32 {
+			return fmt.Errorf("engine: task step %d %q: part %d is out of range", i, st.Op, st.Part)
+		}
+		if st.NumInputs < 0 || st.NumInputs > len(t.Inputs)-next {
+			return fmt.Errorf("engine: task step %d %q reads %d inputs of the %d left", i, st.Op, st.NumInputs, len(t.Inputs)-next)
+		}
+		for k, in := range t.Inputs[next : next+st.NumInputs] {
+			if in.Step < 0 || in.Step > i {
+				return fmt.Errorf("engine: task step %d %q input %d: step input %d does not name a step before step %d", i, st.Op, k, in.Step, i)
+			}
+		}
+		next += st.NumInputs
+	}
+	if next != len(t.Inputs) {
+		return fmt.Errorf("engine: task steps read %d of its %d inputs", next, len(t.Inputs))
+	}
+	return nil
+}
+
+// AppendTask appends t to dst as batch-codec rows (batchio.go): its steps,
+// then its inputs, each a u32 count and that many rows. It refuses a task
+// ReadTask would.
+func AppendTask(dst []byte, t *RemoteTask) ([]byte, error) {
+	if err := t.check(); err != nil {
+		return dst, err
+	}
+	return appendRows(appendRows(dst, t.Steps), t.Inputs), nil
+}
+
+// ReadTask reads a task AppendTask wrote, all of body. It checks each count
+// against the bytes left before it allocates for it, and the task as
+// AppendTask does.
+func ReadTask(body []byte) (RemoteTask, error) {
+	r := &batchReader{data: body}
+	var t RemoteTask
+	var err error
+	if t.Steps, err = readRows[RemoteStep](r); err == nil {
+		t.Inputs, err = readRows[RemoteInput](r)
+	}
+	if err == nil && r.pos != len(body) {
+		err = codecErr("%d trailing bytes after a task", len(body)-r.pos)
+	}
+	if err == nil {
+		err = t.check()
+	}
+	if err != nil {
+		return RemoteTask{}, err
+	}
+	return t, nil
+}
+
+// appendRows appends a u32 count and the rows of xs.
+func appendRows[T any](dst []byte, xs []T) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(xs)))
+	l := layout.Of(reflect.TypeFor[T]())
+	for i := range xs {
+		dst = appendRow(dst, l, unsafe.Pointer(&xs[i]))
+	}
+	return dst
+}
+
+// readRows reads what appendRows wrote: nil for no rows. A slice leaf read
+// by readRow would cost a second allocation, reflect.MakeSlice's header.
+func readRows[T any](r *batchReader) ([]T, error) {
+	n, err := r.u32()
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	l := layout.Of(reflect.TypeFor[T]())
+	if err := r.count(n, minWire(l)); err != nil {
+		return nil, err
+	}
+	xs := make([]T, n)
+	for i := range xs {
+		if err := r.readRow(l, unsafe.Pointer(&xs[i])); err != nil {
+			return nil, err
+		}
+	}
+	return xs, nil
 }
 
 // RemoteStageResult is what a RemoteRunner reports back for one stage.
@@ -274,9 +377,12 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 		return RemoteInput{Block: id}, nil
 	}
 
-	// steps is the task being built; step appends nd's step for partition
-	// p after the steps of its in-chain inputs and returns 1 + its index.
+	// steps and inputs are the task being built; step appends nd's step
+	// for partition p after the steps of its in-chain inputs and returns 1
+	// + its index. A step's inputs follow those of the steps it reads, so
+	// they wait on pending while those are built.
 	var steps []RemoteStep
+	var inputs, pending []RemoteInput
 	var step func(nd *node, p int) (int, error)
 	narrowInput := func(nd *node, pp int) (RemoteInput, error) {
 		if cp, ok := j.front[nd]; ok {
@@ -295,36 +401,41 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 		if nd.port == nil {
 			return 0, fmt.Errorf("%w: operator %q has no registered portable form (see internal/taskreg)", ErrNotPortable, nd.label)
 		}
-		st := RemoteStep{Op: nd.port.op, Arg: nd.port.arg, Part: p, Inputs: make([]RemoteInput, len(nd.deps))}
+		base := len(pending)
 		for i := range nd.deps {
 			d := &nd.deps[i]
+			var in RemoteInput
 			var err error
 			switch d.kind {
 			case depNarrow:
 				if pp, ok := d.parentPart(p); ok {
-					st.Inputs[i], err = narrowInput(d.parent, pp)
+					in, err = narrowInput(d.parent, pp)
 				}
 			case depShuffle:
-				st.Inputs[i], err = blockInput(j.blocks[d].blocks[p], false)
+				in, err = blockInput(j.blocks[d].blocks[p], false)
 			case depBroadcast:
-				st.Inputs[i], err = blockInput(j.bcast[d], false)
+				in, err = blockInput(j.bcast[d], false)
 			}
 			if err != nil {
 				return 0, err
 			}
+			pending = append(pending, in)
 		}
-		steps = append(steps, st)
+		inputs = append(inputs, pending[base:]...)
+		pending = pending[:base]
+		steps = append(steps, RemoteStep{Op: nd.port.op, Arg: nd.port.arg, Part: p, NumInputs: len(nd.deps)})
 		return len(steps), nil
 	}
 
 	// Every task of a stage has the same shape as a rule, so the previous
-	// task's length sizes the next one's steps.
+	// task's lengths size the next one's.
 	for p := 0; p < n.parts; p++ {
 		steps = make([]RemoteStep, 0, len(steps))
+		inputs = make([]RemoteInput, 0, len(inputs))
 		if _, err := step(n, p); err != nil {
 			return nil, err
 		}
-		spec.Tasks = append(spec.Tasks, RemoteTask{Steps: steps})
+		spec.Tasks = append(spec.Tasks, RemoteTask{Steps: steps, Inputs: inputs})
 	}
 	return spec, nil
 }
@@ -359,11 +470,11 @@ func (e *RemoteEvaluator) Reset() { e.kernels = nil }
 // RunRemoteTask evaluates one shipped task: run its steps in order, each
 // over fetched blocks and the outputs of earlier steps — exactly the
 // unfused evaluation the driver would perform — and return the last
-// step's output. A panicking kernel is reported as an error, not a worker
-// death.
+// step's output. A task ReadTask would refuse is an error, and so is a
+// panicking kernel: neither is a worker death.
 func (e *RemoteEvaluator) RunRemoteTask(t *RemoteTask, fetch FetchFunc) (b Batch, err error) {
-	if len(t.Steps) == 0 {
-		return nil, errors.New("engine: remote task has no steps")
+	if err := t.check(); err != nil {
+		return nil, err
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -371,14 +482,15 @@ func (e *RemoteEvaluator) RunRemoteTask(t *RemoteTask, fetch FetchFunc) (b Batch
 		}
 	}()
 	outs := make([]Batch, len(t.Steps))
+	ins := t.Inputs
 	for i := range t.Steps {
 		st := &t.Steps[i]
 		compute, fresh, err := e.kernel(st)
 		if err != nil {
 			return nil, err
 		}
-		inputs := make([]Batch, len(st.Inputs))
-		for k, in := range st.Inputs {
+		inputs := make([]Batch, st.NumInputs)
+		for k, in := range ins[:st.NumInputs] {
 			inputs[k] = zeroBatch
 			switch {
 			case in.Step != 0:
@@ -393,6 +505,7 @@ func (e *RemoteEvaluator) RunRemoteTask(t *RemoteTask, fetch FetchFunc) (b Batch
 				}
 			}
 		}
+		ins = ins[st.NumInputs:]
 		if fresh && e.FirstRun != nil {
 			e.FirstRun()
 		}
@@ -404,7 +517,8 @@ func (e *RemoteEvaluator) RunRemoteTask(t *RemoteTask, fetch FetchFunc) (b Batch
 // kernel returns st's kernel, resolving it if this is the first step with
 // its (op, arg) since Reset — fresh says so.
 func (e *RemoteEvaluator) kernel(st *RemoteStep) (compute PortableCompute, fresh bool, err error) {
-	if compute, ok := e.kernels[kernelKey{st.Op, string(st.Arg)}]; ok {
+	key := kernelKey{st.Op, st.Arg}
+	if compute, ok := e.kernels[key]; ok {
 		return compute, false, nil
 	}
 	mkAny, ok := portableOps.Load(st.Op)
@@ -418,7 +532,7 @@ func (e *RemoteEvaluator) kernel(st *RemoteStep) (compute PortableCompute, fresh
 	if e.kernels == nil {
 		e.kernels = map[kernelKey]PortableCompute{}
 	}
-	e.kernels[kernelKey{st.Op, string(st.Arg)}] = compute
+	e.kernels[key] = compute
 	return compute, true, nil
 }
 

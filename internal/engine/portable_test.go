@@ -25,21 +25,21 @@ var ptestScaleMade int
 func init() {
 	RegisterBatchShape[int]()
 	RegisterBatchShape[Pair[int, int]]()
-	RegisterPortableOp("ptest.scale", func(arg []byte) (PortableCompute, error) {
+	RegisterPortableOp("ptest.scale", func(arg string) (PortableCompute, error) {
 		ptestScaleMade++
-		k, err := strconv.Atoi(string(arg))
+		k, err := strconv.Atoi(arg)
 		if err != nil {
 			return nil, err
 		}
 		return MapCompute(func(x int) int { return k * x }), nil
 	})
-	RegisterPortableOp("ptest.tag", func([]byte) (PortableCompute, error) {
+	RegisterPortableOp("ptest.tag", func(string) (PortableCompute, error) {
 		return MapCompute(ptestTag), nil
 	})
-	RegisterPortableOp("ptest.rekey", func([]byte) (PortableCompute, error) {
+	RegisterPortableOp("ptest.rekey", func(string) (PortableCompute, error) {
 		return MapCompute(ptestRekey), nil
 	})
-	RegisterPortableOp("ptest.sum", func([]byte) (PortableCompute, error) {
+	RegisterPortableOp("ptest.sum", func(string) (PortableCompute, error) {
 		return ReduceByKeyCompute[int](ptestSum), nil
 	})
 }
@@ -99,9 +99,9 @@ func (f *fakeRemoteRunner) PutBlock(b Batch) (uint64, error) {
 	return f.next, nil
 }
 
-// RunRemoteStage round-trips every block a task reads through the codec
-// as it runs, like the real pool, so shapes that cannot cross a process
-// boundary fail here too.
+// RunRemoteStage round-trips every task, and every block a task reads,
+// through the codec as it runs, like the real pool, so shapes that cannot
+// cross a process boundary fail here too.
 func (f *fakeRemoteRunner) RunRemoteStage(_ context.Context, spec *RemoteStageSpec) (*RemoteStageResult, error) {
 	f.specs = append(f.specs, spec)
 	for _, id := range spec.Resident {
@@ -109,7 +109,15 @@ func (f *fakeRemoteRunner) RunRemoteStage(_ context.Context, spec *RemoteStageSp
 	}
 	parts := make([]Batch, len(spec.Tasks))
 	for i := range spec.Tasks {
-		b, err := f.eval.RunRemoteTask(&spec.Tasks[i], func(id uint64) (Batch, error) {
+		body, err := AppendTask(nil, &spec.Tasks[i])
+		if err != nil {
+			return nil, err
+		}
+		task, err := ReadTask(body)
+		if err != nil {
+			return nil, err
+		}
+		b, err := f.eval.RunRemoteTask(&task, func(id uint64) (Batch, error) {
 			blk, ok := f.blocks[id]
 			if !ok {
 				return nil, codecErr("fake runner: unknown block %d", id)
@@ -139,10 +147,10 @@ func ptestPipeline(t *testing.T, cfg Config) map[int]int {
 		data[i] = i
 	}
 	d := Parallelize(sess, data, 4)
-	tagged := MarkPortable(Map(d, ptestTag), "ptest.tag", nil)
+	tagged := MarkPortable(Map(d, ptestTag), "ptest.tag", "")
 	summed := MarkCombinePortable(
-		MarkPortable(ReduceByKeyN(tagged, ptestSum, 3), "ptest.sum", nil),
-		"ptest.sum", nil)
+		MarkPortable(ReduceByKeyN(tagged, ptestSum, 3), "ptest.sum", ""),
+		"ptest.sum", "")
 	out, err := CollectMap(summed)
 	if err != nil {
 		t.Fatal(err)
@@ -212,10 +220,10 @@ func TestRemoteShuffleChainReadsLiveBlocks(t *testing.T) {
 		want[i%7%3] += i
 	}
 	sum := func(d Dataset[Pair[int, int]], parts int) Dataset[Pair[int, int]] {
-		return MarkCombinePortable(MarkPortable(ReduceByKeyN(d, ptestSum, parts), "ptest.sum", nil), "ptest.sum", nil)
+		return MarkCombinePortable(MarkPortable(ReduceByKeyN(d, ptestSum, parts), "ptest.sum", ""), "ptest.sum", "")
 	}
-	tagged := MarkPortable(Map(Parallelize(sess, data, 4), ptestTag), "ptest.tag", nil)
-	rekeyed := MarkPortable(Map(sum(tagged, 3), ptestRekey), "ptest.rekey", nil)
+	tagged := MarkPortable(Map(Parallelize(sess, data, 4), ptestTag), "ptest.tag", "")
+	rekeyed := MarkPortable(Map(sum(tagged, 3), ptestRekey), "ptest.rekey", "")
 	got, err := CollectMap(sum(rekeyed, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -229,16 +237,14 @@ func TestRemoteShuffleChainReadsLiveBlocks(t *testing.T) {
 	namedBy := map[uint64]int{} // block id -> the spec that named it first
 	for si, spec := range fr.specs {
 		for _, task := range spec.Tasks {
-			for _, st := range task.Steps {
-				for _, in := range st.Inputs {
-					if in.Step != 0 || in.Block == 0 {
-						continue
-					}
-					if first, ok := namedBy[in.Block]; ok && first != si {
-						t.Fatalf("block %d is named by specs %d and %d", in.Block, first, si)
-					}
-					namedBy[in.Block] = si
+			for _, in := range task.Inputs {
+				if in.Step != 0 || in.Block == 0 {
+					continue
 				}
+				if first, ok := namedBy[in.Block]; ok && first != si {
+					t.Fatalf("block %d is named by specs %d and %d", in.Block, first, si)
+				}
+				namedBy[in.Block] = si
 			}
 		}
 	}
@@ -257,7 +263,7 @@ func TestEvaluatorResolvesKernelsOnce(t *testing.T) {
 		t.Helper()
 		sess := mustSession(cfg)
 		f := func(x int) int { return k * x }
-		out, err := Collect(MarkPortable(Map(Parallelize(sess, data, 64), f), "ptest.scale", []byte(strconv.Itoa(k))))
+		out, err := Collect(MarkPortable(Map(Parallelize(sess, data, 64), f), "ptest.scale", strconv.Itoa(k)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +333,7 @@ func TestUnmarkedOperatorUnderPortableRoot(t *testing.T) {
 	rec := obs.NewRecorder()
 	sess := mustSession(Config{Backend: fr, Obs: rec})
 	unmarked := Filter(Parallelize(sess, []int{5, 6, 7, 8}, 2), func(x int) bool { return x > 5 })
-	got, err := Collect(MarkPortable(Map(unmarked, func(x int) int { return 3 * x }), "ptest.scale", []byte("3")))
+	got, err := Collect(MarkPortable(Map(unmarked, func(x int) int { return 3 * x }), "ptest.scale", "3"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +372,7 @@ func TestCachedPartitionsListedAsResident(t *testing.T) {
 	scale := func(k int) []uint64 {
 		t.Helper()
 		f := func(x int) int { return k * x }
-		got, err := Collect(MarkPortable(Map(cached, f), "ptest.scale", []byte(strconv.Itoa(k))))
+		got, err := Collect(MarkPortable(Map(cached, f), "ptest.scale", strconv.Itoa(k)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +403,7 @@ func TestCachedPartitionsListedAsResident(t *testing.T) {
 
 	// A job that does not read the cached dataset lists nothing and lets
 	// its blocks go.
-	if _, err := Collect(MarkPortable(Map(Parallelize(sess, data, 2), func(x int) int { return x }), "ptest.scale", []byte("1"))); err != nil {
+	if _, err := Collect(MarkPortable(Map(Parallelize(sess, data, 2), func(x int) int { return x }), "ptest.scale", "1")); err != nil {
 		t.Fatal(err)
 	}
 	if uncached := fr.specs[len(fr.specs)-1].Resident; len(uncached) != 0 {

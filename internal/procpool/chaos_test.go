@@ -110,9 +110,10 @@ func specOver(t testing.TB, pool *Pool, label string, batches []engine.Batch) *e
 		if err != nil {
 			t.Fatalf("PutBlock: %v", err)
 		}
-		spec.Tasks = append(spec.Tasks, engine.RemoteTask{Steps: []engine.RemoteStep{{
-			Op: "identity", Part: i, Inputs: []engine.RemoteInput{{Block: id}},
-		}}})
+		spec.Tasks = append(spec.Tasks, engine.RemoteTask{
+			Steps:  []engine.RemoteStep{{Op: "identity", Part: i, NumInputs: 1}},
+			Inputs: []engine.RemoteInput{{Block: id}},
+		})
 	}
 	return spec
 }
@@ -142,7 +143,7 @@ func TestResidentBlocksStayForTheNextJob(t *testing.T) {
 	spec := specOver(t, pool, "resident", batches)
 	var frames []int64 // encoded size of each block; an identity task's result is the same frame
 	for i, task := range spec.Tasks {
-		spec.Resident = append(spec.Resident, task.Steps[0].Inputs[0].Block)
+		spec.Resident = append(spec.Resident, task.Inputs[0].Block)
 		b, err := engine.EncodeBatch(nil, sliceBatch(want[i]))
 		if err != nil {
 			t.Fatal(err)
@@ -198,7 +199,7 @@ func TestResidentBlocksStayForTheNextJob(t *testing.T) {
 func TestMissingBlockFailsItsTask(t *testing.T) {
 	pool := startPool(t, Config{Workers: 1})
 	spec, want := blockSpec(t, pool, "missing", 3)
-	lost := spec.Tasks[1].Steps[0].Inputs[0].Block
+	lost := spec.Tasks[1].Inputs[0].Block
 	w := pool.liveWorkers()[0]
 	w.wmu.Lock()
 	w.held[lost] = true

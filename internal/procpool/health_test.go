@@ -24,14 +24,14 @@ import (
 // the worker (same binary, same init), and none of them need real input
 // data — their single input is Kind "empty".
 func init() {
-	engine.RegisterPortableOp("htest.ok", func([]byte) (engine.PortableCompute, error) {
+	engine.RegisterPortableOp("htest.ok", func(string) (engine.PortableCompute, error) {
 		return func(_ *engine.Ctx, _ int, inputs []engine.Batch) engine.Batch {
 			return inputs[0]
 		}, nil
 	})
 	// htest.exit is a poison task: it takes the worker process down with
 	// exit code 3, every time, on every worker.
-	engine.RegisterPortableOp("htest.exit", func([]byte) (engine.PortableCompute, error) {
+	engine.RegisterPortableOp("htest.exit", func(string) (engine.PortableCompute, error) {
 		return func(_ *engine.Ctx, _ int, _ []engine.Batch) engine.Batch {
 			os.Exit(3)
 			return nil
@@ -40,9 +40,9 @@ func init() {
 	// htest.hang wedges forever — but only for whichever process first
 	// wins the O_EXCL create of the flag file (the arg). Re-runs after
 	// the deadline kill see the file and return promptly.
-	engine.RegisterPortableOp("htest.hang", func(arg []byte) (engine.PortableCompute, error) {
+	engine.RegisterPortableOp("htest.hang", func(arg string) (engine.PortableCompute, error) {
 		return func(_ *engine.Ctx, _ int, inputs []engine.Batch) engine.Batch {
-			f, err := os.OpenFile(string(arg), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
+			f, err := os.OpenFile(arg, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
 			if err == nil {
 				f.Close()
 				select {} // wedge; only the task deadline can end this
@@ -52,11 +52,11 @@ func init() {
 	})
 	// htest.sleep naps for the duration its arg spells (300ms without
 	// one), for cancellation to interrupt and deadlines to outlast.
-	engine.RegisterPortableOp("htest.sleep", func(arg []byte) (engine.PortableCompute, error) {
+	engine.RegisterPortableOp("htest.sleep", func(arg string) (engine.PortableCompute, error) {
 		nap := 300 * time.Millisecond
 		if len(arg) > 0 {
 			var err error
-			if nap, err = time.ParseDuration(string(arg)); err != nil {
+			if nap, err = time.ParseDuration(arg); err != nil {
 				return nil, err
 			}
 		}
@@ -69,13 +69,12 @@ func init() {
 
 // opSpec builds a minimal one-op stage: parts tasks, each running op on
 // an empty input.
-func opSpec(label, op string, arg []byte, parts int) *engine.RemoteStageSpec {
+func opSpec(label, op, arg string, parts int) *engine.RemoteStageSpec {
 	spec := &engine.RemoteStageSpec{Label: label}
 	for p := 0; p < parts; p++ {
 		spec.Tasks = append(spec.Tasks, engine.RemoteTask{Steps: []engine.RemoteStep{{
-			Op: op, Arg: arg, Part: p,
-			Inputs: []engine.RemoteInput{{}},
-		}}})
+			Op: op, Arg: arg, Part: p, NumInputs: 1,
+		}}, Inputs: []engine.RemoteInput{{}}})
 	}
 	return spec
 }
@@ -138,7 +137,7 @@ func TestQuorumLostFailsFast(t *testing.T) {
 	w := pool.liveWorkers()[0]
 	p0 := time.Now()
 	pool.markDead(w, fmt.Errorf("test: induced death"))
-	spec := opSpec("quorum-stage", "htest.ok", nil, 2)
+	spec := opSpec("quorum-stage", "htest.ok", "", 2)
 	_, err := pool.RunRemoteStage(context.Background(), spec)
 	elapsed := time.Since(p0)
 	var q *engine.QuorumLostError
@@ -171,7 +170,7 @@ func TestQuorumLostFailsFast(t *testing.T) {
 func TestPoisonTaskQuarantine(t *testing.T) {
 	rec := obs.NewRecorder()
 	pool := startPool(t, Config{Workers: 2, RespawnBackoff: 10 * time.Millisecond, Events: rec})
-	_, err := pool.RunRemoteStage(context.Background(), opSpec("poison-stage", "htest.exit", nil, 1))
+	_, err := pool.RunRemoteStage(context.Background(), opSpec("poison-stage", "htest.exit", "", 1))
 	var pe *engine.PoisonTaskError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want PoisonTaskError", err)
@@ -194,7 +193,7 @@ func TestPoisonTaskQuarantine(t *testing.T) {
 	// The pool is still a functioning pool: fleet recovers, healthy
 	// stages run.
 	waitLive(t, pool, 1)
-	res, err := pool.RunRemoteStage(context.Background(), opSpec("after-poison", "htest.ok", nil, 3))
+	res, err := pool.RunRemoteStage(context.Background(), opSpec("after-poison", "htest.ok", "", 3))
 	if err != nil {
 		t.Fatalf("healthy stage after quarantine: %v", err)
 	}
@@ -215,7 +214,7 @@ func TestPoisonTaskQuarantine(t *testing.T) {
 // other task would have cost one more.
 func TestPoisonMidShareIsTheOneBlamed(t *testing.T) {
 	pool := startPool(t, Config{Workers: 2, RespawnBackoff: 10 * time.Millisecond})
-	spec := opSpec("poison-mid-share", "htest.ok", nil, 40)
+	spec := opSpec("poison-mid-share", "htest.ok", "", 40)
 	const poison = 21 // eleventh task of the second worker's share
 	spec.Tasks[poison].Steps[0].Op = "htest.exit"
 	_, err := pool.RunRemoteStage(context.Background(), spec)
@@ -241,8 +240,8 @@ func TestTaskDeadlineRequeues(t *testing.T) {
 	flag := filepath.Join(t.TempDir(), "hung-once")
 	rec := obs.NewRecorder()
 	pool := startPool(t, Config{Workers: 2, TaskDeadline: 500 * time.Millisecond, RespawnBackoff: 10 * time.Millisecond, Events: rec})
-	spec := opSpec("deadline-stage", "htest.ok", nil, 6)
-	spec.Tasks[3].Steps[0] = engine.RemoteStep{Op: "htest.hang", Arg: []byte(flag), Part: 3, Inputs: []engine.RemoteInput{{}}}
+	spec := opSpec("deadline-stage", "htest.ok", "", 6)
+	spec.Tasks[3].Steps[0] = engine.RemoteStep{Op: "htest.hang", Arg: flag, Part: 3, NumInputs: 1}
 	res, err := pool.RunRemoteStage(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("stage with one wedged attempt: %v", err)
@@ -270,7 +269,7 @@ func TestTaskDeadlineRequeues(t *testing.T) {
 func TestTaskDeadlineBoundsOneTaskNotTheShare(t *testing.T) {
 	rec := obs.NewRecorder()
 	pool := startPool(t, Config{Workers: 1, TaskDeadline: 500 * time.Millisecond, heartbeatEvery: 20 * time.Millisecond, Events: rec})
-	res, err := pool.RunRemoteStage(context.Background(), opSpec("long-share", "htest.sleep", []byte("100ms"), 12))
+	res, err := pool.RunRemoteStage(context.Background(), opSpec("long-share", "htest.sleep", "100ms", 12))
 	if err != nil {
 		t.Fatalf("share of short tasks: %v", err)
 	}
@@ -293,7 +292,7 @@ func TestCtxCancelStopsDispatch(t *testing.T) {
 	// kill it, which is the proof).
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := pool.RunRemoteStage(ctx, opSpec("cancelled-stage", "htest.exit", nil, 4)); !errors.Is(err, context.Canceled) {
+	if _, err := pool.RunRemoteStage(ctx, opSpec("cancelled-stage", "htest.exit", "", 4)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled dispatch: got %v, want context.Canceled", err)
 	}
 	if got := pool.Stats().MachineCrashes; got != 0 {
@@ -308,7 +307,7 @@ func TestCtxCancelStopsDispatch(t *testing.T) {
 		cancel2()
 	}()
 	p0 := time.Now()
-	_, err := pool.RunRemoteStage(ctx2, opSpec("sleepy-stage", "htest.sleep", nil, 2))
+	_, err := pool.RunRemoteStage(ctx2, opSpec("sleepy-stage", "htest.sleep", "", 2))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-flight cancel: got %v, want context.Canceled", err)
 	}
@@ -320,7 +319,7 @@ func TestCtxCancelStopsDispatch(t *testing.T) {
 	}
 
 	// The abandoned sleepers finish on their own; the pool still serves.
-	res, err := pool.RunRemoteStage(context.Background(), opSpec("after-cancel", "htest.ok", nil, 2))
+	res, err := pool.RunRemoteStage(context.Background(), opSpec("after-cancel", "htest.ok", "", 2))
 	if err != nil {
 		t.Fatalf("stage after cancellation: %v", err)
 	}
@@ -338,11 +337,11 @@ func TestCloseDrainsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	if _, err := pool.RunRemoteStage(context.Background(), opSpec("pre-close", "htest.ok", nil, 3)); err != nil {
+	if _, err := pool.RunRemoteStage(context.Background(), opSpec("pre-close", "htest.ok", "", 3)); err != nil {
 		t.Fatalf("stage: %v", err)
 	}
 	spec, _ := blockSpec(t, pool, "resident", 3)
-	spec.Resident = []uint64{spec.Tasks[1].Steps[0].Inputs[0].Block}
+	spec.Resident = []uint64{spec.Tasks[1].Inputs[0].Block}
 	if _, err := pool.RunRemoteStage(context.Background(), spec); err != nil {
 		t.Fatalf("resident stage: %v", err)
 	}
@@ -500,7 +499,7 @@ func TestRaceMarkDeadVsDispatch(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 15; i++ {
-		_, err := pool.RunRemoteStage(context.Background(), opSpec("race-stage", "htest.ok", nil, 4))
+		_, err := pool.RunRemoteStage(context.Background(), opSpec("race-stage", "htest.ok", "", 4))
 		if err != nil {
 			// Under a sustained external kill storm both degradations are
 			// legitimate: quorum loss, or quarantine of a task that
@@ -528,8 +527,8 @@ func TestWorkerDiesBetweenPutAndLaunch(t *testing.T) {
 	}
 	pool.markDead(pool.liveWorkers()[0], fmt.Errorf("test: died after PutBlock"))
 	spec := &engine.RemoteStageSpec{Label: "put-then-die", Tasks: []engine.RemoteTask{{
-		Steps: []engine.RemoteStep{{Op: "identity", Part: 0,
-			Inputs: []engine.RemoteInput{{Block: id}}}},
+		Steps:  []engine.RemoteStep{{Op: "identity", Part: 0, NumInputs: 1}},
+		Inputs: []engine.RemoteInput{{Block: id}},
 	}}}
 	res, err := pool.RunRemoteStage(context.Background(), spec)
 	if err != nil {

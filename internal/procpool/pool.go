@@ -816,17 +816,15 @@ func (p *Pool) sendShare(ctx context.Context, w *workerProc, spec *engine.Remote
 			return nil
 		}
 		t := &spec.Tasks[ti]
-		var perr error
-		eachBlock(t, func(id uint64) {
-			if perr == nil {
-				frame, perr = p.pushBlock(w, id, frame)
+		var err error
+		for _, in := range t.Inputs {
+			if in.Step == 0 && in.Block != 0 {
+				if frame, err = p.pushBlock(w, in.Block, frame); err != nil {
+					return fmt.Errorf("procpool: stage %q task %d: %w", spec.Label, ti, err)
+				}
 			}
-		})
-		if perr != nil {
-			return fmt.Errorf("procpool: stage %q task %d: %w", spec.Label, ti, perr)
 		}
 		id := sh.base + uint64(pos)
-		var err error
 		if body, err = encodeTask(body[:0], id, t); err != nil {
 			return err
 		}

@@ -188,12 +188,14 @@ func (l *jobLog) checkPutOnce(t *testing.T, puts uint64) []uint64 {
 		seen := map[uint64]bool{}
 		for _, spec := range specs {
 			for ti := range spec.Tasks {
-				eachBlock(&spec.Tasks[ti], func(id uint64) {
-					if !seen[id] && !slices.Contains(resident, id) {
-						others++
+				for _, in := range spec.Tasks[ti].Inputs {
+					if id := in.Block; in.Step == 0 && id != 0 {
+						if !seen[id] && !slices.Contains(resident, id) {
+							others++
+						}
+						seen[id] = true
 					}
-					seen[id] = true
-				})
+				}
 			}
 		}
 	}
@@ -378,7 +380,7 @@ type ptrRow struct{ P *int }
 func derefRow(r ptrRow) int { return *r.P }
 
 func init() {
-	engine.RegisterPortableOp("ptest.deref", func([]byte) (engine.PortableCompute, error) {
+	engine.RegisterPortableOp("ptest.deref", func(string) (engine.PortableCompute, error) {
 		return engine.MapCompute(derefRow), nil
 	})
 }
@@ -401,7 +403,7 @@ func TestUnencodableBlockRunsDriverLocal(t *testing.T) {
 		v := 10 * i
 		rows[i], want[i] = ptrRow{&v}, v
 	}
-	got, err := engine.Collect(engine.MarkPortable(engine.Map(engine.Parallelize(sess, rows, 2), derefRow), "ptest.deref", nil))
+	got, err := engine.Collect(engine.MarkPortable(engine.Map(engine.Parallelize(sess, rows, 2), derefRow), "ptest.deref", ""))
 	sess.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"time"
 
 	"matryoshka/internal/engine"
@@ -28,13 +27,17 @@ import (
 // The driver/worker wire protocol: framed messages over a unix socket.
 // Every frame is a u32 big-endian payload length followed by the payload;
 // the payload is a message-type byte, a u32 CRC-32C checksum of the body,
-// then the body itself. Numbers inside bodies are big-endian. The framing
-// is deliberately dumb — all structure lives in the per-type bodies, each
-// parsed by a bounds-checked reader that fails loud on truncation (fuzzed
-// in wire_test.go: arbitrary bytes must error, never panic). The checksum
-// turns a flipped bit anywhere in a body — kernel buffer reuse, a torn
-// write racing a crash, fault injection — into a loud framing error
-// instead of a silently wrong batch.
+// then the body itself. The framing is deliberately dumb: a body is its
+// fixed fields (ids, the result tag, the handshake's numbers), big-endian
+// and read after one length check, and then at most one of a batch frame,
+// task rows or a failed task's error text. The frame and the rows are the
+// engine codec's, little-endian, and only engine.DecodeBatch and
+// engine.ReadTask parse them, both bounds-checked and refusing a count
+// before they allocate for it (fuzzed in wire_test.go and the engine:
+// arbitrary bytes must error, never panic). The checksum turns a flipped
+// bit anywhere in a body — kernel buffer reuse, a torn write racing a
+// crash, fault injection — into a loud framing error instead of a
+// silently wrong batch.
 //
 // The data plane is push only and ordered. The driver writes a worker its
 // whole share of a stage through one buffered writer: for each task, the
@@ -59,24 +62,20 @@ import (
 // dies under an operator has answered every task before it (see
 // engine.RemoteEvaluator.FirstRun and runShare's blame rule).
 //
-// A task body is binary and self-contained — no state outlives the frame.
-// It is the task's steps in evaluation order, the root last:
+// A task body is self-contained — no state outlives the frame:
 //
-//	task  = u64 id | uvarint n | n × step     (n ≥ 1)
-//	step  = uvarint len | op | uvarint len | arg | uvarint part | uvarint k | k × input
-//	input = u8 kind: 0 empty | 1 block, uvarint block id (≠ 0) | 2 step, uvarint s
+//	task = u64 id | engine.AppendTask rows
 //
-// A step input names step s-1 of the same task, which must come before
-// the step that reads it (1 ≤ s ≤ the reader's index), so every step's
-// inputs are computed by the time it runs and a task cannot loop. parseTask
-// checks it in the one pass that reads it: lengths and counts inside the
-// body (a step takes at least 4 bytes, so a declared step count is checked
-// against the bytes left before anything is allocated for it), known kinds,
-// earlier steps only, and no trailing bytes.
+// The rows are the task's steps in evaluation order, the root last, then
+// all their inputs in step order, each list a u32 count and that many
+// batch-codec rows. engine.ReadTask reads them and refuses what evaluation
+// could not run: no steps, a count the body cannot hold, a part that is no
+// partition, a step input that is not an earlier step, inputs the steps do
+// not account for, and trailing bytes.
 const (
 	msgHello      byte = iota + 1 // worker → driver: u64 pid
 	msgHelloAck                   // driver → worker: u32 index | u64 heartbeat period (ns)
-	msgTask                       // driver → worker: u64 task id | binary engine.RemoteTask (grammar above)
+	msgTask                       // driver → worker: u64 task id | engine.AppendTask rows (above)
 	msgTaskResult                 // worker → driver: u64 task id | u8 result tag | see the tags
 	msgBlockData                  // driver → worker: u64 block id | batch frame
 	msgHeartbeat                  // worker → driver: empty
@@ -200,87 +199,6 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	return head[4], body, nil
 }
 
-// wireReader is a bounds-checked cursor over a frame body.
-type wireReader struct {
-	b   []byte
-	off int
-}
-
-func (r *wireReader) u8() (byte, error) {
-	if r.off+1 > len(r.b) {
-		return 0, fmt.Errorf("procpool: frame body truncated at byte %d", r.off)
-	}
-	v := r.b[r.off]
-	r.off++
-	return v, nil
-}
-
-func (r *wireReader) u32() (uint32, error) {
-	if r.off+4 > len(r.b) {
-		return 0, fmt.Errorf("procpool: frame body truncated at byte %d", r.off)
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *wireReader) u64() (uint64, error) {
-	if r.off+8 > len(r.b) {
-		return 0, fmt.Errorf("procpool: frame body truncated at byte %d", r.off)
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *wireReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n == 0 {
-		return 0, fmt.Errorf("procpool: frame body truncated in a varint at byte %d", r.off)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("procpool: varint overflows 64 bits at byte %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-// count reads a uvarint that must fit a non-negative int (a partition
-// index, a number of inputs).
-func (r *wireReader) count() (int, error) {
-	v, err := r.uvarint()
-	if err == nil && v > math.MaxInt32 {
-		err = fmt.Errorf("procpool: count %d at byte %d is out of range", v, r.off)
-	}
-	return int(v), err
-}
-
-// bytes reads a uvarint length and that many bytes, aliasing the body; a
-// zero length reads as nil.
-func (r *wireReader) bytes() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.b)-r.off) {
-		return nil, fmt.Errorf("procpool: length %d at byte %d runs past the body's %d bytes", n, r.off, len(r.b))
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	v := r.b[r.off : r.off+int(n) : r.off+int(n)]
-	r.off += int(n)
-	return v, nil
-}
-
-// rest returns everything after the cursor (may be empty, never nil).
-func (r *wireReader) rest() []byte {
-	if r.off >= len(r.b) {
-		return []byte{}
-	}
-	return r.b[r.off:]
-}
-
 func encodeHello(pid int) []byte {
 	b := make([]byte, 8)
 	binary.BigEndian.PutUint64(b, uint64(pid))
@@ -288,9 +206,10 @@ func encodeHello(pid int) []byte {
 }
 
 func parseHello(body []byte) (int, error) {
-	r := &wireReader{b: body}
-	pid, err := r.u64()
-	return int(pid), err
+	if len(body) != 8 {
+		return 0, fmt.Errorf("procpool: %d-byte hello, want 8", len(body))
+	}
+	return int(binary.BigEndian.Uint64(body)), nil
 }
 
 func encodeHelloAck(idx int, beatEvery time.Duration) []byte {
@@ -301,138 +220,33 @@ func encodeHelloAck(idx int, beatEvery time.Duration) []byte {
 }
 
 func parseHelloAck(body []byte) (int, time.Duration, error) {
-	r := &wireReader{b: body}
-	idx, err := r.u32()
-	if err != nil {
-		return 0, 0, err
+	if len(body) != 12 {
+		return 0, 0, fmt.Errorf("procpool: %d-byte hello ack, want 12", len(body))
 	}
-	ns, err := r.u64()
-	if err != nil {
-		return 0, 0, err
-	}
+	ns := binary.BigEndian.Uint64(body[4:])
 	if ns == 0 || ns > uint64(time.Hour) {
 		return 0, 0, fmt.Errorf("procpool: implausible heartbeat period %dns", ns)
 	}
-	return int(idx), time.Duration(ns), nil
+	return int(binary.BigEndian.Uint32(body)), time.Duration(ns), nil
 }
 
-// Input kind bytes of the binary task body. In memory an input is its step
-// if set, else its block, else empty (engine.RemoteInput); encodeTask and
-// parseTask map between the two in one switch each.
-const (
-	inputEmpty byte = iota
-	inputBlock
-	inputStep
-)
-
-// minStepBytes is the least a step takes on the wire: four empty or zero
-// uvarints (op and arg lengths, part, input count).
-const minStepBytes = 4
-
-// encodeTask appends the msgTask body of task t under id to dst (see the
-// grammar in the protocol header). The driver passes one buffer for a
-// whole share: the frame writers copy the body before the next task
-// overwrites it. It refuses what parseTask would: a task without steps and
-// a step input that is not an earlier step.
+// encodeTask appends the msgTask body of task t under id to dst. The
+// driver passes one buffer for a whole share: the frame writers copy the
+// body before the next task overwrites it.
 func encodeTask(dst []byte, id uint64, t *engine.RemoteTask) ([]byte, error) {
-	if len(t.Steps) == 0 {
-		return dst, fmt.Errorf("procpool: task %d has no steps", id)
-	}
-	dst = binary.BigEndian.AppendUint64(dst, id)
-	dst = binary.AppendUvarint(dst, uint64(len(t.Steps)))
-	for i := range t.Steps {
-		st := &t.Steps[i]
-		dst = binary.AppendUvarint(dst, uint64(len(st.Op)))
-		dst = append(dst, st.Op...)
-		dst = binary.AppendUvarint(dst, uint64(len(st.Arg)))
-		dst = append(dst, st.Arg...)
-		dst = binary.AppendUvarint(dst, uint64(st.Part))
-		dst = binary.AppendUvarint(dst, uint64(len(st.Inputs)))
-		for _, in := range st.Inputs {
-			switch {
-			case in.Step < 0 || in.Step > i:
-				return dst, fmt.Errorf("procpool: task %d step %d reads step %d, not an earlier one", id, i, in.Step)
-			case in.Step != 0:
-				dst = binary.AppendUvarint(append(dst, inputStep), uint64(in.Step))
-			case in.Block != 0:
-				dst = binary.AppendUvarint(append(dst, inputBlock), in.Block)
-			default:
-				dst = append(dst, inputEmpty)
-			}
-		}
-	}
-	return dst, nil
+	return engine.AppendTask(binary.BigEndian.AppendUint64(dst, id), t)
 }
 
-// parseTask reads a msgTask body, validating as it reads: every length
-// and count lies inside the body, every input has a known kind and carries
-// what that kind reads, a step input names an earlier step, and no byte is
-// left over. What it accepts, evaluation can run. A step's argument
-// aliases body (readFrame allocates every body fresh).
-func parseTask(body []byte) (uint64, *engine.RemoteTask, error) {
-	r := wireReader{b: body}
-	id, err := r.u64()
+// parseTask reads a msgTask body: the id, then a task engine.ReadTask
+// accepts. What it accepts, evaluation can run.
+func parseTask(body []byte) (uint64, engine.RemoteTask, error) {
+	if len(body) < 8 {
+		return 0, engine.RemoteTask{}, fmt.Errorf("procpool: %d-byte task body has no id", len(body))
+	}
+	id := binary.BigEndian.Uint64(body)
+	t, err := engine.ReadTask(body[8:])
 	if err != nil {
-		return 0, nil, err
-	}
-	t := &engine.RemoteTask{}
-	n, err := r.count()
-	switch {
-	case err != nil:
-		return 0, nil, fmt.Errorf("procpool: task %d: step count: %w", id, err)
-	case n == 0:
-		return 0, nil, fmt.Errorf("procpool: task %d has no steps", id)
-	case n > (len(r.b)-r.off)/minStepBytes:
-		return 0, nil, fmt.Errorf("procpool: task %d declares %d steps in %d bytes", id, n, len(r.b)-r.off)
-	}
-	t.Steps = make([]engine.RemoteStep, n)
-	for i := range t.Steps {
-		st := &t.Steps[i]
-		op, err := r.bytes()
-		if err != nil {
-			return 0, nil, fmt.Errorf("procpool: task %d step %d op: %w", id, i, err)
-		}
-		st.Op = string(op)
-		if st.Arg, err = r.bytes(); err != nil {
-			return 0, nil, fmt.Errorf("procpool: task %d step %d %q arg: %w", id, i, st.Op, err)
-		}
-		if st.Part, err = r.count(); err != nil {
-			return 0, nil, fmt.Errorf("procpool: task %d step %d %q part: %w", id, i, st.Op, err)
-		}
-		k, err := r.count()
-		if err == nil && k > len(r.b)-r.off { // every input takes at least its kind byte
-			err = fmt.Errorf("declares %d inputs in %d bytes", k, len(r.b)-r.off)
-		}
-		if err != nil {
-			return 0, nil, fmt.Errorf("procpool: task %d step %d %q inputs: %w", id, i, st.Op, err)
-		}
-		if k > 0 {
-			st.Inputs = make([]engine.RemoteInput, k)
-		}
-		for j := range st.Inputs {
-			in := &st.Inputs[j]
-			kind, err := r.u8()
-			switch {
-			case err != nil:
-			case kind == inputEmpty:
-			case kind == inputBlock:
-				if in.Block, err = r.uvarint(); err == nil && in.Block == 0 {
-					err = fmt.Errorf("block input without a block id")
-				}
-			case kind == inputStep:
-				if in.Step, err = r.count(); err == nil && (in.Step == 0 || in.Step > i) {
-					err = fmt.Errorf("step input %d does not name a step before step %d", in.Step, i)
-				}
-			default:
-				err = fmt.Errorf("unknown input kind %d", kind)
-			}
-			if err != nil {
-				return 0, nil, fmt.Errorf("procpool: task %d step %d %q input %d: %w", id, i, st.Op, j, err)
-			}
-		}
-	}
-	if r.off != len(r.b) {
-		return 0, nil, fmt.Errorf("procpool: task %d: %d trailing bytes after its steps", id, len(r.b)-r.off)
+		return 0, t, fmt.Errorf("procpool: task %d: %w", id, err)
 	}
 	return id, t, nil
 }
@@ -451,18 +265,6 @@ func decodeBatchFrame(body []byte) (engine.Batch, error) {
 	return b, nil
 }
 
-// eachBlock calls f with the id of every block task t reads, in step
-// order (an id shared by two inputs is visited twice).
-func eachBlock(t *engine.RemoteTask, f func(id uint64)) {
-	for i := range t.Steps {
-		for _, in := range t.Steps[i].Inputs {
-			if in.Step == 0 && in.Block != 0 {
-				f(in.Block)
-			}
-		}
-	}
-}
-
 // taggedHead is the prefix of a msgTaskResult body: the task id, then the
 // tag that says what the bytes after it are.
 func taggedHead(id uint64, tag byte) (h [9]byte) {
@@ -472,17 +274,13 @@ func taggedHead(id uint64, tag byte) (h [9]byte) {
 }
 
 func parseTagged(body []byte) (id uint64, tag byte, rest []byte, err error) {
-	r := &wireReader{b: body}
-	if id, err = r.u64(); err != nil {
-		return 0, 0, nil, err
+	if len(body) < 9 {
+		return 0, 0, nil, fmt.Errorf("procpool: %d-byte task result has no id and tag", len(body))
 	}
-	if tag, err = r.u8(); err != nil {
-		return 0, 0, nil, err
-	}
-	if tag > resultOK {
+	if tag = body[8]; tag > resultOK {
 		return 0, 0, nil, fmt.Errorf("procpool: bad result tag %d", tag)
 	}
-	return id, tag, r.rest(), nil
+	return binary.BigEndian.Uint64(body), tag, body[9:], nil
 }
 
 // blockHead is the prefix of a msgBlockData body: the block id. The batch
@@ -495,12 +293,11 @@ func blockHead(id uint64) (h [8]byte) {
 // parseBlock reads a msgBlockData body: the id, then exactly one batch
 // frame.
 func parseBlock(body []byte) (uint64, engine.Batch, error) {
-	r := &wireReader{b: body}
-	id, err := r.u64()
-	if err != nil {
-		return 0, nil, err
+	if len(body) < 8 {
+		return 0, nil, fmt.Errorf("procpool: %d-byte block has no id", len(body))
 	}
-	b, err := decodeBatchFrame(r.rest())
+	id := binary.BigEndian.Uint64(body)
+	b, err := decodeBatchFrame(body[8:])
 	if err != nil {
 		return 0, nil, fmt.Errorf("block %d: %w", id, err)
 	}
@@ -520,10 +317,9 @@ func parseIDs(body []byte) ([]uint64, error) {
 	if len(body)%8 != 0 {
 		return nil, fmt.Errorf("procpool: %d bytes of block ids is not a multiple of 8", len(body))
 	}
-	r := &wireReader{b: body}
 	ids := make([]uint64, len(body)/8)
 	for i := range ids {
-		ids[i], _ = r.u64() // cannot fail: the length was checked above
+		ids[i] = binary.BigEndian.Uint64(body[8*i:])
 	}
 	return ids, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -85,10 +86,10 @@ func TestWireFieldRoundTrips(t *testing.T) {
 	if err != nil || bid != 1<<40 || !reflect.DeepEqual(rowsOf(b), []int{5, 6, 7}) {
 		t.Fatalf("block: id %d batch %v err %v", bid, b, err)
 	}
-	task := &engine.RemoteTask{Steps: []engine.RemoteStep{{
-		Op: "identity", Part: 3,
+	task := &engine.RemoteTask{
+		Steps:  []engine.RemoteStep{{Op: "identity", Part: 3, NumInputs: 1}},
 		Inputs: []engine.RemoteInput{{Block: 12}},
-	}}}
+	}
 	// A long chain is only a long list: no depth bounds what a task may
 	// pipeline.
 	for _, want := range []*engine.RemoteTask{task, kmeansMapTask(7), chain(100000)} {
@@ -97,7 +98,7 @@ func TestWireFieldRoundTrips(t *testing.T) {
 			t.Fatalf("encodeTask: %v", err)
 		}
 		gotID, got, err := parseTask(body)
-		if err != nil || gotID != 55 || !reflect.DeepEqual(got, want) {
+		if err != nil || gotID != 55 || !reflect.DeepEqual(&got, want) {
 			t.Fatalf("parseTask: id %d err %v\ngot  %.200v\nwant %.200v", gotID, err, got, want)
 		}
 	}
@@ -178,18 +179,20 @@ func TestWireRejectsMalformed(t *testing.T) {
 			t.Errorf("malformed task %s: got %v, want an error saying %q", tc.name, err, tc.says)
 		}
 	}
-	// A narrow dep reads at most one partition: there is no fan-in kind.
-	// The next kind byte after step is what a concat kind would have been.
-	concat := taskBody(byte(2), stepHead("y", 0), stepHead("x", 1), inputStep+1, byte(1), byte(1))
-	if _, _, err := parseTask(concat); err == nil || !strings.Contains(err.Error(), `step 1 "x" input 0: unknown input kind 3`) {
-		t.Fatalf("concat input: got %v, want an unknown input kind", err)
-	}
-	// The encoder refuses what the parser would: a task with no steps, or
-	// a step that reads itself, a later step or a negative one.
+	// The encoder refuses what the parser would: a task with no steps, a
+	// step that reads itself, a later step or a negative one, a part out of
+	// range, and inputs its steps do not account for.
 	refs := func(s int) *engine.RemoteTask {
-		return &engine.RemoteTask{Steps: []engine.RemoteStep{{Op: "leaf"}, {Op: "link", Inputs: []engine.RemoteInput{{Step: s}}}}}
+		return &engine.RemoteTask{
+			Steps:  []engine.RemoteStep{{Op: "leaf"}, {Op: "link", NumInputs: 1}},
+			Inputs: []engine.RemoteInput{{Step: s}},
+		}
 	}
-	for _, bad := range []*engine.RemoteTask{{}, refs(2), refs(3), refs(-1)} {
+	farPart := refs(1)
+	farPart.Steps[1].Part = 1 << 31
+	unread := refs(1)
+	unread.Steps[1].NumInputs = 0
+	for _, bad := range []*engine.RemoteTask{{}, refs(2), refs(3), refs(-1), farPart, unread} {
 		if _, err := encodeTask(nil, 1, bad); err == nil {
 			t.Errorf("encodeTask accepted %+v", bad)
 		}
@@ -201,10 +204,12 @@ func TestWireRejectsMalformed(t *testing.T) {
 
 // chain is a task of n steps, each the one input of the step after it.
 func chain(n int) *engine.RemoteTask {
-	t := &engine.RemoteTask{Steps: make([]engine.RemoteStep, n)}
-	t.Steps[0] = engine.RemoteStep{Op: "leaf", Inputs: []engine.RemoteInput{{Block: 1}}}
+	t := &engine.RemoteTask{Steps: make([]engine.RemoteStep, n), Inputs: make([]engine.RemoteInput, n)}
+	t.Steps[0] = engine.RemoteStep{Op: "leaf", NumInputs: 1}
+	t.Inputs[0] = engine.RemoteInput{Block: 1}
 	for i := 1; i < n; i++ {
-		t.Steps[i] = engine.RemoteStep{Op: "link", Part: i, Inputs: []engine.RemoteInput{{Step: i}}}
+		t.Steps[i] = engine.RemoteStep{Op: "link", Part: i, NumInputs: 1}
+		t.Inputs[i] = engine.RemoteInput{Step: i}
 	}
 	return t
 }
@@ -250,7 +255,8 @@ func fakeDriver(t *testing.T, talk func(conn net.Conn)) (code int, stderr string
 
 // TestWorkerSaysWhyItExits: a worker that reads garbage — a frame that
 // fails its checksum, a frame cut short, a pushed block that is not a
-// batch, a keep list that is not whole ids — exits 1 and says what it
+// batch, a task it could not run or that declares more steps than its
+// body holds, a keep list that is not whole ids — exits 1 and says what it
 // read; only the driver hanging up at a frame boundary is a clean exit,
 // after a keep list naming blocks the worker never had too.
 func TestWorkerSaysWhyItExits(t *testing.T) {
@@ -273,7 +279,8 @@ func TestWorkerSaysWhyItExits(t *testing.T) {
 		{"truncated", block[:len(block)-4], 1, "truncated wire frame"},
 		{"bad block", block, 1, "block data"},
 		{"block with trailing bytes", trailing, 1, "block 4: procpool: 2 trailing bytes after a"},
-		{"bad task", appendFrame(nil, msgTask, taskBody(byte(1), stepHead("x", 1), inputStep, byte(1))), 1, "step input 1 does not name a step before step 0"},
+		{"bad task", appendFrame(nil, msgTask, taskBody(u32(1), stepRow("x", 0, 1), u32(1), inputRow(0, 1))), 1, `step 0 "x" input 0: step input 1 does not name a step before step 0`},
+		{"task past its body", appendFrame(nil, msgTask, taskBody(u32(1000000), stepRow("x", 0, 0), u32(0))), 1, "task 0: engine: batch codec: implausible element count 1000000"},
 		{"ragged keep list", appendFrame(nil, msgClearCache, make([]byte, 12)), 1, "12 bytes of block ids is not a multiple of 8"},
 		{"unknown keep ids", appendFrame(nil, msgClearCache, encodeIDs([]uint64{5, 6})), 0, ""},
 	}
@@ -322,12 +329,12 @@ func TestResultWithTrailingBytesFailsTheStage(t *testing.T) {
 		workerList: []*workerProc{w}}
 	go p.readLoop(w)
 
-	res, err := p.RunRemoteStage(context.Background(), opSpec("exact", "htest.ok", nil, 1))
+	res, err := p.RunRemoteStage(context.Background(), opSpec("exact", "htest.ok", "", 1))
 	if err != nil {
 		t.Fatalf("a result that is exactly one frame: %v", err)
 	}
 	checkParts(t, res.Parts, [][]int{{1, 2, 3}})
-	_, err = p.RunRemoteStage(context.Background(), opSpec("trailing", "htest.ok", nil, 1))
+	_, err = p.RunRemoteStage(context.Background(), opSpec("trailing", "htest.ok", "", 1))
 	if want := `stage "trailing" task 0 result: procpool: 2 trailing bytes after a`; err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("result with trailing bytes: got %v, want an error saying %q", err, want)
 	}
@@ -337,16 +344,32 @@ func TestResultWithTrailingBytesFailsTheStage(t *testing.T) {
 // map-side combine of kmeans.sum over kmeans.assign, whose argument is
 // the current centroids as JSON, over one cached block of points.
 func kmeansMapTask(part int) *engine.RemoteTask {
-	centroids := []byte(`[{"X":0.1258413622938497,"Y":-1.3321471038541706},{"X":2.047530812310211,"Y":0.8765102946351803},` +
-		`{"X":-0.6734490213947731,"Y":1.9087713359814412},{"X":1.4407211890615364,"Y":-2.0316789011294467}]`)
-	return &engine.RemoteTask{Steps: []engine.RemoteStep{
-		{Op: "kmeans.assign", Arg: centroids, Part: part, Inputs: []engine.RemoteInput{{Block: 4097 + uint64(part)}}},
-		{Op: "kmeans.sum", Part: part, Inputs: []engine.RemoteInput{{Step: 1}}},
-	}}
+	centroids := `[{"X":0.1258413622938497,"Y":-1.3321471038541706},{"X":2.047530812310211,"Y":0.8765102946351803},` +
+		`{"X":-0.6734490213947731,"Y":1.9087713359814412},{"X":1.4407211890615364,"Y":-2.0316789011294467}]`
+	return &engine.RemoteTask{
+		Steps: []engine.RemoteStep{
+			{Op: "kmeans.assign", Arg: centroids, Part: part, NumInputs: 1},
+			{Op: "kmeans.sum", Part: part, NumInputs: 1},
+		},
+		Inputs: []engine.RemoteInput{{Block: 4097 + uint64(part)}, {Step: 1}},
+	}
 }
 
-// taskBody joins hand-written pieces of a task body after id 0, starting
-// with the step count; a piece is a byte or a []byte.
+// mixedTask has a step with a block input, an empty input and a step
+// input, after a step with two inputs.
+func mixedTask() *engine.RemoteTask {
+	return &engine.RemoteTask{
+		Steps: []engine.RemoteStep{
+			{Op: "join", Part: 2, NumInputs: 2},
+			{Op: "sum", Arg: `{"k":3}`, Part: 2, NumInputs: 3},
+		},
+		Inputs: []engine.RemoteInput{{Block: 13}, {Block: 14}, {Block: 12}, {}, {Step: 1}},
+	}
+}
+
+// taskBody joins hand-written pieces of a task body after id 0; a piece
+// is a byte or a []byte. The rows after the id are little-endian, as
+// engine.AppendTask writes them.
 func taskBody(pieces ...any) []byte {
 	b := make([]byte, 8)
 	for _, p := range pieces {
@@ -362,12 +385,19 @@ func taskBody(pieces ...any) []byte {
 	return b
 }
 
-// stepHead is a step's head without an argument: op, part 0 and the input
-// count; the inputs follow it.
-func stepHead(op string, inputs uint64) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(op)))
-	b = append(b, op...)
-	return binary.AppendUvarint(append(b, 0, 0), inputs)
+// u32 is a row count.
+func u32(n uint32) []byte { return binary.LittleEndian.AppendUint32(nil, n) }
+
+// stepRow is a step's row without an argument: op, part and input count.
+func stepRow(op string, part, inputs int64) []byte {
+	b := append(append(u32(uint32(len(op))), op...), 0, 0, 0, 0)
+	b = binary.LittleEndian.AppendUint64(b, uint64(part))
+	return binary.LittleEndian.AppendUint64(b, uint64(inputs))
+}
+
+// inputRow is an input's row: block id and step.
+func inputRow(block uint64, step int64) []byte {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, block), uint64(step))
 }
 
 // malformedTasks are task bodies evaluation could not run, each with what
@@ -377,49 +407,41 @@ var malformedTasks = []struct {
 	body []byte
 	says string
 }{
-	{"no-root", taskBody(), "step count: procpool: frame body truncated in a varint"},
-	{"part-no-root", taskBody(byte(1), byte(2), []byte("xy"), byte(0)), `step 0 "xy" part: procpool: frame body truncated in a varint`},
-	{"no-steps", taskBody(byte(0)), "has no steps"},
-	{"steps-past-body", taskBody(binary.AppendUvarint(nil, 1000000), stepHead("x", 0)), "declares 1000000 steps in 5 bytes"},
-	{"step-without-index", taskBody(byte(1), stepHead("x", 1), inputStep), `step 0 "x" input 0: procpool: frame body truncated in a varint`},
-	{"self-step", taskBody(byte(1), stepHead("x", 1), inputStep, byte(1)), "step input 1 does not name a step before step 0"},
-	{"forward-step", taskBody(byte(2), stepHead("x", 1), inputStep, byte(2), stepHead("y", 0)), "step input 2 does not name a step before step 0"},
-	{"zero-step", taskBody(byte(2), stepHead("y", 0), stepHead("x", 1), inputStep, byte(0)), `step 1 "x" input 0: step input 0 does not name a step before step 1`},
-	{"block-without-id", taskBody(byte(1), stepHead("x", 1), inputBlock), `"x" input 0: procpool: frame body truncated in a varint`},
-	{"block-id-zero", taskBody(byte(1), stepHead("x", 1), inputBlock, byte(0)), "block input without a block id"},
-	{"unknown-kind", taskBody(byte(1), stepHead("x", 1), byte(7), byte(3)), "unknown input kind 7"},
-	{"kind-255", taskBody(byte(1), stepHead("x", 1), byte(255)), "unknown input kind 255"},
-	{"later-step-unknown-kind", taskBody(byte(2), stepHead("y", 0), stepHead("x", 1), byte(9)), `task 0 step 1 "x" input 0: unknown input kind 9`},
-	{"truncated-varint", []byte{0, 0, 0, 0, 0, 0, 0, 0, 0x80}, "truncated in a varint"},
-	{"varint-overflow", taskBody(byte(1), stepHead("x", 1), inputBlock, bytes.Repeat([]byte{0xff}, 10), byte(1)), "overflows 64 bits"},
-	{"part-out-of-range", taskBody(byte(1), byte(1), byte('x'), byte(0), []byte{0xff, 0xff, 0xff, 0xff, 0x0f}, byte(0)), "out of range"},
-	{"length-past-body", taskBody(byte(1), byte(50), []byte("short")), "runs past the body"},
-	{"inputs-past-body", taskBody(byte(1), stepHead("x", 1000), inputEmpty), "declares 1000 inputs in 1 bytes"},
-	{"trailing-bytes", taskBody(byte(1), stepHead("x", 1), inputEmpty, byte(0)), "1 trailing bytes"},
+	{"no-id", make([]byte, 7), "7-byte task body has no id"},
+	{"no-root", taskBody(), "truncated frame: need 4 bytes at offset 0 of 0"},
+	{"part-no-root", taskBody(u32(1), u32(20), bytes.Repeat([]byte("x"), 20), u32(0)), "truncated frame: need 8 bytes at offset 32 of 32"},
+	{"no-steps", taskBody(u32(0), u32(0)), "task has no steps"},
+	{"steps-past-body", taskBody(u32(1000000), stepRow("x", 0, 0), u32(0)), "implausible element count 1000000 for 29 payload bytes"},
+	{"inputs-past-body", taskBody(u32(1), stepRow("x", 0, 1000), u32(1000), inputRow(0, 0)), "implausible element count 1000 for 16 payload bytes"},
+	{"inputs-past-task", taskBody(u32(1), stepRow("x", 0, 1000), u32(1), inputRow(0, 0)), `step 0 "x" reads 1000 inputs of the 1 left`},
+	{"negative-inputs", taskBody(u32(1), stepRow("x", 0, -1), u32(0)), `step 0 "x" reads -1 inputs of the 0 left`},
+	{"unread-inputs", taskBody(u32(1), stepRow("x", 0, 0), u32(1), inputRow(0, 0)), "task steps read 0 of its 1 inputs"},
+	{"self-step", taskBody(u32(1), stepRow("x", 0, 1), u32(1), inputRow(0, 1)), "step input 1 does not name a step before step 0"},
+	{"forward-step", taskBody(u32(2), stepRow("x", 0, 1), stepRow("y", 0, 0), u32(1), inputRow(0, 2)), "step input 2 does not name a step before step 0"},
+	{"negative-step", taskBody(u32(2), stepRow("y", 0, 0), stepRow("x", 0, 1), u32(1), inputRow(0, -1)), `step 1 "x" input 0: step input -1 does not name a step before step 1`},
+	{"part-out-of-range", taskBody(u32(1), stepRow("x", 1<<31, 0), u32(0)), `step 0 "x": part 2147483648 is out of range`},
+	{"negative-part", taskBody(u32(1), stepRow("x", -1, 0), u32(0)), `step 0 "x": part -1 is out of range`},
+	{"arg-past-body", taskBody(u32(1), u32(1), []byte("x"), u32(40), []byte("an argument cut short")), "truncated frame: need 40 bytes at offset 13 of 34"},
+	{"no-input-count", taskBody(u32(1), stepRow("x", 0, 0)), "truncated frame: need 4 bytes at offset 29 of 29"},
+	{"length-past-body", taskBody(u32(1), u32(50), []byte("shorter than fifty bytes")), "truncated frame: need 50 bytes at offset 8 of 32"},
+	{"trailing-bytes", taskBody(u32(1), stepRow("x", 0, 1), u32(1), inputRow(0, 0), byte(0)), "1 trailing bytes after a task"},
 }
 
 // FuzzRemoteTask feeds arbitrary bytes through the task parser the worker
 // runs on every msgTask body: it must reject what it cannot run with an
-// error, everything it accepts must survive the two loops made over a
-// task before it is evaluated (the operator chain, the block ids), and
-// re-encoding an accepted task must parse back to the same task. Equal as
-// steps, not as bytes: a uvarint has overlong spellings. The checked-in
-// corpus (testdata/fuzz/FuzzRemoteTask) holds the k-means map task and
-// each malformed class below.
+// error, everything it accepts must survive the loops made over a task
+// before it is evaluated (the operator chain, each step's inputs), and
+// re-encoding an accepted task must parse back to the same task. The
+// checked-in corpus (testdata/fuzz/FuzzRemoteTask) holds task bodies of
+// an earlier grammar, which seed the fuzzer as any other bytes do.
 func FuzzRemoteTask(f *testing.F) {
-	good, err := encodeTask(nil, 5, &engine.RemoteTask{Steps: []engine.RemoteStep{
-		{Op: "identity", Inputs: []engine.RemoteInput{{Block: 13}}},
-		{Op: "sum", Part: 2, Arg: []byte(`{"k":3}`), Inputs: []engine.RemoteInput{{Block: 12}, {}, {Step: 1}}},
-	}})
-	if err != nil {
-		f.Fatal(err)
+	for i, task := range []*engine.RemoteTask{kmeansMapTask(3), mixedTask(), chain(3)} {
+		body, err := encodeTask(nil, uint64(5+i), task)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
 	}
-	f.Add(good)
-	kmeans, err := encodeTask(nil, 6, kmeansMapTask(3))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(kmeans)
 	for _, tc := range malformedTasks {
 		f.Add(tc.body)
 	}
@@ -430,12 +452,18 @@ func FuzzRemoteTask(f *testing.F) {
 			return
 		}
 		task.OpChain()
-		eachBlock(task, func(id uint64) {
-			if id == 0 {
-				t.Fatalf("accepted a block input without an id: %x", body)
+		// The walk evaluation makes: each step's inputs lie in Inputs and
+		// read earlier steps only.
+		next := 0
+		for i, st := range task.Steps {
+			for _, in := range task.Inputs[next : next+st.NumInputs] {
+				if in.Step < 0 || in.Step > i {
+					t.Fatalf("accepted step %d reading step %d: %x", i, in.Step, body)
+				}
 			}
-		})
-		again, err := encodeTask(nil, id, task)
+			next += st.NumInputs
+		}
+		again, err := encodeTask(nil, id, &task)
 		if err != nil {
 			t.Fatalf("accepted task does not re-encode: %v", err)
 		}
@@ -446,11 +474,38 @@ func FuzzRemoteTask(f *testing.F) {
 	})
 }
 
+// TestTaskFramePinned pins the bytes of three task bodies: the k-means
+// map task, chain(3), and mixedTask's block, empty and step inputs. A
+// change to the task rows, or to the codec's rows under them, shows here
+// as a changed digest; each body must also parse back to its task.
+func TestTaskFramePinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		task *engine.RemoteTask
+		sum  string
+	}{
+		{"kmeans-map", kmeansMapTask(3), "1d3a31199c6bbe411485a1286919c05a71a61ab6f42e59d22374c2f0f8b1ac92"},
+		{"chain-3", chain(3), "b09cc265d71b8693cfd74f2e0386f5ae8720e038cd56034a1c670d87df33b5b6"},
+		{"mixed", mixedTask(), "7a8e6be16f04d088ad00e20ccc36f68d91d6e242ec7f554dae0a38ee799bc7d9"},
+	} {
+		body, err := encodeTask(nil, 7, tc.task)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(body)); sum != tc.sum {
+			t.Errorf("%s: task body sha256 %s, want %s", tc.name, sum, tc.sum)
+		}
+		id, got, err := parseTask(body)
+		if err != nil || id != 7 || !reflect.DeepEqual(&got, tc.task) {
+			t.Errorf("%s: parsed back as id %d %+v (err %v), want %+v", tc.name, id, got, err, tc.task)
+		}
+	}
+}
+
 // TestTaskFrameAllocs bounds what one task frame costs on each side, on
 // the k-means map task: the worker parses it in at most 6 allocations
-// (the task, its steps, their two op strings and two input slices — the
-// argument aliases the frame), and the driver encodes it into a warmed
-// buffer in none.
+// (five today: its steps, its inputs, two op strings and the argument),
+// and the driver encodes it into a warmed buffer in none.
 func TestTaskFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -536,7 +591,10 @@ func TestRunnerKeepsListedBlocks(t *testing.T) {
 	for id := uint64(1); id <= 3; id++ {
 		r.cache[id] = sliceBatch([]int{int(id)})
 	}
-	task := &engine.RemoteTask{Steps: []engine.RemoteStep{{Op: "identity", Inputs: []engine.RemoteInput{{Block: 2}}}}}
+	task := &engine.RemoteTask{
+		Steps:  []engine.RemoteStep{{Op: "identity", NumInputs: 1}},
+		Inputs: []engine.RemoteInput{{Block: 2}},
+	}
 	if tag, _ := r.run(task); tag != resultOK {
 		t.Fatalf("task over a cached block answered tag %d", tag)
 	}

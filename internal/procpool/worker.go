@@ -126,7 +126,7 @@ func workerRun(sock string) int {
 				fmt.Fprintf(os.Stderr, "procpool worker: %v\n", perr)
 				return 1
 			}
-			tag, rest := runner.run(task)
+			tag, rest := runner.run(&task)
 			head := taggedHead(id, tag)
 			// The answer leaves now only if no frame is waiting to be
 			// read (wire.go has the rule and why it cannot deadlock).

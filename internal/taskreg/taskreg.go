@@ -48,7 +48,7 @@ type KeyedOp[K comparable, F any] struct {
 func RegisterMap[A, B any](name string, f func(A) B) Op[func(A) B] {
 	engine.RegisterBatchShape[A]()
 	engine.RegisterBatchShape[B]()
-	engine.RegisterPortableOp(name, func([]byte) (engine.PortableCompute, error) {
+	engine.RegisterPortableOp(name, func(string) (engine.PortableCompute, error) {
 		return engine.MapCompute(f), nil
 	})
 	return Op[func(A) B]{name, f}
@@ -56,7 +56,7 @@ func RegisterMap[A, B any](name string, f func(A) B) Op[func(A) B] {
 
 // Map is engine.Map with the registered UDF, marked portable.
 func Map[A, B any](d engine.Dataset[A], op Op[func(A) B]) engine.Dataset[B] {
-	return engine.MarkPortable(engine.Map(d, op.F), op.Name, nil)
+	return engine.MarkPortable(engine.Map(d, op.F), op.Name, "")
 }
 
 // RegisterMapArg registers a parameterized Map UDF: mk builds the
@@ -65,9 +65,9 @@ func Map[A, B any](d engine.Dataset[A], op Op[func(A) B]) engine.Dataset[B] {
 func RegisterMapArg[A, B, P any](name string, mk func(P) func(A) B) Op[func(P) func(A) B] {
 	engine.RegisterBatchShape[A]()
 	engine.RegisterBatchShape[B]()
-	engine.RegisterPortableOp(name, func(arg []byte) (engine.PortableCompute, error) {
+	engine.RegisterPortableOp(name, func(arg string) (engine.PortableCompute, error) {
 		var param P
-		if err := json.Unmarshal(arg, &param); err != nil {
+		if err := json.Unmarshal([]byte(arg), &param); err != nil {
 			return nil, fmt.Errorf("taskreg: %q: bad arg: %w", name, err)
 		}
 		return engine.MapCompute(mk(param)), nil
@@ -82,13 +82,13 @@ func MapArg[A, B, P any](d engine.Dataset[A], op Op[func(P) func(A) B], param P)
 	if err != nil {
 		panic(fmt.Sprintf("taskreg: %q: unmarshalable arg: %v", op.Name, err))
 	}
-	return engine.MarkPortable(engine.Map(d, op.F(param)), op.Name, arg)
+	return engine.MarkPortable(engine.Map(d, op.F(param)), op.Name, string(arg))
 }
 
 // RegisterFilter registers a Filter predicate under name.
 func RegisterFilter[A any](name string, pred func(A) bool) Op[func(A) bool] {
 	engine.RegisterBatchShape[A]()
-	engine.RegisterPortableOp(name, func([]byte) (engine.PortableCompute, error) {
+	engine.RegisterPortableOp(name, func(string) (engine.PortableCompute, error) {
 		return engine.FilterCompute(pred), nil
 	})
 	return Op[func(A) bool]{name, pred}
@@ -96,14 +96,14 @@ func RegisterFilter[A any](name string, pred func(A) bool) Op[func(A) bool] {
 
 // Filter is engine.Filter with the registered predicate.
 func Filter[A any](d engine.Dataset[A], op Op[func(A) bool]) engine.Dataset[A] {
-	return engine.MarkPortable(engine.Filter(d, op.F), op.Name, nil)
+	return engine.MarkPortable(engine.Filter(d, op.F), op.Name, "")
 }
 
 // RegisterFlatMap registers a FlatMap UDF under name.
 func RegisterFlatMap[A, B any](name string, f func(A) []B) Op[func(A) []B] {
 	engine.RegisterBatchShape[A]()
 	engine.RegisterBatchShape[B]()
-	engine.RegisterPortableOp(name, func([]byte) (engine.PortableCompute, error) {
+	engine.RegisterPortableOp(name, func(string) (engine.PortableCompute, error) {
 		return engine.FlatMapCompute(f), nil
 	})
 	return Op[func(A) []B]{name, f}
@@ -111,14 +111,14 @@ func RegisterFlatMap[A, B any](name string, f func(A) []B) Op[func(A) []B] {
 
 // FlatMap is engine.FlatMap with the registered UDF.
 func FlatMap[A, B any](d engine.Dataset[A], op Op[func(A) []B]) engine.Dataset[B] {
-	return engine.MarkPortable(engine.FlatMap(d, op.F), op.Name, nil)
+	return engine.MarkPortable(engine.FlatMap(d, op.F), op.Name, "")
 }
 
 // RegisterMapValues registers a MapValues UDF under name.
 func RegisterMapValues[K comparable, V, W any](name string, f func(V) W) KeyedOp[K, func(V) W] {
 	engine.RegisterBatchShape[engine.Pair[K, V]]()
 	engine.RegisterBatchShape[engine.Pair[K, W]]()
-	engine.RegisterPortableOp(name, func([]byte) (engine.PortableCompute, error) {
+	engine.RegisterPortableOp(name, func(string) (engine.PortableCompute, error) {
 		return engine.MapValuesCompute[K](f), nil
 	})
 	return KeyedOp[K, func(V) W]{name, f}
@@ -126,7 +126,7 @@ func RegisterMapValues[K comparable, V, W any](name string, f func(V) W) KeyedOp
 
 // MapValues is engine.MapValues with the registered UDF.
 func MapValues[K comparable, V, W any](d engine.Dataset[engine.Pair[K, V]], op KeyedOp[K, func(V) W]) engine.Dataset[engine.Pair[K, W]] {
-	return engine.MarkPortable(engine.MapValues(d, op.F), op.Name, nil)
+	return engine.MarkPortable(engine.MapValues(d, op.F), op.Name, "")
 }
 
 // RegisterReduceByKey registers a ReduceByKey merge function under name.
@@ -135,7 +135,7 @@ func MapValues[K comparable, V, W any](d engine.Dataset[engine.Pair[K, V]], op K
 // f.
 func RegisterReduceByKey[K comparable, V any](name string, f func(V, V) V) KeyedOp[K, func(V, V) V] {
 	engine.RegisterBatchShape[engine.Pair[K, V]]()
-	engine.RegisterPortableOp(name, func([]byte) (engine.PortableCompute, error) {
+	engine.RegisterPortableOp(name, func(string) (engine.PortableCompute, error) {
 		return engine.ReduceByKeyCompute[K](f), nil
 	})
 	return KeyedOp[K, func(V, V) V]{name, f}
@@ -144,15 +144,15 @@ func RegisterReduceByKey[K comparable, V any](name string, f func(V, V) V) Keyed
 // ReduceByKeyN is engine.ReduceByKeyN with the registered merge, marking
 // both the reduce root and its map-side combine portable.
 func ReduceByKeyN[K comparable, V any](d engine.Dataset[engine.Pair[K, V]], op KeyedOp[K, func(V, V) V], parts int) engine.Dataset[engine.Pair[K, V]] {
-	out := engine.MarkPortable(engine.ReduceByKeyN(d, op.F, parts), op.Name, nil)
-	return engine.MarkCombinePortable(out, op.Name, nil)
+	out := engine.MarkPortable(engine.ReduceByKeyN(d, op.F, parts), op.Name, "")
+	return engine.MarkCombinePortable(out, op.Name, "")
 }
 
 // ReduceByKeyBound is engine.ReduceByKeyBound with the registered merge
 // (for cardinality-bounded key sets), marked like ReduceByKeyN.
 func ReduceByKeyBound[K comparable, V any](d engine.Dataset[engine.Pair[K, V]], op KeyedOp[K, func(V, V) V], parts int) engine.Dataset[engine.Pair[K, V]] {
-	out := engine.MarkPortable(engine.ReduceByKeyBound(d, op.F, parts), op.Name, nil)
-	return engine.MarkCombinePortable(out, op.Name, nil)
+	out := engine.MarkPortable(engine.ReduceByKeyBound(d, op.F, parts), op.Name, "")
+	return engine.MarkCombinePortable(out, op.Name, "")
 }
 
 // RegisterGroupByKey registers the (UDF-free) group-by-key kernel for the
@@ -160,7 +160,7 @@ func ReduceByKeyBound[K comparable, V any](d engine.Dataset[engine.Pair[K, V]], 
 func RegisterGroupByKey[K comparable, V any](name string) KeyedOp[K, func(V) []V] {
 	engine.RegisterBatchShape[engine.Pair[K, V]]()
 	engine.RegisterBatchShape[engine.Pair[K, []V]]()
-	engine.RegisterPortableOp(name, func([]byte) (engine.PortableCompute, error) {
+	engine.RegisterPortableOp(name, func(string) (engine.PortableCompute, error) {
 		return engine.GroupByKeyCompute[K, V](), nil
 	})
 	return KeyedOp[K, func(V) []V]{Name: name}
@@ -168,7 +168,7 @@ func RegisterGroupByKey[K comparable, V any](name string) KeyedOp[K, func(V) []V
 
 // GroupByKeyN is engine.GroupByKeyN marked with the registered kernel.
 func GroupByKeyN[K comparable, V any](d engine.Dataset[engine.Pair[K, V]], op KeyedOp[K, func(V) []V], parts int) engine.Dataset[engine.Pair[K, []V]] {
-	return engine.MarkPortable(engine.GroupByKeyN(d, parts), op.Name, nil)
+	return engine.MarkPortable(engine.GroupByKeyN(d, parts), op.Name, "")
 }
 
 // RegisterJoin registers the (UDF-free) repartition-join kernel for the
@@ -177,7 +177,7 @@ func RegisterJoin[K comparable, A, B any](name string) KeyedOp[K, func(A, B) eng
 	engine.RegisterBatchShape[engine.Pair[K, A]]()
 	engine.RegisterBatchShape[engine.Pair[K, B]]()
 	engine.RegisterBatchShape[engine.Pair[K, engine.Tuple2[A, B]]]()
-	engine.RegisterPortableOp(name, func([]byte) (engine.PortableCompute, error) {
+	engine.RegisterPortableOp(name, func(string) (engine.PortableCompute, error) {
 		return engine.RepartitionJoinCompute[K, A, B](), nil
 	})
 	return KeyedOp[K, func(A, B) engine.Tuple2[A, B]]{Name: name}
@@ -191,7 +191,7 @@ func RegisterJoin[K comparable, A, B any](name string) KeyedOp[K, func(A, B) eng
 func JoinWith[K comparable, A, B any](l engine.Dataset[engine.Pair[K, A]], r engine.Dataset[engine.Pair[K, B]], op KeyedOp[K, func(A, B) engine.Tuple2[A, B]], strat engine.JoinStrategy, parts int) engine.Dataset[engine.Pair[K, engine.Tuple2[A, B]]] {
 	out := engine.JoinWith(l, r, strat, parts)
 	if strat == engine.JoinRepartition {
-		out = engine.MarkPortable(out, op.Name, nil)
+		out = engine.MarkPortable(out, op.Name, "")
 	}
 	return out
 }

@@ -42,14 +42,14 @@ func sliceBatch[T any](xs []T) engine.Batch {
 // throughKernel runs one partition through the kernel the portable
 // registry holds under op: the task a worker would be sent, its inputs the
 // given batches in dep order.
-func throughKernel(t *testing.T, op string, arg []byte, inputs ...engine.Batch) any {
+func throughKernel(t *testing.T, op, arg string, inputs ...engine.Batch) any {
 	t.Helper()
-	step := engine.RemoteStep{Op: op, Arg: arg}
+	task := engine.RemoteTask{Steps: []engine.RemoteStep{{Op: op, Arg: arg, NumInputs: len(inputs)}}}
 	for i := range inputs {
-		step.Inputs = append(step.Inputs, engine.RemoteInput{Block: uint64(i + 1)})
+		task.Inputs = append(task.Inputs, engine.RemoteInput{Block: uint64(i + 1)})
 	}
 	var eval engine.RemoteEvaluator
-	out, err := eval.RunRemoteTask(&engine.RemoteTask{Steps: []engine.RemoteStep{step}}, func(id uint64) (engine.Batch, error) {
+	out, err := eval.RunRemoteTask(&task, func(id uint64) (engine.Batch, error) {
 		return inputs[id-1], nil
 	})
 	if err != nil {
@@ -95,29 +95,29 @@ func TestRegisteredKernelsMatchConstructors(t *testing.T) {
 		}
 	}
 	check("tregtest.double",
-		throughKernel(t, "tregtest.double", nil, sliceBatch(ints)),
+		throughKernel(t, "tregtest.double", "", sliceBatch(ints)),
 		collect(t, Map(one(), tregDoubleOp)))
 	check("tregtest.scale",
-		throughKernel(t, "tregtest.scale", []byte("3"), sliceBatch(ints)),
+		throughKernel(t, "tregtest.scale", "3", sliceBatch(ints)),
 		collect(t, MapArg(one(), tregScaleOp, 3)))
 	check("tregtest.odd",
-		throughKernel(t, "tregtest.odd", nil, sliceBatch(ints)),
+		throughKernel(t, "tregtest.odd", "", sliceBatch(ints)),
 		collect(t, Filter(one(), tregOddOp)))
 	check("tregtest.twice",
-		throughKernel(t, "tregtest.twice", nil, sliceBatch(ints)),
+		throughKernel(t, "tregtest.twice", "", sliceBatch(ints)),
 		collect(t, FlatMap(one(), tregTwiceOp)))
 	check("tregtest.len",
-		throughKernel(t, "tregtest.len", nil, sliceBatch(words)),
+		throughKernel(t, "tregtest.len", "", sliceBatch(words)),
 		collect(t, MapValues(oneWords(), tregLenOp)))
 	// One partition in, one out: the map-side combine runs this kernel too.
-	check("tregtest.sum", throughKernel(t, "tregtest.sum", nil, sliceBatch(keyed)),
+	check("tregtest.sum", throughKernel(t, "tregtest.sum", "", sliceBatch(keyed)),
 		collect(t, ReduceByKeyN(onePairs(), tregSumOp, 1)))
-	check("tregtest.sum (bound)", throughKernel(t, "tregtest.sum", nil, sliceBatch(keyed)),
+	check("tregtest.sum (bound)", throughKernel(t, "tregtest.sum", "", sliceBatch(keyed)),
 		collect(t, ReduceByKeyBound(onePairs(), tregSumOp, 1)))
 	check("tregtest.group",
-		throughKernel(t, "tregtest.group", nil, sliceBatch(keyed)),
+		throughKernel(t, "tregtest.group", "", sliceBatch(keyed)),
 		collect(t, GroupByKeyN(onePairs(), tregGroupOp, 1)))
 	check("tregtest.join",
-		throughKernel(t, "tregtest.join", nil, sliceBatch(keyed), sliceBatch(words)),
+		throughKernel(t, "tregtest.join", "", sliceBatch(keyed), sliceBatch(words)),
 		collect(t, JoinWith(onePairs(), oneWords(), tregJoinOp, engine.JoinRepartition, 1)))
 }
