@@ -12,12 +12,15 @@ package engine
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"strconv"
 	"testing"
 	"unsafe"
+
+	"matryoshka/internal/layout"
 )
 
 func skipIfInstrumented(t *testing.T) {
@@ -386,8 +389,8 @@ func TestEstPartitionBytesAllocBound(t *testing.T) {
 				rows[i] = KV[any, any](i, strconv.Itoa(i%9))
 			}
 		}
-		part := boxedOf(rows)
-		if avg := testing.AllocsPerRun(20, func() { sink += estPartitionBytes(part) }); avg > 0 {
+		part, l := boxedOf(rows), layout.Of(reflect.TypeFor[any]())
+		if avg := testing.AllocsPerRun(20, func() { sink += estPartitionBytes(part, l) }); avg > 0 {
 			t.Errorf("n=%d: estPartitionBytes allocates %.1f per call, want 0", n, avg)
 		}
 	}

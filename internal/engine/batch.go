@@ -3,8 +3,9 @@ package engine
 // Batch is the partition representation carried across the data path: one
 // typed, monomorphic vector per partition. The rule every path relies on: a
 // non-empty partition of a Dataset[T] is always a *Vec[T], and an empty one
-// may be any empty batch (zeroBatch, a nil shuffle block). The ir front end's
-// datasets are Dataset[any], so theirs are *Vec[any] under the same rule.
+// may be any empty batch (zeroBatch, a nil shuffle block). A program the ir
+// front end lowers boxed has Dataset[any]s, so theirs are *Vec[any] under the
+// same rule.
 // Operators build batches with batchOf and read them with elems; between
 // operators the engine moves them opaquely (routing, flattening, caching,
 // memoization, serialization) and never converts one shape into another.
@@ -44,11 +45,6 @@ type Batch interface {
 	// "Pair[int,int64]", "any").
 	Shape() string
 
-	// elemSize is the element type's fixed deep size (layout.Layout.Deep):
-	// the size every element has, ok=false where it depends on the value
-	// (and always for *Vec[any]).
-	elemSize() (size int64, ok bool)
-
 	// newLike allocates a same-shaped batch of n zero elements with the
 	// given boxed capacity (the broadcast flatten's pre-sized output).
 	newLike(n, bcap int) Batch
@@ -85,11 +81,6 @@ func (v *Vec[T]) Rows() (reflect.Type, unsafe.Pointer) {
 
 func (v *Vec[T]) Shape() string { return shapeName(reflect.TypeFor[T]()) }
 
-func (v *Vec[T]) elemSize() (int64, bool) {
-	size := layout.Of(reflect.TypeFor[T]()).Deep
-	return size, size >= 0
-}
-
 func (v *Vec[T]) newLike(n, bcap int) Batch {
 	return &Vec[T]{xs: make([]T, n), bcap: bcap}
 }
@@ -98,8 +89,8 @@ func (v *Vec[T]) newBlocks(lens []int32, blocks []Batch, from *arenaList) [][]ui
 	size := int(reflect.TypeFor[T]().Size())
 	// A shape of one fixed deep size is one without pointers, strings,
 	// slices, maps or interfaces: exactly what may live in memory the
-	// collector does not scan.
-	if _, raw := v.elemSize(); from == nil || !raw || size == 0 {
+	// collector does not scan. One lookup a shuffle, not one a batch.
+	if from == nil || size == 0 || layout.Of(reflect.TypeFor[T]()).Deep < 0 {
 		for t, n := range lens {
 			if n > 0 {
 				blocks[t] = &Vec[T]{xs: make([]T, n), bcap: blockCap(int(n))}
@@ -180,9 +171,9 @@ func (v *Vec[T]) scatter(tg, off []int32, blocks []Batch) {
 var zeroBatch Batch = &Vec[any]{}
 
 // batchOf wraps a typed slice as a Batch with the given boxed-equivalent
-// capacity, registering the element type with the codec on first use.
+// capacity. The element type is registered with the codec once, where its
+// Dataset is made (fromNode), not on every batch.
 func batchOf[T any](xs []T, bcap int) Batch {
-	registerBatchCodec[T]()
 	return &Vec[T]{xs: xs, bcap: bcap}
 }
 

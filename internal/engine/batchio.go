@@ -92,9 +92,10 @@ var (
 	batchElemTypes  sync.Map // string -> reflect.Type (boxed element decode)
 )
 
-// registerBatchCodec makes element type T decodable by name. batchOf calls
-// it on every batch construction; hot shapes are pre-registered in init so
-// a decoding process that never built such a batch still resolves them.
+// registerBatchCodec makes element type T decodable by name. fromNode calls
+// it once for every node it wraps; hot shapes are pre-registered in init,
+// and taskreg registers its kernels' shapes, so a decoding process that
+// never built such a dataset still resolves them.
 func registerBatchCodec[T any]() {
 	t := reflect.TypeFor[T]()
 	if _, ok := batchProtos.Load(t); ok {
@@ -329,7 +330,7 @@ func appendRow(dst []byte, l *layout.Layout, p unsafe.Pointer) []byte {
 		case reflect.Slice:
 			s := (*sliceHeader)(q)
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Len))
-			el, size := layout.Of(lf.Type.Elem()), lf.Type.Elem().Size()
+			el, size := lf.Elem(), lf.Type.Elem().Size()
 			for j := 0; j < s.Len; j++ {
 				dst = appendRow(dst, el, unsafe.Add(s.Data, uintptr(j)*size))
 			}
@@ -462,7 +463,7 @@ func (r *batchReader) readRow(l *layout.Layout, p unsafe.Pointer) error {
 			if err != nil {
 				return err
 			}
-			el, size := layout.Of(lf.Type.Elem()), lf.Type.Elem().Size()
+			el, size := lf.Elem(), lf.Type.Elem().Size()
 			if err := r.count(n, minWire(el)); err != nil {
 				return err
 			}

@@ -1,5 +1,11 @@
 package engine
 
+import (
+	"reflect"
+
+	"matryoshka/internal/layout"
+)
+
 // Dataset is an immutable, partitioned, lazily-evaluated distributed
 // collection — the engine's Bag abstraction (an RDD in Spark terms).
 // Transformations build a DAG; actions launch jobs.
@@ -51,7 +57,7 @@ func (d Dataset[T]) CachedBytes() int64 {
 	}
 	var total int64
 	for _, p := range data {
-		total += estPartitionBytes(p)
+		total += estPartitionBytes(p, d.n.rows)
 	}
 	return int64(float64(total) * d.n.weight)
 }
@@ -82,7 +88,7 @@ func Parallelize[T any](s *Session, data []T, parts int) Dataset[T] {
 	n := s.newNode("parallelize", parts, nil, func(tc *Ctx, p int, _ []Batch) Batch {
 		return batches[p]
 	})
-	return Dataset[T]{s, n}
+	return fromNode[T](s, n)
 }
 
 // Empty returns a dataset with no elements. It is unscaled: an empty
@@ -92,5 +98,11 @@ func Parallelize[T any](s *Session, data []T, parts int) Dataset[T] {
 // scalars).
 func Empty[T any](s *Session) Dataset[T] { return Parallelize[T](s, nil, 1).Unscaled() }
 
-// fromNode wraps a node (internal constructor for operators).
-func fromNode[T any](s *Session, n *node) Dataset[T] { return Dataset[T]{s, n} }
+// fromNode wraps a node (internal constructor for operators). It registers
+// T with the codec and looks up T's layout, once per node: every batch the
+// node makes is a *Vec[T] or empty.
+func fromNode[T any](s *Session, n *node) Dataset[T] {
+	registerBatchCodec[T]()
+	n.rows = layout.Of(reflect.TypeFor[T]())
+	return Dataset[T]{s, n}
+}

@@ -199,7 +199,7 @@ func (j *job) launchStage(n *node, st *stage) stageResult {
 		// The stage root's output is materialized: charge the rows it
 		// emits and hold it resident alongside operator-claimed memory.
 		tc.work += float64(batchLen(out)) * n.weight
-		tc.UseMemory(j.s.estResidentBytes(out, n.weight))
+		tc.UseMemory(j.s.estResidentBytes(out, n.rows, n.weight))
 		cc := j.s.cfg.Cluster
 		costs[p] = cluster.Task{
 			Compute: tc.work*cc.PerElementCost + tc.shuffleBytes*cc.PerByteShuffle,
@@ -426,7 +426,7 @@ func (j *job) pinBroadcast(d *dep, root *node, st *stage, owner *node) *stageFai
 		return nil
 	}
 	flat := flatten(j.front[d.parent].data)
-	bytes := j.s.estResidentBytes(flat, d.parent.weight)
+	bytes := j.s.estResidentBytes(flat, d.parent.rows, d.parent.weight)
 	clockBefore := j.s.exec.Clock()
 	if err := j.s.exec.Broadcast(bytes); err != nil {
 		var oom *cluster.OOMError
@@ -520,7 +520,7 @@ func (j *job) evalPartDirect(tc *Ctx, n *node, p int) Batch {
 			// pipelined map holds neither).
 			b = j.blocks[d].blocks[p]
 			tc.work += float64(batchLen(b)) * d.parent.weight
-			tc.shuffleBytes += float64(estPartitionBytes(b)) * d.parent.weight
+			tc.shuffleBytes += float64(estPartitionBytes(b, d.parent.rows)) * d.parent.weight
 			if j.s.obs.Enabled() {
 				tc.boundaryBytes += encodedBatchBytes(&tc.encScratch, b)
 				if tc.batchShape == "" && batchLen(b) > 0 {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"matryoshka/internal/layout"
 	"matryoshka/internal/sizeest"
 )
 
@@ -360,10 +361,10 @@ func checkEstPartition[T any](t *testing.T, n int, boxedRef func([]any) int64, e
 	// Typed batches report the boxed append-grown capacity for small
 	// blocks (blockCap); above sampleN the block capacity is never
 	// observed, only the sample's.
-	if got := estPartitionBytes(batchOf(vals, blockCap(n))); got != want {
+	if got := estPartitionBytes(batchOf(vals, blockCap(n)), layout.Of(reflect.TypeFor[T]())); got != want {
 		t.Errorf("%T, n=%d: typed estPartitionBytes=%d, boxed reference=%d", vals, n, got, want)
 	}
-	if got := estPartitionBytes(boxedOf(append(make([]any, 0, blockCap(n)), boxed...))); got != want {
+	if got := estPartitionBytes(boxedOf(append(make([]any, 0, blockCap(n)), boxed...)), layout.Of(reflect.TypeFor[any]())); got != want {
 		t.Errorf("%T, n=%d: boxed-batch estPartitionBytes=%d, boxed reference=%d", vals, n, got, want)
 	}
 }

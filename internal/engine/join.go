@@ -76,10 +76,10 @@ func repartitionJoin[K comparable, A, B any](l Dataset[Pair[K, A]], r Dataset[Pa
 		sideDep(l.n, pairShuffleDep[K, A](l.n)),
 		sideDep(r.n, pairShuffleDep[K, B](r.n)),
 	}
-	buildWeight := l.n.weight
+	buildRows, buildWeight := l.n.rows, l.n.weight
 	kernel := RepartitionJoinCompute[K, A, B]()
 	n := s.newNode("join", parts, deps, func(tc *Ctx, p int, in []Batch) Batch {
-		tc.UseMemory(s.estResidentBytes(in[0], buildWeight)) // resident build side
+		tc.UseMemory(s.estResidentBytes(in[0], buildRows, buildWeight)) // resident build side
 		return kernel(tc, p, in)
 	})
 	n.pkey = target // the join output stays partitioned by K

@@ -47,11 +47,16 @@ type indexOp struct {
 }
 
 // checkIndex runs ops on a fresh index and on a map, key(code) making
-// each key, and fails at the first answer that differs.
+// each key, and fails at the first answer that differs. A reset is checked
+// over the key and slot ranges the index used since the one before, which
+// is all a reset could have left anything in, and the last check covers
+// the whole capacity: checking the whole capacity at every reset would
+// cost resets × the largest partition's keys.
 func checkIndex[K comparable](t testing.TB, name string, key func(uint16) K, ops []indexOp) {
 	t.Helper()
 	x := newKeyIndex[K]()
 	ref := &mapIndex[K]{pos: map[K]int32{}}
+	used, usedSlots := 0, 0 // the most keys and slots since the last reset
 	for n, op := range ops {
 		k := key(op.code)
 		switch op.kind {
@@ -68,8 +73,12 @@ func checkIndex[K comparable](t testing.TB, name string, key func(uint16) K, ops
 		case 2:
 			x.reset()
 			ref = &mapIndex[K]{pos: map[K]int32{}}
-			checkEmptied(t, fmt.Sprintf("%s op %d", name, n), &x)
+			if msg := emptied(&x, used, usedSlots); msg != "" {
+				t.Fatalf("%s op %d: %s", name, n, msg)
+			}
+			used, usedSlots = 0, 0
 		}
+		used, usedSlots = max(used, x.len()), max(usedSlots, len(x.slots))
 		if x.len() != len(ref.order) {
 			t.Fatalf("%s op %d: %d keys; map holds %d", name, n, x.len(), len(ref.order))
 		}
@@ -79,6 +88,8 @@ func checkIndex[K comparable](t testing.TB, name string, key func(uint16) K, ops
 			t.Fatalf("%s: key %d is %v; map order has %v", name, i, x.keys[i], k)
 		}
 	}
+	x.reset()
+	checkEmptied(t, name+" at the end", &x)
 }
 
 // checkEmptied asserts what reset promises: no key left, and nothing a
@@ -86,20 +97,29 @@ func checkIndex[K comparable](t testing.TB, name string, key func(uint16) K, ops
 // capacity zeroed.
 func checkEmptied[K comparable](t testing.TB, where string, x *keyIndex[K]) {
 	t.Helper()
+	if msg := emptied(x, cap(x.keys), cap(x.slots)); msg != "" {
+		t.Fatalf("%s: %s", where, msg)
+	}
+}
+
+// emptied says what a reset left behind in the first keys key slots and
+// the first slots slots (the current slot array at least), or "".
+func emptied[K comparable](x *keyIndex[K], keys, slots int) string {
 	if x.len() != 0 {
-		t.Fatalf("%s: %d keys after reset", where, x.len())
+		return fmt.Sprintf("%d keys after reset", x.len())
 	}
 	var zero K
-	for i, k := range x.keys[:cap(x.keys)] {
+	for i, k := range x.keys[:keys] {
 		if k != zero {
-			t.Fatalf("%s: key slot %d still holds %v after reset", where, i, k)
+			return fmt.Sprintf("key slot %d still holds %v after reset", i, k)
 		}
 	}
-	for i, s := range x.slots[:cap(x.slots)] {
+	for i, s := range x.slots[:max(slots, len(x.slots))] {
 		if s != 0 {
-			t.Fatalf("%s: slot %d still points at %d after reset", where, i, s)
+			return fmt.Sprintf("slot %d still points at %d after reset", i, s)
 		}
 	}
+	return ""
 }
 
 // noisyPadding returns k with the seven padding bytes after its depth
@@ -113,43 +133,69 @@ func noisyPadding(k Tag, noise uint16) Tag {
 	return k
 }
 
-// indexKeys runs ops against every key type the index hashes differently:
+var (
+	pinnedKeys = [3]int{1, 2, 3}
+	floatKeys  = []float64{0, math.Copysign(0, -1), math.NaN(), 1.5, -2, math.Inf(1), math.MaxFloat64}
+)
+
+// keyChecks runs ops against each key type the index hashes differently:
 // integers and padded structs (masked words), floats, strings and
 // interfaces (hash/maphash).
+var keyChecks = []func(testing.TB, []indexOp){
+	func(t testing.TB, ops []indexOp) {
+		checkIndex(t, "int", func(c uint16) int { return int(c) - 1000 }, ops)
+	},
+	func(t testing.TB, ops []indexOp) {
+		checkIndex(t, "int64", func(c uint16) int64 { return int64(c) << 40 }, ops)
+	},
+	func(t testing.TB, ops []indexOp) {
+		checkIndex(t, "uint64", func(c uint16) uint64 { return uint64(c) * 0x9e3779b97f4a7c15 }, ops)
+	},
+	func(t testing.TB, ops []indexOp) {
+		checkIndex(t, "Tag", func(c uint16) Tag {
+			return noisyPadding(Tag{uint8(c % 3), [3]uint64{uint64(c / 3 % 1000), 0, uint64(c%2) << 63}}, c)
+		}, ops)
+	},
+	func(t testing.TB, ops []indexOp) {
+		checkIndex(t, "liftedKey", func(c uint16) liftedKey {
+			return liftedKey{noisyPadding(Tag{1, [3]uint64{uint64(c % 5)}}, c), int64(c/5%1000) - 6}
+		}, ops)
+	},
+	func(t testing.TB, ops []indexOp) {
+		checkIndex(t, "float64", func(c uint16) float64 {
+			if i := int(c % 16); i < len(floatKeys) {
+				return floatKeys[i]
+			}
+			return float64(c%16) / 4
+		}, ops)
+	},
+	func(t testing.TB, ops []indexOp) {
+		checkIndex(t, "string", func(c uint16) string { return fmt.Sprint("k", c, string(make([]byte, c%19))) }, ops)
+	},
+	func(t testing.TB, ops []indexOp) {
+		checkIndex(t, "any", func(c uint16) any {
+			switch c % 6 {
+			case 0:
+				return int(c)
+			case 1:
+				return fmt.Sprint(c)
+			case 2:
+				return Tag{1, [3]uint64{uint64(c)}}
+			case 3:
+				return &pinnedKeys[c%3]
+			case 4:
+				return floatKeys[c%3]
+			}
+			return nil
+		}, ops)
+	},
+}
+
+// indexKeys runs ops against every key type.
 func indexKeys(t testing.TB, ops []indexOp) {
-	pinned := [3]int{1, 2, 3}
-	checkIndex(t, "int", func(c uint16) int { return int(c) - 1000 }, ops)
-	checkIndex(t, "int64", func(c uint16) int64 { return int64(c) << 40 }, ops)
-	checkIndex(t, "uint64", func(c uint16) uint64 { return uint64(c) * 0x9e3779b97f4a7c15 }, ops)
-	checkIndex(t, "Tag", func(c uint16) Tag {
-		return noisyPadding(Tag{uint8(c % 3), [3]uint64{uint64(c / 3 % 1000), 0, uint64(c%2) << 63}}, c)
-	}, ops)
-	checkIndex(t, "liftedKey", func(c uint16) liftedKey {
-		return liftedKey{noisyPadding(Tag{1, [3]uint64{uint64(c % 5)}}, c), int64(c/5%1000) - 6}
-	}, ops)
-	floats := []float64{0, math.Copysign(0, -1), math.NaN(), 1.5, -2, math.Inf(1), math.MaxFloat64}
-	checkIndex(t, "float64", func(c uint16) float64 {
-		if i := int(c % 16); i < len(floats) {
-			return floats[i]
-		}
-		return float64(c%16) / 4
-	}, ops)
-	checkIndex(t, "string", func(c uint16) string { return fmt.Sprint("k", c, string(make([]byte, c%19))) }, ops)
-	checkIndex(t, "any", func(c uint16) any {
-		switch c % 6 {
-		case 0:
-			return int(c)
-		case 1:
-			return fmt.Sprint(c)
-		case 2:
-			return Tag{1, [3]uint64{uint64(c)}}
-		case 3:
-			return &pinned[c%3]
-		case 4:
-			return floats[c%3]
-		}
-		return nil
-	}, ops)
+	for _, check := range keyChecks {
+		check(t, ops)
+	}
 }
 
 // randomOps is a sequence of mostly puts over codes below keys, a find
@@ -224,9 +270,19 @@ func TestKeyIndexResetAfterGiant(t *testing.T) {
 	}
 }
 
-// FuzzKeyIndex drives the index and a Go map with the same sequence for
-// every key type: each input byte pair is an operation (put, find, or a
-// reset once in 16) and a key code.
+// maxFuzzOps is the most operations FuzzKeyIndex reads from an input:
+// enough for a table of 64 keys in 128 slots, resets that cut it back, and
+// growth inside the capacity they leave.
+const maxFuzzOps = 64
+
+// FuzzKeyIndex drives the index and a Go map with the same sequence: the
+// first input byte picks the key type, and each byte pair after it is an
+// operation (put, find, or a reset once in 16) and a key code, up to
+// maxFuzzOps of them. The fuzzer minimizes each input that finds new
+// coverage by running on the order of len² smaller ones, so a run's cost
+// must not grow with the input: over all eight key types and every byte
+// pair, a 500-byte input took the whole minimizing budget (60 s) while the
+// progress lines read 0 execs/s. Long sequences are TestKeyIndexMatchesMap's.
 func FuzzKeyIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 3, 1, 15, 0, 0, 1})
 	f.Add([]byte("a longer sequence of puts and finds over printable codes"))
@@ -235,8 +291,13 @@ func FuzzKeyIndex(f *testing.F) {
 	rng.Read(seed)
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ops := make([]indexOp, 0, len(data)/2)
-		for i := 0; i+1 < len(data); i += 2 {
+		if len(data) == 0 {
+			return
+		}
+		check := keyChecks[int(data[0])%len(keyChecks)]
+		data = data[1:]
+		ops := make([]indexOp, 0, maxFuzzOps)
+		for i := 0; i+1 < len(data) && len(ops) < maxFuzzOps; i += 2 {
 			op := indexOp{code: uint16(data[i+1]) | uint16(data[i]>>4)<<8}
 			switch data[i] & 15 {
 			case 15:
@@ -246,6 +307,6 @@ func FuzzKeyIndex(f *testing.F) {
 			}
 			ops = append(ops, op)
 		}
-		indexKeys(t, ops)
+		check(t, ops)
 	})
 }

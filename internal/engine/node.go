@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 
+	"matryoshka/internal/layout"
 	"matryoshka/internal/sizeest"
 )
 
@@ -108,6 +109,10 @@ type node struct {
 	// in a worker process. Set by MarkPortable via the taskreg helpers;
 	// nil operators pin their stage to driver-local execution.
 	port *portableMark
+	// rows is the layout of the element type, looked up once where the
+	// node's Dataset is made (fromNode), for size estimates to read per
+	// partition.
+	rows *layout.Layout
 
 	cached    bool
 	cacheMu   sync.Mutex
@@ -171,7 +176,7 @@ func (c *Ctx) UseMemory(b int64) {
 // dataset weight and inflated by the cluster's memory overhead factor: the
 // resident footprint of engine-managed (deserialized, boxed, buffered)
 // data.
-func (s *Session) estResidentBytes(part Batch, weight float64) int64 {
+func (s *Session) estResidentBytes(part Batch, rows *layout.Layout, weight float64) int64 {
 	f := s.cfg.Cluster.MemoryOverheadFactor
 	if f <= 0 {
 		f = 1
@@ -179,7 +184,7 @@ func (s *Session) estResidentBytes(part Batch, weight float64) int64 {
 	if weight < 1 {
 		weight = 1
 	}
-	return int64(float64(estPartitionBytes(part)) * f * weight)
+	return int64(float64(estPartitionBytes(part, rows)) * f * weight)
 }
 
 // estPartitionBytes estimates the in-memory size of a partition by sampling
@@ -197,7 +202,7 @@ const sampleN = 32
 // most 2*sampleN-1 positions, so one growth always suffices.
 var sampleGrowCap = cap(append(make([]any, sampleN, sampleN), nil))
 
-func estPartitionBytes(part Batch) int64 {
+func estPartitionBytes(part Batch, rows *layout.Layout) int64 {
 	n := batchLen(part)
 	if n == 0 {
 		return 0
@@ -220,8 +225,8 @@ func estPartitionBytes(part Batch) int64 {
 	// batch of them is charged by formula, no element looked at; the rest
 	// are sized where the sampled elements lie.
 	var sampled int64
-	if size, fixed := part.elemSize(); fixed {
-		sampled = sizeest.OfFixed(size, count, bcap)
+	if rows.Deep >= 0 {
+		sampled = sizeest.OfFixed(rows.Deep, count, bcap)
 	} else {
 		sampled = sizeest.OfEvery(part, step, bcap)
 	}

@@ -247,7 +247,7 @@ func AppendTask(dst []byte, t *RemoteTask) ([]byte, error) {
 	if err := t.check(); err != nil {
 		return dst, err
 	}
-	return appendRows(appendRows(dst, t.Steps), t.Inputs), nil
+	return appendRows(appendRows(dst, stepRows, t.Steps), inputRows, t.Inputs), nil
 }
 
 // ReadTask reads a task AppendTask wrote, all of body. It checks each count
@@ -257,8 +257,8 @@ func ReadTask(body []byte) (RemoteTask, error) {
 	r := &batchReader{data: body}
 	var t RemoteTask
 	var err error
-	if t.Steps, err = readRows[RemoteStep](r); err == nil {
-		t.Inputs, err = readRows[RemoteInput](r)
+	if t.Steps, err = readRows[RemoteStep](r, stepRows); err == nil {
+		t.Inputs, err = readRows[RemoteInput](r, inputRows)
 	}
 	if err == nil && r.pos != len(body) {
 		err = codecErr("%d trailing bytes after a task", len(body)-r.pos)
@@ -272,10 +272,15 @@ func ReadTask(body []byte) (RemoteTask, error) {
 	return t, nil
 }
 
-// appendRows appends a u32 count and the rows of xs.
-func appendRows[T any](dst []byte, xs []T) []byte {
+// The layouts of a task's two row types, looked up once.
+var (
+	stepRows  = layout.Of(reflect.TypeFor[RemoteStep]())
+	inputRows = layout.Of(reflect.TypeFor[RemoteInput]())
+)
+
+// appendRows appends a u32 count and the rows of xs, laid out by l.
+func appendRows[T any](dst []byte, l *layout.Layout, xs []T) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(xs)))
-	l := layout.Of(reflect.TypeFor[T]())
 	for i := range xs {
 		dst = appendRow(dst, l, unsafe.Pointer(&xs[i]))
 	}
@@ -284,12 +289,11 @@ func appendRows[T any](dst []byte, xs []T) []byte {
 
 // readRows reads what appendRows wrote: nil for no rows. A slice leaf read
 // by readRow would cost a second allocation, reflect.MakeSlice's header.
-func readRows[T any](r *batchReader) ([]T, error) {
+func readRows[T any](r *batchReader, l *layout.Layout) ([]T, error) {
 	n, err := r.u32()
 	if err != nil || n == 0 {
 		return nil, err
 	}
-	l := layout.Of(reflect.TypeFor[T]())
 	if err := r.count(n, minWire(l)); err != nil {
 		return nil, err
 	}

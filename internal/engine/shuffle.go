@@ -87,12 +87,12 @@ func reduceByKey[K comparable, V any](d Dataset[Pair[K, V]], f func(V, V) V, par
 	if bound {
 		combined = combined.Unscaled()
 	}
-	outWeight := combined.n.weight
+	outRows, outWeight := combined.n.rows, combined.n.weight
 	sd := pairShuffleDep[K, V](combined.n)
 	kernel := foldCompute[Pair[K, V]](tables)
 	n := d.s.newNode("reduceByKey", parts, []dep{sd}, func(tc *Ctx, p int, in []Batch) Batch {
 		b := kernel(tc, p, in)
-		tc.UseMemory(d.s.estResidentBytes(b, outWeight)) // resident build map ~ distinct keys
+		tc.UseMemory(d.s.estResidentBytes(b, outRows, outWeight)) // resident build map ~ distinct keys
 		return b
 	})
 	return fromNode[Pair[K, V]](d.s, n)
@@ -124,7 +124,7 @@ func GroupByKeyN[K comparable, V any](d Dataset[Pair[K, V]], parts int) Dataset[
 			Why: "retried-after-OOM: " + why})
 		return GroupByKeySpillN(d, parts)
 	}
-	inWeight := d.n.weight
+	inRows, inWeight := d.n.rows, d.n.weight
 	sd := pairShuffleDep[K, V](d.n)
 	kernel := GroupByKeyCompute[K, V]()
 	var n *node
@@ -132,7 +132,7 @@ func GroupByKeyN[K comparable, V any](d Dataset[Pair[K, V]], parts int) Dataset[
 		// Grouping buffers the whole input of the partition: that full
 		// residency is exactly what OOMs the outer-parallel workaround
 		// on large or skewed groups (Sec. 9.4, 9.5).
-		tc.UseMemory(d.s.estResidentBytes(in[0], inWeight))
+		tc.UseMemory(d.s.estResidentBytes(in[0], inRows, inWeight))
 		return kernel(tc, p, in)
 	})
 	n.fallback = &refallback{
@@ -170,11 +170,11 @@ func GroupByKeySpillN[K comparable, V any](d Dataset[Pair[K, V]], parts int) Dat
 	if parts <= 0 {
 		parts = d.s.cfg.DefaultParallelism
 	}
-	inWeight := d.n.weight
+	inRows, inWeight := d.n.rows, d.n.weight
 	sd := pairShuffleDep[K, V](d.n)
 	kernel := GroupByKeyCompute[K, V]()
 	n := d.s.newNode("groupByKeySpill", parts, []dep{sd}, func(tc *Ctx, p int, in []Batch) Batch {
-		tc.UseMemory(d.s.estResidentBytes(in[0], inWeight) / spillResidencyFraction)
+		tc.UseMemory(d.s.estResidentBytes(in[0], inRows, inWeight) / spillResidencyFraction)
 		tc.Charge(int64(float64(in[0].Len()) * inWeight * spillIOFactor))
 		return kernel(tc, p, in)
 	})
@@ -194,7 +194,7 @@ func DistinctN[T comparable](d Dataset[T], parts int) Dataset[T] {
 	}
 	tables := newSetTables[T]()
 	local := foldPartitions[T](d, tables)
-	outWeight := local.n.weight
+	outRows, outWeight := local.n.rows, local.n.weight
 	s := d.s
 	sd := elemShuffleDep[T](local.n)
 	empty := batchOf[T](nil, 0)
@@ -204,7 +204,7 @@ func DistinctN[T comparable](d Dataset[T], parts int) Dataset[T] {
 		}
 		// The boxed loop kept the input-length capacity it pre-sized.
 		b := batchOf(foldBatch[T](tables, in[0]), in[0].Len())
-		tc.UseMemory(s.estResidentBytes(b, outWeight)) // resident dedup set
+		tc.UseMemory(s.estResidentBytes(b, outRows, outWeight)) // resident dedup set
 		return b
 	})
 	return fromNode[T](s, n)

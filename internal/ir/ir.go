@@ -12,6 +12,23 @@
 // Leaf functions (element-level arithmetic, predicates, key extractors)
 // are ordinary Go funcs over `any` values — the paper's macros likewise
 // treat scalar UDF bodies as opaque. Keyed data uses engine.Pair[any, any].
+//
+// The lowering runs each bag on a typed instantiation of its operators,
+// picked from a closed table of element shapes (shape.go): int64, float64,
+// and engine.Pair of an int64 key and one of them. Lower finds every bag's
+// shape before it runs anything: a source's from a scan of all its
+// elements, and every later bag's from the dynamic type its UDF returns on
+// one real element carried from the source (lower.go). A UDF still sees its rows
+// boxed, a pair as an engine.Pair[any, any], and a bag result comes back
+// in that form. A program with an empty or mixed source, a UDF result
+// outside the table, or a loop variable that changes shape lowers boxed,
+// every bag a Dataset[any], and says why in an "ir-shape" decision.
+//
+// The contract this rests on is one type per node: a UDF returns rows of
+// one dynamic type (for a pair, one key type and one value type) on every
+// row, the type it returned on the row the lowering tried it on. A row of
+// another type fails the job, and Lower returns an error naming the node
+// and both types.
 package ir
 
 // Program is a top-level driver program: a sequence of let bindings and

@@ -4,17 +4,20 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 
 	"matryoshka/internal/core"
 	"matryoshka/internal/engine"
+	"matryoshka/internal/obs"
 )
 
-// boxedBounceRun lowers the bounce-rate program over []any sources — every
-// shuffle keys on any, every group tag is HashKey of a boxed day — and
-// renders what the simulated cluster saw as one line: the clock as a hex
-// float (all 64 bits), the stats, and the rows in the order they came back.
+// boxedBounceRun lowers the bounce-rate program over a source whose days
+// are int64s and one string, so the program lowers boxed — every shuffle
+// keys on any, every group tag is HashKey of a boxed day — and renders
+// what the simulated cluster saw as one line: the clock as a hex float
+// (all 64 bits), the stats, and the rows in the order they came back.
 func boxedBounceRun(t *testing.T) string {
 	ps, err := Parse(bounceRateProgram())
 	if err != nil {
@@ -26,11 +29,21 @@ func boxedBounceRun(t *testing.T) string {
 		x = x*6364136223846793005 + 1442695040888963407
 		visits[i] = engine.KV[any, any](int64(x>>33)%23, int64(x>>40)%700)
 	}
-	sess := testSession()
+	visits[0] = engine.KV[any, any]("day", int64(1))
+	cfg := engine.DefaultConfig()
+	cfg.Cluster.Machines, cfg.Cluster.CoresPerMachine, cfg.DefaultParallelism = 4, 2, 6
+	cfg.Obs = obs.NewRecorder()
+	sess, err := engine.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer sess.Close()
 	res, err := Lower(ps, sess, map[string][]any{"visits": visits}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(cfg.Obs.Decisions(), func(d obs.Decision) bool { return d.Rule == "ir-shape" }) {
+		t.Fatal("the mixed source lowered typed; this test needs boxed keys")
 	}
 	return fmt.Sprintf("clock=%x stats=%+v rows=%v", sess.Clock(), sess.Stats(), res)
 }

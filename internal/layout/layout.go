@@ -16,6 +16,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -31,6 +32,23 @@ type Leaf struct {
 	// Type is the slice type, for a slice, and the interface type, for an
 	// interface with methods; nil for any other leaf.
 	Type reflect.Type
+
+	// elem caches a slice leaf's element layout (see Elem).
+	elem *atomic.Pointer[Layout]
+}
+
+// Elem returns the Layout of a slice leaf's element type. It is looked up
+// on a leaf's first call and kept on the leaf, so a walk over many rows
+// pays for the lookup once; not when the leaf is made, because a type that
+// holds a slice of itself would have to be laid out before its own walk
+// ends. Concurrent first calls store the same *Layout.
+func (lf *Leaf) Elem() *Layout {
+	if l := lf.elem.Load(); l != nil {
+		return l
+	}
+	l := Of(lf.Type.Elem())
+	lf.elem.Store(l)
+	return l
 }
 
 // A Word is one aligned 64-bit word of a value, with the bits that belong
@@ -161,7 +179,7 @@ func walk(t reflect.Type, off uintptr, leaves *[]Leaf, open []reflect.Type) Layo
 		}
 		switch {
 		case k == reflect.Slice:
-			lf.Type = t
+			lf.Type, lf.elem = t, new(atomic.Pointer[Layout])
 			if !slices.Contains(open, t) {
 				l.Opaque = walk(t.Elem(), 0, new([]Leaf), append(open, t)).Opaque
 			}
