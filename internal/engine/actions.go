@@ -35,13 +35,19 @@ func Count[T any](d Dataset[T]) (int64, error) {
 	return n, nil
 }
 
-// Reduce launches a job and folds all elements with f.
-func Reduce[T any](d Dataset[T], f func(T, T) T) (T, error) {
+// Reduce launches a job and folds all elements with f. The fold runs on
+// the driver, outside any task; a panic in f is the action's error.
+func Reduce[T any](d Dataset[T], f func(T, T) T) (res T, err error) {
 	var zero T
 	parts, err := d.s.runJob(d.n)
 	if err != nil {
 		return zero, err
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = zero, panicError("the reduce function", r)
+		}
+	}()
 	acc := zero
 	have := false
 	for _, p := range parts {

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"matryoshka/internal/cluster"
+	"matryoshka/internal/obs"
 )
 
 // mustSession unwraps NewSession for tests using known-valid configs.
@@ -513,24 +514,110 @@ func TestMoreMachinesFasterForParallelWork(t *testing.T) {
 	}
 }
 
+// TestTaskPanicPropagatesWithContext: a task UDF that panics fails its job
+// with an error naming the task and its operator and wrapping the panic
+// value, and the session runs the next job.
 func TestTaskPanicPropagatesWithContext(t *testing.T) {
 	s := testSession()
+	boom := errors.New("boom")
 	d := Map(Parallelize(s, ints(10), 2), func(x int) int {
 		if x == 5 {
-			panic("boom")
+			panic(boom)
 		}
 		return x
 	})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic")
+	_, err := Collect(d)
+	if !errors.Is(err, boom) {
+		t.Fatalf("Collect error %v does not wrap the panic value", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "task 1 of map") || !strings.Contains(msg, "panicked: boom") {
+		t.Fatalf("error %q does not name the task and its operator", msg)
+	}
+	if n, err := Count(Parallelize(s, ints(10), 2)); err != nil || n != 10 {
+		t.Fatalf("next job: %d, %v; want 10, nil", n, err)
+	}
+}
+
+// TestReducePanicIsItsError: Reduce folds on the driver, outside any task;
+// a panic of its function is the action's error, wrapping the panic value.
+func TestReducePanicIsItsError(t *testing.T) {
+	s := testSession()
+	boom := errors.New("boom")
+	_, err := Reduce(Parallelize(s, ints(10), 2), func(a, b int) int {
+		if b == 5 {
+			panic(boom)
 		}
-		if msg := fmt.Sprint(r); msg == "boom" {
-			t.Fatal("panic should be wrapped with task context")
-		}
+		return a + b
+	})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "reduce function panicked") {
+		t.Fatalf("Reduce error %v, want the reduce function's panic", err)
+	}
+}
+
+// TestFailedJobLeavesSessionClean: a job whose broadcast-cross UDF panics
+// ends like any other failed job. Its broadcast is unpinned, so the same
+// job without the panic fits a memory budget that holds it only when
+// nothing else is pinned; and the recorder keeps one record per job the
+// backend counts, the failed one carrying its error.
+func TestFailedJobLeavesSessionClean(t *testing.T) {
+	rec := obs.NewRecorder()
+	cfg := DefaultConfig()
+	cfg.Cluster.Machines = 2
+	cfg.Cluster.CoresPerMachine = 2
+	// The cross needs 1 812 342 bytes a machine, its broadcast 604 114 of
+	// them: a second pinned copy does not fit.
+	cfg.Cluster.MemoryPerMachine = 2_000_000
+	cfg.DefaultParallelism = 4
+	cfg.Obs = rec
+	s := mustSession(cfg)
+	small, big := Parallelize(s, ints(1000), 2), Parallelize(s, ints(4), 4)
+	cross := func(fail bool) Dataset[int] {
+		return CrossWithBroadcast(small, big, func(a, b int) int {
+			if fail && a == 7 && b == 2 {
+				panic("boom")
+			}
+			return a + b
+		})
+	}
+	if _, err := Count(cross(true)); err == nil || !strings.Contains(err.Error(), "panicked: boom") {
+		t.Fatalf("panicking cross: error %v, want the task's panic", err)
+	}
+	if n, err := Count(cross(false)); err != nil || n != 4000 {
+		t.Fatalf("the same cross after the failed one: %d, %v; want 4000, nil", n, err)
+	}
+	jobs := rec.Jobs()
+	if len(jobs) != s.Stats().Jobs {
+		t.Fatalf("the recorder lists %d jobs, the backend counts %d", len(jobs), s.Stats().Jobs)
+	}
+	if len(jobs) != 2 || !strings.Contains(jobs[0].Err, "panicked: boom") || jobs[1].Err != "" {
+		t.Fatalf("job records %+v: want the failed job with its error, then the good one", jobs)
+	}
+}
+
+// TestEscapingPanicEndsItsJob: a panic of the driver's own code (here the
+// partitioner, over a key it cannot hash) still escapes the action, but the
+// job ends first: the recorder closes it with an error, agreeing with the
+// backend's count, and the session runs the next job.
+func TestEscapingPanicEndsItsJob(t *testing.T) {
+	rec := obs.NewRecorder()
+	cfg := DefaultConfig()
+	cfg.Obs = rec
+	s := mustSession(cfg)
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "cannot be hashed") {
+				t.Fatalf("recovered %q, want the partitioner's panic", msg)
+			}
+		}()
+		_, _ = Count(PartitionByKey(Parallelize(s, []Pair[any, int]{KV[any]([]int{1}, 0)}, 1), 2))
 	}()
-	_, _ = Collect(d)
+	if n, err := Count(Parallelize(s, ints(10), 2)); err != nil || n != 10 {
+		t.Fatalf("next job: %d, %v; want 10, nil", n, err)
+	}
+	jobs := rec.Jobs()
+	if len(jobs) != 2 || s.Stats().Jobs != 2 || jobs[0].Err != errJobPanicked.Error() || jobs[1].Err != "" {
+		t.Fatalf("%d jobs counted, records %+v: want 2, the first ended with %q", s.Stats().Jobs, jobs, errJobPanicked)
+	}
 }
 
 func TestPartitionByKeyCoPartitionedJoinSkipsShuffle(t *testing.T) {

@@ -102,21 +102,40 @@ type onceEntry struct {
 	val  any
 }
 
+// errJobPanicked is the error a job ends with when a panic escapes its
+// runner — not a task's, which fails the job with an error, but the
+// driver's own (a partitioner over a key type it cannot hash, say).
+var errJobPanicked = errors.New("engine: the job's driver code panicked")
+
 // runJob plans and launches a job whose result is the materialized target
 // node: a planning step builds the physical plan, the event spine records
 // it, and the stage-graph runner (runner.go) consumes it — recovering and
-// replanning on failure when the session allows it.
-func (s *Session) runJob(target *node) ([]Batch, error) {
+// replanning on failure when the session allows it. The job ends here on
+// every exit, a panic that escapes the runner included: its blocks and
+// broadcasts are released and the recorder closes it with its error.
+func (s *Session) runJob(target *node) (out []Batch, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := s.newJob()
 	clockBefore := s.exec.Clock()
 	s.exec.StartJob()
-	out, err := j.run(target)
-	j.end()
-	s.exec.ReleaseBroadcasts()
-	s.obs.EndJob(s.exec.Clock()-clockBefore, err)
-	return out, err
+	err = errJobPanicked
+	defer func() {
+		j.end()
+		s.exec.ReleaseBroadcasts()
+		s.obs.EndJob(s.exec.Clock()-clockBefore, err)
+	}()
+	return j.run(target)
+}
+
+// panicError is the error of code that panicked with r while running what
+// (a task, a fold): it wraps r when r is an error. The driver's and the
+// worker's tasks both word their panics through it.
+func panicError(what string, r any) error {
+	if err, ok := r.(error); ok {
+		return fmt.Errorf("engine: %s panicked: %w", what, err)
+	}
+	return fmt.Errorf("engine: %s panicked: %v", what, r)
 }
 
 // newJob returns the empty state of a job about to run on s.
@@ -174,8 +193,8 @@ func (j *job) launchStage(n *node, st *stage) stageResult {
 		shapeScratch = make([]string, n.parts)
 	}
 	memoHitsBefore := j.memoHits.Load()
-	var panicOnce sync.Once
-	var panicked any
+	var failOnce sync.Once
+	var failed error
 	// One Ctx per runner, reused for every task it takes: the task's costs
 	// are reset per task, its input stack and fused chains are not.
 	tcs := make([]*Ctx, j.s.workers)
@@ -191,7 +210,7 @@ func (j *job) launchStage(n *node, st *stage) stageResult {
 				// A chain or input stack a panic left mid-partition is
 				// dropped, with any pooled scratch it held.
 				tc.ins, tc.chains = nil, nil
-				panicOnce.Do(func() { panicked = fmt.Errorf("engine: task %d of %s panicked: %v", p, n.label, e) })
+				failOnce.Do(func() { failed = panicError(fmt.Sprintf("task %d of %s", p, j.chainOf(st)), e) })
 			}
 		}()
 		out := j.evalPart(tc, n, p)
@@ -214,8 +233,10 @@ func (j *job) launchStage(n *node, st *stage) stageResult {
 	wallStart := time.Now()
 	j.s.pool.parallelFor(j.s.workers, n.parts, runTask)
 	wallSeconds := time.Since(wallStart).Seconds()
-	if panicked != nil {
-		panic(panicked)
+	if failed != nil {
+		// A panicking task fails its job: no rerun or re-lowering changes
+		// what its code does with the rows it was given.
+		return stageResult{fail: &stageFailure{root: n, st: st, err: failed}}
 	}
 
 	rep, err := j.s.exec.RunStageReport(costs)

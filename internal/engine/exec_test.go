@@ -820,9 +820,9 @@ func TestParallelForStealsFromStalledRunner(t *testing.T) {
 	}
 }
 
-// TestStagePanicPropagates keeps the old contract: a panicking task UDF
-// surfaces as a job panic naming the task, and the pool survives for
-// subsequent jobs.
+// TestStagePanicPropagates: on a session whose host pool runs tasks
+// concurrently, a panicking task UDF fails its job with an error naming
+// the task, and the pool survives for subsequent jobs.
 func TestStagePanicPropagates(t *testing.T) {
 	s := poolSession(4)
 	defer s.Close()
@@ -832,14 +832,9 @@ func TestStagePanicPropagates(t *testing.T) {
 		}
 		return x
 	})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic from task UDF")
-			}
-		}()
-		_, _ = Collect(d)
-	}()
+	if _, err := Collect(d); err == nil || !strings.Contains(err.Error(), " of map") || !strings.Contains(err.Error(), "panicked: boom") {
+		t.Fatalf("Collect error %v, want the task's panic with its context", err)
+	}
 	// The session pool must still work after a task panic.
 	got := sortedCollect(t, Map(Parallelize(s, ints(5), 2), func(x int) int { return x }), func(a, b int) bool { return a < b })
 	if len(got) != 5 {

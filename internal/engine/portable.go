@@ -480,15 +480,16 @@ func (e *RemoteEvaluator) RunRemoteTask(t *RemoteTask, fetch FetchFunc) (b Batch
 	if err := t.check(); err != nil {
 		return nil, err
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("engine: remote task %d panicked: %v", t.Steps[len(t.Steps)-1].Part, r)
-		}
-	}()
 	outs := make([]Batch, len(t.Steps))
 	ins := t.Inputs
+	var st *RemoteStep
+	defer func() {
+		if r := recover(); r != nil {
+			err = panicError(fmt.Sprintf("task %d of %s", st.Part, st.Op), r)
+		}
+	}()
 	for i := range t.Steps {
-		st := &t.Steps[i]
+		st = &t.Steps[i]
 		compute, fresh, err := e.kernel(st)
 		if err != nil {
 			return nil, err

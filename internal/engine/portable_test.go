@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"slices"
 	"strconv"
@@ -17,6 +18,9 @@ import (
 func ptestTag(x int) Pair[int, int]               { return KV(x%7, x) }
 func ptestRekey(kv Pair[int, int]) Pair[int, int] { return KV(kv.Key%3, kv.Val) }
 func ptestSum(a, b int) int                       { return a + b }
+
+// errPtestFail is what ptest.fail's kernel panics with.
+var errPtestFail = errors.New("ptest.fail: bad row")
 
 // ptestScaleMade counts calls of ptest.scale's factory: what the evaluator
 // is meant to make once per (op, arg), not once per task.
@@ -41,6 +45,14 @@ func init() {
 	})
 	RegisterPortableOp("ptest.sum", func(string) (PortableCompute, error) {
 		return ReduceByKeyCompute[int](ptestSum), nil
+	})
+	RegisterPortableOp("ptest.fail", func(string) (PortableCompute, error) {
+		return MapCompute(func(x int) int {
+			if x == 2 {
+				panic(errPtestFail)
+			}
+			return x
+		}), nil
 	})
 }
 
@@ -291,6 +303,24 @@ func TestEvaluatorResolvesKernelsOnce(t *testing.T) {
 	fr.eval.Reset()
 	if got := scaled(Config{Backend: fr}, 3); !reflect.DeepEqual(got, want3) || ptestScaleMade-made != 3 {
 		t.Fatalf("after Reset: values equal %v, %d kernels made, want true and 3", reflect.DeepEqual(got, want3), ptestScaleMade-made)
+	}
+}
+
+// TestRemoteTaskPanicIsItsError: a kernel that panics with an error fails
+// its task with an error wrapping that value and naming the task and the
+// op of the step that panicked, as the driver names a task of its own.
+func TestRemoteTaskPanicIsItsError(t *testing.T) {
+	task := RemoteTask{
+		Steps:  []RemoteStep{{Op: "ptest.scale", Arg: "1", Part: 3, NumInputs: 1}, {Op: "ptest.fail", Part: 3, NumInputs: 1}},
+		Inputs: []RemoteInput{{Block: 1}, {Step: 1}},
+	}
+	var e RemoteEvaluator
+	b, err := e.RunRemoteTask(&task, func(uint64) (Batch, error) { return batchOf([]int{1, 2, 3}, 3), nil })
+	if b != nil || !errors.Is(err, errPtestFail) {
+		t.Fatalf("RunRemoteTask = %v, %v; want no batch and an error wrapping %v", b, err, errPtestFail)
+	}
+	if want := "engine: task 3 of ptest.fail panicked: ptest.fail: bad row"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
 	}
 }
 

@@ -715,9 +715,9 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-// TestLoopBodyLoweringErrorSurfaces converts loop-body lowering panics
-// back into errors for the caller.
-func TestLoopBodyLoweringErrorSurfaces(t *testing.T) {
+// TestParseRejectsUnboundRefInLoopBody: a loop body that reads a name
+// bound nowhere is a parse error.
+func TestParseRejectsUnboundRefInLoopBody(t *testing.T) {
 	udf := &Fn{
 		Params: []string{"key", "group"},
 		Body: []Stmt{
@@ -739,8 +739,6 @@ func TestLoopBodyLoweringErrorSurfaces(t *testing.T) {
 		},
 		Result: "r",
 	}
-	// The parse phase catches the unbound ref first; bypass it by
-	// removing annotations check: Parse should reject this program.
 	if _, err := Parse(p); err == nil {
 		t.Fatal("unbound loop-body ref should fail parsing")
 	}

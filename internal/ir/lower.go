@@ -6,7 +6,6 @@ import (
 	"maps"
 	"reflect"
 	"strings"
-	"sync/atomic"
 
 	"matryoshka/internal/core"
 	"matryoshka/internal/engine"
@@ -39,7 +38,8 @@ import (
 // as one obs.Decision of rule "ir-shape". A typed program records none.
 //
 // A row whose UDF result has another dynamic type than its node's shape
-// fails its job; Lower returns a rowError naming the node and both types.
+// fails its job. Lower returns the job's error, which wraps a rowError
+// naming the node and both types (errors.As finds it).
 
 // value is a lowered runtime value; kind says which fields are set: sc for
 // a scalar, bag for a flat bag, isc for an inner scalar, ibg for an inner
@@ -74,7 +74,7 @@ func unshaped(format string, args ...any) error {
 // Source names to their driver-side data. The result is []any for a bag
 // result (a pair row as an engine.Pair[any, any]) or a single any for a
 // scalar result.
-func Lower(ps *Parsed, sess *engine.Session, sources map[string][]any, opt core.Options) (res any, err error) {
+func Lower(ps *Parsed, sess *engine.Session, sources map[string][]any, opt core.Options) (any, error) {
 	boxed := false
 	if _, err := newLowerer(sess, sources, opt, true, false).run(ps); err != nil {
 		var u *unshapedError
@@ -84,19 +84,7 @@ func Lower(ps *Parsed, sess *engine.Session, sources map[string][]any, opt core.
 		sess.Obs().Decide(obs.Decision{Rule: "ir-shape", Choice: "boxed", Why: u.reason})
 		boxed = true
 	}
-	lw := newLowerer(sess, sources, opt, false, boxed)
-	defer func() {
-		// A row error panics through the engine's task; the job is lost,
-		// and the lowering returns the error the row recorded.
-		if r := recover(); r != nil {
-			bad := lw.bad.Load()
-			if bad == nil {
-				panic(r)
-			}
-			res, err = nil, bad
-		}
-	}()
-	return lw.run(ps)
+	return newLowerer(sess, sources, opt, false, boxed).run(ps)
 }
 
 type lowerer struct {
@@ -107,8 +95,7 @@ type lowerer struct {
 	// dry: find the shapes and run nothing; boxed: lower every bag as any.
 	dry, boxed bool
 	// at names the binding being lowered, for a node's name.
-	at  string
-	bad atomic.Pointer[rowError]
+	at string
 }
 
 func newLowerer(sess *engine.Session, sources map[string][]any, opt core.Options, dry, boxed bool) *lowerer {
@@ -141,7 +128,7 @@ func (lw *lowerer) run(ps *Parsed) (any, error) {
 // site names e, an operator of the binding being lowered.
 func (lw *lowerer) site(e Expr) site {
 	name := reflect.TypeOf(e).Name()
-	return site{node: strings.ToLower(name[:1]) + name[1:] + " in " + lw.at, bad: &lw.bad}
+	return site{node: strings.ToLower(name[:1]) + name[1:] + " in " + lw.at}
 }
 
 // call runs a UDF on witnesses; a panic is a reason to lower boxed.
@@ -334,7 +321,7 @@ func (lw *lowerer) source(name string) (value, error) {
 		v.sh, _ = shapeOf(data[0])
 		v.w = data[0]
 	}
-	v.bag = v.sh.source(lw.sess, data, site{node: "source " + name, bad: &lw.bad})
+	v.bag = v.sh.source(lw.sess, data)
 	return v, nil
 }
 
@@ -378,7 +365,7 @@ func (lw *lowerer) lowerLiftedMap(in value, fn *Fn) (value, error) {
 	case res.kind == KInnerScalar && res.sh == boxedShape:
 		// The per-invocation results become the rows of a flat bag, in
 		// the shape of the result's witness.
-		udf := site{node: "the UDF of " + at, bad: &lw.bad}
+		udf := site{node: "the UDF of " + at}
 		if !lw.boxed {
 			if out.sh, _, err = row(udf, func() any { return res.w }); err != nil {
 				return value{}, err

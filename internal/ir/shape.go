@@ -3,7 +3,6 @@ package ir
 import (
 	"fmt"
 	"reflect"
-	"sync/atomic"
 
 	"matryoshka/internal/core"
 	"matryoshka/internal/engine"
@@ -48,7 +47,7 @@ type shape interface {
 	// mapTo returns the element-wise operators from this shape into out.
 	mapTo(out shape) mapOps
 
-	source(sess *engine.Session, data []any, at site) any
+	source(sess *engine.Session, data []any) any
 	collect(bag any) ([]any, error)
 	filter(bag any, pred func(any) bool) any
 	distinct(bag any) any
@@ -109,12 +108,8 @@ type nested struct {
 	inner any // core.InnerBag[V]
 }
 
-// A site names an IR node for the row check, and keeps the first row
-// error of the lowering for Lower to return.
-type site struct {
-	node string
-	bad  *atomic.Pointer[rowError]
-}
+// A site names an IR node for the row check.
+type site struct{ node string }
 
 // A rowError is a row that broke the one-type-per-node contract: its UDF
 // returned a value of another dynamic type than the node's shape.
@@ -127,12 +122,10 @@ func (e *rowError) Error() string {
 	return fmt.Sprintf("ir: %s returned a %v row; its shape is %s", e.node, e.got, e.want)
 }
 
-// fail records and raises the row error. The engine turns the panic into
-// the job's failure, and Lower returns the recorded error.
+// fail raises the row error. It panics in an engine task or fold, which
+// fails the job with an error wrapping it, and Lower returns that error.
 func (at site) fail(want string, got any) {
-	e := &rowError{node: at.node, want: want, got: reflect.TypeOf(got)}
-	at.bad.CompareAndSwap(nil, e)
-	panic(e)
+	panic(&rowError{node: at.node, want: want, got: reflect.TypeOf(got)})
 }
 
 // bagShape is the shape of element type T: how a T is boxed for a UDF and
@@ -216,12 +209,14 @@ func (s *bagShape[T]) merge(f func(any, any) any, at site) func(T, T) T {
 	return func(a, b T) T { return s.must(f(s.box(a), s.box(b)), at) }
 }
 
-func (s *bagShape[T]) source(sess *engine.Session, data []any, at site) any {
+// source parallelizes data, every element of which the dry pass's scan
+// found to be a T.
+func (s *bagShape[T]) source(sess *engine.Session, data []any) any {
 	xs, ok := any(data).([]T)
 	if !ok {
 		xs = make([]T, len(data))
 		for i, e := range data {
-			xs[i] = s.must(e, at)
+			xs[i], _ = s.unbox(e)
 		}
 	}
 	return engine.Parallelize(sess, xs, 0)

@@ -379,10 +379,70 @@ type ptrRow struct{ P *int }
 
 func derefRow(r ptrRow) int { return *r.P }
 
+// failAt7 panics on the row 7.
+func failAt7(x int) int {
+	if x == 7 {
+		panic("bad row 7")
+	}
+	return x
+}
+
 func init() {
 	engine.RegisterPortableOp("ptest.deref", func(string) (engine.PortableCompute, error) {
 		return engine.MapCompute(derefRow), nil
 	})
+	engine.RegisterPortableOp("ptest.failAt7", func(string) (engine.PortableCompute, error) {
+		return engine.MapCompute(failAt7), nil
+	})
+}
+
+// TestPanickingKernelFailsItsJob runs a portable op whose kernel panics on
+// one row on a simulator session and on a 2-worker pool session. On both,
+// Collect returns the task's error naming the op, and a good job runs
+// after it on the same session. On the pool the stage first fails on a
+// worker, whose error the driver-local decision quotes; no worker dies,
+// and the failed job keeps no block on the pool.
+func TestPanickingKernelFailsItsJob(t *testing.T) {
+	pool := startPool(t, Config{Workers: 2})
+	for _, c := range []struct {
+		name    string
+		backend engine.Backend
+	}{{"sim", nil}, {"proc", pool}} {
+		rec := obs.NewRecorder()
+		sess, err := engine.NewSession(engine.Config{Backend: c.backend, Obs: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := []int{1, 3, 5, 7, 9, 11}
+		_, err = engine.Collect(engine.MarkPortable(engine.Map(engine.Parallelize(sess, rows, 2), failAt7), "ptest.failAt7", ""))
+		if err == nil || !strings.Contains(err.Error(), "task 1 of map") || !strings.Contains(err.Error(), "panicked: bad row 7") {
+			t.Fatalf("%s: Collect error %v, want the task's panic naming the op", c.name, err)
+		}
+		if c.backend != nil {
+			why := ""
+			for _, d := range rec.Decisions() {
+				if d.Rule == "proc-backend" && d.Choice == "driver-local" {
+					why = d.Why
+				}
+			}
+			if !strings.Contains(why, "task 1 of ptest.failAt7 panicked: bad row 7") {
+				t.Fatalf("driver-local decision %q does not quote the worker's error; decisions: %+v", why, rec.Decisions())
+			}
+			if st := pool.Stats(); st.MachineCrashes != 0 || pool.LiveWorkers() != 2 {
+				t.Fatalf("%d crashes and %d live workers after a panicking kernel, want 0 and 2", st.MachineCrashes, pool.LiveWorkers())
+			}
+			checkReleased(t, pool)
+		}
+		remote := pool.RemoteStages()
+		got, err := engine.Collect(engine.MarkPortable(engine.Map(engine.Parallelize(sess, []int{1, 2, 3}, 2), failAt7), "ptest.failAt7", ""))
+		sess.Close()
+		if err != nil || !reflect.DeepEqual(got, []int{1, 2, 3}) {
+			t.Fatalf("%s: the job after the failed one: %v, %v", c.name, got, err)
+		}
+		if c.backend != nil && pool.RemoteStages() == remote {
+			t.Fatal("the job after the failed one did not run on the pool")
+		}
+	}
 }
 
 // TestUnencodableBlockRunsDriverLocal: a portable stage over a shape the
