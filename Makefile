@@ -97,7 +97,9 @@ loc:
 	done; printf '%-22s %6d\n' total $$total
 
 ## fuzz-smoke: fuzz the batch wire codec for 30s from the checked-in seed
-## corpus (internal/engine/testdata/fuzz/FuzzBatchCodec), then the
+## corpus (internal/engine/testdata/fuzz/FuzzBatchCodec, which holds tags
+## the decoder's tag check must refuse: one too deep, one with a level
+## past its depth), then the
 ## process-pool frame protocol for 15s (the driver parses these bytes off
 ## a socket from another process) and the task decoder for 15s (a task
 ## body's engine rows, which the worker reads with engine.ReadTask and

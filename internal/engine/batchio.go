@@ -31,9 +31,10 @@ package engine
 // registered by batchOf (every element shape that ever formed a batch in
 // this process) or by an element type seen while encoding a boxed batch.
 // A name that resolves to a type that is not plain data is refused as on
-// encode, every read is bounds-checked, and a count the rest of the frame
-// cannot hold is rejected before anything is allocated for it, so the
-// decoder is safe on adversarial input (FuzzBatchCodec).
+// encode, every read is bounds-checked, a count the rest of the frame
+// cannot hold is rejected before anything is allocated for it, and a Tag
+// no RootTag and Push could make is refused before the batch is returned
+// (tag.go), so the decoder is safe on adversarial input (FuzzBatchCodec).
 
 import (
 	"encoding/binary"
@@ -73,6 +74,19 @@ func unplainErr(l *layout.Layout) error {
 		return (*unplain)(l.Opaque)
 	}
 	return nil
+}
+
+// boxedRows is the layout of any, the one row type that is not plain data
+// and still encodes: as boxed rows, each checked as it is written.
+var boxedRows = layout.Of(typAny)
+
+// refuseRows is EncodeBatch's check of a row type, by its layout: the
+// error it fails with, before it writes a row, for a batch of that type.
+func refuseRows(l *layout.Layout) error {
+	if l == boxedRows {
+		return nil
+	}
+	return unplainErr(l)
 }
 
 func (e *unplain) Error() string {
@@ -143,16 +157,17 @@ func EncodeBatch(dst []byte, b Batch) ([]byte, error) {
 
 	elem, rows := b.Rows()
 	n := b.Len()
+	l := layout.Of(elem)
+	if err := refuseRows(l); err != nil {
+		return nil, err
+	}
 	// Only *Vec[any] is boxed: a frame decodes to the shape it was encoded
-	// from, so any other interface element type is refused below.
-	boxed := elem == typAny
+	// from, so any other interface element type was refused above.
+	boxed := l == boxedRows
 	if boxed {
 		dst = append(dst, batchKindBoxed)
 		dst = appendU32String(dst, "")
 	} else {
-		if err := unplainErr(layout.Of(elem)); err != nil {
-			return nil, err
-		}
 		dst = append(dst, batchKindTyped)
 		dst = appendU32String(dst, batchTypeName(elem))
 	}
@@ -163,7 +178,7 @@ func EncodeBatch(dst []byte, b Batch) ([]byte, error) {
 		// Boxed rows mostly share one type: it is checked, registered and
 		// named when it differs from the previous row's.
 		var t reflect.Type
-		var l *layout.Layout
+		var el *layout.Layout
 		var name string
 		for _, e := range unsafe.Slice((*any)(rows), n) {
 			if e == nil {
@@ -171,8 +186,8 @@ func EncodeBatch(dst []byte, b Batch) ([]byte, error) {
 				continue
 			}
 			if et := reflect.TypeOf(e); et != t {
-				t, l, name = et, layout.Of(et), batchTypeName(et)
-				if err := unplainErr(l); err != nil {
+				t, el, name = et, layout.Of(et), batchTypeName(et)
+				if err := unplainErr(el); err != nil {
 					return nil, err
 				}
 				// Registered so that this process (or one that made the
@@ -184,10 +199,10 @@ func EncodeBatch(dst []byte, b Batch) ([]byte, error) {
 			}
 			dst = appendU32String(dst, name)
 			// The data word is the value's address, as in hashBoxed.
-			dst = appendRow(dst, l, (*[2]unsafe.Pointer)(unsafe.Pointer(&e))[1])
+			dst = appendRow(dst, el, (*[2]unsafe.Pointer)(unsafe.Pointer(&e))[1])
 		}
 	} else {
-		l, size := layout.Of(elem), elem.Size()
+		size := elem.Size()
 		for i := range uintptr(n) {
 			dst = appendRow(dst, l, unsafe.Add(rows, i*size))
 		}
@@ -263,6 +278,13 @@ func DecodeBatch(data []byte) (Batch, int, error) {
 		for i := range uintptr(n) {
 			if err := r.readRow(l, unsafe.Add(rows, i*size)); err != nil {
 				return nil, 0, err
+			}
+		}
+		if tags := tagSitesOf(elem); tags != nil {
+			for i := range uintptr(n) {
+				if err := tags.check(unsafe.Add(rows, i*size)); err != nil {
+					return nil, 0, err
+				}
 			}
 		}
 		out = b
@@ -357,6 +379,7 @@ type batchReader struct {
 	name []byte
 	elem reflect.Type
 	l    *layout.Layout
+	tags *tagSites
 }
 
 func (r *batchReader) take(n int) ([]byte, error) {
@@ -415,11 +438,16 @@ func (r *batchReader) boxedElem() (any, error) {
 		if err := unplainErr(l); err != nil {
 			return nil, err
 		}
-		r.name, r.elem, r.l = name, t, l
+		r.name, r.elem, r.l, r.tags = name, t, l, tagSitesOf(t)
 	}
 	v := reflect.New(r.elem)
 	if err := r.readRow(r.l, v.UnsafePointer()); err != nil {
 		return nil, err
+	}
+	if r.tags != nil {
+		if err := r.tags.check(v.UnsafePointer()); err != nil {
+			return nil, err
+		}
 	}
 	return v.Elem().Interface(), nil
 }

@@ -20,7 +20,7 @@ import (
 )
 
 var regenFuzzCorpus = flag.Bool("regen-fuzz-corpus", false,
-	"rewrite the checked-in FuzzBatchCodec seed corpus from codecBatches and pinnedFrames")
+	"rewrite the checked-in FuzzBatchCodec seed corpus from codecBatches, pinnedFrames and badTagBatches")
 
 // randString returns a printable string of length up to maxLen.
 func randString(rng *rand.Rand, maxLen int) string {
@@ -269,6 +269,74 @@ func TestBatchCodecRejects(t *testing.T) {
 	}
 }
 
+// TestTagRoundTrip: a batch of Pair[Tag, int64] rows, at every depth
+// RootTag and Push make, decodes to the rows encoded.
+func TestTagRoundTrip(t *testing.T) {
+	rows := []Pair[Tag, int64]{
+		{Tag{}, 0},
+		{RootTag(7), -1},
+		{RootTag(7).Push(1 << 63), 2},
+		{RootTag(math.MaxUint64).Push(0).Push(9), math.MinInt64},
+	}
+	enc, err := EncodeBatch(nil, batchOf(rows, len(rows)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, n, err := DecodeBatch(enc)
+	if err != nil || n != len(enc) {
+		t.Fatalf("decode: %d of %d bytes, %v", n, len(enc), err)
+	}
+	if got := elems[Pair[Tag, int64]](dec); !reflect.DeepEqual(got, rows) {
+		t.Fatalf("decoded %v, want %v", got, rows)
+	}
+}
+
+// tagTree holds Tags at every depth of itself, through a slice.
+type tagTree struct {
+	T    Tag
+	Kids []tagTree
+}
+
+// badTags are Tags no RootTag and Push make: one level too many, and an id
+// past its one level.
+var badTags = []Tag{
+	{Levels: MaxNestingLevels + 1, IDs: [MaxNestingLevels]uint64{1, 2, 3}},
+	{Levels: 1, IDs: [MaxNestingLevels]uint64{1, 0, 5}},
+}
+
+// badTagBatches hold one Pair[Tag, int64] row per bad tag. Encode does
+// not check Tags, so their frames carry the bad values.
+func badTagBatches() []Batch {
+	var bs []Batch
+	for _, tag := range badTags {
+		bs = append(bs, batchOf([]Pair[Tag, int64]{{tag, 1}}, 1))
+	}
+	return bs
+}
+
+// TestDecodeRefusesBadTags: a bad Tag fails the decode wherever a row holds
+// it — as a field, in a slice, in a slice of a type that holds itself, as a
+// boxed row — with the codec's error.
+func TestDecodeRefusesBadTags(t *testing.T) {
+	for i, tag := range badTags {
+		good := RootTag(1)
+		for _, b := range []Batch{
+			batchOf([]Pair[Tag, int64]{{good, 0}, {tag, 1}}, 2),
+			batchOf([]Pair[uint64, []Tag]{{1, []Tag{good, tag}}}, 1),
+			batchOf([]tagTree{{T: good, Kids: []tagTree{{T: good}, {T: good, Kids: []tagTree{{T: tag}}}}}}, 1),
+			boxedOf([]any{good, tag}),
+		} {
+			enc, err := EncodeBatch(nil, b)
+			if err != nil {
+				t.Fatalf("bad tag %d in %s: encode: %v", i, b.Shape(), err)
+			}
+			if _, _, err := DecodeBatch(enc); !errors.Is(err, errBatchCodec) || !strings.Contains(err.Error(), "tag of depth") {
+				t.Fatalf("bad tag %d in %s: decode err = %v, want the codec's refusal of the tag", i, b.Shape(), err)
+			}
+		}
+	}
+}
+
 // rawFrame builds a frame by hand: kind, shape, n (as count and capacity)
 // and payload as given, whatever the payload holds.
 func rawFrame(kind byte, shape string, n uint32, payload []byte) []byte {
@@ -416,8 +484,8 @@ const fuzzCorpusDir = "testdata/fuzz/FuzzBatchCodec"
 // TestFuzzCorpus keeps the checked-in FuzzBatchCodec seed corpus honest:
 // every file must parse as a Go corpus entry whose frame either decodes
 // cleanly or fails with errBatchCodec — never panics. Run with
-// -regen-fuzz-corpus to rewrite the seeds from codecBatches and
-// pinnedFrames.
+// -regen-fuzz-corpus to rewrite the seeds from codecBatches, pinnedFrames
+// and badTagBatches.
 func TestFuzzCorpus(t *testing.T) {
 	if *regenFuzzCorpus {
 		if err := os.MkdirAll(fuzzCorpusDir, 0o755); err != nil {
@@ -439,6 +507,9 @@ func TestFuzzCorpus(t *testing.T) {
 		}
 		for i, c := range pinnedFrames() {
 			write(fmt.Sprintf("pinned-%02d", i), c.b)
+		}
+		for i, b := range badTagBatches() {
+			write(fmt.Sprintf("tag-%02d", i), b)
 		}
 	}
 	files, err := filepath.Glob(filepath.Join(fuzzCorpusDir, "*"))
@@ -469,10 +540,11 @@ func TestFuzzCorpus(t *testing.T) {
 }
 
 // FuzzBatchCodec: DecodeBatch must never panic on arbitrary input, and
-// whatever it accepts must re-encode and decode to the same batch.
+// whatever it accepts must re-encode and decode to the same batch. A Tag
+// it accepts must be the one RootTag and Push build from its levels.
 func FuzzBatchCodec(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
-	for _, b := range codecBatches(rng) {
+	for _, b := range append(codecBatches(rng), badTagBatches()...) {
 		if enc, err := EncodeBatch(nil, b); err == nil {
 			f.Add(enc)
 		}
@@ -513,7 +585,28 @@ func FuzzBatchCodec(f *testing.F) {
 		if reflect.TypeOf(b) != reflect.TypeOf(again) {
 			t.Fatalf("round trip changed batch type: %T vs %T", b, again)
 		}
+		if _, ok := b.(*Vec[Pair[Tag, int64]]); ok {
+			for _, p := range elems[Pair[Tag, int64]](b) {
+				if built := buildTag(p.Key); built != p.Key {
+					t.Fatalf("decoded tag of %d levels %v, which RootTag and Push build as %d levels %v", p.Key.Levels, p.Key.IDs, built.Levels, built.IDs)
+				}
+			}
+		}
 	})
+}
+
+// buildTag builds, with RootTag and Push, the Tag of t's levels. It panics
+// on a Tag deeper than MaxNestingLevels.
+func buildTag(t Tag) Tag {
+	var built Tag
+	for i := range t.Depth() {
+		if i == 0 {
+			built = RootTag(t.IDs[0])
+		} else {
+			built = built.Push(t.IDs[i])
+		}
+	}
+	return built
 }
 
 // pointSum has the layout of ml.PointSum: a k-means assignment task ships

@@ -23,4 +23,7 @@ func init() {
 	registerBatchCodec[Pair[int, []int]]()
 	registerBatchCodec[Pair[int, Tuple2[int, maybeString]]]()
 	registerBatchCodec[Pair[int, pointSum]]()
+	registerBatchCodec[Pair[Tag, int64]]()
+	registerBatchCodec[Pair[uint64, []Tag]]()
+	registerBatchCodec[tagTree]()
 }

@@ -301,34 +301,31 @@ func (j *job) commit(n *node, parts []Batch, rep cluster.StageReport) stageResul
 }
 
 // launchStageRemote ships the stage rooted at n to the backend's process
-// pool. ok=false means the stage did not run remotely — because an operator
-// in its chain has no registered portable form, or because the pool failed
-// before producing results — and the caller must run it driver-local. The
-// reason lands in the optimizer decision log, so EXPLAIN ANALYZE shows
-// exactly which stages stayed on the driver and why.
+// pool. ok=false means the stage did not run remotely because the backend
+// could not carry it (an error wrapping ErrNotPortable), and the caller
+// must run it driver-local. The reason lands in the optimizer decision
+// log, so EXPLAIN ANALYZE shows exactly which stages stayed on the driver
+// and why. Any other error is the stage's failure (classifyRemoteErr).
 func (j *job) launchStageRemote(n *node, st *stage) (stageResult, bool) {
-	driverLocal := func(why error) (stageResult, bool) {
+	spec, err := j.buildRemoteSpec(n, j.s.remote.PutBlock)
+	wallStart := time.Now()
+	var res *RemoteStageResult
+	if err == nil {
+		res, err = j.s.remote.RunRemoteStage(context.Background(), spec)
+	}
+	if err == nil && len(res.Parts) != n.parts {
+		err = fmt.Errorf("engine: the runner returned %d partitions, want %d", len(res.Parts), n.parts)
+	}
+	if err != nil {
+		if fail := j.classifyRemoteErr(n, st, err); fail != nil {
+			return stageResult{fail: fail}, true
+		}
 		j.s.obs.Decide(obs.Decision{
 			Rule:   "proc-backend",
 			Choice: "driver-local",
-			Why:    fmt.Sprintf("stage %q: %v", n.label, why),
+			Why:    fmt.Sprintf("stage %q: %v", n.label, err),
 		})
 		return stageResult{}, false
-	}
-	spec, err := j.buildRemoteSpec(n, j.s.remote.PutBlock)
-	if err != nil {
-		return driverLocal(err)
-	}
-	wallStart := time.Now()
-	res, err := j.s.remote.RunRemoteStage(context.Background(), spec)
-	if err != nil {
-		if fail, hard := j.classifyRemoteErr(n, st, err); hard {
-			return stageResult{fail: fail}, true
-		}
-		return driverLocal(err)
-	}
-	if len(res.Parts) != n.parts {
-		return driverLocal(fmt.Errorf("pool returned %d partitions, want %d", len(res.Parts), n.parts))
 	}
 	// Remote stages charge no simulated task costs — the backend's clock is
 	// real wall time — but the stage still runs through RunStageReport so
@@ -359,42 +356,31 @@ func (j *job) launchStageRemote(n *node, st *stage) (stageResult, bool) {
 	return j.commit(n, res.Parts, rep), true
 }
 
-// classifyRemoteErr decides what a RunRemoteStage error means for the
-// stage. hard=true returns a typed stageFailure instead of falling back
-// driver-local:
+// classifyRemoteErr decides what a failed remote stage means, by the
+// RemoteRunner contract's three outcomes:
 //
-//   - *QuorumLostError: the pool is below its live-worker quorum. Also a
+//   - an error wrapping ErrNotPortable: the backend could not carry the
+//     stage, so nil: the caller runs it driver-local;
+//   - *QuorumLostError: the pool is below its live-worker quorum. A
 //     fetch-style failure (no specific lost parent), so the bounded job
-//     retry — not an infinite driver wait — decides the job's fate.
-//   - *PoisonTaskError: the task destroys workers deterministically;
-//     running it driver-local would kill the driver. Hard abort, with
-//     the operator chain in the message.
-//   - a context error: the runner was cancelled; hard abort.
-//
-// Anything else (codec trouble, unregistered ops reported late, pool
-// shutdown) keeps the existing contract: run the stage driver-local.
-func (j *job) classifyRemoteErr(n *node, st *stage, err error) (*stageFailure, bool) {
+//     retry — not an infinite driver wait — decides the job's fate;
+//   - anything else: a task failed on a worker (its kernel panicked, or
+//     the worker was quarantined for killing workers), or the runner did.
+//     The stage fails as it would in process, and recovery does not retry
+//     it: its failure carries no OOM, fetch or transient detail.
+func (j *job) classifyRemoteErr(n *node, st *stage, err error) *stageFailure {
+	if errors.Is(err, ErrNotPortable) {
+		return nil
+	}
 	var quorum *QuorumLostError
-	var poison *PoisonTaskError
-	switch {
-	case errors.As(err, &quorum):
+	if errors.As(err, &quorum) {
 		return &stageFailure{
 			root: n, st: st,
 			fetch: &cluster.FetchFailedError{Machine: -1, Total: n.parts},
 			err:   fmt.Errorf("engine: stage %q (%s): %w", n.label, j.chainOf(st), err),
-		}, true
-	case errors.As(err, &poison):
-		return &stageFailure{
-			root: n, st: st,
-			err: fmt.Errorf("engine: stage %q (%s): %w", n.label, j.chainOf(st), err),
-		}, true
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return &stageFailure{
-			root: n, st: st,
-			err: fmt.Errorf("engine: stage %q cancelled: %w", n.label, err),
-		}, true
+		}
 	}
-	return nil, false
+	return &stageFailure{root: n, st: st, err: fmt.Errorf("engine: stage %q (%s) failed: %w", n.label, j.chainOf(st), err)}
 }
 
 // chainOf renders the stage's pipelined operator chain with record

@@ -26,9 +26,10 @@ package engine
 // registered kernels over the same blocks in the same order.
 //
 // Stages containing operators with no registered portable form (ad-hoc
-// closures, Ctx-charging UDFs, broadcast-join Once builds) are not
-// shippable; the executor falls back to driver-local execution for exactly
-// those stages and records the reason in the optimizer decision log.
+// closures, Ctx-charging UDFs, broadcast-join Once builds), or rows the
+// codec refuses, are not shippable; the executor runs exactly those stages
+// driver-local and records the reason in the optimizer decision log. A
+// shipped task that fails fails its job, as it would in process.
 
 import (
 	"context"
@@ -38,16 +39,18 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"strings"
 	"sync"
 	"unsafe"
 
 	"matryoshka/internal/layout"
 )
 
-// ErrNotPortable marks a stage that cannot be shipped to a remote worker:
-// some operator in its task chain has no registered portable form. The
-// executor treats it as "run this stage driver-local", never as a failure.
+// ErrNotPortable marks a stage the backend could not carry: an operator in
+// its task chain has no registered portable form, its output rows are a
+// type the codec refuses, or a RemoteRunner found before any of its tasks
+// ran that it cannot ship it. An error wrapping it is the one error on
+// which the executor runs the stage driver-local; every other error from a
+// RemoteRunner fails the stage (see RemoteRunner).
 var ErrNotPortable = errors.New("engine: stage is not portable")
 
 // QuorumLostError reports that a RemoteRunner has no live worker and
@@ -62,35 +65,6 @@ type QuorumLostError struct {
 
 func (e *QuorumLostError) Error() string {
 	return fmt.Sprintf("engine: stage %q: worker quorum lost (no worker is live)", e.Stage)
-}
-
-// PoisonTaskError reports a task that was quarantined: it killed (or
-// deadline-timed-out) K distinct workers, so dispatching it again would
-// serially destroy the fleet. The stage fails fast with the operator
-// chain named; the pool itself stays live for subsequent jobs. The
-// executor treats it as a hard job failure — never as a driver-local
-// fallback, since a worker-killing compute would take the driver down
-// with it.
-type PoisonTaskError struct {
-	Stage   string // stage label
-	Part    int    // output partition of the quarantined task
-	Ops     string // operator chain of the task's steps
-	Workers int    // distinct workers it destroyed
-}
-
-func (e *PoisonTaskError) Error() string {
-	return fmt.Sprintf("engine: stage %q task %d quarantined: operator chain [%s] killed %d distinct workers",
-		e.Stage, e.Part, e.Ops, e.Workers)
-}
-
-// OpChain renders the operator names of a task's steps, root-last, for
-// quarantine diagnostics ("which compute is killing my workers").
-func (t *RemoteTask) OpChain() string {
-	ops := make([]string, len(t.Steps))
-	for i := range t.Steps {
-		ops[i] = t.Steps[i].Op
-	}
-	return strings.Join(ops, " → ")
 }
 
 // portableMark names a node's entry in the portable-op registry plus the
@@ -325,11 +299,15 @@ type RemoteStageResult struct {
 // block is Resident — so it may keep b itself and encode it when it ships
 // it. RunRemoteStage distributes the spec's tasks over live workers,
 // retrying tasks whose worker died mid-stage; ctx cancellation must stop
-// dispatching promptly. Error semantics the executor relies on:
-// *QuorumLostError becomes a fetch-style stage failure (lineage recovery /
-// bounded job retry), *PoisonTaskError and ctx errors fail the stage hard,
-// and any other error — a shape the codec refuses among them — means "run
-// this stage driver-local".
+// dispatching promptly. An error from either means one of three things:
+//   - it wraps ErrNotPortable: the backend could not carry the stage, and
+//     no task of it ran to a result the job keeps. The stage runs
+//     driver-local, and the decision log says why;
+//   - it is a *QuorumLostError: a fetch-style stage failure, which lineage
+//     recovery and the bounded job retry handle;
+//   - anything else fails the stage and its job, as a task that panics
+//     in process does: a task that failed on a worker is not run again
+//     by the driver. The action returns an error wrapping it.
 //
 // A stored block lives until the backend's ReleaseBroadcasts, the
 // end-of-job hook, and past it exactly when a spec passed to
@@ -346,7 +324,9 @@ type RemoteRunner interface {
 // buildRemoteSpec assembles the shippable spec for the stage rooted at n
 // in one walk per task: it checks each in-chain operator's portable mark
 // as it appends the operator's step, so a stage with an unmarked operator
-// fails with ErrNotPortable. The mark is checked before the operator's
+// fails with ErrNotPortable, as does a stage whose rows EncodeBatch would
+// refuse to ship back (a boxed row type passes: its rows are checked one
+// by one, on the worker). The mark is checked before the operator's
 // inputs are built, and no portable operator reads a narrow dep after a
 // block dep, so a failed walk has put no block; a block put anyway would
 // be listed by no spec, and the job's end drops it. Every leaf batch is
@@ -360,6 +340,9 @@ type RemoteRunner interface {
 func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*RemoteStageSpec, error) {
 	if len(n.deps) == 0 {
 		return nil, fmt.Errorf("%w: stage root %q is a source (its partitions are driver-resident)", ErrNotPortable, n.label)
+	}
+	if err := refuseRows(n.rows); err != nil {
+		return nil, fmt.Errorf("%w: stage root %q: %w", ErrNotPortable, n.label, err)
 	}
 	spec := &RemoteStageSpec{Label: n.label, Tasks: make([]RemoteTask, 0, n.parts)}
 	ids := map[Batch]uint64{}

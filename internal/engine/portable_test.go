@@ -3,10 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"matryoshka/internal/cluster"
@@ -113,7 +115,8 @@ func (f *fakeRemoteRunner) PutBlock(b Batch) (uint64, error) {
 
 // RunRemoteStage round-trips every task, and every block a task reads,
 // through the codec as it runs, like the real pool, so shapes that cannot
-// cross a process boundary fail here too.
+// cross a process boundary fail here too: a block the codec refuses wraps
+// ErrNotPortable, as the pool's push does.
 func (f *fakeRemoteRunner) RunRemoteStage(_ context.Context, spec *RemoteStageSpec) (*RemoteStageResult, error) {
 	f.specs = append(f.specs, spec)
 	for _, id := range spec.Resident {
@@ -136,7 +139,7 @@ func (f *fakeRemoteRunner) RunRemoteStage(_ context.Context, spec *RemoteStageSp
 			}
 			enc, err := EncodeBatch(nil, blk)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%w: %w", ErrNotPortable, err)
 			}
 			dec, _, err := DecodeBatch(enc)
 			return dec, err
@@ -321,6 +324,59 @@ func TestRemoteTaskPanicIsItsError(t *testing.T) {
 	}
 	if want := "engine: task 3 of ptest.fail panicked: ptest.fail: bad row"; err.Error() != want {
 		t.Fatalf("error %q, want %q", err, want)
+	}
+}
+
+// failingRunner fails every remote stage with err, having run nothing.
+type failingRunner struct {
+	*fakeRemoteRunner
+	err error
+}
+
+func (f *failingRunner) RunRemoteStage(context.Context, *RemoteStageSpec) (*RemoteStageResult, error) {
+	return nil, f.err
+}
+
+// TestRemoteErrorOutcomes holds the executor to the RemoteRunner contract,
+// one case per outcome it can take from a runner's error: one that wraps
+// ErrNotPortable runs the stage driver-local, with the driver's value and a
+// decision saying why; any other error fails the job with an error that
+// wraps it, and the driver does not run the stage's UDF. (A
+// *QuorumLostError is retried as a job: TestQuorumLossRecoveryLine.)
+func TestRemoteErrorOutcomes(t *testing.T) {
+	errRunner := errors.New("runner: task 0 failed on a worker")
+	for _, c := range []struct {
+		name  string
+		err   error
+		local bool // the stage runs driver-local
+	}{
+		{"not portable", fmt.Errorf("%w: the runner cannot carry it", ErrNotPortable), true},
+		{"task failed", errRunner, false},
+	} {
+		rec := obs.NewRecorder()
+		sess := mustSession(Config{Backend: &failingRunner{newFakeRemoteRunner(t), c.err}, Obs: rec})
+		var driverRuns atomic.Int64
+		triple := func(x int) int { driverRuns.Add(1); return 3 * x }
+		got, err := Collect(MarkPortable(Map(Parallelize(sess, []int{1, 2, 3, 4}, 2), triple), "ptest.scale", "3"))
+		var local []string
+		for _, d := range rec.Decisions() {
+			if d.Rule == "proc-backend" && d.Choice == "driver-local" {
+				local = append(local, d.Why)
+			}
+		}
+		if c.local {
+			if err != nil || !reflect.DeepEqual(got, []int{3, 6, 9, 12}) || driverRuns.Load() != 4 {
+				t.Fatalf("%s: got %v, %v after %d driver runs; want [3 6 9 12] from 4", c.name, got, err, driverRuns.Load())
+			}
+			if len(local) != 1 || !strings.Contains(local[0], "the runner cannot carry it") {
+				t.Fatalf("%s: driver-local decisions %q, want one quoting the runner", c.name, local)
+			}
+			continue
+		}
+		if !errors.Is(err, errRunner) || driverRuns.Load() != 0 || len(local) != 0 {
+			t.Fatalf("%s: got %v after %d driver runs and driver-local decisions %q; want an error wrapping %q, no run, no decision",
+				c.name, err, driverRuns.Load(), local, errRunner)
+		}
 	}
 }
 

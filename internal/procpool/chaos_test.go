@@ -194,8 +194,9 @@ func TestResidentBlocksStayForTheNextJob(t *testing.T) {
 // TestMissingBlockFailsItsTask: a block the driver believes a worker
 // holds but never pushed — a bookkeeping bug, since an open stream loses
 // no frame — is not pushed again. The task that reads it answers an error
-// naming the block, the stage fails with it (the engine then runs the stage
-// driver-local), and the worker lives on to run the next stage.
+// naming the block, the stage fails with it (and the engine fails the job:
+// the error does not wrap engine.ErrNotPortable), and the worker lives on
+// to run the next stage.
 func TestMissingBlockFailsItsTask(t *testing.T) {
 	pool := startPool(t, Config{Workers: 1})
 	spec, want := blockSpec(t, pool, "missing", 3)

@@ -20,6 +20,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -272,7 +273,7 @@ func (p *Pool) waitQuorum(ctx context.Context, label string) ([]*workerProc, err
 		closed := p.closed
 		p.mu.Unlock()
 		if closed {
-			return nil, fmt.Errorf("procpool: pool is closed")
+			return nil, fmt.Errorf("%w: procpool: pool is closed", engine.ErrNotPortable)
 		}
 		if len(live) > 0 {
 			return live, nil
@@ -284,7 +285,7 @@ func (p *Pool) waitQuorum(ctx context.Context, label string) ([]*workerProc, err
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-p.stopCh:
-			return nil, fmt.Errorf("procpool: pool closed while waiting for workers")
+			return nil, fmt.Errorf("%w: procpool: pool closed while waiting for workers", engine.ErrNotPortable)
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
@@ -319,8 +320,37 @@ func (p *Pool) sendData(w *workerProc, typ byte, body ...[]byte) error {
 	return writeFrame(w.bw, typ, body...)
 }
 
+// PoisonTaskError reports a task that was quarantined: it killed (or
+// deadline-timed-out) quarantineAfter distinct workers, so dispatching it
+// again would serially destroy the fleet. The stage fails fast with the
+// operator chain named, and the engine fails the job, as it does for any
+// error that does not wrap engine.ErrNotPortable: running a worker-killing
+// compute driver-local would take the driver down with it. The pool itself
+// stays live for subsequent jobs.
+type PoisonTaskError struct {
+	Stage   string // stage label
+	Part    int    // output partition of the quarantined task
+	Ops     string // operator chain of the task's steps
+	Workers int    // distinct workers it destroyed
+}
+
+func (e *PoisonTaskError) Error() string {
+	return fmt.Sprintf("procpool: stage %q task %d quarantined: operator chain [%s] killed %d distinct workers",
+		e.Stage, e.Part, e.Ops, e.Workers)
+}
+
+// opChain renders the operator names of a task's steps, root-last, for
+// quarantine diagnostics ("which compute is killing my workers").
+func opChain(t *engine.RemoteTask) string {
+	ops := make([]string, len(t.Steps))
+	for i := range t.Steps {
+		ops[i] = t.Steps[i].Op
+	}
+	return strings.Join(ops, " → ")
+}
+
 // noteQuarantine records a poison-task quarantine (count + fault event).
-func (p *Pool) noteQuarantine(pe *engine.PoisonTaskError) {
+func (p *Pool) noteQuarantine(pe *PoisonTaskError) {
 	p.mu.Lock()
 	p.quarantines++
 	p.mu.Unlock()

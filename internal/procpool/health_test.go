@@ -165,13 +165,13 @@ func TestQuorumLostFailsFast(t *testing.T) {
 
 // TestPoisonTaskQuarantine dispatches a task that exits the worker
 // process, every time. After it has destroyed quarantineAfter distinct
-// worker incarnations the stage must fail with engine.PoisonTaskError
+// worker incarnations the stage must fail with PoisonTaskError
 // naming the operator — and the pool must stay live for the next job.
 func TestPoisonTaskQuarantine(t *testing.T) {
 	rec := obs.NewRecorder()
 	pool := startPool(t, Config{Workers: 2, RespawnBackoff: 10 * time.Millisecond, Events: rec})
 	_, err := pool.RunRemoteStage(context.Background(), opSpec("poison-stage", "htest.exit", "", 1))
-	var pe *engine.PoisonTaskError
+	var pe *PoisonTaskError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want PoisonTaskError", err)
 	}
@@ -218,7 +218,7 @@ func TestPoisonMidShareIsTheOneBlamed(t *testing.T) {
 	const poison = 21 // eleventh task of the second worker's share
 	spec.Tasks[poison].Steps[0].Op = "htest.exit"
 	_, err := pool.RunRemoteStage(context.Background(), spec)
-	var pe *engine.PoisonTaskError
+	var pe *PoisonTaskError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want PoisonTaskError", err)
 	}
@@ -505,7 +505,7 @@ func TestRaceMarkDeadVsDispatch(t *testing.T) {
 			// legitimate: quorum loss, or quarantine of a task that
 			// happened to be in flight on three murdered incarnations.
 			var q *engine.QuorumLostError
-			var pe *engine.PoisonTaskError
+			var pe *PoisonTaskError
 			if !errors.As(err, &q) && !errors.As(err, &pe) {
 				t.Fatalf("iteration %d: unexpected error %v", i, err)
 			}

@@ -560,7 +560,7 @@ func (p *Pool) PutBlock(b engine.Batch) (uint64, error) {
 // dies the task to blame is the first one of its share it had been sent
 // and not answered; that task is re-dispatched on a survivor — until
 // quarantineAfter distinct worker incarnations died under it, at which
-// point it is quarantined (engine.PoisonTaskError; the pool stays live).
+// point it is quarantined (PoisonTaskError; the pool stays live).
 // Everything else the dead worker left unanswered or unsent requeues
 // blame-free. When live workers fall below the quorum the stage waits
 // bounded for respawn, then fails with engine.QuorumLostError. Ctx
@@ -629,10 +629,10 @@ func (p *Pool) RunRemoteStage(ctx context.Context, spec *engine.RemoteStageSpec)
 				}
 				failedOn[ti][live[wi].gen] = true
 				if len(failedOn[ti]) >= quarantineAfter {
-					pe := &engine.PoisonTaskError{
+					pe := &PoisonTaskError{
 						Stage:   spec.Label,
 						Part:    ti,
-						Ops:     spec.Tasks[ti].OpChain(),
+						Ops:     opChain(&spec.Tasks[ti]),
 						Workers: len(failedOn[ti]),
 					}
 					p.noteQuarantine(pe)
@@ -664,7 +664,7 @@ type share struct {
 	ran     bool  // the worker answered at least one task
 	blamed  int   // task the worker died under, -1 if none
 	requeue []int // tasks to dispatch again, blame-free
-	err     error // fails the stage: compute error, unencodable block, cancellation
+	err     error // ends the stage: a task's error, an undecodable result, an unencodable block, cancellation
 }
 
 // runShare ships sh to w and collects the answers. A sender goroutine
@@ -851,7 +851,10 @@ func (p *Pool) sendShare(ctx context.Context, w *workerProc, spec *engine.Remote
 
 // pushBlock sends block id to w unless this incarnation already holds it,
 // encoding the stored batch into buf, and returns buf for the next block.
-// A batch the codec refuses is an error: the stage runs driver-local.
+// A batch the codec refuses is found before the task that reads it is
+// sent: the error wraps engine.ErrNotPortable, and the stage runs
+// driver-local. A block the store does not hold is a driver bug, which
+// fails the stage.
 func (p *Pool) pushBlock(w *workerProc, id uint64, buf []byte) ([]byte, error) {
 	w.wmu.Lock()
 	have := w.held[id]
@@ -865,7 +868,7 @@ func (p *Pool) pushBlock(w *workerProc, id uint64, buf []byte) ([]byte, error) {
 	}
 	buf, err := engine.EncodeBatch(buf[:0], b)
 	if err != nil {
-		return buf, fmt.Errorf("procpool: block %d: %w", id, err)
+		return buf, fmt.Errorf("%w: procpool: block %d: %w", engine.ErrNotPortable, id, err)
 	}
 	head := blockHead(id)
 	if err := p.sendData(w, msgBlockData, head[:], buf); err != nil {

@@ -379,8 +379,15 @@ type ptrRow struct{ P *int }
 
 func derefRow(r ptrRow) int { return *r.P }
 
+func refRow(x int) ptrRow { return ptrRow{&x} }
+
+// failAt7Runs counts the calls of failAt7 in this process; a worker's calls
+// happen in its own.
+var failAt7Runs atomic.Int64
+
 // failAt7 panics on the row 7.
 func failAt7(x int) int {
+	failAt7Runs.Add(1)
 	if x == 7 {
 		panic("bad row 7")
 	}
@@ -391,6 +398,9 @@ func init() {
 	engine.RegisterPortableOp("ptest.deref", func(string) (engine.PortableCompute, error) {
 		return engine.MapCompute(derefRow), nil
 	})
+	engine.RegisterPortableOp("ptest.ref", func(string) (engine.PortableCompute, error) {
+		return engine.MapCompute(refRow), nil
+	})
 	engine.RegisterPortableOp("ptest.failAt7", func(string) (engine.PortableCompute, error) {
 		return engine.MapCompute(failAt7), nil
 	})
@@ -399,34 +409,36 @@ func init() {
 // TestPanickingKernelFailsItsJob runs a portable op whose kernel panics on
 // one row on a simulator session and on a 2-worker pool session. On both,
 // Collect returns the task's error naming the op, and a good job runs
-// after it on the same session. On the pool the stage first fails on a
-// worker, whose error the driver-local decision quotes; no worker dies,
-// and the failed job keeps no block on the pool.
+// after it on the same session. On the pool the task fails on a worker and
+// the job fails with the worker's error: the driver never runs the kernel
+// itself (no driver-local decision, no call in this process), no worker
+// dies, and the failed job keeps no block on the pool.
 func TestPanickingKernelFailsItsJob(t *testing.T) {
 	pool := startPool(t, Config{Workers: 2})
 	for _, c := range []struct {
 		name    string
 		backend engine.Backend
-	}{{"sim", nil}, {"proc", pool}} {
+		want    string // what the error quotes
+	}{{"sim", nil, "task 1 of map"}, {"proc", pool, "task 1 of ptest.failAt7 panicked: bad row 7"}} {
 		rec := obs.NewRecorder()
 		sess, err := engine.NewSession(engine.Config{Backend: c.backend, Obs: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rows := []int{1, 3, 5, 7, 9, 11}
+		failAt7Runs.Store(0)
 		_, err = engine.Collect(engine.MarkPortable(engine.Map(engine.Parallelize(sess, rows, 2), failAt7), "ptest.failAt7", ""))
-		if err == nil || !strings.Contains(err.Error(), "task 1 of map") || !strings.Contains(err.Error(), "panicked: bad row 7") {
-			t.Fatalf("%s: Collect error %v, want the task's panic naming the op", c.name, err)
+		if n := failAt7Runs.Load(); c.backend != nil && n != 0 {
+			t.Fatalf("the driver ran the kernel %d times after it failed on a worker, want 0", n)
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "panicked: bad row 7") {
+			t.Fatalf("%s: Collect error %v, want the task's panic quoting %q", c.name, err, c.want)
 		}
 		if c.backend != nil {
-			why := ""
 			for _, d := range rec.Decisions() {
 				if d.Rule == "proc-backend" && d.Choice == "driver-local" {
-					why = d.Why
+					t.Fatalf("a stage whose task failed on a worker ran driver-local: %q", d.Why)
 				}
-			}
-			if !strings.Contains(why, "task 1 of ptest.failAt7 panicked: bad row 7") {
-				t.Fatalf("driver-local decision %q does not quote the worker's error; decisions: %+v", why, rec.Decisions())
 			}
 			if st := pool.Stats(); st.MachineCrashes != 0 || pool.LiveWorkers() != 2 {
 				t.Fatalf("%d crashes and %d live workers after a panicking kernel, want 0 and 2", st.MachineCrashes, pool.LiveWorkers())
@@ -445,46 +457,69 @@ func TestPanickingKernelFailsItsJob(t *testing.T) {
 	}
 }
 
-// TestUnencodableBlockRunsDriverLocal: a portable stage over a shape the
-// codec refuses is found out when its first block is pushed, before any
-// task is sent. The stage runs driver-local with the right value, the
-// decision log quotes the codec's reason, no worker dies and no remote
-// stage is counted.
+// TestUnencodableBlockRunsDriverLocal: a portable stage whose input or
+// output rows the codec refuses does not run on the pool. An input is
+// found out when its first block is pushed, before any task is sent; an
+// output, by the spec builder, before anything is put. Either way the
+// stage runs driver-local with the right value, the decision log quotes
+// the codec's reason, no worker dies, and no remote stage, task or
+// dispatch is counted.
 func TestUnencodableBlockRunsDriverLocal(t *testing.T) {
 	pool := startPool(t, Config{Workers: 2})
-	rec := obs.NewRecorder()
-	sess, err := engine.NewSession(engine.Config{Backend: pool, Obs: rec})
-	if err != nil {
-		t.Fatal(err)
+	ints := make([]int, 8)
+	for i := range ints {
+		ints[i] = 10 * i
 	}
-	rows := make([]ptrRow, 8)
-	want := make([]int, len(rows))
-	for i := range rows {
-		v := 10 * i
-		rows[i], want[i] = ptrRow{&v}, v
-	}
-	got, err := engine.Collect(engine.MarkPortable(engine.Map(engine.Parallelize(sess, rows, 2), derefRow), "ptest.deref", ""))
-	sess.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	why := ""
-	for _, d := range rec.Decisions() {
-		if d.Rule == "proc-backend" && d.Choice == "driver-local" {
-			why = d.Why
+	for _, c := range []struct {
+		name string
+		run  func(sess *engine.Session) ([]int, error)
+	}{
+		{"input", func(sess *engine.Session) ([]int, error) {
+			rows := make([]ptrRow, len(ints))
+			for i := range rows {
+				rows[i] = refRow(ints[i])
+			}
+			return engine.Collect(engine.MarkPortable(engine.Map(engine.Parallelize(sess, rows, 2), derefRow), "ptest.deref", ""))
+		}},
+		{"output", func(sess *engine.Session) ([]int, error) {
+			refs, err := engine.Collect(engine.MarkPortable(engine.Map(engine.Parallelize(sess, ints, 2), refRow), "ptest.ref", ""))
+			got := make([]int, len(refs))
+			for i, r := range refs {
+				got[i] = derefRow(r)
+			}
+			return got, err
+		}},
+	} {
+		rec := obs.NewRecorder()
+		sess, err := engine.NewSession(engine.Config{Backend: pool, Obs: rec})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !strings.Contains(why, "unsupported element kind ptr") {
-		t.Fatalf("driver-local decision %q does not quote the codec; decisions: %+v", why, rec.Decisions())
-	}
-	if pool.RemoteStages() != 0 || atomic.LoadInt64(&pool.nDispatch) != 0 {
-		t.Fatalf("%d remote stages and %d dispatches over an unencodable block, want none", pool.RemoteStages(), pool.nDispatch)
-	}
-	if st := pool.Stats(); st.MachineCrashes != 0 || pool.LiveWorkers() != 2 {
-		t.Fatalf("%d crashes and %d live workers, want 0 and 2", st.MachineCrashes, pool.LiveWorkers())
+		tasks, dispatches := pool.RemoteTasks(), atomic.LoadInt64(&pool.nDispatch)
+		got, err := c.run(sess)
+		sess.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, ints) {
+			t.Fatalf("%s: got %v, want %v", c.name, got, ints)
+		}
+		why := ""
+		for _, d := range rec.Decisions() {
+			if d.Rule == "proc-backend" && d.Choice == "driver-local" {
+				why = d.Why
+			}
+		}
+		if !strings.Contains(why, "unsupported element kind ptr") {
+			t.Fatalf("%s: driver-local decision %q does not quote the codec; decisions: %+v", c.name, why, rec.Decisions())
+		}
+		if pool.RemoteStages() != 0 || pool.RemoteTasks() != tasks || atomic.LoadInt64(&pool.nDispatch) != dispatches {
+			t.Fatalf("%s: %d remote stages, %d remote tasks and %d dispatches over unencodable rows, want none",
+				c.name, pool.RemoteStages(), pool.RemoteTasks()-tasks, atomic.LoadInt64(&pool.nDispatch)-dispatches)
+		}
+		if st := pool.Stats(); st.MachineCrashes != 0 || pool.LiveWorkers() != 2 {
+			t.Fatalf("%s: %d crashes and %d live workers, want 0 and 2", c.name, st.MachineCrashes, pool.LiveWorkers())
+		}
 	}
 }
 

@@ -10,8 +10,10 @@
 // The Pool implements engine.Backend (wall-clock stage reports),
 // engine.Residency (which worker "holds" each registered shuffle output)
 // and engine.RemoteRunner (block store + remote stage dispatch). Stages
-// whose operators lack a portable registration simply run driver-local;
-// the pool is an acceleration substrate, never a correctness requirement.
+// whose operators lack a portable registration, or whose rows the codec
+// refuses, run driver-local; the pool is an acceleration substrate, never
+// a correctness requirement. A task that fails on a worker fails its job,
+// as it would in process.
 package procpool
 
 import (
@@ -47,9 +49,10 @@ import (
 // that reads it arrives, because a stream socket delivers every frame, in
 // order, for as long as it stays open (a broken one kills the worker). A
 // block missing all the same can only be a driver bookkeeping bug: the task
-// answers resultErr naming it, and the stage runs driver-local. Both sides
-// read through a bufio.Reader (one read syscall serves many small frames);
-// no frame is read from the bare connection.
+// answers resultErr naming it, and the stage and its job fail, as they do
+// for any task that answers resultErr. Both sides read through a
+// bufio.Reader (one read syscall serves many small frames); no frame is
+// read from the bare connection.
 //
 // Answers are batched the same way, by the one rule that cannot deadlock:
 // the worker writes a result into its buffered writer and flushes only

@@ -451,7 +451,7 @@ func FuzzRemoteTask(f *testing.F) {
 		if err != nil {
 			return
 		}
-		task.OpChain()
+		opChain(&task)
 		// The walk evaluation makes: each step's inputs lie in Inputs and
 		// read earlier steps only.
 		next := 0
