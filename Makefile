@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test race vet build bench-module examples bench bench-check figures figures-check fmt-check sched-bench chaos-bench shred-bench procchaos-bench fuzz-smoke loc
+.PHONY: check test race vet build bench-module examples bench bench-check figures figures-check fmt-check sched-bench chaos-bench shred-bench procchaos-bench fuzz-smoke loc gensize
 
 ## check: what CI's `make check` job runs — formatting, vet, build, tests,
 ## race tests, the benchmark module and the examples. CI's other jobs add
@@ -95,6 +95,20 @@ loc:
 		n=$$(cat $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go') | grep -cvE '^[[:space:]]*(//.*)?$$'); \
 		printf '%-22s %6d\n' $$d $$n; total=$$((total + n)); \
 	done; printf '%-22s %6d\n' total $$total
+
+## gensize: build the benchmark binary (benchmark/, which links every
+## engine shape the ir front end lowers to) into a temporary directory and
+## print its size, its text bytes and the text bytes of generic
+## instantiations — text symbols whose name holds `[`, by `go tool nm
+## -size`. ROADMAP.md and CHANGES.md cite these numbers; a change that
+## type-erases engine plumbing reads them before and after, and CI's check
+## job prints them after `make loc`. It reports, it gates nothing.
+gensize:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	(cd benchmark && $(GO) build -o "$$tmp/benchmark" .) || exit 1; \
+	printf '%-22s %10d\n' binary $$(wc -c < "$$tmp/benchmark"); \
+	$(GO) tool nm -size "$$tmp/benchmark" | awk '$$3 == "T" || $$3 == "t" { all += $$2; if ($$0 ~ /\[/) gen += $$2 } \
+		END { printf "%-22s %10d\n%-22s %10d\n", "text", all, "generic text", gen }'
 
 ## fuzz-smoke: fuzz the batch wire codec for 30s from the checked-in seed
 ## corpus (internal/engine/testdata/fuzz/FuzzBatchCodec, which holds tags

@@ -5,7 +5,7 @@ package engine
 // on its next step, so the memory of a released block goes back to the
 // session and into the next shuffle instead of to the collector. What is
 // recycled is raw words: an arena is a []uint64 the router lays pointer-free
-// element types over (Vec.newBlocks, carve), so one list serves every such
+// element types over (newBlocks, carve), so one list serves every such
 // shape — the five shuffles of one flattened job share it although no two
 // share a row type — and nothing on it is ever scanned, cleared or typed.
 // Shapes with pointers stay on the heap: memory the collector must scan

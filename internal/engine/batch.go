@@ -41,22 +41,14 @@ type Batch interface {
 	// lie, for the size estimator and the codec to walk by the type's
 	// layout without boxing the slice. Callers must not mutate them.
 	Rows() (reflect.Type, unsafe.Pointer)
-	// Shape names the element type for observability ("int",
-	// "Pair[int,int64]", "any").
-	Shape() string
 
 	// newLike allocates a same-shaped batch of n zero elements with the
 	// given boxed capacity (the broadcast flatten's pre-sized output).
 	newLike(n, bcap int) Batch
-	// newBlocks allocates the shuffle router's pre-sized blocks in this
-	// shape: blocks[t] gets lens[t] elements and boxed capacity
-	// blockCap(lens[t]), and stays nil where lens[t] is 0. A shape without
-	// pointers is cut, in target order, out of arenas taken from the free
-	// list — every slot is about to be overwritten, so what an arena held
-	// before does not matter — and the arenas are returned for the caller to
-	// put back once the blocks are dead. Shapes the collector has to scan,
-	// and a nil list, allocate each block on the heap and return nothing.
-	newBlocks(lens []int32, blocks []Batch, from *arenaList) [][]uint64
+	// blockAt lays a block of n elements, with boxed capacity blockCap(n),
+	// over arena from its element off on (newBlocks). The shape must be
+	// pointer-free and the elements must fit.
+	blockAt(arena []uint64, off, n int) Batch
 	// copyFrom copies src, a batch of the same shape, into this batch
 	// starting at off (broadcast flatten).
 	copyFrom(off int, src Batch)
@@ -79,21 +71,34 @@ func (v *Vec[T]) Rows() (reflect.Type, unsafe.Pointer) {
 	return reflect.TypeFor[T](), unsafe.Pointer(unsafe.SliceData(v.xs))
 }
 
-func (v *Vec[T]) Shape() string { return shapeName(reflect.TypeFor[T]()) }
-
 func (v *Vec[T]) newLike(n, bcap int) Batch {
 	return &Vec[T]{xs: make([]T, n), bcap: bcap}
 }
 
-func (v *Vec[T]) newBlocks(lens []int32, blocks []Batch, from *arenaList) [][]uint64 {
-	size := int(reflect.TypeFor[T]().Size())
+func (v *Vec[T]) blockAt(arena []uint64, off, n int) Batch {
+	return &Vec[T]{xs: carve[T](arena)[off : off+n : off+n], bcap: blockCap(n)}
+}
+
+// newBlocks allocates the shuffle router's pre-sized blocks in proto's
+// shape: blocks[t] gets lens[t] elements and boxed capacity
+// blockCap(lens[t]), and stays nil where lens[t] is 0. A shape without
+// pointers is cut, in target order, out of arenas taken from the free list
+// — every slot is about to be overwritten, so what an arena held before does
+// not matter — and the arenas are returned for the caller to put back once
+// the blocks are dead. Shapes the collector has to scan, and a nil list,
+// allocate each block on the heap and return nothing. It is the one cutter
+// for every row type: it sees the type only through proto.Rows, and the
+// shape's own code only lays a block over the words it picked (blockAt).
+func newBlocks(proto Batch, lens []int32, blocks []Batch, from *arenaList) [][]uint64 {
+	typ, _ := proto.Rows()
+	size := int(typ.Size())
 	// A shape of one fixed deep size is one without pointers, strings,
 	// slices, maps or interfaces: exactly what may live in memory the
 	// collector does not scan. One lookup a shuffle, not one a batch.
-	if from == nil || size == 0 || layout.Of(reflect.TypeFor[T]()).Deep < 0 {
+	if from == nil || size == 0 || layout.Of(typ).Deep < 0 {
 		for t, n := range lens {
 			if n > 0 {
-				blocks[t] = &Vec[T]{xs: make([]T, n), bcap: blockCap(int(n))}
+				blocks[t] = proto.newLike(int(n), blockCap(int(n)))
 			}
 		}
 		return nil
@@ -113,12 +118,13 @@ func (v *Vec[T]) newBlocks(lens []int32, blocks []Batch, from *arenaList) [][]ui
 	// little larger.
 	per := int(math.Ceil(math.Sqrt(float64(nb))))
 	var arenas [][]uint64
-	var slab []T // what is left of the arena being cut
+	var arena []uint64 // the arena being cut
+	off, left := 0, 0  // its first element not given a block; elements after it
 	for t, n := range lens {
 		if n == 0 {
 			continue
 		}
-		if len(slab) < int(n) {
+		if left < int(n) {
 			fresh := 0
 			for u, k := t, 0; u < len(lens) && k < per; u++ {
 				if lens[u] > 0 {
@@ -126,12 +132,13 @@ func (v *Vec[T]) newBlocks(lens []int32, blocks []Batch, from *arenaList) [][]ui
 					k++
 				}
 			}
-			a := from.take(wordsFor(int(n)*size), wordsFor(rest*size), wordsFor(fresh*size))
-			arenas = append(arenas, a)
-			slab = carve[T](a)
+			arena = from.take(wordsFor(int(n)*size), wordsFor(rest*size), wordsFor(fresh*size))
+			arenas = append(arenas, arena)
+			off, left = 0, len(arena)*8/size
 		}
-		blocks[t] = &Vec[T]{xs: slab[:n:n], bcap: blockCap(int(n))}
-		slab = slab[n:]
+		blocks[t] = proto.blockAt(arena, off, int(n))
+		off += int(n)
+		left -= int(n)
 		rest -= int(n)
 	}
 	return arenas
@@ -194,7 +201,8 @@ func elems[T any](b Batch) []T {
 		return v.xs
 	}
 	if b.Len() > 0 {
-		panic(fmt.Sprintf("engine: a %s partition read as %s", b.Shape(), shapeName(reflect.TypeFor[T]())))
+		t, _ := b.Rows()
+		panic(fmt.Sprintf("engine: a %s partition read as %s", shapeName(t), shapeName(reflect.TypeFor[T]())))
 	}
 	return nil
 }

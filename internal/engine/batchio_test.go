@@ -143,7 +143,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 				want = zeroBatch
 			}
 			if !batchEqual(dec, want) {
-				t.Fatalf("trial %d: round trip differs for %s:\n got %#v\nwant %#v", trial, want.Shape(), dec, want)
+				t.Fatalf("trial %d: round trip differs for %s:\n got %#v\nwant %#v", trial, shapeOf(want), dec, want)
 			}
 			stream = append(stream, enc...)
 		}
@@ -159,7 +159,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 				want = zeroBatch
 			}
 			if !batchEqual(dec, want) {
-				t.Fatalf("trial %d: stream round trip differs for %s", trial, want.Shape())
+				t.Fatalf("trial %d: stream round trip differs for %s", trial, shapeOf(want))
 			}
 			stream = stream[consumed:]
 		}
@@ -221,7 +221,7 @@ func TestBatchCodecRejects(t *testing.T) {
 		{boxedOf([]any{func() {}}), "engine: batch codec: unsupported element kind func (func())"},
 	} {
 		if err := encodeErr(c.b); err == nil || err.Error() != c.want {
-			t.Fatalf("%s encoded again: err = %v, want %s", c.b.Shape(), err, c.want)
+			t.Fatalf("%s encoded again: err = %v, want %s", shapeOf(c.b), err, c.want)
 		}
 	}
 
@@ -328,10 +328,10 @@ func TestDecodeRefusesBadTags(t *testing.T) {
 		} {
 			enc, err := EncodeBatch(nil, b)
 			if err != nil {
-				t.Fatalf("bad tag %d in %s: encode: %v", i, b.Shape(), err)
+				t.Fatalf("bad tag %d in %s: encode: %v", i, shapeOf(b), err)
 			}
 			if _, _, err := DecodeBatch(enc); !errors.Is(err, errBatchCodec) || !strings.Contains(err.Error(), "tag of depth") {
-				t.Fatalf("bad tag %d in %s: decode err = %v, want the codec's refusal of the tag", i, b.Shape(), err)
+				t.Fatalf("bad tag %d in %s: decode err = %v, want the codec's refusal of the tag", i, shapeOf(b), err)
 			}
 		}
 	}

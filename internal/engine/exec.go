@@ -531,7 +531,8 @@ func (j *job) evalPartDirect(tc *Ctx, n *node, p int) Batch {
 			if j.s.obs.Enabled() {
 				tc.boundaryBytes += encodedBatchBytes(&tc.encScratch, b)
 				if tc.batchShape == "" && batchLen(b) > 0 {
-					tc.batchShape = b.Shape()
+					t, _ := b.Rows()
+					tc.batchShape = shapeName(t)
 				}
 			}
 			if b == nil {

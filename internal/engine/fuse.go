@@ -10,7 +10,10 @@ package engine
 //
 // Chains are a thing the plan builds. A fusible operator's constructor only
 // stores a link on its node: the operator's step as a sink over the push of
-// the operator above it, and the materializer for when it ends a chain. When
+// the operator above it, and the materializer for when it ends a chain. For
+// map, filter, flatMap, mapValues and zip the link is also the operator's
+// only kernel: linkKernel runs it alone, as a chain of one, both as the
+// node's compute and as the exported kernel a worker runs. When
 // a job is planned — and again on every recovery replan — compileFusion
 // (plan.go) walks the live DAG, finds the maximal runs of links whose
 // intermediates are invisible to the plan (not a stage root, not a fan-in
@@ -20,8 +23,8 @@ package engine
 // a node the plan can see cuts a chain into two that both fuse, and a chain
 // over a lowering recovery abandoned cannot exist. The in-package suites
 // (fuse_test.go, TestRandomDAGFusedMatchesPerOperator) run the same DAGs
-// fused and per-operator and assert identical partitions, virtual clocks,
-// and cluster stats.
+// fused and per-operator — every link alone, as a chain of one — and
+// assert identical partitions, virtual clocks, and cluster stats.
 //
 // A chain runs as sinks: each link turns the push of the link above it into
 // its own push, so the rows of a head partition go down one loop into the
@@ -46,13 +49,15 @@ package engine
 //
 //   - Capacity fidelity. sizeest.OfBatch charges the boxed-equivalent
 //     capacity, and partitions of up to sampleN elements are handed to it
-//     whole, so the fused output batch must report the capacity the unfused
-//     operator's boxed allocation would have had: map-like and cross tops
-//     cap==len, a filter top its input count, a flatMap top the
-//     power-of-two growth of one-at-a-time appends. The host slice itself
-//     grows however it likes — real capacity is invisible to accounting —
-//     except that where the output's row count is fixed by the head's (1:1
-//     links and crosses only), it is allocated once at that size.
+//     whole, so the output batch must report the capacity the operator's
+//     boxed allocation would have had: map-like and cross tops cap==len, a
+//     filter top its input count, a flatMap top the power-of-two growth of
+//     one-at-a-time appends; in a chain of one, a filter reports its head
+//     partition's length. The host slice itself grows however it likes —
+//     real capacity is invisible to accounting — except that where the
+//     output's row count is fixed by the head's (1:1 links and crosses
+//     only), it is allocated once at that size, and a filter over the head
+//     itself is pre-sized to its input.
 //
 // A MapPartitions link has to buffer: its UDF takes the partition as a slice
 // and may mutate it; it passes its rows on when the partition ends (the
@@ -97,9 +102,11 @@ type fuseInfo struct {
 
 // link is what a fusible operator contributes to a chain. The constructor
 // stores it on the node; nothing is composed until a plan has found the
-// chain legal (compileFusion) and a runner needs it (newChain). A link's
-// functions are generic over its input row type A and output row type B,
-// which the chain sees type-erased.
+// chain legal (compileFusion) and a runner needs it (newChain), or a kernel
+// runs it alone (linkKernel), with no job: j is then nil, so only a link
+// that does not read the job can be a kernel. A link's functions are
+// generic over its input row type A and output row type B, which the chain
+// sees type-erased.
 type link struct {
 	// stream is the dep the operator streams through the chain; a link's
 	// only other dep is a broadcast the runner pinned before the stage.
@@ -180,13 +187,13 @@ func feedRows[A any](push any) func(in Batch) {
 	}
 }
 
-// newLink stores on n the link of an operator turning rows of A into rows
-// of B: step returns the operator's push given emit, the push of the rows it
+// newLink returns the link of an operator turning rows of A into rows of B:
+// step returns the operator's push given emit, the push of the rows it
 // produces, counting them into c.counts[idx]; shape is the allocation
-// pattern of its unfused kernel and factor as on link.
-func newLink[A, B any](n *node, shape fuseTop, factor func(*job) int, step func(j *job, c *chain, idx int, emit func(B)) func(A)) {
+// pattern of its output and factor as on link.
+func newLink[A, B any](shape fuseTop, factor func(*job) int, step func(j *job, c *chain, idx int, emit func(B)) func(A)) *link {
 	empty := batchOf[B](nil, 0)
-	n.link = &link{
+	return &link{
 		factor: factor,
 		sink: func(j *job, c *chain, idx int, down any) any {
 			return step(j, c, idx, down.(func(B)))
@@ -198,25 +205,56 @@ func newLink[A, B any](n *node, shape fuseTop, factor func(*job) int, step func(
 	}
 }
 
+// linkKernel is the kernel of an operator whose link is l: l alone, run as a
+// chain of one over the dep it streams. A call takes an instance of the
+// chain from a pool and puts it back when the partition is done, so a warm
+// kernel allocates only its output; an instance a panicking UDF abandoned is
+// dropped. The function is not generic and stays out of its generic
+// callers' bodies, so its loop is compiled once, not once per row type.
+//
+//go:noinline
+func linkKernel(l *link) PortableCompute {
+	// The chain's one link sits on a node of its own: newChain reads
+	// nothing of a node but its link.
+	one := &fuseInfo{via: []*node{{link: l}}}
+	chains := &sync.Pool{New: func() any { return newChain(nil, one) }}
+	return func(tc *Ctx, p int, in []Batch) Batch {
+		c := chains.Get().(*chain)
+		out := c.run(p, in[l.stream])
+		chains.Put(c) // not deferred: see foldBatch
+		return out
+	}
+}
+
 // oneToOne is the factor of a link emitting a row per row it takes.
 func oneToOne(*job) int { return 1 }
 
 // materialize ends a chain topped by via[idx]: it returns the push the top
 // operator's rows go into, and sets c.done to hand them out as a typed batch
-// that reports the capacity the top's unfused kernel would have — or as
-// empty, shared, when there are none.
+// that reports the capacity the operator's boxed allocation would have had —
+// or as empty, shared, when there are none.
 func materialize[T any](c *chain, shape fuseTop, idx int, empty Batch) func(T) {
 	var out []T
-	exact := c.scale[idx+1]
+	// per is how many rows the output is allocated for per head row, where
+	// that is fixed before the loop: 1:1 links and crosses below and at the
+	// top, or a filter over the head itself, which pre-sizes to its input.
+	// 0 lets the output grow by append.
+	per := max(c.scale[idx+1], 0)
+	if shape == fuseTopFilter && idx == 0 {
+		per = 1
+	}
 	c.done = func() Batch {
 		xs := out
 		out = nil
 		bcap := len(xs)
 		switch shape {
 		case fuseTopFilter:
-			// The unfused filter pre-sizes to its input, which is the
-			// emit count of the link below the top.
-			bcap = int(c.counts[idx-1])
+			// A filter charges for the input it pre-sized to: the head
+			// partition, or the emit count of the link below it.
+			bcap = c.inLen
+			if idx > 0 {
+				bcap = int(c.counts[idx-1])
+			}
 		case fuseTopFlatMap:
 			bcap = blockCap(len(xs))
 		}
@@ -226,20 +264,18 @@ func materialize[T any](c *chain, shape fuseTop, idx int, empty Batch) func(T) {
 		return batchOf(xs, bcap)
 	}
 	return func(t T) {
-		if out == nil && exact > 0 {
-			// Only 1:1 links and crosses lie below and at the top, so the
-			// output's size is fixed by the head's: allocate it once.
-			out = make([]T, 0, c.inLen*exact)
+		if out == nil && per > 0 {
+			out = make([]T, 0, c.inLen*per)
 		}
 		out = append(out, t)
 	}
 }
 
-// linkMap makes n a 1:1 chain link (Map, MapValues; never MapCtx: its UDF
-// charges the task Ctx mid-loop, and replaying those charges in the
-// unfused order is impossible, so mapCtx always breaks chains).
-func linkMap[A, B any](n *node, f func(A) B) {
-	newLink(n, fuseTopExact, oneToOne, func(_ *job, c *chain, idx int, emit func(B)) func(A) {
+// linkMap is a 1:1 link (Map, MapValues; never MapCtx: its UDF charges the
+// task Ctx mid-loop, and replaying those charges in the unfused order is
+// impossible, so mapCtx always breaks chains).
+func linkMap[A, B any](f func(A) B) *link {
+	return newLink(fuseTopExact, oneToOne, func(_ *job, c *chain, idx int, emit func(B)) func(A) {
 		emits := &c.counts[idx]
 		return func(a A) {
 			*emits++
@@ -248,9 +284,20 @@ func linkMap[A, B any](n *node, f func(A) B) {
 	})
 }
 
-// linkFilter makes n a filtering chain link.
-func linkFilter[A any](n *node, pred func(A) bool) {
-	newLink(n, fuseTopFilter, nil, func(_ *job, c *chain, idx int, emit func(A)) func(A) {
+// linkMapValues is MapValues' link: linkMap over the value of a pair. It
+// stays out of its callers' bodies, so MapValues and MapValuesCompute share
+// one copy of the pair adapter per shape.
+//
+//go:noinline
+func linkMapValues[K comparable, V, W any](f func(V) W) *link {
+	return linkMap(func(kv Pair[K, V]) Pair[K, W] {
+		return Pair[K, W]{Key: kv.Key, Val: f(kv.Val)}
+	})
+}
+
+// linkFilter is a filtering link.
+func linkFilter[A any](pred func(A) bool) *link {
+	return newLink(fuseTopFilter, nil, func(_ *job, c *chain, idx int, emit func(A)) func(A) {
 		emits := &c.counts[idx]
 		return func(a A) {
 			if pred(a) {
@@ -261,9 +308,9 @@ func linkFilter[A any](n *node, pred func(A) bool) {
 	})
 }
 
-// linkFlatMap makes n an expanding chain link.
-func linkFlatMap[A, B any](n *node, f func(A) []B) {
-	newLink(n, fuseTopFlatMap, nil, func(_ *job, c *chain, idx int, emit func(B)) func(A) {
+// linkFlatMap is an expanding link.
+func linkFlatMap[A, B any](f func(A) []B) *link {
+	return newLink(fuseTopFlatMap, nil, func(_ *job, c *chain, idx int, emit func(B)) func(A) {
 		emits := &c.counts[idx]
 		return func(a A) {
 			for _, b := range f(a) {
@@ -274,11 +321,13 @@ func linkFlatMap[A, B any](n *node, f func(A) []B) {
 	})
 }
 
-// linkMapPartitions makes n a whole-partition chain link: upstream rows
-// are buffered typed (host-side scratch, invisible to accounting), and when
-// the partition ends the UDF runs once and its results stream on.
-func linkMapPartitions[A, B any](n *node, f func([]A) []B) {
-	newLink(n, fuseTopExact, nil, func(_ *job, c *chain, idx int, emit func(B)) func(A) {
+// linkMapPartitions is a whole-partition link: upstream rows are buffered
+// typed (host-side scratch, invisible to accounting), and when the
+// partition ends the UDF runs once and its results stream on. It is not
+// MapPartitions' kernel: alone, it would copy the UDF's result into an
+// output batch that MapPartitionsCompute hands on as it is.
+func linkMapPartitions[A, B any](f func([]A) []B) *link {
+	return newLink(fuseTopExact, nil, func(_ *job, c *chain, idx int, emit func(B)) func(A) {
 		emits := &c.counts[idx]
 		var buf []A
 		c.flush = append(c.flush, func() {
@@ -304,17 +353,17 @@ func linkMapPartitions[A, B any](n *node, f func([]A) []B) {
 	})
 }
 
-// linkFold makes n a streaming aggregation link (fold.go): upstream rows
-// go straight into a folder's add, so unlike linkMapPartitions there is no
+// linkFold is a streaming aggregation link (fold.go): upstream rows go
+// straight into a folder's add, so unlike linkMapPartitions there is no
 // buffer in front of the aggregate, and the folder's exact-size result is
 // the stage's output batch. The link only ever tops a chain (sink stays
 // nil): its consumer is the shuffle dep of the ReduceByKey/Distinct that
 // built it. A partition takes a folder from tables at its first row and
 // puts it back at its end; a folder a panicking UDF abandoned goes with the
 // chain the runner drops.
-func linkFold[A any](n *node, tables *sync.Pool) {
+func linkFold[A any](tables *sync.Pool) *link {
 	empty := batchOf[A](nil, 0)
-	n.link = &link{top: func(_ *job, c *chain, _ int) any {
+	return &link{top: func(_ *job, c *chain, _ int) any {
 		var t folder[A]
 		c.done = func() Batch {
 			if t == nil {
@@ -334,11 +383,11 @@ func linkFold[A any](n *node, tables *sync.Pool) {
 	}}
 }
 
-// linkZip makes n ZipWithUniqueID's id-minting link. The stride is the
-// construction-time partition count, as in the unfused compute; a row's
-// index in its partition is the count of rows the link emitted before it.
-func linkZip[A any](n *node, parts int) {
-	newLink(n, fuseTopExact, oneToOne, func(_ *job, c *chain, idx int, emit func(Pair[uint64, A])) func(A) {
+// linkZip is ZipWithUniqueID's id-minting link. The stride, parts, is the
+// partition count at construction; a row's index in its partition is the
+// count of rows the link emitted before it.
+func linkZip[A any](parts int) *link {
+	return newLink(fuseTopExact, oneToOne, func(_ *job, c *chain, idx int, emit func(Pair[uint64, A])) func(A) {
 		emits := &c.counts[idx]
 		return func(a A) {
 			k := *emits
@@ -348,16 +397,17 @@ func linkZip[A any](n *node, parts int) {
 	})
 }
 
-// linkCross makes n a half-lifted cross product link: dep 1 streams, and
-// every streamed row meets the rows of dep 0, the broadcast side, in
+// linkCross is the link of n, a half-lifted cross product: dep 1 streams,
+// and every streamed row meets the rows of dep 0, the broadcast side, in
 // order — streamed row major, the unfused kernel's order. The broadcast
 // batch is the one the runner pinned for the stage (job.bcast), read once
 // per chain instance; reading it charges nothing, in a chain as in the
 // per-operator evaluator, because a broadcast's cost is charged when it is
-// pinned.
-func linkCross[S, R, C any](n *node, g func(S, R) C) {
+// pinned. It reads the job, so it is not the cross's kernel: that one gets
+// the broadcast as its input.
+func linkCross[S, R, C any](n *node, g func(S, R) C) *link {
 	bcast := func(j *job) Batch { return j.bcast[&n.deps[0]] }
-	newLink(n, fuseTopExact, func(j *job) int { return bcast(j).Len() }, func(j *job, c *chain, idx int, emit func(C)) func(S) {
+	l := newLink(fuseTopExact, func(j *job) int { return bcast(j).Len() }, func(j *job, c *chain, idx int, emit func(C)) func(S) {
 		emits := &c.counts[idx]
 		rs := elems[R](bcast(j))
 		return func(x S) {
@@ -367,7 +417,8 @@ func linkCross[S, R, C any](n *node, g func(S, R) C) {
 			*emits += int64(len(rs))
 		}
 	})
-	n.link.stream = 1
+	l.stream = 1
+	return l
 }
 
 // evalFused runs partition p of a compiled fused chain on the runner's

@@ -175,6 +175,6 @@ func crossNode[R, S, C any](label string, bcast Dataset[R], streamed Dataset[S],
 		}
 		return batchOf(out, cap(out))
 	})
-	linkCross(n, g)
+	n.link = linkCross(n, g)
 	return n
 }

@@ -100,9 +100,10 @@ type node struct {
 	fallback *refallback
 	// link, when set, is what this operator contributes to a fused narrow
 	// chain (fuse.go): its step as a sink over the push of the operator
-	// above it, and the materializer for when it ends the chain. nil for
-	// non-fusible operators. Chains are found per plan (compileFusion) and
-	// composed per runner (newChain).
+	// above it, and the materializer for when it ends the chain; for most
+	// it is also compute, run alone (linkNode). nil for non-fusible
+	// operators. Chains are found per plan (compileFusion) and composed
+	// per runner (newChain).
 	link *link
 	// port, when set, names this operator in the portable-op registry
 	// (portable.go), letting a process-pool backend reconstruct and run it

@@ -2,9 +2,7 @@ package engine
 
 // Map applies f to every element.
 func Map[A, B any](d Dataset[A], f func(A) B) Dataset[B] {
-	n := d.s.newNode("map", d.n.parts, []dep{narrowDep(d.n)}, MapCompute(f))
-	linkMap(n, f)
-	return fromNode[B](d.s, n)
+	return fromNode[B](d.s, d.s.linkNode("map", d.n, linkMap(f)))
 }
 
 // MapCtx is Map with access to the task context, so UDFs that do heavy
@@ -30,17 +28,14 @@ func MapCtx[A, B any](d Dataset[A], f func(*Ctx, A) B) Dataset[B] {
 
 // Filter keeps the elements for which pred is true.
 func Filter[A any](d Dataset[A], pred func(A) bool) Dataset[A] {
-	n := d.s.newNode("filter", d.n.parts, []dep{narrowDep(d.n)}, FilterCompute(pred))
+	n := d.s.linkNode("filter", d.n, linkFilter(pred))
 	n.pkey = d.n.pkey // filtering preserves the partitioning
-	linkFilter(n, pred)
 	return fromNode[A](d.s, n)
 }
 
 // FlatMap applies f and concatenates the results.
 func FlatMap[A, B any](d Dataset[A], f func(A) []B) Dataset[B] {
-	n := d.s.newNode("flatMap", d.n.parts, []dep{narrowDep(d.n)}, FlatMapCompute(f))
-	linkFlatMap(n, f)
-	return fromNode[B](d.s, n)
+	return fromNode[B](d.s, d.s.linkNode("flatMap", d.n, linkFlatMap(f)))
 }
 
 // MapPartitions applies f to each whole partition.
@@ -49,7 +44,7 @@ func MapPartitions[A, B any](d Dataset[A], f func([]A) []B) Dataset[B] {
 	// Partition-level UDFs see whole partitions; recovery must not change
 	// how the data is split under them.
 	n.fixedParts = true
-	linkMapPartitions(n, f)
+	n.link = linkMapPartitions(f)
 	return fromNode[B](d.s, n)
 }
 
@@ -72,18 +67,9 @@ func Union[A any](a, b Dataset[A]) Dataset[A] {
 // (the same scheme as Spark's zipWithUniqueId). The paper uses it to mint
 // lifting tags for UDF invocations (Sec. 4.3).
 func ZipWithUniqueID[A any](d Dataset[A]) Dataset[Pair[uint64, A]] {
-	parts := d.n.parts
-	n := d.s.newNode("zipWithUniqueID", parts, []dep{narrowDep(d.n)}, func(tc *Ctx, p int, in []Batch) Batch {
-		src := elems[A](in[0])
-		out := make([]Pair[uint64, A], len(src))
-		for k, e := range src {
-			out[k] = Pair[uint64, A]{Key: uint64(p) + uint64(k)*uint64(parts), Val: e}
-		}
-		return batchOf(out, len(out))
-	})
+	n := d.s.linkNode("zipWithUniqueID", d.n, linkZip[A](d.n.parts))
 	// The ID stride captures the partition count at construction time.
 	n.fixedParts = true
-	linkZip[A](n, parts)
 	return fromNode[Pair[uint64, A]](d.s, n)
 }
 
@@ -100,10 +86,16 @@ func Values[K comparable, V any](d Dataset[Pair[K, V]]) Dataset[V] {
 // MapValues transforms only the value component; keys are untouched, so
 // any existing hash partitioning is preserved on the result.
 func MapValues[K comparable, V, W any](d Dataset[Pair[K, V]], f func(V) W) Dataset[Pair[K, W]] {
-	n := d.s.newNode("mapValues", d.n.parts, []dep{narrowDep(d.n)}, MapValuesCompute[K](f))
+	n := d.s.linkNode("mapValues", d.n, linkMapValues[K](f))
 	n.pkey = d.n.pkey
-	linkMap(n, func(kv Pair[K, V]) Pair[K, W] {
-		return Pair[K, W]{Key: kv.Key, Val: f(kv.Val)}
-	})
 	return fromNode[Pair[K, W]](d.s, n)
+}
+
+// linkNode makes the node of a fusible operator over parent: l, its link,
+// is both its kernel run alone (linkKernel) and its step in a fused chain,
+// so the operator has one loop in either evaluation.
+func (s *Session) linkNode(label string, parent *node, l *link) *node {
+	n := s.newNode(label, parent.parts, []dep{narrowDep(parent)}, linkKernel(l))
+	n.link = l
+	return n
 }

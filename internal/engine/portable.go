@@ -21,9 +21,10 @@ package engine
 // registrations linked into both processes — see internal/taskreg) once
 // per job (RemoteEvaluator), reads the blocks, and runs the steps in
 // order: the exact unfused per-operator evaluation the driver's
-// evalPartDirect would run.
-// Results are bit-identical by construction: both sides run the same
-// registered kernels over the same blocks in the same order.
+// evalPartDirect would run. Results are bit-identical by construction:
+// both sides run the same registered kernels over the same blocks in the
+// same order, and a fusible operator's kernel is its fused link run alone
+// (linkKernel), so there is one loop per operator on either side.
 //
 // Stages containing operators with no registered portable form (ad-hoc
 // closures, Ctx-charging UDFs, broadcast-join Once builds), or rows the
@@ -526,66 +527,31 @@ func (e *RemoteEvaluator) kernel(st *RemoteStep) (compute PortableCompute, fresh
 
 // ---- Operator kernels ----
 //
-// These are the pure-data halves of the operator constructors: ops.go,
-// shuffle.go and join.go build their node computes from them (wrapping
-// driver-only simulated memory charges where the operator claims
+// A kernel is what an operator's node computes and what a worker runs for
+// it: ops.go, shuffle.go and join.go build their node computes from these
+// (wrapping driver-only simulated memory charges where the operator claims
 // residency), and the taskreg registration helpers hand them to
-// RegisterPortableOp so workers run literally the same loops. A kernel
-// that has no rows to produce returns one typed empty batch it made up
-// front — a near-empty task pays only for its rows — and none keeps its
+// RegisterPortableOp so workers run literally the same loops. The kernels
+// of the fusible narrow operators are their links (fuse.go) run alone, so
+// a node of one of them and its exported kernel share the link's loop. A
+// kernel that has no rows to produce returns one typed empty batch it made
+// up front — a near-empty task pays only for its rows — and none keeps its
 // inputs slice (see newNode).
 
 func identityCompute(tc *Ctx, p int, in []Batch) Batch { return in[0] }
 
 // MapCompute is Map's kernel.
-func MapCompute[A, B any](f func(A) B) PortableCompute {
-	empty := batchOf[B](nil, 0)
-	return func(tc *Ctx, p int, in []Batch) Batch {
-		src := elems[A](in[0])
-		if len(src) == 0 {
-			return empty
-		}
-		out := make([]B, len(src))
-		for i, e := range src {
-			out[i] = f(e)
-		}
-		return batchOf(out, len(out))
-	}
-}
+func MapCompute[A, B any](f func(A) B) PortableCompute { return linkKernel(linkMap(f)) }
 
 // FilterCompute is Filter's kernel.
-func FilterCompute[A any](pred func(A) bool) PortableCompute {
-	empty := batchOf[A](nil, 0)
-	return func(tc *Ctx, p int, in []Batch) Batch {
-		src := elems[A](in[0])
-		if len(src) == 0 {
-			return empty
-		}
-		out := make([]A, 0, len(src))
-		for _, e := range src {
-			if pred(e) {
-				out = append(out, e)
-			}
-		}
-		// The boxed loop kept the input-length capacity it pre-sized.
-		return batchOf(out, len(src))
-	}
-}
+func FilterCompute[A any](pred func(A) bool) PortableCompute { return linkKernel(linkFilter(pred)) }
 
 // FlatMapCompute is FlatMap's kernel.
-func FlatMapCompute[A, B any](f func(A) []B) PortableCompute {
-	empty := batchOf[B](nil, 0)
-	return func(tc *Ctx, p int, in []Batch) Batch {
-		var out []B
-		for _, e := range elems[A](in[0]) {
-			out = append(out, f(e)...)
-		}
-		if len(out) == 0 {
-			return empty
-		}
-		// The boxed loop grew from nil through power-of-two capacities.
-		return batchOf(out, blockCap(len(out)))
-	}
+func FlatMapCompute[A, B any](f func(A) []B) PortableCompute { return linkKernel(linkFlatMap(f)) }
+
+// MapValuesCompute is MapValues' kernel.
+func MapValuesCompute[K comparable, V, W any](f func(V) W) PortableCompute {
+	return linkKernel(linkMapValues[K](f))
 }
 
 // MapPartitionsCompute is MapPartitions' kernel.
@@ -597,22 +563,6 @@ func MapPartitionsCompute[A, B any](f func([]A) []B) PortableCompute {
 		copy(typed, elems[A](in[0]))
 		res := f(typed)
 		return batchOf(res, len(res))
-	}
-}
-
-// MapValuesCompute is MapValues' kernel.
-func MapValuesCompute[K comparable, V, W any](f func(V) W) PortableCompute {
-	empty := batchOf[Pair[K, W]](nil, 0)
-	return func(tc *Ctx, p int, in []Batch) Batch {
-		src := elems[Pair[K, V]](in[0])
-		if len(src) == 0 {
-			return empty
-		}
-		out := make([]Pair[K, W], len(src))
-		for i, kv := range src {
-			out[i] = Pair[K, W]{Key: kv.Key, Val: f(kv.Val)}
-		}
-		return batchOf(out, len(out))
 	}
 }
 

@@ -72,16 +72,16 @@ func TestOnlyPointerFreeShapesAreCarved(t *testing.T) {
 	} {
 		var list arenaList
 		blocks := make([]Batch, len(lens))
-		arenas := c.proto.newBlocks(lens, blocks, &list)
+		arenas := newBlocks(c.proto, lens, blocks, &list)
 		if got := len(arenas) > 0; got != c.raw {
-			t.Errorf("%s: carved from an arena = %t, want %t", c.proto.Shape(), got, c.raw)
+			t.Errorf("%s: carved from an arena = %t, want %t", shapeOf(c.proto), got, c.raw)
 		}
 		for i, n := range lens {
 			switch b := blocks[i]; {
 			case n == 0 && b != nil:
-				t.Errorf("%s: empty block %d is not nil", c.proto.Shape(), i)
+				t.Errorf("%s: empty block %d is not nil", shapeOf(c.proto), i)
 			case n > 0 && (b.Len() != int(n) || b.BoxedCap() != blockCap(int(n)) || reflect.TypeOf(b) != reflect.TypeOf(c.proto)):
-				t.Errorf("%s: block %d = %s len %d cap %d", c.proto.Shape(), i, b.Shape(), b.Len(), b.BoxedCap())
+				t.Errorf("%s: block %d = %s len %d cap %d", shapeOf(c.proto), i, shapeOf(b), b.Len(), b.BoxedCap())
 			}
 		}
 	}

@@ -80,7 +80,7 @@ type routed struct {
 //
 // Memory comes from the free list: the pass's own scratch, which goes back
 // before routeCore returns, and the blocks of a pointer-free shape
-// (Vec.newBlocks). A nil list allocates everything on the heap.
+// (newBlocks). A nil list allocates everything on the heap.
 func routeCore(d *dep, parent []Batch, pool *workerPool, workers int, from *arenaList) routed {
 	nt := d.childParts
 	blocks := make([]Batch, nt)
@@ -134,7 +134,7 @@ func routeCore(d *dep, parent []Batch, pool *workerPool, workers int, from *aren
 	if d.aliased {
 		blockMem = nil // the blocks are the consumer's output and outlive their readers
 	}
-	arenas := routeProto(parent).newBlocks(lens, blocks, blockMem)
+	arenas := newBlocks(routeProto(parent), lens, blocks, blockMem)
 
 	// Write pass: each chunk owns its offset row and advances it through
 	// its sources in order, so writes to a shared block land in disjoint

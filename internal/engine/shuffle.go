@@ -68,7 +68,7 @@ func ReduceByKeyBound[K comparable, V any](d Dataset[Pair[K, V]], f func(V, V) V
 func foldPartitions[A any](d Dataset[A], tables *sync.Pool) Dataset[A] {
 	n := d.s.newNode("mapPartitions", d.n.parts, []dep{narrowDep(d.n)}, foldCompute[A](tables))
 	n.fixedParts = true
-	linkFold[A](n, tables)
+	n.link = linkFold[A](tables)
 	return fromNode[A](d.s, n)
 }
 
