@@ -75,9 +75,10 @@ bench:
 ## exact gate on recycled shuffle memory is TestShuffleJobRecyclesBlocks.
 ## TinyStage runs whole jobs too, but on a session one untimed job warmed,
 ## so its allocs/op repeats exactly at 10 iterations and at full benchtime
-## (3605 / 3687 at -cpu 1) and is gated: a per-task allocation would add
+## (3562 / 3601 at -cpu 1) and is gated: a per-task allocation would add
 ## 1200 an op. Plan builds a physical plan and runs nothing; its allocs/op
-## repeats exactly at 10 iterations and at full benchtime (258) and is
+## repeats exactly at 10 iterations (221; 220 at full benchtime, where the
+## session's plan scratch, grown on the first op, weighs less) and is
 ## gated: planning must not grow per node or per edge. BatchCodec encodes
 ## and decodes one frame per op, its allocs/op repeat exactly at 10
 ## iterations, and it is gated: a per-row or per-field allocation in the

@@ -163,26 +163,29 @@ type Outputs struct {
 	next OutputID
 }
 
-// output is one registered output. A live partition stores its machine
-// index; a lost partition stores -(machine+1), remembering which loss
-// destroyed it.
+// output is one registered output: partition p lives on
+// live[p%len(live)]. lost[p] is the machine+1 whose loss destroyed
+// partition p, 0 while it is resident; lost stays nil until something is
+// lost, so a table nothing fails in holds one slice header per output.
 type output struct {
-	machines []int
-	counted  bool // Check already reported this output's first failure
+	live    []int
+	parts   int
+	lost    []int
+	counted bool // Check already reported this output's first failure
 }
 
 // Register places an output of parts partitions: partition p on
 // live[p%len(live)], round-robin over the live machines like the wave
-// scheduler's spread. With nothing live the output is born lost on the
-// machine that would have held it, p%machines: the consuming fetch fails
-// and recomputation waits for a machine to come back.
+// scheduler's spread. It keeps live, which the caller must not change
+// afterwards. With nothing live the output is born lost on the machine
+// that would have held it, p%machines: the consuming fetch fails and
+// recomputation waits for a machine to come back.
 func (t *Outputs) Register(parts int, live []int, machines int) OutputID {
-	o := &output{machines: make([]int, parts)}
-	for p := range o.machines {
-		if len(live) > 0 {
-			o.machines[p] = live[p%len(live)]
-		} else {
-			o.machines[p] = -(p%machines + 1)
+	o := &output{live: live, parts: parts}
+	if len(live) == 0 && parts > 0 {
+		o.lost = make([]int, parts)
+		for p := range o.lost {
+			o.lost[p] = p%machines + 1
 		}
 	}
 	if t.m == nil {
@@ -199,10 +202,18 @@ func (t *Outputs) Register(parts int, live []int, machines int) OutputID {
 func (t *Outputs) Lose(machine int) int {
 	lost := 0
 	for _, o := range t.m {
-		for p, loc := range o.machines {
-			if loc == machine {
-				o.machines[p] = -(machine + 1)
-				lost++
+		for i, m := range o.live {
+			if m != machine {
+				continue
+			}
+			for p := i; p < o.parts; p += len(o.live) {
+				if o.lost == nil {
+					o.lost = make([]int, o.parts)
+				}
+				if o.lost[p] == 0 {
+					o.lost[p] = machine + 1
+					lost++
+				}
 			}
 		}
 	}
@@ -216,20 +227,17 @@ func (t *Outputs) Lose(machine int) int {
 // per output.
 func (t *Outputs) Check(id OutputID) (ff *FetchFailedError, first bool) {
 	o := t.m[id]
-	if o == nil {
+	if o == nil || o.lost == nil {
 		return nil, false
 	}
-	for p, loc := range o.machines {
-		if loc >= 0 {
+	for p, m := range o.lost {
+		if m == 0 {
 			continue
 		}
 		if ff == nil {
-			ff = &FetchFailedError{Machine: -loc - 1, Total: len(o.machines)}
+			ff = &FetchFailedError{Machine: m - 1, Total: o.parts}
 		}
 		ff.Parts = append(ff.Parts, p)
-	}
-	if ff == nil {
-		return nil, false
 	}
 	first = !o.counted
 	o.counted = true
@@ -343,6 +351,7 @@ func (s *Simulator) applyCrash(at float64, m int) {
 		return
 	}
 	f.down[m] = true
+	s.snapshotLive()
 	f.crashes[m]++
 	s.stats.MachineCrashes++
 	lost := s.outputs.Lose(m)
@@ -357,6 +366,7 @@ func (s *Simulator) applyRejoin(at float64, m int) {
 		return
 	}
 	f.down[m] = false
+	s.snapshotLive()
 	s.stats.MachineRejoins++
 	// The rejoined machine comes back empty and must re-fetch the pinned
 	// broadcast blocks; charge the driver's per-byte push for them.
@@ -368,16 +378,17 @@ func (s *Simulator) applyRejoin(at float64, m int) {
 	}
 }
 
-// liveMachines returns the indices of machines currently up. With no
-// active fault plan that is every machine.
-func (s *Simulator) liveMachines() []int {
+// snapshotLive replaces the live-machine snapshot with the indices of the
+// machines now up (every machine with no active fault plan). It builds a
+// new slice: outputs registered over the old one keep it.
+func (s *Simulator) snapshotLive() {
 	live := make([]int, 0, s.cfg.Machines)
 	for m := 0; m < s.cfg.Machines; m++ {
 		if !s.faults.active || !s.faults.down[m] {
 			live = append(live, m)
 		}
 	}
-	return live
+	s.live = live
 }
 
 // LiveMachines reports how many machines are currently up (fault
@@ -386,7 +397,7 @@ func (s *Simulator) LiveMachines() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.advanceFaults(s.clock)
-	return len(s.liveMachines())
+	return len(s.live)
 }
 
 // SetFaultObserver installs a callback invoked for every applied fault
@@ -407,7 +418,7 @@ func (s *Simulator) RegisterOutput(parts int) OutputID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.advanceFaults(s.clock)
-	return s.outputs.Register(parts, s.liveMachines(), s.cfg.Machines)
+	return s.outputs.Register(parts, s.live, s.cfg.Machines)
 }
 
 // CheckFetch reports whether the output's partitions are all still
@@ -441,9 +452,8 @@ func (s *Simulator) DropOutput(id OutputID) {
 // error if the cluster is permanently dead. Called with s.mu held.
 func (s *Simulator) awaitLiveMachine() ([]int, error) {
 	for {
-		live := s.liveMachines()
-		if len(live) > 0 {
-			return live, nil
+		if len(s.live) > 0 {
+			return s.live, nil
 		}
 		at, _, _, _, ok := s.faults.next()
 		if !ok {

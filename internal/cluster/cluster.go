@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -221,10 +220,21 @@ type Simulator struct {
 	stats    Stats
 	rng      *rand.Rand // failure injection; fixed seed for determinism
 
-	// Machine-failure state (chaos.go).
+	// Machine-failure state (chaos.go). live is the current live-machine
+	// snapshot: a crash or rejoin replaces it, nothing changes it in place,
+	// so outputs may keep the one they were placed over.
 	faults  faultState
+	live    []int
 	outputs Outputs
 	onFault func(at float64, machine int, kind, detail string)
+
+	// Stage scratch, reused under mu by every RunStageReport: the tasks in
+	// scheduling order, their durations, one wave's memory per live machine
+	// and the slot heap.
+	order      []Task
+	durations  []float64
+	perMachine []int64
+	slotHeap   floatHeap
 }
 
 // New creates a simulator, rejecting invalid configurations with an error
@@ -234,11 +244,13 @@ func New(cfg Config) (*Simulator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Simulator{
+	s := &Simulator{
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(42)),
 		faults: newFaultState(cfg.Faults, cfg.Machines),
-	}, nil
+	}
+	s.snapshotLive()
+	return s, nil
 }
 
 // Config returns the simulator's configuration.
@@ -311,6 +323,12 @@ func (s *Simulator) RunStage(tasks []Task) error {
 // so far), matching a real cluster where an abort after N waves has
 // already burned N waves of time. The report returned alongside the error
 // carries that partial charge so callers can attribute it.
+//
+// The stage's bookkeeping runs in scratch kept on the simulator and reused
+// under its lock, so a stage without faults allocates nothing. The tasks
+// are sorted by pdqsort (slices.SortFunc, the template sort.Slice shares),
+// whose order of equal-cost tasks decides which machine's wave memory an
+// OOM reports: a stable sort would change those bytes.
 func (s *Simulator) RunStageReport(tasks []Task) (StageReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -330,9 +348,9 @@ func (s *Simulator) RunStageReport(tasks []Task) (StageReport, error) {
 		return rep, err
 	}
 
-	order := make([]Task, len(tasks))
-	copy(order, tasks)
-	sort.Slice(order, func(i, j int) bool { return order[i].Compute > order[j].Compute })
+	order := append(s.order[:0], tasks...)
+	s.order = order
+	slices.SortFunc(order, byComputeDesc)
 
 	slots := len(live) * s.cfg.CoresPerMachine
 	if len(order) > 0 {
@@ -350,8 +368,12 @@ func (s *Simulator) RunStageReport(tasks []Task) (StageReport, error) {
 		return rep, err
 	}
 
-	durations := make([]float64, 0, len(order))
-	perMachine := make([]int64, len(live))
+	durations := slices.Grow(s.durations[:0], len(order))
+	s.durations = durations
+	if cap(s.perMachine) < len(live) {
+		s.perMachine = make([]int64, len(live))
+	}
+	perMachine := s.perMachine[:len(live)]
 	for w := 0; w < len(order); w += slots {
 		wave := order[w:min(w+slots, len(order))]
 		waveIdx := w/slots + 1
@@ -408,10 +430,23 @@ func (s *Simulator) RunStageReport(tasks []Task) (StageReport, error) {
 		}
 		partial += waveMax
 	}
-	rep.Makespan = makespan(durations, slots)
+	rep.Makespan = s.slotHeap.makespan(durations, slots)
 	rep.Seconds = s.cfg.StageOverhead + rep.Makespan
 	s.clock += rep.Seconds
 	return rep, nil
+}
+
+// byComputeDesc orders tasks longest first. It is negative exactly when
+// a.Compute > b.Compute, so pdqsort makes the comparisons and swaps that
+// sort.Slice with that less makes, ties included.
+func byComputeDesc(a, b Task) int {
+	if a.Compute > b.Compute {
+		return -1
+	}
+	if a.Compute < b.Compute {
+		return 1
+	}
+	return 0
 }
 
 // Broadcast pins bytes of data on every machine for the remainder of the
@@ -450,68 +485,67 @@ func (s *Simulator) ReleaseBroadcasts() {
 	s.resident = 0
 }
 
+// floatHeap is a min-heap of slot finish times, kept to be reused.
+type floatHeap struct{ a []float64 }
+
 // makespan computes the completion time of scheduling durations greedily
-// (longest first) onto `slots` parallel slots. A stage's durations come in
-// its tasks' longest-first order, so without retries they already descend
-// and are used as they are; sorting a copy could only swap equal values,
-// which give equal sums whichever slot takes them.
-func makespan(durations []float64, slots int) float64 {
+// (longest first) onto `slots` parallel slots, reusing h's memory. A
+// stage's durations come in its tasks' longest-first order, so without
+// retries they already descend and are used as they are: sorting them
+// could only swap equal values, which give equal sums whichever slot takes
+// them. Otherwise they are sorted in place.
+//
+// Greedy list scheduling depends only on the multiset of slot loads, and
+// the first `slots` durations each land on an empty slot (0 + d = d). So
+// the heap starts as those durations in reverse: an ascending array is
+// already a min-heap. Each later duration goes to the least-loaded slot
+// in O(log slots).
+func (h *floatHeap) makespan(durations []float64, slots int) float64 {
 	if len(durations) == 0 {
 		return 0
 	}
 	if slots < 1 {
 		slots = 1
 	}
-	sorted := durations
-	if !slices.IsSortedFunc(durations, func(a, b float64) int { return cmp.Compare(b, a) }) {
-		sorted = slices.Clone(durations)
-		sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+	descending := func(a, b float64) int { return cmp.Compare(b, a) }
+	if !slices.IsSortedFunc(durations, descending) {
+		slices.SortFunc(durations, descending)
 	}
-	if len(sorted) <= slots {
-		return sorted[0]
+	if len(durations) <= slots {
+		return durations[0]
 	}
-	// Greedy assignment to the least-loaded slot via a small heap-free scan
-	// would be O(n·slots); use a binary heap for larger inputs.
-	h := newFloatHeap(slots)
-	for _, d := range sorted {
+	if cap(h.a) < slots {
+		h.a = make([]float64, slots)
+	}
+	h.a = h.a[:slots]
+	for i, d := range durations[:slots] {
+		h.a[slots-1-i] = d
+	}
+	for _, d := range durations[slots:] {
 		h.addToMin(d)
 	}
-	return h.max()
+	return slices.Max(h.a)
 }
 
-// floatHeap is a fixed-size min-heap of slot finish times.
-type floatHeap struct{ a []float64 }
-
-func newFloatHeap(n int) *floatHeap { return &floatHeap{a: make([]float64, n)} }
-
+// addToMin adds d to the least-loaded slot and restores the heap, sifting
+// a hole down instead of swapping at each level.
 func (h *floatHeap) addToMin(d float64) {
-	h.a[0] += d
-	// Sift down.
+	a := h.a
+	v := a[0] + d
 	i := 0
-	n := len(h.a)
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.a[l] < h.a[small] {
-			small = l
+		c := 2*i + 1
+		if c >= len(a) {
+			break
 		}
-		if r < n && h.a[r] < h.a[small] {
-			small = r
+		if c+1 < len(a) && a[c+1] < a[c] {
+			c++
 		}
-		if small == i {
-			return
+		if !(a[c] < v) {
+			break
 		}
-		h.a[i], h.a[small] = h.a[small], h.a[i]
-		i = small
+		a[i] = a[c]
+		i = c
 	}
-}
-
-func (h *floatHeap) max() float64 {
-	m := h.a[0]
-	for _, v := range h.a[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
+	a[i] = v
 }

@@ -141,6 +141,11 @@ func TestBroadcastOOMAndResidency(t *testing.T) {
 	}
 }
 
+// makespan is floatHeap.makespan on a fresh heap.
+func makespan(durations []float64, slots int) float64 {
+	return new(floatHeap).makespan(durations, slots)
+}
+
 func TestMakespanProperties(t *testing.T) {
 	// Property: makespan >= max duration, makespan >= sum/slots,
 	// makespan <= sum (never worse than fully serial).
@@ -164,8 +169,9 @@ func TestMakespanProperties(t *testing.T) {
 	}
 }
 
-// refMakespan is makespan as it was before it trusted presorted input: it
-// always sorts a copy.
+// refMakespan is makespan as it was before it trusted presorted input and
+// reused its heap: it always sorts a copy, starts from a fresh heap of
+// empty slots and swaps at each level of the sift.
 func refMakespan(durations []float64, slots int) float64 {
 	if len(durations) == 0 {
 		return 0
@@ -178,11 +184,25 @@ func refMakespan(durations []float64, slots int) float64 {
 	if len(sorted) <= slots {
 		return sorted[0]
 	}
-	h := newFloatHeap(slots)
+	h := make([]float64, slots)
 	for _, d := range sorted {
-		h.addToMin(d)
+		h[0] += d
+		for i := 0; ; {
+			l, r, small := 2*i+1, 2*i+2, i
+			if l < slots && h[l] < h[small] {
+				small = l
+			}
+			if r < slots && h[r] < h[small] {
+				small = r
+			}
+			if small == i {
+				break
+			}
+			h[i], h[small] = h[small], h[i]
+			i = small
+		}
 	}
-	return h.max()
+	return slices.Max(h)
 }
 
 // TestMakespanMatchesAlwaysSorting: makespan equals the always-sorting

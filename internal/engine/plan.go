@@ -101,8 +101,12 @@ func (s *Session) buildExecPlan(target *node, done func(*node) bool) *execPlan {
 	walk(target)
 
 	// Pass 2: memo sites, counting per narrow non-root parent how many
-	// consumer partitions list each of its partitions.
-	refs := map[*node][]int32{}
+	// consumer partitions list each of its partitions. The counts and
+	// their index are the session's plan scratch (planning runs under mu).
+	if s.planRefs == nil {
+		s.planRefs = map[*node][]int32{}
+	}
+	refs, free := s.planRefs, s.planCounts[:0]
 	for n, leaf := range ep.planned {
 		if leaf {
 			continue // nothing below the frontier is demanded
@@ -112,9 +116,14 @@ func (s *Session) buildExecPlan(target *node, done func(*node) bool) *execPlan {
 			if d.kind != depNarrow || ep.stageOf[d.parent] != nil {
 				continue // roots are materialized, never recomputed
 			}
-			rs := refs[d.parent]
-			if rs == nil {
-				rs = make([]int32, d.parent.parts)
+			rs, ok := refs[d.parent]
+			if !ok {
+				if cap(free)-len(free) < d.parent.parts {
+					free = make([]int32, 0, max(2*cap(free), d.parent.parts))
+				}
+				rs = free[len(free) : len(free)+d.parent.parts]
+				free = free[:len(free)+d.parent.parts]
+				clear(rs)
 				refs[d.parent] = rs
 			}
 			for c := 0; c < n.parts; c++ {
@@ -129,6 +138,8 @@ func (s *Session) buildExecPlan(target *node, done func(*node) bool) *execPlan {
 			ep.memo[n] = true
 		}
 	}
+	clear(refs) // the scratch must not keep this job's nodes alive
+	s.planCounts = free
 
 	// Pass 3: one stage per root, numbered in post-order over boundary
 	// edges from the target's stage, which is a topological order.

@@ -21,31 +21,17 @@ package engine
 // the pass's time alone; few, so the histogram stays a handful of rows.
 const routeChunksPerWorker = 4
 
-// partStarts returns, for each source partition, the number of elements
-// before it, and the total in the extra last entry.
-func partStarts(parent []Batch) []int {
-	starts := make([]int, len(parent)+1)
-	for src, part := range parent {
-		starts[src+1] = starts[src] + batchLen(part)
-	}
-	return starts
-}
-
 // routeChunks cuts the sources into contiguous runs of roughly equal
-// element count — one on a single worker, otherwise at most
-// routeChunksPerWorker per worker and never more than there are sources —
-// and returns their bounds: chunk c covers sources [bounds[c],
-// bounds[c+1]). starts is partStarts of the sources and must count at
-// least one element. Cuts fall on source boundaries only (a giant source
-// is one chunk's work) and every chunk holds at least one element.
-func routeChunks(starts []int, workers int) []int {
+// element count — at most maxChunks of them, each holding at least one
+// element — and returns their bounds, appended to bounds[:0]: chunk c
+// covers sources [bounds[c], bounds[c+1]). starts[src] counts the elements
+// before source src, and its extra last entry the total, which must be at
+// least one. Cuts fall on source boundaries only (a giant source is one
+// chunk's work).
+func routeChunks(starts []int, maxChunks int, bounds []int) []int {
 	nsrc := len(starts) - 1
 	total := starts[nsrc]
-	maxChunks := 1
-	if workers > 1 {
-		maxChunks = min(nsrc, routeChunksPerWorker*workers)
-	}
-	bounds := make([]int, 1, maxChunks+1)
+	bounds = append(bounds[:0], 0)
 	// share is the next equal share of the elements a cut is waiting for.
 	share := 1
 	for src := 1; src < nsrc && starts[src] < total; src++ {
@@ -84,27 +70,46 @@ type routed struct {
 func routeCore(d *dep, parent []Batch, pool *workerPool, workers int, from *arenaList) routed {
 	nt := d.childParts
 	blocks := make([]Batch, nt)
-	starts := partStarts(parent)
-	total := starts[len(parent)]
+	total := 0
+	for _, part := range parent {
+		total += batchLen(part)
+	}
 	if total == 0 {
 		return routed{blocks: blocks}
 	}
-	bounds := routeChunks(starts, workers)
-	nch := len(bounds) - 1
-
-	// Scratch, dead when the write pass ends: targets caches each element's
-	// target, sources back to back; counts[c*nt+t] = elements of chunk c
-	// bound for target t; lens[t] = elements bound for target t. Not put
-	// back when a partitioner panics: a pass may still be writing to it.
-	var scratch []uint64
-	var ints []int32
-	if n := total + (nch+1)*nt; from != nil {
-		scratch = from.take(wordsFor(4*n), wordsFor(4*n), wordsFor(4*n))
-		ints = carve[int32](scratch)[:n]
-		clear(ints[total:])
-	} else {
-		ints = make([]int32, n)
+	// One chunk on a single worker, otherwise at most routeChunksPerWorker
+	// per worker and never more than there are sources.
+	maxChunks := 1
+	if workers > 1 {
+		maxChunks = min(len(parent), routeChunksPerWorker*workers)
 	}
+
+	// Scratch, dead when the write pass ends, in one take: starts[src] =
+	// elements before source src, the total last; bounds = the chunks'
+	// source bounds; targets caches each element's target, sources back to
+	// back; counts[c*nt+t] = elements of chunk c bound for target t;
+	// lens[t] = elements bound for target t. Not put back when a
+	// partitioner panics: a pass may still be writing to it.
+	var scratch []uint64
+	var idx []int
+	var ints []int32
+	ns, ni := len(parent)+maxChunks+2, total+(maxChunks+1)*nt
+	if from != nil {
+		w := ns + wordsFor(4*ni)
+		scratch = from.take(w, w, w)
+		idx, ints = carve[int](scratch[:ns]), carve[int32](scratch[ns:])
+	} else {
+		idx, ints = make([]int, ns), make([]int32, ni)
+	}
+	starts := idx[:len(parent)+1]
+	starts[0] = 0
+	for src, part := range parent {
+		starts[src+1] = starts[src] + batchLen(part)
+	}
+	bounds := routeChunks(starts, maxChunks, idx[len(starts):])
+	nch := len(bounds) - 1
+	ints = ints[:total+(nch+1)*nt]
+	clear(ints[total:])
 	targets, counts, lens := ints[:total], ints[total:total+nch*nt], ints[total+nch*nt:]
 
 	// Counting pass. A lone chunk runs on the caller: there is no one to
@@ -200,12 +205,16 @@ func blockCap(n int) int {
 // small side of its operator, and the copy is a memcpy sweep that pool
 // dispatch would only add to.
 func flatten(parent []Batch) Batch {
-	offsets := partStarts(parent)
-	total := offsets[len(parent)]
+	total := 0
+	for _, part := range parent {
+		total += batchLen(part)
+	}
 	flat := routeProto(parent).newLike(total, total)
-	for src, part := range parent {
-		if batchLen(part) > 0 {
-			flat.copyFrom(offsets[src], part)
+	off := 0
+	for _, part := range parent {
+		if n := batchLen(part); n > 0 {
+			flat.copyFrom(off, part)
+			off += n
 		}
 	}
 	return flat

@@ -121,6 +121,11 @@ type Session struct {
 	// the slice it is handed).
 	costsScratch []cluster.Task
 
+	// planRefs and planCounts are buildExecPlan's memo-site counting
+	// scratch, reused plan to plan. Guarded by mu.
+	planRefs   map[*node][]int32
+	planCounts []int32
+
 	// arenas is the free list released shuffle blocks' memory goes back to
 	// and the router allocates from (arena.go). Guarded by mu.
 	arenas arenaList
